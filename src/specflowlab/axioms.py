@@ -21,13 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import CertificationError, InputError
-from .matcore import HermitianMatrix, as_hermitian, eigh, nonneg_projection, op_norm
+from .matcore import HermitianMatrix, as_hermitian, eigh, op_norm
 from .specflow import (
     OperatorPath,
     SfOptions,
     certify_invertible,
     path_concat,
-    sf_all_methods,
     sf_crossing_oracle,
     sf_endpoints,
     sf_pairsum,

@@ -24,7 +24,7 @@ from .axioms import run_all_checks
 from .errors import CertificationError, ConsistencyFault, InputError
 from .graded import eigenpair_cancellation_check, index_stability_check
 from .metrics import metric_separation_report
-from .specflow import SfOptions, certify_invertible, crossing_oracle_report, sf_all_methods, sf_phillips
+from .specflow import SfOptions, certify_invertible, crossing_oracle_report, sf_all_methods
 from .toeplitz import cyclic_shift_sweep, power_sweep
 
 __all__ = ["main", "build_parser"]

@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import InputError
 from .graded import GradedOperator
-from .matcore import HermitianMatrix, as_hermitian
+from .matcore import HermitianMatrix
 from .metrics import MetricReport
 from .opmodel import FAMILIES, DiagonalModel
 from .specflow import OperatorPath, SfCertificate
-from .generators import FAMILY_NAMES, family_path
+from .generators import family_path
 
 __all__ = [
     "matrix_to_obj",

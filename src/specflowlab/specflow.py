@@ -1,4 +1,4 @@
-"""Spectral flow of paths of Hermitian matrices, four independent ways.
+"""Spectral flow of paths of Hermitian matrices, by four methods.
 
 A path is a map t in [0, 1] -> Hermitian matrix, given either by uniform
 samples (piecewise-linear ground truth) or by a closed-form evaluator
@@ -21,12 +21,20 @@ Methods
                       an aliasing guard; deliberately naive, used as oracle.
 
 All four must agree exactly; they are cross-checked in the test suite and
-by the CLI, and a disagreement is an internal consistency fault.
+by the CLI, and a disagreement is an internal consistency fault. They are
+not four independent checks: at finite dimension the sf_pairsum total (a
+sum of rank differences) and the sf_crossing_oracle total (a sum of count
+jumps) both telescope to the sf_endpoints difference, so they agree with
+it by algebra. The comparison that can fail is sf_phillips, whose
+per-segment levels eps_j do not telescope, against sf_endpoints; the
+other two contribute their own refusals (projection refinement, aliasing
+guard), not an independent integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +44,7 @@ from .errors import (
     ConsistencyFault,
     DimensionMismatchError,
     EndpointError,
+    FinitenessError,
     InputError,
     SamplingError,
 )
@@ -83,12 +92,52 @@ class SfOptions:
 
 _DEFAULT_OPTS = SfOptions()
 
+#: byte budget of one stacked LAPACK call: stacks of complex128 matrices
+#: are cut into chunks of ``_chunk_len(dim)`` matrices
+_CHUNK_BYTES = 1 << 18
+
+
+def _chunk_len(dim: int) -> int:
+    return max(1, _CHUNK_BYTES // (16 * dim * dim))
+
+
+def _chunks(items: list, size: int):
+    for i in range(0, len(items), size):
+        yield items[i : i + size]
+
+
+def _difference_norms(pairs: list[tuple[np.ndarray, np.ndarray]], dim: int):
+    """Yield, one chunk at a time, ``op_norm(b - a)`` for the pairs (b, a),
+    with op_norm's finiteness check; one stacked SVD per chunk gives values
+    bit-identical to separate calls."""
+    for chunk in _chunks(pairs, _chunk_len(dim)):
+        d = np.empty((len(chunk), dim, dim), dtype=np.complex128)
+        for i, (b, a) in enumerate(chunk):
+            np.subtract(b, a, out=d[i])
+        if not np.all(np.isfinite(d)):
+            raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
+        yield np.linalg.norm(d, 2, axis=(1, 2)).tolist()
+
 
 class OperatorPath:
     """A continuous family of Hermitian matrices over t in [0, 1].
 
-    Matrices and eigendecompositions are memoized per t, so the four methods
-    (and repeated certification passes) share evaluations.
+    Every method samples the path through one grid sampler:
+
+    * ``matrix(t)`` evaluates the path once per t and caches the matrix;
+    * ``values(ts)`` returns eigenvalues, computing the ones not yet cached
+      by one batched ``eigvalsh`` over the stacked matrices;
+    * ``steps(ts)`` returns the operator-norm steps between consecutive
+      grid points, cached by (t_a, t_b); the missing ones come from one
+      stacked 2-norm of the differences;
+    * ``eig(t)`` is the validated full decomposition, cached per t.
+
+    Stacks are cut into chunks of at most ``_CHUNK_BYTES`` bytes, so memory
+    does not grow with the grid. A stacked LAPACK call runs the same routine
+    on every matrix, so each value is bit-identical to a one-at-a-time call
+    and does not depend on which grids were sampled before. The certified
+    subdivision is cached per ``SfOptions``, so sf_pairsum reuses the one
+    sf_phillips found.
     """
 
     def __init__(
@@ -115,6 +164,8 @@ class OperatorPath:
         self._mats: dict[float, HermitianMatrix] = {}
         self._eigs: dict[float, EigenDecomposition] = {}
         self._vals: dict[float, np.ndarray] = {}
+        self._steps: dict[tuple[float, float], float] = {}
+        self._segments: dict[SfOptions, tuple] = {}
 
     @property
     def dim(self) -> int:
@@ -151,20 +202,31 @@ class OperatorPath:
             self._eigs[t] = ed
         return ed
 
-    def values(self, t: float) -> np.ndarray:
-        """Eigenvalues only (cheaper than a full, validated ``eig``).
+    def values(self, t):
+        """Eigenvalues only (cheaper than a full, validated ``eig``): one
+        array for a single t, a list of arrays for a sequence of t.
 
         Always the eigvalsh route, even when a full decomposition is
         already cached: the two differ in final bits, and certificates
         must not depend on which methods ran earlier on the same path.
         """
-        t = float(t)
-        v = self._vals.get(t)
-        if v is None:
-            v = np.linalg.eigvalsh(self.matrix(t).mat)
-            v.setflags(write=False)
-            self._vals[t] = v
-        return v
+        single = np.ndim(t) == 0
+        ts = [float(t)] if single else [float(s) for s in t]
+        todo = list(dict.fromkeys(s for s in ts if s not in self._vals))
+        for chunk in _chunks(todo, _chunk_len(self._dim)):
+            w = np.linalg.eigvalsh(np.stack([self.matrix(s).mat for s in chunk]))
+            w.setflags(write=False)
+            self._vals.update(zip(chunk, w))
+        return self._vals[ts[0]] if single else [self._vals[s] for s in ts]
+
+    def steps(self, ts: Sequence[float]) -> list[float]:
+        """Operator-norm steps ||H(ts[k+1]) - H(ts[k])|| along a grid."""
+        pairs = [(float(a), float(b)) for a, b in zip(ts[:-1], ts[1:])]
+        todo = list(dict.fromkeys(p for p in pairs if p not in self._steps))
+        diffs = [(self.matrix(b).mat, self.matrix(a).mat) for a, b in todo]
+        norms = chain.from_iterable(_difference_norms(diffs, self._dim))
+        self._steps.update(zip(todo, norms))
+        return [self._steps[p] for p in pairs]
 
     def nonneg_count(self, t: float) -> int:
         return int(np.sum(self.values(t) >= 0.0))
@@ -290,11 +352,10 @@ def _initial_grid(path: OperatorPath, samples: int) -> list[float]:
     return sorted(ts)
 
 
-def _steps(path: OperatorPath, ts: Sequence[float]) -> list[float]:
-    return [
-        op_norm(path.matrix(ts[k + 1]).mat - path.matrix(ts[k]).mat)
-        for k in range(len(ts) - 1)
-    ]
+def _neighbour_steps(steps: Sequence[float]) -> np.ndarray:
+    """Per grid point, the larger of the steps to its neighbours."""
+    padded = np.concatenate(([0.0], steps, [0.0]))
+    return np.maximum(padded[:-1], padded[1:])
 
 
 def _segment_level_and_margin(
@@ -311,25 +372,17 @@ def _segment_level_and_margin(
     falsifiable: a segment whose steps exceed every gap half-width cannot
     certify at any eps and has to be subdivided instead.
     """
-    steps = _steps(path, ts)
-    mags = [np.abs(path.values(t)) for t in ts]
-    pool = np.unique(np.concatenate([[0.0]] + mags))
+    steps = path.steps(ts)
+    mags = np.abs(np.array(path.values(ts)))
+    pool = np.unique(np.concatenate(([0.0], mags.ravel())))
     lows = pool
     highs = np.append(pool[1:], pool[-1] + top_width)
     widths = highs - lows
     # widest gap wins; argmax ties resolve toward the smaller (local) level
     best = int(np.argmax(widths))
     eps = float((lows[best] + highs[best]) / 2.0)
-    margin = np.inf
-    for k, m in enumerate(mags):
-        dist = float(np.min(np.abs(m - eps)))
-        near = 0.0
-        if k > 0:
-            near = max(near, steps[k - 1])
-        if k < len(steps):
-            near = max(near, steps[k])
-        margin = min(margin, dist - near)
-    return eps, float(margin)
+    dist = np.min(np.abs(mags - eps), axis=1)
+    return eps, float(np.min(dist - _neighbour_steps(steps)))
 
 
 def _refine(ts: Sequence[float]) -> list[float]:
@@ -348,9 +401,13 @@ def _rank_below(path: OperatorPath, t: float, eps: float) -> int:
 
 def _certified_segments(
     path: OperatorPath, opts: SfOptions
-) -> list[tuple[list[float], float, float]]:
-    """Recursively subdivide until every segment certifies; returns a list
-    of (sample grid, eps, margin) triples covering [0, 1] in order."""
+) -> tuple[tuple[list[float], float, float], ...]:
+    """Recursively subdivide until every segment certifies; returns the
+    (sample grid, eps, margin) triples covering [0, 1] in order. The result
+    is cached on the path per ``opts``."""
+    cached = path._segments.get(opts)
+    if cached is not None:
+        return cached
     out: list[tuple[list[float], float, float]] = []
     # The above-the-spectrum candidate level gets half the smaller endpoint
     # spectral gap as its headroom, so certifying "eps above everything the
@@ -373,7 +430,8 @@ def _certified_segments(
         visit(_refine(right), depth + 1)
 
     visit(_initial_grid(path, opts.samples), 0)
-    return out
+    path._segments[opts] = tuple(out)
+    return path._segments[opts]
 
 
 def sf_phillips(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertificate:
@@ -428,12 +486,7 @@ def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertifi
 
     def settle(ts: list[float], eps: float, depth: int) -> None:
         projs = [_upper_projection(path, t, eps) for t in ts]
-        worst = 0.0
-        for k in range(len(ts) - 1):
-            worst = max(worst, op_norm(projs[k + 1] - projs[k]))
-        for k in range(len(ts)):
-            worst = max(worst, op_norm(projs[k] - projs[0]))
-            worst = max(worst, op_norm(projs[-1] - projs[k]))
+        worst = _worst_jump(projs, 1.0 - 1e-9)
         if worst < 1.0 - 1e-9:
             refined.append((ts, eps, 1.0 - worst))
             return
@@ -478,6 +531,25 @@ def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertifi
     return cert
 
 
+def _worst_jump(projs: list[np.ndarray], limit: float) -> float:
+    """Largest ||P_i - P_j|| (i > j) over consecutive pairs and pairs with an
+    end of the grid, from stacked chunks of differences; once a chunk
+    reaches ``limit`` the rest are skipped and that chunk's value returned."""
+    last = len(projs) - 1
+    pairs = list(dict.fromkeys(
+        [(k + 1, k) for k in range(last)]
+        + [(k, 0) for k in range(1, last + 1)]
+        + [(last, k) for k in range(1, last)]
+    ))
+    worst = 0.0
+    diffs = [(projs[i], projs[j]) for i, j in pairs]
+    for norms in _difference_norms(diffs, projs[0].shape[0]):
+        worst = max(worst, *norms)
+        if worst >= limit:
+            break
+    return worst
+
+
 def _nonneg_matrix(path: OperatorPath, t: float) -> np.ndarray:
     ed = path.eig(t)
     b = ed.vectors[:, ed.values >= 0.0]
@@ -500,8 +572,9 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     """
     g0, g1 = _check_endpoints(path, opts)
     ts = sorted(set(np.linspace(0.0, 1.0, opts.oracle_samples).tolist()) | set(path.knots))
-    counts = [path.nonneg_count(t) for t in ts]
-    steps = _steps(path, ts)
+    vals = path.values(ts)
+    counts = [int(np.sum(v >= 0.0)) for v in vals]
+    steps = path.steps(ts)
     max_step = max(steps) if steps else 0.0
     if max_step >= 0.5 * min(g0, g1):
         raise SamplingError(
@@ -516,8 +589,8 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
             continue
         # slack covers the boundary case |eigenvalue| == step up to rounding
         step = steps[k] * (1.0 + 1e-9) + 1e-12
-        movers_l = int(np.sum(np.abs(path.values(ts[k])) <= step))
-        movers_r = int(np.sum(np.abs(path.values(ts[k + 1])) <= step))
+        movers_l = int(np.sum(np.abs(vals[k]) <= step))
+        movers_r = int(np.sum(np.abs(vals[k + 1]) <= step))
         if abs(jump) > min(movers_l, movers_r):
             raise SamplingError(
                 f"sign-count jump {jump} cannot be explained by eigenvalues "
@@ -615,22 +688,13 @@ def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> d
     sweep drivers can count and refine.
     """
     ts = _initial_grid(path, opts.samples)
-    steps = _steps(path, ts)
-    worst = np.inf
-    min_gap = np.inf
-    for k, t in enumerate(ts):
-        gap = float(np.min(np.abs(path.values(t))))
-        near = 0.0
-        if k > 0:
-            near = max(near, steps[k - 1])
-        if k < len(steps):
-            near = max(near, steps[k])
-        worst = min(worst, gap - near)
-        min_gap = min(min_gap, gap)
+    steps = path.steps(ts)
+    gaps = np.min(np.abs(np.array(path.values(ts))), axis=1)
+    worst = float(np.min(gaps - _neighbour_steps(steps)))
     return {
         "certified": bool(worst > 0.0),
-        "margin": float(worst),
-        "min_gap": float(min_gap),
+        "margin": worst,
+        "min_gap": float(np.min(gaps)),
         "max_step": float(max(steps) if steps else 0.0),
         "samples": len(ts),
     }

@@ -5,6 +5,7 @@ import pytest
 
 from specflowlab.errors import (
     BoundaryCollisionError,
+    ConsistencyFault,
     ContourCollisionError,
     DefinitenessError,
     DimensionMismatchError,
@@ -16,6 +17,7 @@ from specflowlab.errors import (
 )
 from specflowlab.matcore import (
     A1Report,
+    EigenDecomposition,
     HermitianMatrix,
     Interval,
     Projection,
@@ -105,6 +107,42 @@ def test_eigh_ascending_and_reconstructs(rng):
     assert np.all(np.diff(ed.values) >= 0.0)
     recon = (ed.vectors * ed.values) @ ed.vectors.conj().T
     assert op_norm(recon - h.mat) <= 1e-10 * (1.0 + h.norm)
+
+
+def test_eigendecomposition_rejects_gram_defect():
+    v = np.eye(3, dtype=np.complex128)
+    v[0, 1] = 1e-9  # ||V* V - I|| is about 1e-9, ten times the bound
+    with pytest.raises(ConsistencyFault, match="orthonormal"):
+        EigenDecomposition(values=np.array([0.0, 1.0, 2.0]), vectors=v)
+
+
+def test_eigendecomposition_accepts_gram_defect_below_the_operator_norm_bound():
+    # ||V* V - I||_F = 1.6e-10 fails the Frobenius shortcut, but the
+    # operator norm 0.8e-10 meets the bound, so the exact test must accept
+    v = np.diag(np.full(4, np.sqrt(1.0 + 0.8e-10))).astype(np.complex128)
+    EigenDecomposition(values=np.arange(4.0), vectors=v)
+
+
+def test_eigh_rejects_bad_reconstruction(monkeypatch):
+    lapack_eigh = np.linalg.eigh
+    c, s = np.cos(1e-6), np.sin(1e-6)
+
+    def perturbed(a):
+        w, v = lapack_eigh(a)
+        v = v.copy()
+        # rotate two eigenvectors into each other: still orthonormal, but
+        # V diag(w) V* misses H by about 1e-6
+        v[:, [0, 1]] = v[:, [0, 1]] @ np.array([[c, -s], [s, c]])
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(ConsistencyFault, match="reconstruction"):
+        eigh(HermitianMatrix(np.diag([1.0, 2.0, 3.0])))
+
+
+def test_projection_rejects_non_idempotent():
+    with pytest.raises(InputError, match="idempotent"):
+        Projection(np.diag([1.0, 0.5, 0.0]))
 
 
 def test_jacobi_hand_case():

@@ -11,10 +11,11 @@ from specflowlab.errors import (
     CertificationError,
     ConsistencyFault,
     EndpointError,
+    FinitenessError,
     InputError,
     SamplingError,
 )
-from specflowlab.matcore import HermitianMatrix
+from specflowlab.matcore import HermitianMatrix, op_norm
 from specflowlab.specflow import (
     OperatorPath,
     SfOptions,
@@ -34,6 +35,7 @@ from specflowlab.generators import (
     normalization_path,
     trig_path,
 )
+from specflowlab import specflow
 
 
 def dense_sign_count_oracle(path, samples=4001):
@@ -218,3 +220,67 @@ def test_double_reverse_identity():
     back = path_reverse(path_reverse(path))
     for t in (0.0, 0.3, 0.77, 1.0):
         np.testing.assert_allclose(back.matrix(t).mat, path.matrix(t).mat, atol=1e-15)
+
+
+# Dimensions 2-8, plus 48, where a stack of the grids below spans chunks.
+SAMPLER_CASES = [(0, 2), (1, 3), (2, 5), (3, 8), (4, 48)]
+
+
+@pytest.mark.parametrize("seed, dim", SAMPLER_CASES)
+def test_sampler_is_bit_identical_to_single_calls(seed, dim):
+    path = trig_path(seed, dim)
+    ts = np.linspace(0.0, 1.0, 61).tolist()
+    assert dim < 48 or len(ts) > specflow._chunk_len(dim)
+    for t, v in zip(ts, path.values(ts)):
+        assert np.array_equal(v, np.linalg.eigvalsh(path.matrix(t).mat))
+        assert path.values(t) is v
+    for a, b, step in zip(ts, ts[1:], path.steps(ts)):
+        assert step == op_norm(path.matrix(b).mat - path.matrix(a).mat)
+
+
+def _filled_backwards(seed, dim):
+    """A path whose sampler caches were filled one point and one step at a
+    time, from t = 1 down, on the grids the methods sample first."""
+    path = trig_path(seed, dim)
+    opts = SfOptions()
+    for ts in (
+        np.linspace(0.0, 1.0, opts.oracle_samples).tolist(),
+        np.linspace(0.0, 1.0, 2 * opts.samples - 1).tolist(),
+    ):
+        for k in reversed(range(len(ts))):
+            path.values(ts[k])
+            path.steps(ts[k - 1 : k + 1])
+    return path
+
+
+@pytest.mark.parametrize("seed, dim", SAMPLER_CASES)
+def test_results_do_not_depend_on_sampling_order(seed, dim):
+    for fn in (sf_all_methods, crossing_oracle_report, certify_invertible):
+        assert fn(trig_path(seed, dim)) == fn(_filled_backwards(seed, dim))
+
+
+def test_pairsum_reuses_the_phillips_subdivision():
+    path = trig_path(5, 4)
+    sf_phillips(path)
+    (segments,) = path._segments.values()
+    sf_pairsum(path)
+    assert path._segments[SfOptions()] is segments
+
+
+def test_steps_reject_a_non_finite_difference():
+    class Unvalidated(HermitianMatrix):
+        """Skips validation: a HermitianMatrix's entries stay within half
+        the float range, so their differences cannot overflow otherwise."""
+
+        __slots__ = ()
+
+        def __init__(self, entries):
+            self._mat = np.asarray(entries, dtype=np.complex128)
+            self._norm = None
+
+    def evaluate(t):
+        return Unvalidated(np.diag([1e308 if t > 0.5 else -1e308, 1.0]))
+
+    path = OperatorPath.from_callable(evaluate, 2)
+    with np.errstate(over="ignore"), pytest.raises(FinitenessError):
+        path.steps([0.0, 1.0])
