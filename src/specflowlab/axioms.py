@@ -16,6 +16,7 @@ component_label is a complete invariant at fixed dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -88,7 +89,6 @@ def check_concatenation(
     trials: int = 200,
     dims=(2, 3, 4, 5, 6, 7, 8),
     seed: int = 0,
-    opts: SfOptions = _DEFAULT_OPTS,
 ) -> dict:
     """mu(f * g) == mu(f) + mu(g) over seeded compatible pairs."""
     failures = []
@@ -113,16 +113,18 @@ def check_concatenation(
     }
 
 
-def _certified_s_pairs(h_of, s_grid, dim: int, *, max_depth: int = 16) -> list[float]:
+def _certified_s_pairs(
+    row: Callable[[float], OperatorPath], s_grid, *, max_depth: int = 16
+) -> list[float]:
     """Refine the deformation grid until every consecutive pair of rows
     has both endpoints' spectral gaps exceeding the operator-norm step
     between the rows (so no endpoint can cross zero in between)."""
 
     def endpoint_gap(s: float, t: float) -> float:
-        return float(np.min(np.abs(np.linalg.eigvalsh(h_of(s, t).mat))))
+        return float(np.min(np.abs(row(s).values(t))))
 
     def step(s0: float, s1: float, t: float) -> float:
-        return op_norm(h_of(s0, t).mat - h_of(s1, t).mat)
+        return op_norm(row(s0).matrix(t).mat - row(s1).matrix(t).mat)
 
     out = [float(s_grid[0])]
     stack = [
@@ -154,7 +156,6 @@ def check_homotopy(
     trials: int = 50,
     dims=(2, 3, 4, 5, 6),
     seed: int = 0,
-    opts: SfOptions = _DEFAULT_OPTS,
 ) -> dict:
     """The integer is constant across each certified deformation family.
 
@@ -166,17 +167,21 @@ def check_homotopy(
     for k, rng in enumerate(spawn_rngs(seed, trials)):
         dim = _dim_for(rng, dims)
         h_of, s_grid, label = homotopy_family(rng, dim)
+        paths: dict[float, OperatorPath] = {}
+
+        def row(s: float) -> OperatorPath:
+            if s not in paths:
+                paths[s] = OperatorPath(
+                    partial(h_of, s), dim, meta={"family": label, "s": s}
+                )
+            return paths[s]
+
         try:
-            s_values = _certified_s_pairs(h_of, s_grid, dim)
+            s_values = _certified_s_pairs(row, s_grid)
         except CertificationError:
             inconclusive += 1
             continue
-        rows = []
-        for s in s_values:
-            row = OperatorPath.from_callable(
-                lambda t, s=s: h_of(s, t), dim, meta={"family": label, "s": s}
-            )
-            rows.append(functional(row))
+        rows = [functional(row(s)) for s in s_values]
         if len(set(rows)) != 1:
             failures.append({"trial": k, "dim": dim, "label": label, "rows": rows})
     return {
@@ -196,7 +201,6 @@ def check_normalization(
     trials: int = 50,
     dims=(1, 2, 3, 4, 5, 6, 7, 8),
     seed: int = 0,
-    opts: SfOptions = _DEFAULT_OPTS,
 ) -> dict:
     """The single-crossing pivot path scores exactly 1."""
     failures = []
@@ -260,16 +264,10 @@ def run_all_checks(
     """Every law against every computation route; returns all reports."""
     reports = []
     for fun in builtin_functionals(opts):
+        reports.append(check_concatenation(fun, trials=concat_trials, seed=seed))
+        reports.append(check_homotopy(fun, trials=homotopy_trials, seed=seed + 1))
         reports.append(
-            check_concatenation(fun, trials=concat_trials, seed=seed, opts=opts)
-        )
-        reports.append(
-            check_homotopy(fun, trials=homotopy_trials, seed=seed + 1, opts=opts)
-        )
-        reports.append(
-            check_normalization(
-                fun, trials=normalization_trials, seed=seed + 2, opts=opts
-            )
+            check_normalization(fun, trials=normalization_trials, seed=seed + 2)
         )
         reports.append(
             check_invertible_vanishing(
@@ -332,20 +330,27 @@ def connect_invertibles(
     s1 = ed1.assemble(np.where(pos1, 1.0, -1.0))
     s2 = ed2.assemble(np.where(pos2, 1.0, -1.0))
 
-    def rotate(u: float) -> np.ndarray:
-        partial = frame @ np.diag(np.exp(1j * u * angles)) @ frame.conj().T
-        return partial @ s1 @ partial.conj().T
+    diag = np.arange(dim)
 
-    def evaluate(t: float) -> HermitianMatrix:
-        if t <= 1.0 / 3.0:
-            u = 3.0 * t
-            return HermitianMatrix((1.0 - u) * t1.mat + u * s1)
-        if t <= 2.0 / 3.0:
-            return HermitianMatrix(rotate(3.0 * t - 1.0))
-        u = 3.0 * t - 2.0
-        return HermitianMatrix((1.0 - u) * s2 + u * t2.mat)
+    def rotate(us: np.ndarray) -> np.ndarray:
+        phases = np.zeros((us.size, dim, dim), dtype=np.complex128)
+        phases[:, diag, diag] = np.exp(1j * us[:, None] * angles)
+        part = frame @ phases @ frame.conj().T
+        return part @ s1 @ part.conj().swapaxes(1, 2)
 
-    return OperatorPath.from_callable(
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        out = np.empty((ts.size, dim, dim), dtype=np.complex128)
+        flatten = ts <= 1.0 / 3.0
+        turn = ~flatten & (ts <= 2.0 / 3.0)
+        unflatten = ~flatten & ~turn
+        u = (3.0 * ts[flatten])[:, None, None]
+        out[flatten] = (1.0 - u) * t1.mat + u * s1
+        out[turn] = rotate(3.0 * ts[turn] - 1.0)
+        u = (3.0 * ts[unflatten] - 2.0)[:, None, None]
+        out[unflatten] = (1.0 - u) * s2 + u * t2.mat
+        return out
+
+    return OperatorPath(
         evaluate, dim, knots=(0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0),
         meta={"family": "connector", "label": label1},
     )

@@ -33,7 +33,11 @@ __all__ = ["main", "build_parser"]
 def _pmap(fn, items):
     """Ordered map, threaded when SPECFLOW_THREADS asks for it."""
     items = list(items)
-    threads = int(os.environ.get("SPECFLOW_THREADS", "1"))
+    setting = os.environ.get("SPECFLOW_THREADS", "1")
+    try:
+        threads = int(setting)
+    except ValueError:
+        raise InputError(f"SPECFLOW_THREADS must be an integer, got {setting!r}") from None
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

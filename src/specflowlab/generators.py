@@ -129,23 +129,27 @@ def half_integer_diagonal(m: int) -> HermitianMatrix:
 
 
 def unitary_rotation_path(rng: np.random.Generator, dim: int, scale: float = 1.0):
-    """A smooth unitary path U(t) = exp(i t K) for a random Hermitian K."""
+    """A smooth unitary path U(t) = exp(i t K) for a random Hermitian K.
+
+    ``u_of(ts)`` maps an array of k parameters to the (k, dim, dim) stack of
+    unitaries, and a single t to one matrix.
+    """
     k = random_hermitian(rng, dim, scale)
     ed = eigh(k)
 
-    def u_of(t: float) -> np.ndarray:
-        return ed.assemble(np.exp(1j * t * ed.values))
+    def u_of(ts) -> np.ndarray:
+        phases = np.exp(1j * np.asarray(ts, dtype=np.float64)[..., None] * ed.values)
+        return ed.assemble(phases[..., None, :])
 
     return u_of
 
 
 def _tilt_to_clamped_endpoints(
-    raw: Callable[[float], np.ndarray], dim: int, gap: float, *, fix_left: bool = True
-) -> Callable[[float], HermitianMatrix]:
+    raw: Callable[[np.ndarray], np.ndarray], dim: int, gap: float, *, fix_left: bool = True
+) -> Callable[[np.ndarray], np.ndarray]:
     """Add an affine-in-t Hermitian tilt so both endpoints become their
     spectrally clamped versions (invertible with the given gap)."""
-    left = HermitianMatrix(raw(0.0))
-    right = HermitianMatrix(raw(1.0))
+    left, right = HermitianMatrix.from_stack(raw(np.array([0.0, 1.0])))
     delta0 = (
         clamp_spectrum_away_from_zero(left, gap).mat - left.mat
         if fix_left
@@ -153,15 +157,15 @@ def _tilt_to_clamped_endpoints(
     )
     delta1 = clamp_spectrum_away_from_zero(right, gap).mat - right.mat
 
-    def evaluate(t: float) -> HermitianMatrix:
-        return HermitianMatrix(raw(t) + (1.0 - t) * delta0 + t * delta1)
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        return raw(ts) + (1.0 - ts)[:, None, None] * delta0 + ts[:, None, None] * delta1
 
     return evaluate
 
 
 def _trig_evaluator(
     rng: np.random.Generator, dim: int, degree: int, scale: float
-) -> Callable[[float], np.ndarray]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Unitary-conjugated diagonal trig skeleton plus Hermitian trig coupling."""
     u = random_unitary(rng, dim).mat
     diag_coefs = [rng.standard_normal(dim) * scale / (1 + m) ** 2 for m in range(2 * degree + 1)]
@@ -169,16 +173,23 @@ def _trig_evaluator(
         random_hermitian(rng, dim, 0.3 * scale / (1 + m) ** 2).mat
         for m in range(2 * degree + 1)
     ]
+    u_h = u.conj().T
+    diag = np.arange(dim)
 
-    def raw(t: float) -> np.ndarray:
-        lam = diag_coefs[0].copy()
-        coup = coup_coefs[0].copy()
+    def raw(ts: np.ndarray) -> np.ndarray:
+        tl = ts.tolist()
+        lam = diag_coefs[0]
+        coup = coup_coefs[0]
         for m in range(1, degree + 1):
-            c = math.cos(math.pi * m * t)
-            s = math.sin(math.pi * m * t)
+            # math.cos/math.sin per t: numpy's vector routines may differ
+            # from them in the last bit on some CPUs
+            c = np.array([math.cos(math.pi * m * t) for t in tl])[:, None]
+            s = np.array([math.sin(math.pi * m * t) for t in tl])[:, None]
             lam = lam + c * diag_coefs[2 * m - 1] + s * diag_coefs[2 * m]
-            coup = coup + c * coup_coefs[2 * m - 1] + s * coup_coefs[2 * m]
-        return u.conj().T @ (np.diag(lam.astype(np.complex128)) + coup) @ u
+            coup = coup + c[..., None] * coup_coefs[2 * m - 1] + s[..., None] * coup_coefs[2 * m]
+        skeleton = np.zeros((len(tl), dim, dim), dtype=np.complex128)
+        skeleton[:, diag, diag] = lam
+        return u_h @ (skeleton + coup) @ u
 
     return raw
 
@@ -204,7 +215,7 @@ def trig_path(
         raise InputError(f"degree must be a positive int, got {degree!r}")
     raw = _trig_evaluator(rng, dim, degree, scale)
     evaluate = _tilt_to_clamped_endpoints(raw, dim, gap)
-    return OperatorPath.from_callable(evaluate, dim, meta=meta or {"family": "trig_random"})
+    return OperatorPath(evaluate, dim, meta=meta or {"family": "trig_random"})
 
 
 def invertible_trig_path(
@@ -225,12 +236,12 @@ def invertible_trig_path(
     amp = rng.uniform(0.1, 0.5) * gap / 2.0
     phase = rng.uniform(0.0, 2.0 * math.pi)
 
-    def evaluate(t: float) -> HermitianMatrix:
-        u = u_of(t)
-        drift = amp * math.sin(2.0 * math.pi * t + phase)
-        return HermitianMatrix(u.conj().T @ d0.mat @ u + drift * np.eye(dim))
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        u = u_of(ts)
+        drift = np.array([amp * math.sin(2.0 * math.pi * t + phase) for t in ts.tolist()])
+        return u.conj().swapaxes(1, 2) @ d0.mat @ u + drift[:, None, None] * np.eye(dim)
 
-    return OperatorPath.from_callable(evaluate, dim, meta={"family": "invertible_drift"})
+    return OperatorPath(evaluate, dim, meta={"family": "invertible_drift"})
 
 
 def normalization_path(seed_or_rng, dim: int) -> OperatorPath:
@@ -257,10 +268,10 @@ def normalization_path(seed_or_rng, dim: int) -> OperatorPath:
         block = clamp_spectrum_away_from_zero(block, 0.3)
         rest = basis @ block.mat @ basis.conj().T
 
-    def evaluate(t: float) -> HermitianMatrix:
-        return HermitianMatrix((t - 0.5) * p + rest)
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        return (ts - 0.5)[:, None, None] * p + rest
 
-    return OperatorPath.from_callable(evaluate, dim, meta={"family": "normalization"})
+    return OperatorPath(evaluate, dim, meta={"family": "normalization"})
 
 
 def concat_compatible_pair(seed_or_rng, dim: int, **kwargs) -> tuple[OperatorPath, OperatorPath]:
@@ -274,13 +285,14 @@ def concat_compatible_pair(seed_or_rng, dim: int, **kwargs) -> tuple[OperatorPat
     f = trig_path(rng, dim, **kwargs)
     g_raw = _trig_evaluator(rng, dim, kwargs.get("degree", 3), kwargs.get("scale", 1.0))
     join = f.matrix(1.0).mat
+    (g_start,) = g_raw(np.array([0.0]))
 
-    def shifted(t: float) -> np.ndarray:
-        return g_raw(t) - g_raw(0.0) + join
+    def shifted(ts: np.ndarray) -> np.ndarray:
+        return g_raw(ts) - g_start + join
 
     gap = kwargs.get("gap", ENDPOINT_CLAMP_GAP)
     evaluate = _tilt_to_clamped_endpoints(shifted, dim, gap, fix_left=False)
-    g = OperatorPath.from_callable(evaluate, dim, meta={"family": "trig_random_shifted"})
+    g = OperatorPath(evaluate, dim, meta={"family": "trig_random_shifted"})
     return f, g
 
 
@@ -289,7 +301,9 @@ def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7, **kwargs):
 
     Even seeds produce an additive drift H(s, t) = f(t) + s e I with
     e below half the endpoint gaps; odd seeds conjugate by a smooth unitary
-    rotation, H(s, t) = U(s)* f(t) U(s). Returns (H, s_grid, label).
+    rotation, H(s, t) = U(s)* f(t) U(s). Returns (H, s_grid, label), where
+    ``H(s, ts)`` is the (k, dim, dim) stack of row s at the k parameters
+    ``ts``: an OperatorPath evaluator once s is fixed.
     """
     rng = (
         seed_or_rng
@@ -303,16 +317,16 @@ def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7, **kwargs):
         g0, g1 = f.endpoint_gaps()
         eps = 0.4 * min(g0, g1)
 
-        def h_of(s: float, t: float) -> HermitianMatrix:
-            return HermitianMatrix(f.matrix(t).mat + s * eps * np.eye(dim))
+        def h_of(s: float, ts: np.ndarray) -> np.ndarray:
+            return f.stack(ts) + s * eps * np.eye(dim)
 
         label = "additive_drift"
     else:
         u_of = unitary_rotation_path(rng, dim, 0.8)
 
-        def h_of(s: float, t: float) -> HermitianMatrix:
+        def h_of(s: float, ts: np.ndarray) -> np.ndarray:
             u = u_of(s)
-            return HermitianMatrix(u.conj().T @ f.matrix(t).mat @ u)
+            return u.conj().T @ f.stack(ts) @ u
 
         label = "unitary_conjugation"
     return h_of, s_grid, label
@@ -327,10 +341,10 @@ def _family_linear_interp(params: dict, seed, dim) -> OperatorPath:
     if a.dim != b.dim:
         raise InputError("linear_interp endpoints must share a dimension")
 
-    def evaluate(t: float) -> HermitianMatrix:
-        return HermitianMatrix((1.0 - t) * a.mat + t * b.mat)
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        return (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
 
-    return OperatorPath.from_callable(evaluate, a.dim, meta={"family": "linear_interp"})
+    return OperatorPath(evaluate, a.dim, meta={"family": "linear_interp"})
 
 
 def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
@@ -341,10 +355,10 @@ def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
     d = realize(model)
     c = ce_fuglede(model, int(n))
 
-    def evaluate(t: float) -> HermitianMatrix:
-        return HermitianMatrix(d.mat + t * c.mat)
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        return d.mat + ts[:, None, None] * c.mat
 
-    return OperatorPath.from_callable(
+    return OperatorPath(
         evaluate, model.trunc_dim, meta={"family": "fuglede_line", "n": int(n)}
     )
 
@@ -356,10 +370,10 @@ def _family_toeplitz_line(params: dict, seed, dim) -> OperatorPath:
     w = cyclic_shift(d.dim, power)
     conj = HermitianMatrix(w.mat @ d.mat @ w.mat.conj().T)
 
-    def evaluate(t: float) -> HermitianMatrix:
-        return HermitianMatrix((1.0 - t) * d.mat + t * conj.mat)
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        return (1.0 - ts)[:, None, None] * d.mat + ts[:, None, None] * conj.mat
 
-    return OperatorPath.from_callable(
+    return OperatorPath(
         evaluate, d.dim, meta={"family": "toeplitz_line", "m": m, "power": power}
     )
 

@@ -64,13 +64,32 @@ _TOL_FLOOR = 1e-14
 _FRO_SLACK = 1e-6
 
 
-def _as_complex_array(entries) -> np.ndarray:
-    a = np.array(entries, dtype=np.complex128, copy=True)
-    if a.ndim != 2:
-        raise InputError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+def _hermitian_average(a: np.ndarray) -> np.ndarray:
+    """The Hermitian predicate on a (k, n, n) complex stack.
+
+    Checks, in this order, that every entry is finite, that the matrices
+    are square and non-empty, and that each matrix has a symmetry defect
+    max|A - A*| within 1e-12 times its own largest entry magnitude (floor
+    1e-14); the first failing matrix raises. Returns the read-only stack of
+    Hermitian averages (A + A*) / 2, entry by entry the same floats a
+    one-matrix call gives.
+    """
+    if not np.all(np.isfinite(a)):
         raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
-    return a
+    _, n, m = a.shape
+    if n != m:
+        raise DimensionMismatchError(f"Hermitian matrix must be square, got {n}x{m}")
+    if n < 1:
+        raise InputError("dimension must be >= 1")
+    ah = a.conj().swapaxes(1, 2)
+    defect = np.max(np.abs(a - ah), axis=(1, 2))
+    tol = np.maximum(_HERM_RTOL * np.max(np.abs(a), axis=(1, 2)), _TOL_FLOOR)
+    bad = np.flatnonzero(defect > tol)
+    if bad.size:
+        raise HermiticityError(float(defect[bad[0]]), float(tol[bad[0]]))
+    h = (a + ah) / 2.0
+    h.setflags(write=False)
+    return h
 
 
 def op_norm(a) -> float:
@@ -100,27 +119,36 @@ class HermitianMatrix:
 
     The symmetry defect max|H - H*| must not exceed 1e-12 times the largest
     entry magnitude (floor 1e-14); the stored matrix is the Hermitian average
-    of the input, so the invariant holds exactly afterwards.
+    of the input, so the invariant holds exactly afterwards. ``from_stack``
+    applies the same check to k matrices at once.
     """
 
     __slots__ = ("_mat", "_norm")
 
     def __init__(self, entries):
-        a = _as_complex_array(entries)
-        n, m = a.shape
-        if n != m:
-            raise DimensionMismatchError(f"Hermitian matrix must be square, got {n}x{m}")
-        if n < 1:
-            raise InputError("dimension must be >= 1")
-        scale = float(np.max(np.abs(a))) if a.size else 0.0
-        defect = float(np.max(np.abs(a - a.conj().T)))
-        tol = max(_HERM_RTOL * scale, _TOL_FLOOR)
-        if defect > tol:
-            raise HermiticityError(defect, tol)
-        h = (a + a.conj().T) / 2.0
-        h.setflags(write=False)
-        self._mat = h
+        a = np.asarray(entries, dtype=np.complex128)
+        if a.ndim != 2:
+            raise InputError(f"expected a 2-d matrix, got shape {a.shape}")
+        self._mat = _hermitian_average(a[None])[0]
         self._norm: float | None = None
+
+    @staticmethod
+    def from_stack(entries) -> list[HermitianMatrix]:
+        """Validate k matrices at once, given as a (k, n, n) array or a
+        sequence of k equally shaped matrices. One stacked check, with the
+        constructor's messages, covers every matrix, so the rows are wrapped
+        without a second one.
+        """
+        a = np.asarray(entries, dtype=np.complex128)
+        if a.ndim != 3:
+            raise InputError(f"expected a stack of 2-d matrices, got shape {a.shape}")
+        rows = []
+        for row in _hermitian_average(a):
+            h = object.__new__(HermitianMatrix)
+            h._mat = row
+            h._norm = None
+            rows.append(h)
+        return rows
 
     @property
     def mat(self) -> np.ndarray:

@@ -16,6 +16,7 @@ diverge from one another.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -98,12 +99,14 @@ class GraphDistanceDetail:
 
 
 _worst_dual_gap = 0.0
+_dual_gap_lock = threading.Lock()
 
 
 def reset_dual_gap_watermark() -> None:
     """Zero the recorded worst disagreement between the two d_G routes."""
     global _worst_dual_gap
-    _worst_dual_gap = 0.0
+    with _dual_gap_lock:
+        _worst_dual_gap = 0.0
 
 
 def dual_gap_watermark() -> float:
@@ -122,8 +125,9 @@ def d_G_detail(t1, t2) -> GraphDistanceDetail:
     )
     cay = 0.5 * op_norm(cayley(a).mat - cayley(b).mat)
     detail = GraphDistanceDetail(resolvent_route=res, cayley_route=cay)
-    if detail.delta > _worst_dual_gap:
-        _worst_dual_gap = detail.delta
+    with _dual_gap_lock:
+        if detail.delta > _worst_dual_gap:
+            _worst_dual_gap = detail.delta
     if detail.delta > _DG_FAULT:
         raise ConsistencyFault(
             f"graph-distance routes disagree: resolvent {res!r} vs half-Cayley {cay!r}"

@@ -114,7 +114,7 @@ def path_to_obj(path: OperatorPath, *, samples: int = 33) -> dict:
     return {
         "dim": path.dim,
         "kind": "sampled",
-        "samples": [matrix_to_obj(path.matrix(t)) for t in ts],
+        "samples": [matrix_to_obj(m) for m in path.matrices(ts)],
     }
 
 

@@ -119,12 +119,24 @@ def _difference_norms(pairs: list[tuple[np.ndarray, np.ndarray]], dim: int):
         yield np.linalg.norm(d, 2, axis=(1, 2)).tolist()
 
 
+def _dim_error(found: int, expected: int) -> DimensionMismatchError:
+    return DimensionMismatchError(f"path evaluator returned dim {found}, expected {expected}")
+
+
 class OperatorPath:
     """A continuous family of Hermitian matrices over t in [0, 1].
 
+    The evaluator takes a float64 array ``ts`` of shape (k,) and returns the
+    k matrices H(ts[0]), ..., H(ts[k-1]) as one complex (k, n, n) stack (any
+    array-like of that shape, such as a list of k matrices, will do).
+    ``from_callable`` adapts a scalar function t -> matrix to this contract.
+    Each stack is validated by one ``HermitianMatrix.from_stack`` check and
+    cached per t.
+
     Every method samples the path through one grid sampler:
 
-    * ``matrix(t)`` evaluates the path once per t and caches the matrix;
+    * ``matrix(t)`` and ``matrices(ts)`` return the validated matrices,
+      evaluating the ones not yet cached by one evaluator call per chunk;
     * ``values(ts)`` returns eigenvalues, computing the ones not yet cached
       by one batched ``eigvalsh`` over the stacked matrices;
     * ``steps(ts)`` returns the operator-norm steps between consecutive
@@ -133,16 +145,17 @@ class OperatorPath:
     * ``eig(t)`` is the validated full decomposition, cached per t.
 
     Stacks are cut into chunks of at most ``_CHUNK_BYTES`` bytes, so memory
-    does not grow with the grid. A stacked LAPACK call runs the same routine
-    on every matrix, so each value is bit-identical to a one-at-a-time call
-    and does not depend on which grids were sampled before. The certified
-    subdivision is cached per ``SfOptions``, so sf_pairsum reuses the one
-    sf_phillips found.
+    does not grow with the grid. The library's evaluators do per matrix the
+    same floating-point operations, in the same order, as a one-point call,
+    and a stacked LAPACK call runs the same routine on every matrix, so each
+    value is bit-identical to a one-at-a-time evaluation and does not
+    depend on which grids were sampled before. The certified subdivision is
+    cached per ``SfOptions``, so sf_pairsum reuses the one sf_phillips found.
     """
 
     def __init__(
         self,
-        evaluator: Callable[[float], HermitianMatrix],
+        evaluator: Callable[[np.ndarray], np.ndarray],
         dim: int,
         *,
         kind: str = "closed-form",
@@ -180,19 +193,43 @@ class OperatorPath:
         """Interior break points where a sampled path is non-smooth."""
         return self._knots
 
+    def _fill(self, ts: list[float]) -> None:
+        """Evaluate and cache the distinct, uncached points ``ts``."""
+        for t in ts:
+            if not 0.0 <= t <= 1.0:
+                raise InputError(f"path parameter {t!r} outside [0, 1]")
+        for chunk in _chunks(ts, _chunk_len(self._dim)):
+            mats = HermitianMatrix.from_stack(self._evaluator(np.array(chunk)))
+            if len(mats) != len(chunk):
+                raise InputError(
+                    f"path evaluator returned {len(mats)} matrices for {len(chunk)} points"
+                )
+            if mats and mats[0].dim != self._dim:
+                raise _dim_error(mats[0].dim, self._dim)
+            self._mats.update(zip(chunk, mats))
+
     def matrix(self, t: float) -> HermitianMatrix:
         t = float(t)
-        if not 0.0 <= t <= 1.0:
-            raise InputError(f"path parameter {t!r} outside [0, 1]")
         m = self._mats.get(t)
         if m is None:
-            m = as_hermitian(self._evaluator(t))
-            if m.dim != self._dim:
-                raise DimensionMismatchError(
-                    f"path evaluator returned dim {m.dim}, expected {self._dim}"
-                )
-            self._mats[t] = m
+            self._fill([t])
+            m = self._mats[t]
         return m
+
+    def matrices(self, ts: Sequence[float]) -> list[HermitianMatrix]:
+        """The matrices at every t of ``ts``, in order."""
+        ts = [float(t) for t in ts]
+        self._fill([t for t in dict.fromkeys(ts) if t not in self._mats])
+        return [self._mats[t] for t in ts]
+
+    def stack(self, ts: np.ndarray) -> np.ndarray:
+        """The matrices at ``ts`` as one fresh (k, n, n) array: the sampler
+        a path built on this one calls from its own evaluator."""
+        mats = self.matrices(np.asarray(ts, dtype=np.float64).tolist())
+        out = np.empty((len(mats), self._dim, self._dim), dtype=np.complex128)
+        for i, m in enumerate(mats):
+            out[i] = m.mat
+        return out
 
     def eig(self, t: float) -> EigenDecomposition:
         t = float(t)
@@ -214,7 +251,7 @@ class OperatorPath:
         ts = [float(t)] if single else [float(s) for s in t]
         todo = list(dict.fromkeys(s for s in ts if s not in self._vals))
         for chunk in _chunks(todo, _chunk_len(self._dim)):
-            w = np.linalg.eigvalsh(np.stack([self.matrix(s).mat for s in chunk]))
+            w = np.linalg.eigvalsh(self.stack(chunk))
             w.setflags(write=False)
             self._vals.update(zip(chunk, w))
         return self._vals[ts[0]] if single else [self._vals[s] for s in ts]
@@ -223,7 +260,9 @@ class OperatorPath:
         """Operator-norm steps ||H(ts[k+1]) - H(ts[k])|| along a grid."""
         pairs = [(float(a), float(b)) for a, b in zip(ts[:-1], ts[1:])]
         todo = list(dict.fromkeys(p for p in pairs if p not in self._steps))
-        diffs = [(self.matrix(b).mat, self.matrix(a).mat) for a, b in todo]
+        points = [t for pair in todo for t in pair]
+        mats = dict(zip(points, self.matrices(points)))
+        diffs = [(mats[b].mat, mats[a].mat) for a, b in todo]
         norms = chain.from_iterable(_difference_norms(diffs, self._dim))
         self._steps.update(zip(todo, norms))
         return [self._steps[p] for p in pairs]
@@ -247,14 +286,14 @@ class OperatorPath:
         for m in mats[1:]:
             if m.dim != dim:
                 raise DimensionMismatchError("sample dimensions differ")
-        arr = [m.mat for m in mats]
+        arr = np.stack([m.mat for m in mats])
         last = len(mats) - 1
 
-        def evaluate(t: float) -> HermitianMatrix:
-            x = t * last
-            i = min(int(np.floor(x)), last - 1)
-            frac = x - i
-            return HermitianMatrix((1.0 - frac) * arr[i] + frac * arr[i + 1])
+        def evaluate(ts: np.ndarray) -> np.ndarray:
+            x = ts * last
+            i = np.minimum(np.floor(x).astype(np.intp), last - 1)
+            frac = (x - i)[:, None, None]
+            return (1.0 - frac) * arr[i] + frac * arr[i + 1]
 
         knots = [i / last for i in range(1, last)]
         path = cls(evaluate, dim, kind="sampled", knots=knots, meta=meta)
@@ -271,14 +310,23 @@ class OperatorPath:
         knots: Sequence[float] = (),
         meta: dict | None = None,
     ) -> "OperatorPath":
-        return cls(fn, dim, kind="closed-form", knots=knots, meta=meta)
+        """A path from a scalar function t -> matrix, called once per t."""
+
+        def evaluate(ts: np.ndarray) -> list:
+            mats = [fn(t) for t in ts.tolist()]
+            for m in mats:
+                if np.shape(m) != (dim, dim):
+                    raise _dim_error(HermitianMatrix(m).dim, dim)
+            return mats
+
+        return cls(evaluate, dim, kind="closed-form", knots=knots, meta=meta)
 
     def resample(self, samples: int) -> "OperatorPath":
         """A sampled snapshot of this path on a uniform grid."""
         if not isinstance(samples, int) or samples < 2:
             raise InputError(f"samples must be an int >= 2, got {samples!r}")
         ts = np.linspace(0.0, 1.0, samples)
-        return OperatorPath.from_samples([self.matrix(t) for t in ts], meta=dict(self.meta))
+        return OperatorPath.from_samples(self.matrices(ts), meta=dict(self.meta))
 
     def __repr__(self) -> str:
         return f"OperatorPath(kind={self._kind!r}, dim={self._dim})"
@@ -573,7 +621,7 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     g0, g1 = _check_endpoints(path, opts)
     ts = sorted(set(np.linspace(0.0, 1.0, opts.oracle_samples).tolist()) | set(path.knots))
     vals = path.values(ts)
-    counts = [int(np.sum(v >= 0.0)) for v in vals]
+    counts = np.count_nonzero(np.array(vals) >= 0.0, axis=1).tolist()
     steps = path.steps(ts)
     max_step = max(steps) if steps else 0.0
     if max_step >= 0.5 * min(g0, g1):
@@ -583,10 +631,8 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
         )
     ups = 0
     downs = 0
-    for k in range(len(ts) - 1):
+    for k in np.flatnonzero(np.diff(counts)).tolist():
         jump = counts[k + 1] - counts[k]
-        if jump == 0:
-            continue
         # slack covers the boundary case |eigenvalue| == step up to rounding
         step = steps[k] * (1.0 + 1e-9) + 1e-12
         movers_l = int(np.sum(np.abs(vals[k]) <= step))
@@ -652,10 +698,12 @@ def path_concat(f: OperatorPath, g: OperatorPath) -> OperatorPath:
             f"concatenation endpoints differ by {mismatch:.3e} (limit {1e-10 * scale:.3e})"
         )
 
-    def evaluate(t: float) -> HermitianMatrix:
-        if t <= 0.5:
-            return f.matrix(2.0 * t)
-        return g.matrix(2.0 * t - 1.0)
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        first = ts <= 0.5
+        out = np.empty((ts.size, f.dim, f.dim), dtype=np.complex128)
+        out[first] = f.stack(2.0 * ts[first])
+        out[~first] = g.stack(2.0 * ts[~first] - 1.0)
+        return out
 
     knots = [k / 2.0 for k in f.knots] + [0.5] + [0.5 + k / 2.0 for k in g.knots]
     return OperatorPath(
@@ -670,8 +718,8 @@ def path_concat(f: OperatorPath, g: OperatorPath) -> OperatorPath:
 def path_reverse(f: OperatorPath) -> OperatorPath:
     """Time reversal t -> f(1 - t); negates the spectral flow."""
 
-    def evaluate(t: float) -> HermitianMatrix:
-        return f.matrix(1.0 - t)
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        return f.stack(1.0 - ts)
 
     knots = [1.0 - k for k in f.knots]
     return OperatorPath(

@@ -82,10 +82,10 @@ def conjugation_path(d: HermitianMatrix, w) -> OperatorPath:
         raise InputError(f"dims differ: D {d.dim}, W {w.dim}")
     conj = HermitianMatrix(w.mat @ d.mat @ w.mat.conj().T)
 
-    def evaluate(s: float) -> HermitianMatrix:
-        return HermitianMatrix((1.0 - s) * d.mat + s * conj.mat)
+    def evaluate(ss: np.ndarray) -> np.ndarray:
+        return (1.0 - ss)[:, None, None] * d.mat + ss[:, None, None] * conj.mat
 
-    return OperatorPath.from_callable(evaluate, d.dim, meta={"family": "toeplitz_line"})
+    return OperatorPath(evaluate, d.dim, meta={"family": "toeplitz_line"})
 
 
 def verify_toeplitz_theorem(

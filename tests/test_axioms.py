@@ -36,14 +36,14 @@ def test_builtin_functional_names_and_values():
 @pytest.mark.parametrize("method_idx", range(4))
 def test_concatenation_law_small(method_idx):
     fun = builtin_functionals(OPTS)[method_idx]
-    rep = check_concatenation(fun, trials=8, seed=11, opts=OPTS)
+    rep = check_concatenation(fun, trials=8, seed=11)
     assert rep["ok"], rep["failures"]
     assert rep["method"] == METHOD_NAMES[method_idx]
 
 
 def test_homotopy_law_small():
     fun = builtin_functionals(OPTS)[0]
-    rep = check_homotopy(fun, trials=5, seed=1, opts=OPTS)
+    rep = check_homotopy(fun, trials=5, seed=1)
     assert rep["ok"], rep["failures"]
     # inconclusive rows are allowed but should not be the whole run
     assert rep["inconclusive"] < rep["trials"]
@@ -51,7 +51,7 @@ def test_homotopy_law_small():
 
 def test_normalization_law_small():
     for fun in builtin_functionals(OPTS):
-        rep = check_normalization(fun, trials=6, seed=2, opts=OPTS)
+        rep = check_normalization(fun, trials=6, seed=2)
         assert rep["ok"], rep["failures"]
 
 

@@ -2,11 +2,13 @@
 codes, and byte-determinism of the emitted files."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from specflowlab import ConsistencyFault, cli
+from specflowlab.metrics import dual_gap_watermark, reset_dual_gap_watermark
 from specflowlab.serialize import dumps_json, graded_to_obj, matrix_to_obj
 from specflowlab.graded import GradedOperator
 
@@ -127,6 +129,30 @@ def test_metrics_byte_identical_across_threads(tmp_path, monkeypatch):
         assert code == 0
         outs.append(target.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_non_integer_thread_count_exit_1(monkeypatch, capsys):
+    monkeypatch.setenv("SPECFLOW_THREADS", "two")
+    assert cli.main(["metrics", "--trunc-dim", "6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "SPECFLOW_THREADS" in err
+
+
+def test_dual_gap_watermark_of_a_threaded_table(monkeypatch, capsys):
+    """Rows on more threads than cores, switching often, keep the maximum."""
+    marks = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in ("1", "4"):
+            monkeypatch.setenv("SPECFLOW_THREADS", threads)
+            reset_dual_gap_watermark()
+            assert cli.main(["metrics", "--trunc-dim", "24"]) == 0
+            marks.append(dual_gap_watermark())
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert marks[0] == marks[1]
 
 
 def test_toeplitz_command(capsys):

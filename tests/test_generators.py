@@ -155,8 +155,8 @@ def test_homotopy_family_shapes():
     h_of, s_grid, label = homotopy_family(0, 3, s_samples=5)
     assert label in ("additive_drift", "unitary_conjugation")
     assert len(s_grid) == 5 and s_grid[0] == 0.0 and s_grid[-1] == 1.0
-    m = h_of(0.5, 0.5)
-    assert m.dim == 3
+    m = h_of(0.5, np.array([0.25, 0.5]))
+    assert m.shape == (2, 3, 3)
 
 
 def test_family_path_errors():

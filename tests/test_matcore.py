@@ -82,6 +82,50 @@ def test_hermitian_validation(rng):
     np.testing.assert_allclose(h.mat, h.mat.conj().T)
 
 
+def test_stack_validates_like_the_constructor(rng):
+    mats = [random_hermitian(rng, 3, scale=10.0 ** k) for k in range(-3, 4)]
+    mats[2] = mats[2] + 1e-15j * rng.normal(size=(3, 3))  # within tolerance
+    rows = HermitianMatrix.from_stack(np.array(mats))
+    assert [h.mat.tobytes() for h in rows] == [HermitianMatrix(m).mat.tobytes() for m in mats]
+    assert HermitianMatrix.from_stack(mats)[2].mat.tobytes() == rows[2].mat.tobytes()
+    assert HermitianMatrix.from_stack(np.zeros((0, 3, 3))) == []
+
+
+def _non_hermitian():
+    a = np.eye(3, dtype=complex)
+    a[0, 1] = 1e-6
+    return a
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [_non_hermitian(), np.diag([1.0, np.nan, 2.0]), np.diag([1.0, complex(0.0, np.inf), 2.0])],
+    ids=["non_hermitian", "nan", "inf"],
+)
+def test_stack_errors_match_the_constructor(rng, bad):
+    """One bad matrix in the middle of a stack raises the constructor's
+    exception, with its message."""
+    with pytest.raises(InputError) as single:
+        HermitianMatrix(bad)
+    mats = [random_hermitian(rng, 3) for _ in range(4)]
+    mats.insert(2, bad)
+    for stack in (mats, np.array(mats)):
+        with pytest.raises(type(single.value)) as stacked:
+            HermitianMatrix.from_stack(stack)
+        assert str(stacked.value) == str(single.value)
+
+
+def test_stack_shape_errors_match_the_constructor():
+    for shape in ((3, 4), (0, 0)):
+        with pytest.raises(InputError) as single:
+            HermitianMatrix(np.zeros(shape))
+        with pytest.raises(type(single.value)) as stacked:
+            HermitianMatrix.from_stack(np.zeros((5,) + shape))
+        assert str(stacked.value) == str(single.value)
+    with pytest.raises(InputError, match="stack of 2-d matrices"):
+        HermitianMatrix.from_stack(np.eye(3))
+
+
 def test_hermitian_rejects_tiny_asymmetry_beyond_tolerance():
     a = np.eye(3, dtype=complex)
     a[0, 1] = 1e-6  # far above the relative tolerance

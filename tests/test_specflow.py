@@ -4,14 +4,20 @@ The brute-force oracle for small hand-built paths is a dense sign count
 done right here in the test, independent of the library's own oracle.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from conftest import random_hermitian
+from specflowlab.axioms import connect_invertibles
 from specflowlab.errors import (
     CertificationError,
     ConsistencyFault,
+    DimensionMismatchError,
     EndpointError,
     FinitenessError,
+    HermiticityError,
     InputError,
     SamplingError,
 )
@@ -31,10 +37,17 @@ from specflowlab.specflow import (
 )
 from specflowlab.generators import (
     concat_compatible_pair,
+    cyclic_shift,
+    family_path,
+    half_integer_diagonal,
+    homotopy_family,
     invertible_trig_path,
     normalization_path,
+    random_invertible_hermitian,
+    random_unitary,
     trig_path,
 )
+from specflowlab.toeplitz import conjugation_path
 from specflowlab import specflow
 
 
@@ -284,3 +297,146 @@ def test_steps_reject_a_non_finite_difference():
     path = OperatorPath.from_callable(evaluate, 2)
     with np.errstate(over="ignore"), pytest.raises(FinitenessError):
         path.steps([0.0, 1.0])
+
+
+def _homotopy_row(label, dim):
+    """Row s = 0.4 of the first seeded homotopy family with this label."""
+    for seed in range(64):
+        h_of, _s_grid, got = homotopy_family(seed, dim)
+        if got == label:
+            return OperatorPath(partial(h_of, 0.4), dim)
+    raise AssertionError(f"no seed gives {label}")
+
+
+def _connector(dim):
+    rng = np.random.default_rng(dim)
+    t1 = random_invertible_hermitian(rng, dim)
+    w = random_unitary(rng, dim).mat
+    return connect_invertibles(t1, HermitianMatrix(2.0 * w @ t1.mat @ w.conj().T))
+
+
+def _conjugation(dim):
+    d = half_integer_diagonal(dim // 2)
+    return conjugation_path(d, cyclic_shift(d.dim, 2))
+
+
+def _endpoints(dim):
+    rng = np.random.default_rng(100 + dim)
+    return [HermitianMatrix(random_hermitian(rng, dim)) for _ in range(4)]
+
+
+def _linear_interp(dim):
+    a, b = _endpoints(dim)[:2]
+    return family_path("linear_interp", {"a": a, "b": b})
+
+
+def _scalar_callable(dim):
+    a, b, c = _endpoints(dim)[:3]
+    return OperatorPath.from_callable(
+        lambda t: HermitianMatrix((1.0 - t) * a.mat + t * b.mat + np.sin(5.0 * t) * c.mat),
+        dim,
+    )
+
+
+# Every path family the library builds, each as a factory of a fresh path.
+PATH_FAMILIES = {
+    "trig": lambda dim: trig_path(7, dim),
+    "concat_partner": lambda dim: concat_compatible_pair(7, dim)[1],
+    "invertible_drift": lambda dim: invertible_trig_path(7, dim),
+    "normalization": lambda dim: normalization_path(7, dim),
+    "linear_interp": _linear_interp,
+    "fuglede_line": lambda dim: family_path("fuglede_line", {"n": 3, "N": dim}),
+    "toeplitz_line": lambda dim: family_path("toeplitz_line", {"m": dim // 2, "power": 2}),
+    "from_callable": _scalar_callable,
+    "from_samples": lambda dim: OperatorPath.from_samples(_endpoints(dim)),
+    "concat": lambda dim: path_concat(*concat_compatible_pair(7, dim)),
+    "reverse": lambda dim: path_reverse(path_concat(*concat_compatible_pair(7, dim))),
+    "conjugation_path": _conjugation,
+    "homotopy_drift_row": lambda dim: _homotopy_row("additive_drift", dim),
+    "homotopy_conjugation_row": lambda dim: _homotopy_row("unitary_conjugation", dim),
+    "connector": _connector,
+}
+
+
+@pytest.mark.parametrize("dim", [5, 48])
+@pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+def test_batched_evaluation_is_bit_identical(family, dim):
+    """Point by point, one grid, the same grid backwards: the same matrices.
+    At dim 48 the grid spans several chunks."""
+    make = PATH_FAMILIES[family]
+    grid = sorted(set(np.linspace(0.0, 1.0, 33).tolist()) | {0.1234567, 1.0 / 3.0, 0.5123})
+    assert dim < 48 or len(grid) > 3 * specflow._chunk_len(dim)
+    one = make(dim)
+    single = [one.matrix(t).mat for t in grid]
+    batched = [m.mat for m in make(dim).matrices(grid)]
+    backwards = [m.mat for m in make(dim).matrices(grid[::-1])][::-1]
+    stacked = make(dim).stack(np.array(grid))
+    assert stacked.shape == (len(grid), one.dim, one.dim)
+    for k in range(len(grid)):
+        assert np.array_equal(single[k], batched[k])
+        assert np.array_equal(single[k], backwards[k])
+        assert np.array_equal(single[k], stacked[k])
+
+
+def test_evaluator_gets_one_call_per_chunk():
+    calls = []
+    path = trig_path(3, 48)
+    evaluate = path._evaluator
+
+    def counting(ts):
+        assert ts.dtype == np.float64 and ts.ndim == 1
+        calls.append(ts.size)
+        return evaluate(ts)
+
+    path._evaluator = counting
+    grid = np.linspace(0.0, 1.0, 50).tolist()
+    path.values(grid)
+    path.steps(grid)
+    path.matrices(grid)
+    size = specflow._chunk_len(48)
+    assert calls == [size] * (50 // size) + [50 % size]
+
+
+def test_stacked_evaluator_errors_match_the_scalar_ones():
+    def bad_stack(kind):
+        def evaluate(ts):
+            out = np.array([np.diag([t + 1.0, 2.0, 3.0]) for t in ts], dtype=complex)
+            if kind == "nan":
+                out[len(ts) // 2, 1, 1] = np.nan
+            else:
+                out[len(ts) // 2, 0, 1] = 1e-6
+            return out
+
+        return OperatorPath(evaluate, 3)
+
+    grid = np.linspace(0.0, 1.0, 9).tolist()
+    with pytest.raises(FinitenessError, match="finite"):
+        bad_stack("nan").values(grid)
+    single = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    single[0, 1] = 1e-6
+    with pytest.raises(HermiticityError) as scalar:
+        HermitianMatrix(single)
+    with pytest.raises(HermiticityError) as stacked:
+        bad_stack("asymmetric").values(grid)
+    assert str(stacked.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("bad", [np.eye(2), np.zeros((3, 4)), np.ones(3)])
+def test_scalar_callable_of_the_wrong_shape(bad):
+    """A wrong-shape matrix in the middle of a grid raises what a one-point
+    evaluation raises."""
+
+    def evaluate(t):
+        return bad if t == 0.5 else np.eye(3)
+
+    with pytest.raises(InputError) as single:
+        OperatorPath.from_callable(evaluate, 3).matrix(0.5)
+    if bad.shape == (2, 2):
+        assert str(single.value) == "path evaluator returned dim 2, expected 3"
+    path = OperatorPath.from_callable(evaluate, 3)
+    path.values([0.0, 0.25])
+    with pytest.raises(type(single.value)) as stacked:
+        path.values(np.linspace(0.0, 1.0, 5))
+    assert str(stacked.value) == str(single.value)
+    with pytest.raises(InputError, match="outside"):
+        path.matrices([0.0, 1.5])
