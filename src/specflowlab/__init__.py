@@ -1,10 +1,11 @@
 """Certified spectral flow for paths of Hermitian matrices.
 
 The package computes the spectral flow of a path of Hermitian matrices by
-four independent methods that must agree exactly, compares the metric
-geometries the flow lives in, and cross-checks the classical index-theory
-identities (projection pairs, compressions of shifts, graded kernels) that
-pin the flow down uniquely.
+four methods that must agree exactly (at finite dimension only the
+certified subdivision is not tied to the endpoint rank difference by
+algebra), compares the metric geometries the flow lives in, and
+cross-checks the classical index-theory identities (projection pairs,
+compressions of shifts, graded kernels) that pin the flow down uniquely.
 """
 
 from .errors import (

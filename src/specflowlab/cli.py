@@ -24,7 +24,7 @@ from .axioms import run_all_checks
 from .errors import CertificationError, ConsistencyFault, InputError
 from .graded import eigenpair_cancellation_check, index_stability_check
 from .metrics import metric_separation_report
-from .specflow import SfOptions, certify_invertible, crossing_oracle_report, sf_all_methods
+from .specflow import SfOptions, certify_invertible, sf_all_methods
 from .toeplitz import cyclic_shift_sweep, power_sweep
 
 __all__ = ["main", "build_parser"]
@@ -98,7 +98,7 @@ def _cmd_report(args) -> str:
             "value": result["value"],
             "methods": result["methods"],
             "certificate": sz.certificate_to_obj(result["phillips_certificate"]),
-            "crossing_ledger": crossing_oracle_report(path, opts),
+            "crossing_ledger": result["crossing_ledger"],
             "invertibility": certify_invertible(path, opts),
         }
     )
@@ -186,64 +186,77 @@ def _cmd_graded(args) -> str:
     return sz.dumps_json(out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 1); argparse's own
+    exit code 2 would read as an inconclusive certification."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specflow",
         description="Certified spectral flow for paths of Hermitian matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_input=False):
-        p.add_argument("--input", help="input JSON file" + ("" if needs_input else " (optional)"))
+    def subcommand(name, fn, summary, *, input_help=None, sampling=False):
+        p = sub.add_parser(name, help=summary)
+        if input_help:
+            p.add_argument("--input", help=input_help)
         p.add_argument("--out", help="write output here instead of stdout")
-        p.add_argument("--tol", type=float, default=1e-8, help="rank tolerance")
-        p.add_argument("--max-depth", type=int, default=24, help="bisection depth cap")
-        p.add_argument("--samples", type=int, default=33, help="initial grid size")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--trunc-dim", type=int, default=64, help="diagonal model size")
         p.add_argument(
             "--format", choices=("json", "csv"), default="json", help="output format"
         )
+        if sampling:
+            p.add_argument("--max-depth", type=int, default=24, help="bisection depth cap")
+            p.add_argument("--samples", type=int, default=33, help="initial grid size")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("compute", help="spectral flow of a path file, all methods")
-    common(p, needs_input=True)
-    p.set_defaults(fn=_cmd_compute)
+    subcommand(
+        "compute", _cmd_compute, "spectral flow of a path file, all methods",
+        input_help="input JSON file", sampling=True,
+    )
+    subcommand(
+        "report", _cmd_report, "flow plus certificate and crossing ledger",
+        input_help="input JSON file", sampling=True,
+    )
 
-    p = sub.add_parser("report", help="flow plus certificate and crossing ledger")
-    common(p, needs_input=True)
-    p.set_defaults(fn=_cmd_report)
-
-    p = sub.add_parser("metrics", help="four-distance separation table")
-    common(p)
+    p = subcommand(
+        "metrics", _cmd_metrics, "four-distance separation table",
+        input_help="input JSON file (optional)",
+    )
+    p.add_argument("--trunc-dim", type=int, default=64, help="diagonal model size")
     p.add_argument("--law", default="linear", help="diagonal growth law")
-    p.set_defaults(fn=_cmd_metrics)
 
-    p = sub.add_parser("toeplitz", help="compression index vs conjugation flow")
-    common(p)
+    p = subcommand(
+        "toeplitz", _cmd_toeplitz, "compression index vs conjugation flow", sampling=True
+    )
     p.add_argument("--m-max", type=int, default=8, help="largest truncation radius")
     p.add_argument(
         "--power", type=int, default=None,
         help="sweep shift powers 1..POWER at fixed radius instead of radii",
     )
-    p.set_defaults(fn=_cmd_toeplitz)
 
-    p = sub.add_parser("axioms", help="run the behavioral law checks")
-    common(p)
+    p = subcommand("axioms", _cmd_axioms, "run the behavioral law checks", sampling=True)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument("--trials", type=int, default=20, help="trials per law")
-    p.set_defaults(fn=_cmd_axioms)
 
-    p = sub.add_parser("graded", help="off-diagonal block report")
-    common(p, needs_input=True)
+    p = subcommand(
+        "graded", _cmd_graded, "off-diagonal block report", input_help="input JSON file"
+    )
+    p.add_argument("--tol", type=float, default=1e-8, help="rank tolerance")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument("--trials", type=int, default=20, help="stability trials")
-    p.set_defaults(fn=_cmd_graded)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text = args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -72,7 +72,8 @@ def _hermitian_average(a: np.ndarray) -> np.ndarray:
     max|A - A*| within 1e-12 times its own largest entry magnitude (floor
     1e-14); the first failing matrix raises. Returns the read-only stack of
     Hermitian averages (A + A*) / 2, entry by entry the same floats a
-    one-matrix call gives.
+    one-matrix call gives; an average that overflows (entries beyond half
+    the float range) raises FinitenessError.
     """
     if not np.all(np.isfinite(a)):
         raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
@@ -82,12 +83,16 @@ def _hermitian_average(a: np.ndarray) -> np.ndarray:
     if n < 1:
         raise InputError("dimension must be >= 1")
     ah = a.conj().swapaxes(1, 2)
-    defect = np.max(np.abs(a - ah), axis=(1, 2))
-    tol = np.maximum(_HERM_RTOL * np.max(np.abs(a), axis=(1, 2)), _TOL_FLOOR)
-    bad = np.flatnonzero(defect > tol)
-    if bad.size:
-        raise HermiticityError(float(defect[bad[0]]), float(tol[bad[0]]))
-    h = (a + ah) / 2.0
+    # overflow shows as an infinite defect or average, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.max(np.abs(a - ah), axis=(1, 2))
+        tol = np.maximum(_HERM_RTOL * np.max(np.abs(a), axis=(1, 2)), _TOL_FLOOR)
+        bad = np.flatnonzero(defect > tol)
+        if bad.size:
+            raise HermiticityError(float(defect[bad[0]]), float(tol[bad[0]]))
+        h = (a + ah) / 2.0
+    if not np.all(np.isfinite(h)):
+        raise FinitenessError("Hermitian average overflows: entries exceed half the float range")
     h.setflags(write=False)
     return h
 

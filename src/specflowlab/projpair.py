@@ -1,15 +1,16 @@
 """Index theory for pairs of orthogonal projections.
 
 The index of a pair (P, Q) is the Fredholm index of Q restricted to the
-range of P, mapping into the range of Q. At finite dimension this is
-computed three independent ways on every call and the routes must agree
-exactly:
+range of P, mapping into the range of Q. At finite dimension it is
+rank P - rank Q, and that rank difference is the value. On every call it
+is cross-checked numerically against the eigenvalue count
 
-* rank difference:      rank P - rank Q
-* restricted map:       (rank P - rank QP) - (rank Q - rank QP)
-* eigenvalue count:     dim ker(P - Q - I) - dim ker(P - Q + I)
+    dim ker(P - Q - I) - dim ker(P - Q + I),
 
-A disagreement is a ConsistencyFault (internal bug), never a value.
+which equals it by algebra (the eigenvalues of P - Q other than +-1 pair
+up as +-lambda); the comparison catches numerically ill-determined ranks,
+not a wrong index, so it is not an independent proof. A disagreement is a
+ConsistencyFault (internal bug), never a value.
 """
 
 from __future__ import annotations
@@ -36,21 +37,18 @@ _RANK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PairIndexResult:
-    """The pair index together with the three routes that produced it."""
+    """The pair index together with the two routes that produced it."""
 
     value: int
     route_rank_diff: int
-    route_restricted_map: int
     route_eigencount: int
 
     def __post_init__(self):
-        routes = {
-            "rank difference": self.route_rank_diff,
-            "restricted map": self.route_restricted_map,
-            "eigenvalue count": self.route_eigencount,
-        }
-        if len(set(routes.values())) != 1:
-            raise ConsistencyFault(f"pair-index routes disagree: {routes}")
+        if self.route_rank_diff != self.route_eigencount:
+            raise ConsistencyFault(
+                f"pair-index routes disagree: rank difference {self.route_rank_diff}, "
+                f"eigenvalue count {self.route_eigencount}"
+            )
         if self.value != self.route_rank_diff:
             raise ConsistencyFault("pair-index value does not match its routes")
 
@@ -70,11 +68,7 @@ def pair_index(p, q, *, tol: float = _RANK_TOL) -> PairIndexResult:
     qq = _as_projection(q)
     if pp.dim != qq.dim:
         raise DimensionMismatchError(f"dims differ: {pp.dim} vs {qq.dim}")
-    rank_p = rank_eps(pp.mat, tol)
-    rank_q = rank_eps(qq.mat, tol)
-    rank_qp = rank_eps(qq.mat @ pp.mat, tol)
-    route_rank = rank_p - rank_q
-    route_map = (rank_p - rank_qp) - (rank_q - rank_qp)
+    route_rank = rank_eps(pp.mat, tol) - rank_eps(qq.mat, tol)
     w = np.linalg.eigvalsh(pp.mat - qq.mat)
     plus = int(np.sum(np.abs(w - 1.0) <= tol))
     minus = int(np.sum(np.abs(w + 1.0) <= tol))
@@ -82,7 +76,6 @@ def pair_index(p, q, *, tol: float = _RANK_TOL) -> PairIndexResult:
     return PairIndexResult(
         value=route_rank,
         route_rank_diff=route_rank,
-        route_restricted_map=route_map,
         route_eigencount=route_eig,
     )
 

@@ -12,9 +12,9 @@ Methods
                       magnitude spectrum and Weyl bounds certify that no
                       eigenvalue meets +-eps_j inside the segment; the flow
                       is the telescoped count of eigenvalues in [0, eps_j).
-* sf_pairsum:         the same subdivision refined until spectral projections
-                      above eps_j move by < 1 inside each segment; the flow
-                      is the sum of projection-pair indices over junctions.
+* sf_pairsum:         the same subdivision; the flow is the sum over its
+                      segments of the pair indices of the nonnegative
+                      spectral projections at the segment ends.
 * sf_endpoints:       rank difference of the nonnegative spectral projections
                       at t = 1 and t = 0 (finite-dimension shortcut).
 * sf_crossing_oracle: dense sampling with signed sign-count bookkeeping and
@@ -26,15 +26,15 @@ not four independent checks: at finite dimension the sf_pairsum total (a
 sum of rank differences) and the sf_crossing_oracle total (a sum of count
 jumps) both telescope to the sf_endpoints difference, so they agree with
 it by algebra. The comparison that can fail is sf_phillips, whose
-per-segment levels eps_j do not telescope, against sf_endpoints; the
-other two contribute their own refusals (projection refinement, aliasing
-guard), not an independent integer.
+per-segment levels eps_j do not telescope, against sf_endpoints.
+sf_pairsum adds no refusal of its own (its subdivision is sf_phillips's,
+already certified); sf_crossing_oracle adds its aliasing guard, not an
+independent integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,19 +104,6 @@ def _chunk_len(dim: int) -> int:
 def _chunks(items: list, size: int):
     for i in range(0, len(items), size):
         yield items[i : i + size]
-
-
-def _difference_norms(pairs: list[tuple[np.ndarray, np.ndarray]], dim: int):
-    """Yield, one chunk at a time, ``op_norm(b - a)`` for the pairs (b, a),
-    with op_norm's finiteness check; one stacked SVD per chunk gives values
-    bit-identical to separate calls."""
-    for chunk in _chunks(pairs, _chunk_len(dim)):
-        d = np.empty((len(chunk), dim, dim), dtype=np.complex128)
-        for i, (b, a) in enumerate(chunk):
-            np.subtract(b, a, out=d[i])
-        if not np.all(np.isfinite(d)):
-            raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
-        yield np.linalg.norm(d, 2, axis=(1, 2)).tolist()
 
 
 def _dim_error(found: int, expected: int) -> DimensionMismatchError:
@@ -262,9 +249,15 @@ class OperatorPath:
         todo = list(dict.fromkeys(p for p in pairs if p not in self._steps))
         points = [t for pair in todo for t in pair]
         mats = dict(zip(points, self.matrices(points)))
-        diffs = [(mats[b].mat, mats[a].mat) for a, b in todo]
-        norms = chain.from_iterable(_difference_norms(diffs, self._dim))
-        self._steps.update(zip(todo, norms))
+        # one stacked SVD per chunk, with op_norm's finiteness check: values
+        # bit-identical to separate op_norm calls
+        for chunk in _chunks(todo, _chunk_len(self._dim)):
+            d = np.empty((len(chunk), self._dim, self._dim), dtype=np.complex128)
+            for i, (a, b) in enumerate(chunk):
+                np.subtract(mats[b].mat, mats[a].mat, out=d[i])
+            if not np.all(np.isfinite(d)):
+                raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
+            self._steps.update(zip(chunk, np.linalg.norm(d, 2, axis=(1, 2)).tolist()))
         return [self._steps[p] for p in pairs]
 
     def nonneg_count(self, t: float) -> int:
@@ -337,9 +330,10 @@ class SfSegment:
     """One certified subdivision segment.
 
     ``eps`` is the level avoided by the spectrum throughout the segment;
-    ``weyl_margin`` is the worst certified slack (distance of +-eps to the
-    sampled spectrum minus the neighboring operator-norm step for
-    sf_phillips; one minus the worst projection jump for sf_pairsum).
+    ``weyl_margin`` is the worst certified slack: the distance of +-eps to
+    the sampled spectrum minus the neighboring operator-norm step. sf_pairsum
+    shares sf_phillips's segments and so their margins; the margin is what
+    keeps the rank above eps constant on the segment.
     """
 
     t_left: float
@@ -514,51 +508,24 @@ def sf_phillips(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertif
     )
 
 
-def _upper_projection(path: OperatorPath, t: float, eps: float) -> np.ndarray:
-    ed = path.eig(t)
-    b = ed.vectors[:, ed.values > eps]
-    return b @ b.conj().T
-
-
 def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertificate:
     """Spectral flow as a sum of projection-pair indices over a subdivision.
 
-    Starts from the sf_phillips segments and refines each one until the
-    spectral projections above eps_j move by strictly less than 1 between
-    the segment's samples (checked consecutively and against both ends).
-    Each segment then contributes ind(P_+(t_j), P_+(t_{j-1})) computed by
-    the three-route pair index.
+    Uses the sf_phillips segments: on segment j no eigenvalue meets +-eps_j
+    (its Weyl margin certifies that), so the rank of the spectral projection
+    above eps_j is constant there, and the segment contributes
+    ind(P(t_j), P(t_{j-1})) of the nonnegative spectral projections at its
+    ends. Each distinct junction's projection is validated once.
     """
     gaps = _check_endpoints(path, opts)
-    refined: list[tuple[list[float], float, float]] = []
-
-    def settle(ts: list[float], eps: float, depth: int) -> None:
-        projs = [_upper_projection(path, t, eps) for t in ts]
-        worst = _worst_jump(projs, 1.0 - 1e-9)
-        if worst < 1.0 - 1e-9:
-            refined.append((ts, eps, 1.0 - worst))
-            return
-        if depth >= opts.max_depth:
-            raise CertificationError(
-                "projection-jump refinement exhausted", window=(ts[0], ts[-1])
-            )
-        mid = (ts[0] + ts[-1]) / 2.0
-        left = [t for t in ts if t < mid] + [mid]
-        right = [mid] + [t for t in ts if t > mid]
-        settle(_refine(left), eps, depth + 1)
-        settle(_refine(right), eps, depth + 1)
-
-    for ts, eps, _margin in _certified_segments(path, opts):
-        settle(ts, eps, 0)
-
+    segments = _certified_segments(path, opts)
+    junctions = [segments[0][0][0]] + [ts[-1] for ts, _eps, _margin in segments]
+    projs = {t: Projection(_nonneg_matrix(path, t)) for t in junctions}
     segs = []
     total = 0
-    for ts, eps, proj_margin in refined:
+    for ts, eps, margin in segments:
         t0, t1 = ts[0], ts[-1]
-        p_right = Projection(_nonneg_matrix(path, t1))
-        p_left = Projection(_nonneg_matrix(path, t0))
-        contrib = pair_index(p_right, p_left).value
-        total += contrib
+        total += pair_index(projs[t1], projs[t0]).value
         segs.append(
             SfSegment(
                 t_left=t0,
@@ -566,36 +533,16 @@ def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertifi
                 eps=eps,
                 rank_left=path.nonneg_count(t0),
                 rank_right=path.nonneg_count(t1),
-                weyl_margin=proj_margin,
+                weyl_margin=margin,
             )
         )
-    cert = SfCertificate(
+    return SfCertificate(
         method="pairsum",
         total=total,
         segments=tuple(segs),
         endpoint_gaps=gaps,
         opts=opts,
     )
-    return cert
-
-
-def _worst_jump(projs: list[np.ndarray], limit: float) -> float:
-    """Largest ||P_i - P_j|| (i > j) over consecutive pairs and pairs with an
-    end of the grid, from stacked chunks of differences; once a chunk
-    reaches ``limit`` the rest are skipped and that chunk's value returned."""
-    last = len(projs) - 1
-    pairs = list(dict.fromkeys(
-        [(k + 1, k) for k in range(last)]
-        + [(k, 0) for k in range(1, last + 1)]
-        + [(last, k) for k in range(1, last)]
-    ))
-    worst = 0.0
-    diffs = [(projs[i], projs[j]) for i, j in pairs]
-    for norms in _difference_norms(diffs, projs[0].shape[0]):
-        worst = max(worst, *norms)
-        if worst >= limit:
-            break
-    return worst
 
 
 def _nonneg_matrix(path: OperatorPath, t: float) -> np.ndarray:
@@ -663,19 +610,19 @@ def sf_crossing_oracle(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> i
 def sf_all_methods(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
     """Run all four methods and insist on exact agreement.
 
-    Returns a dict with the common value and both certificates; raises
-    ConsistencyFault if any two methods differ (that is a bug surface, not
-    a property of the input).
+    Returns a dict with the common value, both certificates and the
+    crossing-oracle report; raises ConsistencyFault if any two methods
+    differ (that is a bug surface, not a property of the input).
     """
     cert_p = sf_phillips(path, opts)
     cert_s = sf_pairsum(path, opts)
     ends = sf_endpoints(path, opts)
-    oracle = sf_crossing_oracle(path, opts)
+    ledger = crossing_oracle_report(path, opts)
     values = {
         "phillips": cert_p.total,
         "pairsum": cert_s.total,
         "endpoints": ends,
-        "crossing_oracle": oracle,
+        "crossing_oracle": int(ledger["total"]),
     }
     if len(set(values.values())) != 1:
         raise ConsistencyFault(f"spectral-flow methods disagree: {values}")
@@ -684,6 +631,7 @@ def sf_all_methods(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
         "methods": values,
         "phillips_certificate": cert_p,
         "pairsum_certificate": cert_s,
+        "crossing_ledger": ledger,
     }
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError, InvertibilityError
 from .matcore import HermitianMatrix, as_hermitian, eigh, nonneg_projection, op_norm, rank_eps
 from .projpair import Projection, pair_index
-from .specflow import OperatorPath, SfOptions, crossing_oracle_report, sf_all_methods
+from .specflow import OperatorPath, SfOptions, sf_all_methods
 from .generators import cyclic_shift, half_integer_diagonal
 from .transforms import UnitaryMatrix
 
@@ -110,7 +110,7 @@ def verify_toeplitz_theorem(
     lhs = toeplitz_index(p, w)
     path = conjugation_path(d, w)
     flow = sf_all_methods(path, opts)
-    ledger = crossing_oracle_report(path, opts)
+    ledger = flow["crossing_ledger"]
     conj_p = Projection(w.mat @ p.mat @ w.mat.conj().T)
     chain = pair_index(conj_p, p).value
     aux = _aux_index(p, w)

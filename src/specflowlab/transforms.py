@@ -42,6 +42,9 @@ __all__ = [
 #: closed/open boundary guard for image membership decisions
 _IMAGE_GUARD = 1e-9
 
+#: eigenvalues of a unitary closer than this in angle form one cluster
+_CLUSTER_ANGLE = 1e-6
+
 
 class UnitaryMatrix:
     """An immutable square complex matrix validated to satisfy U*U = I
@@ -128,13 +131,20 @@ def unitary_eig(u: UnitaryMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     np.linalg.eig already separates distinct eigenvalues of a normal matrix
     orthogonally; clusters closer than 1e-6 in angle are re-orthonormalized
-    by QR inside the cluster. The result is validated (basis Gram defect and
+    by QR inside the cluster. Eigenvalues are ordered by angle in
+    (-pi, pi]; when a cluster straddles -1, where the angle wraps, the order
+    starts after the largest gap between neighbouring angles instead, so
+    the cluster stays whole. The result is validated (basis Gram defect and
     reconstruction <= 1e-8) before being returned.
     """
     if not isinstance(u, UnitaryMatrix):
         u = UnitaryMatrix(np.asarray(u))
     w, v = np.linalg.eig(u.mat)
-    order = np.argsort(np.angle(w), kind="stable")
+    angles = np.angle(w)
+    order = np.argsort(angles, kind="stable")
+    gaps = np.diff(angles[order], append=angles[order[0]] + 2.0 * np.pi)
+    if gaps[-1] < _CLUSTER_ANGLE:
+        order = np.roll(order, -(int(np.argmax(gaps)) + 1))
     w = w[order]
     v = v[:, order].copy()
     v /= np.linalg.norm(v, axis=0, keepdims=True)
@@ -142,7 +152,7 @@ def unitary_eig(u: UnitaryMatrix) -> tuple[np.ndarray, np.ndarray]:
     start = 0
     while start < n:
         stop = start + 1
-        while stop < n and abs(np.angle(w[stop] / w[stop - 1])) < 1e-6:
+        while stop < n and abs(np.angle(w[stop] / w[stop - 1])) < _CLUSTER_ANGLE:
             stop += 1
         if stop - start > 1:
             q, _ = np.linalg.qr(v[:, start:stop])

@@ -17,6 +17,7 @@ from specflowlab import (
     connect_invertibles,
     normalization_path,
     random_hermitian,
+    random_invertible_hermitian,
     run_all_checks,
     sf_all_methods,
     sf_endpoints,
@@ -108,6 +109,23 @@ def test_connector_joins_same_label(seed):
     assert sf_endpoints(path, OPTS) == 0
     assert sf_all_methods(path, OPTS)["value"] == 0
     assert path.meta["label"] == component_label(t1)
+
+
+def test_connector_to_the_negative_of_a_label_3_matrix():
+    """The rotation between the eigenbases has a repeated eigenvalue at -1,
+    whose angles straddle -pi and +pi."""
+    rng = np.random.default_rng(6000)
+    for _ in range(2):
+        random_invertible_hermitian(rng, 6)
+    for _ in range(5):
+        random_hermitian(rng, 6)
+    t1 = random_invertible_hermitian(rng, 6)
+    assert component_label(t1) == 3
+    path = connect_invertibles(t1, -t1)
+    np.testing.assert_allclose(path.matrix(0.0).mat, t1.mat, atol=1e-12)
+    np.testing.assert_allclose(path.matrix(1.0).mat, -t1.mat, atol=1e-12)
+    assert certify_invertible(path, OPTS)["certified"]
+    assert sf_all_methods(path, OPTS)["value"] == 0
 
 
 def test_connector_rejects_label_mismatch():

@@ -71,6 +71,25 @@ def test_missing_and_malformed_input_exit_1(tmp_path, capsys):
     assert cli.main(["compute", "--input", str(notdict)]) == 1
 
 
+def test_usage_error_exit_1(crossing_file, capsys):
+    # a flag only another subcommand reads, with a good and a bad value,
+    # and an unknown flag: input errors, not argparse's exit 2
+    for argv in (
+        ["compute", "--input", crossing_file, "--tol", "1e-6"],
+        ["metrics", "--samples", "x"],
+        ["report", "--input", crossing_file, "--no-such-flag"],
+    ):
+        assert cli.main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["graded", "--help"])
+    assert done.value.code == 0
+    assert "--tol" in capsys.readouterr().out
+
+
 def test_singular_endpoint_exit_1(tmp_path, capsys):
     f = write_json(
         tmp_path / "sing.json", diag_path_obj([0.0, 1.0], [1.0, 1.0])

@@ -1,5 +1,7 @@
 """Core matrix layer: validation, eigensolvers, projections, quadrature."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,18 @@ def test_stack_errors_match_the_constructor(rng, bad):
         with pytest.raises(type(single.value)) as stacked:
             HermitianMatrix.from_stack(stack)
         assert str(stacked.value) == str(single.value)
+
+
+def test_hermitian_average_overflow_is_not_finite():
+    """Finite entries beyond half the float range overflow (A + A*) / 2;
+    that is refused, never stored as Inf/NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FinitenessError, match="overflows"):
+            HermitianMatrix(np.diag([1e308, 1.0]))
+        with pytest.raises(FinitenessError, match="overflows"):
+            HermitianMatrix.from_stack([np.eye(2), np.diag([1.0, -1e308])])
+        assert HermitianMatrix(np.diag([8e307, 1.0])).mat[0, 0] == 8e307
 
 
 def test_stack_shape_errors_match_the_constructor():

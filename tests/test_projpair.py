@@ -22,7 +22,7 @@ def test_hand_index():
     q = Projection(np.diag([1.0, 0.0, 0.0]))
     res = pair_index(p, q)
     assert int(res) == 1
-    assert res.route_rank_diff == res.route_restricted_map == res.route_eigencount == 1
+    assert res.route_rank_diff == res.route_eigencount == 1
     assert int(pair_index(q, p)) == -1
     assert int(pair_index(p, p)) == 0
 

@@ -21,7 +21,7 @@ from specflowlab.errors import (
     InputError,
     SamplingError,
 )
-from specflowlab.matcore import HermitianMatrix, op_norm
+from specflowlab.matcore import HermitianMatrix, Projection, op_norm
 from specflowlab.specflow import (
     OperatorPath,
     SfOptions,
@@ -202,11 +202,30 @@ def test_from_samples_and_resample():
         OperatorPath.from_samples([mats[0], HermitianMatrix(np.diag([1.0, 2.0, 3.0]))])
 
 
+def _subdivision(cert):
+    return [(s.t_left, s.t_right, s.eps, s.weyl_margin) for s in cert.segments]
+
+
 def test_pairsum_certificate_label_and_total():
-    path = trig_path(15, 6)
-    cert = sf_pairsum(path)
-    assert cert.method == "pairsum"
-    assert cert.total == sf_phillips(path).total
+    for path in (trig_path(15, 6), family_path("toeplitz_line", {"m": 4})):
+        cert = sf_pairsum(path)
+        assert cert.method == "pairsum"
+        phillips = sf_phillips(path)
+        assert cert.total == phillips.total
+        assert _subdivision(cert) == _subdivision(phillips)
+
+
+def test_pairsum_validates_one_projection_per_junction(monkeypatch):
+    built = []
+
+    def counting_projection(entries):
+        built.append(entries)
+        return Projection(entries)
+
+    monkeypatch.setattr(specflow, "Projection", counting_projection)
+    cert = sf_pairsum(family_path("toeplitz_line", {"m": 4}))
+    assert len(cert.segments) == 3
+    assert len(built) == len(cert.segments) + 1
 
 
 def test_kinked_path_agreement():
