@@ -6,6 +6,9 @@ The four laws: concatenation adds; a certified deformation of a path
 one-crossing normalization pivot scores exactly 1; paths that never touch
 zero score 0. Together they force the value to equal the net eigenvalue
 transport through zero, whichever of the four computation routes is used.
+Each check_* law takes a sequence of functionals and returns one report
+per functional; each trial's seeded paths are built (and certified) once
+and every functional runs on those same paths.
 
 The converse half: two invertible Hermitian matrices whose nonnegative
 eigenspaces have equal dimension are joined by connect_invertibles with
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -83,34 +86,51 @@ def _dim_for(rng: np.random.Generator, dims) -> int:
     return dims[int(rng.integers(0, len(dims)))]
 
 
+def _reports(
+    check: str,
+    functionals: Sequence[SfFunctional],
+    trials: int,
+    seed: int,
+    failures: list[list[dict]],
+    **extra,
+) -> list[dict]:
+    """One law report per functional, in the order given."""
+    return [
+        {
+            "check": check,
+            "method": fun.name,
+            "trials": int(trials),
+            "failures": fails,
+            "ok": not fails,
+            "seed": int(seed),
+            **extra,
+        }
+        for fun, fails in zip(functionals, failures)
+    ]
+
+
 def check_concatenation(
-    functional: SfFunctional,
+    functionals: Sequence[SfFunctional],
     *,
     trials: int = 200,
     dims=(2, 3, 4, 5, 6, 7, 8),
     seed: int = 0,
-) -> dict:
+) -> list[dict]:
     """mu(f * g) == mu(f) + mu(g) over seeded compatible pairs."""
-    failures = []
+    failures: list[list[dict]] = [[] for _ in functionals]
     for k, rng in enumerate(spawn_rngs(seed, trials)):
         dim = _dim_for(rng, dims)
         f, g = concat_compatible_pair(rng, dim)
         joined = path_concat(f, g)
-        mu_f = functional(f)
-        mu_g = functional(g)
-        mu_fg = functional(joined)
-        if mu_fg != mu_f + mu_g:
-            failures.append(
-                {"trial": k, "dim": dim, "parts": [mu_f, mu_g], "joined": mu_fg}
-            )
-    return {
-        "check": "concatenation",
-        "method": functional.name,
-        "trials": int(trials),
-        "failures": failures,
-        "ok": not failures,
-        "seed": int(seed),
-    }
+        for fun, fails in zip(functionals, failures):
+            mu_f = fun(f)
+            mu_g = fun(g)
+            mu_fg = fun(joined)
+            if mu_fg != mu_f + mu_g:
+                fails.append(
+                    {"trial": k, "dim": dim, "parts": [mu_f, mu_g], "joined": mu_fg}
+                )
+    return _reports("concatenation", functionals, trials, seed, failures)
 
 
 def _certified_s_pairs(
@@ -151,18 +171,19 @@ def _certified_s_pairs(
 
 
 def check_homotopy(
-    functional: SfFunctional,
+    functionals: Sequence[SfFunctional],
     *,
     trials: int = 50,
     dims=(2, 3, 4, 5, 6),
     seed: int = 0,
-) -> dict:
+) -> list[dict]:
     """The integer is constant across each certified deformation family.
 
-    Rows whose certification fails are counted as inconclusive, never as
-    violations; a violation requires a certified family with unequal rows.
+    Families whose certification fails are counted as inconclusive, never
+    as violations; a violation requires a certified family with unequal
+    rows.
     """
-    failures = []
+    failures: list[list[dict]] = [[] for _ in functionals]
     inconclusive = 0
     for k, rng in enumerate(spawn_rngs(seed, trials)):
         dim = _dim_for(rng, dims)
@@ -181,75 +202,59 @@ def check_homotopy(
         except CertificationError:
             inconclusive += 1
             continue
-        rows = [functional(row(s)) for s in s_values]
-        if len(set(rows)) != 1:
-            failures.append({"trial": k, "dim": dim, "label": label, "rows": rows})
-    return {
-        "check": "homotopy",
-        "method": functional.name,
-        "trials": int(trials),
-        "inconclusive": inconclusive,
-        "failures": failures,
-        "ok": not failures,
-        "seed": int(seed),
-    }
+        for fun, fails in zip(functionals, failures):
+            rows = [fun(row(s)) for s in s_values]
+            if len(set(rows)) != 1:
+                fails.append({"trial": k, "dim": dim, "label": label, "rows": rows})
+    return _reports(
+        "homotopy", functionals, trials, seed, failures, inconclusive=inconclusive
+    )
 
 
 def check_normalization(
-    functional: SfFunctional,
+    functionals: Sequence[SfFunctional],
     *,
     trials: int = 50,
     dims=(1, 2, 3, 4, 5, 6, 7, 8),
     seed: int = 0,
-) -> dict:
+) -> list[dict]:
     """The single-crossing pivot path scores exactly 1."""
-    failures = []
+    failures: list[list[dict]] = [[] for _ in functionals]
     for k, rng in enumerate(spawn_rngs(seed, trials)):
         dim = _dim_for(rng, dims)
         path = normalization_path(rng, dim)
-        mu = functional(path)
-        if mu != 1:
-            failures.append({"trial": k, "dim": dim, "value": mu})
-    return {
-        "check": "normalization",
-        "method": functional.name,
-        "trials": int(trials),
-        "failures": failures,
-        "ok": not failures,
-        "seed": int(seed),
-    }
+        for fun, fails in zip(functionals, failures):
+            mu = fun(path)
+            if mu != 1:
+                fails.append({"trial": k, "dim": dim, "value": mu})
+    return _reports("normalization", functionals, trials, seed, failures)
 
 
 def check_invertible_vanishing(
-    functional: SfFunctional,
+    functionals: Sequence[SfFunctional],
     *,
     trials: int = 200,
     dims=(2, 3, 4, 5, 6, 7, 8),
     seed: int = 0,
     opts: SfOptions = _DEFAULT_OPTS,
-) -> dict:
+) -> list[dict]:
     """Certified-invertible paths score exactly 0."""
-    failures = []
+    failures: list[list[dict]] = [[] for _ in functionals]
     inconclusive = 0
     for k, rng in enumerate(spawn_rngs(seed, trials)):
         dim = _dim_for(rng, dims)
         path = invertible_trig_path(rng, dim)
-        cert = certify_invertible(path, opts)
-        if not cert["certified"]:
+        if not certify_invertible(path, opts)["certified"]:
             inconclusive += 1
             continue
-        mu = functional(path)
-        if mu != 0:
-            failures.append({"trial": k, "dim": dim, "value": mu})
-    return {
-        "check": "invertible_vanishing",
-        "method": functional.name,
-        "trials": int(trials),
-        "inconclusive": inconclusive,
-        "failures": failures,
-        "ok": not failures,
-        "seed": int(seed),
-    }
+        for fun, fails in zip(functionals, failures):
+            mu = fun(path)
+            if mu != 0:
+                fails.append({"trial": k, "dim": dim, "value": mu})
+    return _reports(
+        "invertible_vanishing", functionals, trials, seed, failures,
+        inconclusive=inconclusive,
+    )
 
 
 def run_all_checks(
@@ -261,20 +266,18 @@ def run_all_checks(
     vanishing_trials: int = 200,
     opts: SfOptions = _DEFAULT_OPTS,
 ) -> list[dict]:
-    """Every law against every computation route; returns all reports."""
-    reports = []
-    for fun in builtin_functionals(opts):
-        reports.append(check_concatenation(fun, trials=concat_trials, seed=seed))
-        reports.append(check_homotopy(fun, trials=homotopy_trials, seed=seed + 1))
-        reports.append(
-            check_normalization(fun, trials=normalization_trials, seed=seed + 2)
-        )
-        reports.append(
-            check_invertible_vanishing(
-                fun, trials=vanishing_trials, seed=seed + 3, opts=opts
-            )
-        )
-    return reports
+    """Every law against every computation route; returns all reports,
+    grouped by route (the four laws of the first route, then the next)."""
+    funs = builtin_functionals(opts)
+    by_law = (
+        check_concatenation(funs, trials=concat_trials, seed=seed),
+        check_homotopy(funs, trials=homotopy_trials, seed=seed + 1),
+        check_normalization(funs, trials=normalization_trials, seed=seed + 2),
+        check_invertible_vanishing(
+            funs, trials=vanishing_trials, seed=seed + 3, opts=opts
+        ),
+    )
+    return [rep for per_route in zip(*by_law) for rep in per_route]
 
 
 def component_label(t: HermitianMatrix, *, gap: float = 1e-8) -> int:

@@ -7,17 +7,13 @@ block reports), report (flow + certificate + crossing ledger bundle).
 Outputs are canonical JSON (or CSV for tables), so a given input, seed
 and tolerance always produce byte-identical files. Exit codes: 0 success,
 1 bad input, 2 certification could not be completed, 3 internal
-cross-check disagreement. SPECFLOW_THREADS>1 maps independent table rows
-over a thread pool; results keep their order, so output bytes do not
-depend on the thread count.
+cross-check disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import serialize as sz
 from .axioms import run_all_checks
@@ -28,20 +24,6 @@ from .specflow import SfOptions, certify_invertible, sf_all_methods
 from .toeplitz import cyclic_shift_sweep, power_sweep
 
 __all__ = ["main", "build_parser"]
-
-
-def _pmap(fn, items):
-    """Ordered map, threaded when SPECFLOW_THREADS asks for it."""
-    items = list(items)
-    setting = os.environ.get("SPECFLOW_THREADS", "1")
-    try:
-        threads = int(setting)
-    except ValueError:
-        raise InputError(f"SPECFLOW_THREADS must be an integer, got {setting!r}") from None
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -128,16 +110,7 @@ def _cmd_metrics(args) -> str:
         model = DiagonalModel(args.trunc_dim, args.law)
         families = list(FAMILIES)
         ns = None
-    if ns is None:
-        ns = list(range(1, min(33, model.trunc_dim)))
-    tasks = [(fam, n) for fam in families for n in ns]
-
-    def one(task):
-        fam, n = task
-        got = metric_separation_report(model, [fam], [n])
-        return got[0] if got else None  # e.g. swap skips n = 1
-
-    rows = [r for r in _pmap(one, tasks) if r is not None]
+    rows = metric_separation_report(model, families, ns)
     if args.format == "csv":
         return sz.metrics_csv(rows)
     return sz.dumps_json([_metric_row_obj(r) for r in rows])
@@ -149,9 +122,7 @@ def _cmd_toeplitz(args) -> str:
     if args.power is not None:
         reports = power_sweep(args.m_max, range(1, args.power + 1), opts)
     else:
-        reports = _pmap(
-            lambda m: cyclic_shift_sweep([m], opts)[0], range(1, args.m_max + 1)
-        )
+        reports = cyclic_shift_sweep(range(1, args.m_max + 1), opts)
     return sz.dumps_json(reports)
 
 

@@ -20,6 +20,15 @@ class InputError(SpecFlowError, ValueError):
     """A caller-supplied value violates a documented precondition."""
 
 
+def coerce_field(value, cast, name: str):
+    """``cast(value)`` for the field ``name`` of an input file (cast is int
+    or float); a value the cast refuses is an InputError naming the field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name}: cannot read {value!r} as {cast.__name__}") from None
+
+
 class HermiticityError(InputError):
     """Matrix is not Hermitian within tolerance; carries the defect norm."""
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, coerce_field
 from .matcore import HermitianMatrix, apply_function, as_hermitian, eigh
 from .opmodel import DiagonalModel, ce_fuglede, realize
 from .specflow import OperatorPath
@@ -349,23 +349,26 @@ def _family_linear_interp(params: dict, seed, dim) -> OperatorPath:
 
 def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
     n = params.get("n")
-    model = DiagonalModel(int(params.get("N", 8)), params.get("law", "linear"))
+    model = DiagonalModel(
+        coerce_field(params.get("N", 8), int, "N"), params.get("law", "linear")
+    )
     if n is None:
         raise InputError("fuglede_line params need the index 'n'")
+    n = coerce_field(n, int, "n")
     d = realize(model)
-    c = ce_fuglede(model, int(n))
+    c = ce_fuglede(model, n)
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
         return d.mat + ts[:, None, None] * c.mat
 
     return OperatorPath(
-        evaluate, model.trunc_dim, meta={"family": "fuglede_line", "n": int(n)}
+        evaluate, model.trunc_dim, meta={"family": "fuglede_line", "n": n}
     )
 
 
 def _family_toeplitz_line(params: dict, seed, dim) -> OperatorPath:
-    m = int(params.get("m", 1))
-    power = int(params.get("power", 1))
+    m = coerce_field(params.get("m", 1), int, "m")
+    power = coerce_field(params.get("power", 1), int, "power")
     d = half_integer_diagonal(m)
     w = cyclic_shift(d.dim, power)
     conj = HermitianMatrix(w.mat @ d.mat @ w.mat.conj().T)
@@ -385,13 +388,14 @@ def _family_trig_random(params: dict, seed, dim) -> OperatorPath:
         raise InputError("trig_random needs a dimension")
     if seed is None:
         raise InputError("trig_random needs a seed")
+    seed = coerce_field(seed, int, "seed")
     return trig_path(
-        int(seed),
-        int(dim),
-        degree=int(params.get("degree", 3)),
-        scale=float(params.get("scale", 1.0)),
-        gap=float(params.get("gap", ENDPOINT_CLAMP_GAP)),
-        meta={"family": "trig_random", "seed": int(seed)},
+        seed,
+        coerce_field(dim, int, "dim"),
+        degree=coerce_field(params.get("degree", 3), int, "degree"),
+        scale=coerce_field(params.get("scale", 1.0), float, "scale"),
+        gap=coerce_field(params.get("gap", ENDPOINT_CLAMP_GAP), float, "gap"),
+        meta={"family": "trig_random", "seed": seed},
     )
 
 
@@ -409,6 +413,6 @@ def family_path(
     name: str, params: dict | None = None, *, seed: int | None = None, dim: int | None = None
 ) -> OperatorPath:
     """Build one of the named closed-form families."""
-    if name not in _FAMILY_BUILDERS:
+    if not isinstance(name, str) or name not in _FAMILY_BUILDERS:
         raise InputError(f"unknown path family {name!r}; choose from {FAMILY_NAMES}")
     return _FAMILY_BUILDERS[name](dict(params or {}), seed, dim)

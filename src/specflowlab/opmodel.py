@@ -68,7 +68,7 @@ class DiagonalModel:
     def __post_init__(self):
         if not isinstance(self.trunc_dim, int) or self.trunc_dim < 2:
             raise InputError(f"truncation dimension must be an int >= 2, got {self.trunc_dim!r}")
-        if self.law not in LAWS:
+        if not isinstance(self.law, str) or self.law not in LAWS:
             raise InputError(f"unknown eigenvalue law {self.law!r}; choose from {sorted(LAWS)}")
 
     def lambdas(self) -> np.ndarray:

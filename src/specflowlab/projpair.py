@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyFault, DimensionMismatchError, InputError, SamplingError
-from .matcore import Projection, op_norm, rank_eps
+from .matcore import Projection, op_norm
 
 __all__ = [
     "Projection",
@@ -31,7 +31,7 @@ __all__ = [
     "pair_path_invariance",
 ]
 
-#: shared rank threshold for every route (spec of the module)
+#: how close an eigenvalue of P - Q must be to +-1 to be counted
 _RANK_TOL = 1e-8
 
 
@@ -62,16 +62,17 @@ def _as_projection(p) -> Projection:
     return Projection(np.asarray(p))
 
 
-def pair_index(p, q, *, tol: float = _RANK_TOL) -> PairIndexResult:
-    """Index of the pair (P, Q); see the module docstring for the routes."""
+def pair_index(p, q) -> PairIndexResult:
+    """Index of the pair (P, Q); see the module docstring for the routes.
+    The ranks are the validated ones each Projection carries."""
     pp = _as_projection(p)
     qq = _as_projection(q)
     if pp.dim != qq.dim:
         raise DimensionMismatchError(f"dims differ: {pp.dim} vs {qq.dim}")
-    route_rank = rank_eps(pp.mat, tol) - rank_eps(qq.mat, tol)
+    route_rank = pp.rank - qq.rank
     w = np.linalg.eigvalsh(pp.mat - qq.mat)
-    plus = int(np.sum(np.abs(w - 1.0) <= tol))
-    minus = int(np.sum(np.abs(w + 1.0) <= tol))
+    plus = int(np.sum(np.abs(w - 1.0) <= _RANK_TOL))
+    minus = int(np.sum(np.abs(w + 1.0) <= _RANK_TOL))
     route_eig = plus - minus
     return PairIndexResult(
         value=route_rank,

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, coerce_field
 from .graded import GradedOperator
 from .matcore import HermitianMatrix
 from .metrics import MetricReport
@@ -72,7 +72,7 @@ def _parts_to_array(obj: dict, shape: tuple[int, int], what: str) -> np.ndarray:
 def matrix_from_obj(obj: dict) -> HermitianMatrix:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise InputError("matrix literal must be an object with a 'dim' field")
-    n = int(obj["dim"])
+    n = coerce_field(obj["dim"], int, "dim")
     return HermitianMatrix(_parts_to_array(obj, (n, n), "matrix"))
 
 
@@ -92,7 +92,7 @@ def block_to_obj(a: np.ndarray) -> dict:
 def block_from_obj(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict) or "rows" not in obj or "cols" not in obj:
         raise InputError("block literal must be an object with 'rows' and 'cols'")
-    shape = (int(obj["rows"]), int(obj["cols"]))
+    shape = tuple(coerce_field(obj[key], int, key) for key in ("rows", "cols"))
     return _parts_to_array(obj, shape, "block")
 
 
@@ -132,15 +132,18 @@ def path_from_obj(obj: dict) -> OperatorPath:
         spec = obj.get("family")
         if not isinstance(spec, dict) or "name" not in spec:
             raise InputError("family path needs a 'family' object with a 'name'")
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise InputError(f"family 'params' must be an object, got {params!r}")
         path = family_path(
             spec["name"],
-            _revive_params(spec.get("params", {})),
+            _revive_params(params),
             seed=spec.get("seed"),
             dim=obj.get("dim"),
         )
     else:
         raise InputError(f"path kind must be 'sampled' or 'family', got {kind!r}")
-    if "dim" in obj and int(obj["dim"]) != path.dim:
+    if "dim" in obj and coerce_field(obj["dim"], int, "dim") != path.dim:
         raise InputError(
             f"declared dim {obj['dim']} does not match path dim {path.dim}"
         )
@@ -154,7 +157,8 @@ def graded_to_obj(g: GradedOperator) -> dict:
 def graded_from_obj(obj: dict) -> GradedOperator:
     if not isinstance(obj, dict) or not {"p", "q", "A"} <= set(obj):
         raise InputError("graded spec needs 'p', 'q' and the block 'A'")
-    return GradedOperator(int(obj["p"]), int(obj["q"]), block_from_obj(obj["A"]))
+    p, q = (coerce_field(obj[key], int, key) for key in ("p", "q"))
+    return GradedOperator(p, q, block_from_obj(obj["A"]))
 
 
 def model_from_obj(obj: dict) -> tuple[DiagonalModel, list[str], list[int] | None]:
@@ -162,21 +166,23 @@ def model_from_obj(obj: dict) -> tuple[DiagonalModel, list[str], list[int] | Non
     families to tabulate, explicit index list or None for the default)."""
     if not isinstance(obj, dict):
         raise InputError("model spec must be an object")
-    model = DiagonalModel(int(obj.get("N", 64)), obj.get("law", "linear"))
+    model = DiagonalModel(
+        coerce_field(obj.get("N", 64), int, "N"), obj.get("law", "linear")
+    )
     fam = obj.get("family")
     if fam is None:
         families = list(FAMILIES)
     elif isinstance(fam, str):
         families = [fam]
-    else:
+    elif isinstance(fam, list):
         families = [str(f) for f in fam]
+    else:
+        raise InputError(f"'family' must be a name or a list of names, got {fam!r}")
     n = obj.get("n")
     if n is None:
         ns = None
-    elif isinstance(n, list):
-        ns = [int(v) for v in n]
     else:
-        ns = [int(n)]
+        ns = [coerce_field(v, int, "n") for v in (n if isinstance(n, list) else [n])]
     return model, families, ns
 
 

@@ -5,7 +5,9 @@ import pytest
 
 from specflowlab import (
     InputError,
+    SfFunctional,
     SfOptions,
+    axioms,
     builtin_functionals,
     certify_invertible,
     check_concatenation,
@@ -37,29 +39,101 @@ def test_builtin_functional_names_and_values():
 @pytest.mark.parametrize("method_idx", range(4))
 def test_concatenation_law_small(method_idx):
     fun = builtin_functionals(OPTS)[method_idx]
-    rep = check_concatenation(fun, trials=8, seed=11)
+    (rep,) = check_concatenation([fun], trials=8, seed=11)
     assert rep["ok"], rep["failures"]
     assert rep["method"] == METHOD_NAMES[method_idx]
 
 
 def test_homotopy_law_small():
     fun = builtin_functionals(OPTS)[0]
-    rep = check_homotopy(fun, trials=5, seed=1)
+    (rep,) = check_homotopy([fun], trials=5, seed=1)
     assert rep["ok"], rep["failures"]
     # inconclusive rows are allowed but should not be the whole run
     assert rep["inconclusive"] < rep["trials"]
 
 
 def test_normalization_law_small():
-    for fun in builtin_functionals(OPTS):
-        rep = check_normalization(fun, trials=6, seed=2)
+    reports = check_normalization(builtin_functionals(OPTS), trials=6, seed=2)
+    assert [rep["method"] for rep in reports] == list(METHOD_NAMES)
+    for rep in reports:
         assert rep["ok"], rep["failures"]
 
 
 def test_vanishing_law_small():
     fun = builtin_functionals(OPTS)[2]
-    rep = check_invertible_vanishing(fun, trials=8, seed=3, opts=OPTS)
+    (rep,) = check_invertible_vanishing([fun], trials=8, seed=3, opts=OPTS)
     assert rep["ok"], rep["failures"]
+
+
+def _violating(law):
+    """A functional that breaks ``law`` on every conclusive trial."""
+    if law == "homotopy":
+        return SfFunctional("broken", lambda path: round(8 * path.meta["s"]))
+    wrong = 0 if law == "normalization" else 1  # concatenation: 1 + 1 != 1
+    return SfFunctional("broken", lambda path: wrong)
+
+
+@pytest.mark.parametrize(
+    "law, check, kwargs",
+    [
+        ("concatenation", check_concatenation, {"trials": 4, "seed": 11}),
+        ("homotopy", check_homotopy, {"trials": 3, "seed": 1}),
+        ("normalization", check_normalization, {"trials": 4, "seed": 2}),
+        (
+            "invertible_vanishing",
+            check_invertible_vanishing,
+            {"trials": 4, "seed": 3, "opts": OPTS},
+        ),
+    ],
+)
+def test_each_law_reports_per_functional_as_alone(law, check, kwargs):
+    """Running several functionals over one set of seeded paths gives each
+    the report it gets when checked alone, failures included."""
+    funs = builtin_functionals(OPTS) + (_violating(law),)
+    together = check(funs, **kwargs)
+    alone = [check([fun], **kwargs)[0] for fun in funs]
+    assert together == alone
+    assert [rep["method"] for rep in together] == [*METHOD_NAMES, "broken"]
+    assert all(rep["check"] == law for rep in together)
+    assert all(rep["ok"] for rep in together[:4])
+    assert together[4]["failures"] and not together[4]["ok"]
+
+
+def test_run_all_checks_builds_each_seeded_path_once(monkeypatch):
+    """One pair, family or path per trial, shared by the four routes."""
+    builds = {}
+
+    def counted(name):
+        build = getattr(axioms, name)
+
+        def wrapper(*args, **kwargs):
+            builds[name] = builds.get(name, 0) + 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(axioms, name, wrapper)
+
+    for name in (
+        "concat_compatible_pair",
+        "homotopy_family",
+        "normalization_path",
+        "invertible_trig_path",
+    ):
+        counted(name)
+    reports = run_all_checks(
+        seed=4,
+        concat_trials=3,
+        homotopy_trials=2,
+        normalization_trials=3,
+        vanishing_trials=4,
+        opts=OPTS,
+    )
+    assert len(reports) == 16
+    assert builds == {
+        "concat_compatible_pair": 3,
+        "homotopy_family": 2,
+        "normalization_path": 3,
+        "invertible_trig_path": 4,
+    }
 
 
 def test_run_all_checks_shape():
@@ -82,6 +156,11 @@ def test_run_all_checks_shape():
     }
     methods = {r["method"] for r in reports}
     assert methods == set(METHOD_NAMES)
+    # grouped by route, the four laws in order within each
+    laws = ["concatenation", "homotopy", "normalization", "invertible_vanishing"]
+    assert [(r["method"], r["check"]) for r in reports] == [
+        (m, law) for m in METHOD_NAMES for law in laws
+    ]
 
 
 def test_component_label_counts_nonneg_space():
