@@ -81,14 +81,18 @@ from .metrics import (
 )
 from .projpair import PairIndexResult, fredholm_pair_gap, pair_index, pair_path_invariance
 from .specflow import (
+    OPAQUE,
     OperatorPath,
+    Regularity,
     SfCertificate,
     SfOptions,
     SfSegment,
     certify_invertible,
     crossing_oracle_report,
+    lipschitz,
     path_concat,
     path_reverse,
+    piecewise_affine,
     sf_all_methods,
     sf_crossing_oracle,
     sf_endpoints,
@@ -105,6 +109,7 @@ from .generators import (
     half_integer_diagonal,
     homotopy_family,
     invertible_trig_path,
+    line_path,
     normalization_path,
     random_hermitian,
     random_invertible_hermitian,

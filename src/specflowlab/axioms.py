@@ -30,6 +30,7 @@ from .specflow import (
     OperatorPath,
     SfOptions,
     certify_invertible,
+    lipschitz,
     path_concat,
     sf_crossing_oracle,
     sf_endpoints,
@@ -304,6 +305,11 @@ def connect_invertibles(
     the positive eigenbasis of t1 onto that of t2 (conjugation preserves
     spectrum {+1, -1}); unflatten to t2. Certification is up to the
     caller via certify_invertible.
+
+    Each leg runs in a third of [0, 1], so its rate is three times the
+    speed of its own parameter: ||S1 - T1|| and ||T2 - S2|| on the straight
+    legs, and ||[A, S1]|| on the rotation exp(i u A) S1 exp(-i u A), with
+    A = F diag(theta) F* the generator of the rotation.
     """
     t1 = as_hermitian(t1)
     t2 = as_hermitian(t2)
@@ -353,7 +359,15 @@ def connect_invertibles(
         out[unflatten] = (1.0 - u) * s2 + u * t2.mat
         return out
 
+    generator = (frame * angles) @ frame.conj().T
+    rates = [
+        3.0 * op_norm(s1 - t1.mat),
+        3.0 * op_norm(generator @ s1 - s1 @ generator),
+        3.0 * op_norm(t2.mat - s2),
+    ]
     return OperatorPath(
-        evaluate, dim, knots=(0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0),
+        evaluate,
+        dim,
+        regularity=lipschitz((1.0 / 3.0, 2.0 / 3.0), rates),
         meta={"family": "connector", "label": label1},
     )

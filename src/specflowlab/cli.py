@@ -145,7 +145,7 @@ def _cmd_graded(args) -> str:
     out = {
         "p": g.p,
         "q": g.q,
-        "kernel_index": g.kernel_index(tol=args.tol),
+        "kernel_index": g.kernel_index(),
         "spectral_gap": g.spectral_gap(tol=args.tol),
         "cancellation": eigenpair_cancellation_check(g),
     }
@@ -218,7 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subcommand(
         "graded", _cmd_graded, "off-diagonal block report", input_help="input JSON file"
     )
-    p.add_argument("--tol", type=float, default=1e-8, help="rank tolerance")
+    p.add_argument(
+        "--tol", type=float, default=1e-8,
+        help="singular values at or below TOL do not count for the spectral gap",
+    )
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument("--trials", type=int, default=20, help="stability trials")
 

@@ -22,11 +22,18 @@ class InputError(SpecFlowError, ValueError):
 
 def coerce_field(value, cast, name: str):
     """``cast(value)`` for the field ``name`` of an input file (cast is int
-    or float); a value the cast refuses is an InputError naming the field."""
+    or float); a value the cast refuses is an InputError naming the field.
+    An int field also refuses booleans and numbers with a fractional part,
+    which ``int`` would silently truncate."""
+    refused = InputError(f"{name}: cannot read {value!r} as {cast.__name__}")
+    if cast is int and (
+        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise refused
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{name}: cannot read {value!r} as {cast.__name__}") from None
+        raise refused from None
 
 
 class HermiticityError(InputError):

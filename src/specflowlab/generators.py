@@ -26,9 +26,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, coerce_field
-from .matcore import HermitianMatrix, apply_function, as_hermitian, eigh
+from .matcore import HermitianMatrix, apply_function, as_hermitian, eigh, op_norm
 from .opmodel import DiagonalModel, ce_fuglede, realize
-from .specflow import OperatorPath
+from .specflow import OperatorPath, lipschitz, piecewise_affine
 from .transforms import UnitaryMatrix
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "cyclic_shift",
     "half_integer_diagonal",
     "unitary_rotation_path",
+    "line_path",
     "family_path",
     "FAMILY_NAMES",
     "trig_path",
@@ -128,12 +129,9 @@ def half_integer_diagonal(m: int) -> HermitianMatrix:
     return HermitianMatrix.diag([k + 0.5 for k in range(-m, m + 1)])
 
 
-def unitary_rotation_path(rng: np.random.Generator, dim: int, scale: float = 1.0):
-    """A smooth unitary path U(t) = exp(i t K) for a random Hermitian K.
-
-    ``u_of(ts)`` maps an array of k parameters to the (k, dim, dim) stack of
-    unitaries, and a single t to one matrix.
-    """
+def _rotation(rng: np.random.Generator, dim: int, scale: float):
+    """(K, u_of) for the unitary path U(t) = exp(i t K) of a random
+    Hermitian K; see unitary_rotation_path."""
     k = random_hermitian(rng, dim, scale)
     ed = eigh(k)
 
@@ -141,14 +139,24 @@ def unitary_rotation_path(rng: np.random.Generator, dim: int, scale: float = 1.0
         phases = np.exp(1j * np.asarray(ts, dtype=np.float64)[..., None] * ed.values)
         return ed.assemble(phases[..., None, :])
 
-    return u_of
+    return k, u_of
+
+
+def unitary_rotation_path(rng: np.random.Generator, dim: int, scale: float = 1.0):
+    """A smooth unitary path U(t) = exp(i t K) for a random Hermitian K.
+
+    ``u_of(ts)`` maps an array of k parameters to the (k, dim, dim) stack of
+    unitaries, and a single t to one matrix.
+    """
+    return _rotation(rng, dim, scale)[1]
 
 
 def _tilt_to_clamped_endpoints(
     raw: Callable[[np.ndarray], np.ndarray], dim: int, gap: float, *, fix_left: bool = True
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     """Add an affine-in-t Hermitian tilt so both endpoints become their
-    spectrally clamped versions (invertible with the given gap)."""
+    spectrally clamped versions (invertible with the given gap). Returns
+    the tilted evaluator and the tilt's rate ||delta1 - delta0||."""
     left, right = HermitianMatrix.from_stack(raw(np.array([0.0, 1.0])))
     delta0 = (
         clamp_spectrum_away_from_zero(left, gap).mat - left.mat
@@ -160,13 +168,20 @@ def _tilt_to_clamped_endpoints(
     def evaluate(ts: np.ndarray) -> np.ndarray:
         return raw(ts) + (1.0 - ts)[:, None, None] * delta0 + ts[:, None, None] * delta1
 
-    return evaluate
+    return evaluate, op_norm(delta1 - delta0)
 
 
 def _trig_evaluator(
     rng: np.random.Generator, dim: int, degree: int, scale: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Unitary-conjugated diagonal trig skeleton plus Hermitian trig coupling."""
+) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """Unitary-conjugated diagonal trig skeleton plus Hermitian trig
+    coupling, and a Lipschitz rate of it from the coefficients.
+
+    Degree m contributes pi m (-sin a + cos b) to the derivative of each
+    coefficient pair (a, b): at most pi m max_i hypot(a_i, b_i) on the
+    diagonal and pi m hypot(||A||, ||B||) for the coupling; the unitary
+    conjugation keeps norms.
+    """
     u = random_unitary(rng, dim).mat
     diag_coefs = [rng.standard_normal(dim) * scale / (1 + m) ** 2 for m in range(2 * degree + 1)]
     coup_coefs = [
@@ -191,7 +206,12 @@ def _trig_evaluator(
         skeleton[:, diag, diag] = lam
         return u_h @ (skeleton + coup) @ u
 
-    return raw
+    rate = 0.0
+    for m in range(1, degree + 1):
+        diag_rate = float(np.max(np.hypot(diag_coefs[2 * m - 1], diag_coefs[2 * m])))
+        coup_rate = math.hypot(op_norm(coup_coefs[2 * m - 1]), op_norm(coup_coefs[2 * m]))
+        rate += math.pi * m * (diag_rate + coup_rate)
+    return raw, rate
 
 
 def trig_path(
@@ -213,9 +233,14 @@ def trig_path(
         raise InputError(f"dim must be a positive int, got {dim!r}")
     if not isinstance(degree, int) or degree < 1:
         raise InputError(f"degree must be a positive int, got {degree!r}")
-    raw = _trig_evaluator(rng, dim, degree, scale)
-    evaluate = _tilt_to_clamped_endpoints(raw, dim, gap)
-    return OperatorPath(evaluate, dim, meta=meta or {"family": "trig_random"})
+    raw, rate = _trig_evaluator(rng, dim, degree, scale)
+    evaluate, tilt = _tilt_to_clamped_endpoints(raw, dim, gap)
+    return OperatorPath(
+        evaluate,
+        dim,
+        regularity=lipschitz((), [rate + tilt]),
+        meta=meta or {"family": "trig_random"},
+    )
 
 
 def invertible_trig_path(
@@ -225,6 +250,8 @@ def invertible_trig_path(
 
     U(t)* D0 U(t) + c(t) I with D0 spectrally clamped to |spec| >= gap and a
     scalar trig drift |c(t)| <= gap / 2, so min |spec| >= gap / 2 throughout.
+    With U(t) = exp(i t K) the conjugated part moves at the constant rate
+    ||[D0, K]|| and the drift at most at 2 pi amp.
     """
     rng = (
         seed_or_rng
@@ -232,7 +259,7 @@ def invertible_trig_path(
         else np.random.default_rng(seed_or_rng)
     )
     d0 = clamp_spectrum_away_from_zero(random_hermitian(rng, dim, scale), gap)
-    u_of = unitary_rotation_path(rng, dim, scale)
+    k, u_of = _rotation(rng, dim, scale)
     amp = rng.uniform(0.1, 0.5) * gap / 2.0
     phase = rng.uniform(0.0, 2.0 * math.pi)
 
@@ -241,7 +268,10 @@ def invertible_trig_path(
         drift = np.array([amp * math.sin(2.0 * math.pi * t + phase) for t in ts.tolist()])
         return u.conj().swapaxes(1, 2) @ d0.mat @ u + drift[:, None, None] * np.eye(dim)
 
-    return OperatorPath(evaluate, dim, meta={"family": "invertible_drift"})
+    rate = op_norm(d0.mat @ k.mat - k.mat @ d0.mat) + 2.0 * math.pi * amp
+    return OperatorPath(
+        evaluate, dim, regularity=lipschitz((), [rate]), meta={"family": "invertible_drift"}
+    )
 
 
 def normalization_path(seed_or_rng, dim: int) -> OperatorPath:
@@ -271,7 +301,12 @@ def normalization_path(seed_or_rng, dim: int) -> OperatorPath:
     def evaluate(ts: np.ndarray) -> np.ndarray:
         return (ts - 0.5)[:, None, None] * p + rest
 
-    return OperatorPath(evaluate, dim, meta={"family": "normalization"})
+    return OperatorPath(
+        evaluate,
+        dim,
+        regularity=piecewise_affine((), [op_norm(p)]),
+        meta={"family": "normalization"},
+    )
 
 
 def concat_compatible_pair(seed_or_rng, dim: int, **kwargs) -> tuple[OperatorPath, OperatorPath]:
@@ -283,7 +318,9 @@ def concat_compatible_pair(seed_or_rng, dim: int, **kwargs) -> tuple[OperatorPat
         else np.random.default_rng(seed_or_rng)
     )
     f = trig_path(rng, dim, **kwargs)
-    g_raw = _trig_evaluator(rng, dim, kwargs.get("degree", 3), kwargs.get("scale", 1.0))
+    g_raw, rate = _trig_evaluator(
+        rng, dim, kwargs.get("degree", 3), kwargs.get("scale", 1.0)
+    )
     join = f.matrix(1.0).mat
     (g_start,) = g_raw(np.array([0.0]))
 
@@ -291,8 +328,14 @@ def concat_compatible_pair(seed_or_rng, dim: int, **kwargs) -> tuple[OperatorPat
         return g_raw(ts) - g_start + join
 
     gap = kwargs.get("gap", ENDPOINT_CLAMP_GAP)
-    evaluate = _tilt_to_clamped_endpoints(shifted, dim, gap, fix_left=False)
-    g = OperatorPath(evaluate, dim, meta={"family": "trig_random_shifted"})
+    # the constant shift leaves the rate of g_raw as it is
+    evaluate, tilt = _tilt_to_clamped_endpoints(shifted, dim, gap, fix_left=False)
+    g = OperatorPath(
+        evaluate,
+        dim,
+        regularity=lipschitz((), [rate + tilt]),
+        meta={"family": "trig_random_shifted"},
+    )
     return f, g
 
 
@@ -332,19 +375,33 @@ def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7, **kwargs):
     return h_of, s_grid, label
 
 
+def line_path(a: HermitianMatrix, b: HermitianMatrix, *, meta: dict | None = None) -> OperatorPath:
+    """The straight line t -> (1 - t) A + t B, affine with rate ||B - A||."""
+    if a.dim != b.dim:
+        raise InputError(f"line endpoints must share a dimension, got {a.dim} and {b.dim}")
+
+    def evaluate(ts: np.ndarray) -> np.ndarray:
+        return (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
+
+    return OperatorPath(
+        evaluate,
+        a.dim,
+        regularity=piecewise_affine((), [op_norm(b.mat - a.mat)]),
+        meta=meta,
+    )
+
+
 def _family_linear_interp(params: dict, seed, dim) -> OperatorPath:
     try:
         a = as_hermitian(params["a"])
         b = as_hermitian(params["b"])
     except KeyError as exc:
         raise InputError("linear_interp params need matrices 'a' and 'b'") from exc
-    if a.dim != b.dim:
-        raise InputError("linear_interp endpoints must share a dimension")
-
-    def evaluate(ts: np.ndarray) -> np.ndarray:
-        return (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
-
-    return OperatorPath(evaluate, a.dim, meta={"family": "linear_interp"})
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"linear_interp endpoints must be matrix literals: {exc}") from exc
+    return line_path(a, b, meta={"family": "linear_interp"})
 
 
 def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
@@ -362,7 +419,10 @@ def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
         return d.mat + ts[:, None, None] * c.mat
 
     return OperatorPath(
-        evaluate, model.trunc_dim, meta={"family": "fuglede_line", "n": n}
+        evaluate,
+        model.trunc_dim,
+        regularity=piecewise_affine((), [op_norm(c.mat)]),
+        meta={"family": "fuglede_line", "n": n},
     )
 
 
@@ -372,13 +432,7 @@ def _family_toeplitz_line(params: dict, seed, dim) -> OperatorPath:
     d = half_integer_diagonal(m)
     w = cyclic_shift(d.dim, power)
     conj = HermitianMatrix(w.mat @ d.mat @ w.mat.conj().T)
-
-    def evaluate(ts: np.ndarray) -> np.ndarray:
-        return (1.0 - ts)[:, None, None] * d.mat + ts[:, None, None] * conj.mat
-
-    return OperatorPath(
-        evaluate, d.dim, meta={"family": "toeplitz_line", "m": m, "power": power}
-    )
+    return line_path(d, conj, meta={"family": "toeplitz_line", "m": m, "power": power})
 
 
 def _family_trig_random(params: dict, seed, dim) -> OperatorPath:

@@ -190,6 +190,7 @@ def certificate_to_obj(cert: SfCertificate) -> dict:
     return {
         "method": cert.method,
         "total": cert.total,
+        "soundness": cert.soundness,
         "endpoint_gaps": list(cert.endpoint_gaps),
         "options": {
             "samples": cert.opts.samples,

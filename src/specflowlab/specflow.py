@@ -1,15 +1,20 @@
 """Spectral flow of paths of Hermitian matrices, by four methods.
 
-A path is a map t in [0, 1] -> Hermitian matrix, given either by uniform
-samples (piecewise-linear ground truth) or by a closed-form evaluator
-measured through a sampled surrogate. Endpoints must be invertible
-(min |spec| > 1e-8 by convention), so the flow is an integer.
+A path is a map t in [0, 1] -> Hermitian matrix, given by a stacked
+evaluator and a declared Regularity: a bound on ||H(b) - H(a)|| computed
+once, when the path is built. A piecewise-affine path (uniform samples,
+straight lines) gives the norm of each piece's slope, a Lipschitz path (the
+trig families, the connector) a rate per piece, and an opaque path nothing,
+so its steps are sampled 2-norms of differences and its certificates are
+labelled "surrogate". Endpoints must be invertible (min |spec| > 1e-8 by
+convention), so the flow is an integer.
 
 Methods
 -------
 * sf_phillips:        certified subdivision; per segment an eigenvalue-free
                       level eps_j is chosen in the largest gap of the sampled
-                      magnitude spectrum and Weyl bounds certify that no
+                      magnitude spectrum and Weyl bounds (the declared step
+                      bounds plus a rounding slack) certify that no
                       eigenvalue meets +-eps_j inside the segment; the flow
                       is the telescoped count of eigenvalues in [0, eps_j).
 * sf_pairsum:         the same subdivision; the flow is the sum over its
@@ -44,7 +49,6 @@ from .errors import (
     ConsistencyFault,
     DimensionMismatchError,
     EndpointError,
-    FinitenessError,
     InputError,
     SamplingError,
 )
@@ -52,6 +56,10 @@ from .matcore import EigenDecomposition, HermitianMatrix, as_hermitian, eigh, op
 from .projpair import Projection, pair_index
 
 __all__ = [
+    "Regularity",
+    "OPAQUE",
+    "piecewise_affine",
+    "lipschitz",
     "OperatorPath",
     "SfOptions",
     "SfSegment",
@@ -110,6 +118,107 @@ def _dim_error(found: int, expected: int) -> DimensionMismatchError:
     return DimensionMismatchError(f"path evaluator returned dim {found}, expected {expected}")
 
 
+#: the soundness conditions a certificate can rest on, strongest first
+_SOUNDNESS = ("piecewise-affine", "lipschitz", "surrogate")
+
+#: gamma_n = _ROUNDING_C * n * u: the backward error of eigvalsh and of a
+#: path evaluation, relative to ||H||, that every declared margin gives up
+_ROUNDING_C = 4
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+
+
+@dataclass(frozen=True)
+class Regularity:
+    """A path's declared bound on how far H moves between two parameters.
+
+    ``knots`` are the interior break points, increasing inside (0, 1);
+    every sampling grid contains them, so each grid step lies in one piece.
+    A declared path gives one rate per piece (``len(knots) + 1``), computed
+    once when the path is built, and the step bound is rate * |dt|:
+
+    * ``"piecewise-affine"``: H is affine on each piece with slope B_i, and
+      the rate is ||B_i||; the bound is the exact step.
+    * ``"lipschitz"``: the rate bounds ||H'|| on the piece.
+    * ``"surrogate"`` (an opaque path, no rates): nothing is known between
+      samples. Steps are the sampled 2-norms ||H(b) - H(a)||, which bound
+      only the piecewise-linear interpolant of the samples.
+    """
+
+    soundness: str
+    knots: tuple[float, ...] = ()
+    rates: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        knots = tuple(float(k) for k in self.knots)
+        rates = tuple(float(r) for r in self.rates)
+        if self.soundness not in _SOUNDNESS:
+            raise InputError(f"soundness must be one of {_SOUNDNESS}, got {self.soundness!r}")
+        bounds = (0.0,) + knots + (1.0,)
+        if not all(a < b for a, b in zip(bounds, bounds[1:])):
+            raise InputError(f"knots must increase strictly inside (0, 1), got {knots}")
+        pieces = len(knots) + 1 if self.declared else 0
+        if len(rates) != pieces:
+            raise InputError(f"{self.soundness} needs {pieces} rates, got {len(rates)}")
+        if not all(np.isfinite(r) and r >= 0.0 for r in rates):
+            raise InputError(f"rates must be finite and nonnegative, got {rates}")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "rates", rates)
+
+    @property
+    def declared(self) -> bool:
+        return self.soundness != "surrogate"
+
+    def step_bounds(self, ts: Sequence[float]) -> list[float]:
+        """rate * |dt| for each consecutive pair of ``ts``; a step that
+        spans knots takes the largest rate of the pieces it meets."""
+        ts = np.asarray(ts, dtype=np.float64)
+        lo = np.minimum(ts[:-1], ts[1:])
+        hi = np.maximum(ts[:-1], ts[1:])
+        rates = np.asarray(self.rates)
+        first = np.searchsorted(self.knots, lo, side="right")
+        last = np.searchsorted(self.knots, hi, side="left")
+        rate = rates[first]
+        for k in np.flatnonzero(last > first).tolist():
+            rate[k] = rates[first[k] : last[k] + 1].max()
+        return (rate * (hi - lo)).tolist()
+
+    def then(self, other: "Regularity") -> "Regularity":
+        """The regularity of the concatenation (self, then other), each
+        part run at double speed on its half of [0, 1]."""
+        knots = (
+            [k / 2.0 for k in self.knots] + [0.5] + [0.5 + k / 2.0 for k in other.knots]
+        )
+        if not (self.declared and other.declared):
+            return Regularity("surrogate", knots)
+        affine = self.soundness == other.soundness == "piecewise-affine"
+        return Regularity(
+            "piecewise-affine" if affine else "lipschitz",
+            knots,
+            [2.0 * r for r in self.rates + other.rates],
+        )
+
+    def reversed(self) -> "Regularity":
+        """The regularity of t -> H(1 - t): the pieces mirrored."""
+        return Regularity(
+            self.soundness, [1.0 - k for k in self.knots[::-1]], self.rates[::-1]
+        )
+
+
+def piecewise_affine(knots: Sequence[float], rates: Sequence[float]) -> Regularity:
+    """H affine on each piece between ``knots``; ``rates[i]`` is the 2-norm
+    of the slope of piece i."""
+    return Regularity("piecewise-affine", tuple(knots), tuple(rates))
+
+
+def lipschitz(knots: Sequence[float], rates: Sequence[float]) -> Regularity:
+    """``rates[i]`` bounds ||H(b) - H(a)|| / |b - a| on piece i."""
+    return Regularity("lipschitz", tuple(knots), tuple(rates))
+
+
+#: the default: nothing declared, steps sampled, certificates "surrogate"
+OPAQUE = Regularity("surrogate")
+
+
 class OperatorPath:
     """A continuous family of Hermitian matrices over t in [0, 1].
 
@@ -118,7 +227,9 @@ class OperatorPath:
     array-like of that shape, such as a list of k matrices, will do).
     ``from_callable`` adapts a scalar function t -> matrix to this contract.
     Each stack is validated by one ``HermitianMatrix.from_stack`` check and
-    cached per t.
+    cached per t. ``regularity`` declares how far H moves between two
+    parameters (see ``Regularity``); the default, ``OPAQUE``, declares
+    nothing, and certificates of such a path are labelled "surrogate".
 
     Every method samples the path through one grid sampler:
 
@@ -126,9 +237,10 @@ class OperatorPath:
       evaluating the ones not yet cached by one evaluator call per chunk;
     * ``values(ts)`` returns eigenvalues, computing the ones not yet cached
       by one batched ``eigvalsh`` over the stacked matrices;
-    * ``steps(ts)`` returns the operator-norm steps between consecutive
-      grid points, cached by (t_a, t_b); the missing ones come from one
-      stacked 2-norm of the differences;
+    * ``steps(ts)`` returns bounds on the operator-norm steps between
+      consecutive grid points: the declared rate * |dt|, or for an opaque
+      path the sampled norms, one stacked 2-norm of the differences per
+      chunk, cached by (t_a, t_b);
     * ``eig(t)`` is the validated full decomposition, cached per t.
 
     Stacks are cut into chunks of at most ``_CHUNK_BYTES`` bytes, so memory
@@ -145,21 +257,16 @@ class OperatorPath:
         evaluator: Callable[[np.ndarray], np.ndarray],
         dim: int,
         *,
-        kind: str = "closed-form",
-        knots: Sequence[float] = (),
+        regularity: Regularity = OPAQUE,
         meta: dict | None = None,
     ):
-        if kind not in ("sampled", "closed-form"):
-            raise InputError(f"kind must be 'sampled' or 'closed-form', got {kind!r}")
         if not isinstance(dim, int) or dim < 1:
             raise InputError(f"dim must be a positive int, got {dim!r}")
+        if not isinstance(regularity, Regularity):
+            raise InputError(f"regularity must be a Regularity, got {regularity!r}")
         self._evaluator = evaluator
         self._dim = dim
-        self._kind = kind
-        self._knots = tuple(sorted(set(float(k) for k in knots)))
-        for k in self._knots:
-            if not 0.0 <= k <= 1.0:
-                raise InputError(f"knot {k!r} outside [0, 1]")
+        self._regularity = regularity
         self.meta = dict(meta or {})
         self._mats: dict[float, HermitianMatrix] = {}
         self._eigs: dict[float, EigenDecomposition] = {}
@@ -172,13 +279,8 @@ class OperatorPath:
         return self._dim
 
     @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def knots(self) -> tuple[float, ...]:
-        """Interior break points where a sampled path is non-smooth."""
-        return self._knots
+    def regularity(self) -> Regularity:
+        return self._regularity
 
     def _fill(self, ts: list[float]) -> None:
         """Evaluate and cache the distinct, uncached points ``ts``."""
@@ -244,19 +346,22 @@ class OperatorPath:
         return self._vals[ts[0]] if single else [self._vals[s] for s in ts]
 
     def steps(self, ts: Sequence[float]) -> list[float]:
-        """Operator-norm steps ||H(ts[k+1]) - H(ts[k])|| along a grid."""
+        """Bounds on the operator-norm steps ||H(ts[k+1]) - H(ts[k])|| along
+        a grid: the declared regularity's rate * |dt|, evaluating nothing.
+        An opaque path's steps are the sampled norms themselves, cached by
+        (t_a, t_b); the missing ones come from one stacked 2-norm of the
+        differences per chunk."""
+        if self._regularity.declared:
+            return self._regularity.step_bounds(ts)
         pairs = [(float(a), float(b)) for a, b in zip(ts[:-1], ts[1:])]
         todo = list(dict.fromkeys(p for p in pairs if p not in self._steps))
         points = [t for pair in todo for t in pair]
         mats = dict(zip(points, self.matrices(points)))
-        # one stacked SVD per chunk, with op_norm's finiteness check: values
-        # bit-identical to separate op_norm calls
+        # one stacked SVD per chunk: values bit-identical to op_norm calls
         for chunk in _chunks(todo, _chunk_len(self._dim)):
             d = np.empty((len(chunk), self._dim, self._dim), dtype=np.complex128)
             for i, (a, b) in enumerate(chunk):
                 np.subtract(mats[b].mat, mats[a].mat, out=d[i])
-            if not np.all(np.isfinite(d)):
-                raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
             self._steps.update(zip(chunk, np.linalg.norm(d, 2, axis=(1, 2)).tolist()))
         return [self._steps[p] for p in pairs]
 
@@ -271,7 +376,8 @@ class OperatorPath:
 
     @classmethod
     def from_samples(cls, matrices: Sequence, *, meta: dict | None = None) -> "OperatorPath":
-        """Uniformly spaced samples; the path is their linear interpolant."""
+        """Uniformly spaced samples; the path is their linear interpolant,
+        piecewise affine with one 2-norm per piece."""
         mats = [as_hermitian(m) for m in matrices]
         if len(mats) < 2:
             raise InputError("a sampled path needs at least 2 samples")
@@ -288,8 +394,9 @@ class OperatorPath:
             frac = (x - i)[:, None, None]
             return (1.0 - frac) * arr[i] + frac * arr[i + 1]
 
+        rates = last * np.linalg.norm(np.diff(arr, axis=0), 2, axis=(1, 2))
         knots = [i / last for i in range(1, last)]
-        path = cls(evaluate, dim, kind="sampled", knots=knots, meta=meta)
+        path = cls(evaluate, dim, regularity=piecewise_affine(knots, rates), meta=meta)
         for i, m in enumerate(mats):
             path._mats[i / last] = m
         return path
@@ -300,7 +407,7 @@ class OperatorPath:
         fn: Callable[[float], HermitianMatrix],
         dim: int,
         *,
-        knots: Sequence[float] = (),
+        regularity: Regularity = OPAQUE,
         meta: dict | None = None,
     ) -> "OperatorPath":
         """A path from a scalar function t -> matrix, called once per t."""
@@ -312,17 +419,10 @@ class OperatorPath:
                     raise _dim_error(HermitianMatrix(m).dim, dim)
             return mats
 
-        return cls(evaluate, dim, kind="closed-form", knots=knots, meta=meta)
-
-    def resample(self, samples: int) -> "OperatorPath":
-        """A sampled snapshot of this path on a uniform grid."""
-        if not isinstance(samples, int) or samples < 2:
-            raise InputError(f"samples must be an int >= 2, got {samples!r}")
-        ts = np.linspace(0.0, 1.0, samples)
-        return OperatorPath.from_samples(self.matrices(ts), meta=dict(self.meta))
+        return cls(evaluate, dim, regularity=regularity, meta=meta)
 
     def __repr__(self) -> str:
-        return f"OperatorPath(kind={self._kind!r}, dim={self._dim})"
+        return f"OperatorPath(dim={self._dim}, soundness={self._regularity.soundness!r})"
 
 
 @dataclass(frozen=True)
@@ -331,9 +431,10 @@ class SfSegment:
 
     ``eps`` is the level avoided by the spectrum throughout the segment;
     ``weyl_margin`` is the worst certified slack: the distance of +-eps to
-    the sampled spectrum minus the neighboring operator-norm step. sf_pairsum
-    shares sf_phillips's segments and so their margins; the margin is what
-    keeps the rank above eps constant on the segment.
+    the sampled spectrum minus the sample's tolerance (the declared step
+    bound to its neighbours, plus a rounding slack). sf_pairsum shares
+    sf_phillips's segments and so their margins; the margin is what keeps
+    the rank above eps constant on the segment.
     """
 
     t_left: float
@@ -346,15 +447,24 @@ class SfSegment:
 
 @dataclass(frozen=True)
 class SfCertificate:
-    """A spectral-flow value plus the subdivision evidence behind it."""
+    """A spectral-flow value plus the subdivision evidence behind it.
+
+    ``soundness`` names the condition the margins rest on: the path's
+    declared "piecewise-affine" or "lipschitz" regularity, or "surrogate"
+    for an opaque path, whose margins hold only for the piecewise-linear
+    interpolant of its samples.
+    """
 
     method: str
     total: int
     segments: tuple[SfSegment, ...]
     endpoint_gaps: tuple[float, float]
+    soundness: str
     opts: SfOptions = field(default_factory=SfOptions)
 
     def __post_init__(self):
+        if self.soundness not in _SOUNDNESS:
+            raise ConsistencyFault(f"unknown soundness {self.soundness!r}")
         if not self.segments:
             raise ConsistencyFault("certificate has no segments")
         tel = sum(s.rank_right - s.rank_left for s in self.segments)
@@ -377,9 +487,33 @@ class SfCertificate:
             raise ConsistencyFault("certificate segments do not reach t = 1")
 
 
+def _rounding_slack(path: OperatorPath, mags: np.ndarray):
+    """gamma_n * ||H(t_k)|| per sample of a declared path (0 for an opaque
+    one), from the sampled magnitudes ``mags``: eigvalsh and the evaluator
+    are backward stable only to about that size."""
+    if not path.regularity.declared:
+        return 0.0
+    return _ROUNDING_C * path.dim * _UNIT_ROUNDOFF * np.max(mags, axis=-1)
+
+
+def _tolerances(path: OperatorPath, steps: Sequence[float], mags: np.ndarray) -> np.ndarray:
+    """Per grid sample, the tolerance tau_k its distances to the spectrum
+    must beat so that no eigenvalue can reach them between samples.
+
+    Affine and opaque paths take the larger step bound to a neighbour; a
+    Lipschitz path half of it, since every t lies within half a spacing of
+    a sample. Declared paths add the rounding slack.
+    """
+    tau = _neighbour_steps(steps)
+    if path.regularity.soundness == "lipschitz":
+        tau = tau / 2.0
+    return tau + _rounding_slack(path, mags)
+
+
 def _check_endpoints(path: OperatorPath, opts: SfOptions) -> tuple[float, float]:
     g0, g1 = path.endpoint_gaps()
-    if g0 <= opts.endpoint_gap or g1 <= opts.endpoint_gap:
+    slack = _rounding_slack(path, np.abs(np.array(path.values([0.0, 1.0]))))
+    if np.any(np.array([g0, g1]) - slack <= opts.endpoint_gap):
         raise EndpointError(
             f"path endpoints must be invertible: min |spec| = ({g0:.3e}, {g1:.3e}), "
             f"convention requires > {opts.endpoint_gap:.0e}"
@@ -387,11 +521,9 @@ def _check_endpoints(path: OperatorPath, opts: SfOptions) -> tuple[float, float]
     return g0, g1
 
 
-def _initial_grid(path: OperatorPath, samples: int) -> list[float]:
-    ts = set(np.linspace(0.0, 1.0, samples).tolist())
-    ts.update(path.knots)
-    ts.update((0.0, 1.0))
-    return sorted(ts)
+def _grid(path: OperatorPath, samples: int) -> list[float]:
+    """``samples`` uniform points of [0, 1] and the path's knots."""
+    return sorted(set(np.linspace(0.0, 1.0, samples).tolist()) | set(path.regularity.knots))
 
 
 def _neighbour_steps(steps: Sequence[float]) -> np.ndarray:
@@ -414,7 +546,6 @@ def _segment_level_and_margin(
     falsifiable: a segment whose steps exceed every gap half-width cannot
     certify at any eps and has to be subdivided instead.
     """
-    steps = path.steps(ts)
     mags = np.abs(np.array(path.values(ts)))
     pool = np.unique(np.concatenate(([0.0], mags.ravel())))
     lows = pool
@@ -424,7 +555,7 @@ def _segment_level_and_margin(
     best = int(np.argmax(widths))
     eps = float((lows[best] + highs[best]) / 2.0)
     dist = np.min(np.abs(mags - eps), axis=1)
-    return eps, float(np.min(dist - _neighbour_steps(steps)))
+    return eps, float(np.min(dist - _tolerances(path, path.steps(ts), mags)))
 
 
 def _refine(ts: Sequence[float]) -> list[float]:
@@ -471,7 +602,7 @@ def _certified_segments(
         visit(_refine(left), depth + 1)
         visit(_refine(right), depth + 1)
 
-    visit(_initial_grid(path, opts.samples), 0)
+    visit(_grid(path, opts.samples), 0)
     path._segments[opts] = tuple(out)
     return path._segments[opts]
 
@@ -482,8 +613,9 @@ def sf_phillips(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertif
     Per segment j the count of eigenvalues in [0, eps_j) is taken at both
     ends; the sum of the differences is the flow. Certification: at every
     sample of segment j the distance of +-eps_j to the spectrum exceeds the
-    operator-norm step to the neighboring samples (a Weyl bound), so no
-    eigenvalue can meet +-eps_j anywhere in the segment.
+    sample's tolerance, the declared bound on how far H moves before the
+    next sample takes over (a Weyl bound), so no eigenvalue can meet +-eps_j
+    anywhere in the segment.
     """
     gaps = _check_endpoints(path, opts)
     segs = []
@@ -504,6 +636,7 @@ def sf_phillips(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertif
         total=total,
         segments=tuple(segs),
         endpoint_gaps=gaps,
+        soundness=path.regularity.soundness,
         opts=opts,
     )
 
@@ -541,6 +674,7 @@ def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertifi
         total=total,
         segments=tuple(segs),
         endpoint_gaps=gaps,
+        soundness=path.regularity.soundness,
         opts=opts,
     )
 
@@ -561,19 +695,21 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     """Dense signed tally of eigenvalue sign changes (the brute-force oracle).
 
     Consecutive samples are compared by their nonnegative-eigenvalue counts;
-    every nonzero jump must be explained by eigenvalues within one
-    operator-norm step of zero on both sides (otherwise the sampling is
-    aliased and a SamplingError asks for more samples).
+    every nonzero jump must be explained by eigenvalues within one step
+    bound of zero on both sides, and every sample's tolerance must stay
+    below half the endpoint gap (otherwise the sampling is aliased and a
+    SamplingError asks for more samples).
     """
     g0, g1 = _check_endpoints(path, opts)
-    ts = sorted(set(np.linspace(0.0, 1.0, opts.oracle_samples).tolist()) | set(path.knots))
-    vals = path.values(ts)
-    counts = np.count_nonzero(np.array(vals) >= 0.0, axis=1).tolist()
+    ts = _grid(path, opts.oracle_samples)
+    vals = np.array(path.values(ts))
+    counts = np.count_nonzero(vals >= 0.0, axis=1).tolist()
     steps = path.steps(ts)
     max_step = max(steps) if steps else 0.0
-    if max_step >= 0.5 * min(g0, g1):
+    reach = float(np.max(_tolerances(path, steps, np.abs(vals))))
+    if reach >= 0.5 * min(g0, g1):
         raise SamplingError(
-            f"oracle step {max_step:.3e} is not below half the endpoint gap "
+            f"oracle sample tolerance {reach:.3e} is not below half the endpoint gap "
             f"{min(g0, g1):.3e}; increase oracle_samples"
         )
     ups = 0
@@ -653,12 +789,10 @@ def path_concat(f: OperatorPath, g: OperatorPath) -> OperatorPath:
         out[~first] = g.stack(2.0 * ts[~first] - 1.0)
         return out
 
-    knots = [k / 2.0 for k in f.knots] + [0.5] + [0.5 + k / 2.0 for k in g.knots]
     return OperatorPath(
         evaluate,
         f.dim,
-        kind="closed-form",
-        knots=knots,
+        regularity=f.regularity.then(g.regularity),
         meta={"concat": [f.meta, g.meta]},
     )
 
@@ -669,9 +803,8 @@ def path_reverse(f: OperatorPath) -> OperatorPath:
     def evaluate(ts: np.ndarray) -> np.ndarray:
         return f.stack(1.0 - ts)
 
-    knots = [1.0 - k for k in f.knots]
     return OperatorPath(
-        evaluate, f.dim, kind="closed-form", knots=knots, meta={"reverse": f.meta}
+        evaluate, f.dim, regularity=f.regularity.reversed(), meta={"reverse": f.meta}
     )
 
 
@@ -679,18 +812,21 @@ def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> d
     """Weyl-certify that a path stays invertible for every t in [0, 1].
 
     At every grid sample the spectral gap around 0 must exceed the
-    operator-norm step to the neighboring samples. Returns a report with
-    ``certified`` plus the worst margin; it does not raise on failure so
-    sweep drivers can count and refine.
+    sample's tolerance, as in sf_phillips. Returns a report with
+    ``certified`` plus the worst margin and the ``soundness`` it rests on;
+    an opaque path is never ``certified``, whatever its margin. It does not
+    raise on failure so sweep drivers can count and refine.
     """
-    ts = _initial_grid(path, opts.samples)
+    ts = _grid(path, opts.samples)
     steps = path.steps(ts)
-    gaps = np.min(np.abs(np.array(path.values(ts))), axis=1)
-    worst = float(np.min(gaps - _neighbour_steps(steps)))
+    mags = np.abs(np.array(path.values(ts)))
+    gaps = np.min(mags, axis=1)
+    worst = float(np.min(gaps - _tolerances(path, steps, mags)))
     return {
-        "certified": bool(worst > 0.0),
+        "certified": bool(worst > 0.0) and path.regularity.declared,
         "margin": worst,
         "min_gap": float(np.min(gaps)),
         "max_step": float(max(steps) if steps else 0.0),
         "samples": len(ts),
+        "soundness": path.regularity.soundness,
     }

@@ -19,7 +19,7 @@ from .errors import InputError, InvertibilityError
 from .matcore import HermitianMatrix, as_hermitian, eigh, nonneg_projection, op_norm, rank_eps
 from .projpair import Projection, pair_index
 from .specflow import OperatorPath, SfOptions, sf_all_methods
-from .generators import cyclic_shift, half_integer_diagonal
+from .generators import cyclic_shift, half_integer_diagonal, line_path
 from .transforms import UnitaryMatrix
 
 __all__ = [
@@ -75,17 +75,13 @@ def _aux_index(p: Projection, w, *, tol: float = 1e-8) -> int:
 
 
 def conjugation_path(d: HermitianMatrix, w) -> OperatorPath:
-    """The line s -> (1 - s) D + s W D W*."""
+    """The line s -> (1 - s) D + s W D W*, affine with rate ||W D W* - D||."""
     d = as_hermitian(d)
     w = _as_unitary(w)
     if w.dim != d.dim:
         raise InputError(f"dims differ: D {d.dim}, W {w.dim}")
     conj = HermitianMatrix(w.mat @ d.mat @ w.mat.conj().T)
-
-    def evaluate(ss: np.ndarray) -> np.ndarray:
-        return (1.0 - ss)[:, None, None] * d.mat + ss[:, None, None] * conj.mat
-
-    return OperatorPath(evaluate, d.dim, meta={"family": "toeplitz_line"})
+    return line_path(d, conj, meta={"family": "toeplitz_line"})
 
 
 def verify_toeplitz_theorem(

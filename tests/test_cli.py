@@ -70,6 +70,7 @@ def test_missing_and_malformed_input_exit_1(tmp_path, capsys):
 
 
 _ONE = {"dim": 1, "re": [[1.0]], "im": [[0.0]]}
+_TWO = matrix_to_obj(np.diag([1.0, 2.0]))
 _BLOCK = {"rows": 1, "cols": 1, "re": [[1.0]], "im": [[0.0]]}
 
 
@@ -102,6 +103,17 @@ _BLOCK = {"rows": 1, "cols": 1, "re": [[1.0]], "im": [[0.0]]}
         ("metrics", {"N": 8, "law": ["x"]}),
         ("graded", {"p": "a", "q": 1, "A": _BLOCK}),
         ("graded", {"p": 1, "q": 1, "A": dict(_BLOCK, rows="r")}),
+        (
+            "compute",
+            {"kind": "family", "family": {"name": "linear_interp", "params": {"a": _ONE, "b": "x"}}},
+        ),
+        ("compute", {"kind": "sampled", "dim": 2.9, "samples": [_TWO, _TWO]}),
+        (
+            "compute",
+            {"kind": "family", "family": {"name": "toeplitz_line", "params": {"m": True}}},
+        ),
+        ("metrics", {"N": 8.9}),
+        ("metrics", {"N": 8, "n": [1.5]}),
     ],
 )
 def test_malformed_field_exit_1(tmp_path, capsys, command, obj):
@@ -145,6 +157,24 @@ def test_depth_exhaustion_exit_2(tmp_path, capsys):
     assert "certification failed" in err and "window" in err
     # the same data certifies once the depth cap is lifted
     assert cli.main(["compute", "--input", f]) == 0
+
+
+@pytest.mark.parametrize("m, code", [(31, 0), (32, 2)])
+def test_toeplitz_line_oracle_guard_boundary(tmp_path, capsys, m, code):
+    """The wrap-around eigenvalue moves 2m per unit t, so the oracle's step
+    2m / 256 reaches half the endpoint gap 0.5 at m = 32: inconclusive."""
+    obj = {"kind": "family", "family": {"name": "toeplitz_line", "params": {"m": m}}}
+    f = write_json(tmp_path / "line.json", obj)
+    assert cli.main(["compute", "--input", f]) == code
+    if code == 0:
+        assert json.loads(capsys.readouterr().out)["certificate"]["soundness"] == (
+            "piecewise-affine"
+        )
+        assert cli.main(["report", "--input", f]) == 0
+        ledger = json.loads(capsys.readouterr().out)["crossing_ledger"]
+        assert (ledger["up_crossings"], ledger["down_crossings"]) == (1, 1)
+    else:
+        assert "half the endpoint gap" in capsys.readouterr().err
 
 
 def test_consistency_fault_exit_3(crossing_file, monkeypatch, capsys):

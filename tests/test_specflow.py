@@ -189,13 +189,14 @@ def test_unbounded_oscillation_exhausts_certification():
     assert 0.0 <= lo < hi <= 1.0
 
 
-def test_from_samples_and_resample():
+def test_from_samples():
     mats = [HermitianMatrix(np.diag([v, 2.0])) for v in (-1.0, -0.2, 0.4, 1.0)]
     path = OperatorPath.from_samples(mats)
-    assert path.kind == "sampled"
+    assert path.regularity.soundness == "piecewise-affine"
+    assert path.regularity.knots == (1.0 / 3.0, 2.0 / 3.0)
+    np.testing.assert_allclose(path.regularity.rates, [2.4, 1.8, 1.8], rtol=1e-15)
     assert sf_all_methods(path)["value"] == 1
-    snap = path.resample(9)
-    np.testing.assert_allclose(snap.matrix(0.5).mat, path.matrix(0.5).mat, atol=1e-15)
+    np.testing.assert_allclose(path.matrix(0.5).mat, np.diag([0.1, 2.0]), atol=1e-15)
     with pytest.raises(InputError):
         OperatorPath.from_samples(mats[:1])
     with pytest.raises(InputError):
@@ -266,7 +267,11 @@ def test_sampler_is_bit_identical_to_single_calls(seed, dim):
     for t, v in zip(ts, path.values(ts)):
         assert np.array_equal(v, np.linalg.eigvalsh(path.matrix(t).mat))
         assert path.values(t) is v
+    # a declared step bounds the sampled one; an opaque path's step is it
     for a, b, step in zip(ts, ts[1:], path.steps(ts)):
+        assert step >= op_norm(path.matrix(b).mat - path.matrix(a).mat)
+    opaque = OperatorPath(path.stack, dim)
+    for a, b, step in zip(ts, ts[1:], opaque.steps(ts)):
         assert step == op_norm(path.matrix(b).mat - path.matrix(a).mat)
 
 
