@@ -188,13 +188,16 @@ def check_homotopy(
     inconclusive = 0
     for k, rng in enumerate(spawn_rngs(seed, trials)):
         dim = _dim_for(rng, dims)
-        h_of, s_grid, label = homotopy_family(rng, dim)
+        h_of, s_grid, label, regularity = homotopy_family(rng, dim)
         paths: dict[float, OperatorPath] = {}
 
         def row(s: float) -> OperatorPath:
             if s not in paths:
                 paths[s] = OperatorPath(
-                    partial(h_of, s), dim, meta={"family": label, "s": s}
+                    partial(h_of, s),
+                    dim,
+                    regularity=regularity,
+                    meta={"family": label, "s": s},
                 )
             return paths[s]
 

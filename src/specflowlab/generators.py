@@ -151,12 +151,37 @@ def unitary_rotation_path(rng: np.random.Generator, dim: int, scale: float = 1.0
     return _rotation(rng, dim, scale)[1]
 
 
+def _add_combination(out: np.ndarray, terms) -> np.ndarray:
+    """Add sum_j c_j[i] * M_j to each matrix out[i] of a complex stack, in
+    place, as elementwise float64 multiply-adds on the real view.
+
+    ``terms`` pairs a coefficient array c_j of shape (k,) with a complex
+    (n, n) matrix M_j. Each entry of out[i] gets the same rounded
+    operations in the same order whatever k is, so a stacked call and a
+    one-point call give the same bits; real combinations of exactly
+    Hermitian matrices are exactly Hermitian.
+    """
+    flat = out.view(np.float64)
+    tmp = np.empty_like(flat)
+    for c, mat in terms:
+        np.multiply(c[:, None, None], mat.view(np.float64), out=tmp)
+        flat += tmp
+    return out
+
+
 def _tilt_to_clamped_endpoints(
     raw: Callable[[np.ndarray], np.ndarray], dim: int, gap: float, *, fix_left: bool = True
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """Add an affine-in-t Hermitian tilt so both endpoints become their
-    spectrally clamped versions (invertible with the given gap). Returns
-    the tilted evaluator and the tilt's rate ||delta1 - delta0||."""
+    """Add an affine-in-t Hermitian tilt (1 - t) delta0 + t delta1 so both
+    endpoints become their spectrally clamped versions (invertible with
+    the given gap). Returns the tilted evaluator and the tilt's rate
+    ||delta1 - delta0||.
+
+    ``raw`` must return a fresh, exactly Hermitian complex stack: the tilt
+    is added to it in place by ``_add_combination``, and the deltas are
+    differences of validated matrices, so the sum stays exactly Hermitian.
+    Without ``fix_left``, delta0 is zero and not added.
+    """
     left, right = HermitianMatrix.from_stack(raw(np.array([0.0, 1.0])))
     delta0 = (
         clamp_spectrum_away_from_zero(left, gap).mat - left.mat
@@ -166,7 +191,8 @@ def _tilt_to_clamped_endpoints(
     delta1 = clamp_spectrum_away_from_zero(right, gap).mat - right.mat
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
-        return raw(ts) + (1.0 - ts)[:, None, None] * delta0 + ts[:, None, None] * delta1
+        terms = [(1.0 - ts, delta0)] if fix_left else []
+        return _add_combination(raw(ts), terms + [(ts, delta1)])
 
     return evaluate, op_norm(delta1 - delta0)
 
@@ -177,39 +203,59 @@ def _trig_evaluator(
     """Unitary-conjugated diagonal trig skeleton plus Hermitian trig
     coupling, and a Lipschitz rate of it from the coefficients.
 
+    H(t) = U* (diag(d(t)) + C(t)) U with d and C trig polynomials of the
+    given degree. The coefficient matrices M_j = herm(U* (diag(d_j) + C_j) U)
+    (herm the Hermitian average, j = 0 ... 2 degree) are formed once, here,
+    so H(t) = M_0 + sum_m cos(pi m t) M_{2m-1} + sin(pi m t) M_{2m} is a
+    real combination of exactly Hermitian matrices: O(degree n^2) float
+    operations per point instead of two n^3 products, and an exactly
+    Hermitian result.
+
     Degree m contributes pi m (-sin a + cos b) to the derivative of each
     coefficient pair (a, b): at most pi m max_i hypot(a_i, b_i) on the
     diagonal and pi m hypot(||A||, ||B||) for the coupling; the unitary
-    conjugation keeps norms.
+    conjugation keeps norms. The rate comes from d_j and C_j themselves.
+
+    Evaluation error: the products behind each M_j round each entry once
+    per term of an n-term sum, as the per-point products did; the
+    combination then rounds each entry once per term of its 2 degree + 1
+    terms. So a sample is as close to the exact trig polynomial as the
+    per-point products made it, and the gamma_n = 4 n u slack of the
+    certifying methods covers its evaluation error as it did before.
     """
     u = random_unitary(rng, dim).mat
-    diag_coefs = [rng.standard_normal(dim) * scale / (1 + m) ** 2 for m in range(2 * degree + 1)]
-    coup_coefs = [
-        random_hermitian(rng, dim, 0.3 * scale / (1 + m) ** 2).mat
-        for m in range(2 * degree + 1)
-    ]
     u_h = u.conj().T
+    diag_coefs = [rng.standard_normal(dim) * scale / (1 + m) ** 2 for m in range(2 * degree + 1)]
     diag = np.arange(dim)
+    coefs = np.empty((2 * degree + 1, dim, dim), dtype=np.complex128)
+    coup_norms = []
+    for j, lam in enumerate(diag_coefs):
+        coup = random_hermitian(rng, dim, 0.3 * scale / (1 + j) ** 2).mat
+        coup_norms.append(op_norm(coup))
+        mat = coefs[j]
+        mat[...] = coup
+        mat[diag, diag] += lam
+        # herm(U* X U), written into the stack's own slot
+        mat[...] = u_h @ mat @ u
+        np.add(mat, mat.conj().T, out=mat)
+        mat *= 0.5
 
     def raw(ts: np.ndarray) -> np.ndarray:
         tl = ts.tolist()
-        lam = diag_coefs[0]
-        coup = coup_coefs[0]
+        terms = []
         for m in range(1, degree + 1):
             # math.cos/math.sin per t: numpy's vector routines may differ
             # from them in the last bit on some CPUs
-            c = np.array([math.cos(math.pi * m * t) for t in tl])[:, None]
-            s = np.array([math.sin(math.pi * m * t) for t in tl])[:, None]
-            lam = lam + c * diag_coefs[2 * m - 1] + s * diag_coefs[2 * m]
-            coup = coup + c[..., None] * coup_coefs[2 * m - 1] + s[..., None] * coup_coefs[2 * m]
-        skeleton = np.zeros((len(tl), dim, dim), dtype=np.complex128)
-        skeleton[:, diag, diag] = lam
-        return u_h @ (skeleton + coup) @ u
+            terms.append((np.array([math.cos(math.pi * m * t) for t in tl]), coefs[2 * m - 1]))
+            terms.append((np.array([math.sin(math.pi * m * t) for t in tl]), coefs[2 * m]))
+        out = np.empty((len(tl), dim, dim), dtype=np.complex128)
+        out[...] = coefs[0]
+        return _add_combination(out, terms)
 
     rate = 0.0
     for m in range(1, degree + 1):
         diag_rate = float(np.max(np.hypot(diag_coefs[2 * m - 1], diag_coefs[2 * m])))
-        coup_rate = math.hypot(op_norm(coup_coefs[2 * m - 1]), op_norm(coup_coefs[2 * m]))
+        coup_rate = math.hypot(coup_norms[2 * m - 1], coup_norms[2 * m])
         rate += math.pi * m * (diag_rate + coup_rate)
     return raw, rate
 
@@ -325,7 +371,10 @@ def concat_compatible_pair(seed_or_rng, dim: int, **kwargs) -> tuple[OperatorPat
     (g_start,) = g_raw(np.array([0.0]))
 
     def shifted(ts: np.ndarray) -> np.ndarray:
-        return g_raw(ts) - g_start + join
+        out = g_raw(ts)
+        out -= g_start
+        out += join
+        return out
 
     gap = kwargs.get("gap", ENDPOINT_CLAMP_GAP)
     # the constant shift leaves the rate of g_raw as it is
@@ -344,9 +393,11 @@ def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7, **kwargs):
 
     Even seeds produce an additive drift H(s, t) = f(t) + s e I with
     e below half the endpoint gaps; odd seeds conjugate by a smooth unitary
-    rotation, H(s, t) = U(s)* f(t) U(s). Returns (H, s_grid, label), where
-    ``H(s, ts)`` is the (k, dim, dim) stack of row s at the k parameters
-    ``ts``: an OperatorPath evaluator once s is fixed.
+    rotation, H(s, t) = U(s)* f(t) U(s). Returns (H, s_grid, label,
+    regularity), where ``H(s, ts)`` is the (k, dim, dim) stack of row s at
+    the k parameters ``ts``: an OperatorPath evaluator once s is fixed.
+    Neither a constant shift nor a fixed unitary conjugation changes how
+    fast a row moves in t, so every row has f's Lipschitz ``regularity``.
     """
     rng = (
         seed_or_rng
@@ -372,7 +423,7 @@ def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7, **kwargs):
             return u.conj().T @ f.stack(ts) @ u
 
         label = "unitary_conjugation"
-    return h_of, s_grid, label
+    return h_of, s_grid, label, f.regularity
 
 
 def line_path(a: HermitianMatrix, b: HermitianMatrix, *, meta: dict | None = None) -> OperatorPath:

@@ -62,6 +62,8 @@ _HERM_RTOL = 1e-12
 _TOL_FLOOR = 1e-14
 #: relative margin below a bound within which a Frobenius norm accepts outright
 _FRO_SLACK = 1e-6
+#: the largest float whose double is finite
+_HALF_MAX = float(np.finfo(np.float64).max) / 2.0
 
 
 def _hermitian_average(a: np.ndarray) -> np.ndarray:
@@ -74,6 +76,11 @@ def _hermitian_average(a: np.ndarray) -> np.ndarray:
     Hermitian averages (A + A*) / 2, entry by entry the same floats a
     one-matrix call gives; an average that overflows (entries beyond half
     the float range) raises FinitenessError.
+
+    A stack equal to its adjoint has defect 0, so the defect is not
+    computed; for such stacks (real combinations of exactly Hermitian
+    matrices, as the trig paths evaluate) ``_exact_average_into`` usually
+    writes the same bytes without the sum.
     """
     if not np.all(np.isfinite(a)):
         raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
@@ -82,19 +89,51 @@ def _hermitian_average(a: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"Hermitian matrix must be square, got {n}x{m}")
     if n < 1:
         raise InputError("dimension must be >= 1")
-    ah = a.conj().swapaxes(1, 2)
+    conj = a.conj()
+    ah = conj.swapaxes(1, 2)
     # overflow shows as an infinite defect or average, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.max(np.abs(a - ah), axis=(1, 2))
-        tol = np.maximum(_HERM_RTOL * np.max(np.abs(a), axis=(1, 2)), _TOL_FLOOR)
-        bad = np.flatnonzero(defect > tol)
-        if bad.size:
-            raise HermiticityError(float(defect[bad[0]]), float(tol[bad[0]]))
+        if a.size and np.array_equal(a, ah):
+            if _exact_average_into(a, conj):
+                conj.setflags(write=False)
+                return conj
+        else:
+            defect = np.max(np.abs(a - ah), axis=(1, 2))
+            tol = np.maximum(_HERM_RTOL * np.max(np.abs(a), axis=(1, 2)), _TOL_FLOOR)
+            bad = np.flatnonzero(defect > tol)
+            if bad.size:
+                raise HermiticityError(float(defect[bad[0]]), float(tol[bad[0]]))
         h = (a + ah) / 2.0
     if not np.all(np.isfinite(h)):
         raise FinitenessError("Hermitian average overflows: entries exceed half the float range")
     h.setflags(write=False)
     return h
+
+
+def _exact_average_into(a: np.ndarray, out: np.ndarray) -> bool:
+    """Write (A + A*) / 2 of a finite stack equal to its adjoint into
+    ``out`` without the sum, when that is possible; return whether it was.
+
+    Entry by entry the average is a_ij + conj(a_ji) = 2 a_ij halved, so it
+    is A itself except where a component is zero, whose sign the sum
+    decides, and where 2 a_ij overflows. The diagonal's imaginary parts
+    are zero (x = -x) and average to +0.0. A stack with any other zero
+    component or with a component beyond half the float range (or one not
+    C-contiguous) is left, with ``out`` untouched, to the formula, so the
+    bytes and the overflow error are the formula's for every input.
+    """
+    if not a.flags.c_contiguous:
+        return False
+    flat = a.view(np.float64)
+    k, n, _ = a.shape
+    if np.count_nonzero(flat) != flat.size - k * n:
+        return False
+    if max(np.max(flat), -np.min(flat)) > _HALF_MAX:
+        return False
+    np.copyto(out, a)
+    d = np.arange(n)
+    out.imag[:, d, d] = 0.0
+    return True
 
 
 def op_norm(a) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from specflowlab import (
     InputError,
+    OperatorPath,
     SfFunctional,
     SfOptions,
     axioms,
@@ -134,6 +135,34 @@ def test_run_all_checks_builds_each_seeded_path_once(monkeypatch):
         "normalization_path": 3,
         "invertible_trig_path": 4,
     }
+
+
+def test_law_checks_make_no_stacked_two_norm(monkeypatch):
+    """Every path the law checks build declares its regularity, the
+    homotopy rows included, so no grid step needs a sampled 2-norm."""
+    stacked = []
+    norm = np.linalg.norm
+
+    def counting(x, ord=None, axis=None, keepdims=False):
+        if ord == 2 and np.ndim(x) == 3:
+            stacked.append(np.shape(x)[0])
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    # the counter sees the stacked norms of an opaque path
+    opaque = normalization_path(0, 3)
+    OperatorPath(opaque.stack, 3).steps([0.0, 0.5, 1.0])
+    assert stacked == [2]
+    stacked.clear()
+    run_all_checks(
+        seed=0,
+        concat_trials=3,
+        homotopy_trials=4,
+        normalization_trials=2,
+        vanishing_trials=3,
+        opts=OPTS,
+    )
+    assert stacked == []
 
 
 def test_run_all_checks_shape():

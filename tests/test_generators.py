@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from specflowlab import generators
 from specflowlab import (
     ENDPOINT_CLAMP_GAP,
     InputError,
@@ -35,6 +36,41 @@ def test_trig_path_seed_determinism():
         np.testing.assert_array_equal(a.matrix(t).mat, b.matrix(t).mat)
     c = trig_path(43, 5)
     assert not np.array_equal(a.matrix(0.5).mat, c.matrix(0.5).mat)
+
+
+def _per_point_trig(seed, dim, degree, scale, ts):
+    """The trig skeleton evaluated point by point as U* (diag(d(t)) + C(t)) U,
+    from the same draws as the generator, and its coefficient rate."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, dim).mat
+    d = [rng.standard_normal(dim) * scale / (1 + j) ** 2 for j in range(2 * degree + 1)]
+    c = [random_hermitian(rng, dim, 0.3 * scale / (1 + j) ** 2).mat for j in range(2 * degree + 1)]
+    mats = []
+    for t in ts:
+        x = np.diag(d[0]) + c[0]
+        for m in range(1, degree + 1):
+            cos, sin = np.cos(np.pi * m * t), np.sin(np.pi * m * t)
+            x = x + cos * (np.diag(d[2 * m - 1]) + c[2 * m - 1])
+            x = x + sin * (np.diag(d[2 * m]) + c[2 * m])
+        mats.append(u.conj().T @ x @ u)
+    rate = 0.0
+    for m in range(1, degree + 1):
+        coup = np.hypot(np.linalg.norm(c[2 * m - 1], 2), np.linalg.norm(c[2 * m], 2))
+        rate += np.pi * m * (np.max(np.hypot(d[2 * m - 1], d[2 * m])) + coup)
+    return np.array(mats), rate
+
+
+@pytest.mark.parametrize("dim, degree, scale", [(1, 3, 1.0), (6, 3, 1.0), (24, 8, 4.0)])
+def test_trig_coefficients_reproduce_the_per_point_products(dim, degree, scale):
+    """The precomputed coefficient matrices give the trig polynomial the
+    products give, to rounding (16 n u relative), with the same rate."""
+    ts = np.linspace(0.0, 1.0, 9)
+    raw, rate = generators._trig_evaluator(np.random.default_rng(11), dim, degree, scale)
+    want, want_rate = _per_point_trig(11, dim, degree, scale, ts)
+    got = raw(ts)
+    tol = 16 * dim * np.finfo(np.float64).eps * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= tol
+    assert rate == pytest.approx(want_rate, rel=1e-14)
 
 
 def test_spawn_rngs_reproducible_and_distinct():
@@ -152,11 +188,14 @@ def test_unitary_rotation_path_identity_at_zero():
 
 
 def test_homotopy_family_shapes():
-    h_of, s_grid, label = homotopy_family(0, 3, s_samples=5)
+    h_of, s_grid, label, regularity = homotopy_family(0, 3, s_samples=5)
     assert label in ("additive_drift", "unitary_conjugation")
     assert len(s_grid) == 5 and s_grid[0] == 0.0 and s_grid[-1] == 1.0
     m = h_of(0.5, np.array([0.25, 0.5]))
     assert m.shape == (2, 3, 3)
+    # the rows keep the Lipschitz rate of the trig path they deform
+    assert regularity == trig_path(0, 3).regularity
+    assert regularity.soundness == "lipschitz"
 
 
 def test_family_path_errors():

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from specflowlab import matcore
 from specflowlab.errors import (
     BoundaryCollisionError,
     ConsistencyFault,
@@ -127,6 +128,85 @@ def test_hermitian_average_overflow_is_not_finite():
         with pytest.raises(FinitenessError, match="overflows"):
             HermitianMatrix.from_stack([np.eye(2), np.diag([1.0, -1e308])])
         assert HermitianMatrix(np.diag([8e307, 1.0])).mat[0, 0] == 8e307
+
+
+def _validated(a):
+    """Bytes of the validated stack, or the type and message it raised."""
+    try:
+        return matcore._hermitian_average(a).tobytes()
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def _both_routes(a, monkeypatch):
+    """The outcome of validating ``a``, and that of the general route,
+    which averages (A + A*) / 2 without the exactly-Hermitian shortcut."""
+    fast = _validated(a)
+    with monkeypatch.context() as m:
+        m.setattr(matcore, "_exact_average_into", lambda _a, _out: False)
+        general = _validated(a)
+    return fast, general
+
+
+def _exact_stack(seed, k, n):
+    h = random_hermitian(np.random.default_rng(seed), n)
+    stack = np.stack([h * (j + 1.5) for j in range(k)])
+    assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
+    return stack
+
+
+def test_exactly_hermitian_stacks_validate_as_the_general_route(monkeypatch):
+    taken = []
+    exact = matcore._exact_average_into
+
+    def spy(a, out):
+        taken.append(exact(a, out))
+        return taken[-1]
+
+    monkeypatch.setattr(matcore, "_exact_average_into", spy)
+    half = np.finfo(np.float64).max / 2.0
+    # negated, the imaginary diagonal reads -0.0, which the average makes +0.0
+    cases = {"plain": _exact_stack(0, 4, 5), "negated": -_exact_stack(5, 2, 4)}
+    for name, value in (("nan", np.nan), ("inf", np.inf)):
+        bad = _exact_stack(1, 5, 3)
+        bad[2, 1, 0] = bad[2, 0, 1] = value
+        cases[name] = bad
+    for name, value in (("half_max", half), ("past_half_max", np.nextafter(half, np.inf))):
+        big = _exact_stack(2, 3, 3)
+        big[1, 2, 2] = value
+        cases[name] = big
+    signed = _exact_stack(3, 2, 3)
+    signed[0, 0, 1] = complex(-0.0, 1.0)
+    signed[0, 1, 0] = complex(0.0, -1.0)
+    cases["mixed_signed_zero"] = signed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = {name: _both_routes(a, monkeypatch) for name, a in cases.items()}
+    for name, (fast, general) in outcomes.items():
+        assert fast == general, name
+    assert isinstance(outcomes["plain"][0], bytes)
+    assert outcomes["nan"][0] == outcomes["inf"][0] == (
+        FinitenessError,
+        "matrix entries must be finite (no NaN/Inf)",
+    )
+    assert isinstance(outcomes["half_max"][0], bytes)
+    assert outcomes["past_half_max"][0][0] is FinitenessError
+    assert "overflows" in outcomes["past_half_max"][0][1]
+    # the shortcut itself returned the plain stack, and handed the zero it
+    # cannot sign, and the entry past half the range, to the formula
+    assert taken[0] is True
+    assert taken.count(False) == 2
+
+
+def test_one_last_bit_defect_takes_the_general_route(monkeypatch):
+    a = _exact_stack(4, 3, 4)
+    a[2, 0, 3] = np.nextafter(a[2, 0, 3].real, np.inf) + 1j * a[2, 0, 3].imag
+    calls = []
+    monkeypatch.setattr(matcore, "_exact_average_into", lambda *_: calls.append(1))
+    h = matcore._hermitian_average(a)
+    assert calls == []
+    assert h.tobytes() == ((a + a.conj().swapaxes(1, 2)) / 2.0).tobytes()
+    assert np.array_equal(h, h.conj().swapaxes(1, 2))
 
 
 def test_stack_shape_errors_match_the_constructor():

@@ -326,9 +326,9 @@ def test_steps_reject_a_non_finite_difference():
 def _homotopy_row(label, dim):
     """Row s = 0.4 of the first seeded homotopy family with this label."""
     for seed in range(64):
-        h_of, _s_grid, got = homotopy_family(seed, dim)
+        h_of, _s_grid, got, regularity = homotopy_family(seed, dim)
         if got == label:
-            return OperatorPath(partial(h_of, 0.4), dim)
+            return OperatorPath(partial(h_of, 0.4), dim, regularity=regularity)
     raise AssertionError(f"no seed gives {label}")
 
 
@@ -400,6 +400,33 @@ def test_batched_evaluation_is_bit_identical(family, dim):
         assert np.array_equal(single[k], batched[k])
         assert np.array_equal(single[k], backwards[k])
         assert np.array_equal(single[k], stacked[k])
+
+
+@pytest.mark.parametrize("family", ["trig", "concat"])
+def test_batched_evaluation_is_bit_identical_one_matrix_per_chunk(family):
+    """At dim 128 a chunk holds one matrix, so every grid point is its own
+    evaluator call."""
+    assert specflow._chunk_len(128) == 1
+    test_batched_evaluation_is_bit_identical(family, 128)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda dim: trig_path(3, dim),
+        lambda dim: trig_path(3, dim, degree=8, scale=4.0),
+        lambda dim: concat_compatible_pair(3, dim)[1],
+        lambda dim: path_concat(*concat_compatible_pair(3, dim)),
+    ],
+    ids=["trig", "trig_deg8", "concat_partner", "concat"],
+)
+def test_trig_families_evaluate_exactly_hermitian(make):
+    """Real combinations of exactly Hermitian coefficients: every sample
+    equals its adjoint bit for bit, before any validation."""
+    for dim in (1, 4, 48):
+        path = make(dim)
+        stack = np.asarray(path._evaluator(np.linspace(0.0, 1.0, 21)))
+        assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
 
 
 def test_evaluator_gets_one_call_per_chunk():
