@@ -391,13 +391,16 @@ def concat_compatible_pair(seed_or_rng, dim: int, **kwargs) -> tuple[OperatorPat
 def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7, **kwargs):
     """A two-parameter family H(s, t) whose rows are honestly homotopic.
 
-    Even seeds produce an additive drift H(s, t) = f(t) + s e I with
-    e below half the endpoint gaps; odd seeds conjugate by a smooth unitary
-    rotation, H(s, t) = U(s)* f(t) U(s). Returns (H, s_grid, label,
-    regularity), where ``H(s, ts)`` is the (k, dim, dim) stack of row s at
-    the k parameters ``ts``: an OperatorPath evaluator once s is fixed.
-    Neither a constant shift nor a fixed unitary conjugation changes how
-    fast a row moves in t, so every row has f's Lipschitz ``regularity``.
+    The generator draws the style after f: an additive drift
+    H(s, t) = f(t) + s e I with e below half the endpoint gaps, or a
+    conjugation by a smooth unitary rotation, H(s, t) = U(s)* f(t) U(s).
+    Returns (H, s_grid, label, regularity), where ``H(s, ts)`` is the
+    (k, dim, dim) stack of row s at the k parameters ``ts``: an
+    OperatorPath evaluator once s is fixed. Neither a constant shift nor a
+    fixed unitary conjugation changes how fast a row moves in t, so every
+    row has f's Lipschitz ``regularity``. The conjugation's two products
+    add a rounding of order n u ||f|| per point, inside the gamma_n slack
+    that every declared margin gives up.
     """
     rng = (
         seed_or_rng

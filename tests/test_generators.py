@@ -1,5 +1,7 @@
 """Determinism and contract checks for the seeded generators."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from specflowlab import generators
 from specflowlab import (
     ENDPOINT_CLAMP_GAP,
     InputError,
+    OperatorPath,
     clamp_spectrum_away_from_zero,
     concat_compatible_pair,
     cyclic_shift,
@@ -24,6 +27,8 @@ from specflowlab import (
     trig_path,
     unitary_rotation_path,
 )
+from specflowlab.matcore import op_norm
+from test_regularity import _assert_bounds_hold
 
 UNITARY_TOL = 1e-12
 PROBE_TS = (0.0, 0.17, 0.5, 0.83, 1.0)
@@ -196,6 +201,32 @@ def test_homotopy_family_shapes():
     # the rows keep the Lipschitz rate of the trig path they deform
     assert regularity == trig_path(0, 3).regularity
     assert regularity.soundness == "lipschitz"
+
+
+@pytest.mark.parametrize(
+    ("seed", "dim", "label"),
+    [
+        (0, 5, "additive_drift"),
+        (1, 5, "unitary_conjugation"),
+        (3, 32, "additive_drift"),
+        (0, 32, "unitary_conjugation"),
+    ],
+)
+def test_declared_homotopy_rows_bound_their_steps(seed, dim, label):
+    """Each row, f(t) + s e I or U(s)* f(t) U(s) as evaluated (the
+    conjugation adds two products after f), moves no faster between
+    samples than f's declared rate allows, up to the rounding slack."""
+    h_of, _, found, regularity = homotopy_family(seed, dim)
+    assert found == label
+    grid = np.linspace(0.0, 1.0, 1025).tolist()
+    for s in (0.5, 1.0):
+        row = OperatorPath(partial(h_of, s), dim, regularity=regularity)
+        _assert_bounds_hold(row, grid)
+        # 64x finer inside the step of the largest sampled rate
+        mats = row.matrices(grid)
+        rates = [op_norm(b.mat - a.mat) for a, b in zip(mats, mats[1:])]
+        k = int(np.argmax(rates))
+        _assert_bounds_hold(row, np.linspace(grid[k], grid[k + 1], 65).tolist())
 
 
 def test_family_path_errors():
