@@ -38,7 +38,6 @@ from .matcore import (
     contour_projection,
     eigh,
     inv_sqrt_integral,
-    jacobi_eigh,
     nonneg_projection,
     op_norm,
     rank_eps,

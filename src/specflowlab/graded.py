@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConsistencyFault, FinitenessError, InputError
 from .matcore import HermitianMatrix, Interval, eigh, spectral_projection, tol_spec
-from .metrics import d_G
+from .metrics import _d_G, _Operand
 
 __all__ = [
     "GradedOperator",
@@ -90,9 +90,12 @@ def graded_window_dim(g: GradedOperator, eps: float) -> int:
     eps = float(eps)
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    t = g.matrix()
+    return _window_dim(g.matrix(), g.grading(), eps)
+
+
+def _window_dim(t: HermitianMatrix, grading: HermitianMatrix, eps: float) -> int:
     proj = spectral_projection(t, Interval.closed(-eps, eps))
-    weighted = float(np.real(np.trace(g.grading().mat @ proj.mat)))
+    weighted = float(np.real(np.trace(grading.mat @ proj.mat)))
     rounded = round(weighted)
     if abs(weighted - rounded) > 1e-8:
         raise ConsistencyFault(
@@ -151,8 +154,9 @@ def index_stability_check(
         raise InputError("block has no nonzero singular value; no gap to protect")
     delta = min(0.5 * gap, 0.1)
     base_index = g.kernel_index()
-    t0 = g.matrix()
-    if graded_window_dim(g, 0.5 * gap) != base_index:
+    t0 = _Operand(g.matrix())
+    grading = g.grading()
+    if _window_dim(t0.h, grading, 0.5 * gap) != base_index:
         raise ConsistencyFault("window dimension disagrees with kernel index at start")
     rng = np.random.default_rng(seed)
     failures = []
@@ -161,12 +165,12 @@ def index_stability_check(
         norm = np.linalg.norm(b, 2) if b.size else 0.0
         if norm > 0:
             b *= (0.5 * delta) * rng.uniform(0.1, 1.0) / norm
-        gp = g.perturb(b)
-        dist = d_G(t0, gp.matrix())
+        tp = g.perturb(b).matrix()
+        dist = _d_G(t0, _Operand(tp))
         if dist >= delta:
             failures.append({"trial": k, "reason": "graph distance", "value": dist})
             continue
-        w = graded_window_dim(gp, 0.5 * gap)
+        w = _window_dim(tp, grading, 0.5 * gap)
         if w != base_index:
             failures.append({"trial": k, "reason": "window dim", "value": w})
     return {

@@ -43,7 +43,6 @@ __all__ = [
     "Projection",
     "as_hermitian",
     "eigh",
-    "jacobi_eigh",
     "apply_function",
     "spectral_projection",
     "nonneg_projection",
@@ -331,61 +330,6 @@ def eigh(h: HermitianMatrix) -> EigenDecomposition:
                 f"eigendecomposition reconstruction residual {resid:.3e} too large"
             )
     return ed
-
-
-def jacobi_eigh(h: HermitianMatrix, max_sweeps: int = 64) -> EigenDecomposition:
-    """Cyclic-Jacobi eigendecomposition (self-contained reference route).
-
-    Deliberately dependency-free and slow; used to cross-check the LAPACK
-    route on small matrices. Sweeps stop when the off-diagonal Frobenius
-    mass drops below 1e-14 * ||H||_F (floor 1e-300 guards the zero matrix).
-    """
-    h = as_hermitian(h)
-    a = np.array(h.mat, dtype=np.complex128)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    thr = max(1e-14 * float(np.linalg.norm(a)), 1e-300)
-
-    def offmass() -> float:
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        if offmass() <= thr:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                z = a[p, q]
-                az = abs(z)
-                if az <= thr / max(n, 1):
-                    continue
-                phase = z / az
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * az)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # columns: [p q] <- [p q] @ [[c, s*phase], [-s*conj(phase), c]]
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * np.conj(phase) * cq
-                a[:, q] = s * phase * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * phase * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    if offmass() > max(thr, 1e-12 * (1.0 + h.norm)):
-        raise CertificationError(
-            f"Jacobi sweeps did not converge: off-diagonal mass {offmass():.3e}"
-        )
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return EigenDecomposition(values=w[order], vectors=v[:, order])
 
 
 def _eval_scalar(f: Callable[[float], float], lam: float) -> float:

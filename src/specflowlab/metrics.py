@@ -8,6 +8,15 @@ reports that compare them.
        evaluates the equivalent half-Cayley-distance formula and faults if
        the two routes disagree beyond 1e-9
 
+Each distance reads its operands through a private operand record that
+factors the matrix with one eigendecomposition, shared by its Riesz image,
+Cayley image and weight, and forms its resolvent once. A call that measures
+many operands against one reference (the separation report, the graded
+stability check) builds the reference's record once, so its transforms are
+computed once per call; nothing outlives the call. The resolvent stays a
+direct matrix inverse, not an eigenbasis formula, so the two d_G routes
+remain two different computations.
+
 The separation report tabulates all four on the diagonal-model families,
 next to their exact closed forms, which is where the metrics genuinely
 diverge from one another.
@@ -15,7 +24,6 @@ diverge from one another.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -23,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConsistencyFault, DimensionMismatchError, InputError
-from .matcore import HermitianMatrix, apply_function, as_hermitian, op_norm
+from .matcore import EigenDecomposition, HermitianMatrix, as_hermitian, eigh, op_norm
 from .opmodel import (
     FAMILIES,
     DiagonalModel,
@@ -31,7 +39,7 @@ from .opmodel import (
     family_perturbation,
     realize,
 )
-from .transforms import cayley, riesz
+from .transforms import UnitaryMatrix, _cayley_image, _riesz_image
 
 __all__ = [
     "d_N",
@@ -52,18 +60,84 @@ __all__ = [
 _DG_FAULT = 1e-9
 
 
-def _pair(t1, t2) -> tuple[HermitianMatrix, HermitianMatrix]:
-    a = as_hermitian(t1)
-    b = as_hermitian(t2)
+class _Operand:
+    """A validated operand and, each computed on first use, the transforms
+    the distances read: one eigendecomposition, the resolvent (H + i)^{-1},
+    the Riesz image, the Cayley image and the weight (I + H^2)^{-1/2}.
+    Callers build one per operand and call; none is kept past the call."""
+
+    __slots__ = ("h", "_eig", "_resolvent", "_riesz", "_cayley", "_weight")
+
+    def __init__(self, h):
+        self.h = as_hermitian(h)
+        self._eig = self._resolvent = self._riesz = self._cayley = self._weight = None
+
+    @property
+    def mat(self) -> np.ndarray:
+        return self.h.mat
+
+    @property
+    def dim(self) -> int:
+        return self.h.dim
+
+    @property
+    def eig(self) -> EigenDecomposition:
+        if self._eig is None:
+            self._eig = eigh(self.h)
+        return self._eig
+
+    @property
+    def resolvent(self) -> np.ndarray:
+        if self._resolvent is None:
+            eye = np.eye(self.dim, dtype=np.complex128)
+            self._resolvent = np.linalg.inv(self.mat + 1j * eye)
+        return self._resolvent
+
+    @property
+    def riesz(self) -> HermitianMatrix:
+        if self._riesz is None:
+            self._riesz = _riesz_image(self.eig)
+        return self._riesz
+
+    @property
+    def cayley(self) -> UnitaryMatrix:
+        if self._cayley is None:
+            self._cayley = _cayley_image(self.eig)
+        return self._cayley
+
+    @property
+    def weight(self) -> HermitianMatrix:
+        if self._weight is None:
+            w = self.eig.values
+            with np.errstate(over="ignore"):  # x^2 = inf gives 0, like 1 / math.sqrt(1 + x * x)
+                f = 1.0 / np.sqrt(1.0 + w * w)
+            self._weight = HermitianMatrix(self.eig.assemble(f))
+        return self._weight
+
+
+def _pair(t1, t2) -> tuple[_Operand, _Operand]:
+    a = _Operand(t1)
+    b = _Operand(t2)
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
     return a, b
 
 
+def _d_N(a: _Operand, b: _Operand) -> float:
+    return op_norm(a.mat - b.mat)
+
+
+def _d_W(a: _Operand, b: _Operand, base: _Operand) -> float:
+    return op_norm((a.mat - b.mat) @ base.weight.mat)
+
+
+def _d_R(a: _Operand, b: _Operand) -> float:
+    return op_norm(a.riesz.mat - b.riesz.mat)
+
+
 def d_N(t1, t2) -> float:
     """Operator-norm distance ||T1 - T2||."""
-    a, b = _pair(t1, t2)
-    return op_norm(a.mat - b.mat)
+    return _d_N(*_pair(t1, t2))
 
 
 def d_W(t1, t2, base) -> float:
@@ -73,17 +147,15 @@ def d_W(t1, t2, base) -> float:
     to a declared unperturbed operator.
     """
     a, b = _pair(t1, t2)
-    d = as_hermitian(base)
+    d = _Operand(base)
     if d.dim != a.dim:
         raise DimensionMismatchError(f"base dim {d.dim} differs from operand dim {a.dim}")
-    weight = apply_function(d, lambda x: 1.0 / math.sqrt(1.0 + x * x))
-    return op_norm((a.mat - b.mat) @ weight.mat)
+    return _d_W(a, b, d)
 
 
 def d_R(t1, t2) -> float:
     """Riesz-transform distance ||F(T1) - F(T2)||."""
-    a, b = _pair(t1, t2)
-    return op_norm(riesz(a).mat - riesz(b).mat)
+    return _d_R(*_pair(t1, t2))
 
 
 @dataclass(frozen=True)
@@ -114,16 +186,10 @@ def dual_gap_watermark() -> float:
     return _worst_dual_gap
 
 
-def d_G_detail(t1, t2) -> GraphDistanceDetail:
-    """Graph distance via ||(T1+i)^{-1} - (T2+i)^{-1}|| and via the
-    half-distance of Cayley transforms; both values are returned."""
+def _d_G_detail(a: _Operand, b: _Operand) -> GraphDistanceDetail:
     global _worst_dual_gap
-    a, b = _pair(t1, t2)
-    eye = np.eye(a.dim, dtype=np.complex128)
-    res = op_norm(
-        np.linalg.inv(a.mat + 1j * eye) - np.linalg.inv(b.mat + 1j * eye)
-    )
-    cay = 0.5 * op_norm(cayley(a).mat - cayley(b).mat)
+    res = op_norm(a.resolvent - b.resolvent)
+    cay = 0.5 * op_norm(a.cayley.mat - b.cayley.mat)
     detail = GraphDistanceDetail(resolvent_route=res, cayley_route=cay)
     with _dual_gap_lock:
         if detail.delta > _worst_dual_gap:
@@ -135,9 +201,19 @@ def d_G_detail(t1, t2) -> GraphDistanceDetail:
     return detail
 
 
+def _d_G(a: _Operand, b: _Operand) -> float:
+    return _d_G_detail(a, b).resolvent_route
+
+
+def d_G_detail(t1, t2) -> GraphDistanceDetail:
+    """Graph distance via ||(T1+i)^{-1} - (T2+i)^{-1}|| and via the
+    half-distance of Cayley transforms; both values are returned."""
+    return _d_G_detail(*_pair(t1, t2))
+
+
 def d_G(t1, t2) -> float:
     """Graph distance; the resolvent-difference route is the reported value."""
-    return d_G_detail(t1, t2).resolvent_route
+    return _d_G(*_pair(t1, t2))
 
 
 @dataclass(frozen=True)
@@ -179,11 +255,11 @@ def norm_graph_equivalence_check(
     a, b = _pair(t, t_tilde)
     if not (np.isfinite(r_bound) and r_bound > 0):
         raise InputError(f"radius bound must be positive and finite, got {r_bound!r}")
-    norm_t = a.norm
+    norm_t = a.h.norm
     if norm_t > r_bound * (1.0 + 1e-12):
         raise InputError(f"||T|| = {norm_t!r} exceeds the declared radius {r_bound!r}")
-    diff = d_N(a, b)
-    dg = d_G(a, b)
+    diff = _d_N(a, b)
+    dg = _d_G(a, b)
     hyp_graph = dg < 0.5 / (1.0 + r_bound)
     norm_ok = None
     if hyp_graph:
@@ -245,19 +321,18 @@ def metric_separation_report(
     if n_range is None:
         n_range = range(1, min(33, model.trunc_dim))
     ns = [int(n) for n in n_range]
-    d = realize(model)
+    d = _Operand(realize(model))
     rows: list[MetricReport] = []
     for fam in families:
         for n in ns:
             if fam == "swap" and n < 2:
                 continue
-            c = family_perturbation(model, fam, n)
-            t1 = d + c
+            t1 = _Operand(d.h + family_perturbation(model, fam, n))
             vals = {
-                "d_N": d_N(t1, d),
-                "d_W": d_W(t1, d, d),
-                "d_R": d_R(t1, d),
-                "d_G": d_G(t1, d),
+                "d_N": _d_N(t1, d),
+                "d_W": _d_W(t1, d, d),
+                "d_R": _d_R(t1, d),
+                "d_G": _d_G(t1, d),
             }
             exact = closed_form_distances(model, fam, n)
             res = {

@@ -7,9 +7,12 @@ Riesz images, and their unitary Cayley images.
 * cayley_inverse: U -> i (I + U)(I - U)^{-1}
 
 Hermitian inputs go through the eigendecomposition route (diagonalize, map
-eigenvalues, reassemble); the unitary input of cayley_inverse is
-diagonalized with a cluster-orthonormalized eigenbasis so the result is
-Hermitian by construction even when U - I is badly conditioned.
+eigenvalues, reassemble). The Riesz and Cayley formulas are written once, as
+functions of an EigenDecomposition, so a caller that already holds the
+decomposition (metrics' operand record) maps it without a second eigh. The
+unitary input of cayley_inverse is diagonalized with a cluster-orthonormalized
+eigenbasis so the result is Hermitian by construction even when U - I is
+badly conditioned.
 """
 
 from __future__ import annotations
@@ -25,7 +28,15 @@ from .errors import (
     ImageMembershipError,
     InputError,
 )
-from .matcore import HermitianMatrix, apply_function, as_hermitian, eigh, op_norm
+from .matcore import (
+    EigenDecomposition,
+    HermitianMatrix,
+    _frobenius_within,
+    apply_function,
+    as_hermitian,
+    eigh,
+    op_norm,
+)
 
 __all__ = [
     "UnitaryMatrix",
@@ -58,9 +69,11 @@ class UnitaryMatrix:
             raise DimensionMismatchError(f"unitary matrix must be square, got {a.shape}")
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
-        defect = op_norm(a.conj().T @ a - np.eye(a.shape[0]))
-        if defect > 1e-10:
-            raise InputError(f"not unitary: ||U*U - I|| = {defect:.3e}")
+        gram = a.conj().T @ a - np.eye(a.shape[0])
+        if not _frobenius_within(gram, 1e-10):
+            defect = op_norm(gram)
+            if defect > 1e-10:
+                raise InputError(f"not unitary: ||U*U - I|| = {defect:.3e}")
         a.setflags(write=False)
         self._mat = a
 
@@ -97,10 +110,27 @@ class MembershipReport:
         return self.ok
 
 
+def _riesz_image(ed: EigenDecomposition) -> HermitianMatrix:
+    """V F(L) V* with F(x) = x / sqrt(1 + x^2), for the matrix ed factors.
+
+    The array formula does per eigenvalue the same IEEE operations as the
+    scalar formula evaluated through apply_function, so the bits agree; an
+    x^2 that overflows to inf maps to 0 there too, without a warning.
+    """
+    w = ed.values
+    with np.errstate(over="ignore"):
+        f = w / np.sqrt(1.0 + w * w)
+    return HermitianMatrix(ed.assemble(f))
+
+
+def _cayley_image(ed: EigenDecomposition) -> UnitaryMatrix:
+    """V diag((x - i) / (x + i)) V* for the matrix ed factors."""
+    return UnitaryMatrix(ed.assemble((ed.values - 1j) / (ed.values + 1j)))
+
+
 def riesz(t: HermitianMatrix) -> HermitianMatrix:
     """Bounded transform T (I + T^2)^{-1/2}; a strict contraction."""
-    t = as_hermitian(t)
-    return apply_function(t, lambda x: x / np.sqrt(1.0 + x * x))
+    return _riesz_image(eigh(t))
 
 
 def riesz_inverse(s: HermitianMatrix) -> HermitianMatrix:
@@ -120,10 +150,7 @@ def riesz_inverse(s: HermitianMatrix) -> HermitianMatrix:
 
 def cayley(t: HermitianMatrix) -> UnitaryMatrix:
     """Cayley transform (T - i)(T + i)^{-1}, assembled eigenvalue-wise."""
-    t = as_hermitian(t)
-    ed = eigh(t)
-    u_vals = (ed.values - 1j) / (ed.values + 1j)
-    return UnitaryMatrix(ed.assemble(u_vals))
+    return _cayley_image(eigh(t))
 
 
 def unitary_eig(u: UnitaryMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -9,11 +9,13 @@ from specflowlab import (
     FinitenessError,
     GradedOperator,
     InputError,
+    d_G,
     eigenpair_cancellation_check,
     graded_window_dim,
     index_stability_check,
     random_unitary,
 )
+from specflowlab import graded
 
 ANTICOMMUTE_TOL = 1e-14
 
@@ -87,6 +89,55 @@ def test_index_stability_planted():
     assert rep["ok"], rep["failures"]
     assert rep["base_index"] == 2
     assert rep["delta"] <= 0.1
+
+
+def _stability_by_public_calls(g, trials, seed):
+    """index_stability_check's trial loop with the public d_G and window
+    dimension, each trial measured from scratch."""
+    gap = g.spectral_gap()
+    delta = min(0.5 * gap, 0.1)
+    rng = np.random.default_rng(seed)
+    dists, failures = [], []
+    for k in range(trials):
+        b = rng.normal(size=(g.q, g.p)) + 1j * rng.normal(size=(g.q, g.p))
+        b *= (0.5 * delta) * rng.uniform(0.1, 1.0) / np.linalg.norm(b, 2)
+        gp = g.perturb(b)
+        dists.append(d_G(g.matrix(), gp.matrix()))
+        if dists[-1] >= delta:
+            failures.append({"trial": k, "reason": "graph distance", "value": dists[-1]})
+            continue
+        w = graded_window_dim(gp, 0.5 * gap)
+        if w != g.kernel_index():
+            failures.append({"trial": k, "reason": "window dim", "value": w})
+    return dists, failures
+
+
+@pytest.mark.parametrize("p, q, rank, seed", [(4, 2, 2, 5), (3, 5, 1, 0), (6, 6, 4, 9)])
+def test_index_stability_reuses_the_base_exactly(monkeypatch, p, q, rank, seed):
+    """Building T0's transforms once per check changes no distance bit."""
+    g = GradedOperator(p, q, planted_block(np.random.default_rng(seed), q, p, rank))
+    seen = []
+    inner = graded._d_G
+
+    def recorded(a, b):
+        seen.append(inner(a, b))
+        return seen[-1]
+
+    monkeypatch.setattr(graded, "_d_G", recorded)
+    rep = index_stability_check(g, trials=12, seed=seed)
+    dists, failures = _stability_by_public_calls(g, 12, seed)
+    assert seen == dists
+    assert rep["failures"] == failures
+    assert rep["ok"] == (not failures)
+
+
+def test_index_stability_inverts_the_base_once(monkeypatch):
+    g = GradedOperator(4, 3, planted_block(np.random.default_rng(3), 3, 4, 2))
+    calls = []
+    original = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or original(a))
+    index_stability_check(g, trials=10, seed=1)
+    assert len(calls) == 10 + 1
 
 
 def test_index_stability_needs_a_gap():

@@ -30,7 +30,6 @@ from specflowlab.matcore import (
     contour_projection,
     eigh,
     inv_sqrt_integral,
-    jacobi_eigh,
     nonneg_projection,
     op_norm,
     rank_eps,
@@ -281,20 +280,6 @@ def test_eigh_rejects_bad_reconstruction(monkeypatch):
 def test_projection_rejects_non_idempotent():
     with pytest.raises(InputError, match="idempotent"):
         Projection(np.diag([1.0, 0.5, 0.0]))
-
-
-def test_jacobi_hand_case():
-    # [[2, 1], [1, 2]] has eigenvalues 1 and 3
-    ed = jacobi_eigh(HermitianMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
-    np.testing.assert_allclose(ed.values, [1.0, 3.0], atol=1e-12)
-
-
-def test_jacobi_agrees_with_lapack(rng):
-    for dim in (2, 3, 6, 10):
-        h = HermitianMatrix(random_hermitian(rng, dim))
-        np.testing.assert_allclose(
-            jacobi_eigh(h).values, eigh(h).values, atol=1e-10 * (1 + h.norm)
-        )
 
 
 def test_apply_function_scalar_transport():

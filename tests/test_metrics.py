@@ -1,5 +1,8 @@
 """The four distances: axioms, orderings, the dual graph-distance route,
-and the two-sided norm/graph comparison."""
+the two-sided norm/graph comparison, and the separation report's reuse of
+its base operator's transforms."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from specflowlab.errors import ConsistencyFault
-from specflowlab.matcore import HermitianMatrix
+from specflowlab.matcore import HermitianMatrix, apply_function, op_norm
 from specflowlab.metrics import (
     MetricReport,
     d_G,
@@ -21,7 +24,7 @@ from specflowlab.metrics import (
     norm_graph_equivalence_check,
     reset_dual_gap_watermark,
 )
-from specflowlab.opmodel import DiagonalModel
+from specflowlab.opmodel import FAMILIES, DiagonalModel, family_perturbation, realize
 
 from conftest import random_hermitian
 
@@ -66,6 +69,19 @@ def test_weighted_distance_explicit():
     c = HermitianMatrix(np.array([[0.0, 0.0], [0.0, 2.0]]))
     # difference diag(0, 2) weighted: 2/sqrt(2)
     assert d_W(c, HermitianMatrix.zeros(2), base) == pytest.approx(np.sqrt(2.0))
+
+
+def test_weight_matches_the_scalar_calculus(rng):
+    """The weight's array formula gives the bits of 1/sqrt(1 + x^2) taken
+    eigenvalue by eigenvalue, huge eigenvalues (x^2 overflows) included."""
+    for base in (
+        HermitianMatrix(random_hermitian(rng, 7, scale=4.0)),
+        HermitianMatrix(np.diag([1e200, -3.0, 0.0])),
+    ):
+        a = HermitianMatrix(random_hermitian(rng, base.dim))
+        b = HermitianMatrix(random_hermitian(rng, base.dim))
+        weight = apply_function(base, lambda x: 1.0 / math.sqrt(1.0 + x * x))
+        assert d_W(a, b, base) == op_norm((a.mat - b.mat) @ weight.mat)
 
 
 def test_dual_graph_route_agreement(rng):
@@ -123,3 +139,46 @@ def test_norm_graph_check_random_sweep(rng):
         t = (1.0 / max(1.0, t.norm)) * t  # keep within radius 2
         pert = HermitianMatrix(random_hermitian(rng, dim, scale=0.05))
         assert norm_graph_equivalence_check(t, t + pert, 2.0).ok
+
+
+@pytest.mark.parametrize("law", ["linear", "signed", "shifted"])
+@pytest.mark.parametrize("trunc_dim", [8, 32])
+def test_report_rows_equal_the_public_distances(law, trunc_dim):
+    """Reusing the base's transforms changes no bit of any row."""
+    model = DiagonalModel(trunc_dim, law)
+    rows = metric_separation_report(model)
+    assert {r.family for r in rows} == set(FAMILIES)
+    d = realize(model)
+    for r in rows:
+        t1 = d + family_perturbation(model, r.family, r.n)
+        assert r.d_N == d_N(t1, d)
+        assert r.d_W == d_W(t1, d, d)
+        assert r.d_R == d_R(t1, d)
+        assert r.d_G == d_G(t1, d)
+
+
+def test_report_factors_each_operand_once(monkeypatch):
+    """One eigh and one inverse per row, plus one each for the base."""
+    counts = {"eigh": 0, "inv": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rows = metric_separation_report(DiagonalModel(12, "signed"))
+    assert counts == {"eigh": len(rows) + 1, "inv": len(rows) + 1}
+
+
+def test_report_feeds_the_dual_gap_watermark():
+    model = DiagonalModel(16, "shifted")
+    d = realize(model)
+    reset_dual_gap_watermark()
+    rows = metric_separation_report(model)
+    worst = max(
+        d_G_detail(d + family_perturbation(model, r.family, r.n), d).delta for r in rows
+    )
+    assert worst > 0.0
+    assert dual_gap_watermark() == worst

@@ -1,12 +1,14 @@
 """Bounded transform and Cayley transform round trips, image membership."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specflowlab.errors import ConsistencyFault, ImageMembershipError, InputError
-from specflowlab.matcore import HermitianMatrix, op_norm
+from specflowlab.matcore import HermitianMatrix, apply_function, op_norm
 from specflowlab.transforms import (
     UnitaryMatrix,
     cayley,
@@ -28,6 +30,34 @@ def test_unitary_validation(rng):
         UnitaryMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
     q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
     assert UnitaryMatrix(q).dim == 4
+
+
+def test_unitary_validation_boundary():
+    """The Frobenius pre-check decides nothing the 2-norm would not."""
+    # U*U - I = diag(1.0000001e-10, 0, 0, 0) up to rounding: a 2-norm just
+    # above the bound, equal to the Frobenius norm, quoted in the message
+    u = np.diag([math.sqrt(1.0 + 1.0000001e-10), 1.0, 1.0, 1.0])
+    defect = op_norm(u.conj().T @ u - np.eye(4))
+    assert 1e-10 < defect < 1.001e-10
+    with pytest.raises(InputError) as exc:
+        UnitaryMatrix(u)
+    assert str(exc.value) == f"not unitary: ||U*U - I|| = {defect:.3e}"
+    # Frobenius defect 2 x 2-norm defect: over the bound, yet accepted
+    v = np.diag(np.full(4, math.sqrt(1.0 + 0.9e-10)))
+    gram = v.conj().T @ v - np.eye(4)
+    assert np.linalg.norm(gram) > 1e-10 >= op_norm(gram)
+    assert UnitaryMatrix(v).dim == 4
+
+
+def test_riesz_matches_the_scalar_calculus(rng):
+    """The array formula gives the bits of the per-eigenvalue route, huge
+    eigenvalues (x^2 overflows) included."""
+    for t in (
+        HermitianMatrix(random_hermitian(rng, 6, scale=5.0)),
+        HermitianMatrix(np.diag([1e200, -1e160, 0.5, 0.0])),
+    ):
+        scalar = apply_function(t, lambda x: x / np.sqrt(1.0 + x * x))
+        assert np.array_equal(riesz(t).mat, scalar.mat)
 
 
 def test_riesz_scalar_transport():
