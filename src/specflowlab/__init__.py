@@ -78,7 +78,7 @@ from .metrics import (
     norm_graph_equivalence_check,
     reset_dual_gap_watermark,
 )
-from .projpair import PairIndexResult, fredholm_pair_gap, pair_index, pair_path_invariance
+from .projpair import PairIndexResult, pair_index
 from .specflow import (
     OPAQUE,
     OperatorPath,
@@ -103,6 +103,7 @@ from .generators import (
     FAMILY_NAMES,
     clamp_spectrum_away_from_zero,
     concat_compatible_pair,
+    conjugation_path,
     cyclic_shift,
     family_path,
     half_integer_diagonal,
@@ -121,7 +122,6 @@ from .generators import (
 )
 from .toeplitz import (
     commutator_report,
-    conjugation_path,
     cyclic_shift_sweep,
     power_sweep,
     toeplitz_compression,

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import CertificationError, InputError
 from .matcore import HermitianMatrix, as_hermitian, eigh, op_norm
 from .specflow import (
+    _DEFAULT_OPTS,
     OperatorPath,
     SfOptions,
     certify_invertible,
@@ -57,8 +58,6 @@ __all__ = [
     "component_label",
     "connect_invertibles",
 ]
-
-_DEFAULT_OPTS = SfOptions()
 
 
 @dataclass(frozen=True)

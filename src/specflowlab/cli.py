@@ -18,9 +18,10 @@ import sys
 from . import serialize as sz
 from .axioms import run_all_checks
 from .errors import CertificationError, ConsistencyFault, InputError
-from .graded import eigenpair_cancellation_check, index_stability_check
+from .graded import eigenpair_cancellation_check, graded_window_dim, index_stability_check
 from .metrics import metric_separation_report
-from .specflow import SfOptions, certify_invertible, sf_all_methods
+from .opmodel import FAMILIES, DiagonalModel
+from .specflow import OperatorPath, SfOptions, certify_invertible, sf_all_methods
 from .toeplitz import cyclic_shift_sweep, power_sweep
 
 __all__ = ["main", "build_parser"]
@@ -56,64 +57,43 @@ def _require_json(args) -> None:
         raise InputError("only the metrics table supports --format csv")
 
 
-def _cmd_compute(args) -> str:
+def _flow(args) -> tuple[dict, dict, OperatorPath, SfOptions]:
+    """Every method on the input path: the compute payload, the methods'
+    result, and the path and options they ran with."""
     _require_json(args)
     path = sz.path_from_obj(_load_input(args))
     opts = _sf_options(args)
     result = sf_all_methods(path, opts)
-    return sz.dumps_json(
-        {
-            "value": result["value"],
-            "methods": result["methods"],
-            "certificate": sz.certificate_to_obj(result["phillips_certificate"]),
-        }
-    )
+    payload = {
+        "value": result["value"],
+        "methods": result["methods"],
+        "certificate": sz.certificate_to_obj(result["phillips_certificate"]),
+    }
+    return payload, result, path, opts
+
+
+def _cmd_compute(args) -> str:
+    return sz.dumps_json(_flow(args)[0])
 
 
 def _cmd_report(args) -> str:
-    _require_json(args)
-    path = sz.path_from_obj(_load_input(args))
-    opts = _sf_options(args)
-    result = sf_all_methods(path, opts)
-    return sz.dumps_json(
-        {
-            "value": result["value"],
-            "methods": result["methods"],
-            "certificate": sz.certificate_to_obj(result["phillips_certificate"]),
-            "crossing_ledger": result["crossing_ledger"],
-            "invertibility": certify_invertible(path, opts),
-        }
-    )
-
-
-def _metric_row_obj(row) -> dict:
-    return {
-        "family": row.family,
-        "n": row.n,
-        "d_N": row.d_N,
-        "d_W": row.d_W,
-        "d_R": row.d_R,
-        "d_G": row.d_G,
-        "res_N": row.res_N,
-        "res_W": row.res_W,
-        "res_R": row.res_R,
-        "res_G": row.res_G,
-    }
+    payload, result, path, opts = _flow(args)
+    payload["crossing_ledger"] = result["crossing_ledger"]
+    payload["invertibility"] = certify_invertible(path, opts)
+    return sz.dumps_json(payload)
 
 
 def _cmd_metrics(args) -> str:
     if args.input:
         model, families, ns = sz.model_from_obj(_load_input(args))
     else:
-        from .opmodel import FAMILIES, DiagonalModel
-
         model = DiagonalModel(args.trunc_dim, args.law)
         families = list(FAMILIES)
         ns = None
     rows = metric_separation_report(model, families, ns)
     if args.format == "csv":
         return sz.metrics_csv(rows)
-    return sz.dumps_json([_metric_row_obj(r) for r in rows])
+    return sz.dumps_json([{col: getattr(r, col) for col in sz.CSV_COLUMNS} for r in rows])
 
 
 def _cmd_toeplitz(args) -> str:
@@ -150,10 +130,10 @@ def _cmd_graded(args) -> str:
         "cancellation": eigenpair_cancellation_check(g),
     }
     if out["spectral_gap"] > 0.0:
-        from .graded import graded_window_dim
-
         out["window_dim"] = graded_window_dim(g, 0.5 * out["spectral_gap"])
-        out["stability"] = index_stability_check(g, trials=args.trials, seed=args.seed)
+        out["stability"] = index_stability_check(
+            g, trials=args.trials, seed=args.seed, tol=args.tol
+        )
     return sz.dumps_json(out)
 
 

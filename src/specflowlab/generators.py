@@ -26,10 +26,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, coerce_field
-from .matcore import HermitianMatrix, apply_function, as_hermitian, eigh, op_norm
+from .matcore import HermitianMatrix, Projection, apply_function, as_hermitian, eigh, op_norm
 from .opmodel import DiagonalModel, ce_fuglede, realize
 from .specflow import OperatorPath, lipschitz, piecewise_affine
-from .transforms import UnitaryMatrix
+from .transforms import UnitaryMatrix, _as_unitary
 
 __all__ = [
     "spawn_rngs",
@@ -43,6 +43,7 @@ __all__ = [
     "half_integer_diagonal",
     "unitary_rotation_path",
     "line_path",
+    "conjugation_path",
     "family_path",
     "FAMILY_NAMES",
     "trig_path",
@@ -64,6 +65,13 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in children]
 
 
+def _as_rng(seed_or_rng) -> np.random.Generator:
+    """The Generator itself, or a fresh one seeded with the given seed."""
+    if isinstance(seed_or_rng, np.random.Generator):
+        return seed_or_rng
+    return np.random.default_rng(seed_or_rng)
+
+
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianMatrix:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return HermitianMatrix(scale * (g + g.conj().T) / (2.0 * math.sqrt(dim)))
@@ -78,8 +86,6 @@ def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryMatrix:
 
 
 def random_projection(rng: np.random.Generator, dim: int, rank: int):
-    from .matcore import Projection
-
     if not 0 <= rank <= dim:
         raise InputError(f"rank must lie in [0, {dim}], got {rank!r}")
     u = random_unitary(rng, dim).mat[:, :rank]
@@ -169,13 +175,19 @@ def _add_combination(out: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-def _tilt_to_clamped_endpoints(
-    raw: Callable[[np.ndarray], np.ndarray], dim: int, gap: float, *, fix_left: bool = True
-) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """Add an affine-in-t Hermitian tilt (1 - t) delta0 + t delta1 so both
-    endpoints become their spectrally clamped versions (invertible with
-    the given gap). Returns the tilted evaluator and the tilt's rate
-    ||delta1 - delta0||.
+def _tilted_path(
+    raw: Callable[[np.ndarray], np.ndarray],
+    rate: float,
+    dim: int,
+    gap: float,
+    meta: dict,
+    *,
+    fix_left: bool = True,
+) -> OperatorPath:
+    """The path ``raw``, Lipschitz with ``rate``, plus an affine-in-t
+    Hermitian tilt (1 - t) delta0 + t delta1 so both endpoints become their
+    spectrally clamped versions (invertible with the given gap). The tilt
+    adds its rate ||delta1 - delta0|| to ``rate``.
 
     ``raw`` must return a fresh, exactly Hermitian complex stack: the tilt
     is added to it in place by ``_add_combination``, and the deltas are
@@ -194,7 +206,8 @@ def _tilt_to_clamped_endpoints(
         terms = [(1.0 - ts, delta0)] if fix_left else []
         return _add_combination(raw(ts), terms + [(ts, delta1)])
 
-    return evaluate, op_norm(delta1 - delta0)
+    tilt = op_norm(delta1 - delta0)
+    return OperatorPath(evaluate, dim, regularity=lipschitz((), [rate + tilt]), meta=meta)
 
 
 def _trig_evaluator(
@@ -270,23 +283,13 @@ def trig_path(
     meta: dict | None = None,
 ) -> OperatorPath:
     """Seeded random trig-polynomial path with invertible endpoints."""
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = _as_rng(seed_or_rng)
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive int, got {dim!r}")
     if not isinstance(degree, int) or degree < 1:
         raise InputError(f"degree must be a positive int, got {degree!r}")
     raw, rate = _trig_evaluator(rng, dim, degree, scale)
-    evaluate, tilt = _tilt_to_clamped_endpoints(raw, dim, gap)
-    return OperatorPath(
-        evaluate,
-        dim,
-        regularity=lipschitz((), [rate + tilt]),
-        meta=meta or {"family": "trig_random"},
-    )
+    return _tilted_path(raw, rate, dim, gap, meta or {"family": "trig_random"})
 
 
 def invertible_trig_path(
@@ -299,11 +302,7 @@ def invertible_trig_path(
     With U(t) = exp(i t K) the conjugated part moves at the constant rate
     ||[D0, K]|| and the drift at most at 2 pi amp.
     """
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = _as_rng(seed_or_rng)
     d0 = clamp_spectrum_away_from_zero(random_hermitian(rng, dim, scale), gap)
     k, u_of = _rotation(rng, dim, scale)
     amp = rng.uniform(0.1, 0.5) * gap / 2.0
@@ -327,11 +326,7 @@ def normalization_path(seed_or_rng, dim: int) -> OperatorPath:
     complement (spectrum clamped to |spec| >= 0.3), so exactly one
     eigenvalue crosses zero, upward: the flow is 1 by construction.
     """
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = _as_rng(seed_or_rng)
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dim must be a positive int, got {dim!r}")
     u = random_unitary(rng, dim).mat
@@ -358,11 +353,7 @@ def normalization_path(seed_or_rng, dim: int) -> OperatorPath:
 def concat_compatible_pair(seed_or_rng, dim: int, **kwargs) -> tuple[OperatorPath, OperatorPath]:
     """Two random trig paths with g(0) = f(1) exactly, both with certified
     invertible endpoints, ready for a concatenation check."""
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = _as_rng(seed_or_rng)
     f = trig_path(rng, dim, **kwargs)
     g_raw, rate = _trig_evaluator(
         rng, dim, kwargs.get("degree", 3), kwargs.get("scale", 1.0)
@@ -378,12 +369,8 @@ def concat_compatible_pair(seed_or_rng, dim: int, **kwargs) -> tuple[OperatorPat
 
     gap = kwargs.get("gap", ENDPOINT_CLAMP_GAP)
     # the constant shift leaves the rate of g_raw as it is
-    evaluate, tilt = _tilt_to_clamped_endpoints(shifted, dim, gap, fix_left=False)
-    g = OperatorPath(
-        evaluate,
-        dim,
-        regularity=lipschitz((), [rate + tilt]),
-        meta={"family": "trig_random_shifted"},
+    g = _tilted_path(
+        shifted, rate, dim, gap, {"family": "trig_random_shifted"}, fix_left=False
     )
     return f, g
 
@@ -402,11 +389,7 @@ def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7, **kwargs):
     add a rounding of order n u ||f|| per point, inside the gamma_n slack
     that every declared margin gives up.
     """
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = _as_rng(seed_or_rng)
     f = trig_path(rng, dim, **kwargs)
     s_grid = np.linspace(0.0, 1.0, s_samples)
     style = int(rng.integers(0, 2))
@@ -443,6 +426,16 @@ def line_path(a: HermitianMatrix, b: HermitianMatrix, *, meta: dict | None = Non
         regularity=piecewise_affine((), [op_norm(b.mat - a.mat)]),
         meta=meta,
     )
+
+
+def conjugation_path(d: HermitianMatrix, w) -> OperatorPath:
+    """The line s -> (1 - s) D + s W D W*, affine with rate ||W D W* - D||."""
+    d = as_hermitian(d)
+    w = _as_unitary(w)
+    if w.dim != d.dim:
+        raise InputError(f"dims differ: D {d.dim}, W {w.dim}")
+    conj = HermitianMatrix(w.mat @ d.mat @ w.mat.conj().T)
+    return line_path(d, conj, meta={"family": "toeplitz_line"})
 
 
 def _family_linear_interp(params: dict, seed, dim) -> OperatorPath:
@@ -484,9 +477,9 @@ def _family_toeplitz_line(params: dict, seed, dim) -> OperatorPath:
     m = coerce_field(params.get("m", 1), int, "m")
     power = coerce_field(params.get("power", 1), int, "power")
     d = half_integer_diagonal(m)
-    w = cyclic_shift(d.dim, power)
-    conj = HermitianMatrix(w.mat @ d.mat @ w.mat.conj().T)
-    return line_path(d, conj, meta={"family": "toeplitz_line", "m": m, "power": power})
+    path = conjugation_path(d, cyclic_shift(d.dim, power))
+    path.meta.update(m=m, power=power)
+    return path
 
 
 def _family_trig_random(params: dict, seed, dim) -> OperatorPath:

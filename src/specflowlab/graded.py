@@ -138,7 +138,7 @@ def eigenpair_cancellation_check(g: GradedOperator) -> dict:
 
 
 def index_stability_check(
-    g: GradedOperator, *, trials: int = 50, seed: int = 0
+    g: GradedOperator, *, trials: int = 50, seed: int = 0, tol: float = 1e-8
 ) -> dict:
     """Perturb the block at random, keeping the graph distance below half
     the spectral gap (capped at 0.1), and require the graded window
@@ -148,8 +148,10 @@ def index_stability_check(
     the kernel index is p - q for every block, and the window dimension
     equals it whenever the window clears the first nonzero singular value,
     so a failure here measures the rounding of the spectral projection.
+    ``tol`` is the spectral gap's: singular values at or below it do not
+    count.
     """
-    gap = g.spectral_gap()
+    gap = g.spectral_gap(tol=tol)
     if gap == 0.0:
         raise InputError("block has no nonzero singular value; no gap to protect")
     delta = min(0.5 * gap, 0.1)

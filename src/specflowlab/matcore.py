@@ -380,10 +380,6 @@ class Interval:
         return cls(lo, hi, True, True)
 
     @classmethod
-    def open(cls, lo: float, hi: float) -> "Interval":
-        return cls(lo, hi, False, False)
-
-    @classmethod
     def co(cls, lo: float, hi: float) -> "Interval":
         """Closed-open [lo, hi)."""
         return cls(lo, hi, True, False)
@@ -402,11 +398,6 @@ class Interval:
     def le(cls, hi: float) -> "Interval":
         """(-inf, hi]."""
         return cls(-np.inf, hi, False, True)
-
-    @classmethod
-    def lt(cls, hi: float) -> "Interval":
-        """(-inf, hi)."""
-        return cls(-np.inf, hi, False, False)
 
     def finite_endpoints(self) -> list[float]:
         return [e for e in (self.lo, self.hi) if np.isfinite(e)]
@@ -465,19 +456,6 @@ class Projection(HermitianMatrix):
 
     def __repr__(self) -> str:
         return f"Projection(dim={self.dim}, rank={self.rank})"
-
-    @classmethod
-    def onto_span(cls, columns: np.ndarray) -> "Projection":
-        """Projection onto the column span (columns need not be orthonormal)."""
-        b = np.asarray(columns, dtype=np.complex128)
-        if b.ndim != 2 or b.shape[0] < 1:
-            raise InputError("onto_span expects an n x k column block")
-        if b.shape[1] == 0:
-            return cls(np.zeros((b.shape[0], b.shape[0])))
-        q, r = np.linalg.qr(b)
-        keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.max(np.abs(b))))
-        q = q[:, keep]
-        return cls(q @ q.conj().T)
 
 
 def spectral_projection(h: HermitianMatrix, window: Interval) -> Projection:

@@ -335,22 +335,10 @@ def metric_separation_report(
                 "d_G": _d_G(t1, d),
             }
             exact = closed_form_distances(model, fam, n)
+            # residual res_X of each distance d_X
             res = {
-                key: (abs(vals[key] - exact[key]) if exact is not None else None)
-                for key in ("d_N", "d_W", "d_R", "d_G")
+                f"res_{key[2:]}": (abs(vals[key] - exact[key]) if exact is not None else None)
+                for key in vals
             }
-            rows.append(
-                MetricReport(
-                    family=fam,
-                    n=n,
-                    d_N=vals["d_N"],
-                    d_W=vals["d_W"],
-                    d_R=vals["d_R"],
-                    d_G=vals["d_G"],
-                    res_N=res["d_N"],
-                    res_W=res["d_W"],
-                    res_R=res["d_R"],
-                    res_G=res["d_G"],
-                )
-            )
+            rows.append(MetricReport(family=fam, n=n, **vals, **res))
     return rows

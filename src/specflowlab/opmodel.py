@@ -93,28 +93,27 @@ def realize(model: DiagonalModel) -> HermitianMatrix:
     return HermitianMatrix.diag(model.lambdas())
 
 
-def ce_rank_one(model: DiagonalModel, n: int) -> HermitianMatrix:
-    """Rank-one unit perturbation C_n = e_n e_n*."""
+def _bump(model: DiagonalModel, n: int, value: float) -> HermitianMatrix:
+    """value * e_n e_n*, the perturbation of the three diagonal families."""
     model._check_index(n)
     c = np.zeros((model.trunc_dim, model.trunc_dim))
-    c[n - 1, n - 1] = 1.0
+    c[n - 1, n - 1] = value
     return HermitianMatrix(c)
+
+
+def ce_rank_one(model: DiagonalModel, n: int) -> HermitianMatrix:
+    """Rank-one unit perturbation C_n = e_n e_n*."""
+    return _bump(model, n, 1.0)
 
 
 def ce_lambda(model: DiagonalModel, n: int) -> HermitianMatrix:
     """Eigenvalue-sized perturbation C_n = lambda_n e_n e_n*."""
-    model._check_index(n)
-    c = np.zeros((model.trunc_dim, model.trunc_dim))
-    c[n - 1, n - 1] = model.lam(n)
-    return HermitianMatrix(c)
+    return _bump(model, n, model.lam(n))
 
 
 def ce_fuglede(model: DiagonalModel, n: int) -> HermitianMatrix:
     """Sign-flipping perturbation C_n = -2 lambda_n e_n e_n*."""
-    model._check_index(n)
-    c = np.zeros((model.trunc_dim, model.trunc_dim))
-    c[n - 1, n - 1] = -2.0 * model.lam(n)
-    return HermitianMatrix(c)
+    return _bump(model, n, -2.0 * model.lam(n))
 
 
 def ce_swap(model: DiagonalModel, n: int) -> HermitianMatrix:

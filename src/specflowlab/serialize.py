@@ -10,6 +10,7 @@ round trip through text loses nothing.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -40,8 +41,8 @@ __all__ = [
     "write_text",
 ]
 
-CSV_COLUMNS = ("family", "n", "d_N", "d_W", "d_R", "d_G",
-               "res_N", "res_W", "res_R", "res_G")
+#: the metrics table's columns and JSON keys: the fields of MetricReport
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricReport))
 
 
 def matrix_to_obj(h) -> dict:
@@ -186,29 +187,19 @@ def model_from_obj(obj: dict) -> tuple[DiagonalModel, list[str], list[int] | Non
     return model, families, ns
 
 
+def _fields_obj(record) -> dict:
+    """A flat dataclass record as a JSON object, one key per field."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def certificate_to_obj(cert: SfCertificate) -> dict:
     return {
         "method": cert.method,
         "total": cert.total,
         "soundness": cert.soundness,
         "endpoint_gaps": list(cert.endpoint_gaps),
-        "options": {
-            "samples": cert.opts.samples,
-            "oracle_samples": cert.opts.oracle_samples,
-            "max_depth": cert.opts.max_depth,
-            "endpoint_gap": cert.opts.endpoint_gap,
-        },
-        "segments": [
-            {
-                "t_left": seg.t_left,
-                "t_right": seg.t_right,
-                "eps": seg.eps,
-                "rank_left": seg.rank_left,
-                "rank_right": seg.rank_right,
-                "weyl_margin": seg.weyl_margin,
-            }
-            for seg in cert.segments
-        ],
+        "options": _fields_obj(cert.opts),
+        "segments": [_fields_obj(seg) for seg in cert.segments],
     }
 
 
@@ -239,8 +230,10 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _g17(value: float | None) -> str:
-    return "" if value is None else "%.17g" % value
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return "%.17g" % value if isinstance(value, float) else str(value)
 
 
 def metrics_csv(rows: list[MetricReport]) -> str:
@@ -249,17 +242,5 @@ def metrics_csv(rows: list[MetricReport]) -> str:
     buf = io.StringIO()
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
-        cells = [
-            row.family,
-            str(row.n),
-            _g17(row.d_N),
-            _g17(row.d_W),
-            _g17(row.d_R),
-            _g17(row.d_G),
-            _g17(row.res_N),
-            _g17(row.res_W),
-            _g17(row.res_R),
-            _g17(row.res_G),
-        ]
-        buf.write(",".join(cells) + "\n")
+        buf.write(",".join(_cell(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
     return buf.getvalue()

@@ -40,6 +40,7 @@ independent integer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -607,6 +608,38 @@ def _certified_segments(
     return path._segments[opts]
 
 
+def _certificate(
+    path: OperatorPath,
+    opts: SfOptions,
+    method: str,
+    rank: Callable[[float, float], int],
+    total: Callable[[tuple[SfSegment, ...]], int] | None = None,
+) -> SfCertificate:
+    """The certificate over the certified segments, with ``rank(t, eps)``
+    taken at each segment end. The total is the telescoped sum of the rank
+    differences unless ``total`` computes it from the segments."""
+    gaps = _check_endpoints(path, opts)
+    segs = tuple(
+        SfSegment(
+            t_left=ts[0],
+            t_right=ts[-1],
+            eps=eps,
+            rank_left=rank(ts[0], eps),
+            rank_right=rank(ts[-1], eps),
+            weyl_margin=margin,
+        )
+        for ts, eps, margin in _certified_segments(path, opts)
+    )
+    return SfCertificate(
+        method=method,
+        total=sum(s.rank_right - s.rank_left for s in segs) if total is None else total(segs),
+        segments=segs,
+        endpoint_gaps=gaps,
+        soundness=path.regularity.soundness,
+        opts=opts,
+    )
+
+
 def sf_phillips(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertificate:
     """Certified-subdivision spectral flow (the defining formula).
 
@@ -617,28 +650,7 @@ def sf_phillips(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertif
     next sample takes over (a Weyl bound), so no eigenvalue can meet +-eps_j
     anywhere in the segment.
     """
-    gaps = _check_endpoints(path, opts)
-    segs = []
-    for ts, eps, margin in _certified_segments(path, opts):
-        segs.append(
-            SfSegment(
-                t_left=ts[0],
-                t_right=ts[-1],
-                eps=eps,
-                rank_left=_rank_below(path, ts[0], eps),
-                rank_right=_rank_below(path, ts[-1], eps),
-                weyl_margin=margin,
-            )
-        )
-    total = sum(s.rank_right - s.rank_left for s in segs)
-    return SfCertificate(
-        method="phillips",
-        total=total,
-        segments=tuple(segs),
-        endpoint_gaps=gaps,
-        soundness=path.regularity.soundness,
-        opts=opts,
-    )
+    return _certificate(path, opts, "phillips", partial(_rank_below, path))
 
 
 def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertificate:
@@ -650,32 +662,14 @@ def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertifi
     ind(P(t_j), P(t_{j-1})) of the nonnegative spectral projections at its
     ends. Each distinct junction's projection is validated once.
     """
-    gaps = _check_endpoints(path, opts)
-    segments = _certified_segments(path, opts)
-    junctions = [segments[0][0][0]] + [ts[-1] for ts, _eps, _margin in segments]
-    projs = {t: Projection(_nonneg_matrix(path, t)) for t in junctions}
-    segs = []
-    total = 0
-    for ts, eps, margin in segments:
-        t0, t1 = ts[0], ts[-1]
-        total += pair_index(projs[t1], projs[t0]).value
-        segs.append(
-            SfSegment(
-                t_left=t0,
-                t_right=t1,
-                eps=eps,
-                rank_left=path.nonneg_count(t0),
-                rank_right=path.nonneg_count(t1),
-                weyl_margin=margin,
-            )
-        )
-    return SfCertificate(
-        method="pairsum",
-        total=total,
-        segments=tuple(segs),
-        endpoint_gaps=gaps,
-        soundness=path.regularity.soundness,
-        opts=opts,
+
+    def pair_total(segs: tuple[SfSegment, ...]) -> int:
+        junctions = [segs[0].t_left] + [s.t_right for s in segs]
+        projs = {t: Projection(_nonneg_matrix(path, t)) for t in junctions}
+        return sum(pair_index(projs[s.t_right], projs[s.t_left]).value for s in segs)
+
+    return _certificate(
+        path, opts, "pairsum", lambda t, _eps: path.nonneg_count(t), pair_total
     )
 
 

@@ -17,35 +17,25 @@ import numpy as np
 
 from .errors import InputError, InvertibilityError
 from .matcore import HermitianMatrix, as_hermitian, eigh, nonneg_projection, op_norm, rank_eps
-from .projpair import Projection, pair_index
-from .specflow import OperatorPath, SfOptions, sf_all_methods
-from .generators import cyclic_shift, half_integer_diagonal, line_path
-from .transforms import UnitaryMatrix
+from .projpair import Projection, _as_projection, pair_index
+from .specflow import _DEFAULT_OPTS, SfOptions, sf_all_methods
+from .generators import conjugation_path, cyclic_shift, half_integer_diagonal
+from .transforms import _as_unitary
 
 __all__ = [
     "toeplitz_compression",
     "toeplitz_index",
-    "conjugation_path",
     "verify_toeplitz_theorem",
     "cyclic_shift_sweep",
     "power_sweep",
     "commutator_report",
 ]
 
-_DEFAULT_OPTS = SfOptions()
-
-
-def _as_unitary(w) -> UnitaryMatrix:
-    if isinstance(w, UnitaryMatrix):
-        return w
-    return UnitaryMatrix(np.asarray(w))
-
 
 def toeplitz_compression(p: Projection, w) -> np.ndarray:
     """Matrix of x -> P W x restricted to ran P, in an orthonormal basis
     of ran P taken from the eigendecomposition of P."""
-    if not isinstance(p, Projection):
-        p = Projection(np.asarray(p))
+    p = _as_projection(p)
     w = _as_unitary(w)
     if w.dim != p.dim:
         raise InputError(f"dims differ: projection {p.dim}, unitary {w.dim}")
@@ -72,16 +62,6 @@ def _aux_index(p: Projection, w, *, tol: float = 1e-8) -> int:
     a = np.eye(p.dim, dtype=np.complex128) + (w.mat - np.eye(p.dim)) @ p.mat
     n = a.shape[0]
     return (n - rank_eps(a, tol)) - (n - rank_eps(a.conj().T, tol))
-
-
-def conjugation_path(d: HermitianMatrix, w) -> OperatorPath:
-    """The line s -> (1 - s) D + s W D W*, affine with rate ||W D W* - D||."""
-    d = as_hermitian(d)
-    w = _as_unitary(w)
-    if w.dim != d.dim:
-        raise InputError(f"dims differ: D {d.dim}, W {w.dim}")
-    conj = HermitianMatrix(w.mat @ d.mat @ w.mat.conj().T)
-    return line_path(d, conj, meta={"family": "toeplitz_line"})
 
 
 def verify_toeplitz_theorem(

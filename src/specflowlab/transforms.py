@@ -98,6 +98,11 @@ class UnitaryMatrix:
         return cls(np.eye(dim, dtype=np.complex128))
 
 
+def _as_unitary(u) -> UnitaryMatrix:
+    """``u`` itself if it is a UnitaryMatrix, else ``u`` validated as one."""
+    return u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(np.asarray(u))
+
+
 @dataclass(frozen=True)
 class MembershipReport:
     """Boolean verdict plus the quantity that witnessed it."""
@@ -164,8 +169,7 @@ def unitary_eig(u: UnitaryMatrix) -> tuple[np.ndarray, np.ndarray]:
     the cluster stays whole. The result is validated (basis Gram defect and
     reconstruction <= 1e-8) before being returned.
     """
-    if not isinstance(u, UnitaryMatrix):
-        u = UnitaryMatrix(np.asarray(u))
+    u = _as_unitary(u)
     w, v = np.linalg.eig(u.mat)
     angles = np.angle(w)
     order = np.argsort(angles, kind="stable")
@@ -202,8 +206,7 @@ def cayley_inverse(u: UnitaryMatrix) -> HermitianMatrix:
     assembled from the eigenbasis with the scalar form -cot(theta/2) of the
     same formula, which stays Hermitian even near the guard.
     """
-    if not isinstance(u, UnitaryMatrix):
-        u = UnitaryMatrix(np.asarray(u))
+    u = _as_unitary(u)
     w, v = unitary_eig(u)
     dist_plus = float(np.min(np.abs(w - 1.0)))
     if dist_plus <= _IMAGE_GUARD:
@@ -239,8 +242,7 @@ def is_in_cayley_invertible_image(u: UnitaryMatrix) -> MembershipReport:
     Both +1 (point at infinity) and -1 (image of 0) must stay at distance
     > 1e-9 from the spectrum of U.
     """
-    if not isinstance(u, UnitaryMatrix):
-        u = UnitaryMatrix(np.asarray(u))
+    u = _as_unitary(u)
     w = np.linalg.eigvals(u.mat)
     dist_plus = float(np.min(np.abs(w - 1.0)))
     dist_minus = float(np.min(np.abs(w + 1.0)))

@@ -236,6 +236,18 @@ def test_graded_command(tmp_path, capsys):
     assert payload["cancellation"]["ok"]
 
 
+def test_graded_stability_uses_the_tolerance(tmp_path, capsys):
+    # --tol 0.5 excludes the singular value 0.3: the stability check must
+    # protect the same gap the report prints, not the one at the default tol
+    g = GradedOperator(3, 2, np.array([[1.0, 0.0, 0.0], [0.0, 0.3, 0.0]]))
+    f = write_json(tmp_path / "g.json", graded_to_obj(g))
+    assert cli.main(["graded", "--input", f, "--tol", "0.5", "--trials", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["spectral_gap"] == 1.0
+    assert payload["stability"]["gap"] == payload["spectral_gap"]
+    assert payload["stability"]["ok"]
+
+
 def test_axioms_command_small(capsys):
     assert cli.main(["axioms", "--trials", "2", "--seed", "9"]) == 0
     reports = json.loads(capsys.readouterr().out)

@@ -1,13 +1,11 @@
-"""Projection-pair index: three routes, algebraic laws, path invariance."""
+"""Projection-pair index: its two routes and algebraic laws."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specflowlab.errors import SamplingError
-from specflowlab.matcore import HermitianMatrix, Projection, nonneg_projection
-from specflowlab.projpair import fredholm_pair_gap, pair_index, pair_path_invariance
+from specflowlab.matcore import HermitianMatrix, Projection, nonneg_projection, op_norm
+from specflowlab.projpair import pair_index
 
 from conftest import random_hermitian
 
@@ -66,47 +64,5 @@ def test_close_pair_has_zero_index(rng):
         p = nonneg_projection(h)
         tiny = HermitianMatrix(random_hermitian(rng, dim, scale=1e-4))
         q = nonneg_projection(h + tiny)
-        if fredholm_pair_gap(p, q) < 1.0:
+        if op_norm(p.mat - q.mat) < 1.0:
             assert int(pair_index(p, q)) == 0
-
-
-def test_pair_path_invariance_constant(rng):
-    dim = 5
-    h = HermitianMatrix(random_hermitian(rng, dim) + 3 * np.eye(dim))
-    base = nonneg_projection(h)
-
-    # rotate both projections together; the index must stay put
-    from specflowlab.matcore import eigh
-
-    gen = HermitianMatrix(random_hermitian(rng, dim, scale=0.5))
-    ed = eigh(gen)
-
-    def rotation(t):
-        return ed.assemble(np.exp(1j * t * ed.values))
-
-    other = Projection(np.eye(dim) - base.mat) if base.rank == dim else base
-
-    def pair(t):
-        u = rotation(t)
-        return (
-            Projection(u @ base.mat @ u.conj().T),
-            Projection(u @ other.mat @ u.conj().T),
-        )
-
-    report = pair_path_invariance(pair, samples=17)
-    assert report["constant"]
-    assert report["index"] == int(pair_index(*pair(0.0)))
-    assert report["max_jump_p"] < 1.0
-
-
-def test_pair_path_invariance_flags_jumps():
-    # a rank jump between samples cannot be certified away
-    p_hi = Projection(np.diag([1.0, 1.0]))
-    p_lo = Projection(np.diag([1.0, 0.0]))
-    q = Projection(np.diag([1.0, 0.0]))
-
-    def pair(t):
-        return (p_hi if t > 0.5 else p_lo, q)
-
-    with pytest.raises(SamplingError):
-        pair_path_invariance(pair, samples=9)

@@ -8,10 +8,12 @@ import pytest
 
 from specflowlab import (
     DiagonalModel,
+    cli,
     GradedOperator,
     InputError,
     MetricReport,
     SfOptions,
+    metric_separation_report,
     sf_phillips,
     trig_path,
 )
@@ -146,6 +148,75 @@ def test_certificate_obj_shape():
     assert text.endswith("\n")
     assert json.loads(text) == obj
     assert dumps_json(json.loads(text)) == text
+
+
+def _reference_certificate_obj(cert):
+    """The certificate layout written out key by key, as the reference the
+    field-driven serializer must reproduce."""
+    return {
+        "method": cert.method,
+        "total": cert.total,
+        "soundness": cert.soundness,
+        "endpoint_gaps": list(cert.endpoint_gaps),
+        "options": {
+            "samples": cert.opts.samples,
+            "oracle_samples": cert.opts.oracle_samples,
+            "max_depth": cert.opts.max_depth,
+            "endpoint_gap": cert.opts.endpoint_gap,
+        },
+        "segments": [
+            {
+                "t_left": seg.t_left,
+                "t_right": seg.t_right,
+                "eps": seg.eps,
+                "rank_left": seg.rank_left,
+                "rank_right": seg.rank_right,
+                "weyl_margin": seg.weyl_margin,
+            }
+            for seg in cert.segments
+        ],
+    }
+
+
+def _reference_metric_row(row):
+    return {
+        "family": row.family,
+        "n": row.n,
+        "d_N": row.d_N,
+        "d_W": row.d_W,
+        "d_R": row.d_R,
+        "d_G": row.d_G,
+        "res_N": row.res_N,
+        "res_W": row.res_W,
+        "res_R": row.res_R,
+        "res_G": row.res_G,
+    }
+
+
+def test_certificate_layout_is_pinned():
+    # a field added to SfSegment or SfOptions must fail here, not change
+    # the output bytes silently
+    cert = sf_phillips(trig_path(3, 5), SfOptions(samples=17))
+    obj = certificate_to_obj(cert)
+    assert obj == _reference_certificate_obj(cert)
+    assert dumps_json(obj) == dumps_json(_reference_certificate_obj(cert))
+
+
+def test_metrics_layouts_are_pinned(capsys):
+    # a field added to MetricReport must fail here: the JSON rows, the CSV
+    # header and the CSV cells keep the hand-written layout
+    assert cli.main(["metrics", "--trunc-dim", "8", "--law", "signed"]) == 0
+    rows = metric_separation_report(DiagonalModel(8, "signed"))
+    assert capsys.readouterr().out == dumps_json([_reference_metric_row(r) for r in rows])
+    header = "family,n,d_N,d_W,d_R,d_G,res_N,res_W,res_R,res_G"
+    lines = metrics_csv(rows).splitlines()
+    assert lines[0] == header
+    for line, row in zip(lines[1:], rows):
+        ref = _reference_metric_row(row)
+        cells = [ref["family"], str(ref["n"])] + [
+            "" if ref[key] is None else "%.17g" % ref[key] for key in header.split(",")[2:]
+        ]
+        assert line == ",".join(cells)
 
 
 def test_dumps_json_canonical_bytes():
