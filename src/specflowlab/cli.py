@@ -18,7 +18,7 @@ import sys
 from . import serialize as sz
 from .axioms import run_all_checks
 from .errors import CertificationError, ConsistencyFault, InputError
-from .graded import eigenpair_cancellation_check, graded_window_dim, index_stability_check
+from .graded import eigenpair_cancellation_check, index_stability_check
 from .metrics import metric_separation_report
 from .opmodel import FAMILIES, DiagonalModel
 from .specflow import OperatorPath, SfOptions, certify_invertible, sf_all_methods
@@ -130,10 +130,11 @@ def _cmd_graded(args) -> str:
         "cancellation": eigenpair_cancellation_check(g),
     }
     if out["spectral_gap"] > 0.0:
-        out["window_dim"] = graded_window_dim(g, 0.5 * out["spectral_gap"])
-        out["stability"] = index_stability_check(
-            g, trials=args.trials, seed=args.seed, tol=args.tol
-        )
+        stability = index_stability_check(g, trials=args.trials, seed=args.seed, tol=args.tol)
+        # the check starts by requiring the window dimension at half the
+        # gap to equal the kernel index, and raises otherwise
+        out["window_dim"] = stability["base_index"]
+        out["stability"] = stability
     return sz.dumps_json(out)
 
 

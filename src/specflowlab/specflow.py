@@ -53,7 +53,14 @@ from .errors import (
     InputError,
     SamplingError,
 )
-from .matcore import EigenDecomposition, HermitianMatrix, as_hermitian, eigh, op_norm
+from .matcore import (
+    EigenDecomposition,
+    HermitianMatrix,
+    _stack_eigvalsh,
+    as_hermitian,
+    eigh,
+    op_norm,
+)
 from .projpair import Projection, pair_index
 
 __all__ = [
@@ -237,7 +244,8 @@ class OperatorPath:
     * ``matrix(t)`` and ``matrices(ts)`` return the validated matrices,
       evaluating the ones not yet cached by one evaluator call per chunk;
     * ``values(ts)`` returns eigenvalues, computing the ones not yet cached
-      by one batched ``eigvalsh`` over the stacked matrices;
+      by one batched ``eigvalsh`` over the stacked matrices (a stack of
+      diagonal matrices takes its sorted diagonal, the same bits);
     * ``steps(ts)`` returns bounds on the operator-norm steps between
       consecutive grid points: the declared rate * |dt|, or for an opaque
       path the sampled norms, one stacked 2-norm of the differences per
@@ -341,7 +349,7 @@ class OperatorPath:
         ts = [float(t)] if single else [float(s) for s in t]
         todo = list(dict.fromkeys(s for s in ts if s not in self._vals))
         for chunk in _chunks(todo, _chunk_len(self._dim)):
-            w = np.linalg.eigvalsh(self.stack(chunk))
+            w = _stack_eigvalsh(self.stack(chunk))
             w.setflags(write=False)
             self._vals.update(zip(chunk, w))
         return self._vals[ts[0]] if single else [self._vals[s] for s in ts]

@@ -77,14 +77,15 @@ def verify_toeplitz_theorem(
     """
     d = as_hermitian(d)
     w = _as_unitary(w)
-    gap = float(np.min(np.abs(np.linalg.eigvalsh(d.mat))))
+    path = conjugation_path(d, w)
+    # H(0) = D, and sf_all_methods reuses these cached values
+    gap = float(np.min(np.abs(path.values(0.0))))
     if gap <= opts.endpoint_gap:
         raise InvertibilityError(
             f"D must be invertible: min |eigenvalue| = {gap:.3e}"
         )
     p = nonneg_projection(d)
     lhs = toeplitz_index(p, w)
-    path = conjugation_path(d, w)
     flow = sf_all_methods(path, opts)
     ledger = flow["crossing_ledger"]
     conj_p = Projection(w.mat @ p.mat @ w.mat.conj().T)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from specflowlab import ConsistencyFault, cli
+from specflowlab import ConsistencyFault, cli, graded
 from specflowlab.serialize import dumps_json, graded_to_obj, matrix_to_obj
 from specflowlab.graded import GradedOperator
 
@@ -246,6 +246,17 @@ def test_graded_stability_uses_the_tolerance(tmp_path, capsys):
     assert payload["spectral_gap"] == 1.0
     assert payload["stability"]["gap"] == payload["spectral_gap"]
     assert payload["stability"]["ok"]
+
+
+def test_graded_computes_the_half_gap_window_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    window_dim = graded._window_dim
+    monkeypatch.setattr(graded, "_window_dim", lambda *a: calls.append(a[2]) or window_dim(*a))
+    g = GradedOperator(3, 2, np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
+    f = write_json(tmp_path / "g.json", graded_to_obj(g))
+    assert cli.main(["graded", "--input", f, "--trials", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["window_dim"] == 1
+    assert calls == [0.5]
 
 
 def test_axioms_command_small(capsys):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from specflowlab import (
-    ConsistencyFault,
     FinitenessError,
     GradedOperator,
     InputError,

@@ -208,6 +208,98 @@ def test_one_last_bit_defect_takes_the_general_route(monkeypatch):
     assert np.array_equal(h, h.conj().swapaxes(1, 2))
 
 
+def _diagonal_stack(d):
+    k, n = d.shape
+    s = np.zeros((k, n, n), dtype=np.complex128)
+    s[:, np.arange(n), np.arange(n)] = d
+    return s
+
+
+def _counted_lapack(monkeypatch):
+    """The unpatched eigvalsh, and the list the patched one appends to."""
+    lapack = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or lapack(a))
+    return lapack, calls
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_unscaled_range_is_zheevds():
+    assert matcore._UNSCALED_MIN == 2.0**-485
+    assert matcore._UNSCALED_MAX == 2.0**485
+
+
+def test_diagonal_stacks_take_the_sorted_diagonal_bit_for_bit(monkeypatch):
+    lapack, calls = _counted_lapack(monkeypatch)
+    rng = np.random.default_rng(10)
+    lo, hi = matcore._UNSCALED_MIN, matcore._UNSCALED_MAX
+    # the range ends with their neighbours on both sides
+    edges = [lo, hi, np.nextafter(lo, 1.0), np.nextafter(hi, 1.0),
+             np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)]
+    routed = 0
+    for case in range(600):
+        n, k = int(rng.integers(1, 90)), int(rng.integers(1, 5))
+        kind = case % 6
+        if kind == 0:
+            d = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-300, 160)
+        elif kind == 1:
+            d = rng.integers(-3, 4, size=(k, n)).astype(np.float64)  # zeros, repeats
+        elif kind == 2:
+            d = rng.integers(-20, 20, size=(k, n)) + 0.5
+        elif kind == 3:
+            d = rng.choice([1.0, -1.0], size=(k, n)) * rng.choice(edges, size=(k, 1))
+            d *= rng.choice([1.0, 0.5, 0.25], size=(k, n))
+        elif kind == 4:
+            d = np.zeros((k, n))
+        else:
+            d = np.repeat(rng.normal(size=(k, 1)), n, axis=1)
+            d[:, ::3] = rng.normal(size=(k, d[:, ::3].shape[1]))
+        s = _diagonal_stack(d + 0.0)  # + 0.0 turns a -0.0 into +0.0
+        amax = np.max(np.abs(d), axis=1)
+        unscaled = bool(np.all((amax == 0.0) | ((amax >= lo) & (amax <= hi))))
+        # the one-look pre-check reads the first 1x1 matrix's only entry
+        expect_routed = unscaled and (n > 1 or d[0, 0] == 0.0)
+        before = len(calls)
+        got = matcore._stack_eigvalsh(s)
+        assert (len(calls) == before) == expect_routed, case
+        assert _same_bits(got, lapack(s)), case
+        routed += expect_routed
+    assert 300 < routed < 600
+
+
+def test_diagonal_route_falls_back_where_lapack_differs(monkeypatch):
+    """Out of zheevd's unscaled range, or with a -0.0 on the diagonal, the
+    sorted diagonal need not be LAPACK's answer; such stacks go to LAPACK,
+    as does one whose first matrix is diagonal and whose last is not."""
+    lapack, calls = _counted_lapack(monkeypatch)
+    d = np.random.default_rng(3).normal(size=(1, 6))
+    unit = d / np.max(np.abs(d))
+    diagonals = {
+        "far above the range": d * 1e200,
+        "far below the range": d * 1e-200,
+        "above the range": unit * 2.0**486,
+        "below the range": unit * 2.0**-486,
+        "negative zero": np.array([[1, -1, 2.5, -0.0, -0.0, 2.5, 2.5, 0, 0, 2.5, 1, 0]]),
+    }
+    stacks = {name: _diagonal_stack(v) for name, v in diagonals.items()}
+    for name in ("far above the range", "far below the range", "negative zero"):
+        assert not _same_bits(np.sort(diagonals[name], axis=1), lapack(stacks[name])), name
+    dense_last = _diagonal_stack(np.repeat(d, 3, axis=0))
+    dense_last[2, 0, 5] = dense_last[2, 5, 0] = 1e-300
+    stacks["first matrix diagonal, last not"] = dense_last
+    for name, s in stacks.items():
+        before = len(calls)
+        assert _same_bits(matcore._stack_eigvalsh(s), lapack(s)), name
+        assert len(calls) == before + 1, name
+    signed = _diagonal_stack(d)
+    signed[0, 1, 0] = -0.0  # a signed zero off the diagonal is still zero
+    assert _same_bits(matcore._stack_eigvalsh(signed), lapack(signed))
+    assert len(calls) == len(stacks)
+
+
 def test_stack_shape_errors_match_the_constructor():
     for shape in ((3, 4), (0, 0)):
         with pytest.raises(InputError) as single:

@@ -13,8 +13,6 @@ from conftest import random_hermitian
 from specflowlab.axioms import connect_invertibles
 from specflowlab.errors import (
     CertificationError,
-    ConsistencyFault,
-    DimensionMismatchError,
     EndpointError,
     FinitenessError,
     HermiticityError,
@@ -273,6 +271,32 @@ def test_sampler_is_bit_identical_to_single_calls(seed, dim):
     opaque = OperatorPath(path.stack, dim)
     for a, b, step in zip(ts, ts[1:], opaque.steps(ts)):
         assert step == op_norm(path.matrix(b).mat - path.matrix(a).mat)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("toeplitz_line", {"m": 5}),
+        ("toeplitz_line", {"m": 4, "power": 3}),
+        ("toeplitz_line", {"m": 32}),
+        ("fuglede_line", {"N": 32, "n": 3, "law": "signed"}),
+        ("fuglede_line", {"N": 8, "n": 7, "law": "shifted"}),
+    ],
+)
+def test_diagonal_paths_sample_values_without_lapack(monkeypatch, name, params):
+    """The conjugation line of a cyclic shift and the rank-one perturbed
+    diagonal model are diagonal at every t: the sampler sorts the diagonal,
+    bit for bit what a one-matrix LAPACK call returns. At dims 65 (m = 32)
+    and 32 the grid spans several chunks."""
+    path = family_path(name, params)
+    ts = np.linspace(0.0, 1.0, 41).tolist()
+    lapack = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or lapack(a))
+    values = path.values(ts)
+    assert calls == []
+    for t, v in zip(ts, values):
+        assert np.array_equal(v.view(np.int64), lapack(path.matrix(t).mat).view(np.int64))
 
 
 def _filled_backwards(seed, dim):

@@ -105,7 +105,8 @@ def test_resolvent_tames_the_wrap_entry():
 
 def test_singular_diagonal_rejected():
     d = np.diag([0.0, 1.0, 2.0])
-    with pytest.raises(InvertibilityError):
+    message = r"^D must be invertible: min \|eigenvalue\| = 0\.000e\+00$"
+    with pytest.raises(InvertibilityError, match=message):
         verify_toeplitz_theorem(d, cyclic_shift(3))
     # a tighter endpoint_gap option also rejects a barely-invertible D
     d2 = np.diag([1e-6, 1.0, 2.0])

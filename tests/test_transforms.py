@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specflowlab.errors import ConsistencyFault, ImageMembershipError, InputError
+from specflowlab.errors import ImageMembershipError, InputError
 from specflowlab.matcore import HermitianMatrix, apply_function, op_norm
 from specflowlab.transforms import (
     UnitaryMatrix,
