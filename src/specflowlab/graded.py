@@ -13,11 +13,12 @@ distance, and watches that weighted dimension hold still.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConsistencyFault, FinitenessError, InputError
-from .matcore import HermitianMatrix, Interval, eigh, spectral_projection, tol_spec
+from .matcore import HermitianMatrix, Interval, _window_projection, tol_spec
 from .metrics import _d_G, _Operand
 
 __all__ = [
@@ -30,7 +31,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GradedOperator:
-    """A q-by-p block A presented as the odd Hermitian matrix it generates."""
+    """A q-by-p block A presented as the odd Hermitian matrix it generates.
+
+    The block's singular values and the odd matrix's eigendecomposition are
+    computed once per operator, on first use, and shared by the spectral
+    gap at every ``tol`` and by every check.
+    """
 
     p: int
     q: int
@@ -73,9 +79,18 @@ class GradedOperator:
         p - q by rank-nullity, since A and A* have the same rank."""
         return self.p - self.q
 
+    @cached_property
+    def _odd(self) -> _Operand:
+        """matrix() as an operand, with its decomposition and transforms."""
+        return _Operand(self.matrix())
+
+    @cached_property
+    def _singular_values(self) -> np.ndarray:
+        return np.linalg.svd(self.block, compute_uv=False)
+
     def spectral_gap(self, *, tol: float = 1e-8) -> float:
-        """Smallest nonzero singular value of the block (0.0 if none)."""
-        sv = np.linalg.svd(self.block, compute_uv=False)
+        """Smallest singular value of the block above ``tol`` (0.0 if none)."""
+        sv = self._singular_values
         above = sv[sv > tol]
         return float(above.min()) if above.size else 0.0
 
@@ -90,11 +105,11 @@ def graded_window_dim(g: GradedOperator, eps: float) -> int:
     eps = float(eps)
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    return _window_dim(g.matrix(), g.grading(), eps)
+    return _window_dim(g._odd, g.grading(), eps)
 
 
-def _window_dim(t: HermitianMatrix, grading: HermitianMatrix, eps: float) -> int:
-    proj = spectral_projection(t, Interval.closed(-eps, eps))
+def _window_dim(t: _Operand, grading: HermitianMatrix, eps: float) -> int:
+    proj = _window_projection(t.h, t.eig, Interval.closed(-eps, eps))
     weighted = float(np.real(np.trace(grading.mat @ proj.mat)))
     rounded = round(weighted)
     if abs(weighted - rounded) > 1e-8:
@@ -107,8 +122,8 @@ def _window_dim(t: HermitianMatrix, grading: HermitianMatrix, eps: float) -> int
 def eigenpair_cancellation_check(g: GradedOperator) -> dict:
     """Group the odd matrix's spectrum by |eigenvalue| and confirm every
     nonzero level carries graded dimension zero (the +/- pair-off)."""
-    t = g.matrix()
-    ed = eigh(t)
+    t = g._odd.h
+    ed = g._odd.eig
     alpha = g.grading().mat
     tol = tol_spec(t)
     mags = np.abs(ed.values)
@@ -156,9 +171,9 @@ def index_stability_check(
         raise InputError("block has no nonzero singular value; no gap to protect")
     delta = min(0.5 * gap, 0.1)
     base_index = g.kernel_index()
-    t0 = _Operand(g.matrix())
+    t0 = g._odd
     grading = g.grading()
-    if _window_dim(t0.h, grading, 0.5 * gap) != base_index:
+    if _window_dim(t0, grading, 0.5 * gap) != base_index:
         raise ConsistencyFault("window dimension disagrees with kernel index at start")
     rng = np.random.default_rng(seed)
     failures = []
@@ -167,8 +182,8 @@ def index_stability_check(
         norm = np.linalg.norm(b, 2) if b.size else 0.0
         if norm > 0:
             b *= (0.5 * delta) * rng.uniform(0.1, 1.0) / norm
-        tp = g.perturb(b).matrix()
-        dist = _d_G(t0, _Operand(tp))
+        tp = _Operand(g.perturb(b).matrix())
+        dist = _d_G(t0, tp)
         if dist >= delta:
             failures.append({"trial": k, "reason": "graph distance", "value": dist})
             continue

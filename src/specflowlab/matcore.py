@@ -498,7 +498,11 @@ def spectral_projection(h: HermitianMatrix, window: Interval) -> Projection:
     a BoundaryCollisionError reports the offending endpoint and gap.
     """
     h = as_hermitian(h)
-    ed = eigh(h)
+    return _window_projection(h, eigh(h), window)
+
+
+def _window_projection(h: HermitianMatrix, ed: EigenDecomposition, window: Interval) -> Projection:
+    """``spectral_projection`` of ``h`` from its decomposition ``ed``."""
     guard = tol_spec(h)
     for e in window.finite_endpoints():
         gap = float(np.min(np.abs(ed.values - e))) if ed.values.size else np.inf

@@ -64,7 +64,8 @@ class _Operand:
     """A validated operand and, each computed on first use, the transforms
     the distances read: one eigendecomposition, the resolvent (H + i)^{-1},
     the Riesz image, the Cayley image and the weight (I + H^2)^{-1/2}.
-    Callers build one per operand and call; none is kept past the call."""
+    Callers build one per operand and call; none is kept past the call,
+    except a GradedOperator's, which holds the operand of its odd matrix."""
 
     __slots__ = ("h", "_eig", "_resolvent", "_riesz", "_cayley", "_weight")
 

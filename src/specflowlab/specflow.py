@@ -22,8 +22,13 @@ Methods
                       spectral projections at the segment ends.
 * sf_endpoints:       rank difference of the nonnegative spectral projections
                       at t = 1 and t = 0 (finite-dimension shortcut).
-* sf_crossing_oracle: dense sampling with signed sign-count bookkeeping and
-                      an aliasing guard; deliberately naive, used as oracle.
+* sf_crossing_oracle: signed sign-count bookkeeping on a dense grid, with an
+                      aliasing guard; used as oracle. On a declared path a
+                      sample's count is inferred from its evaluated
+                      neighbours where their eigenvalues clear the declared
+                      step bound plus twice the rounding slack, so only the
+                      samples where a count can change are evaluated; an
+                      opaque path evaluates every sample.
 
 All four must agree exactly; they are cross-checked in the test suite and
 by the CLI, and a disagreement is an internal consistency fault. They are
@@ -509,14 +514,17 @@ def _tolerances(path: OperatorPath, steps: Sequence[float], mags: np.ndarray) ->
     """Per grid sample, the tolerance tau_k its distances to the spectrum
     must beat so that no eigenvalue can reach them between samples.
 
-    Affine and opaque paths take the larger step bound to a neighbour; a
-    Lipschitz path half of it, since every t lies within half a spacing of
-    a sample. Declared paths add the rounding slack.
+    Each takes its share (``_step_share``) of the larger step bound to a
+    neighbour; declared paths add the rounding slack.
     """
-    tau = _neighbour_steps(steps)
-    if path.regularity.soundness == "lipschitz":
-        tau = tau / 2.0
-    return tau + _rounding_slack(path, mags)
+    return _neighbour_steps(steps) * _step_share(path) + _rounding_slack(path, mags)
+
+
+def _step_share(path: OperatorPath) -> float:
+    """The share of a step bound that a sample's distances must beat: all
+    of it on affine and opaque paths, half on a Lipschitz path, since
+    every t lies within half a spacing of a sample."""
+    return 0.5 if path.regularity.soundness == "lipschitz" else 1.0
 
 
 def _check_endpoints(path: OperatorPath, opts: SfOptions) -> tuple[float, float]:
@@ -693,27 +701,131 @@ def sf_endpoints(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> int:
     return path.nonneg_count(1.0) - path.nonneg_count(0.0)
 
 
-def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
-    """Dense signed tally of eigenvalue sign changes (the brute-force oracle).
+def _clearance(path: OperatorPath, vals) -> np.ndarray:
+    """Per sample of a declared path, min |eigenvalue| less twice the
+    rounding slack. When it exceeds a sample's tolerance, no eigenvalue can
+    reach zero within that tolerance, and the count ``eigvalsh`` returns
+    there is the sample's: one slack covers the sample's own computed
+    eigenvalues, the other those computed at the point reached."""
+    mags = np.abs(np.asarray(vals))
+    return np.min(mags, axis=-1) - 2.0 * _rounding_slack(path, mags)
 
-    Consecutive samples are compared by their nonnegative-eigenvalue counts;
-    every nonzero jump must be explained by eigenvalues within one step
-    bound of zero on both sides, and every sample's tolerance must stay
-    below half the endpoint gap (otherwise the sampling is aliased and a
-    SamplingError asks for more samples).
+
+def _reach_bound(
+    path: OperatorPath, ts: list[float], steps: list[float], idx: list[int], vals
+) -> float:
+    """An upper bound on the oracle's reach, the largest sample tolerance
+    over the grid ``ts``, from the eigenvalues ``vals`` at the grid indices
+    ``idx`` alone (increasing, both ends among them).
+
+    The tolerance of sample k needs ||H(t_k)||, computed as its largest
+    |eigenvalue|. Between two evaluated indices i < j it is bounded by
+    min(||H(t_i)||, ||H(t_j)||) plus the declared step bound of
+    (t_i, t_j), each factor inflated by 1 + gamma_n so that the bound
+    dominates the computed magnitude too."""
+    tops = np.max(np.abs(np.asarray(vals)), axis=-1)
+    gamma = _ROUNDING_C * path.dim * _UNIT_ROUNDOFF
+    moves = np.asarray(path.regularity.step_bounds([ts[k] for k in idx]))
+    inside = (np.minimum(tops[:-1], tops[1:]) + moves) * (1.0 + gamma) ** 2
+    norms = np.append(np.repeat(inside, np.diff(idx)), 0.0)
+    norms[idx] = tops
+    return float(np.max(_tolerances(path, steps, norms[:, None])))
+
+
+def _inferred_ledger(
+    path: OperatorPath, opts: SfOptions, ts: list[float], steps: list[float], limit: float
+) -> tuple[dict[int, np.ndarray], list[int]] | None:
+    """The oracle's eigenvalues and nonnegative counts on the grid ``ts``
+    of a declared path, evaluating only where a count can change; None
+    when the bounded reach is not below ``limit`` (the caller then
+    samples the whole grid and applies the exact guard).
+
+    The seeds are the grid points on the ``opts.samples`` grid: both ends,
+    every knot, and the points sf_phillips has already cached. Between two
+    evaluated indices i < j, every index inside takes the count of i when
+    the clearance (``_clearance``) at both ends exceeds the share
+    (``_step_share``) of the declared step bound of (ts[i], ts[j]).
+    Otherwise the grid point ts[(i + j) // 2] is evaluated and both halves
+    are tried again, one ``values`` call per level. So the counts change
+    only between adjacent evaluated indices, and every evaluated value is
+    the one the whole grid would give.
+    """
+    seeds = set(_grid(path, opts.samples))
+    idx = [k for k, t in enumerate(ts) if t in seeds]
+    vals = dict(zip(idx, path.values([ts[k] for k in idx])))
+    if _reach_bound(path, ts, steps, idx, [vals[k] for k in idx]) >= limit:
+        return None
+    counts = [0] * len(ts)
+    clear: dict[int, float] = {}
+
+    def take(new: list[int]) -> None:
+        w = np.array([vals[k] for k in new])
+        clear.update(zip(new, _clearance(path, w).tolist()))
+        for k, c in zip(new, np.count_nonzero(w >= 0.0, axis=1).tolist()):
+            counts[k] = c
+
+    take(idx)
+    share = _step_share(path)
+    pending = [(i, j) for i, j in zip(idx, idx[1:]) if j - i > 1]
+    while pending:
+        bounds = path.regularity.step_bounds([ts[k] for pair in pending for k in pair])
+        split = []
+        for (i, j), tol in zip(pending, (np.array(bounds[::2]) * share).tolist()):
+            if clear[i] > tol and clear[j] > tol:
+                if counts[i] != counts[j]:
+                    raise ConsistencyFault(
+                        f"nonnegative count changes from {counts[i]} to {counts[j]} on "
+                        f"[{ts[i]!r}, {ts[j]!r}], where the declared regularity forbids it"
+                    )
+                counts[i + 1 : j] = [counts[i]] * (j - i - 1)
+            else:
+                split.append((i, (i + j) // 2, j))
+        if not split:
+            break
+        mids = [m for _, m, _ in split]
+        vals.update(zip(mids, path.values([ts[m] for m in mids])))
+        take(mids)
+        pending = [p for i, m, j in split for p in ((i, m), (m, j)) if p[1] - p[0] > 1]
+    return vals, counts
+
+
+def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
+    """Signed tally of eigenvalue sign changes on a dense grid (the oracle).
+
+    Consecutive samples of the ``opts.oracle_samples`` grid are compared
+    by their nonnegative-eigenvalue counts; every nonzero jump must be
+    explained by eigenvalues within one step bound of zero on both sides,
+    and every sample's tolerance must stay below half the endpoint gap
+    (otherwise the sampling is aliased and a SamplingError asks for more
+    samples).
+
+    On a declared path the counts between evaluated samples are inferred
+    where the declared step bound, plus twice the rounding slack, keeps
+    every eigenvalue away from zero (``_inferred_ledger``); the guard is
+    first checked on a bound of the sample norms. An opaque path, whose
+    steps are sampled norms, and a declared path whose bounded guard fails
+    evaluate every grid point. Either way the report and every error text
+    are those of the whole grid.
     """
     g0, g1 = _check_endpoints(path, opts)
     ts = _grid(path, opts.oracle_samples)
-    vals = np.array(path.values(ts))
-    counts = np.count_nonzero(vals >= 0.0, axis=1).tolist()
     steps = path.steps(ts)
     max_step = max(steps) if steps else 0.0
-    reach = float(np.max(_tolerances(path, steps, np.abs(vals))))
-    if reach >= 0.5 * min(g0, g1):
-        raise SamplingError(
-            f"oracle sample tolerance {reach:.3e} is not below half the endpoint gap "
-            f"{min(g0, g1):.3e}; increase oracle_samples"
-        )
+    limit = 0.5 * min(g0, g1)
+    ledger = (
+        _inferred_ledger(path, opts, ts, steps, limit) if path.regularity.declared else None
+    )
+    if ledger is None:
+        vals = np.array(path.values(ts))
+        counts = np.count_nonzero(vals >= 0.0, axis=1).tolist()
+        reach = float(np.max(_tolerances(path, steps, np.abs(vals))))
+        if reach >= limit:
+            raise SamplingError(
+                f"oracle sample tolerance {reach:.3e} is not below half the endpoint gap "
+                f"{min(g0, g1):.3e}; increase oracle_samples"
+            )
+    else:
+        vals, counts = ledger
     ups = 0
     downs = 0
     for k in np.flatnonzero(np.diff(counts)).tolist():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from specflowlab.matcore import HermitianMatrix
+
 
 @pytest.fixture
 def rng():
@@ -16,3 +18,9 @@ def random_hermitian(rng, dim, scale=1.0):
 def herm():
     """Factory: seeded random Hermitian arrays."""
     return random_hermitian
+
+
+def narrow_dip(t):
+    """An eigenvalue dips from 1 to -2 and back within about 1e-4 of
+    t = 0.5123, between the samples of every default grid."""
+    return HermitianMatrix(np.diag([1.0 - 3.0 * np.exp(-(((t - 0.5123) / 2e-5) ** 2)), 2.0]))

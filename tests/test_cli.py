@@ -259,6 +259,26 @@ def test_graded_computes_the_half_gap_window_once(tmp_path, capsys, monkeypatch)
     assert calls == [0.5]
 
 
+def test_graded_factors_the_block_and_the_odd_matrix_once(tmp_path, capsys, monkeypatch):
+    """One SVD of the block serves both gaps, and one eigh of the odd
+    matrix serves the cancellation check, the start window and the base
+    operand; each trial factors its perturbed matrix once."""
+    calls = []
+    for name in ("svd", "eigh"):
+        inner = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg,
+            name,
+            lambda a, *args, _f=inner, _n=name, **kw: calls.append((_n, np.shape(a)))
+            or _f(a, *args, **kw),
+        )
+    g = GradedOperator(3, 2, np.array([[1.0, 0.0, 0.0], [0.0, 0.3, 0.0]]))
+    f = write_json(tmp_path / "g.json", graded_to_obj(g))
+    assert cli.main(["graded", "--input", f, "--tol", "0.5", "--trials", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["stability"]["ok"]
+    assert calls == [("svd", (2, 3))] + [("eigh", (5, 5))] * (1 + 3)
+
+
 def test_axioms_command_small(capsys):
     assert cli.main(["axioms", "--trials", "2", "--seed", "9"]) == 0
     reports = json.loads(capsys.readouterr().out)

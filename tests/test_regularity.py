@@ -5,7 +5,7 @@ soundness label they give certificates, and no sampled 2-norm per step.
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import narrow_dip, random_hermitian
 from specflowlab import specflow
 from specflowlab.axioms import connect_invertibles
 from specflowlab.errors import InputError, SamplingError
@@ -122,17 +122,11 @@ def test_declared_flow_makes_no_stacked_norm(monkeypatch):
     assert norms == []
 
 
-def _narrow_dip(t):
-    """An eigenvalue dips from 1 to -2 and back within about 1e-4 of
-    t = 0.5123, between the samples of every default grid."""
-    return HermitianMatrix(np.diag([1.0 - 3.0 * np.exp(-(((t - 0.5123) / 2e-5) ** 2)), 2.0]))
-
-
 def test_narrow_dip_is_never_certified():
     """Sampled steps see nothing of the dip, so an opaque path still gets
     a one-segment subdivision, but it is labelled a surrogate and not
     certified; declared with its true rate, the oracle refuses."""
-    path = OperatorPath.from_callable(_narrow_dip, 2)
+    path = OperatorPath.from_callable(narrow_dip, 2)
     cert = sf_phillips(path)
     assert cert.soundness == "surrogate" and cert.total == 0
     report = certify_invertible(path)
@@ -140,7 +134,7 @@ def test_narrow_dip_is_never_certified():
     assert report["soundness"] == "surrogate"
     rate = 3.0 * np.sqrt(2.0) * np.exp(-0.5) / 2e-5
     assert 1.28e5 < rate < 1.29e5
-    declared = OperatorPath.from_callable(_narrow_dip, 2, regularity=lipschitz((), [rate]))
+    declared = OperatorPath.from_callable(narrow_dip, 2, regularity=lipschitz((), [rate]))
     with pytest.raises(SamplingError):
         crossing_oracle_report(declared)
     assert certify_invertible(declared)["certified"] is False
