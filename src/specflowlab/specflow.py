@@ -721,8 +721,8 @@ def _reach_bound(
     The tolerance of sample k needs ||H(t_k)||, computed as its largest
     |eigenvalue|. Between two evaluated indices i < j it is bounded by
     min(||H(t_i)||, ||H(t_j)||) plus the declared step bound of
-    (t_i, t_j), each factor inflated by 1 + gamma_n so that the bound
-    dominates the computed magnitude too."""
+    (t_i, t_j), times (1 + gamma_n)^2: one factor for the rounding of the
+    norm computed at the end, one for that of the norm computed at t_k."""
     tops = np.max(np.abs(np.asarray(vals)), axis=-1)
     gamma = _ROUNDING_C * path.dim * _UNIT_ROUNDOFF
     moves = np.asarray(path.regularity.step_bounds([ts[k] for k in idx]))
