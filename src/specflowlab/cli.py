@@ -52,15 +52,9 @@ def _load_input(args) -> dict:
     return obj
 
 
-def _require_json(args) -> None:
-    if args.format != "json":
-        raise InputError("only the metrics table supports --format csv")
-
-
 def _flow(args) -> tuple[dict, dict, OperatorPath, SfOptions]:
     """Every method on the input path: the compute payload, the methods'
     result, and the path and options they ran with."""
-    _require_json(args)
     path = sz.path_from_obj(_load_input(args))
     opts = _sf_options(args)
     result = sf_all_methods(path, opts)
@@ -97,7 +91,6 @@ def _cmd_metrics(args) -> str:
 
 
 def _cmd_toeplitz(args) -> str:
-    _require_json(args)
     opts = _sf_options(args)
     if args.power is not None:
         reports = power_sweep(args.m_max, range(1, args.power + 1), opts)
@@ -107,7 +100,6 @@ def _cmd_toeplitz(args) -> str:
 
 
 def _cmd_axioms(args) -> str:
-    _require_json(args)
     reports = run_all_checks(
         seed=args.seed,
         concat_trials=args.trials,
@@ -120,7 +112,6 @@ def _cmd_axioms(args) -> str:
 
 
 def _cmd_graded(args) -> str:
-    _require_json(args)
     g = sz.graded_from_obj(_load_input(args))
     out = {
         "p": g.p,
@@ -136,6 +127,18 @@ def _cmd_graded(args) -> str:
         out["window_dim"] = stability["base_index"]
         out["stability"] = stability
     return sz.dumps_json(out)
+
+
+def _count(low: int):
+    """An argparse type: an int of at least ``low``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,12 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
         if input_help:
             p.add_argument("--input", help=input_help)
         p.add_argument("--out", help="write output here instead of stdout")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json", help="output format"
-        )
         if sampling:
-            p.add_argument("--max-depth", type=int, default=24, help="bisection depth cap")
-            p.add_argument("--samples", type=int, default=33, help="initial grid size")
+            p.add_argument(
+                "--max-depth", type=int, default=SfOptions.max_depth, help="bisection depth cap"
+            )
+            p.add_argument(
+                "--samples", type=int, default=SfOptions.samples, help="initial grid size"
+            )
         p.set_defaults(fn=fn)
         return p
 
@@ -180,15 +184,16 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", _cmd_metrics, "four-distance separation table",
         input_help="input JSON file (optional)",
     )
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     p.add_argument("--trunc-dim", type=int, default=64, help="diagonal model size")
     p.add_argument("--law", default="linear", help="diagonal growth law")
 
     p = subcommand(
         "toeplitz", _cmd_toeplitz, "compression index vs conjugation flow", sampling=True
     )
-    p.add_argument("--m-max", type=int, default=8, help="largest truncation radius")
+    p.add_argument("--m-max", type=_count(1), default=8, help="largest truncation radius")
     p.add_argument(
-        "--power", type=int, default=None,
+        "--power", type=_count(1), default=None,
         help="sweep shift powers 1..POWER at fixed radius instead of radii",
     )
 
@@ -204,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="singular values at or below TOL do not count for the spectral gap",
     )
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.add_argument("--trials", type=int, default=20, help="stability trials")
+    p.add_argument("--trials", type=_count(0), default=20, help="stability trials")
 
     return parser
 

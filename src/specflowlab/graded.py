@@ -89,7 +89,10 @@ class GradedOperator:
         return np.linalg.svd(self.block, compute_uv=False)
 
     def spectral_gap(self, *, tol: float = 1e-8) -> float:
-        """Smallest singular value of the block above ``tol`` (0.0 if none)."""
+        """Smallest singular value of the block above ``tol`` (0.0 if none);
+        ``tol`` must be finite and nonnegative."""
+        if not (np.isfinite(tol) and tol >= 0.0):
+            raise InputError(f"tol must be finite and nonnegative, got {tol!r}")
         sv = self._singular_values
         above = sv[sv > tol]
         return float(above.min()) if above.size else 0.0
@@ -164,8 +167,10 @@ def index_stability_check(
     equals it whenever the window clears the first nonzero singular value,
     so a failure here measures the rounding of the spectral projection.
     ``tol`` is the spectral gap's: singular values at or below it do not
-    count.
+    count. ``trials`` must be a nonnegative int.
     """
+    if not isinstance(trials, int) or trials < 0:
+        raise InputError(f"trials must be a nonnegative int, got {trials!r}")
     gap = g.spectral_gap(tol=tol)
     if gap == 0.0:
         raise InputError("block has no nonzero singular value; no gap to protect")
@@ -177,7 +182,7 @@ def index_stability_check(
         raise ConsistencyFault("window dimension disagrees with kernel index at start")
     rng = np.random.default_rng(seed)
     failures = []
-    for k in range(int(trials)):
+    for k in range(trials):
         b = rng.normal(size=(g.q, g.p)) + 1j * rng.normal(size=(g.q, g.p))
         norm = np.linalg.norm(b, 2) if b.size else 0.0
         if norm > 0:
@@ -192,7 +197,7 @@ def index_stability_check(
             failures.append({"trial": k, "reason": "window dim", "value": w})
     return {
         "check": "graded_index_stability",
-        "trials": int(trials),
+        "trials": trials,
         "gap": gap,
         "delta": delta,
         "base_index": base_index,

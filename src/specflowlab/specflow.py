@@ -23,12 +23,10 @@ Methods
 * sf_endpoints:       rank difference of the nonnegative spectral projections
                       at t = 1 and t = 0 (finite-dimension shortcut).
 * sf_crossing_oracle: signed sign-count bookkeeping on a dense grid, with an
-                      aliasing guard; used as oracle. On a declared path a
-                      sample's count is inferred from its evaluated
-                      neighbours where their eigenvalues clear the declared
-                      step bound plus twice the rounding slack, so only the
-                      samples where a count can change are evaluated; an
-                      opaque path evaluates every sample.
+                      aliasing guard; used as oracle. A sample's count is
+                      inferred from its evaluated neighbours where their
+                      eigenvalues clear the declared step bound plus twice
+                      the rounding slack (an opaque path evaluates all).
 
 All four must agree exactly; they are cross-checked in the test suite and
 by the CLI, and a disagreement is an internal consistency fault. They are
@@ -134,10 +132,12 @@ def _dim_error(found: int, expected: int) -> DimensionMismatchError:
 #: the soundness conditions a certificate can rest on, strongest first
 _SOUNDNESS = ("piecewise-affine", "lipschitz", "surrogate")
 
-#: gamma_n = _ROUNDING_C * n * u: the backward error of eigvalsh and of a
-#: path evaluation, relative to ||H||, that every declared margin gives up
-_ROUNDING_C = 4
-_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+
+def _gamma(dim: int) -> float:
+    """gamma_n = 4 n u (u = 2^-53, the unit roundoff): the backward error of
+    eigvalsh and of a path evaluation, relative to ||H||, that every
+    declared margin gives up."""
+    return 4 * dim * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -507,7 +507,7 @@ def _rounding_slack(path: OperatorPath, mags: np.ndarray):
     are backward stable only to about that size."""
     if not path.regularity.declared:
         return 0.0
-    return _ROUNDING_C * path.dim * _UNIT_ROUNDOFF * np.max(mags, axis=-1)
+    return _gamma(path.dim) * np.max(mags, axis=-1)
 
 
 def _tolerances(path: OperatorPath, steps: Sequence[float], mags: np.ndarray) -> np.ndarray:
@@ -716,45 +716,53 @@ def _reach_bound(
 ) -> float:
     """An upper bound on the oracle's reach, the largest sample tolerance
     over the grid ``ts``, from the eigenvalues ``vals`` at the grid indices
-    ``idx`` alone (increasing, both ends among them).
+    ``idx`` alone (increasing, both ends among them); the reach itself when
+    ``idx`` holds every index.
 
     The tolerance of sample k needs ||H(t_k)||, computed as its largest
-    |eigenvalue|. Between two evaluated indices i < j it is bounded by
-    min(||H(t_i)||, ||H(t_j)||) plus the declared step bound of
-    (t_i, t_j), times (1 + gamma_n)^2: one factor for the rounding of the
-    norm computed at the end, one for that of the norm computed at t_k."""
+    |eigenvalue|. Between two evaluated indices i < j of a declared path it
+    is bounded by min(||H(t_i)||, ||H(t_j)||) plus the declared step bound
+    of (t_i, t_j), times (1 + gamma_n)^2: one factor for the rounding of
+    the norm computed at the end, one for that of the norm computed at t_k."""
     tops = np.max(np.abs(np.asarray(vals)), axis=-1)
-    gamma = _ROUNDING_C * path.dim * _UNIT_ROUNDOFF
-    moves = np.asarray(path.regularity.step_bounds([ts[k] for k in idx]))
-    inside = (np.minimum(tops[:-1], tops[1:]) + moves) * (1.0 + gamma) ** 2
-    norms = np.append(np.repeat(inside, np.diff(idx)), 0.0)
-    norms[idx] = tops
+    norms = tops
+    if len(idx) < len(ts):
+        moves = np.asarray(path.regularity.step_bounds([ts[k] for k in idx]))
+        inside = (np.minimum(tops[:-1], tops[1:]) + moves) * (1.0 + _gamma(path.dim)) ** 2
+        norms = np.append(np.repeat(inside, np.diff(idx)), 0.0)
+        norms[idx] = tops
     return float(np.max(_tolerances(path, steps, norms[:, None])))
 
 
-def _inferred_ledger(
-    path: OperatorPath, opts: SfOptions, ts: list[float], steps: list[float], limit: float
-) -> tuple[dict[int, np.ndarray], list[int]] | None:
-    """The oracle's eigenvalues and nonnegative counts on the grid ``ts``
-    of a declared path, evaluating only where a count can change; None
-    when the bounded reach is not below ``limit`` (the caller then
-    samples the whole grid and applies the exact guard).
+def _ledger(
+    path: OperatorPath, opts: SfOptions, ts: list[float], steps: list[float], gap: float
+) -> tuple[dict[int, np.ndarray], list[int]]:
+    """The oracle's eigenvalues and nonnegative counts on the grid ``ts``.
 
-    The seeds are the grid points on the ``opts.samples`` grid: both ends,
-    every knot, and the points sf_phillips has already cached. Between two
-    evaluated indices i < j, every index inside takes the count of i when
-    the clearance (``_clearance``) at both ends exceeds the share
-    (``_step_share``) of the declared step bound of (ts[i], ts[j]).
-    Otherwise the grid point ts[(i + j) // 2] is evaluated and both halves
-    are tried again, one ``values`` call per level. So the counts change
-    only between adjacent evaluated indices, and every evaluated value is
-    the one the whole grid would give.
+    The seeds are the points of the ``opts.samples`` grid on a declared
+    path (the ends, the knots and the points sf_phillips has cached), and
+    every grid point on an opaque one. The aliasing guard, the reach
+    (``_reach_bound``) below half the endpoint gap ``gap``, is checked on
+    the seeds; if it fails, every grid point is evaluated and the exact
+    guard decides. Between two evaluated indices i < j, every index inside
+    takes the count of i when the clearance (``_clearance``) at both ends
+    exceeds the share (``_step_share``) of the declared step bound of
+    (ts[i], ts[j]); otherwise ts[(i + j) // 2] is evaluated and both halves
+    are tried again, one ``values`` call per level. So counts change only
+    between adjacent evaluated indices, each with the whole grid's values.
     """
-    seeds = set(_grid(path, opts.samples))
+    seeds = set(_grid(path, opts.samples)) if path.regularity.declared else set(ts)
     idx = [k for k, t in enumerate(ts) if t in seeds]
+    reach = _reach_bound(path, ts, steps, idx, path.values([ts[k] for k in idx]))
+    if reach >= 0.5 * gap and len(idx) < len(ts):
+        idx = list(range(len(ts)))
+        reach = _reach_bound(path, ts, steps, idx, path.values(ts))
+    if reach >= 0.5 * gap:
+        raise SamplingError(
+            f"oracle sample tolerance {reach:.3e} is not below half the endpoint gap "
+            f"{gap:.3e}; increase oracle_samples"
+        )
     vals = dict(zip(idx, path.values([ts[k] for k in idx])))
-    if _reach_bound(path, ts, steps, idx, [vals[k] for k in idx]) >= limit:
-        return None
     counts = [0] * len(ts)
     clear: dict[int, float] = {}
 
@@ -797,37 +805,16 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     explained by eigenvalues within one step bound of zero on both sides,
     and every sample's tolerance must stay below half the endpoint gap
     (otherwise the sampling is aliased and a SamplingError asks for more
-    samples).
-
-    On a declared path the counts between evaluated samples are inferred
-    where the declared step bound, plus twice the rounding slack, keeps
-    every eigenvalue away from zero (``_inferred_ledger``); the guard is
-    first checked on a bound of the sample norms. An opaque path, whose
-    steps are sampled norms, and a declared path whose bounded guard fails
-    evaluate every grid point. Either way the report and every error text
-    are those of the whole grid.
+    samples). The counts come from one ledger (``_ledger``): it evaluates
+    the grid only where a count can change, every point on an opaque path
+    or when the guard's bound from the seeds fails, and gives the report
+    and error texts of the whole grid.
     """
     g0, g1 = _check_endpoints(path, opts)
     ts = _grid(path, opts.oracle_samples)
     steps = path.steps(ts)
-    max_step = max(steps) if steps else 0.0
-    limit = 0.5 * min(g0, g1)
-    ledger = (
-        _inferred_ledger(path, opts, ts, steps, limit) if path.regularity.declared else None
-    )
-    if ledger is None:
-        vals = np.array(path.values(ts))
-        counts = np.count_nonzero(vals >= 0.0, axis=1).tolist()
-        reach = float(np.max(_tolerances(path, steps, np.abs(vals))))
-        if reach >= limit:
-            raise SamplingError(
-                f"oracle sample tolerance {reach:.3e} is not below half the endpoint gap "
-                f"{min(g0, g1):.3e}; increase oracle_samples"
-            )
-    else:
-        vals, counts = ledger
-    ups = 0
-    downs = 0
+    vals, counts = _ledger(path, opts, ts, steps, min(g0, g1))
+    ups = downs = 0
     for k in np.flatnonzero(np.diff(counts)).tolist():
         jump = counts[k + 1] - counts[k]
         # slack covers the boundary case |eigenvalue| == step up to rounding
@@ -849,7 +836,7 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
         "up_crossings": ups,
         "down_crossings": downs,
         "samples": len(ts),
-        "max_step": max_step,
+        "max_step": max(steps),
     }
 
 

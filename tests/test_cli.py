@@ -9,6 +9,7 @@ import pytest
 from specflowlab import ConsistencyFault, cli, graded
 from specflowlab.serialize import dumps_json, graded_to_obj, matrix_to_obj
 from specflowlab.graded import GradedOperator
+from specflowlab.specflow import SfOptions
 
 
 def write_json(path, obj):
@@ -187,8 +188,26 @@ def test_consistency_fault_exit_3(crossing_file, monkeypatch, capsys):
 
 
 def test_csv_rejected_outside_metrics(crossing_file, capsys):
-    assert cli.main(["compute", "--input", crossing_file, "--format", "csv"]) == 1
-    assert "metrics" in capsys.readouterr().err
+    # only metrics reads --format, so every other command refuses the flag
+    for fmt in ("csv", "json"):
+        assert cli.main(["compute", "--input", crossing_file, "--format", fmt]) == 1
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert cli.main(["toeplitz", "--m-max", "1", "--format", "json"]) == 1
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--m-max", "0"], ["--m-max", "-3"], ["--m-max", "2", "--power", "0"]]
+)
+def test_toeplitz_refuses_an_empty_sweep(argv, capsys):
+    assert cli.main(["toeplitz", *argv]) == 1
+    err = capsys.readouterr()
+    assert "must be at least 1" in err.err and err.out == ""
+
+
+def test_sampling_defaults_are_the_library_defaults():
+    args = cli.build_parser().parse_args(["toeplitz"])
+    assert cli._sf_options(args) == SfOptions()
 
 
 def test_metrics_csv_and_model_file(tmp_path, capsys):
@@ -246,6 +265,25 @@ def test_graded_stability_uses_the_tolerance(tmp_path, capsys):
     assert payload["spectral_gap"] == 1.0
     assert payload["stability"]["gap"] == payload["spectral_gap"]
     assert payload["stability"]["ok"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--tol", "nan"], "tol must be finite and nonnegative"),
+        (["--tol", "-1"], "tol must be finite and nonnegative"),
+        (["--tol", "inf"], "tol must be finite and nonnegative"),
+        (["--trials", "-1"], "--trials: must be at least 0"),
+        (["--trials", "2.7"], "--trials: invalid count value"),
+    ],
+)
+def test_graded_refuses_impossible_arguments(argv, message, tmp_path, capsys):
+    """A rank-one block whose singular values are [1, 0]: a negative or NaN
+    tolerance once printed the gap 0.0 and skipped the stability check."""
+    f = write_json(tmp_path / "g.json", graded_to_obj(GradedOperator(2, 1, [[1.0, 0.0]])))
+    assert cli.main(["graded", "--input", f, *argv]) == 1
+    err = capsys.readouterr()
+    assert message in err.err and err.out == ""
 
 
 def test_graded_computes_the_half_gap_window_once(tmp_path, capsys, monkeypatch):

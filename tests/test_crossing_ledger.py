@@ -1,6 +1,6 @@
-"""The crossing oracle's ledger on declared paths: counts inferred between
-evaluated samples, the two safety margins that make the inference exact,
-and equality with the whole-grid tally on every family.
+"""The crossing oracle's ledger: counts inferred between evaluated samples
+of a declared path, the two safety margins that make the inference exact,
+and equality with a whole-grid tally, written here, on every family.
 """
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 from conftest import narrow_dip, random_hermitian
 from specflowlab import specflow
 from specflowlab.axioms import connect_invertibles
-from specflowlab.errors import ConsistencyFault
+from specflowlab.errors import ConsistencyFault, SamplingError
 from specflowlab.generators import (
     concat_compatible_pair,
     family_path,
@@ -39,14 +39,60 @@ def _outcome(path, opts):
         return type(exc).__name__, str(exc), getattr(exc, "window", None)
 
 
-def _both_routes(make, monkeypatch, opts=SfOptions()):
-    """The report (or error) with counts inferred, then with every grid
-    point evaluated, each on a fresh path."""
-    inferred = _outcome(make(), opts)
-    with monkeypatch.context() as m:
-        m.setattr(specflow, "_inferred_ledger", lambda *args: None)
-        whole = _outcome(make(), opts)
-    return inferred, whole
+def _refused(message, window=None):
+    exc = SamplingError(message, window=window)
+    return type(exc).__name__, str(exc), exc.window
+
+
+def _whole_grid(path, opts):
+    """The oracle's report (or refusal) tallied from every point of its
+    grid: the exact aliasing guard, then each count jump checked against
+    the eigenvalues within one step of zero on both sides."""
+    grid = np.linspace(0.0, 1.0, opts.oracle_samples).tolist()
+    ts = sorted(set(grid) | set(path.regularity.knots))
+    steps = path.steps(ts)
+    vals = np.array(path.values(ts))
+    mags = np.abs(vals)
+    gap = min(mags[0].min(), mags[-1].min())
+    padded = np.concatenate(([0.0], steps, [0.0]))
+    tau = np.maximum(padded[:-1], padded[1:])
+    if path.regularity.soundness == "lipschitz":
+        tau *= 0.5  # every t lies within half a spacing of a sample
+    if path.regularity.declared:
+        tau += 4 * path.dim * 2.0**-53 * mags.max(axis=1)  # gamma_n ||H(t_k)||
+    reach = float(tau.max())
+    if reach >= 0.5 * gap:
+        return _refused(
+            f"oracle sample tolerance {reach:.3e} is not below half the endpoint gap "
+            f"{gap:.3e}; increase oracle_samples"
+        )
+    counts = (vals >= 0.0).sum(axis=1)
+    ups = downs = 0
+    for k in np.flatnonzero(np.diff(counts)).tolist():
+        jump = int(counts[k + 1] - counts[k])
+        step = steps[k] * (1.0 + 1e-9) + 1e-12
+        movers = min(np.sum(mags[k] <= step), np.sum(mags[k + 1] <= step))
+        if abs(jump) > movers:
+            return _refused(
+                f"sign-count jump {jump} cannot be explained by eigenvalues "
+                f"within one step ({step:.3e}) of zero; aliasing suspected",
+                (ts[k], ts[k + 1]),
+            )
+        ups += max(jump, 0)
+        downs += max(-jump, 0)
+    return {
+        "total": ups - downs,
+        "up_crossings": ups,
+        "down_crossings": downs,
+        "samples": len(ts),
+        "max_step": max(steps),
+    }
+
+
+def _both_routes(make, opts=SfOptions()):
+    """The oracle's report (or error), then the whole-grid tally, each on
+    a fresh path."""
+    return _outcome(make(), opts), _whole_grid(make(), opts)
 
 
 def _sampled(dim, count):
@@ -108,8 +154,8 @@ CORPUS = {
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_inferred_ledger_equals_the_whole_grid(name, monkeypatch):
-    inferred, whole = _both_routes(CORPUS[name], monkeypatch)
+def test_inferred_ledger_equals_the_whole_grid(name):
+    inferred, whole = _both_routes(CORPUS[name])
     assert inferred == whole
 
 
@@ -127,9 +173,9 @@ def test_the_corpus_keeps_its_refusals():
     [SfOptions(samples=10), SfOptions(samples=65, oracle_samples=129), SfOptions(oracle_samples=9)],
     ids=["seeds_off_the_grid", "seeds_dense", "oracle_coarser"],
 )
-def test_inferred_ledger_with_other_grids(opts, monkeypatch):
+def test_inferred_ledger_with_other_grids(opts):
     for make in (_trig(1, 8), _trig(2, 6, degree=8, scale=4.0), CORPUS["concat_thirds_d6"]):
-        inferred, whole = _both_routes(make, monkeypatch, opts)
+        inferred, whole = _both_routes(make, opts)
         assert inferred == whole
 
 
@@ -227,7 +273,7 @@ def _norm_peak(a):
     return OperatorPath(evaluate, 2, regularity=lipschitz((), [rate]))
 
 
-def test_reach_bound_covers_the_norms_between_seeds(monkeypatch):
+def test_reach_bound_covers_the_norms_between_seeds():
     """The guard's rounding slack grows with ||H(t_k)||. Here the largest
     tolerance lies at an unevaluated sample, beyond every seed's, so only
     the norm bound keeps the pre-check from passing a grid the whole-grid
@@ -242,14 +288,31 @@ def test_reach_bound_covers_the_norms_between_seeds(monkeypatch):
     assert np.max(tau[seeds]) < reach
     bound = specflow._reach_bound(probe, ts, steps, seeds, [vals[k] for k in seeds])
     assert reach <= bound <= reach * (1.0 + 1e-12)
+    # from every index the bound is the reach itself
+    assert specflow._reach_bound(probe, ts, steps, list(range(257)), vals) == reach
 
-    # the guard's limit a few ulps below the exact reach: both routes refuse
+    # the guard's limit a few ulps below the exact reach: the oracle and
+    # the whole-grid tally both refuse
     half = reach
     for _ in range(4):
         half = np.nextafter(half, 0.0)
-    inferred, whole = _both_routes(lambda: _norm_peak(2.0 * half), monkeypatch)
+    inferred, whole = _both_routes(lambda: _norm_peak(2.0 * half))
     assert inferred == whole
     assert inferred[0] == "SamplingError"
+
+    # a few ulps above the reach, below the bound: the bounded guard fails,
+    # so every grid point is evaluated, and the exact guard passes
+    half = reach
+    for _ in range(4):
+        half = np.nextafter(half, np.inf)
+    assert half < bound
+    inferred, whole = _both_routes(lambda: _norm_peak(2.0 * half))
+    assert inferred == whole
+    assert inferred["samples"] == 257
+    path = _norm_peak(2.0 * half)
+    asked = _counted(path)
+    crossing_oracle_report(path)
+    assert sorted(asked) == ts
 
 
 def test_a_count_change_the_declaration_forbids_is_a_fault():

@@ -145,6 +145,27 @@ def test_index_stability_needs_a_gap():
         index_stability_check(g)
 
 
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_spectral_gap_refuses_an_impossible_tolerance(tol):
+    """A negative tolerance once counted the zero singular value out of a
+    rank-one block and reported the gap 0.0, so the stability check
+    claimed the block had no nonzero singular value."""
+    g = GradedOperator(2, 1, [[1.0, 0.0]])
+    with pytest.raises(InputError, match="tol must be finite and nonnegative"):
+        g.spectral_gap(tol=tol)
+    with pytest.raises(InputError, match="tol must be finite and nonnegative"):
+        index_stability_check(g, trials=1, tol=tol)
+    assert g.spectral_gap(tol=0.0) == 1.0
+
+
+@pytest.mark.parametrize("trials", [-3, 2.7, "4"])
+def test_index_stability_refuses_a_trial_count_that_is_not_a_count(trials):
+    g = GradedOperator(2, 1, [[1.0, 0.0]])
+    with pytest.raises(InputError, match="trials must be a nonnegative int"):
+        index_stability_check(g, trials=trials)
+    assert index_stability_check(g, trials=0)["trials"] == 0
+
+
 def test_validation_errors():
     with pytest.raises(InputError):
         GradedOperator(0, 0, np.zeros((0, 0)))

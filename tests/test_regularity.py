@@ -78,7 +78,7 @@ DECLARED = {
 def _assert_bounds_hold(path, ts):
     """Every step bound, plus the rounding slack the margins carry at its
     two ends, is at least the sampled step."""
-    gamma = specflow._ROUNDING_C * path.dim * specflow._UNIT_ROUNDOFF
+    gamma = specflow._gamma(path.dim)
     mats = path.matrices(ts)
     for k, bound in enumerate(path.steps(ts)):
         step = op_norm(mats[k + 1].mat - mats[k].mat)
