@@ -81,9 +81,9 @@ def builtin_functionals(opts: SfOptions = _DEFAULT_OPTS) -> tuple[SfFunctional, 
     )
 
 
-def _dim_for(rng: np.random.Generator, dims) -> int:
-    dims = tuple(int(d) for d in dims)
-    return dims[int(rng.integers(0, len(dims)))]
+def _dim_for(rng: np.random.Generator, lo: int, hi: int) -> int:
+    """A dimension drawn uniformly from lo ... hi."""
+    return lo + int(rng.integers(0, hi - lo + 1))
 
 
 def _reports(
@@ -113,13 +113,13 @@ def check_concatenation(
     functionals: Sequence[SfFunctional],
     *,
     trials: int = 200,
-    dims=(2, 3, 4, 5, 6, 7, 8),
     seed: int = 0,
 ) -> list[dict]:
-    """mu(f * g) == mu(f) + mu(g) over seeded compatible pairs."""
+    """mu(f * g) == mu(f) + mu(g) over seeded compatible pairs of
+    dimension 2 ... 8."""
     failures: list[list[dict]] = [[] for _ in functionals]
     for k, rng in enumerate(spawn_rngs(seed, trials)):
-        dim = _dim_for(rng, dims)
+        dim = _dim_for(rng, 2, 8)
         f, g = concat_compatible_pair(rng, dim)
         joined = path_concat(f, g)
         for fun, fails in zip(functionals, failures):
@@ -133,12 +133,11 @@ def check_concatenation(
     return _reports("concatenation", functionals, trials, seed, failures)
 
 
-def _certified_s_pairs(
-    row: Callable[[float], OperatorPath], s_grid, *, max_depth: int = 16
-) -> list[float]:
-    """Refine the deformation grid until every consecutive pair of rows
-    has both endpoints' spectral gaps exceeding the operator-norm step
-    between the rows (so no endpoint can cross zero in between)."""
+def _certified_s_pairs(row: Callable[[float], OperatorPath], s_grid) -> list[float]:
+    """Refine the deformation grid, at most 16 halvings deep, until every
+    consecutive pair of rows has both endpoints' spectral gaps exceeding
+    the operator-norm step between the rows (so no endpoint can cross zero
+    in between)."""
 
     def endpoint_gap(s: float, t: float) -> float:
         return float(np.min(np.abs(row(s).values(t))))
@@ -160,7 +159,7 @@ def _certified_s_pairs(
         if ok:
             out.append(s1)
             continue
-        if depth >= max_depth:
+        if depth >= 16:
             raise CertificationError(
                 "deformation rows could not be certified", window=(s0, s1)
             )
@@ -174,10 +173,10 @@ def check_homotopy(
     functionals: Sequence[SfFunctional],
     *,
     trials: int = 50,
-    dims=(2, 3, 4, 5, 6),
     seed: int = 0,
 ) -> list[dict]:
-    """The integer is constant across each certified deformation family.
+    """The integer is constant across each certified deformation family
+    of dimension 2 ... 6.
 
     Families whose certification fails are counted as inconclusive, never
     as violations; a violation requires a certified family with unequal
@@ -186,7 +185,7 @@ def check_homotopy(
     failures: list[list[dict]] = [[] for _ in functionals]
     inconclusive = 0
     for k, rng in enumerate(spawn_rngs(seed, trials)):
-        dim = _dim_for(rng, dims)
+        dim = _dim_for(rng, 2, 6)
         h_of, s_grid, label, regularity = homotopy_family(rng, dim)
         paths: dict[float, OperatorPath] = {}
 
@@ -218,13 +217,13 @@ def check_normalization(
     functionals: Sequence[SfFunctional],
     *,
     trials: int = 50,
-    dims=(1, 2, 3, 4, 5, 6, 7, 8),
     seed: int = 0,
 ) -> list[dict]:
-    """The single-crossing pivot path scores exactly 1."""
+    """The single-crossing pivot path of dimension 1 ... 8 scores
+    exactly 1."""
     failures: list[list[dict]] = [[] for _ in functionals]
     for k, rng in enumerate(spawn_rngs(seed, trials)):
-        dim = _dim_for(rng, dims)
+        dim = _dim_for(rng, 1, 8)
         path = normalization_path(rng, dim)
         for fun, fails in zip(functionals, failures):
             mu = fun(path)
@@ -237,15 +236,14 @@ def check_invertible_vanishing(
     functionals: Sequence[SfFunctional],
     *,
     trials: int = 200,
-    dims=(2, 3, 4, 5, 6, 7, 8),
     seed: int = 0,
     opts: SfOptions = _DEFAULT_OPTS,
 ) -> list[dict]:
-    """Certified-invertible paths score exactly 0."""
+    """Certified-invertible paths of dimension 2 ... 8 score exactly 0."""
     failures: list[list[dict]] = [[] for _ in functionals]
     inconclusive = 0
     for k, rng in enumerate(spawn_rngs(seed, trials)):
-        dim = _dim_for(rng, dims)
+        dim = _dim_for(rng, 2, 8)
         path = invertible_trig_path(rng, dim)
         if not certify_invertible(path, opts)["certified"]:
             inconclusive += 1
@@ -261,37 +259,34 @@ def check_invertible_vanishing(
 
 
 def run_all_checks(
-    *,
-    seed: int = 0,
-    concat_trials: int = 200,
-    homotopy_trials: int = 50,
-    normalization_trials: int = 50,
-    vanishing_trials: int = 200,
-    opts: SfOptions = _DEFAULT_OPTS,
+    *, seed: int = 0, trials: int = 200, opts: SfOptions = _DEFAULT_OPTS
 ) -> list[dict]:
     """Every law against every computation route; returns all reports,
-    grouped by route (the four laws of the first route, then the next)."""
+    grouped by route (the four laws of the first route, then the next).
+
+    The trials split 4:1:1:4: ``trials`` concatenation pairs and invertible
+    paths, and a quarter of them (at least one) deformation families and
+    normalization paths. The laws draw from the seeds seed ... seed + 3.
+    """
+    quarter = max(1, trials // 4)
     funs = builtin_functionals(opts)
     by_law = (
-        check_concatenation(funs, trials=concat_trials, seed=seed),
-        check_homotopy(funs, trials=homotopy_trials, seed=seed + 1),
-        check_normalization(funs, trials=normalization_trials, seed=seed + 2),
-        check_invertible_vanishing(
-            funs, trials=vanishing_trials, seed=seed + 3, opts=opts
-        ),
+        check_concatenation(funs, trials=trials, seed=seed),
+        check_homotopy(funs, trials=quarter, seed=seed + 1),
+        check_normalization(funs, trials=quarter, seed=seed + 2),
+        check_invertible_vanishing(funs, trials=trials, seed=seed + 3, opts=opts),
     )
     return [rep for per_route in zip(*by_law) for rep in per_route]
 
 
-def component_label(t: HermitianMatrix, *, gap: float = 1e-8) -> int:
+def component_label(t: HermitianMatrix) -> int:
     """Dimension of the nonnegative eigenspace of an invertible Hermitian
-    matrix -- the complete connectedness invariant at fixed dimension."""
+    matrix (every |eigenvalue| above 1e-8) -- the complete connectedness
+    invariant at fixed dimension."""
     t = as_hermitian(t)
     vals = np.linalg.eigvalsh(t.mat)
-    if float(np.min(np.abs(vals))) <= gap:
-        raise InputError(
-            f"matrix must be invertible (gap > {gap:g}) to carry a label"
-        )
+    if float(np.min(np.abs(vals))) <= 1e-8:
+        raise InputError("matrix must be invertible (gap > 1e-08) to carry a label")
     return int(np.count_nonzero(vals >= 0))
 
 

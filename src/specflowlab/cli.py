@@ -100,14 +100,7 @@ def _cmd_toeplitz(args) -> str:
 
 
 def _cmd_axioms(args) -> str:
-    reports = run_all_checks(
-        seed=args.seed,
-        concat_trials=args.trials,
-        homotopy_trials=max(1, args.trials // 4),
-        normalization_trials=max(1, args.trials // 4),
-        vanishing_trials=args.trials,
-        opts=_sf_options(args),
-    )
+    reports = run_all_checks(seed=args.seed, trials=args.trials, opts=_sf_options(args))
     return sz.dumps_json(reports)
 
 

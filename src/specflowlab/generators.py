@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, coerce_field
+from .errors import InputError, coerce_field, require_int
 from .matcore import HermitianMatrix, Projection, apply_function, as_hermitian, eigh, op_norm
 from .opmodel import DiagonalModel, ce_fuglede, realize
 from .specflow import OperatorPath, lipschitz, piecewise_affine
@@ -59,9 +59,8 @@ ENDPOINT_CLAMP_GAP = 0.2
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     """Independent child generators for ``count`` trials of one seeded run."""
-    if not isinstance(count, int) or count < 0:
-        raise InputError(f"count must be a nonnegative int, got {count!r}")
-    children = np.random.SeedSequence(seed).spawn(count)
+    require_int(count, "count", 0)
+    children = np.random.SeedSequence(require_int(seed, "seed", 0)).spawn(count)
     return [np.random.default_rng(c) for c in children]
 
 
@@ -69,7 +68,7 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
     """The Generator itself, or a fresh one seeded with the given seed."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
+    return np.random.default_rng(require_int(seed_or_rng, "seed", 0))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianMatrix:
@@ -112,16 +111,14 @@ def clamp_spectrum_away_from_zero(h: HermitianMatrix, gap: float) -> HermitianMa
     )
 
 
-def random_invertible_hermitian(
-    rng: np.random.Generator, dim: int, scale: float = 1.0, gap: float = ENDPOINT_CLAMP_GAP
-) -> HermitianMatrix:
-    return clamp_spectrum_away_from_zero(random_hermitian(rng, dim, scale), gap)
+def random_invertible_hermitian(rng: np.random.Generator, dim: int) -> HermitianMatrix:
+    """A random Hermitian matrix with its spectrum clamped to |spec| >= 0.2."""
+    return clamp_spectrum_away_from_zero(random_hermitian(rng, dim), ENDPOINT_CLAMP_GAP)
 
 
 def cyclic_shift(dim: int, power: int = 1) -> UnitaryMatrix:
     """The unitary sending e_k to e_{k+power mod dim}."""
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"dim must be a positive int, got {dim!r}")
+    require_int(dim, "dim", 1)
     w = np.zeros((dim, dim), dtype=np.complex128)
     for k in range(dim):
         w[(k + power) % dim, k] = 1.0
@@ -130,8 +127,7 @@ def cyclic_shift(dim: int, power: int = 1) -> UnitaryMatrix:
 
 def half_integer_diagonal(m: int) -> HermitianMatrix:
     """diag(k + 1/2) for k = -m..m (dimension 2m + 1, no kernel)."""
-    if not isinstance(m, int) or m < 1:
-        raise InputError(f"m must be a positive int, got {m!r}")
+    require_int(m, "m", 1)
     return HermitianMatrix.diag([k + 0.5 for k in range(-m, m + 1)])
 
 
@@ -284,28 +280,24 @@ def trig_path(
 ) -> OperatorPath:
     """Seeded random trig-polynomial path with invertible endpoints."""
     rng = _as_rng(seed_or_rng)
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"dim must be a positive int, got {dim!r}")
-    if not isinstance(degree, int) or degree < 1:
-        raise InputError(f"degree must be a positive int, got {degree!r}")
+    require_int(dim, "dim", 1)
+    require_int(degree, "degree", 1)
     raw, rate = _trig_evaluator(rng, dim, degree, scale)
     return _tilted_path(raw, rate, dim, gap, meta or {"family": "trig_random"})
 
 
-def invertible_trig_path(
-    seed_or_rng, dim: int, *, scale: float = 1.0, gap: float = 0.5
-) -> OperatorPath:
+def invertible_trig_path(seed_or_rng, dim: int) -> OperatorPath:
     """A path certified-by-construction to stay invertible for all t.
 
-    U(t)* D0 U(t) + c(t) I with D0 spectrally clamped to |spec| >= gap and a
-    scalar trig drift |c(t)| <= gap / 2, so min |spec| >= gap / 2 throughout.
+    U(t)* D0 U(t) + c(t) I with D0 spectrally clamped to |spec| >= 0.5 and
+    a scalar trig drift |c(t)| <= 0.25, so min |spec| >= 0.25 throughout.
     With U(t) = exp(i t K) the conjugated part moves at the constant rate
     ||[D0, K]|| and the drift at most at 2 pi amp.
     """
     rng = _as_rng(seed_or_rng)
-    d0 = clamp_spectrum_away_from_zero(random_hermitian(rng, dim, scale), gap)
-    k, u_of = _rotation(rng, dim, scale)
-    amp = rng.uniform(0.1, 0.5) * gap / 2.0
+    d0 = clamp_spectrum_away_from_zero(random_hermitian(rng, dim), 0.5)
+    k, u_of = _rotation(rng, dim, 1.0)
+    amp = rng.uniform(0.1, 0.5) * 0.25
     phase = rng.uniform(0.0, 2.0 * math.pi)
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
@@ -327,8 +319,7 @@ def normalization_path(seed_or_rng, dim: int) -> OperatorPath:
     eigenvalue crosses zero, upward: the flow is 1 by construction.
     """
     rng = _as_rng(seed_or_rng)
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"dim must be a positive int, got {dim!r}")
+    require_int(dim, "dim", 1)
     u = random_unitary(rng, dim).mat
     p_vec = u[:, :1]
     p = p_vec @ p_vec.conj().T
@@ -350,14 +341,12 @@ def normalization_path(seed_or_rng, dim: int) -> OperatorPath:
     )
 
 
-def concat_compatible_pair(seed_or_rng, dim: int, **kwargs) -> tuple[OperatorPath, OperatorPath]:
-    """Two random trig paths with g(0) = f(1) exactly, both with certified
-    invertible endpoints, ready for a concatenation check."""
+def concat_compatible_pair(seed_or_rng, dim: int) -> tuple[OperatorPath, OperatorPath]:
+    """Two random degree-3 trig paths with g(0) = f(1) exactly, both with
+    certified invertible endpoints, ready for a concatenation check."""
     rng = _as_rng(seed_or_rng)
-    f = trig_path(rng, dim, **kwargs)
-    g_raw, rate = _trig_evaluator(
-        rng, dim, kwargs.get("degree", 3), kwargs.get("scale", 1.0)
-    )
+    f = trig_path(rng, dim)
+    g_raw, rate = _trig_evaluator(rng, dim, 3, 1.0)
     join = f.matrix(1.0).mat
     (g_start,) = g_raw(np.array([0.0]))
 
@@ -367,15 +356,15 @@ def concat_compatible_pair(seed_or_rng, dim: int, **kwargs) -> tuple[OperatorPat
         out += join
         return out
 
-    gap = kwargs.get("gap", ENDPOINT_CLAMP_GAP)
     # the constant shift leaves the rate of g_raw as it is
     g = _tilted_path(
-        shifted, rate, dim, gap, {"family": "trig_random_shifted"}, fix_left=False
+        shifted, rate, dim, ENDPOINT_CLAMP_GAP, {"family": "trig_random_shifted"},
+        fix_left=False,
     )
     return f, g
 
 
-def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7, **kwargs):
+def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7):
     """A two-parameter family H(s, t) whose rows are honestly homotopic.
 
     The generator draws the style after f: an additive drift
@@ -390,7 +379,7 @@ def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7, **kwargs):
     that every declared margin gives up.
     """
     rng = _as_rng(seed_or_rng)
-    f = trig_path(rng, dim, **kwargs)
+    f = trig_path(rng, dim)
     s_grid = np.linspace(0.0, 1.0, s_samples)
     style = int(rng.integers(0, 2))
     if style == 0:

@@ -17,9 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyFault, FinitenessError, InputError
+from .errors import ConsistencyFault, FinitenessError, InputError, require_int
 from .matcore import HermitianMatrix, Interval, _window_projection, tol_spec
-from .metrics import _d_G, _Operand
+from .metrics import _Operand, d_G
 
 __all__ = [
     "GradedOperator",
@@ -167,10 +167,10 @@ def index_stability_check(
     equals it whenever the window clears the first nonzero singular value,
     so a failure here measures the rounding of the spectral projection.
     ``tol`` is the spectral gap's: singular values at or below it do not
-    count. ``trials`` must be a nonnegative int.
+    count. ``trials`` and ``seed`` must be nonnegative ints.
     """
-    if not isinstance(trials, int) or trials < 0:
-        raise InputError(f"trials must be a nonnegative int, got {trials!r}")
+    require_int(trials, "trials", 0)
+    require_int(seed, "seed", 0)
     gap = g.spectral_gap(tol=tol)
     if gap == 0.0:
         raise InputError("block has no nonzero singular value; no gap to protect")
@@ -188,7 +188,7 @@ def index_stability_check(
         if norm > 0:
             b *= (0.5 * delta) * rng.uniform(0.1, 1.0) / norm
         tp = _Operand(g.perturb(b).matrix())
-        dist = _d_G(t0, tp)
+        dist = d_G(t0, tp)
         if dist >= delta:
             failures.append({"trial": k, "reason": "graph distance", "value": dist})
             continue
@@ -203,5 +203,5 @@ def index_stability_check(
         "base_index": base_index,
         "failures": failures,
         "ok": not failures,
-        "seed": int(seed),
+        "seed": seed,
     }

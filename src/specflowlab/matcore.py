@@ -242,9 +242,7 @@ class HermitianMatrix:
         return self._norm
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self._mat
-        return self._mat.astype(dtype)
+        return np.array(self._mat, dtype=dtype, copy=copy)
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         if not isinstance(other, HermitianMatrix):
@@ -530,18 +528,12 @@ def nonneg_projection(h: HermitianMatrix) -> Projection:
     return Projection(b @ b.conj().T)
 
 
-def contour_projection(
-    h: HermitianMatrix,
-    center: float,
-    radius: float,
-    *,
-    tol: float = 1e-12,
-    max_nodes: int = 1 << 14,
-) -> Projection:
+def contour_projection(h: HermitianMatrix, center: float, radius: float) -> Projection:
     """Spectral projection via resolvent integration around a circle.
 
     Trapezoid rule on |z - center| = radius with node doubling until two
-    successive levels agree within ``tol`` in operator norm. Independent of
+    successive levels agree within 1e-12 in operator norm; a
+    CertificationError when they do not by 16384 nodes. Independent of
     the eigenvector route, so it serves as a genuine cross-check of
     :func:`spectral_projection`. Eigenvalues are only consulted to guard the
     contour: any eigenvalue within 1e-9 * (1 + ||H||) of the circle raises
@@ -574,9 +566,9 @@ def contour_projection(
         nodes *= 2
         cur = level(nodes)
         diff = op_norm(cur - prev)
-        if diff <= tol:
+        if diff <= 1e-12:
             break
-        if nodes >= max_nodes:
+        if nodes >= 16384:
             raise CertificationError(
                 f"contour quadrature stalled at {nodes} nodes (last delta {diff:.3e})"
             )
@@ -589,15 +581,14 @@ def contour_projection(
     return Projection((cur + cur.conj().T) / 2.0)
 
 
-def rank_eps(a, tol: float = 1e-8) -> int:
-    """Numerical rank: number of singular values above ``tol``.
+def rank_eps(a) -> int:
+    """Numerical rank: number of singular values above 1e-8.
 
-    If any singular value falls within a factor 10 of ``tol`` the rank
+    If any singular value falls within a factor 10 of 1e-8 the rank
     decision is fragile; an IllConditionedRankWarning is issued so callers
     can see the hazard propagate.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise InputError("rank threshold must be a positive finite number")
+    tol = 1e-8
     m = np.asarray(a, dtype=np.complex128)
     if m.size == 0:
         return 0
@@ -613,17 +604,13 @@ def rank_eps(a, tol: float = 1e-8) -> int:
     return int(np.sum(sv > tol))
 
 
-def inv_sqrt_integral(
-    a: HermitianMatrix,
-    *,
-    tol: float = 1e-10,
-    max_nodes: int = 1 << 12,
-) -> HermitianMatrix:
+def inv_sqrt_integral(a: HermitianMatrix) -> HermitianMatrix:
     """A^(-1/2) through the integral (2/pi) * Int_0^inf (A + x^2)^{-1} dx.
 
     The substitution x = tan(theta) maps the ray to [0, pi/2); Gauss-Legendre
     quadrature with node doubling runs until two successive node counts agree
-    within ``tol``. A must be positive definite.
+    within 1e-10 in operator norm; a CertificationError when they do not by
+    4096 nodes. A must be positive definite.
     """
     a = as_hermitian(a)
     lam_min = float(np.linalg.eigvalsh(a.mat)[0])
@@ -648,9 +635,9 @@ def inv_sqrt_integral(
     while True:
         nodes *= 2
         cur = level(nodes)
-        if op_norm(cur - prev) <= tol:
+        if op_norm(cur - prev) <= 1e-10:
             break
-        if nodes >= max_nodes:
+        if nodes >= 4096:
             raise CertificationError(
                 f"inverse-sqrt quadrature stalled at {nodes} nodes"
             )

@@ -8,12 +8,13 @@ reports that compare them.
        evaluates the equivalent half-Cayley-distance formula and faults if
        the two routes disagree beyond 1e-9
 
-Each distance reads its operands through a private operand record that
-factors the matrix with one eigendecomposition, shared by its Riesz image,
-Cayley image and weight, and forms its resolvent once. A call that measures
-many operands against one reference (the separation report, the graded
-stability check) builds the reference's record once, so its transforms are
-computed once per call; nothing outlives the call. The resolvent stays a
+Each distance takes matrices or private operand records and reads its
+operands through the record, which factors the matrix with one
+eigendecomposition, shared by its Riesz image, Cayley image and weight,
+and forms its resolvent once. A call that measures many operands against
+one reference (the separation report, the graded stability check) passes
+the reference's record, built once, so its transforms are computed once
+per call; nothing outlives the call. The resolvent stays a
 direct matrix inverse, not an eigenbasis formula, so the two d_G routes
 remain two different computations.
 
@@ -116,29 +117,22 @@ class _Operand:
         return self._weight
 
 
+def _operand(t) -> _Operand:
+    return t if isinstance(t, _Operand) else _Operand(t)
+
+
 def _pair(t1, t2) -> tuple[_Operand, _Operand]:
-    a = _Operand(t1)
-    b = _Operand(t2)
+    a = _operand(t1)
+    b = _operand(t2)
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
     return a, b
 
 
-def _d_N(a: _Operand, b: _Operand) -> float:
-    return op_norm(a.mat - b.mat)
-
-
-def _d_W(a: _Operand, b: _Operand, base: _Operand) -> float:
-    return op_norm((a.mat - b.mat) @ base.weight.mat)
-
-
-def _d_R(a: _Operand, b: _Operand) -> float:
-    return op_norm(a.riesz.mat - b.riesz.mat)
-
-
 def d_N(t1, t2) -> float:
     """Operator-norm distance ||T1 - T2||."""
-    return _d_N(*_pair(t1, t2))
+    a, b = _pair(t1, t2)
+    return op_norm(a.mat - b.mat)
 
 
 def d_W(t1, t2, base) -> float:
@@ -148,15 +142,16 @@ def d_W(t1, t2, base) -> float:
     to a declared unperturbed operator.
     """
     a, b = _pair(t1, t2)
-    d = _Operand(base)
+    d = _operand(base)
     if d.dim != a.dim:
         raise DimensionMismatchError(f"base dim {d.dim} differs from operand dim {a.dim}")
-    return _d_W(a, b, d)
+    return op_norm((a.mat - b.mat) @ d.weight.mat)
 
 
 def d_R(t1, t2) -> float:
     """Riesz-transform distance ||F(T1) - F(T2)||."""
-    return _d_R(*_pair(t1, t2))
+    a, b = _pair(t1, t2)
+    return op_norm(a.riesz.mat - b.riesz.mat)
 
 
 @dataclass(frozen=True)
@@ -187,8 +182,11 @@ def dual_gap_watermark() -> float:
     return _worst_dual_gap
 
 
-def _d_G_detail(a: _Operand, b: _Operand) -> GraphDistanceDetail:
+def d_G_detail(t1, t2) -> GraphDistanceDetail:
+    """Graph distance via ||(T1+i)^{-1} - (T2+i)^{-1}|| and via the
+    half-distance of Cayley transforms; both values are returned."""
     global _worst_dual_gap
+    a, b = _pair(t1, t2)
     res = op_norm(a.resolvent - b.resolvent)
     cay = 0.5 * op_norm(a.cayley.mat - b.cayley.mat)
     detail = GraphDistanceDetail(resolvent_route=res, cayley_route=cay)
@@ -202,19 +200,9 @@ def _d_G_detail(a: _Operand, b: _Operand) -> GraphDistanceDetail:
     return detail
 
 
-def _d_G(a: _Operand, b: _Operand) -> float:
-    return _d_G_detail(a, b).resolvent_route
-
-
-def d_G_detail(t1, t2) -> GraphDistanceDetail:
-    """Graph distance via ||(T1+i)^{-1} - (T2+i)^{-1}|| and via the
-    half-distance of Cayley transforms; both values are returned."""
-    return _d_G_detail(*_pair(t1, t2))
-
-
 def d_G(t1, t2) -> float:
     """Graph distance; the resolvent-difference route is the reported value."""
-    return _d_G(*_pair(t1, t2))
+    return d_G_detail(t1, t2).resolvent_route
 
 
 @dataclass(frozen=True)
@@ -243,24 +231,24 @@ class GraphNormReport:
         return True
 
 
-def norm_graph_equivalence_check(
-    t, t_tilde, r_bound: float, *, slack: float = 1e-10
-) -> GraphNormReport:
+def norm_graph_equivalence_check(t, t_tilde, r_bound: float) -> GraphNormReport:
     """Check the quantitative equivalence of norm and graph distances.
 
     On the ball ||T|| <= R: if d_G(T, T~) < (1/2)(1+R)^{-1} then
     ||T - T~|| <= 2 (1+R)^2 d_G; conversely if ||T - T~|| < 1/2 then
-    d_G <= 2 ||T - T~||. Hypotheses are recorded so vacuous checks are
-    visible to the caller.
+    d_G <= 2 ||T - T~||. Both bounds are checked with the additive slack
+    1e-10, which the report carries. Hypotheses are recorded so vacuous
+    checks are visible to the caller.
     """
+    slack = 1e-10
     a, b = _pair(t, t_tilde)
     if not (np.isfinite(r_bound) and r_bound > 0):
         raise InputError(f"radius bound must be positive and finite, got {r_bound!r}")
     norm_t = a.h.norm
     if norm_t > r_bound * (1.0 + 1e-12):
         raise InputError(f"||T|| = {norm_t!r} exceeds the declared radius {r_bound!r}")
-    diff = _d_N(a, b)
-    dg = _d_G(a, b)
+    diff = d_N(a, b)
+    dg = d_G(a, b)
     hyp_graph = dg < 0.5 / (1.0 + r_bound)
     norm_ok = None
     if hyp_graph:
@@ -278,7 +266,7 @@ def norm_graph_equivalence_check(
         norm_from_graph_ok=norm_ok,
         hyp_norm_small=hyp_norm,
         graph_from_norm_ok=graph_ok,
-        slack=float(slack),
+        slack=slack,
     )
 
 
@@ -330,10 +318,10 @@ def metric_separation_report(
                 continue
             t1 = _Operand(d.h + family_perturbation(model, fam, n))
             vals = {
-                "d_N": _d_N(t1, d),
-                "d_W": _d_W(t1, d, d),
-                "d_R": _d_R(t1, d),
-                "d_G": _d_G(t1, d),
+                "d_N": d_N(t1, d),
+                "d_W": d_W(t1, d, d),
+                "d_R": d_R(t1, d),
+                "d_G": d_G(t1, d),
             }
             exact = closed_form_distances(model, fam, n)
             # residual res_X of each distance d_X

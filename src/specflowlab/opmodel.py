@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_int
 from .matcore import HermitianMatrix, apply_function, as_hermitian
 
 __all__ = [
@@ -66,8 +66,7 @@ class DiagonalModel:
     law: str = "linear"
 
     def __post_init__(self):
-        if not isinstance(self.trunc_dim, int) or self.trunc_dim < 2:
-            raise InputError(f"truncation dimension must be an int >= 2, got {self.trunc_dim!r}")
+        require_int(self.trunc_dim, "truncation dimension", 2)
         if not isinstance(self.law, str) or self.law not in LAWS:
             raise InputError(f"unknown eigenvalue law {self.law!r}; choose from {sorted(LAWS)}")
 
@@ -82,10 +81,7 @@ class DiagonalModel:
 
     def _check_index(self, n: int, lo: int = 1) -> None:
         # capped at N-1 so trends over n stay inside the truncation
-        if not isinstance(n, int) or not (lo <= n <= self.trunc_dim - 1):
-            raise InputError(
-                f"family index n must be an int in [{lo}, {self.trunc_dim - 1}], got {n!r}"
-            )
+        require_int(n, "family index n", lo, self.trunc_dim - 1)
 
 
 def realize(model: DiagonalModel) -> HermitianMatrix:

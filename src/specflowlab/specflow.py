@@ -55,6 +55,7 @@ from .errors import (
     EndpointError,
     InputError,
     SamplingError,
+    require_int,
 )
 from .matcore import (
     EigenDecomposition,
@@ -97,14 +98,9 @@ class SfOptions:
     endpoint_gap: float = 1e-8
 
     def __post_init__(self):
-        if not isinstance(self.samples, int) or self.samples < 2:
-            raise InputError(f"samples must be an int >= 2, got {self.samples!r}")
-        if not isinstance(self.oracle_samples, int) or self.oracle_samples < 2:
-            raise InputError(
-                f"oracle_samples must be an int >= 2, got {self.oracle_samples!r}"
-            )
-        if not isinstance(self.max_depth, int) or self.max_depth < 1:
-            raise InputError(f"max_depth must be an int >= 1, got {self.max_depth!r}")
+        require_int(self.samples, "samples", 2)
+        require_int(self.oracle_samples, "oracle_samples", 2)
+        require_int(self.max_depth, "max_depth", 1)
         if not (np.isfinite(self.endpoint_gap) and self.endpoint_gap > 0):
             raise InputError("endpoint_gap must be positive and finite")
 
@@ -274,8 +270,7 @@ class OperatorPath:
         regularity: Regularity = OPAQUE,
         meta: dict | None = None,
     ):
-        if not isinstance(dim, int) or dim < 1:
-            raise InputError(f"dim must be a positive int, got {dim!r}")
+        require_int(dim, "dim", 1)
         if not isinstance(regularity, Regularity):
             raise InputError(f"regularity must be a Regularity, got {regularity!r}")
         self._evaluator = evaluator

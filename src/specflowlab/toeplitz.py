@@ -44,24 +44,24 @@ def toeplitz_compression(p: Projection, w) -> np.ndarray:
     return basis.conj().T @ w.mat @ basis
 
 
-def toeplitz_index(p: Projection, w, *, tol: float = 1e-8) -> int:
+def toeplitz_index(p: Projection, w) -> int:
     """Fredholm index (dim ker - dim coker) of the compression P W P|ran P,
-    both defects computed through rank_eps."""
+    both defects computed through rank_eps (singular values above 1e-8)."""
     m = toeplitz_compression(p, w)
     r = m.shape[0]
     if r == 0:
         return 0
-    dim_ker = r - rank_eps(m, tol)
-    dim_coker = r - rank_eps(m.conj().T, tol)
+    dim_ker = r - rank_eps(m)
+    dim_coker = r - rank_eps(m.conj().T)
     return dim_ker - dim_coker
 
 
-def _aux_index(p: Projection, w, *, tol: float = 1e-8) -> int:
+def _aux_index(p: Projection, w) -> int:
     """Index of I + (W - I) P on the full space (an equivalent route)."""
     w = _as_unitary(w)
     a = np.eye(p.dim, dtype=np.complex128) + (w.mat - np.eye(p.dim)) @ p.mat
     n = a.shape[0]
-    return (n - rank_eps(a, tol)) - (n - rank_eps(a.conj().T, tol))
+    return (n - rank_eps(a)) - (n - rank_eps(a.conj().T))
 
 
 def verify_toeplitz_theorem(

@@ -86,16 +86,10 @@ class UnitaryMatrix:
         return self._mat.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self._mat
-        return self._mat.astype(dtype)
+        return np.array(self._mat, dtype=dtype, copy=copy)
 
     def __repr__(self) -> str:
         return f"UnitaryMatrix(dim={self.dim})"
-
-    @classmethod
-    def identity(cls, dim: int) -> "UnitaryMatrix":
-        return cls(np.eye(dim, dtype=np.complex128))
 
 
 def _as_unitary(u) -> UnitaryMatrix:

@@ -164,14 +164,7 @@ def test_criterion_03_endpoint_and_pairsum_identity(trig_suite):
 def test_criterion_04_axiom_suite():
     """Concatenation (200 pairs), homotopy (50 grids, all certified),
     normalization (50), vanishing (200) - per method, zero violations."""
-    reports = run_all_checks(
-        seed=0,
-        concat_trials=200,
-        homotopy_trials=50,
-        normalization_trials=50,
-        vanishing_trials=200,
-        opts=OPTS,
-    )
+    reports = run_all_checks(seed=0, trials=200, opts=OPTS)
     assert len(reports) == 16
     for rep in reports:
         assert rep["ok"], (rep["check"], rep["method"], rep["failures"])
@@ -223,8 +216,9 @@ def test_criterion_06_norm_graph_inequalities():
         t = HermitianMatrix(h.mat * (target / max(h.norm, 1e-300)))
         size = 10.0 ** rng.uniform(-3.0, -0.2)
         t_tilde = HermitianMatrix(t.mat + size * random_hermitian(rng, dim, 1.0).mat)
-        rep = norm_graph_equivalence_check(t, t_tilde, 2.0, slack=NORM_GRAPH_SLACK)
+        rep = norm_graph_equivalence_check(t, t_tilde, 2.0)
         assert rep.ok, (k, rep)
+        assert rep.slack == NORM_GRAPH_SLACK
         active_graph += rep.hyp_graph_small
         active_norm += rep.hyp_norm_small
     assert active_graph > 100 and active_norm > 100  # not vacuous

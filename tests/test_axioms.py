@@ -120,20 +120,13 @@ def test_run_all_checks_builds_each_seeded_path_once(monkeypatch):
         "invertible_trig_path",
     ):
         counted(name)
-    reports = run_all_checks(
-        seed=4,
-        concat_trials=3,
-        homotopy_trials=2,
-        normalization_trials=3,
-        vanishing_trials=4,
-        opts=OPTS,
-    )
+    reports = run_all_checks(seed=4, trials=8, opts=OPTS)
     assert len(reports) == 16
     assert builds == {
-        "concat_compatible_pair": 3,
+        "concat_compatible_pair": 8,
         "homotopy_family": 2,
-        "normalization_path": 3,
-        "invertible_trig_path": 4,
+        "normalization_path": 2,
+        "invertible_trig_path": 8,
     }
 
 
@@ -154,26 +147,12 @@ def test_law_checks_make_no_stacked_two_norm(monkeypatch):
     OperatorPath(opaque.stack, 3).steps([0.0, 0.5, 1.0])
     assert stacked == [2]
     stacked.clear()
-    run_all_checks(
-        seed=0,
-        concat_trials=3,
-        homotopy_trials=4,
-        normalization_trials=2,
-        vanishing_trials=3,
-        opts=OPTS,
-    )
+    run_all_checks(seed=0, trials=16, opts=OPTS)  # four homotopy families
     assert stacked == []
 
 
 def test_run_all_checks_shape():
-    reports = run_all_checks(
-        seed=0,
-        concat_trials=3,
-        homotopy_trials=2,
-        normalization_trials=3,
-        vanishing_trials=3,
-        opts=OPTS,
-    )
+    reports = run_all_checks(seed=0, trials=8, opts=OPTS)
     assert len(reports) == 16
     assert all(r["ok"] for r in reports)
     checks = {r["check"] for r in reports}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specflowlab import ConsistencyFault, cli, graded
+from specflowlab.axioms import run_all_checks
 from specflowlab.serialize import dumps_json, graded_to_obj, matrix_to_obj
 from specflowlab.graded import GradedOperator
 from specflowlab.specflow import SfOptions
@@ -322,3 +323,29 @@ def test_axioms_command_small(capsys):
     reports = json.loads(capsys.readouterr().out)
     assert len(reports) == 16
     assert all(r["ok"] for r in reports)
+
+
+def test_axioms_command_splits_its_trials_in_the_library(capsys):
+    """``--trials N`` is ``run_all_checks(trials=N)``: the 4:1:1:4 split
+    lives in the library, not in the front end."""
+    assert cli.main(["axioms", "--trials", "8", "--seed", "3"]) == 0
+    expected = dumps_json(run_all_checks(seed=3, trials=8, opts=SfOptions()))
+    assert capsys.readouterr().out == expected
+    assert [r["trials"] for r in json.loads(expected)[:4]] == [8, 2, 2, 8]
+
+
+@pytest.mark.parametrize("route", ["axioms", "graded", "compute"])
+def test_negative_seed_exit_1(route, tmp_path, capsys):
+    """A negative seed once ended in numpy's uncaught ValueError traceback,
+    from a flag or, for ``compute``, from the path file."""
+    if route == "axioms":
+        argv = ["axioms", "--seed", "-1", "--trials", "1"]
+    elif route == "graded":
+        f = write_json(tmp_path / "g.json", graded_to_obj(GradedOperator(2, 1, [[1.0, 0.0]])))
+        argv = ["graded", "--input", f, "--seed", "-1"]
+    else:
+        obj = {"kind": "family", "dim": 4, "family": {"name": "trig_random", "seed": -1}}
+        argv = ["compute", "--input", write_json(tmp_path / "p.json", obj)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr()
+    assert err.err == "error: seed must be an int >= 0, got -1\n" and err.out == ""

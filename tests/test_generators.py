@@ -88,6 +88,32 @@ def test_spawn_rngs_reproducible_and_distinct():
         spawn_rngs(7, -1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: spawn_rngs(-1, 2),
+        lambda: trig_path(-1, 3),
+        lambda: normalization_path(-2, 3),
+        lambda: concat_compatible_pair(-1, 3),
+        lambda: family_path("trig_random", seed=-1, dim=4),
+        lambda: trig_path(True, 3),
+    ],
+    ids=["spawn_rngs", "trig_path", "normalization_path", "concat_pair", "family_path", "bool"],
+)
+def test_seed_must_be_a_nonnegative_int(build):
+    """numpy refuses a negative seed with a bare ValueError, which once
+    escaped the CLI as a traceback."""
+    with pytest.raises(InputError, match="seed must be an int >= 0"):
+        build()
+
+
+@pytest.mark.parametrize("count", [True, False, 2.0])
+def test_spawn_rngs_refuses_a_count_that_is_not_an_int(count):
+    """``spawn_rngs(0, True)`` once returned one generator."""
+    with pytest.raises(InputError, match="count must be an int >= 0"):
+        spawn_rngs(0, count)
+
+
 @pytest.mark.parametrize("seed,dim", [(0, 2), (1, 4), (2, 7), (3, 12)])
 def test_trig_path_endpoint_gaps(seed, dim):
     p = trig_path(seed, dim)
@@ -179,7 +205,7 @@ def test_normalization_path_flows_one():
 
 
 def test_invertible_trig_path_stays_invertible():
-    p = invertible_trig_path(2, 5, gap=0.5)
+    p = invertible_trig_path(2, 5)
     for t in np.linspace(0.0, 1.0, 41):
         assert np.min(np.abs(p.values(t))) >= 0.25 - 1e-12
 

@@ -116,13 +116,13 @@ def test_index_stability_reuses_the_base_exactly(monkeypatch, p, q, rank, seed):
     """Building T0's transforms once per check changes no distance bit."""
     g = GradedOperator(p, q, planted_block(np.random.default_rng(seed), q, p, rank))
     seen = []
-    inner = graded._d_G
+    inner = graded.d_G
 
     def recorded(a, b):
         seen.append(inner(a, b))
         return seen[-1]
 
-    monkeypatch.setattr(graded, "_d_G", recorded)
+    monkeypatch.setattr(graded, "d_G", recorded)
     rep = index_stability_check(g, trials=12, seed=seed)
     dists, failures = _stability_by_public_calls(g, 12, seed)
     assert seen == dists
@@ -158,12 +158,20 @@ def test_spectral_gap_refuses_an_impossible_tolerance(tol):
     assert g.spectral_gap(tol=0.0) == 1.0
 
 
-@pytest.mark.parametrize("trials", [-3, 2.7, "4"])
+@pytest.mark.parametrize("trials", [-3, 2.7, "4", True])
 def test_index_stability_refuses_a_trial_count_that_is_not_a_count(trials):
     g = GradedOperator(2, 1, [[1.0, 0.0]])
-    with pytest.raises(InputError, match="trials must be a nonnegative int"):
+    with pytest.raises(InputError, match="trials must be an int >= 0"):
         index_stability_check(g, trials=trials)
     assert index_stability_check(g, trials=0)["trials"] == 0
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_index_stability_refuses_a_seed_that_is_not_a_seed(seed):
+    """A negative seed once escaped as numpy's bare ValueError."""
+    g = GradedOperator(2, 1, [[1.0, 0.0]])
+    with pytest.raises(InputError, match="seed must be an int >= 0"):
+        index_stability_check(g, trials=1, seed=seed)
 
 
 def test_validation_errors():

@@ -330,6 +330,22 @@ def test_hermitian_arithmetic(rng):
     assert HermitianMatrix.zeros(2).norm == 0.0
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: HermitianMatrix(np.diag([1.0, -2.0])), lambda: Projection(np.diag([1.0, 0.0]))],
+    ids=["hermitian", "projection"],
+)
+def test_array_copies_only_when_asked(make):
+    """``np.array(H)`` once returned the wrapper's own read-only array, so
+    writing to it raised; ``np.asarray(H)`` still makes no copy."""
+    h = make()
+    a = np.array(h)
+    a[0, 0] = 7.0
+    assert h.mat[0, 0] != 7.0 and not np.shares_memory(a, h.mat)
+    assert np.asarray(h) is h.mat
+    assert np.array(h, dtype=np.complex64).dtype == np.complex64
+
+
 def test_eigh_ascending_and_reconstructs(rng):
     h = HermitianMatrix(random_hermitian(rng, 8))
     ed = eigh(h)

@@ -246,6 +246,19 @@ def test_sf_options_validation():
         SfOptions(endpoint_gap=-1.0)
 
 
+@pytest.mark.parametrize("field", ["samples", "oracle_samples", "max_depth"])
+def test_sf_options_refuse_a_bool(field):
+    """``SfOptions(max_depth=True)`` was once accepted, and certificates
+    printed ``"max_depth": true``."""
+    with pytest.raises(InputError, match=f"{field} must be an int >="):
+        SfOptions(**{field: True})
+
+
+def test_operator_path_refuses_a_bool_dim():
+    with pytest.raises(InputError, match="dim must be an int >= 1, got True"):
+        OperatorPath(lambda ts: np.ones((len(ts), 1, 1)), True)
+
+
 def test_double_reverse_identity():
     path = trig_path(2, 3)
     back = path_reverse(path_reverse(path))

@@ -32,6 +32,16 @@ def test_unitary_validation(rng):
     assert UnitaryMatrix(q).dim == 4
 
 
+def test_unitary_array_copies_only_when_asked():
+    """``np.array(U)`` is a writable copy; ``np.asarray(U)`` is the
+    wrapper's own array."""
+    u = UnitaryMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    a = np.array(u)
+    a[0, 0] = 7.0
+    assert u.mat[0, 0] == 0.0 and not np.shares_memory(a, u.mat)
+    assert np.asarray(u) is u.mat
+
+
 def test_unitary_validation_boundary():
     """The Frobenius pre-check decides nothing the 2-norm would not."""
     # U*U - I = diag(1.0000001e-10, 0, 0, 0) up to rounding: a 2-norm just
