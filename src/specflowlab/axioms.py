@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CertificationError, InputError
-from .matcore import HermitianMatrix, as_hermitian, eigh, op_norm
+from .errors import CertificationError, InputError, require_int
+from .matcore import HermitianMatrix, as_hermitian, op_norm
 from .specflow import (
     _DEFAULT_OPTS,
     OperatorPath,
@@ -265,10 +265,12 @@ def run_all_checks(
     grouped by route (the four laws of the first route, then the next).
 
     The trials split 4:1:1:4: ``trials`` concatenation pairs and invertible
-    paths, and a quarter of them (at least one) deformation families and
-    normalization paths. The laws draw from the seeds seed ... seed + 3.
+    paths, and a quarter of them (at least one, unless ``trials`` is 0)
+    deformation families and normalization paths. ``trials`` must be a
+    nonnegative int. The laws draw from the seeds seed ... seed + 3.
     """
-    quarter = max(1, trials // 4)
+    require_int(trials, "trials", 0)
+    quarter = min(trials, max(1, trials // 4))
     funs = builtin_functionals(opts)
     by_law = (
         check_concatenation(funs, trials=trials, seed=seed),
@@ -320,8 +322,8 @@ def connect_invertibles(
             "path can join the endpoints"
         )
     dim = t1.dim
-    ed1 = eigh(t1)
-    ed2 = eigh(t2)
+    ed1 = t1.eig
+    ed2 = t2.eig
     pos1 = ed1.values >= 0
     pos2 = ed2.values >= 0
     basis1 = np.concatenate(

@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("axioms", _cmd_axioms, "run the behavioral law checks", sampling=True)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.add_argument("--trials", type=int, default=20, help="trials per law")
+    p.add_argument("--trials", type=_count(0), default=20, help="trials per law")
 
     p = subcommand(
         "graded", _cmd_graded, "off-diagonal block report", input_help="input JSON file"

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, coerce_field, require_int
-from .matcore import HermitianMatrix, Projection, apply_function, as_hermitian, eigh, op_norm
+from .matcore import HermitianMatrix, Projection, apply_function, as_hermitian, op_norm
 from .opmodel import DiagonalModel, ce_fuglede, realize
 from .specflow import OperatorPath, lipschitz, piecewise_affine
 from .transforms import UnitaryMatrix, _as_unitary
@@ -135,7 +135,7 @@ def _rotation(rng: np.random.Generator, dim: int, scale: float):
     """(K, u_of) for the unitary path U(t) = exp(i t K) of a random
     Hermitian K; see unitary_rotation_path."""
     k = random_hermitian(rng, dim, scale)
-    ed = eigh(k)
+    ed = k.eig
 
     def u_of(ts) -> np.ndarray:
         phases = np.exp(1j * np.asarray(ts, dtype=np.float64)[..., None] * ed.values)

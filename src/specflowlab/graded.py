@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyFault, FinitenessError, InputError, require_int
-from .matcore import HermitianMatrix, Interval, _window_projection, tol_spec
+from .matcore import HermitianMatrix, Interval, spectral_projection, tol_spec
 from .metrics import _Operand, d_G
 
 __all__ = [
@@ -43,8 +43,9 @@ class GradedOperator:
     block: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        p, q = int(self.p), int(self.q)
-        if p < 0 or q < 0 or p + q == 0:
+        p = require_int(self.p, "p", 0)
+        q = require_int(self.q, "q", 0)
+        if p + q == 0:
             raise InputError(f"need p, q >= 0 with p + q > 0, got ({p}, {q})")
         a = np.asarray(self.block, dtype=np.complex128)
         if a.shape != (q, p):
@@ -53,8 +54,6 @@ class GradedOperator:
             raise FinitenessError("block contains non-finite entries")
         a = a.copy()
         a.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
         object.__setattr__(self, "block", a)
 
     @property
@@ -108,11 +107,11 @@ def graded_window_dim(g: GradedOperator, eps: float) -> int:
     eps = float(eps)
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    return _window_dim(g._odd, g.grading(), eps)
+    return _window_dim(g._odd.h, g.grading(), eps)
 
 
-def _window_dim(t: _Operand, grading: HermitianMatrix, eps: float) -> int:
-    proj = _window_projection(t.h, t.eig, Interval.closed(-eps, eps))
+def _window_dim(t: HermitianMatrix, grading: HermitianMatrix, eps: float) -> int:
+    proj = spectral_projection(t, Interval.closed(-eps, eps))
     weighted = float(np.real(np.trace(grading.mat @ proj.mat)))
     rounded = round(weighted)
     if abs(weighted - rounded) > 1e-8:
@@ -126,7 +125,7 @@ def eigenpair_cancellation_check(g: GradedOperator) -> dict:
     """Group the odd matrix's spectrum by |eigenvalue| and confirm every
     nonzero level carries graded dimension zero (the +/- pair-off)."""
     t = g._odd.h
-    ed = g._odd.eig
+    ed = t.eig
     alpha = g.grading().mat
     tol = tol_spec(t)
     mags = np.abs(ed.values)
@@ -178,7 +177,7 @@ def index_stability_check(
     base_index = g.kernel_index()
     t0 = g._odd
     grading = g.grading()
-    if _window_dim(t0, grading, 0.5 * gap) != base_index:
+    if _window_dim(t0.h, grading, 0.5 * gap) != base_index:
         raise ConsistencyFault("window dimension disagrees with kernel index at start")
     rng = np.random.default_rng(seed)
     failures = []
@@ -192,7 +191,7 @@ def index_stability_check(
         if dist >= delta:
             failures.append({"trial": k, "reason": "graph distance", "value": dist})
             continue
-        w = _window_dim(tp, grading, 0.5 * gap)
+        w = _window_dim(tp.h, grading, 0.5 * gap)
         if w != base_index:
             failures.append({"trial": k, "reason": "window dim", "value": w})
     return {

@@ -6,6 +6,10 @@ functional calculus, spectral projections cut by intervals, the same
 projections recovered by resolvent contour integration, operator norms,
 tolerance-aware ranks, and an integral representation of A^{-1/2}.
 
+A HermitianMatrix caches its validated eigendecomposition (``.eig``, by
+:func:`eigh` on first use) like its norm; every function of the matrix, here
+and in ``transforms``, reads that one decomposition.
+
 Conventions
 -----------
 * dtype is complex128 throughout; values are immutable after construction.
@@ -198,7 +202,7 @@ class HermitianMatrix:
     applies the same check to k matrices at once.
     """
 
-    __slots__ = ("_mat", "_norm")
+    __slots__ = ("_mat", "_norm", "_eig")
 
     def __init__(self, entries):
         a = np.asarray(entries, dtype=np.complex128)
@@ -206,6 +210,7 @@ class HermitianMatrix:
             raise InputError(f"expected a 2-d matrix, got shape {a.shape}")
         self._mat = _hermitian_average(a[None])[0]
         self._norm: float | None = None
+        self._eig: EigenDecomposition | None = None
 
     @staticmethod
     def from_stack(entries) -> list[HermitianMatrix]:
@@ -221,7 +226,7 @@ class HermitianMatrix:
         for row in _hermitian_average(a):
             h = object.__new__(HermitianMatrix)
             h._mat = row
-            h._norm = None
+            h._norm = h._eig = None
             rows.append(h)
         return rows
 
@@ -240,6 +245,13 @@ class HermitianMatrix:
         if self._norm is None:
             self._norm = op_norm(self._mat)
         return self._norm
+
+    @property
+    def eig(self) -> EigenDecomposition:
+        """Validated eigendecomposition (:func:`eigh`), computed once and cached."""
+        if self._eig is None:
+            self._eig = eigh(self)
+        return self._eig
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self._mat, dtype=dtype, copy=copy)
@@ -381,7 +393,7 @@ def apply_function(h: HermitianMatrix, f: Callable[[float], float]) -> Hermitian
     f is evaluated once per eigenvalue with a domain check; an undefined or
     non-finite value raises FunctionDomainError naming the eigenvalue.
     """
-    ed = eigh(h)
+    ed = as_hermitian(h).eig
     ys = np.array([_eval_scalar(f, lam) for lam in ed.values], dtype=np.float64)
     return HermitianMatrix(ed.assemble(ys))
 
@@ -496,21 +508,16 @@ def spectral_projection(h: HermitianMatrix, window: Interval) -> Projection:
     a BoundaryCollisionError reports the offending endpoint and gap.
     """
     h = as_hermitian(h)
-    return _window_projection(h, eigh(h), window)
-
-
-def _window_projection(h: HermitianMatrix, ed: EigenDecomposition, window: Interval) -> Projection:
-    """``spectral_projection`` of ``h`` from its decomposition ``ed``."""
+    ed = h.eig
     guard = tol_spec(h)
     for e in window.finite_endpoints():
-        gap = float(np.min(np.abs(ed.values - e))) if ed.values.size else np.inf
+        gap = float(np.min(np.abs(ed.values - e)))
         if gap <= guard:
             raise BoundaryCollisionError(
                 f"interval endpoint {e:.6g} is {gap:.3e} from the spectrum "
                 f"(needs > {guard:.3e})"
             )
-    mask = window.mask(ed.values)
-    b = ed.vectors[:, mask]
+    b = ed.vectors[:, window.mask(ed.values)]
     return Projection(b @ b.conj().T)
 
 
@@ -522,8 +529,7 @@ def nonneg_projection(h: HermitianMatrix) -> Projection:
     guarantee separation themselves (e.g. the path-endpoint invertibility
     convention).
     """
-    h = as_hermitian(h)
-    ed = eigh(h)
+    ed = as_hermitian(h).eig
     b = ed.vectors[:, ed.values >= 0.0]
     return Projection(b @ b.conj().T)
 

@@ -9,14 +9,14 @@ reports that compare them.
        the two routes disagree beyond 1e-9
 
 Each distance takes matrices or private operand records and reads its
-operands through the record, which factors the matrix with one
-eigendecomposition, shared by its Riesz image, Cayley image and weight,
-and forms its resolvent once. A call that measures many operands against
-one reference (the separation report, the graded stability check) passes
-the reference's record, built once, so its transforms are computed once
-per call; nothing outlives the call. The resolvent stays a
-direct matrix inverse, not an eigenbasis formula, so the two d_G routes
-remain two different computations.
+operands through the record, which forms the resolvent, the Riesz and
+Cayley images and the weight once each; the last three read the one
+eigendecomposition the HermitianMatrix caches. A call that measures many
+operands against one reference (the separation report, the graded
+stability check) passes the reference's record, built once, so its
+transforms are computed once per call; nothing outlives the call. The
+resolvent stays a direct matrix inverse, not an eigenbasis formula, so
+the two d_G routes remain two different computations.
 
 The separation report tabulates all four on the diagonal-model families,
 next to their exact closed forms, which is where the metrics genuinely
@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConsistencyFault, DimensionMismatchError, InputError
-from .matcore import EigenDecomposition, HermitianMatrix, as_hermitian, eigh, op_norm
+from .matcore import HermitianMatrix, as_hermitian, op_norm
 from .opmodel import (
     FAMILIES,
     DiagonalModel,
@@ -40,7 +40,7 @@ from .opmodel import (
     family_perturbation,
     realize,
 )
-from .transforms import UnitaryMatrix, _cayley_image, _riesz_image
+from .transforms import UnitaryMatrix, cayley, riesz
 
 __all__ = [
     "d_N",
@@ -62,17 +62,17 @@ _DG_FAULT = 1e-9
 
 
 class _Operand:
-    """A validated operand and, each computed on first use, the transforms
-    the distances read: one eigendecomposition, the resolvent (H + i)^{-1},
-    the Riesz image, the Cayley image and the weight (I + H^2)^{-1/2}.
-    Callers build one per operand and call; none is kept past the call,
-    except a GradedOperator's, which holds the operand of its odd matrix."""
+    """A validated operand and the transforms the distances read, each
+    computed on first use: the resolvent (H + i)^{-1}, and from the matrix's
+    cached eigendecomposition the Riesz and Cayley images and the weight
+    (I + H^2)^{-1/2}. Callers build one per operand and call; none is kept
+    past the call, except a GradedOperator's, which holds its odd matrix's."""
 
-    __slots__ = ("h", "_eig", "_resolvent", "_riesz", "_cayley", "_weight")
+    __slots__ = ("h", "_resolvent", "_riesz", "_cayley", "_weight")
 
     def __init__(self, h):
         self.h = as_hermitian(h)
-        self._eig = self._resolvent = self._riesz = self._cayley = self._weight = None
+        self._resolvent = self._riesz = self._cayley = self._weight = None
 
     @property
     def mat(self) -> np.ndarray:
@@ -81,12 +81,6 @@ class _Operand:
     @property
     def dim(self) -> int:
         return self.h.dim
-
-    @property
-    def eig(self) -> EigenDecomposition:
-        if self._eig is None:
-            self._eig = eigh(self.h)
-        return self._eig
 
     @property
     def resolvent(self) -> np.ndarray:
@@ -98,22 +92,22 @@ class _Operand:
     @property
     def riesz(self) -> HermitianMatrix:
         if self._riesz is None:
-            self._riesz = _riesz_image(self.eig)
+            self._riesz = riesz(self.h)
         return self._riesz
 
     @property
     def cayley(self) -> UnitaryMatrix:
         if self._cayley is None:
-            self._cayley = _cayley_image(self.eig)
+            self._cayley = cayley(self.h)
         return self._cayley
 
     @property
     def weight(self) -> HermitianMatrix:
         if self._weight is None:
-            w = self.eig.values
+            w = self.h.eig.values
             with np.errstate(over="ignore"):  # x^2 = inf gives 0, like 1 / math.sqrt(1 + x * x)
                 f = 1.0 / np.sqrt(1.0 + w * w)
-            self._weight = HermitianMatrix(self.eig.assemble(f))
+            self._weight = HermitianMatrix(self.h.eig.assemble(f))
         return self._weight
 
 
@@ -300,16 +294,16 @@ def metric_separation_report(
 ) -> list[MetricReport]:
     """Tabulate all four distances for the requested families and indices.
 
-    The swap family starts at n = 2 (it permutes e_1 and e_n); smaller
-    indices are skipped for it. Residual slots are None where no closed
-    form exists.
+    Every index must be an int in [1, N - 1]. The swap family starts at
+    n = 2 (it permutes e_1 and e_n); smaller indices are skipped for it.
+    Residual slots are None where no closed form exists.
     """
     for fam in families:
         if fam not in FAMILIES:
             raise InputError(f"unknown family {fam!r}; choose from {FAMILIES}")
     if n_range is None:
         n_range = range(1, min(33, model.trunc_dim))
-    ns = [int(n) for n in n_range]
+    ns = [model._check_index(n) for n in n_range]
     d = _Operand(realize(model))
     rows: list[MetricReport] = []
     for fam in families:

@@ -79,9 +79,9 @@ class DiagonalModel:
         self._check_index(n)
         return float(self.lambdas()[n - 1])
 
-    def _check_index(self, n: int, lo: int = 1) -> None:
+    def _check_index(self, n: int, lo: int = 1) -> int:
         # capped at N-1 so trends over n stay inside the truncation
-        require_int(n, "family index n", lo, self.trunc_dim - 1)
+        return require_int(n, "family index n", lo, self.trunc_dim - 1)
 
 
 def realize(model: DiagonalModel) -> HermitianMatrix:

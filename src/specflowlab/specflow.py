@@ -62,10 +62,10 @@ from .matcore import (
     HermitianMatrix,
     _stack_eigvalsh,
     as_hermitian,
-    eigh,
+    nonneg_projection,
     op_norm,
 )
-from .projpair import Projection, pair_index
+from .projpair import pair_index
 
 __all__ = [
     "Regularity",
@@ -251,7 +251,7 @@ class OperatorPath:
       consecutive grid points: the declared rate * |dt|, or for an opaque
       path the sampled norms, one stacked 2-norm of the differences per
       chunk, cached by (t_a, t_b);
-    * ``eig(t)`` is the validated full decomposition, cached per t.
+    * ``eig(t)`` is the validated full decomposition the matrix at t caches.
 
     Stacks are cut into chunks of at most ``_CHUNK_BYTES`` bytes, so memory
     does not grow with the grid. The library's evaluators do per matrix the
@@ -278,7 +278,6 @@ class OperatorPath:
         self._regularity = regularity
         self.meta = dict(meta or {})
         self._mats: dict[float, HermitianMatrix] = {}
-        self._eigs: dict[float, EigenDecomposition] = {}
         self._vals: dict[float, np.ndarray] = {}
         self._steps: dict[tuple[float, float], float] = {}
         self._segments: dict[SfOptions, tuple] = {}
@@ -330,12 +329,7 @@ class OperatorPath:
         return out
 
     def eig(self, t: float) -> EigenDecomposition:
-        t = float(t)
-        ed = self._eigs.get(t)
-        if ed is None:
-            ed = eigh(self.matrix(t))
-            self._eigs[t] = ed
-        return ed
+        return self.matrix(t).eig
 
     def values(self, t):
         """Eigenvalues only (cheaper than a full, validated ``eig``): one
@@ -676,18 +670,12 @@ def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertifi
 
     def pair_total(segs: tuple[SfSegment, ...]) -> int:
         junctions = [segs[0].t_left] + [s.t_right for s in segs]
-        projs = {t: Projection(_nonneg_matrix(path, t)) for t in junctions}
+        projs = {t: nonneg_projection(path.matrix(t)) for t in junctions}
         return sum(pair_index(projs[s.t_right], projs[s.t_left]).value for s in segs)
 
     return _certificate(
         path, opts, "pairsum", lambda t, _eps: path.nonneg_count(t), pair_total
     )
-
-
-def _nonneg_matrix(path: OperatorPath, t: float) -> np.ndarray:
-    ed = path.eig(t)
-    b = ed.vectors[:, ed.values >= 0.0]
-    return b @ b.conj().T
 
 
 def sf_endpoints(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> int:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, InvertibilityError
-from .matcore import HermitianMatrix, as_hermitian, eigh, nonneg_projection, op_norm, rank_eps
+from .errors import InputError, InvertibilityError, require_int
+from .matcore import HermitianMatrix, as_hermitian, nonneg_projection, op_norm, rank_eps
 from .projpair import Projection, _as_projection, pair_index
 from .specflow import _DEFAULT_OPTS, SfOptions, sf_all_methods
 from .generators import conjugation_path, cyclic_shift, half_integer_diagonal
@@ -39,7 +39,7 @@ def toeplitz_compression(p: Projection, w) -> np.ndarray:
     w = _as_unitary(w)
     if w.dim != p.dim:
         raise InputError(f"dims differ: projection {p.dim}, unitary {w.dim}")
-    ed = eigh(p)
+    ed = p.eig
     basis = ed.vectors[:, ed.values > 0.5]
     return basis.conj().T @ w.mat @ basis
 
@@ -130,16 +130,20 @@ def cyclic_shift_sweep(m_range, opts: SfOptions = _DEFAULT_OPTS) -> list[dict]:
 
     Each entry shows one local down-crossing cancelled by one wrap-around
     up-crossing whose diagonal entry travels the whole spectrum
-    (2m levels)."""
-    return [_sweep_entry(int(m), 1, opts) for m in m_range]
+    (2m levels). Every m must be an int >= 1."""
+    ms = [require_int(m, "m", 1) for m in m_range]
+    return [_sweep_entry(m, 1, opts) for m in ms]
 
 
 def power_sweep(
     m: int, power_range, opts: SfOptions = _DEFAULT_OPTS
 ) -> list[dict]:
     """Same check at fixed truncation radius m while the shift power
-    sweeps; power p <= m yields p matched crossings per side."""
-    return [_sweep_entry(int(m), int(p), opts) for p in power_range]
+    sweeps; power p <= m yields p matched crossings per side. m and every
+    power must be ints >= 1."""
+    require_int(m, "m", 1)
+    powers = [require_int(p, "power", 1) for p in power_range]
+    return [_sweep_entry(m, p, opts) for p in powers]
 
 
 def commutator_report(d: HermitianMatrix, w) -> dict:

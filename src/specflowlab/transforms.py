@@ -6,10 +6,10 @@ Riesz images, and their unitary Cayley images.
 * cayley:         T -> (T - i)(T + i)^{-1}       (unitary)
 * cayley_inverse: U -> i (I + U)(I - U)^{-1}
 
-Hermitian inputs go through the eigendecomposition route (diagonalize, map
-eigenvalues, reassemble). The Riesz and Cayley formulas are written once, as
-functions of an EigenDecomposition, so a caller that already holds the
-decomposition (metrics' operand record) maps it without a second eigh. The
+Hermitian inputs go through the eigendecomposition route (map the
+eigenvalues, reassemble), reading the decomposition the HermitianMatrix
+caches, so a matrix that was already diagonalized (for a distance, a
+projection or the other transform) is mapped without a second eigh. The
 unitary input of cayley_inverse is diagonalized with a cluster-orthonormalized
 eigenbasis so the result is Hermitian by construction even when U - I is
 badly conditioned.
@@ -29,12 +29,10 @@ from .errors import (
     InputError,
 )
 from .matcore import (
-    EigenDecomposition,
     HermitianMatrix,
     _frobenius_within,
     apply_function,
     as_hermitian,
-    eigh,
     op_norm,
 )
 
@@ -109,27 +107,18 @@ class MembershipReport:
         return self.ok
 
 
-def _riesz_image(ed: EigenDecomposition) -> HermitianMatrix:
-    """V F(L) V* with F(x) = x / sqrt(1 + x^2), for the matrix ed factors.
+def riesz(t: HermitianMatrix) -> HermitianMatrix:
+    """Bounded transform T (I + T^2)^{-1/2}; a strict contraction.
 
-    The array formula does per eigenvalue the same IEEE operations as the
-    scalar formula evaluated through apply_function, so the bits agree; an
-    x^2 that overflows to inf maps to 0 there too, without a warning.
+    x / sqrt(1 + x^2) on the eigenvalues as one array does the same IEEE
+    operations as through apply_function, so the bits agree; an x^2 that
+    overflows to inf maps to 0 there too, without a warning.
     """
+    ed = as_hermitian(t).eig
     w = ed.values
     with np.errstate(over="ignore"):
         f = w / np.sqrt(1.0 + w * w)
     return HermitianMatrix(ed.assemble(f))
-
-
-def _cayley_image(ed: EigenDecomposition) -> UnitaryMatrix:
-    """V diag((x - i) / (x + i)) V* for the matrix ed factors."""
-    return UnitaryMatrix(ed.assemble((ed.values - 1j) / (ed.values + 1j)))
-
-
-def riesz(t: HermitianMatrix) -> HermitianMatrix:
-    """Bounded transform T (I + T^2)^{-1/2}; a strict contraction."""
-    return _riesz_image(eigh(t))
 
 
 def riesz_inverse(s: HermitianMatrix) -> HermitianMatrix:
@@ -149,7 +138,8 @@ def riesz_inverse(s: HermitianMatrix) -> HermitianMatrix:
 
 def cayley(t: HermitianMatrix) -> UnitaryMatrix:
     """Cayley transform (T - i)(T + i)^{-1}, assembled eigenvalue-wise."""
-    return _cayley_image(eigh(t))
+    ed = as_hermitian(t).eig
+    return UnitaryMatrix(ed.assemble((ed.values - 1j) / (ed.values + 1j)))
 
 
 def unitary_eig(u: UnitaryMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -171,6 +171,20 @@ def test_run_all_checks_shape():
     ]
 
 
+def test_run_all_checks_with_no_trials_runs_none():
+    """The 4:1:1:4 split once gave zero trials one deformation family and
+    one normalization path."""
+    reports = run_all_checks(seed=2, trials=0, opts=OPTS)
+    assert len(reports) == 16
+    assert all(r["trials"] == 0 and r["ok"] for r in reports)
+
+
+@pytest.mark.parametrize("trials", [-1, 2.5, True])
+def test_run_all_checks_refuses_a_trial_count_that_is_not_a_count(trials):
+    with pytest.raises(InputError, match="trials must be an int >= 0"):
+        run_all_checks(seed=0, trials=trials, opts=OPTS)
+
+
 def test_component_label_counts_nonneg_space():
     assert component_label(np.diag([3.0, -1.0, 2.0])) == 2
     assert component_label(np.diag([-1.0, -2.0])) == 0

@@ -185,6 +185,19 @@ def test_validation_errors():
         graded_window_dim(GradedOperator(1, 1, [[1.0]]), 0.0)
 
 
+@pytest.mark.parametrize("p, q, block", [
+    (True, 1, [[1.0]]),
+    (1, True, [[1.0]]),
+    (2.7, 1, [[1.0, 0.0]]),
+    (2, 1.0, [[1.0, 0.0]]),
+    (-1, 2, np.zeros((2, 0))),
+])
+def test_block_sizes_must_be_counts(p, q, block):
+    """int() once read True as 1 and truncated 2.7 to 2."""
+    with pytest.raises(InputError, match="must be an int >= 0"):
+        GradedOperator(p, q, block)
+
+
 def test_block_is_read_only():
     g = GradedOperator(1, 1, [[2.0]])
     with pytest.raises(ValueError):

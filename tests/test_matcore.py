@@ -37,6 +37,8 @@ from specflowlab.matcore import (
     tol_spec,
 )
 
+from specflowlab.transforms import cayley, riesz
+
 from conftest import random_hermitian
 
 
@@ -383,6 +385,36 @@ def test_eigh_rejects_bad_reconstruction(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(ConsistencyFault, match="reconstruction"):
         eigh(HermitianMatrix(np.diag([1.0, 2.0, 3.0])))
+
+
+def test_one_eigh_serves_every_function_of_a_matrix(monkeypatch, rng):
+    """Both projections, the calculus and both transforms read the one
+    decomposition the matrix caches; each once computed its own."""
+    shapes = []
+    lapack_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or lapack_eigh(a))
+    h = HermitianMatrix(random_hermitian(rng, 6))
+    spectral_projection(h, Interval.closed(-100.0, 100.0))
+    nonneg_projection(h)
+    apply_function(h, abs)
+    riesz(h)
+    cayley(h)
+    assert shapes == [(6, 6)]
+    assert h.eig is h.eig
+
+
+def test_stack_rows_and_projections_carry_their_decomposition(rng):
+    a = random_hermitian(rng, 5)
+    for row in HermitianMatrix.from_stack([a, -a]):
+        ed = row.eig
+        assert ed is row.eig
+        fresh = eigh(row)
+        assert np.array_equal(ed.values, fresh.values)
+        assert np.array_equal(ed.vectors, fresh.vectors)
+        p = nonneg_projection(row)
+        assert p.eig is p.eig
+        assert int(np.sum(p.eig.values > 0.5)) == p.rank
+        assert np.allclose(p.eig.assemble(p.eig.values), p.mat, atol=1e-12)
 
 
 def test_projection_rejects_non_idempotent():

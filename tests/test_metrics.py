@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from specflowlab.errors import ConsistencyFault
+from specflowlab.errors import ConsistencyFault, InputError
 from specflowlab.matcore import HermitianMatrix, apply_function, op_norm
 from specflowlab.metrics import (
     MetricReport,
@@ -170,6 +170,19 @@ def test_report_factors_each_operand_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     rows = metric_separation_report(DiagonalModel(12, "signed"))
     assert counts == {"eigh": len(rows) + 1, "inv": len(rows) + 1}
+
+
+@pytest.mark.parametrize("families, n", [
+    (["rank_one"], 2.5),
+    (["lambda"], True),
+    (["swap"], 0),
+    (["fuglede"], 8),
+])
+def test_report_refuses_an_index_that_is_not_a_family_index(families, n):
+    """int() once truncated n = 2.5, and the swap family skipped n = 0."""
+    message = rf"family index n must be an int in \[1, 7\], got {n!r}"
+    with pytest.raises(InputError, match=message):
+        metric_separation_report(DiagonalModel(8, "linear"), families, [1, n])
 
 
 def test_report_feeds_the_dual_gap_watermark():

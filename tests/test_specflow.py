@@ -46,7 +46,7 @@ from specflowlab.generators import (
     trig_path,
 )
 from specflowlab.toeplitz import conjugation_path
-from specflowlab import specflow
+from specflowlab import matcore, specflow
 
 
 def dense_sign_count_oracle(path, samples=4001):
@@ -221,7 +221,7 @@ def test_pairsum_validates_one_projection_per_junction(monkeypatch):
         built.append(entries)
         return Projection(entries)
 
-    monkeypatch.setattr(specflow, "Projection", counting_projection)
+    monkeypatch.setattr(matcore, "Projection", counting_projection)
     cert = sf_pairsum(family_path("toeplitz_line", {"m": 4}))
     assert len(cert.segments) == 3
     assert len(built) == len(cert.segments) + 1

@@ -62,6 +62,19 @@ def test_power_sweep_counts_match_power():
         assert entry["expected_crossings_per_side"] == entry["power"]
 
 
+@pytest.mark.parametrize("sweep, message", [
+    (lambda: cyclic_shift_sweep([1, 2.5]), "m must be an int >= 1, got 2.5"),
+    (lambda: cyclic_shift_sweep([True]), "m must be an int >= 1, got True"),
+    (lambda: power_sweep(2.5, [1]), "m must be an int >= 1, got 2.5"),
+    (lambda: power_sweep(2, [1, 1.5]), "power must be an int >= 1, got 1.5"),
+    (lambda: power_sweep(2, [0]), "power must be an int >= 1, got 0"),
+], ids=["fractional-m", "bool-m", "fractional-power-m", "fractional-power", "zero-power"])
+def test_sweeps_refuse_a_radius_or_power_that_is_not_a_count(sweep, message):
+    """int() once truncated m = 2.5 and power = 1.5 and ran the sweep."""
+    with pytest.raises(InputError, match=message):
+        sweep()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_random_pairs_identity(seed):
     rng = np.random.default_rng(seed)
