@@ -73,10 +73,8 @@ from .metrics import (
     d_N,
     d_R,
     d_W,
-    dual_gap_watermark,
     metric_separation_report,
     norm_graph_equivalence_check,
-    reset_dual_gap_watermark,
 )
 from .projpair import PairIndexResult, pair_index
 from .specflow import (

@@ -191,12 +191,7 @@ def check_homotopy(
 
         def row(s: float) -> OperatorPath:
             if s not in paths:
-                paths[s] = OperatorPath(
-                    partial(h_of, s),
-                    dim,
-                    regularity=regularity,
-                    meta={"family": label, "s": s},
-                )
+                paths[s] = OperatorPath(partial(h_of, s), dim, regularity=regularity)
             return paths[s]
 
         try:
@@ -364,9 +359,4 @@ def connect_invertibles(
         3.0 * op_norm(generator @ s1 - s1 @ generator),
         3.0 * op_norm(t2.mat - s2),
     ]
-    return OperatorPath(
-        evaluate,
-        dim,
-        regularity=lipschitz((1.0 / 3.0, 2.0 / 3.0), rates),
-        meta={"family": "connector", "label": label1},
-    )
+    return OperatorPath(evaluate, dim, regularity=lipschitz((1.0 / 3.0, 2.0 / 3.0), rates))

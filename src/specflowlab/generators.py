@@ -176,7 +176,6 @@ def _tilted_path(
     rate: float,
     dim: int,
     gap: float,
-    meta: dict,
     *,
     fix_left: bool = True,
 ) -> OperatorPath:
@@ -203,7 +202,7 @@ def _tilted_path(
         return _add_combination(raw(ts), terms + [(ts, delta1)])
 
     tilt = op_norm(delta1 - delta0)
-    return OperatorPath(evaluate, dim, regularity=lipschitz((), [rate + tilt]), meta=meta)
+    return OperatorPath(evaluate, dim, regularity=lipschitz((), [rate + tilt]))
 
 
 def _trig_evaluator(
@@ -276,14 +275,13 @@ def trig_path(
     degree: int = 3,
     scale: float = 1.0,
     gap: float = ENDPOINT_CLAMP_GAP,
-    meta: dict | None = None,
 ) -> OperatorPath:
     """Seeded random trig-polynomial path with invertible endpoints."""
     rng = _as_rng(seed_or_rng)
     require_int(dim, "dim", 1)
     require_int(degree, "degree", 1)
     raw, rate = _trig_evaluator(rng, dim, degree, scale)
-    return _tilted_path(raw, rate, dim, gap, meta or {"family": "trig_random"})
+    return _tilted_path(raw, rate, dim, gap)
 
 
 def invertible_trig_path(seed_or_rng, dim: int) -> OperatorPath:
@@ -306,9 +304,7 @@ def invertible_trig_path(seed_or_rng, dim: int) -> OperatorPath:
         return u.conj().swapaxes(1, 2) @ d0.mat @ u + drift[:, None, None] * np.eye(dim)
 
     rate = op_norm(d0.mat @ k.mat - k.mat @ d0.mat) + 2.0 * math.pi * amp
-    return OperatorPath(
-        evaluate, dim, regularity=lipschitz((), [rate]), meta={"family": "invertible_drift"}
-    )
+    return OperatorPath(evaluate, dim, regularity=lipschitz((), [rate]))
 
 
 def normalization_path(seed_or_rng, dim: int) -> OperatorPath:
@@ -333,12 +329,7 @@ def normalization_path(seed_or_rng, dim: int) -> OperatorPath:
     def evaluate(ts: np.ndarray) -> np.ndarray:
         return (ts - 0.5)[:, None, None] * p + rest
 
-    return OperatorPath(
-        evaluate,
-        dim,
-        regularity=piecewise_affine((), [op_norm(p)]),
-        meta={"family": "normalization"},
-    )
+    return OperatorPath(evaluate, dim, regularity=piecewise_affine((), [op_norm(p)]))
 
 
 def concat_compatible_pair(seed_or_rng, dim: int) -> tuple[OperatorPath, OperatorPath]:
@@ -357,10 +348,7 @@ def concat_compatible_pair(seed_or_rng, dim: int) -> tuple[OperatorPath, Operato
         return out
 
     # the constant shift leaves the rate of g_raw as it is
-    g = _tilted_path(
-        shifted, rate, dim, ENDPOINT_CLAMP_GAP, {"family": "trig_random_shifted"},
-        fix_left=False,
-    )
+    g = _tilted_path(shifted, rate, dim, ENDPOINT_CLAMP_GAP, fix_left=False)
     return f, g
 
 
@@ -401,7 +389,7 @@ def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7):
     return h_of, s_grid, label, f.regularity
 
 
-def line_path(a: HermitianMatrix, b: HermitianMatrix, *, meta: dict | None = None) -> OperatorPath:
+def line_path(a: HermitianMatrix, b: HermitianMatrix) -> OperatorPath:
     """The straight line t -> (1 - t) A + t B, affine with rate ||B - A||."""
     if a.dim != b.dim:
         raise InputError(f"line endpoints must share a dimension, got {a.dim} and {b.dim}")
@@ -409,12 +397,7 @@ def line_path(a: HermitianMatrix, b: HermitianMatrix, *, meta: dict | None = Non
     def evaluate(ts: np.ndarray) -> np.ndarray:
         return (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
 
-    return OperatorPath(
-        evaluate,
-        a.dim,
-        regularity=piecewise_affine((), [op_norm(b.mat - a.mat)]),
-        meta=meta,
-    )
+    return OperatorPath(evaluate, a.dim, regularity=piecewise_affine((), [op_norm(b.mat - a.mat)]))
 
 
 def conjugation_path(d: HermitianMatrix, w) -> OperatorPath:
@@ -424,7 +407,7 @@ def conjugation_path(d: HermitianMatrix, w) -> OperatorPath:
     if w.dim != d.dim:
         raise InputError(f"dims differ: D {d.dim}, W {w.dim}")
     conj = HermitianMatrix(w.mat @ d.mat @ w.mat.conj().T)
-    return line_path(d, conj, meta={"family": "toeplitz_line"})
+    return line_path(d, conj)
 
 
 def _family_linear_interp(params: dict, seed, dim) -> OperatorPath:
@@ -437,7 +420,7 @@ def _family_linear_interp(params: dict, seed, dim) -> OperatorPath:
         raise
     except (TypeError, ValueError) as exc:
         raise InputError(f"linear_interp endpoints must be matrix literals: {exc}") from exc
-    return line_path(a, b, meta={"family": "linear_interp"})
+    return line_path(a, b)
 
 
 def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
@@ -455,10 +438,7 @@ def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
         return d.mat + ts[:, None, None] * c.mat
 
     return OperatorPath(
-        evaluate,
-        model.trunc_dim,
-        regularity=piecewise_affine((), [op_norm(c.mat)]),
-        meta={"family": "fuglede_line", "n": n},
+        evaluate, model.trunc_dim, regularity=piecewise_affine((), [op_norm(c.mat)])
     )
 
 
@@ -466,9 +446,7 @@ def _family_toeplitz_line(params: dict, seed, dim) -> OperatorPath:
     m = coerce_field(params.get("m", 1), int, "m")
     power = coerce_field(params.get("power", 1), int, "power")
     d = half_integer_diagonal(m)
-    path = conjugation_path(d, cyclic_shift(d.dim, power))
-    path.meta.update(m=m, power=power)
-    return path
+    return conjugation_path(d, cyclic_shift(d.dim, power))
 
 
 def _family_trig_random(params: dict, seed, dim) -> OperatorPath:
@@ -485,7 +463,6 @@ def _family_trig_random(params: dict, seed, dim) -> OperatorPath:
         degree=coerce_field(params.get("degree", 3), int, "degree"),
         scale=coerce_field(params.get("scale", 1.0), float, "scale"),
         gap=coerce_field(params.get("gap", ENDPOINT_CLAMP_GAP), float, "gap"),
-        meta={"family": "trig_random", "seed": seed},
     )
 
 

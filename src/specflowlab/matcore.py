@@ -683,7 +683,7 @@ def check_a1(t: HermitianMatrix, b: HermitianMatrix) -> A1Report:
     b = as_hermitian(b)
     if t.dim != b.dim:
         raise DimensionMismatchError(f"dims differ: {t.dim} vs {b.dim}")
-    w = np.linalg.eigvalsh(t.mat)
+    w = t.eig.values
     gap = float(np.min(np.abs(w)))
     if gap <= tol_spec(t):
         raise InvertibilityError(

@@ -25,7 +25,6 @@ diverge from one another.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -48,8 +47,6 @@ __all__ = [
     "d_R",
     "d_G",
     "d_G_detail",
-    "dual_gap_watermark",
-    "reset_dual_gap_watermark",
     "GraphDistanceDetail",
     "GraphNormReport",
     "norm_graph_equivalence_check",
@@ -160,33 +157,13 @@ class GraphDistanceDetail:
         return abs(self.resolvent_route - self.cayley_route)
 
 
-_worst_dual_gap = 0.0
-_dual_gap_lock = threading.Lock()
-
-
-def reset_dual_gap_watermark() -> None:
-    """Zero the recorded worst disagreement between the two d_G routes."""
-    global _worst_dual_gap
-    with _dual_gap_lock:
-        _worst_dual_gap = 0.0
-
-
-def dual_gap_watermark() -> float:
-    """Worst |resolvent - half-Cayley| seen by any d_G call since reset."""
-    return _worst_dual_gap
-
-
 def d_G_detail(t1, t2) -> GraphDistanceDetail:
     """Graph distance via ||(T1+i)^{-1} - (T2+i)^{-1}|| and via the
     half-distance of Cayley transforms; both values are returned."""
-    global _worst_dual_gap
     a, b = _pair(t1, t2)
     res = op_norm(a.resolvent - b.resolvent)
     cay = 0.5 * op_norm(a.cayley.mat - b.cayley.mat)
     detail = GraphDistanceDetail(resolvent_route=res, cayley_route=cay)
-    with _dual_gap_lock:
-        if detail.delta > _worst_dual_gap:
-            _worst_dual_gap = detail.delta
     if detail.delta > _DG_FAULT:
         raise ConsistencyFault(
             f"graph-distance routes disagree: resolvent {res!r} vs half-Cayley {cay!r}"

@@ -268,7 +268,6 @@ class OperatorPath:
         dim: int,
         *,
         regularity: Regularity = OPAQUE,
-        meta: dict | None = None,
     ):
         require_int(dim, "dim", 1)
         if not isinstance(regularity, Regularity):
@@ -276,7 +275,6 @@ class OperatorPath:
         self._evaluator = evaluator
         self._dim = dim
         self._regularity = regularity
-        self.meta = dict(meta or {})
         self._mats: dict[float, HermitianMatrix] = {}
         self._vals: dict[float, np.ndarray] = {}
         self._steps: dict[tuple[float, float], float] = {}
@@ -378,7 +376,7 @@ class OperatorPath:
         )
 
     @classmethod
-    def from_samples(cls, matrices: Sequence, *, meta: dict | None = None) -> "OperatorPath":
+    def from_samples(cls, matrices: Sequence) -> "OperatorPath":
         """Uniformly spaced samples; the path is their linear interpolant,
         piecewise affine with one 2-norm per piece."""
         mats = [as_hermitian(m) for m in matrices]
@@ -399,19 +397,14 @@ class OperatorPath:
 
         rates = last * np.linalg.norm(np.diff(arr, axis=0), 2, axis=(1, 2))
         knots = [i / last for i in range(1, last)]
-        path = cls(evaluate, dim, regularity=piecewise_affine(knots, rates), meta=meta)
+        path = cls(evaluate, dim, regularity=piecewise_affine(knots, rates))
         for i, m in enumerate(mats):
             path._mats[i / last] = m
         return path
 
     @classmethod
     def from_callable(
-        cls,
-        fn: Callable[[float], HermitianMatrix],
-        dim: int,
-        *,
-        regularity: Regularity = OPAQUE,
-        meta: dict | None = None,
+        cls, fn: Callable[[float], HermitianMatrix], dim: int, *, regularity: Regularity = OPAQUE
     ) -> "OperatorPath":
         """A path from a scalar function t -> matrix, called once per t."""
 
@@ -422,7 +415,7 @@ class OperatorPath:
                     raise _dim_error(HermitianMatrix(m).dim, dim)
             return mats
 
-        return cls(evaluate, dim, regularity=regularity, meta=meta)
+        return cls(evaluate, dim, regularity=regularity)
 
     def __repr__(self) -> str:
         return f"OperatorPath(dim={self._dim}, soundness={self._regularity.soundness!r})"
@@ -873,12 +866,7 @@ def path_concat(f: OperatorPath, g: OperatorPath) -> OperatorPath:
         out[~first] = g.stack(2.0 * ts[~first] - 1.0)
         return out
 
-    return OperatorPath(
-        evaluate,
-        f.dim,
-        regularity=f.regularity.then(g.regularity),
-        meta={"concat": [f.meta, g.meta]},
-    )
+    return OperatorPath(evaluate, f.dim, regularity=f.regularity.then(g.regularity))
 
 
 def path_reverse(f: OperatorPath) -> OperatorPath:
@@ -887,9 +875,7 @@ def path_reverse(f: OperatorPath) -> OperatorPath:
     def evaluate(ts: np.ndarray) -> np.ndarray:
         return f.stack(1.0 - ts)
 
-    return OperatorPath(
-        evaluate, f.dim, regularity=f.regularity.reversed(), meta={"reverse": f.meta}
-    )
+    return OperatorPath(evaluate, f.dim, regularity=f.regularity.reversed())
 
 
 def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:

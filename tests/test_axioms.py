@@ -69,7 +69,7 @@ def test_vanishing_law_small():
 def _violating(law):
     """A functional that breaks ``law`` on every conclusive trial."""
     if law == "homotopy":
-        return SfFunctional("broken", lambda path: round(8 * path.meta["s"]))
+        return SfFunctional("broken", lambda p: round(1e6 * float(p.matrix(0.0).mat[0, 0].real)))
     wrong = 0 if law == "normalization" else 1  # concatenation: 1 + 1 != 1
     return SfFunctional("broken", lambda path: wrong)
 
@@ -209,7 +209,9 @@ def test_connector_joins_same_label(seed):
     assert cert["certified"], cert
     assert sf_endpoints(path, OPTS) == 0
     assert sf_all_methods(path, OPTS)["value"] == 0
-    assert path.meta["label"] == component_label(t1)
+    label = component_label(t1)
+    for t in np.linspace(0.0, 1.0, OPTS.samples):
+        assert component_label(path.matrix(float(t))) == label, t
 
 
 def test_connector_to_the_negative_of_a_label_3_matrix():

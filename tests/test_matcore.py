@@ -17,6 +17,7 @@ from specflowlab.errors import (
     HermiticityError,
     IllConditionedRankWarning,
     InputError,
+    InvertibilityError,
 )
 from specflowlab.matcore import (
     A1Report,
@@ -528,6 +529,24 @@ def test_check_a1_random_draws(rng):
         assert isinstance(rep, A1Report)
         assert rep.equal_norms_ok and rep.lower_bound_ok
         assert rep.spd and rep.sandwich_bound_ok
+
+
+def test_check_a1_reads_the_gap_from_the_cached_decomposition(monkeypatch):
+    """The invertibility gap and the SPD test come from T's one validated
+    eigendecomposition, with no separate values-only factorization."""
+
+    def refuse(_):
+        raise AssertionError("check_a1 called np.linalg.eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    spd = HermitianMatrix(np.diag([0.5, 1.0, 3.0]))
+    b = HermitianMatrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 1.0]]))
+    rep = check_a1(spd, b)
+    assert rep.ok and rep.spd and rep.sandwich_bound_ok
+    indefinite = check_a1(HermitianMatrix(np.diag([-2.0, 1.0, 3.0])), b)
+    assert indefinite.ok and not indefinite.spd and indefinite.sandwich_norm is None
+    with pytest.raises(InvertibilityError, match="T must be invertible"):
+        check_a1(HermitianMatrix(np.diag([0.0, 1.0, 3.0])), b)
 
 
 def test_tol_spec_scaling():

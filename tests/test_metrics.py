@@ -19,10 +19,8 @@ from specflowlab.metrics import (
     d_N,
     d_R,
     d_W,
-    dual_gap_watermark,
     metric_separation_report,
     norm_graph_equivalence_check,
-    reset_dual_gap_watermark,
 )
 from specflowlab.opmodel import FAMILIES, DiagonalModel, family_perturbation, realize
 
@@ -84,8 +82,7 @@ def test_weight_matches_the_scalar_calculus(rng):
         assert d_W(a, b, base) == op_norm((a.mat - b.mat) @ weight.mat)
 
 
-def test_dual_graph_route_agreement(rng):
-    reset_dual_gap_watermark()
+def test_dual_graph_route_agreement(rng, graph_distance_details):
     for _ in range(30):
         dim = int(rng.integers(1, 9))
         a = HermitianMatrix(random_hermitian(rng, dim, scale=3.0))
@@ -93,7 +90,8 @@ def test_dual_graph_route_agreement(rng):
         detail = d_G_detail(a, b)
         assert detail.delta <= 1e-11
         assert d_G(a, b) == detail.resolvent_route
-    assert dual_gap_watermark() <= 1e-11
+    assert len(graph_distance_details) == 30  # one per d_G call
+    assert all(detail.delta <= 1e-11 for detail in graph_distance_details)
 
 
 def test_ordering_separation_on_fuglede():
@@ -185,13 +183,15 @@ def test_report_refuses_an_index_that_is_not_a_family_index(families, n):
         metric_separation_report(DiagonalModel(8, "linear"), families, [1, n])
 
 
-def test_report_feeds_the_dual_gap_watermark():
+def test_report_checks_both_graph_routes_on_every_row(graph_distance_details):
+    """One d_G_detail call per row, each with the discrepancy a direct
+    call on that row's operands finds."""
     model = DiagonalModel(16, "shifted")
     d = realize(model)
-    reset_dual_gap_watermark()
     rows = metric_separation_report(model)
-    worst = max(
+    assert len(graph_distance_details) == len(rows)
+    direct = [
         d_G_detail(d + family_perturbation(model, r.family, r.n), d).delta for r in rows
-    )
-    assert worst > 0.0
-    assert dual_gap_watermark() == worst
+    ]
+    assert [detail.delta for detail in graph_distance_details] == direct
+    assert max(direct) > 0.0  # the two routes really are different computations

@@ -95,7 +95,6 @@ def test_conjugation_path_endpoints():
     np.testing.assert_allclose(
         path.matrix(1.0).mat, w.mat @ d.mat @ w.mat.conj().T, atol=FROZEN_TOL
     )
-    assert path.meta["family"] == "toeplitz_line"
 
 
 def test_commutator_report_frozen_values():
