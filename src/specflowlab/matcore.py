@@ -10,6 +10,12 @@ A HermitianMatrix caches its validated eigendecomposition (``.eig``, by
 :func:`eigh` on first use) like its norm; every function of the matrix, here
 and in ``transforms``, reads that one decomposition.
 
+The Hermitian check, the validated eigendecomposition and the operator norm
+also take (k, n, n) stacks, which callers cut into chunks of at most
+``_CHUNK_BYTES``, the one stack budget; the one-matrix functions (the
+constructor, :func:`eigh`, :func:`op_norm`) are their one-matrix case, and
+each matrix of a stack gets the bits it would get alone.
+
 Conventions
 -----------
 * dtype is complex128 throughout; values are immutable after construction.
@@ -71,6 +77,21 @@ _HALF_MAX = float(np.finfo(np.float64).max) / 2.0
 #: outside [sqrt(tiny/eps), sqrt(eps/tiny)] = [2^-485, 2^485]
 _UNSCALED_MIN = float(np.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps))
 _UNSCALED_MAX = 1.0 / _UNSCALED_MIN
+#: the bit pattern of -0.0 read as an int64
+_NEG_ZERO_BITS = np.int64(np.iinfo(np.int64).min)
+
+#: byte budget of one stacked LAPACK call: stacks of complex128 matrices
+#: are cut into chunks of ``_chunk_len(dim)`` matrices
+_CHUNK_BYTES = 1 << 18
+
+
+def _chunk_len(dim: int) -> int:
+    return max(1, _CHUNK_BYTES // (16 * dim * dim))
+
+
+def _chunks(items: list, size: int):
+    for i in range(0, len(items), size):
+        yield items[i : i + size]
 
 
 def _hermitian_average(a: np.ndarray) -> np.ndarray:
@@ -86,8 +107,10 @@ def _hermitian_average(a: np.ndarray) -> np.ndarray:
 
     A stack equal to its adjoint has defect 0, so the defect is not
     computed; for such stacks (real combinations of exactly Hermitian
-    matrices, as the trig paths evaluate) ``_exact_average_into`` usually
-    writes the same bytes without the sum.
+    matrices, as the trig paths evaluate, and sparse ones such as diagonal
+    stacks) ``_exact_average_into`` writes the same bytes without the sum
+    unless a -0.0 off the diagonal's imaginary parts, or an entry beyond
+    half the float range, leaves them to the formula.
     """
     if not np.all(np.isfinite(a)):
         raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
@@ -121,26 +144,46 @@ def _exact_average_into(a: np.ndarray, out: np.ndarray) -> bool:
     """Write (A + A*) / 2 of a finite stack equal to its adjoint into
     ``out`` without the sum, when that is possible; return whether it was.
 
-    Entry by entry the average is a_ij + conj(a_ji) = 2 a_ij halved, so it
-    is A itself except where a component is zero, whose sign the sum
-    decides, and where 2 a_ij overflows. The diagonal's imaginary parts
-    are zero (x = -x) and average to +0.0. A stack with any other zero
-    component or with a component beyond half the float range (or one not
-    C-contiguous) is left, with ``out`` untouched, to the formula, so the
-    bytes and the overflow error are the formula's for every input.
+    The formula is (A + A*) / (2+0j), which numpy evaluates per component
+    as (s_re + s_im * 0) * 0.5 and (s_im - s_re * 0) * 0.5 on the sum s.
+    For a stack equal to its adjoint, s = 2 a_ij, so the average is A
+    itself, with three exceptions:
+    * the diagonal's imaginary parts are zero (x = -x) and sum to +0.0,
+      so they average to +0.0 whatever their sign; the copy writes +0.0;
+    * any other -0.0 component (a conjugate pair's, or a diagonal real
+      part) sums to -0.0, and adding the signed zero of the other part's
+      product may make it +0.0, so its sign depends on its neighbour;
+    * 2 a_ij overflows beyond half the float range.
+    A stack with a -0.0 bit pattern outside the diagonal's imaginary parts,
+    with a component beyond half the float range, or not C-contiguous is
+    left, with ``out`` untouched, to the formula, so the bytes and the
+    overflow error are the formula's for every input. A dense stack, whose
+    only zeros are the diagonal's imaginary parts, is told by one count; a
+    sparse one by the least int64 of its bits, since -0.0 reads as the
+    least int64, and by a count only when a -0.0 is there.
     """
     if not a.flags.c_contiguous:
         return False
-    flat = a.view(np.float64)
     k, n, _ = a.shape
+    flat = a.view(np.float64)
     if np.count_nonzero(flat) != flat.size - k * n:
-        return False
+        bits = a.view(np.int64)
+        if bits.min() == _NEG_ZERO_BITS and np.count_nonzero(
+            bits == _NEG_ZERO_BITS
+        ) != np.count_nonzero(np.signbit(_diagonal_imag(a))):
+            return False
     if max(np.max(flat), -np.min(flat)) > _HALF_MAX:
         return False
     np.copyto(out, a)
-    d = np.arange(n)
-    out.imag[:, d, d] = 0.0
+    _diagonal_imag(out)[...] = 0.0
     return True
+
+
+def _diagonal_imag(a: np.ndarray) -> np.ndarray:
+    """The imaginary parts of the diagonals of a C-contiguous (k, n, n)
+    complex stack, as a (k, n) strided view."""
+    k, n, _ = a.shape
+    return a.view(np.float64).reshape(k, 2 * n * n)[:, 1 :: 2 * (n + 1)]
 
 
 def _stack_eigvalsh(s: np.ndarray) -> np.ndarray:
@@ -178,19 +221,28 @@ def op_norm(a) -> float:
         raise InputError(f"expected a 2-d matrix, got shape {m.shape}")
     if m.size == 0:
         return 0.0
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    return float(_op_norms(m))
+
+
+def _op_norms(a: np.ndarray) -> np.ndarray:
+    """Operator norm of a non-empty complex matrix, or of each matrix of a
+    (k, n, m) stack by one stacked SVD, each bit for bit that of its matrix
+    alone; a non-finite entry anywhere raises FinitenessError."""
+    if not np.all(np.isfinite(a)):
         raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
-    return float(np.linalg.norm(m, 2))
+    return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
-def _frobenius_within(a: np.ndarray, bound: float) -> bool:
-    """Cheap sufficient test for ``op_norm(a) <= bound``.
+def _frobenius_misses(a: np.ndarray, bound: float) -> list[int]:
+    """Indices of the matrices of a (k, n, n) stack that the cheap
+    sufficient test for ``op_norm(a_i) <= bound`` does not accept.
 
     ||a||_2 <= ||a||_F, and the relative slack absorbs the rounding of both
-    norms, so a True here never accepts what the exact test would reject.
-    A False (including NaN or Inf) only means: run the exact test.
+    norms, so the test never accepts what the exact test would reject. A
+    miss (including NaN or Inf) only means: run the exact test on it.
     """
-    return bool(np.linalg.norm(a) <= bound * (1.0 - _FRO_SLACK))
+    limit = bound * (1.0 - _FRO_SLACK)
+    return [i for i, m in enumerate(a) if not np.linalg.norm(m) <= limit]
 
 
 class HermitianMatrix:
@@ -222,13 +274,16 @@ class HermitianMatrix:
         a = np.asarray(entries, dtype=np.complex128)
         if a.ndim != 3:
             raise InputError(f"expected a stack of 2-d matrices, got shape {a.shape}")
-        rows = []
-        for row in _hermitian_average(a):
-            h = object.__new__(HermitianMatrix)
-            h._mat = row
-            h._norm = h._eig = None
-            rows.append(h)
-        return rows
+        return [HermitianMatrix._of_valid(row) for row in _hermitian_average(a)]
+
+    @staticmethod
+    def _of_valid(row: np.ndarray) -> HermitianMatrix:
+        """Wrap one read-only row of a stack ``_hermitian_average`` returned,
+        without a second check."""
+        h = object.__new__(HermitianMatrix)
+        h._mat = row
+        h._norm = h._eig = None
+        return h
 
     @property
     def mat(self) -> np.ndarray:
@@ -330,15 +385,10 @@ class EigenDecomposition:
         v = np.asarray(self.vectors, dtype=np.complex128)
         if w.ndim != 1 or v.ndim != 2 or v.shape != (w.size, w.size):
             raise InputError("inconsistent eigendecomposition shapes")
-        if np.any(np.diff(w) < 0):
-            raise ConsistencyFault("eigenvalues are not ascending")
-        gram = v.conj().T @ v - np.eye(w.size)
-        if not _frobenius_within(gram, 1e-10):
-            gram_defect = op_norm(gram)
-            if gram_defect > 1e-10:
-                raise ConsistencyFault(
-                    f"eigenvector columns not orthonormal: defect {gram_defect:.3e}"
-                )
+        _check_eigenbases(w[None], v[None])
+        self._freeze(w, v)
+
+    def _freeze(self, w: np.ndarray, v: np.ndarray) -> None:
         w.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "values", w)
@@ -350,27 +400,60 @@ class EigenDecomposition:
 
     def assemble(self, scalars: np.ndarray) -> np.ndarray:
         """Return V diag(scalars) V* as a plain array."""
-        s = np.asarray(scalars)
-        return (self.vectors * s) @ self.vectors.conj().T
+        return _assemble(self.vectors, np.asarray(scalars))
 
 
-def eigh(h: HermitianMatrix) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, ascending order.
+def _assemble(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """V diag(s) V* for a basis V, or for each of a (k, n, n) stack of them
+    with s of shape (k, 1, n); each matrix bit for bit its own product."""
+    return (v * s) @ v.conj().swapaxes(-1, -2)
 
-    Backed by LAPACK; the reconstruction residual ||V L V* - H|| is checked
-    against 1e-10 * (1 + ||H||) so a silently bad factorization cannot leak.
-    A Frobenius residual under the floor 1e-10 accepts without ||H||.
+
+def _check_eigenbases(w: np.ndarray, v: np.ndarray) -> None:
+    """The checks every eigendecomposition passes, per matrix of a (k, n)
+    value stack and a (k, n, n) basis stack: ascending values, then
+    ||V* V - I|| <= 1e-10, Frobenius first; the first failing matrix of
+    each check raises ConsistencyFault."""
+    if np.any(np.diff(w, axis=1) < 0):
+        raise ConsistencyFault("eigenvalues are not ascending")
+    gram = v.conj().swapaxes(1, 2) @ v - np.eye(w.shape[1])
+    for i in _frobenius_misses(gram, 1e-10):
+        gram_defect = op_norm(gram[i])
+        if gram_defect > 1e-10:
+            raise ConsistencyFault(
+                f"eigenvector columns not orthonormal: defect {gram_defect:.3e}"
+            )
+
+
+def _eigh_stack(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated eigendecompositions of a validated (k, n, n) Hermitian
+    stack by one LAPACK call: ascending values (k, n) and bases (k, n, n),
+    each bit for bit those of its matrix alone.
+
+    Each matrix passes the checks of :class:`EigenDecomposition`, and its
+    reconstruction residual ||V L V* - H|| is checked against
+    1e-10 * (1 + ||H||) so a silently bad factorization cannot leak. A
+    Frobenius residual under the floor 1e-10 accepts without ||H||.
     """
-    h = as_hermitian(h)
-    w, v = np.linalg.eigh(h.mat)
-    ed = EigenDecomposition(values=w, vectors=v)
-    resid_mat = ed.assemble(ed.values) - h.mat
-    if not _frobenius_within(resid_mat, 1e-10):
-        resid = op_norm(resid_mat)
-        if resid > 1e-10 * (1.0 + h.norm):
+    w, v = np.linalg.eigh(s)
+    _check_eigenbases(w, v)
+    resid_mat = _assemble(v, w[:, None, :]) - s
+    for i in _frobenius_misses(resid_mat, 1e-10):
+        resid = op_norm(resid_mat[i])
+        if resid > 1e-10 * (1.0 + op_norm(s[i])):
             raise ConsistencyFault(
                 f"eigendecomposition reconstruction residual {resid:.3e} too large"
             )
+    return w, v
+
+
+def eigh(h: HermitianMatrix) -> EigenDecomposition:
+    """Full eigendecomposition of a Hermitian matrix, ascending order: the
+    one-matrix case of ``_eigh_stack``."""
+    h = as_hermitian(h)
+    w, v = _eigh_stack(h.mat[None])
+    ed = object.__new__(EigenDecomposition)
+    ed._freeze(w[0], v[0])
     return ed
 
 
@@ -470,7 +553,7 @@ class Projection(HermitianMatrix):
         super().__init__(entries)
         m = self.mat
         idem_mat = m @ m - m
-        if not _frobenius_within(idem_mat, 1e-10):
+        if _frobenius_misses(idem_mat[None], 1e-10):
             idem = op_norm(idem_mat)
             if idem > 1e-10:
                 raise InputError(f"not idempotent: ||P^2 - P|| = {idem:.3e}")

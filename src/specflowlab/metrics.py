@@ -8,15 +8,14 @@ reports that compare them.
        evaluates the equivalent half-Cayley-distance formula and faults if
        the two routes disagree beyond 1e-9
 
-Each distance takes matrices or private operand records and reads its
-operands through the record, which forms the resolvent, the Riesz and
-Cayley images and the weight once each; the last three read the one
-eigendecomposition the HermitianMatrix caches. A call that measures many
-operands against one reference (the separation report, the graded
-stability check) passes the reference's record, built once, so its
-transforms are computed once per call; nothing outlives the call. The
-resolvent stays a direct matrix inverse, not an eigenbasis formula, so
-the two d_G routes remain two different computations.
+Every distance is computed on operand records, each a validated (k, n, n)
+stack whose transforms are formed once for the whole stack (see _Operand),
+and is one stacked SVD norm per route; the public d_X are the one-matrix
+case. A call that measures many operands against one reference (the
+separation report, the graded stability check) builds the reference's
+record once; nothing outlives the call. The resolvent stays a direct
+matrix inverse, not an eigenbasis formula, so the two d_G routes remain
+two different computations.
 
 The separation report tabulates all four on the diagonal-model families,
 next to their exact closed forms, which is where the metrics genuinely
@@ -31,15 +30,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConsistencyFault, DimensionMismatchError, InputError
-from .matcore import HermitianMatrix, as_hermitian, op_norm
-from .opmodel import (
-    FAMILIES,
-    DiagonalModel,
-    closed_form_distances,
-    family_perturbation,
-    realize,
+from .matcore import (
+    _assemble,
+    _chunk_len,
+    _chunks,
+    _eigh_stack,
+    _hermitian_average,
+    _op_norms,
+    as_hermitian,
 )
-from .transforms import UnitaryMatrix, cayley, riesz
+from .opmodel import FAMILIES, DiagonalModel, _entries, closed_form_distances, realize
+from .transforms import _cayley_stack, _riesz_stack
 
 __all__ = [
     "d_N",
@@ -59,52 +60,74 @@ _DG_FAULT = 1e-9
 
 
 class _Operand:
-    """A validated operand and the transforms the distances read, each
-    computed on first use: the resolvent (H + i)^{-1}, and from the matrix's
-    cached eigendecomposition the Riesz and Cayley images and the weight
-    (I + H^2)^{-1/2}. Callers build one per operand and call; none is kept
-    past the call, except a GradedOperator's, which holds its odd matrix's."""
+    """Validated operands of one dimension as a read-only (k, n, n) stack,
+    and the transforms the distances read, each computed on first use for
+    the whole stack: the resolvents (H + i)^{-1} by one stacked inverse, and
+    from one validated stacked eigendecomposition the Riesz and Cayley
+    images and the weights (I + H^2)^{-1/2}.
 
-    __slots__ = ("h", "_resolvent", "_riesz", "_cayley", "_weight")
+    ``_Operand(h)`` holds one matrix, kept as ``h``, and reads the
+    decomposition it caches; ``_Operand.of_stack`` holds the rows of a stack
+    ``_hermitian_average`` returned. Callers build one per operand or chunk
+    and call; none is kept past the call, except a GradedOperator's, which
+    holds its odd matrix's."""
+
+    __slots__ = ("h", "mats", "_eig", "_resolvent", "_riesz", "_cayley", "_weight")
 
     def __init__(self, h):
         self.h = as_hermitian(h)
-        self._resolvent = self._riesz = self._cayley = self._weight = None
+        self.mats = self.h.mat[None]
+        self._eig = self._resolvent = self._riesz = self._cayley = self._weight = None
 
-    @property
-    def mat(self) -> np.ndarray:
-        return self.h.mat
+    @classmethod
+    def of_stack(cls, mats: np.ndarray) -> _Operand:
+        op = object.__new__(cls)
+        op.h = None
+        op.mats = mats
+        op._eig = op._resolvent = op._riesz = op._cayley = op._weight = None
+        return op
 
     @property
     def dim(self) -> int:
-        return self.h.dim
+        return self.mats.shape[1]
+
+    @property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (k, n) and bases (k, n, n)."""
+        if self._eig is None:
+            if self.h is None:
+                self._eig = _eigh_stack(self.mats)
+            else:
+                ed = self.h.eig
+                self._eig = (ed.values[None], ed.vectors[None])
+        return self._eig
 
     @property
     def resolvent(self) -> np.ndarray:
         if self._resolvent is None:
             eye = np.eye(self.dim, dtype=np.complex128)
-            self._resolvent = np.linalg.inv(self.mat + 1j * eye)
+            self._resolvent = np.linalg.inv(self.mats + 1j * eye)
         return self._resolvent
 
     @property
-    def riesz(self) -> HermitianMatrix:
+    def riesz(self) -> np.ndarray:
         if self._riesz is None:
-            self._riesz = riesz(self.h)
+            self._riesz = _riesz_stack(*self.eig)
         return self._riesz
 
     @property
-    def cayley(self) -> UnitaryMatrix:
+    def cayley(self) -> np.ndarray:
         if self._cayley is None:
-            self._cayley = cayley(self.h)
+            self._cayley = _cayley_stack(*self.eig)
         return self._cayley
 
     @property
-    def weight(self) -> HermitianMatrix:
+    def weight(self) -> np.ndarray:
         if self._weight is None:
-            w = self.h.eig.values
+            w, v = self.eig
             with np.errstate(over="ignore"):  # x^2 = inf gives 0, like 1 / math.sqrt(1 + x * x)
                 f = 1.0 / np.sqrt(1.0 + w * w)
-            self._weight = HermitianMatrix(self.h.eig.assemble(f))
+            self._weight = _hermitian_average(_assemble(v, f[:, None, :]))
         return self._weight
 
 
@@ -120,10 +143,32 @@ def _pair(t1, t2) -> tuple[_Operand, _Operand]:
     return a, b
 
 
+# Each distance below maps operand stacks a and b (either may hold one
+# matrix, which meets every row of the other) to one float per row.
+
+
+def _norm_distances(a: _Operand, b: _Operand) -> list[float]:
+    return _op_norms(a.mats - b.mats).tolist()
+
+
+def _weighted_distances(a: _Operand, b: _Operand, d: _Operand) -> list[float]:
+    return _op_norms((a.mats - b.mats) @ d.weight).tolist()
+
+
+def _riesz_distances(a: _Operand, b: _Operand) -> list[float]:
+    return _op_norms(a.riesz - b.riesz).tolist()
+
+
+def _graph_routes(a: _Operand, b: _Operand) -> tuple[list[float], list[float]]:
+    """The resolvent route and the half-Cayley route, unchecked."""
+    res = _op_norms(a.resolvent - b.resolvent)
+    cay = 0.5 * _op_norms(a.cayley - b.cayley)
+    return res.tolist(), cay.tolist()
+
+
 def d_N(t1, t2) -> float:
     """Operator-norm distance ||T1 - T2||."""
-    a, b = _pair(t1, t2)
-    return op_norm(a.mat - b.mat)
+    return _norm_distances(*_pair(t1, t2))[0]
 
 
 def d_W(t1, t2, base) -> float:
@@ -136,13 +181,12 @@ def d_W(t1, t2, base) -> float:
     d = _operand(base)
     if d.dim != a.dim:
         raise DimensionMismatchError(f"base dim {d.dim} differs from operand dim {a.dim}")
-    return op_norm((a.mat - b.mat) @ d.weight.mat)
+    return _weighted_distances(a, b, d)[0]
 
 
 def d_R(t1, t2) -> float:
     """Riesz-transform distance ||F(T1) - F(T2)||."""
-    a, b = _pair(t1, t2)
-    return op_norm(a.riesz.mat - b.riesz.mat)
+    return _riesz_distances(*_pair(t1, t2))[0]
 
 
 @dataclass(frozen=True)
@@ -157,18 +201,21 @@ class GraphDistanceDetail:
         return abs(self.resolvent_route - self.cayley_route)
 
 
-def d_G_detail(t1, t2) -> GraphDistanceDetail:
-    """Graph distance via ||(T1+i)^{-1} - (T2+i)^{-1}|| and via the
-    half-distance of Cayley transforms; both values are returned."""
-    a, b = _pair(t1, t2)
-    res = op_norm(a.resolvent - b.resolvent)
-    cay = 0.5 * op_norm(a.cayley.mat - b.cayley.mat)
+def _graph_detail(res: float, cay: float) -> GraphDistanceDetail:
+    """One pair's two graph-distance routes, checked against each other."""
     detail = GraphDistanceDetail(resolvent_route=res, cayley_route=cay)
     if detail.delta > _DG_FAULT:
         raise ConsistencyFault(
             f"graph-distance routes disagree: resolvent {res!r} vs half-Cayley {cay!r}"
         )
     return detail
+
+
+def d_G_detail(t1, t2) -> GraphDistanceDetail:
+    """Graph distance via ||(T1+i)^{-1} - (T2+i)^{-1}|| and via the
+    half-distance of Cayley transforms; both values are returned."""
+    (res,), (cay,) = _graph_routes(*_pair(t1, t2))
+    return _graph_detail(res, cay)
 
 
 def d_G(t1, t2) -> float:
@@ -274,6 +321,11 @@ def metric_separation_report(
     Every index must be an int in [1, N - 1]. The swap family starts at
     n = 2 (it permutes e_1 and e_n); smaller indices are skipped for it.
     Residual slots are None where no closed form exists.
+
+    The operands D + C_n are validated, factored and measured as stacks of
+    at most ``_chunk_len(N)`` rows, so no call holds more than the chunk
+    budget. Rows keep their order, and the first row whose graph-distance
+    routes disagree or whose d_W exceeds d_N raises, as row by row.
     """
     for fam in families:
         if fam not in FAMILIES:
@@ -281,24 +333,29 @@ def metric_separation_report(
     if n_range is None:
         n_range = range(1, min(33, model.trunc_dim))
     ns = [model._check_index(n) for n in n_range]
+    cells = [(fam, n) for fam in families for n in ns if not (fam == "swap" and n < 2)]
     d = _Operand(realize(model))
     rows: list[MetricReport] = []
-    for fam in families:
-        for n in ns:
-            if fam == "swap" and n < 2:
-                continue
-            t1 = _Operand(d.h + family_perturbation(model, fam, n))
+    for chunk in _chunks(cells, _chunk_len(model.trunc_dim)):
+        t = _Operand.of_stack(
+            _hermitian_average(np.array([d.h.mat + _entries(model, fam, n) for fam, n in chunk]))
+        )
+        dn = _norm_distances(t, d)
+        dw = _weighted_distances(t, d, d)
+        dr = _riesz_distances(t, d)
+        res, cay = _graph_routes(t, d)
+        for i, (fam, n) in enumerate(chunk):
             vals = {
-                "d_N": d_N(t1, d),
-                "d_W": d_W(t1, d, d),
-                "d_R": d_R(t1, d),
-                "d_G": d_G(t1, d),
+                "d_N": dn[i],
+                "d_W": dw[i],
+                "d_R": dr[i],
+                "d_G": _graph_detail(res[i], cay[i]).resolvent_route,
             }
             exact = closed_form_distances(model, fam, n)
             # residual res_X of each distance d_X
-            res = {
+            res_x = {
                 f"res_{key[2:]}": (abs(vals[key] - exact[key]) if exact is not None else None)
                 for key in vals
             }
-            rows.append(MetricReport(family=fam, n=n, **vals, **res))
+            rows.append(MetricReport(family=fam, n=n, **vals, **res_x))
     return rows

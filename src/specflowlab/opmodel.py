@@ -89,51 +89,49 @@ def realize(model: DiagonalModel) -> HermitianMatrix:
     return HermitianMatrix.diag(model.lambdas())
 
 
-def _bump(model: DiagonalModel, n: int, value: float) -> HermitianMatrix:
-    """value * e_n e_n*, the perturbation of the three diagonal families."""
-    model._check_index(n)
+def _shift(model: DiagonalModel, family: str, n: int) -> float:
+    """The diagonal entry C_n adds at (n, n) for the three diagonal families."""
+    lam = model.lam(n)
+    return {"rank_one": 1.0, "lambda": lam, "fuglede": -2.0 * lam}[family]
+
+
+def _entries(model: DiagonalModel, family: str, n: int) -> np.ndarray:
+    """The real entries of C_n, unvalidated; the index is checked."""
+    if family not in FAMILIES:
+        raise InputError(f"unknown family {family!r}; choose from {FAMILIES}")
     c = np.zeros((model.trunc_dim, model.trunc_dim))
-    c[n - 1, n - 1] = value
-    return HermitianMatrix(c)
-
-
-def ce_rank_one(model: DiagonalModel, n: int) -> HermitianMatrix:
-    """Rank-one unit perturbation C_n = e_n e_n*."""
-    return _bump(model, n, 1.0)
-
-
-def ce_lambda(model: DiagonalModel, n: int) -> HermitianMatrix:
-    """Eigenvalue-sized perturbation C_n = lambda_n e_n e_n*."""
-    return _bump(model, n, model.lam(n))
-
-
-def ce_fuglede(model: DiagonalModel, n: int) -> HermitianMatrix:
-    """Sign-flipping perturbation C_n = -2 lambda_n e_n e_n*."""
-    return _bump(model, n, -2.0 * model.lam(n))
-
-
-def ce_swap(model: DiagonalModel, n: int) -> HermitianMatrix:
-    """Rank-two perturbation exchanging e_1 and e_n (needs n >= 2)."""
-    model._check_index(n, lo=2)
-    c = np.zeros((model.trunc_dim, model.trunc_dim))
-    c[0, n - 1] = 1.0
-    c[n - 1, 0] = 1.0
-    return HermitianMatrix(c)
-
-
-_FAMILY_BUILDERS = {
-    "rank_one": ce_rank_one,
-    "lambda": ce_lambda,
-    "fuglede": ce_fuglede,
-    "swap": ce_swap,
-}
+    if family == "swap":
+        model._check_index(n, lo=2)
+        c[0, n - 1] = 1.0
+        c[n - 1, 0] = 1.0
+    else:
+        c[n - 1, n - 1] = _shift(model, family, n)
+    return c
 
 
 def family_perturbation(model: DiagonalModel, family: str, n: int) -> HermitianMatrix:
     """Dispatch to one of the four named perturbation families."""
-    if family not in _FAMILY_BUILDERS:
-        raise InputError(f"unknown family {family!r}; choose from {FAMILIES}")
-    return _FAMILY_BUILDERS[family](model, n)
+    return HermitianMatrix(_entries(model, family, n))
+
+
+def ce_rank_one(model: DiagonalModel, n: int) -> HermitianMatrix:
+    """Rank-one unit perturbation C_n = e_n e_n*."""
+    return family_perturbation(model, "rank_one", n)
+
+
+def ce_lambda(model: DiagonalModel, n: int) -> HermitianMatrix:
+    """Eigenvalue-sized perturbation C_n = lambda_n e_n e_n*."""
+    return family_perturbation(model, "lambda", n)
+
+
+def ce_fuglede(model: DiagonalModel, n: int) -> HermitianMatrix:
+    """Sign-flipping perturbation C_n = -2 lambda_n e_n e_n*."""
+    return family_perturbation(model, "fuglede", n)
+
+
+def ce_swap(model: DiagonalModel, n: int) -> HermitianMatrix:
+    """Rank-two perturbation exchanging e_1 and e_n (needs n >= 2)."""
+    return family_perturbation(model, "swap", n)
 
 
 def _riesz_scalar(x: float) -> float:
@@ -149,7 +147,7 @@ def closed_form_distances(model: DiagonalModel, family: str, n: int) -> dict[str
     if family == "swap":
         return None
     lam = model.lam(n)
-    shift = {"rank_one": 1.0, "lambda": lam, "fuglede": -2.0 * lam}[family]
+    shift = _shift(model, family, n)
     d_n = abs(shift)
     d_w = abs(shift) / np.sqrt(1.0 + lam * lam)
     d_r = abs(_riesz_scalar(lam + shift) - _riesz_scalar(lam))

@@ -60,6 +60,8 @@ from .errors import (
 from .matcore import (
     EigenDecomposition,
     HermitianMatrix,
+    _chunk_len,
+    _chunks,
     _stack_eigvalsh,
     as_hermitian,
     nonneg_projection,
@@ -106,20 +108,6 @@ class SfOptions:
 
 
 _DEFAULT_OPTS = SfOptions()
-
-#: byte budget of one stacked LAPACK call: stacks of complex128 matrices
-#: are cut into chunks of ``_chunk_len(dim)`` matrices
-_CHUNK_BYTES = 1 << 18
-
-
-def _chunk_len(dim: int) -> int:
-    return max(1, _CHUNK_BYTES // (16 * dim * dim))
-
-
-def _chunks(items: list, size: int):
-    for i in range(0, len(items), size):
-        yield items[i : i + size]
-
 
 def _dim_error(found: int, expected: int) -> DimensionMismatchError:
     return DimensionMismatchError(f"path evaluator returned dim {found}, expected {expected}")

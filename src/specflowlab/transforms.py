@@ -10,6 +10,8 @@ Hermitian inputs go through the eigendecomposition route (map the
 eigenvalues, reassemble), reading the decomposition the HermitianMatrix
 caches, so a matrix that was already diagonalized (for a distance, a
 projection or the other transform) is mapped without a second eigh. The
+Riesz and Cayley images are assembled and validated for a stack of
+decompositions at once; riesz and cayley are the one-matrix case. The
 unitary input of cayley_inverse is diagonalized with a cluster-orthonormalized
 eigenbasis so the result is Hermitian by construction even when U - I is
 badly conditioned.
@@ -30,7 +32,9 @@ from .errors import (
 )
 from .matcore import (
     HermitianMatrix,
-    _frobenius_within,
+    _assemble,
+    _frobenius_misses,
+    _hermitian_average,
     apply_function,
     as_hermitian,
     op_norm,
@@ -65,15 +69,15 @@ class UnitaryMatrix:
         a = np.array(entries, dtype=np.complex128, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"unitary matrix must be square, got {a.shape}")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-            raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
-        gram = a.conj().T @ a - np.eye(a.shape[0])
-        if not _frobenius_within(gram, 1e-10):
-            defect = op_norm(gram)
-            if defect > 1e-10:
-                raise InputError(f"not unitary: ||U*U - I|| = {defect:.3e}")
-        a.setflags(write=False)
-        self._mat = a
+        self._mat = _unitary_stack(a[None])[0]
+
+    @staticmethod
+    def _of_valid(row: np.ndarray) -> UnitaryMatrix:
+        """Wrap one read-only row of a stack ``_unitary_stack`` returned,
+        without a second check."""
+        u = object.__new__(UnitaryMatrix)
+        u._mat = row
+        return u
 
     @property
     def mat(self) -> np.ndarray:
@@ -88,6 +92,21 @@ class UnitaryMatrix:
 
     def __repr__(self) -> str:
         return f"UnitaryMatrix(dim={self.dim})"
+
+
+def _unitary_stack(a: np.ndarray) -> np.ndarray:
+    """The unitary predicate on a (k, n, n) complex stack, which it marks
+    read-only and returns: every entry finite, then ||U*U - I|| <= 1e-10 per
+    matrix, Frobenius first; the first failing matrix raises."""
+    if not np.all(np.isfinite(a)):
+        raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
+    gram = a.conj().swapaxes(1, 2) @ a - np.eye(a.shape[1])
+    for i in _frobenius_misses(gram, 1e-10):
+        defect = op_norm(gram[i])
+        if defect > 1e-10:
+            raise InputError(f"not unitary: ||U*U - I|| = {defect:.3e}")
+    a.setflags(write=False)
+    return a
 
 
 def _as_unitary(u) -> UnitaryMatrix:
@@ -107,18 +126,32 @@ class MembershipReport:
         return self.ok
 
 
-def riesz(t: HermitianMatrix) -> HermitianMatrix:
-    """Bounded transform T (I + T^2)^{-1/2}; a strict contraction.
+def _riesz_stack(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The validated Riesz images T (I + T^2)^{-1/2} of the matrices whose
+    eigenvalues (k, n) and bases (k, n, n) are given, as one read-only
+    Hermitian stack, each matrix bit for bit its own image.
 
     x / sqrt(1 + x^2) on the eigenvalues as one array does the same IEEE
     operations as through apply_function, so the bits agree; an x^2 that
     overflows to inf maps to 0 there too, without a warning.
     """
-    ed = as_hermitian(t).eig
-    w = ed.values
     with np.errstate(over="ignore"):
         f = w / np.sqrt(1.0 + w * w)
-    return HermitianMatrix(ed.assemble(f))
+    return _hermitian_average(_assemble(v, f[:, None, :]))
+
+
+def _cayley_stack(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The validated Cayley images (T - i)(T + i)^{-1} of the matrices
+    whose eigenvalues and bases are given, assembled eigenvalue-wise, as one
+    read-only stack that passed the unitary check matrix by matrix."""
+    return _unitary_stack(_assemble(v, ((w - 1j) / (w + 1j))[:, None, :]))
+
+
+def riesz(t: HermitianMatrix) -> HermitianMatrix:
+    """Bounded transform T (I + T^2)^{-1/2}; a strict contraction. The
+    one-matrix case of the stacked images, from the cached decomposition."""
+    ed = as_hermitian(t).eig
+    return HermitianMatrix._of_valid(_riesz_stack(ed.values[None], ed.vectors[None])[0])
 
 
 def riesz_inverse(s: HermitianMatrix) -> HermitianMatrix:
@@ -137,9 +170,10 @@ def riesz_inverse(s: HermitianMatrix) -> HermitianMatrix:
 
 
 def cayley(t: HermitianMatrix) -> UnitaryMatrix:
-    """Cayley transform (T - i)(T + i)^{-1}, assembled eigenvalue-wise."""
+    """Cayley transform (T - i)(T + i)^{-1}, assembled eigenvalue-wise: the
+    one-matrix case of the stacked images, from the cached decomposition."""
     ed = as_hermitian(t).eig
-    return UnitaryMatrix(ed.assemble((ed.values - 1j) / (ed.values + 1j)))
+    return UnitaryMatrix._of_valid(_cayley_stack(ed.values[None], ed.vectors[None])[0])
 
 
 def unitary_eig(u: UnitaryMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -17,20 +17,20 @@ def random_hermitian(rng, dim, scale=1.0):
 
 @pytest.fixture
 def graph_distance_details(monkeypatch):
-    """The GraphDistanceDetail of every library d_G_detail call made during
-    the test, in call order. d_G, the separation report, the norm/graph
-    check and the graded stability check look ``metrics.d_G_detail`` up at
-    call time, so their calls are recorded; a name imported by the test
-    itself is the unwrapped function."""
+    """The GraphDistanceDetail of every pair whose two graph-distance routes
+    the library checked during the test, in order: one per d_G or
+    d_G_detail call, and one per row of a separation report. Both check
+    each pair through ``metrics._graph_detail``, which is looked up at call
+    time, so every check is recorded; the fault it raises still raises."""
     recorded = []
-    unwrapped = metrics.d_G_detail
+    unwrapped = metrics._graph_detail
 
-    def recording(t1, t2):
-        detail = unwrapped(t1, t2)
+    def recording(res, cay):
+        detail = unwrapped(res, cay)
         recorded.append(detail)
         return detail
 
-    monkeypatch.setattr(metrics, "d_G_detail", recording)
+    monkeypatch.setattr(metrics, "_graph_detail", recording)
     return recorded
 
 

@@ -38,6 +38,7 @@ from specflowlab.matcore import (
     tol_spec,
 )
 
+from specflowlab.generators import family_path
 from specflowlab.transforms import cayley, riesz
 
 from conftest import random_hermitian
@@ -157,7 +158,9 @@ def _exact_stack(seed, k, n):
     return stack
 
 
-def test_exactly_hermitian_stacks_validate_as_the_general_route(monkeypatch):
+def _copy_route_spy(monkeypatch):
+    """Patch ``_exact_average_into`` to record whether each call took the
+    copy; returns the record."""
     taken = []
     exact = matcore._exact_average_into
 
@@ -166,6 +169,31 @@ def test_exactly_hermitian_stacks_validate_as_the_general_route(monkeypatch):
         return taken[-1]
 
     monkeypatch.setattr(matcore, "_exact_average_into", spy)
+    return taken
+
+
+def _sparse_exact_stack(rng):
+    """A random exactly Hermitian stack with many zero components, each
+    zero given a random sign with a per-stack probability of -0.0."""
+    k, n = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+    values = np.array([0.0, 0.0, 0.0, 1.0, -2.5, 3e-310, -7e300])
+    def pick(shape):
+        v = rng.choice(values, size=shape)
+        return np.where(rng.random(shape) < 0.3, rng.normal(size=shape), v)
+    a = pick((k, n, n)) + 1j * pick((k, n, n))
+    lower = np.tril(np.ones((n, n), dtype=bool), -1)
+    a = np.where(lower, a.conj().swapaxes(1, 2), a)
+    d = np.arange(n)
+    a[:, d, d] = a[:, d, d].real
+    flat = a.view(np.float64)
+    flip = (flat == 0.0) & (rng.random(flat.shape) < rng.choice([0.0, 0.02, 0.5]))
+    flat[flip] = -0.0
+    assert np.array_equal(a, a.conj().swapaxes(1, 2))
+    return a
+
+
+def test_exactly_hermitian_stacks_validate_as_the_general_route(monkeypatch):
+    taken = _copy_route_spy(monkeypatch)
     half = np.finfo(np.float64).max / 2.0
     # negated, the imaginary diagonal reads -0.0, which the average makes +0.0
     cases = {"plain": _exact_stack(0, 4, 5), "negated": -_exact_stack(5, 2, 4)}
@@ -181,9 +209,23 @@ def test_exactly_hermitian_stacks_validate_as_the_general_route(monkeypatch):
     signed[0, 0, 1] = complex(-0.0, 1.0)
     signed[0, 1, 0] = complex(0.0, -1.0)
     cases["mixed_signed_zero"] = signed
+    diagonal = np.zeros((2, 3, 3), dtype=np.complex128)
+    diagonal[:, [0, 1, 2], [0, 1, 2]] = [[1.0, 0.0, -2.0], [0.5, 3.0, 0.0]]
+    cases["diagonal"] = diagonal
+    # a sparse stack whose only -0.0 are the diagonal's imaginary parts
+    imag_signed = diagonal.copy()
+    imag_signed.imag[:, [0, 1, 2], [0, 1, 2]] = -0.0
+    cases["diagonal_signed_imag"] = imag_signed
+    rng = np.random.default_rng(77)
+    for j in range(600):
+        cases[f"sparse_{j}"] = _sparse_exact_stack(rng)
+    outcomes, route = {}, {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outcomes = {name: _both_routes(a, monkeypatch) for name, a in cases.items()}
+        for name, a in cases.items():
+            taken.clear()
+            outcomes[name] = _both_routes(a, monkeypatch)
+            route[name] = taken[0] if taken else None
     for name, (fast, general) in outcomes.items():
         assert fast == general, name
     assert isinstance(outcomes["plain"][0], bytes)
@@ -194,10 +236,27 @@ def test_exactly_hermitian_stacks_validate_as_the_general_route(monkeypatch):
     assert isinstance(outcomes["half_max"][0], bytes)
     assert outcomes["past_half_max"][0][0] is FinitenessError
     assert "overflows" in outcomes["past_half_max"][0][1]
-    # the shortcut itself returned the plain stack, and handed the zero it
-    # cannot sign, and the entry past half the range, to the formula
-    assert taken[0] is True
-    assert taken.count(False) == 2
+    # the shortcut copied the plain, negated and diagonal stacks, and handed
+    # the zero it cannot sign, and the entry past half the range, to the
+    # formula; the sparse stacks went both ways, each with the formula's bytes
+    assert route["plain"] is route["negated"] is route["diagonal"] is True
+    assert route["diagonal_signed_imag"] is True
+    assert route["mixed_signed_zero"] is route["past_half_max"] is False
+    sparse = [route[name] for name in cases if name.startswith("sparse_")]
+    assert sparse.count(True) >= 100 and sparse.count(False) >= 100
+
+
+@pytest.mark.parametrize("make", [
+    lambda: family_path("fuglede_line", {"N": 16, "n": 5}),
+    lambda: family_path("toeplitz_line", {"m": 3}),
+], ids=["fuglede_line", "conjugation_path"])
+def test_sparse_path_stacks_take_the_copy(make, monkeypatch):
+    """A diagonal line's samples and a Toeplitz conjugation line's are
+    exactly Hermitian with zero components; they now take the copy."""
+    path = make()
+    taken = _copy_route_spy(monkeypatch)
+    path.matrices(np.linspace(0.0, 1.0, 33).tolist())
+    assert taken and all(taken)
 
 
 def test_one_last_bit_defect_takes_the_general_route(monkeypatch):
@@ -379,8 +438,8 @@ def test_eigh_rejects_bad_reconstruction(monkeypatch):
         w, v = lapack_eigh(a)
         v = v.copy()
         # rotate two eigenvectors into each other: still orthonormal, but
-        # V diag(w) V* misses H by about 1e-6
-        v[:, [0, 1]] = v[:, [0, 1]] @ np.array([[c, -s], [s, c]])
+        # V diag(w) V* misses H by about 1e-6 (a is a stack of one)
+        v[..., [0, 1]] = v[..., [0, 1]] @ np.array([[c, -s], [s, c]])
         return w, v
 
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
@@ -390,7 +449,8 @@ def test_eigh_rejects_bad_reconstruction(monkeypatch):
 
 def test_one_eigh_serves_every_function_of_a_matrix(monkeypatch, rng):
     """Both projections, the calculus and both transforms read the one
-    decomposition the matrix caches; each once computed its own."""
+    decomposition the matrix caches; each once computed its own. The eigh
+    is the one-matrix case of the stacked decomposition, a stack of one."""
     shapes = []
     lapack_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or lapack_eigh(a))
@@ -400,7 +460,7 @@ def test_one_eigh_serves_every_function_of_a_matrix(monkeypatch, rng):
     apply_function(h, abs)
     riesz(h)
     cayley(h)
-    assert shapes == [(6, 6)]
+    assert shapes == [(1, 6, 6)]
     assert h.eig is h.eig
 
 
