@@ -140,6 +140,16 @@ def _hermitian_average(a: np.ndarray) -> np.ndarray:
     return h
 
 
+def _hermitian_stack(entries) -> np.ndarray:
+    """The check ``HermitianMatrix.from_stack`` makes, on a (k, n, n) array
+    or a sequence of k equally shaped matrices, without the row wrappers:
+    the read-only stack of validated matrices."""
+    a = np.asarray(entries, dtype=np.complex128)
+    if a.ndim != 3:
+        raise InputError(f"expected a stack of 2-d matrices, got shape {a.shape}")
+    return _hermitian_average(a)
+
+
 def _exact_average_into(a: np.ndarray, out: np.ndarray) -> bool:
     """Write (A + A*) / 2 of a finite stack equal to its adjoint into
     ``out`` without the sum, when that is possible; return whether it was.
@@ -271,10 +281,7 @@ class HermitianMatrix:
         constructor's messages, covers every matrix, so the rows are wrapped
         without a second one.
         """
-        a = np.asarray(entries, dtype=np.complex128)
-        if a.ndim != 3:
-            raise InputError(f"expected a stack of 2-d matrices, got shape {a.shape}")
-        return [HermitianMatrix._of_valid(row) for row in _hermitian_average(a)]
+        return [HermitianMatrix._of_valid(row) for row in _hermitian_stack(entries)]
 
     @staticmethod
     def _of_valid(row: np.ndarray) -> HermitianMatrix:

@@ -62,6 +62,7 @@ from .matcore import (
     HermitianMatrix,
     _chunk_len,
     _chunks,
+    _hermitian_stack,
     _stack_eigvalsh,
     as_hermitian,
     nonneg_projection,
@@ -118,9 +119,14 @@ _SOUNDNESS = ("piecewise-affine", "lipschitz", "surrogate")
 
 
 def _gamma(dim: int) -> float:
-    """gamma_n = 4 n u (u = 2^-53, the unit roundoff): the backward error of
-    eigvalsh and of a path evaluation, relative to ||H||, that every
-    declared margin gives up."""
+    """gamma_n = 4 n u (u = 2^-53, the unit roundoff): the rounding slack,
+    relative to ||H||, that every declared margin gives up for the backward
+    error of eigvalsh and of a path evaluation.
+
+    That it covers both is an assumption, not a bound: the evaluation
+    error of a trig_random combination alone was measured at up to 1.39
+    gamma_n ||H|| at dim 2, degree 16 (see the README's certificate
+    section and ROADMAP item 1)."""
     return 4 * dim * 2.0**-53
 
 
@@ -223,26 +229,38 @@ class OperatorPath:
     k matrices H(ts[0]), ..., H(ts[k-1]) as one complex (k, n, n) stack (any
     array-like of that shape, such as a list of k matrices, will do).
     ``from_callable`` adapts a scalar function t -> matrix to this contract.
-    Each stack is validated by one ``HermitianMatrix.from_stack`` check and
-    cached per t. ``regularity`` declares how far H moves between two
-    parameters (see ``Regularity``); the default, ``OPAQUE``, declares
-    nothing, and certificates of such a path are labelled "surrogate".
+    Each stack is validated by one Hermitian check, the one
+    ``HermitianMatrix.from_stack`` makes. ``regularity`` declares how far H
+    moves between two parameters (see ``Regularity``); the default,
+    ``OPAQUE``, declares nothing, and certificates of such a path are
+    labelled "surrogate".
 
-    Every method samples the path through one grid sampler:
+    Every method samples the path through one grid sampler. It keeps the
+    eigenvalues of every sampled point, but a matrix only where one is
+    asked for: the ends, the ends of the certified segments (which
+    sf_pairsum projects), every sample of an opaque path (its steps are
+    sampled norms) and the knots of a ``from_samples`` path.
 
-    * ``matrix(t)`` and ``matrices(ts)`` return the validated matrices,
-      evaluating the ones not yet cached by one evaluator call per chunk;
-    * ``values(ts)`` returns eigenvalues, computing the ones not yet cached
-      by one batched ``eigvalsh`` over the stacked matrices (a stack of
-      diagonal matrices takes its sorted diagonal, the same bits);
+    * ``matrix(t)`` and ``matrices(ts)`` return the validated matrices and
+      keep them, evaluating the ones not yet kept by one evaluator call per
+      chunk;
+    * ``values(ts)`` returns eigenvalues, computing the ones not yet known
+      by one batched ``eigvalsh`` per chunk (a stack of diagonal matrices
+      takes its sorted diagonal, the same bits), from the kept matrices or
+      from a fresh evaluation whose matrices are not kept;
+    * ``stack(ts)`` copies the matrices into one fresh array, keeping none;
     * ``steps(ts)`` returns bounds on the operator-norm steps between
       consecutive grid points: the declared rate * |dt|, or for an opaque
       path the sampled norms, one stacked 2-norm of the differences per
       chunk, cached by (t_a, t_b);
     * ``eig(t)`` is the validated full decomposition the matrix at t caches.
 
-    Stacks are cut into chunks of at most ``_CHUNK_BYTES`` bytes, so memory
-    does not grow with the grid. The library's evaluators do per matrix the
+    A method that needs a point's matrix asks for it before its
+    eigenvalues, so no point is evaluated twice within one call (sf_phillips
+    keeps the samples of the segments it is still subdividing, since any of
+    them may become a segment end, and drops them as the segments certify).
+    Stacks are cut into chunks of at most ``_CHUNK_BYTES`` bytes. The
+    library's evaluators do per matrix the
     same floating-point operations, in the same order, as a one-point call,
     and a stacked LAPACK call runs the same routine on every matrix, so each
     value is bit-identical to a one-at-a-time evaluation and does not
@@ -276,20 +294,36 @@ class OperatorPath:
     def regularity(self) -> Regularity:
         return self._regularity
 
-    def _fill(self, ts: list[float]) -> None:
-        """Evaluate and cache the distinct, uncached points ``ts``."""
+    def _evaluated(self, ts: list[float]):
+        """Evaluate the distinct points ``ts`` by one evaluator call per
+        chunk, yielding each chunk with its validated, read-only (k, n, n)
+        stack; nothing is kept."""
         for t in ts:
             if not 0.0 <= t <= 1.0:
                 raise InputError(f"path parameter {t!r} outside [0, 1]")
         for chunk in _chunks(ts, _chunk_len(self._dim)):
-            mats = HermitianMatrix.from_stack(self._evaluator(np.array(chunk)))
-            if len(mats) != len(chunk):
+            stack = _hermitian_stack(self._evaluator(np.array(chunk)))
+            if len(stack) != len(chunk):
                 raise InputError(
-                    f"path evaluator returned {len(mats)} matrices for {len(chunk)} points"
+                    f"path evaluator returned {len(stack)} matrices for {len(chunk)} points"
                 )
-            if mats and mats[0].dim != self._dim:
-                raise _dim_error(mats[0].dim, self._dim)
-            self._mats.update(zip(chunk, mats))
+            if len(stack) and stack.shape[1] != self._dim:
+                raise _dim_error(stack.shape[1], self._dim)
+            yield chunk, stack
+
+    def _sampled(self, ts: list[float]):
+        """The distinct points ``ts`` chunk by chunk, each with its
+        validated (k, n, n) stack: kept matrices from ``_mats``, the others
+        from ``_evaluated``."""
+        kept = [t for t in ts if t in self._mats]
+        for chunk in _chunks(kept, _chunk_len(self._dim)):
+            yield chunk, np.stack([self._mats[t].mat for t in chunk])
+        yield from self._evaluated([t for t in ts if t not in self._mats])
+
+    def _fill(self, ts: list[float]) -> None:
+        """Evaluate and keep the distinct points ``ts`` not yet kept."""
+        for chunk, stack in self._evaluated(ts):
+            self._mats.update(zip(chunk, map(HermitianMatrix._of_valid, stack)))
 
     def matrix(self, t: float) -> HermitianMatrix:
         t = float(t)
@@ -300,18 +334,27 @@ class OperatorPath:
         return m
 
     def matrices(self, ts: Sequence[float]) -> list[HermitianMatrix]:
-        """The matrices at every t of ``ts``, in order."""
+        """The matrices at every t of ``ts``, in order, kept on the path."""
         ts = [float(t) for t in ts]
-        self._fill([t for t in dict.fromkeys(ts) if t not in self._mats])
+        todo = [t for t in dict.fromkeys(ts) if t not in self._mats]
+        if todo:
+            self._fill(todo)
         return [self._mats[t] for t in ts]
 
     def stack(self, ts: np.ndarray) -> np.ndarray:
         """The matrices at ``ts`` as one fresh (k, n, n) array: the sampler
-        a path built on this one calls from its own evaluator."""
-        mats = self.matrices(np.asarray(ts, dtype=np.float64).tolist())
-        out = np.empty((len(mats), self._dim, self._dim), dtype=np.complex128)
-        for i, m in enumerate(mats):
-            out[i] = m.mat
+        a path built on this one calls from its own evaluator. A repeated t
+        is evaluated once, and no evaluated matrix is kept."""
+        ts = np.asarray(ts, dtype=np.float64).tolist()
+        out = np.empty((len(ts), self._dim, self._dim), dtype=np.complex128)
+        first: dict[float, int] = {}
+        for i, t in enumerate(ts):
+            first.setdefault(t, i)
+        for chunk, stack in self._sampled(list(first)):
+            out[[first[t] for t in chunk]] = stack
+        for i, t in enumerate(ts):
+            if first[t] != i:
+                out[i] = out[first[t]]
         return out
 
     def eig(self, t: float) -> EigenDecomposition:
@@ -319,7 +362,9 @@ class OperatorPath:
 
     def values(self, t):
         """Eigenvalues only (cheaper than a full, validated ``eig``): one
-        array for a single t, a list of arrays for a sequence of t.
+        array for a single t, a list of arrays for a sequence of t. Only the
+        eigenvalues of a point not kept by ``matrix``/``matrices`` stay on
+        the path, not its matrix.
 
         Always the eigvalsh route, even when a full decomposition is
         already cached: the two differ in final bits, and certificates
@@ -327,11 +372,12 @@ class OperatorPath:
         """
         single = np.ndim(t) == 0
         ts = [float(t)] if single else [float(s) for s in t]
-        todo = list(dict.fromkeys(s for s in ts if s not in self._vals))
-        for chunk in _chunks(todo, _chunk_len(self._dim)):
-            w = _stack_eigvalsh(self.stack(chunk))
-            w.setflags(write=False)
-            self._vals.update(zip(chunk, w))
+        todo = [s for s in dict.fromkeys(ts) if s not in self._vals]
+        if todo:
+            for chunk, stack in self._sampled(todo):
+                w = _stack_eigvalsh(stack)
+                w.setflags(write=False)
+                self._vals.update(zip(chunk, w))
         return self._vals[ts[0]] if single else [self._vals[s] for s in ts]
 
     def steps(self, ts: Sequence[float]) -> list[float]:
@@ -358,6 +404,9 @@ class OperatorPath:
         return int(np.sum(self.values(t) >= 0.0))
 
     def endpoint_gaps(self) -> tuple[float, float]:
+        # keeps the end matrices: sf_pairsum's outer junctions and
+        # path_concat's endpoint check read them
+        self.matrices([0.0, 1.0])
         return (
             float(np.min(np.abs(self.values(0.0)))),
             float(np.min(np.abs(self.values(1.0)))),
@@ -574,9 +623,22 @@ def _certified_segments(
     # segment shows" demands steps finer than the path's invertibility scale.
     top_width = 0.5 * min(path.endpoint_gaps())
 
+    spare: set[float] = set()  # samples kept only in case they become junctions
+
     def visit(ts: list[float], depth: int) -> None:
+        # Any sample may become a junction, whose projection sf_pairsum
+        # takes, if its segment splits deep enough. So every sample's
+        # matrix is kept before its eigenvalues are taken, and a declared
+        # path drops a segment's inner ones once it certifies (an opaque
+        # path's steps keep every sample).
+        if path.regularity.declared:
+            spare.update(t for t in ts if t not in path._mats)
+        path.matrices(ts)
         eps, margin = _segment_level_and_margin(path, ts, top_width)
         if margin > 0.0:
+            for t in spare.intersection(ts[1:-1]):
+                spare.discard(t)
+                del path._mats[t]
             out.append((ts, eps, margin))
             return
         if depth >= opts.max_depth:

@@ -78,8 +78,8 @@ def verify_toeplitz_theorem(
     d = as_hermitian(d)
     w = _as_unitary(w)
     path = conjugation_path(d, w)
-    # H(0) = D, and sf_all_methods reuses these cached values
-    gap = float(np.min(np.abs(path.values(0.0))))
+    # H(0) = D; sf_all_methods reuses the end matrices and values kept here
+    gap = path.endpoint_gaps()[0]
     if gap <= opts.endpoint_gap:
         raise InvertibilityError(
             f"D must be invertible: min |eigenvalue| = {gap:.3e}"

@@ -4,6 +4,7 @@ The brute-force oracle for small hand-built paths is a dense sign count
 done right here in the test, independent of the library's own oracle.
 """
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -478,11 +479,89 @@ def test_evaluator_gets_one_call_per_chunk():
 
     path._evaluator = counting
     grid = np.linspace(0.0, 1.0, 50).tolist()
+    path.matrices(grid)
     path.values(grid)
     path.steps(grid)
-    path.matrices(grid)
     size = specflow._chunk_len(48)
     assert calls == [size] * (50 // size) + [50 % size]
+    # eigenvalues and stacks of a declared path keep no matrix
+    fresh = trig_path(3, 48)
+    fresh.values(grid)
+    fresh.stack(np.array(grid))
+    assert fresh._mats == {}
+
+
+def _sampled_path():
+    mats = [HermitianMatrix(np.diag([v, 2.0])) for v in (-1.0, -0.2, 0.4, 1.0)]
+    return OperatorPath.from_samples(mats)
+
+
+# Paths whose kept matrices come from each route: the ends and segment ends
+# (declared families and composites), every sample (an opaque path), and
+# the knots (a sampled path).
+EVALUATE_ONCE_PATHS = {
+    "fuglede_line": lambda: family_path("fuglede_line", {"N": 32, "n": 3}),
+    "toeplitz_line": lambda: family_path("toeplitz_line", {"m": 3}),
+    "concat": lambda: path_concat(*concat_compatible_pair(7, 4)),
+    "reverse": lambda: path_reverse(path_concat(*concat_compatible_pair(7, 4))),
+    "from_callable": pivot_path,
+    "from_samples": _sampled_path,
+}
+
+
+@pytest.mark.parametrize("family", sorted(EVALUATE_ONCE_PATHS))
+def test_methods_evaluate_each_point_once(family):
+    """Every consumer that reads a matrix asks for it before its
+    eigenvalues, so no point reaches the evaluator twice, though only the
+    matrices asked for are kept."""
+    path = EVALUATE_ONCE_PATHS[family]()
+    evaluate = path._evaluator
+    asked = []
+
+    def counting(ts):
+        asked.extend(ts.tolist())
+        return evaluate(ts)
+
+    path._evaluator = counting
+    sf_all_methods(path)
+    certify_invertible(path)
+    assert asked
+    assert len(set(asked)) == len(asked)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: trig_path(7, 6),
+        lambda: family_path("trig_random", {"gap": 0.5}, seed=3, dim=48),
+        lambda: normalization_path(7, 5),
+        lambda: invertible_trig_path(7, 5),
+        lambda: family_path("toeplitz_line", {"m": 5}),
+        lambda: family_path("fuglede_line", {"N": 16, "n": 5}),
+        lambda: path_concat(*concat_compatible_pair(7, 5)),
+    ],
+    ids=["trig", "trig_gap_dim48", "normalization", "invertible_drift", "toeplitz_line",
+         "fuglede_line", "concat"],
+)
+def test_declared_paths_keep_only_the_segment_ends(make):
+    path = make()
+    result = sf_all_methods(path)
+    assert len(path._mats) == len(result["phillips_certificate"].segments) + 1
+
+
+def test_large_diagonal_path_holds_few_matrices():
+    """A dim-128 path whose oracle evaluates about 200 points keeps their
+    eigenvalues, not 256 KB per matrix."""
+    path = family_path("fuglede_line", {"N": 128, "n": 40})
+    tracemalloc.start()
+    try:
+        result = sf_all_methods(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path._vals) > 100
+    assert peak <= 24 * 2**20
+    assert len(path._mats) == len(result["phillips_certificate"].segments) + 1
 
 
 def test_stacked_evaluator_errors_match_the_scalar_ones():
