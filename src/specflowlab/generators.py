@@ -1,8 +1,15 @@
 """Seeded random matrices and the named operator-path families.
 
 All randomness flows through numpy Generators derived from explicit seeds
-(spawn_rngs gives parallel-safe per-trial streams), so identical seeds give
-identical objects everywhere, including under CLI parallelism.
+(spawn_rngs gives independent per-trial streams), so identical seeds give
+identical objects, whichever process builds them and in whatever order
+other seeds are used.
+
+The random Hermitian matrices and the spectral clamp are written once, for
+stacks (``_random_hermitian_chunks``, ``_clamped``); ``random_hermitian``
+and ``clamp_spectrum_away_from_zero`` are their one-matrix case, and each
+matrix of a stack gets the bits, and leaves the generator in the state, the
+one-matrix calls in a row would.
 
 Named families (the "family" kind of the path file format):
 
@@ -26,7 +33,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, coerce_field, require_int
-from .matcore import HermitianMatrix, Projection, apply_function, as_hermitian, op_norm
+from .matcore import (
+    HermitianMatrix,
+    Projection,
+    _assemble,
+    _chunk_len,
+    _chunks,
+    _eigh_stack,
+    _hermitian_stack,
+    _op_norms,
+    as_hermitian,
+    op_norm,
+)
 from .opmodel import DiagonalModel, ce_fuglede, realize
 from .specflow import OperatorPath, lipschitz, piecewise_affine
 from .transforms import UnitaryMatrix, _as_unitary
@@ -71,9 +89,31 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(require_int(seed_or_rng, "seed", 0))
 
 
+def _random_hermitian_chunks(rng: np.random.Generator, dim: int, scales: np.ndarray):
+    """Validated random Hermitian matrices, scales[j] * (G + G*) / (2 sqrt(dim))
+    for the j-th, as read-only (c, dim, dim) stacks of ``_chunk_len(dim)``
+    matrices at most, in order.
+
+    G = X + iY takes its real and then its imaginary part from the
+    generator, matrix after matrix. One standard_normal call per chunk
+    fills a (c, 2, dim, dim) array in that order, so the draws, the
+    generator state after them and each matrix's entries (elementwise
+    arithmetic, then the stacked Hermitian check) are those of c
+    one-matrix calls in a row.
+    """
+    step = _chunk_len(max(dim, 1))
+    for lo in range(0, len(scales), step):
+        s = scales[lo : lo + step, None, None]
+        xy = rng.standard_normal((len(s), 2, dim, dim))
+        g = xy[:, 0] + 1j * xy[:, 1]
+        yield _hermitian_stack(s * (g + g.conj().swapaxes(1, 2)) / (2.0 * math.sqrt(dim)))
+
+
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianMatrix:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianMatrix(scale * (g + g.conj().T) / (2.0 * math.sqrt(dim)))
+    """A random Hermitian matrix scale * (G + G*) / (2 sqrt(dim)) for a
+    complex Gaussian G: the one-matrix case of ``_random_hermitian_chunks``."""
+    (h,) = _random_hermitian_chunks(rng, dim, np.array([scale], dtype=np.float64))
+    return HermitianMatrix._of_valid(h[0])
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryMatrix:
@@ -101,14 +141,28 @@ def random_spd(
     return HermitianMatrix((u * lam) @ u.conj().T)
 
 
-def clamp_spectrum_away_from_zero(h: HermitianMatrix, gap: float) -> HermitianMatrix:
-    """Push every eigenvalue to at least ``gap`` in magnitude, keeping signs
-    (eigenvalue 0 is pushed up). The clamp used by the path generators."""
+def _check_gap(gap: float) -> None:
     if not (np.isfinite(gap) and gap > 0):
         raise InputError("gap must be positive and finite")
-    return apply_function(
-        h, lambda x: x if abs(x) >= gap else (gap if x >= 0.0 else -gap)
-    )
+
+
+def _clamped(w: np.ndarray, v: np.ndarray, gap: float) -> np.ndarray:
+    """The clamp of each matrix of a stack, from its validated
+    eigendecomposition (values (k, n), bases (k, n, n)): every eigenvalue
+    below ``gap`` in magnitude becomes gap with its sign (0 goes up), and
+    V diag(w') V* is assembled and checked; the read-only (k, n, n) stack."""
+    w = np.where(np.abs(w) >= gap, w, np.where(w >= 0.0, gap, -gap))
+    return _hermitian_stack(_assemble(v, w[:, None, :]))
+
+
+def clamp_spectrum_away_from_zero(h: HermitianMatrix, gap: float) -> HermitianMatrix:
+    """Push every eigenvalue to at least ``gap`` in magnitude, keeping signs
+    (eigenvalue 0 is pushed up): the one-matrix case of ``_clamped``, the
+    clamp the path generators apply to their ends, on the matrix's cached
+    eigendecomposition."""
+    _check_gap(gap)
+    ed = as_hermitian(h).eig
+    return HermitianMatrix._of_valid(_clamped(ed.values[None], ed.vectors[None], gap)[0])
 
 
 def random_invertible_hermitian(rng: np.random.Generator, dim: int) -> HermitianMatrix:
@@ -184,18 +238,26 @@ def _tilted_path(
     spectrally clamped versions (invertible with the given gap). The tilt
     adds its rate ||delta1 - delta0|| to ``rate``.
 
+    The ends are evaluated and checked as one stack, and clamped as stacks
+    of ``_chunk_len(dim)`` (both at once up to dim 90): one validated
+    ``eigh`` per stack, then ``_clamped``, the formula
+    ``clamp_spectrum_away_from_zero`` applies to one matrix, so each delta
+    has the bits the one-matrix clamp gives.
+
     ``raw`` must return a fresh, exactly Hermitian complex stack: the tilt
     is added to it in place by ``_add_combination``, and the deltas are
     differences of validated matrices, so the sum stays exactly Hermitian.
-    Without ``fix_left``, delta0 is zero and not added.
+    Without ``fix_left``, delta0 is zero and not added, and only the right
+    end is clamped.
     """
-    left, right = HermitianMatrix.from_stack(raw(np.array([0.0, 1.0])))
-    delta0 = (
-        clamp_spectrum_away_from_zero(left, gap).mat - left.mat
-        if fix_left
-        else np.zeros((dim, dim))
-    )
-    delta1 = clamp_spectrum_away_from_zero(right, gap).mat - right.mat
+    ends = _hermitian_stack(raw(np.array([0.0, 1.0])))
+    _check_gap(gap)
+    if not fix_left:
+        ends = ends[1:]
+    clamped = [_clamped(*_eigh_stack(c), gap) for c in _chunks(ends, _chunk_len(dim))]
+    deltas = np.concatenate(clamped) - ends
+    delta0 = deltas[0] if fix_left else np.zeros((dim, dim))
+    delta1 = deltas[-1]
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
         terms = [(1.0 - ts, delta0)] if fix_left else []
@@ -224,6 +286,14 @@ def _trig_evaluator(
     diagonal and pi m hypot(||A||, ||B||) for the coupling; the unitary
     conjugation keeps norms. The rate comes from d_j and C_j themselves.
 
+    The blocks are built as stacks, a chunk of ``_chunk_len(dim)`` at a
+    time: one draw of the 2 degree + 1 diagonals, then per chunk one draw
+    and one Hermitian check of the couplings (``_random_hermitian_chunks``),
+    one stacked SVD of their norms and the products U* X U on the stack.
+    The draws come in the order of one block at a time, and every step
+    treats each matrix as it would alone, so the generator state, the
+    rate and each M_j are those of a one-block-at-a-time build.
+
     Evaluation error: the products behind each M_j round each entry once
     per term of an n-term sum, as the per-point products did; the
     combination then rounds each entry once per term of its 2 degree + 1
@@ -233,20 +303,25 @@ def _trig_evaluator(
     """
     u = random_unitary(rng, dim).mat
     u_h = u.conj().T
-    diag_coefs = [rng.standard_normal(dim) * scale / (1 + m) ** 2 for m in range(2 * degree + 1)]
+    k = 2 * degree + 1
+    weights = (1 + np.arange(k)) ** 2
+    # one draw of the k diagonals reproduces k draws of dim values in a row
+    diag_coefs = rng.standard_normal((k, dim)) * scale / weights[:, None]
     diag = np.arange(dim)
-    coefs = np.empty((2 * degree + 1, dim, dim), dtype=np.complex128)
-    coup_norms = []
-    for j, lam in enumerate(diag_coefs):
-        coup = random_hermitian(rng, dim, 0.3 * scale / (1 + j) ** 2).mat
-        coup_norms.append(op_norm(coup))
-        mat = coefs[j]
-        mat[...] = coup
-        mat[diag, diag] += lam
-        # herm(U* X U), written into the stack's own slot
-        mat[...] = u_h @ mat @ u
-        np.add(mat, mat.conj().T, out=mat)
-        mat *= 0.5
+    coefs = np.empty((k, dim, dim), dtype=np.complex128)
+    coup_norms = np.empty(k)
+    lo = 0
+    for coup in _random_hermitian_chunks(rng, dim, 0.3 * scale / weights):
+        hi = lo + len(coup)
+        coup_norms[lo:hi] = _op_norms(coup)
+        mats = coefs[lo:hi]
+        mats[...] = coup
+        mats[:, diag, diag] += diag_coefs[lo:hi]
+        # herm(U* X U) per matrix, written into the stack's own slots
+        mats[...] = u_h @ mats @ u
+        np.add(mats, mats.conj().swapaxes(1, 2), out=mats)
+        mats *= 0.5
+        lo = hi
 
     def raw(ts: np.ndarray) -> np.ndarray:
         tl = ts.tolist()

@@ -651,7 +651,13 @@ def _certified_segments(
         visit(_refine(left), depth + 1)
         visit(_refine(right), depth + 1)
 
-    visit(_grid(path, opts.samples), 0)
+    try:
+        visit(_grid(path, opts.samples), 0)
+    except Exception:
+        # no certificate will read them: the path keeps what it held before
+        for t in spare:
+            path._mats.pop(t, None)
+        raise
     path._segments[opts] = tuple(out)
     return path._segments[opts]
 

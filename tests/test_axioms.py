@@ -132,16 +132,29 @@ def test_run_all_checks_builds_each_seeded_path_once(monkeypatch):
 
 def test_law_checks_make_no_stacked_two_norm(monkeypatch):
     """Every path the law checks build declares its regularity, the
-    homotopy rows included, so no grid step needs a sampled 2-norm."""
+    homotopy rows included, so no grid step needs a sampled 2-norm: no
+    2-norm is taken inside ``OperatorPath.steps``, where an opaque path's
+    sampled step norms are taken (a path's build may take stacked norms of
+    its coefficients)."""
     stacked = []
+    in_steps = []
     norm = np.linalg.norm
+    steps = OperatorPath.steps
 
     def counting(x, ord=None, axis=None, keepdims=False):
-        if ord == 2 and np.ndim(x) == 3:
+        if ord == 2 and in_steps:
             stacked.append(np.shape(x)[0])
         return norm(x, ord, axis, keepdims)
 
+    def counted_steps(self, ts):
+        in_steps.append(True)
+        try:
+            return steps(self, ts)
+        finally:
+            in_steps.pop()
+
     monkeypatch.setattr(np.linalg, "norm", counting)
+    monkeypatch.setattr(OperatorPath, "steps", counted_steps)
     # the counter sees the stacked norms of an opaque path
     opaque = normalization_path(0, 3)
     OperatorPath(opaque.stack, 3).steps([0.0, 0.5, 1.0])

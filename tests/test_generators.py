@@ -1,5 +1,7 @@
 """Determinism and contract checks for the seeded generators."""
 
+import hashlib
+import math
 from functools import partial
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from specflowlab import generators
 from specflowlab import (
     ENDPOINT_CLAMP_GAP,
+    HermitianMatrix,
     InputError,
     OperatorPath,
     clamp_spectrum_away_from_zero,
@@ -27,7 +30,8 @@ from specflowlab import (
     trig_path,
     unitary_rotation_path,
 )
-from specflowlab.matcore import op_norm
+from specflowlab.matcore import apply_function, op_norm
+from specflowlab.specflow import lipschitz
 from test_regularity import _assert_bounds_hold
 
 UNITARY_TOL = 1e-12
@@ -76,6 +80,96 @@ def test_trig_coefficients_reproduce_the_per_point_products(dim, degree, scale):
     tol = 16 * dim * np.finfo(np.float64).eps * np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= tol
     assert rate == pytest.approx(want_rate, rel=1e-14)
+
+
+def _blockwise_evaluator(rng, dim, degree, scale):
+    """``_trig_evaluator`` one block at a time: per block, its own draws, a
+    validated random Hermitian coupling, its 2-norm, U* X U and the
+    Hermitian average."""
+    u = random_unitary(rng, dim).mat
+    u_h = u.conj().T
+    d = [rng.standard_normal(dim) * scale / (1 + j) ** 2 for j in range(2 * degree + 1)]
+    coefs, norms = [], []
+    for j, lam in enumerate(d):
+        s = 0.3 * scale / (1 + j) ** 2
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        coup = HermitianMatrix(s * (g + g.conj().T) / (2.0 * math.sqrt(dim))).mat
+        norms.append(op_norm(coup))
+        x = coup.copy()
+        x[np.arange(dim), np.arange(dim)] += lam
+        x = u_h @ x @ u
+        coefs.append((x + x.conj().T) * 0.5)
+
+    def raw(ts):
+        out = np.empty((len(ts), dim, dim), dtype=np.complex128)
+        out[...] = coefs[0]
+        terms = []
+        for m in range(1, degree + 1):
+            terms.append((np.array([math.cos(math.pi * m * t) for t in ts.tolist()]), coefs[2 * m - 1]))
+            terms.append((np.array([math.sin(math.pi * m * t) for t in ts.tolist()]), coefs[2 * m]))
+        return generators._add_combination(out, terms)
+
+    rate = 0.0
+    for m in range(1, degree + 1):
+        diag_rate = float(np.max(np.hypot(d[2 * m - 1], d[2 * m])))
+        rate += math.pi * m * (diag_rate + math.hypot(norms[2 * m - 1], norms[2 * m]))
+    return raw, rate
+
+
+def _blockwise_tilted(raw, rate, dim, fix_left=True, gap=ENDPOINT_CLAMP_GAP):
+    """``_tilted_path`` with one ``apply_function`` clamp per end."""
+    left, right = HermitianMatrix.from_stack(raw(np.array([0.0, 1.0])))
+
+    def clamp(h):
+        return apply_function(h, lambda x: x if abs(x) >= gap else (gap if x >= 0.0 else -gap)).mat
+
+    delta0 = clamp(left) - left.mat if fix_left else np.zeros((dim, dim))
+    delta1 = clamp(right) - right.mat
+
+    def evaluate(ts):
+        terms = [(1.0 - ts, delta0)] if fix_left else []
+        return generators._add_combination(raw(ts), terms + [(ts, delta1)])
+
+    return OperatorPath(evaluate, dim, regularity=lipschitz((), [rate + op_norm(delta1 - delta0)]))
+
+
+def _same_build(got, want, got_rng, want_rng):
+    """Same regularity, same bytes on the 257-point grid (hashed one path at
+    a time, so a dim-128 grid is held once), same generator state."""
+    ts = np.linspace(0.0, 1.0, 257)
+    assert got.regularity == want.regularity
+    assert hashlib.sha256(got.stack(ts)).digest() == hashlib.sha256(want.stack(ts)).digest()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 48, 64, 97, 128])
+def test_stacked_build_gives_the_blockwise_bits(dim):
+    """The stacked draw, check, norms and products of the coupling blocks,
+    and the stacked clamp of both ends, give the bits and leave the
+    generator where the one-block-at-a-time build does; 48 and more split
+    the blocks into chunks of ``_chunk_len(dim)``."""
+    for degree in (1, 3, 8, 16):
+        for scale in (1.0, 4.0):
+            got_rng, want_rng = (np.random.default_rng([dim, degree]) for _ in range(2))
+            got = trig_path(got_rng, dim, degree=degree, scale=scale)
+            want = _blockwise_tilted(*_blockwise_evaluator(want_rng, dim, degree, scale), dim)
+            _same_build(got, want, got_rng, want_rng)
+    got_rng, want_rng = (np.random.default_rng(dim) for _ in range(2))
+    got_f, got_g = concat_compatible_pair(got_rng, dim)
+    want_f = _blockwise_tilted(*_blockwise_evaluator(want_rng, dim, 3, 1.0), dim)
+    g_raw, rate = _blockwise_evaluator(want_rng, dim, 3, 1.0)
+    (g_start,) = g_raw(np.array([0.0]))
+    join = want_f.matrix(1.0).mat
+
+    def shifted(ts):
+        out = g_raw(ts)
+        out -= g_start
+        out += join
+        return out
+
+    want_g = _blockwise_tilted(shifted, rate, dim, fix_left=False)
+    _same_build(got_f, want_f, got_rng, want_rng)
+    _same_build(got_g, want_g, got_rng, want_rng)
 
 
 def test_spawn_rngs_reproducible_and_distinct():

@@ -26,6 +26,7 @@ from specflowlab.specflow import (
     SfOptions,
     certify_invertible,
     crossing_oracle_report,
+    lipschitz,
     path_concat,
     path_reverse,
     sf_all_methods,
@@ -186,6 +187,20 @@ def test_unbounded_oscillation_exhausts_certification():
         sf_phillips(path, SfOptions(max_depth=10))
     lo, hi = err.value.window
     assert 0.0 <= lo < hi <= 1.0
+
+
+def test_failed_certification_keeps_no_spare_sample():
+    """A declared path whose subdivision runs out of depth once kept every
+    sample it had scored (129 matrices here) for as long as it lived; it
+    keeps only the ends it held before the call."""
+    path = OperatorPath.from_callable(
+        lambda t: np.diag([1.0 + t, -1.0]), 2, regularity=lipschitz((), [1e5])
+    )
+    path.endpoint_gaps()
+    assert len(path._mats) == 2
+    with pytest.raises(CertificationError):
+        sf_phillips(path, SfOptions(max_depth=6))
+    assert sorted(path._mats) == [0.0, 1.0]
 
 
 def test_from_samples():
