@@ -44,6 +44,7 @@ from .errors import (
     IllConditionedRankWarning,
     InputError,
     InvertibilityError,
+    SpecFlowError,
 )
 
 __all__ = [
@@ -401,6 +402,14 @@ class EigenDecomposition:
         object.__setattr__(self, "values", w)
         object.__setattr__(self, "vectors", v)
 
+    @staticmethod
+    def _of_valid(w: np.ndarray, v: np.ndarray) -> "EigenDecomposition":
+        """Wrap one matrix's rows of a decomposition ``_eigh_stack``
+        returned, without a second check."""
+        ed = object.__new__(EigenDecomposition)
+        ed._freeze(w, v)
+        return ed
+
     @property
     def dim(self) -> int:
         return self.values.size
@@ -459,9 +468,7 @@ def eigh(h: HermitianMatrix) -> EigenDecomposition:
     one-matrix case of ``_eigh_stack``."""
     h = as_hermitian(h)
     w, v = _eigh_stack(h.mat[None])
-    ed = object.__new__(EigenDecomposition)
-    ed._freeze(w[0], v[0])
-    return ed
+    return EigenDecomposition._of_valid(w[0], v[0])
 
 
 def _eval_scalar(f: Callable[[float], float], lam: float) -> float:
@@ -546,38 +553,68 @@ class Interval:
         return f"{lb}{self.lo:.6g}, {self.hi:.6g}{rb}"
 
 
+def _projection_stack(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The checks every Projection passes, on a (k, n, n) complex stack:
+    the Hermitian check, ||P^2 - P|| <= 1e-10 (Frobenius first), every
+    eigenvalue within 1e-9 of {0, 1}, and the rounded trace equal to the
+    count of eigenvalues above 1/2; each check raises on its first failing
+    matrix. Returns the read-only stack of validated matrices and their
+    ranks, each bit for bit and rank for rank what the matrix gets alone.
+    """
+    s = _hermitian_average(entries)
+    idem_mat = s @ s - s
+    for i in _frobenius_misses(idem_mat, 1e-10):
+        idem = op_norm(idem_mat[i])
+        if idem > 1e-10:
+            raise InputError(f"not idempotent: ||P^2 - P|| = {idem:.3e}")
+    w = np.linalg.eigvalsh(s)
+    stray = np.max(np.minimum(np.abs(w), np.abs(w - 1.0)), axis=1)
+    bad = np.flatnonzero(stray > 1e-9)
+    if bad.size:
+        raise InputError(f"projection spectrum strays {stray[bad[0]]:.3e} from {{0,1}}")
+    ranks = []
+    limit = 1e-8 * (1 + s.shape[1])
+    for tr, count in zip(
+        np.trace(s, axis1=1, axis2=2).real.tolist(), np.count_nonzero(w > 0.5, axis=1).tolist()
+    ):
+        r = int(round(tr))
+        if r != count or abs(tr - r) > limit:
+            raise ConsistencyFault(
+                f"projection rank ambiguous: trace {tr!r} vs eigenvalue count {count}"
+            )
+        ranks.append(r)
+    return s, ranks
+
+
 class Projection(HermitianMatrix):
     """An orthogonal projection: Hermitian, idempotent, spectrum in {0, 1}.
 
     Stored as a full matrix; construction validates ||P^2 - P|| <= 1e-10 and
     that every eigenvalue is within 1e-9 of {0, 1}. ``rank`` is the rounded
-    trace, checked to match the eigenvalue count.
+    trace, checked to match the eigenvalue count. The constructor is the
+    one-matrix case of ``_projection_stack``.
     """
 
     __slots__ = ("_rank",)
 
     def __init__(self, entries):
-        super().__init__(entries)
-        m = self.mat
-        idem_mat = m @ m - m
-        if _frobenius_misses(idem_mat[None], 1e-10):
-            idem = op_norm(idem_mat)
-            if idem > 1e-10:
-                raise InputError(f"not idempotent: ||P^2 - P|| = {idem:.3e}")
-        w = np.linalg.eigvalsh(m)
-        dist = np.minimum(np.abs(w), np.abs(w - 1.0))
-        if np.max(dist) > 1e-9:
-            raise InputError(
-                f"projection spectrum strays {np.max(dist):.3e} from {{0,1}}"
-            )
-        tr = float(np.trace(m).real)
-        r = int(round(tr))
-        count = int(np.sum(w > 0.5))
-        if r != count or abs(tr - r) > 1e-8 * (1 + self.dim):
-            raise ConsistencyFault(
-                f"projection rank ambiguous: trace {tr!r} vs eigenvalue count {count}"
-            )
-        self._rank = r
+        a = np.asarray(entries, dtype=np.complex128)
+        if a.ndim != 2:
+            raise InputError(f"expected a 2-d matrix, got shape {a.shape}")
+        p, (rank,) = _projection_stack(a[None])
+        self._mat = p[0]
+        self._norm = self._eig = None
+        self._rank = rank
+
+    @staticmethod
+    def _of_checked(row: np.ndarray, rank: int) -> "Projection":
+        """Wrap one row of a stack ``_projection_stack`` checked, with its
+        rank, without a second check."""
+        p = object.__new__(Projection)
+        p._mat = row
+        p._norm = p._eig = None
+        p._rank = rank
+        return p
 
     @property
     def rank(self) -> int:
@@ -617,11 +654,43 @@ def nonneg_projection(h: HermitianMatrix) -> Projection:
     Deterministic convention for subdivision junctions where an eigenvalue
     may legitimately sit at 0; callers relying on a stable answer must
     guarantee separation themselves (e.g. the path-endpoint invertibility
-    convention).
+    convention). The one-matrix case of ``_nonneg_projections``, which
+    sf_pairsum calls on its junctions as stacks.
     """
-    ed = as_hermitian(h).eig
-    b = ed.vectors[:, ed.values >= 0.0]
-    return Projection(b @ b.conj().T)
+    p, (rank,) = _nonneg_projections([as_hermitian(h)])
+    return Projection._of_checked(p[0], rank)
+
+
+def _nonneg_projections(mats: Sequence[HermitianMatrix]) -> tuple[np.ndarray, list[int]]:
+    """The projections onto the eigenspaces with eigenvalue >= 0 of k
+    matrices of one dimension (a chunk of at most ``_chunk_len``), as one
+    read-only (k, n, n) stack with their ranks.
+
+    The decompositions not yet cached (``.eig``) are computed by one
+    ``_eigh_stack`` and cached on their matrices; each B B* is formed from
+    its own basis columns; one ``_projection_stack`` checks them all. Each
+    projection and rank is bit for bit what its matrix gets alone. If a
+    check fails, the matrices are taken again one at a time, so the first
+    failing one raises what it raises alone.
+    """
+    try:
+        todo = [m for m in mats if m._eig is None]
+        if todo:
+            w, v = _eigh_stack(np.stack([m.mat for m in todo]))
+            for m, wi, vi in zip(todo, w, v):
+                m._eig = EigenDecomposition._of_valid(wi, vi)
+        n = mats[0].dim
+        p = np.empty((len(mats), n, n), dtype=np.complex128)
+        for i, m in enumerate(mats):
+            b = m.eig.vectors[:, m.eig.values >= 0.0]
+            p[i] = b @ b.conj().T
+        return _projection_stack(p)
+    except SpecFlowError:
+        if len(mats) == 1:
+            raise
+        for m in mats:
+            _nonneg_projections([m])
+        raise
 
 
 def contour_projection(h: HermitianMatrix, center: float, radius: float) -> Projection:

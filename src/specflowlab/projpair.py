@@ -14,8 +14,10 @@ ConsistencyFault (internal bug), never a value.
 
 pair_index is the module's one operation: sf_pairsum writes the spectral
 flow as a sum of pair indices of the nonnegative spectral projections at
-its certified segment ends, and verify_toeplitz_theorem reports the index
-of a conjugated pair as one of its routes.
+its certified segment ends, counting the pairs of consecutive junctions
+as stacks through ``_pair_indices`` (pair_index is its one-pair case), and
+verify_toeplitz_theorem reports the index of a conjugated pair as one of
+its routes.
 """
 
 from __future__ import annotations
@@ -66,18 +68,25 @@ def _as_projection(p) -> Projection:
 
 def pair_index(p, q) -> PairIndexResult:
     """Index of the pair (P, Q); see the module docstring for the routes.
-    The ranks are the validated ones each Projection carries."""
+    The ranks are the validated ones each Projection carries. The one-pair
+    case of ``_pair_indices``, which sf_pairsum calls on its consecutive
+    junctions as stacks."""
     pp = _as_projection(p)
     qq = _as_projection(q)
     if pp.dim != qq.dim:
         raise DimensionMismatchError(f"dims differ: {pp.dim} vs {qq.dim}")
-    route_rank = pp.rank - qq.rank
-    w = np.linalg.eigvalsh(pp.mat - qq.mat)
-    plus = int(np.sum(np.abs(w - 1.0) <= _RANK_TOL))
-    minus = int(np.sum(np.abs(w + 1.0) <= _RANK_TOL))
-    route_eig = plus - minus
-    return PairIndexResult(
-        value=route_rank,
-        route_rank_diff=route_rank,
-        route_eigencount=route_eig,
-    )
+    return _pair_indices((pp.mat - qq.mat)[None], [pp.rank - qq.rank])[0]
+
+
+def _pair_indices(diffs: np.ndarray, rank_diffs: list[int]) -> list[PairIndexResult]:
+    """The index of each of k pairs (P, Q), given the (k, n, n) stack of
+    the differences P - Q and the rank differences rank P - rank Q: the
+    eigenvalue-count route by one stacked eigvalsh, each pair bit for bit
+    its own. The first pair whose routes disagree raises."""
+    w = np.linalg.eigvalsh(diffs)
+    plus = np.count_nonzero(np.abs(w - 1.0) <= _RANK_TOL, axis=1)
+    minus = np.count_nonzero(np.abs(w + 1.0) <= _RANK_TOL, axis=1)
+    return [
+        PairIndexResult(value=r, route_rank_diff=r, route_eigencount=e)
+        for r, e in zip(rank_diffs, (plus - minus).tolist())
+    ]

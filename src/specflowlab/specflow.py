@@ -63,12 +63,12 @@ from .matcore import (
     _chunk_len,
     _chunks,
     _hermitian_stack,
+    _nonneg_projections,
     _stack_eigvalsh,
     as_hermitian,
-    nonneg_projection,
     op_norm,
 )
-from .projpair import pair_index
+from .projpair import _pair_indices
 
 __all__ = [
     "Regularity",
@@ -256,16 +256,26 @@ class OperatorPath:
     * ``eig(t)`` is the validated full decomposition the matrix at t caches.
 
     A method that needs a point's matrix asks for it before its
-    eigenvalues, so no point is evaluated twice within one call (sf_phillips
-    keeps the samples of the segments it is still subdividing, since any of
-    them may become a segment end, and drops them as the segments certify).
+    eigenvalues, so no point is evaluated twice within one call. sf_phillips
+    keeps the samples it evaluates for the segments it is still
+    subdividing, since any of them may become a segment end, takes their
+    eigenvalues from the same validated chunk, and drops them as the
+    segments certify; a sample whose eigenvalues the path already holds is
+    not evaluated again. sf_pairsum projects the segment ends in stacks.
     Stacks are cut into chunks of at most ``_CHUNK_BYTES`` bytes. The
     library's evaluators do per matrix the
     same floating-point operations, in the same order, as a one-point call,
     and a stacked LAPACK call runs the same routine on every matrix, so each
     value is bit-identical to a one-at-a-time evaluation and does not
     depend on which grids were sampled before. The certified subdivision is
-    cached per ``SfOptions``, so sf_pairsum reuses the one sf_phillips found.
+    cached per ``SfOptions``, so sf_pairsum reuses the one sf_phillips found;
+    the end gaps with their rounding slack, and each sampling grid, are
+    computed once per path.
+
+    ``path_concat`` and ``path_reverse`` build their paths from their
+    parts' validated rows without a second Hermitian check, and take the
+    eigenvalues a part already holds at the mapped point; an evaluator
+    given to this constructor is always checked.
     """
 
     def __init__(
@@ -285,6 +295,8 @@ class OperatorPath:
         self._vals: dict[float, np.ndarray] = {}
         self._steps: dict[tuple[float, float], float] = {}
         self._segments: dict[SfOptions, tuple] = {}
+        self._grids: dict[int, tuple[float, ...]] = {}
+        self._ends: tuple[tuple[float, float], tuple[float, float]] | None = None
 
     @property
     def dim(self) -> int:
@@ -302,14 +314,17 @@ class OperatorPath:
             if not 0.0 <= t <= 1.0:
                 raise InputError(f"path parameter {t!r} outside [0, 1]")
         for chunk in _chunks(ts, _chunk_len(self._dim)):
-            stack = _hermitian_stack(self._evaluator(np.array(chunk)))
-            if len(stack) != len(chunk):
-                raise InputError(
-                    f"path evaluator returned {len(stack)} matrices for {len(chunk)} points"
-                )
-            if len(stack) and stack.shape[1] != self._dim:
-                raise _dim_error(stack.shape[1], self._dim)
-            yield chunk, stack
+            yield chunk, self._rows(np.array(chunk))
+
+    def _rows(self, ts: np.ndarray) -> np.ndarray:
+        """The evaluator's matrices at ``ts``, checked by one Hermitian
+        check and for their count and dimension."""
+        stack = _hermitian_stack(self._evaluator(ts))
+        if len(stack) != len(ts):
+            raise InputError(f"path evaluator returned {len(stack)} matrices for {len(ts)} points")
+        if len(stack) and stack.shape[1] != self._dim:
+            raise _dim_error(stack.shape[1], self._dim)
+        return stack
 
     def _sampled(self, ts: list[float]):
         """The distinct points ``ts`` chunk by chunk, each with its
@@ -324,6 +339,27 @@ class OperatorPath:
         """Evaluate and keep the distinct points ``ts`` not yet kept."""
         for chunk, stack in self._evaluated(ts):
             self._mats.update(zip(chunk, map(HermitianMatrix._of_valid, stack)))
+
+    def _put_values(self, ts: list[float], stack: np.ndarray) -> None:
+        w = _stack_eigvalsh(stack)
+        w.setflags(write=False)
+        self._vals.update(zip(ts, w))
+
+    def _unknown(self, ts: Sequence[float]) -> list[float]:
+        """The distinct points of ``ts`` whose eigenvalues the path does not
+        hold yet."""
+        return [t for t in dict.fromkeys(ts) if t not in self._vals]
+
+    def _keep(self, ts: Sequence[float]) -> list[float]:
+        """Keep the matrices of the points of ``ts`` whose eigenvalues are
+        not known yet, with their eigenvalues taken from the same validated
+        chunks (one sampling pass); returns the points newly kept. A point
+        whose eigenvalues are known is not evaluated."""
+        new = [t for t in self._unknown(ts) if t not in self._mats]
+        for chunk, stack in self._evaluated(new):
+            self._mats.update(zip(chunk, map(HermitianMatrix._of_valid, stack)))
+            self._put_values(chunk, stack)
+        return new
 
     def matrix(self, t: float) -> HermitianMatrix:
         t = float(t)
@@ -372,12 +408,10 @@ class OperatorPath:
         """
         single = np.ndim(t) == 0
         ts = [float(t)] if single else [float(s) for s in t]
-        todo = [s for s in dict.fromkeys(ts) if s not in self._vals]
+        todo = self._unknown(ts)
         if todo:
             for chunk, stack in self._sampled(todo):
-                w = _stack_eigvalsh(stack)
-                w.setflags(write=False)
-                self._vals.update(zip(chunk, w))
+                self._put_values(chunk, stack)
         return self._vals[ts[0]] if single else [self._vals[s] for s in ts]
 
     def steps(self, ts: Sequence[float]) -> list[float]:
@@ -404,13 +438,24 @@ class OperatorPath:
         return int(np.sum(self.values(t) >= 0.0))
 
     def endpoint_gaps(self) -> tuple[float, float]:
-        # keeps the end matrices: sf_pairsum's outer junctions and
-        # path_concat's endpoint check read them
-        self.matrices([0.0, 1.0])
-        return (
-            float(np.min(np.abs(self.values(0.0)))),
-            float(np.min(np.abs(self.values(1.0)))),
-        )
+        """min |spec| at t = 0 and t = 1."""
+        return self._endpoints()[0]
+
+    def _endpoints(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The end gaps min |spec| at t = 0 and 1, and the same gaps less
+        their rounding slack, measured once per path."""
+        if self._ends is None:
+            self._ends = self._measure_ends()
+        return self._ends
+
+    def _measure_ends(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        # keeps the end matrices it evaluates: sf_pairsum's outer junctions
+        # and path_concat's endpoint check read them
+        self._keep([0.0, 1.0])
+        mags = np.abs(np.array(self.values([0.0, 1.0])))
+        gaps = (float(np.min(mags[0])), float(np.min(mags[1])))
+        clear = np.array(gaps) - _rounding_slack(self, mags)
+        return gaps, tuple(clear.tolist())
 
     @classmethod
     def from_samples(cls, matrices: Sequence) -> "OperatorPath":
@@ -547,9 +592,11 @@ def _step_share(path: OperatorPath) -> float:
 
 
 def _check_endpoints(path: OperatorPath, opts: SfOptions) -> tuple[float, float]:
-    g0, g1 = path.endpoint_gaps()
-    slack = _rounding_slack(path, np.abs(np.array(path.values([0.0, 1.0]))))
-    if np.any(np.array([g0, g1]) - slack <= opts.endpoint_gap):
+    """The end gaps, once each end's gap less its rounding slack is checked
+    against ``opts.endpoint_gap`` (on every call; the path computes the
+    gaps once)."""
+    (g0, g1), clear = path._endpoints()
+    if min(clear) <= opts.endpoint_gap:
         raise EndpointError(
             f"path endpoints must be invertible: min |spec| = ({g0:.3e}, {g1:.3e}), "
             f"convention requires > {opts.endpoint_gap:.0e}"
@@ -557,9 +604,14 @@ def _check_endpoints(path: OperatorPath, opts: SfOptions) -> tuple[float, float]
     return g0, g1
 
 
-def _grid(path: OperatorPath, samples: int) -> list[float]:
-    """``samples`` uniform points of [0, 1] and the path's knots."""
-    return sorted(set(np.linspace(0.0, 1.0, samples).tolist()) | set(path.regularity.knots))
+def _grid(path: OperatorPath, samples: int) -> tuple[float, ...]:
+    """``samples`` uniform points of [0, 1] and the path's knots, built
+    once per path and sample count."""
+    grid = path._grids.get(samples)
+    if grid is None:
+        points = set(np.linspace(0.0, 1.0, samples).tolist()) | set(path.regularity.knots)
+        grid = path._grids[samples] = tuple(sorted(points))
+    return grid
 
 
 def _neighbour_steps(steps: Sequence[float]) -> np.ndarray:
@@ -625,15 +677,15 @@ def _certified_segments(
 
     spare: set[float] = set()  # samples kept only in case they become junctions
 
-    def visit(ts: list[float], depth: int) -> None:
+    def visit(ts: Sequence[float], depth: int) -> None:
         # Any sample may become a junction, whose projection sf_pairsum
-        # takes, if its segment splits deep enough. So every sample's
-        # matrix is kept before its eigenvalues are taken, and a declared
-        # path drops a segment's inner ones once it certifies (an opaque
-        # path's steps keep every sample).
+        # takes, if its segment splits deep enough. So a sample evaluated
+        # here is kept, its eigenvalues taken from the same chunk, and a
+        # declared path drops a segment's inner ones once it certifies (an
+        # opaque path's steps keep every sample).
+        new = path._keep(ts)
         if path.regularity.declared:
-            spare.update(t for t in ts if t not in path._mats)
-        path.matrices(ts)
+            spare.update(new)
         eps, margin = _segment_level_and_margin(path, ts, top_width)
         if margin > 0.0:
             for t in spare.intersection(ts[1:-1]):
@@ -714,13 +766,30 @@ def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertifi
     (its Weyl margin certifies that), so the rank of the spectral projection
     above eps_j is constant there, and the segment contributes
     ind(P(t_j), P(t_{j-1})) of the nonnegative spectral projections at its
-    ends. Each distinct junction's projection is validated once.
+    ends. The junctions are projected in stacks of ``_chunk_len`` matrices
+    (``nonneg_projection`` is the one-matrix case), each validated once,
+    all before any pair is counted, so the first failing junction raises
+    what a junction-by-junction loop raises; the pairs of consecutive
+    junctions are counted in stacks (``pair_index`` is the one-pair case).
     """
 
     def pair_total(segs: tuple[SfSegment, ...]) -> int:
         junctions = [segs[0].t_left] + [s.t_right for s in segs]
-        projs = {t: nonneg_projection(path.matrix(t)) for t in junctions}
-        return sum(pair_index(projs[s.t_right], projs[s.t_left]).value for s in segs)
+        size = _chunk_len(path.dim)
+        # each junction's projection row (a view of its chunk) and rank
+        projs = [
+            row
+            for chunk in _chunks(path.matrices(junctions), size)
+            for row in zip(*_nonneg_projections(chunk))
+        ]
+        total = 0
+        for pairs in _chunks(list(zip(projs[1:], projs[:-1])), size):
+            diffs = np.empty((len(pairs), path.dim, path.dim), dtype=np.complex128)
+            for i, ((right, _), (left, _)) in enumerate(pairs):
+                np.subtract(right, left, out=diffs[i])
+            ranks = [r_right - r_left for (_, r_right), (_, r_left) in pairs]
+            total += sum(result.value for result in _pair_indices(diffs, ranks))
+        return total
 
     return _certificate(
         path, opts, "pairsum", lambda t, _eps: path.nonneg_count(t), pair_total
@@ -908,30 +977,69 @@ def path_concat(f: OperatorPath, g: OperatorPath) -> OperatorPath:
     """Concatenation (f then g), requiring f(1) = g(0) within 1e-10."""
     if f.dim != g.dim:
         raise DimensionMismatchError(f"dims differ: {f.dim} vs {g.dim}")
-    mismatch = op_norm(f.matrix(1.0).mat - g.matrix(0.0).mat)
-    scale = 1.0 + max(f.matrix(1.0).norm, g.matrix(0.0).norm)
-    if mismatch > 1e-10 * scale:
-        raise EndpointError(
-            f"concatenation endpoints differ by {mismatch:.3e} (limit {1e-10 * scale:.3e})"
-        )
+    end, start = f.matrix(1.0), g.matrix(0.0)
+    # equal ends differ by 0, within any limit: no norm is needed
+    if not np.array_equal(end.mat, start.mat):
+        mismatch = op_norm(end.mat - start.mat)
+        scale = 1.0 + max(end.norm, start.norm)
+        if mismatch > 1e-10 * scale:
+            raise EndpointError(
+                f"concatenation endpoints differ by {mismatch:.3e} (limit {1e-10 * scale:.3e})"
+            )
 
-    def evaluate(ts: np.ndarray) -> np.ndarray:
+    def pieces(ts: np.ndarray):
         first = ts <= 0.5
-        out = np.empty((ts.size, f.dim, f.dim), dtype=np.complex128)
-        out[first] = f.stack(2.0 * ts[first])
-        out[~first] = g.stack(2.0 * ts[~first] - 1.0)
-        return out
+        return (f, first, 2.0 * ts[first]), (g, ~first, 2.0 * ts[~first] - 1.0)
 
-    return OperatorPath(evaluate, f.dim, regularity=f.regularity.then(g.regularity))
+    return _Composite(pieces, f.dim, f.regularity.then(g.regularity))
 
 
 def path_reverse(f: OperatorPath) -> OperatorPath:
     """Time reversal t -> f(1 - t); negates the spectral flow."""
 
-    def evaluate(ts: np.ndarray) -> np.ndarray:
-        return f.stack(1.0 - ts)
+    def pieces(ts: np.ndarray):
+        return ((f, slice(None), 1.0 - ts),)
 
-    return OperatorPath(evaluate, f.dim, regularity=f.regularity.reversed())
+    return _Composite(pieces, f.dim, f.regularity.reversed())
+
+
+class _Composite(OperatorPath):
+    """A path made of points of other paths (``path_concat``,
+    ``path_reverse``): ``pieces(ts)`` names, per part, the part, the
+    positions of ``ts`` it covers and the part's parameters there.
+
+    Its evaluator assembles the parts' validated rows (their ``stack``), so
+    its stacks are taken without a second Hermitian check, the bits the
+    parts hold. A point whose eigenvalues its part already holds takes
+    them, so a part's sampled points are not sampled again. An evaluator
+    passed to ``OperatorPath`` is always checked.
+    """
+
+    def __init__(self, pieces, dim: int, regularity: Regularity):
+        super().__init__(self._assemble, dim, regularity=regularity)
+        self._pieces = pieces
+
+    def _assemble(self, ts: np.ndarray) -> np.ndarray:
+        out = np.empty((ts.size, self._dim, self._dim), dtype=np.complex128)
+        for part, where, part_ts in self._pieces(ts):
+            out[where] = part.stack(part_ts)
+        return out
+
+    def _rows(self, ts: np.ndarray) -> np.ndarray:
+        stack = self._evaluator(ts)
+        stack.setflags(write=False)
+        return stack
+
+    def _unknown(self, ts: Sequence[float]) -> list[float]:
+        todo = super()._unknown(ts)
+        if todo:
+            arr = np.array(todo)
+            for part, where, part_ts in self._pieces(arr):
+                for t, s in zip(arr[where].tolist(), part_ts.tolist()):
+                    w = part._vals.get(s)
+                    if w is not None:
+                        self._vals[t] = w
+        return [t for t in todo if t not in self._vals]
 
 
 def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:

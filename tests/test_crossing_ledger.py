@@ -279,7 +279,7 @@ def test_reach_bound_covers_the_norms_between_seeds():
     the norm bound keeps the pre-check from passing a grid the whole-grid
     guard refuses."""
     probe = _norm_peak(1.0)
-    ts = specflow._grid(probe, 257)
+    ts = list(specflow._grid(probe, 257))
     steps = probe.steps(ts)
     vals = probe.values(ts)
     tau = specflow._tolerances(probe, steps, np.abs(np.array(vals)))

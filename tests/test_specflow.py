@@ -231,16 +231,19 @@ def test_pairsum_certificate_label_and_total():
 
 
 def test_pairsum_validates_one_projection_per_junction(monkeypatch):
-    built = []
+    """Every junction's projection passes the stacked projection check
+    once: the matrices of all the checked stacks add up to the junctions."""
+    checked = []
+    check = matcore._projection_stack
 
-    def counting_projection(entries):
-        built.append(entries)
-        return Projection(entries)
+    def counting_check(entries):
+        checked.append(len(entries))
+        return check(entries)
 
-    monkeypatch.setattr(matcore, "Projection", counting_projection)
+    monkeypatch.setattr(matcore, "_projection_stack", counting_check)
     cert = sf_pairsum(family_path("toeplitz_line", {"m": 4}))
     assert len(cert.segments) == 3
-    assert len(built) == len(cert.segments) + 1
+    assert sum(checked) == len(cert.segments) + 1
 
 
 def test_kinked_path_agreement():
@@ -622,3 +625,123 @@ def test_scalar_callable_of_the_wrong_shape(bad):
     assert str(stacked.value) == str(single.value)
     with pytest.raises(InputError, match="outside"):
         path.matrices([0.0, 1.5])
+
+
+def test_endpoints_are_measured_once_per_path(monkeypatch):
+    """The end gaps and their rounding slack are measured once per path
+    across every method and certify_invertible, and each grid is built
+    once per sample count; the end check still compares against each
+    call's options and raises on every call."""
+    measured = []
+    measure = OperatorPath._measure_ends
+    monkeypatch.setattr(
+        OperatorPath, "_measure_ends", lambda self: measured.append(self) or measure(self)
+    )
+    path = trig_path(7, 6)
+    sf_all_methods(path)
+    certify_invertible(path)
+    sf_all_methods(path, SfOptions(samples=17))
+    assert measured == [path]
+    assert specflow._grid(path, 33) is specflow._grid(path, 33)
+    strict = SfOptions(endpoint_gap=2.0 * min(path.endpoint_gaps()))
+    for _ in range(2):
+        with pytest.raises(EndpointError, match="must be invertible"):
+            sf_endpoints(path, strict)
+    assert measured == [path]
+
+
+def _counted_points(path):
+    """Record the points the path's evaluator is asked for."""
+    evaluate = path._evaluator
+    asked = []
+
+    def counting(ts):
+        asked.extend(ts.tolist())
+        return evaluate(ts)
+
+    path._evaluator = counting
+    return asked
+
+
+@pytest.mark.parametrize(
+    "compose",
+    [path_concat, lambda f, g: path_reverse(path_concat(f, g)), lambda f, g: path_reverse(f)],
+    ids=["concat", "reverse_of_concat", "reverse"],
+)
+def test_composites_validate_each_evaluated_point_once(compose, monkeypatch):
+    """A composite takes its parts' validated rows without a second
+    Hermitian check: the rows checked while its flow and invertibility
+    certificate run are the points its parts evaluate."""
+    f, g = concat_compatible_pair(5, 4)
+    path = compose(f, g)
+    asked = [_counted_points(f), _counted_points(g)]
+    checked = []
+    check = specflow._hermitian_stack
+
+    def counting_check(entries):
+        out = check(entries)
+        checked.append(len(out))
+        return out
+
+    monkeypatch.setattr(specflow, "_hermitian_stack", counting_check)
+    sf_all_methods(path)
+    certify_invertible(path)
+    evaluated = sum(len(points) for points in asked)
+    assert evaluated and sum(checked) == evaluated
+
+
+@pytest.mark.parametrize("seed, dim", [(0, 2), (1, 3), (2, 4), (3, 6), (4, 8)])
+def test_composite_reads_what_its_parts_sampled(seed, dim):
+    """After the flows of f and g, the flow of f then g takes the parts'
+    eigenvalues at the mapped points (2t, 2t - 1) and their kept matrices:
+    a point a part sampled reaches its evaluator again only as a junction
+    of the composite whose matrix the part did not keep (one point, g at
+    0.5, for seed 1 at dim 3). The result is a fresh composite's."""
+    f, g = concat_compatible_pair(seed, dim)
+    sf_all_methods(f)
+    sf_all_methods(g)
+    parts = {"f": f, "g": g}
+    sampled = {name: set(p._vals) for name, p in parts.items()}
+    kept = {name: set(p._mats) for name, p in parts.items()}
+    asked = {name: _counted_points(p) for name, p in parts.items()}
+    result = sf_all_methods(path_concat(f, g))
+    assert repr(result) == repr(sf_all_methods(path_concat(*concat_compatible_pair(seed, dim))))
+    cert = result["pairsum_certificate"]
+    junctions = {"f": set(), "g": set()}
+    for t in [cert.segments[0].t_left] + [s.t_right for s in cert.segments]:
+        if t <= 0.5:
+            junctions["f"].add(2.0 * t)
+        else:
+            junctions["g"].add(2.0 * t - 1.0)
+    for name in parts:
+        again = sampled[name].intersection(asked[name])
+        assert again <= junctions[name] - kept[name], name
+
+
+def test_concat_of_equal_ends_takes_no_norm(monkeypatch):
+    """Bit-identical ends differ by 0, within any limit, so path_concat
+    takes no 2-norm (each an SVD); ends that differ still take three (the
+    mismatch and both ends, for the limit 1e-10 * (1 + max |end|)), and a
+    mismatch beyond the limit is refused with both figures."""
+    norms = []
+    plain = np.linalg.norm
+
+    def counting(x, ord=None, axis=None, keepdims=False):
+        if ord == 2:
+            norms.append(np.shape(x)[0] if np.ndim(x) == 3 else 1)
+        return plain(x, ord, axis, keepdims)
+
+    f, g = concat_compatible_pair(3, 5)
+    a = HermitianMatrix(np.diag([1.0, -2.0]))
+    b = HermitianMatrix(np.diag([3.0, -1.0]))
+    line = OperatorPath.from_samples([a, b])
+    close = OperatorPath.from_samples([HermitianMatrix(np.diag([3.0 + 1e-12, -1.0])), a])
+    far = OperatorPath.from_samples([HermitianMatrix(np.diag([3.0 + 1e-3, -1.0])), a])
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    path_concat(f, g)
+    assert norms == []
+    path_concat(line, close)
+    assert sum(norms) == 3
+    with pytest.raises(EndpointError) as err:
+        path_concat(line, far)
+    assert str(err.value) == "concatenation endpoints differ by 1.000e-03 (limit 4.001e-10)"
