@@ -142,9 +142,10 @@ def _hermitian_average(a: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_stack(entries) -> np.ndarray:
-    """The check ``HermitianMatrix.from_stack`` makes, on a (k, n, n) array
-    or a sequence of k equally shaped matrices, without the row wrappers:
-    the read-only stack of validated matrices."""
+    """The ``HermitianMatrix`` check on k matrices at once, given as a
+    (k, n, n) array or a sequence of k equally shaped matrices: one stacked
+    check, with the constructor's messages, returning the read-only stack
+    of validated matrices."""
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim != 3:
         raise InputError(f"expected a stack of 2-d matrices, got shape {a.shape}")
@@ -261,8 +262,8 @@ class HermitianMatrix:
 
     The symmetry defect max|H - H*| must not exceed 1e-12 times the largest
     entry magnitude (floor 1e-14); the stored matrix is the Hermitian average
-    of the input, so the invariant holds exactly afterwards. ``from_stack``
-    applies the same check to k matrices at once.
+    of the input, so the invariant holds exactly afterwards.
+    ``_hermitian_stack`` applies the same check to k matrices at once.
     """
 
     __slots__ = ("_mat", "_norm", "_eig")
@@ -274,15 +275,6 @@ class HermitianMatrix:
         self._mat = _hermitian_average(a[None])[0]
         self._norm: float | None = None
         self._eig: EigenDecomposition | None = None
-
-    @staticmethod
-    def from_stack(entries) -> list[HermitianMatrix]:
-        """Validate k matrices at once, given as a (k, n, n) array or a
-        sequence of k equally shaped matrices. One stacked check, with the
-        constructor's messages, covers every matrix, so the rows are wrapped
-        without a second one.
-        """
-        return [HermitianMatrix._of_valid(row) for row in _hermitian_stack(entries)]
 
     @staticmethod
     def _of_valid(row: np.ndarray) -> HermitianMatrix:

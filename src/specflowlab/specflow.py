@@ -64,6 +64,7 @@ from .matcore import (
     _chunks,
     _hermitian_stack,
     _nonneg_projections,
+    _op_norms,
     _stack_eigvalsh,
     as_hermitian,
     op_norm,
@@ -229,26 +230,27 @@ class OperatorPath:
     k matrices H(ts[0]), ..., H(ts[k-1]) as one complex (k, n, n) stack (any
     array-like of that shape, such as a list of k matrices, will do).
     ``from_callable`` adapts a scalar function t -> matrix to this contract.
-    Each stack is validated by one Hermitian check, the one
-    ``HermitianMatrix.from_stack`` makes. ``regularity`` declares how far H
-    moves between two parameters (see ``Regularity``); the default,
-    ``OPAQUE``, declares nothing, and certificates of such a path are
-    labelled "surrogate".
+    Each stack is validated by one Hermitian check (``_hermitian_stack``).
+    ``regularity`` declares how far H moves between two parameters (see
+    ``Regularity``); the default, ``OPAQUE``, declares nothing, and
+    certificates of such a path are labelled "surrogate".
 
-    Every method samples the path through one grid sampler. It keeps the
-    eigenvalues of every sampled point, but a matrix only where one is
-    asked for: the ends, the ends of the certified segments (which
-    sf_pairsum projects), every sample of an opaque path (its steps are
-    sampled norms) and the knots of a ``from_samples`` path.
+    One routine, ``_sample``, fills the path's stores: it evaluates the
+    points not yet held by one evaluator call per chunk of at most
+    ``_CHUNK_BYTES`` bytes, takes the eigenvalues they lack from the same
+    validated chunk by one batched ``eigvalsh`` (a stack of diagonal
+    matrices takes its sorted diagonal, the same bits), and keeps a matrix
+    only where one is asked for: the ends, the ends of the certified
+    segments (which sf_pairsum projects), every sample of an opaque path
+    (its steps are sampled norms) and the samples of a ``from_samples``
+    path. So every kept matrix has its eigenvalues held.
 
     * ``matrix(t)`` and ``matrices(ts)`` return the validated matrices and
-      keep them, evaluating the ones not yet kept by one evaluator call per
-      chunk;
-    * ``values(ts)`` returns eigenvalues, computing the ones not yet known
-      by one batched ``eigvalsh`` per chunk (a stack of diagonal matrices
-      takes its sorted diagonal, the same bits), from the kept matrices or
-      from a fresh evaluation whose matrices are not kept;
-    * ``stack(ts)`` copies the matrices into one fresh array, keeping none;
+      keep them;
+    * ``values(ts)`` returns eigenvalues, keeping those of a point it
+      evaluates but not its matrix;
+    * ``stack(ts)`` copies the kept matrices and evaluates the others into
+      one fresh array, keeping nothing;
     * ``steps(ts)`` returns bounds on the operator-norm steps between
       consecutive grid points: the declared rate * |dt|, or for an opaque
       path the sampled norms, one stacked 2-norm of the differences per
@@ -257,19 +259,17 @@ class OperatorPath:
 
     A method that needs a point's matrix asks for it before its
     eigenvalues, so no point is evaluated twice within one call. sf_phillips
-    keeps the samples it evaluates for the segments it is still
-    subdividing, since any of them may become a segment end, takes their
-    eigenvalues from the same validated chunk, and drops them as the
-    segments certify; a sample whose eigenvalues the path already holds is
-    not evaluated again. sf_pairsum projects the segment ends in stacks.
-    Stacks are cut into chunks of at most ``_CHUNK_BYTES`` bytes. The
-    library's evaluators do per matrix the
-    same floating-point operations, in the same order, as a one-point call,
-    and a stacked LAPACK call runs the same routine on every matrix, so each
-    value is bit-identical to a one-at-a-time evaluation and does not
-    depend on which grids were sampled before. The certified subdivision is
-    cached per ``SfOptions``, so sf_pairsum reuses the one sf_phillips found;
-    the end gaps with their rounding slack, and each sampling grid, are
+    keeps (``_keep``) the samples it evaluates for the segments it is still
+    subdividing, since any of them may become a segment end, and drops them
+    as the segments certify; a sample whose eigenvalues the path already
+    holds is not evaluated again. sf_pairsum projects the segment ends in
+    stacks. The library's evaluators do per matrix the same floating-point
+    operations, in the same order, as a one-point call, and a stacked
+    LAPACK call runs the same routine on every matrix, so each value is
+    bit-identical to a one-at-a-time evaluation and does not depend on
+    which grids were sampled before. The certified subdivision is cached
+    per ``SfOptions``, so sf_pairsum reuses the one sf_phillips found; the
+    end gaps with their rounding slack, and each sampling grid, are
     computed once per path.
 
     ``path_concat`` and ``path_reverse`` build their paths from their
@@ -326,67 +326,64 @@ class OperatorPath:
             raise _dim_error(stack.shape[1], self._dim)
         return stack
 
-    def _sampled(self, ts: list[float]):
-        """The distinct points ``ts`` chunk by chunk, each with its
-        validated (k, n, n) stack: kept matrices from ``_mats``, the others
-        from ``_evaluated``."""
-        kept = [t for t in ts if t in self._mats]
-        for chunk in _chunks(kept, _chunk_len(self._dim)):
-            yield chunk, np.stack([self._mats[t].mat for t in chunk])
-        yield from self._evaluated([t for t in ts if t not in self._mats])
-
-    def _fill(self, ts: list[float]) -> None:
-        """Evaluate and keep the distinct points ``ts`` not yet kept."""
-        for chunk, stack in self._evaluated(ts):
-            self._mats.update(zip(chunk, map(HermitianMatrix._of_valid, stack)))
-
-    def _put_values(self, ts: list[float], stack: np.ndarray) -> None:
-        w = _stack_eigvalsh(stack)
-        w.setflags(write=False)
-        self._vals.update(zip(ts, w))
-
     def _unknown(self, ts: Sequence[float]) -> list[float]:
         """The distinct points of ``ts`` whose eigenvalues the path does not
         hold yet."""
         return [t for t in dict.fromkeys(ts) if t not in self._vals]
 
+    def _sample(self, ts: Sequence[float], keep: bool, rows=None) -> None:
+        """The one routine that fills ``_mats`` and ``_vals``: evaluate the
+        distinct points of ``ts`` not yet held (without a kept matrix when
+        ``keep``, else without eigenvalues) chunk by chunk, or take them from
+        ``rows``, (chunk, validated stack) pairs; take the eigenvalues that
+        ``_unknown`` reports missing from the same chunk, and keep the
+        matrices when ``keep``. So every kept matrix has its eigenvalues."""
+        held = self._mats if keep else self._vals
+        todo = [t for t in dict.fromkeys(ts) if t not in held]
+        if not todo:
+            return
+        unknown = self._unknown(todo)  # a composite takes its parts' values here
+        if not keep:
+            todo = unknown
+        for chunk, stack in self._evaluated(todo) if rows is None else rows:
+            if keep:
+                self._mats.update(zip(chunk, map(HermitianMatrix._of_valid, stack)))
+            need = [i for i, t in enumerate(chunk) if t not in self._vals]
+            if need:
+                w = _stack_eigvalsh(stack if len(need) == len(chunk) else stack[need])
+                w.setflags(write=False)
+                self._vals.update(zip([chunk[i] for i in need], w))
+
     def _keep(self, ts: Sequence[float]) -> list[float]:
-        """Keep the matrices of the points of ``ts`` whose eigenvalues are
-        not known yet, with their eigenvalues taken from the same validated
-        chunks (one sampling pass); returns the points newly kept. A point
-        whose eigenvalues are known is not evaluated."""
-        new = [t for t in self._unknown(ts) if t not in self._mats]
-        for chunk, stack in self._evaluated(new):
-            self._mats.update(zip(chunk, map(HermitianMatrix._of_valid, stack)))
-            self._put_values(chunk, stack)
+        """Keep the matrices of the points of ``ts`` whose eigenvalues the
+        path does not hold yet, and return those points; a point whose
+        eigenvalues are held is not evaluated."""
+        new = self._unknown(ts)
+        self._sample(new, keep=True)
         return new
 
     def matrix(self, t: float) -> HermitianMatrix:
-        t = float(t)
-        m = self._mats.get(t)
-        if m is None:
-            self._fill([t])
-            m = self._mats[t]
-        return m
+        return self.matrices([t])[0]
 
     def matrices(self, ts: Sequence[float]) -> list[HermitianMatrix]:
         """The matrices at every t of ``ts``, in order, kept on the path."""
         ts = [float(t) for t in ts]
-        todo = [t for t in dict.fromkeys(ts) if t not in self._mats]
-        if todo:
-            self._fill(todo)
+        self._sample(ts, keep=True)
         return [self._mats[t] for t in ts]
 
     def stack(self, ts: np.ndarray) -> np.ndarray:
         """The matrices at ``ts`` as one fresh (k, n, n) array: the sampler
-        a path built on this one calls from its own evaluator. A repeated t
-        is evaluated once, and no evaluated matrix is kept."""
+        a path built on this one calls from its own evaluator. Kept rows are
+        copied, other points evaluated once each, and nothing is kept."""
         ts = np.asarray(ts, dtype=np.float64).tolist()
         out = np.empty((len(ts), self._dim, self._dim), dtype=np.complex128)
         first: dict[float, int] = {}
         for i, t in enumerate(ts):
             first.setdefault(t, i)
-        for chunk, stack in self._sampled(list(first)):
+        for t, i in first.items():
+            if t in self._mats:
+                out[i] = self._mats[t].mat
+        for chunk, stack in self._evaluated([t for t in first if t not in self._mats]):
             out[[first[t] for t in chunk]] = stack
         for i, t in enumerate(ts):
             if first[t] != i:
@@ -398,9 +395,9 @@ class OperatorPath:
 
     def values(self, t):
         """Eigenvalues only (cheaper than a full, validated ``eig``): one
-        array for a single t, a list of arrays for a sequence of t. Only the
-        eigenvalues of a point not kept by ``matrix``/``matrices`` stay on
-        the path, not its matrix.
+        array for a single t, a list of arrays for a sequence of t. A point
+        not held yet is evaluated and its eigenvalues kept, not its matrix;
+        a kept matrix already has its eigenvalues.
 
         Always the eigvalsh route, even when a full decomposition is
         already cached: the two differ in final bits, and certificates
@@ -408,10 +405,7 @@ class OperatorPath:
         """
         single = np.ndim(t) == 0
         ts = [float(t)] if single else [float(s) for s in t]
-        todo = self._unknown(ts)
-        if todo:
-            for chunk, stack in self._sampled(todo):
-                self._put_values(chunk, stack)
+        self._sample(ts, keep=False)
         return self._vals[ts[0]] if single else [self._vals[s] for s in ts]
 
     def steps(self, ts: Sequence[float]) -> list[float]:
@@ -431,7 +425,7 @@ class OperatorPath:
             d = np.empty((len(chunk), self._dim, self._dim), dtype=np.complex128)
             for i, (a, b) in enumerate(chunk):
                 np.subtract(mats[b].mat, mats[a].mat, out=d[i])
-            self._steps.update(zip(chunk, np.linalg.norm(d, 2, axis=(1, 2)).tolist()))
+            self._steps.update(zip(chunk, _op_norms(d).tolist()))
         return [self._steps[p] for p in pairs]
 
     def nonneg_count(self, t: float) -> int:
@@ -449,9 +443,9 @@ class OperatorPath:
         return self._ends
 
     def _measure_ends(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        # keeps the end matrices it evaluates: sf_pairsum's outer junctions
-        # and path_concat's endpoint check read them
-        self._keep([0.0, 1.0])
+        # keeps the end matrices: sf_pairsum's outer junctions and
+        # path_concat's endpoint check read them
+        self.matrices([0.0, 1.0])
         mags = np.abs(np.array(self.values([0.0, 1.0])))
         gaps = (float(np.min(mags[0])), float(np.min(mags[1])))
         clear = np.array(gaps) - _rounding_slack(self, mags)
@@ -469,6 +463,7 @@ class OperatorPath:
             if m.dim != dim:
                 raise DimensionMismatchError("sample dimensions differ")
         arr = np.stack([m.mat for m in mats])
+        arr.setflags(write=False)
         last = len(mats) - 1
 
         def evaluate(ts: np.ndarray) -> np.ndarray:
@@ -477,11 +472,12 @@ class OperatorPath:
             frac = (x - i)[:, None, None]
             return (1.0 - frac) * arr[i] + frac * arr[i + 1]
 
-        rates = last * np.linalg.norm(np.diff(arr, axis=0), 2, axis=(1, 2))
-        knots = [i / last for i in range(1, last)]
-        path = cls(evaluate, dim, regularity=piecewise_affine(knots, rates))
-        for i, m in enumerate(mats):
-            path._mats[i / last] = m
+        rates = last * _op_norms(np.diff(arr, axis=0))
+        ts = [i / last for i in range(last + 1)]
+        path = cls(evaluate, dim, regularity=piecewise_affine(ts[1:-1], rates))
+        # the samples are kept as given, not re-evaluated by the interpolant
+        size = _chunk_len(dim)
+        path._sample(ts, keep=True, rows=zip(_chunks(ts, size), _chunks(arr, size)))
         return path
 
     @classmethod
@@ -1051,6 +1047,8 @@ def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> d
     an opaque path is never ``certified``, whatever its margin. It does not
     raise on failure so sweep drivers can count and refine.
     """
+    # keeps the ends, which the flows' junctions read, before the grid's values
+    path._endpoints()
     ts = _grid(path, opts.samples)
     steps = path.steps(ts)
     mags = np.abs(np.array(path.values(ts)))

@@ -30,7 +30,7 @@ from specflowlab import (
     trig_path,
     unitary_rotation_path,
 )
-from specflowlab.matcore import apply_function, op_norm
+from specflowlab.matcore import _hermitian_stack, apply_function, op_norm
 from specflowlab.specflow import lipschitz
 from test_regularity import _assert_bounds_hold
 
@@ -118,7 +118,7 @@ def _blockwise_evaluator(rng, dim, degree, scale):
 
 def _blockwise_tilted(raw, rate, dim, fix_left=True, gap=ENDPOINT_CLAMP_GAP):
     """``_tilted_path`` with one ``apply_function`` clamp per end."""
-    left, right = HermitianMatrix.from_stack(raw(np.array([0.0, 1.0])))
+    left, right = map(HermitianMatrix._of_valid, _hermitian_stack(raw(np.array([0.0, 1.0]))))
 
     def clamp(h):
         return apply_function(h, lambda x: x if abs(x) >= gap else (gap if x >= 0.0 else -gap)).mat

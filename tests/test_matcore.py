@@ -91,10 +91,10 @@ def test_hermitian_validation(rng):
 def test_stack_validates_like_the_constructor(rng):
     mats = [random_hermitian(rng, 3, scale=10.0 ** k) for k in range(-3, 4)]
     mats[2] = mats[2] + 1e-15j * rng.normal(size=(3, 3))  # within tolerance
-    rows = HermitianMatrix.from_stack(np.array(mats))
-    assert [h.mat.tobytes() for h in rows] == [HermitianMatrix(m).mat.tobytes() for m in mats]
-    assert HermitianMatrix.from_stack(mats)[2].mat.tobytes() == rows[2].mat.tobytes()
-    assert HermitianMatrix.from_stack(np.zeros((0, 3, 3))) == []
+    rows = matcore._hermitian_stack(np.array(mats))
+    assert [row.tobytes() for row in rows] == [HermitianMatrix(m).mat.tobytes() for m in mats]
+    assert matcore._hermitian_stack(mats)[2].tobytes() == rows[2].tobytes()
+    assert matcore._hermitian_stack(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
 
 def _non_hermitian():
@@ -117,7 +117,7 @@ def test_stack_errors_match_the_constructor(rng, bad):
     mats.insert(2, bad)
     for stack in (mats, np.array(mats)):
         with pytest.raises(type(single.value)) as stacked:
-            HermitianMatrix.from_stack(stack)
+            matcore._hermitian_stack(stack)
         assert str(stacked.value) == str(single.value)
 
 
@@ -129,7 +129,7 @@ def test_hermitian_average_overflow_is_not_finite():
         with pytest.raises(FinitenessError, match="overflows"):
             HermitianMatrix(np.diag([1e308, 1.0]))
         with pytest.raises(FinitenessError, match="overflows"):
-            HermitianMatrix.from_stack([np.eye(2), np.diag([1.0, -1e308])])
+            matcore._hermitian_stack([np.eye(2), np.diag([1.0, -1e308])])
         assert HermitianMatrix(np.diag([8e307, 1.0])).mat[0, 0] == 8e307
 
 
@@ -367,10 +367,10 @@ def test_stack_shape_errors_match_the_constructor():
         with pytest.raises(InputError) as single:
             HermitianMatrix(np.zeros(shape))
         with pytest.raises(type(single.value)) as stacked:
-            HermitianMatrix.from_stack(np.zeros((5,) + shape))
+            matcore._hermitian_stack(np.zeros((5,) + shape))
         assert str(stacked.value) == str(single.value)
     with pytest.raises(InputError, match="stack of 2-d matrices"):
-        HermitianMatrix.from_stack(np.eye(3))
+        matcore._hermitian_stack(np.eye(3))
 
 
 def test_hermitian_rejects_tiny_asymmetry_beyond_tolerance():
@@ -466,7 +466,7 @@ def test_one_eigh_serves_every_function_of_a_matrix(monkeypatch, rng):
 
 def test_stack_rows_and_projections_carry_their_decomposition(rng):
     a = random_hermitian(rng, 5)
-    for row in HermitianMatrix.from_stack([a, -a]):
+    for row in map(HermitianMatrix._of_valid, matcore._hermitian_stack([a, -a])):
         ed = row.eig
         assert ed is row.eig
         fresh = eigh(row)

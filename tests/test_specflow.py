@@ -4,7 +4,9 @@ The brute-force oracle for small hand-built paths is a dense sign count
 done right here in the test, independent of the library's own oracle.
 """
 
+import contextlib
 import tracemalloc
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -19,6 +21,7 @@ from specflowlab.errors import (
     HermiticityError,
     InputError,
     SamplingError,
+    SpecFlowError,
 )
 from specflowlab.matcore import HermitianMatrix, Projection, op_norm
 from specflowlab.specflow import (
@@ -360,22 +363,17 @@ def test_pairsum_reuses_the_phillips_subdivision():
     assert path._segments[SfOptions()] is segments
 
 
-def test_steps_reject_a_non_finite_difference():
-    class Unvalidated(HermitianMatrix):
-        """Skips validation: a HermitianMatrix's entries stay within half
-        the float range, so their differences cannot overflow otherwise."""
-
-        __slots__ = ()
-
-        def __init__(self, entries):
-            self._mat = np.asarray(entries, dtype=np.complex128)
-            self._norm = None
+def test_evaluation_refuses_entries_whose_steps_could_overflow():
+    """The path validates every stack its evaluator returns, and a
+    validated matrix keeps its entries within half the float range, so no
+    sampled step can overflow: samples of +-1e308 are refused when they are
+    evaluated, before any difference is taken."""
 
     def evaluate(t):
-        return Unvalidated(np.diag([1e308 if t > 0.5 else -1e308, 1.0]))
+        return np.diag([1e308 if t > 0.5 else -1e308, 1.0])
 
     path = OperatorPath.from_callable(evaluate, 2)
-    with np.errstate(over="ignore"), pytest.raises(FinitenessError):
+    with pytest.raises(FinitenessError, match="Hermitian average overflows"):
         path.steps([0.0, 1.0])
 
 
@@ -531,20 +529,64 @@ EVALUATE_ONCE_PATHS = {
 def test_methods_evaluate_each_point_once(family):
     """Every consumer that reads a matrix asks for it before its
     eigenvalues, so no point reaches the evaluator twice, though only the
-    matrices asked for are kept."""
-    path = EVALUATE_ONCE_PATHS[family]()
-    evaluate = path._evaluator
-    asked = []
+    matrices asked for are kept. certify_invertible keeps the ends the
+    flows' junctions read, whether it runs before or after them; run
+    first, it keeps no other grid matrix, so a grid point it sampled is
+    evaluated again only as an inner junction (t = 0.5 on toeplitz_line)."""
+    for certify_first in (False, True):
+        path = EVALUATE_ONCE_PATHS[family]()
+        asked = _counted_points(path)
+        if certify_first:
+            certify_invertible(path)
+        segments = sf_all_methods(path)["pairsum_certificate"].segments
+        certify_invertible(path)
+        assert asked
+        repeats = {t for t, n in Counter(asked).items() if n > 1}
+        inner = {s.t_right for s in segments[:-1]}
+        assert repeats <= (inner if certify_first else set()), certify_first
 
-    def counting(ts):
-        asked.extend(ts.tolist())
-        return evaluate(ts)
 
-    path._evaluator = counting
-    sf_all_methods(path)
-    certify_invertible(path)
-    assert asked
-    assert len(set(asked)) == len(asked)
+def _assert_kept_matrices_have_values(*paths):
+    for path in paths:
+        assert set(path._mats) <= set(path._vals)
+
+
+@pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+def test_every_kept_matrix_has_its_eigenvalues(family):
+    """Whatever the path is asked, and whichever path built on it is, a
+    matrix the path keeps has its eigenvalues held next to it, also after
+    a flow or certification that raised."""
+    path = PATH_FAMILIES[family](5)
+    _assert_kept_matrices_have_values(path)
+    path.matrix(0.3)
+    path.matrices([0.1, 0.3, 0.6])
+    path.values([0.2, 0.3])
+    path.stack(np.array([0.4, 0.1, 0.4]))
+    _assert_kept_matrices_have_values(path)
+    joined = path_concat(path, path_reverse(path))
+    _assert_kept_matrices_have_values(path, joined)
+    for call in (certify_invertible, sf_all_methods):
+        for target in (path, joined):
+            with contextlib.suppress(SpecFlowError):
+                call(target)
+            _assert_kept_matrices_have_values(path, joined)
+
+
+def test_kept_matrices_have_values_after_partial_use():
+    """A one-point matrix, the parts of a concatenation, and a path whose
+    certification failed."""
+    path = trig_path(3, 4)
+    path.matrix(0.3)
+    _assert_kept_matrices_have_values(path)
+    f, g = concat_compatible_pair(7, 4)
+    path_concat(f, g)
+    _assert_kept_matrices_have_values(f, g)
+    failing = OperatorPath.from_callable(
+        lambda t: np.diag([1.0 + t, -1.0]), 2, regularity=lipschitz((), [1e5])
+    )
+    with pytest.raises(CertificationError):
+        sf_phillips(failing, SfOptions(max_depth=6))
+    _assert_kept_matrices_have_values(failing)
 
 
 @pytest.mark.parametrize(
