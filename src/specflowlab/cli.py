@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, fn, summary, *, input_help=None, sampling=False):
+    def subcommand(name, summary, *, input_help=None, sampling=False):
         p = sub.add_parser(name, help=summary)
         if input_help:
             p.add_argument("--input", help=input_help)
@@ -161,42 +161,37 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--samples", type=int, default=SfOptions.samples, help="initial grid size"
             )
-        p.set_defaults(fn=fn)
         return p
 
     subcommand(
-        "compute", _cmd_compute, "spectral flow of a path file, all methods",
+        "compute", "spectral flow of a path file, all methods",
         input_help="input JSON file", sampling=True,
     )
     subcommand(
-        "report", _cmd_report, "flow plus certificate and crossing ledger",
+        "report", "flow plus certificate and crossing ledger",
         input_help="input JSON file", sampling=True,
     )
 
     p = subcommand(
-        "metrics", _cmd_metrics, "four-distance separation table",
+        "metrics", "four-distance separation table",
         input_help="input JSON file (optional)",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     p.add_argument("--trunc-dim", type=int, default=64, help="diagonal model size")
     p.add_argument("--law", default="linear", help="diagonal growth law")
 
-    p = subcommand(
-        "toeplitz", _cmd_toeplitz, "compression index vs conjugation flow", sampling=True
-    )
+    p = subcommand("toeplitz", "compression index vs conjugation flow", sampling=True)
     p.add_argument("--m-max", type=_count(1), default=8, help="largest truncation radius")
     p.add_argument(
         "--power", type=_count(1), default=None,
         help="sweep shift powers 1..POWER at fixed radius instead of radii",
     )
 
-    p = subcommand("axioms", _cmd_axioms, "run the behavioral law checks", sampling=True)
+    p = subcommand("axioms", "run the behavioral law checks", sampling=True)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument("--trials", type=_count(0), default=20, help="trials per law")
 
-    p = subcommand(
-        "graded", _cmd_graded, "off-diagonal block report", input_help="input JSON file"
-    )
+    p = subcommand("graded", "off-diagonal block report", input_help="input JSON file")
     p.add_argument(
         "--tol", type=float, default=1e-8,
         help="singular values at or below TOL do not count for the spectral gap",
@@ -207,10 +202,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser ``main`` uses, built once per process (``build_parser`` builds
+#: a fresh one)
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        text = args.fn(args)
+        args = _PARSER.parse_args(argv)
+        # the handler is looked up by name at call time, so a rebound
+        # ``_cmd_<command>`` is the one that runs
+        text = globals()[f"_cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -43,7 +43,7 @@ independent integer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -269,8 +269,8 @@ class OperatorPath:
     bit-identical to a one-at-a-time evaluation and does not depend on
     which grids were sampled before. The certified subdivision is cached
     per ``SfOptions``, so sf_pairsum reuses the one sf_phillips found; the
-    end gaps with their rounding slack, and each sampling grid, are
-    computed once per path.
+    end gaps with their rounding slack, and each sampling grid with its
+    steps, are computed once per path.
 
     ``path_concat`` and ``path_reverse`` build their paths from their
     parts' validated rows without a second Hermitian check, and take the
@@ -296,6 +296,7 @@ class OperatorPath:
         self._steps: dict[tuple[float, float], float] = {}
         self._segments: dict[SfOptions, tuple] = {}
         self._grids: dict[int, tuple[float, ...]] = {}
+        self._grid_steps: dict[int, tuple[float, ...]] = {}
         self._ends: tuple[tuple[float, float], tuple[float, float]] | None = None
 
     @property
@@ -600,14 +601,31 @@ def _check_endpoints(path: OperatorPath, opts: SfOptions) -> tuple[float, float]
     return g0, g1
 
 
+@lru_cache(maxsize=None)
+def _uniform(samples: int) -> tuple[float, ...]:
+    """``samples`` uniform points of [0, 1], built once per sample count."""
+    return tuple(sorted(set(np.linspace(0.0, 1.0, samples).tolist())))
+
+
 def _grid(path: OperatorPath, samples: int) -> tuple[float, ...]:
-    """``samples`` uniform points of [0, 1] and the path's knots, built
-    once per path and sample count."""
+    """``samples`` uniform points of [0, 1] (``_uniform``) and the path's
+    knots, built once per path and sample count."""
     grid = path._grids.get(samples)
     if grid is None:
-        points = set(np.linspace(0.0, 1.0, samples).tolist()) | set(path.regularity.knots)
-        grid = path._grids[samples] = tuple(sorted(points))
+        grid = _uniform(samples)
+        if path.regularity.knots:
+            grid = tuple(sorted(set(grid).union(path.regularity.knots)))
+        path._grids[samples] = grid
     return grid
+
+
+def _grid_steps(path: OperatorPath, samples: int) -> tuple[float, ...]:
+    """The steps (``OperatorPath.steps``) along ``_grid(path, samples)``,
+    taken once per path and sample count."""
+    steps = path._grid_steps.get(samples)
+    if steps is None:
+        steps = path._grid_steps[samples] = tuple(path.steps(_grid(path, samples)))
+    return steps
 
 
 def _neighbour_steps(steps: Sequence[float]) -> np.ndarray:
@@ -836,17 +854,21 @@ def _ledger(
 ) -> tuple[dict[int, np.ndarray], list[int]]:
     """The oracle's eigenvalues and nonnegative counts on the grid ``ts``.
 
-    The seeds are the points of the ``opts.samples`` grid on a declared
-    path (the ends, the knots and the points sf_phillips has cached), and
-    every grid point on an opaque one. The aliasing guard, the reach
-    (``_reach_bound``) below half the endpoint gap ``gap``, is checked on
-    the seeds; if it fails, every grid point is evaluated and the exact
-    guard decides. Between two evaluated indices i < j, every index inside
-    takes the count of i when the clearance (``_clearance``) at both ends
-    exceeds the share (``_step_share``) of the declared step bound of
-    (ts[i], ts[j]); otherwise ts[(i + j) // 2] is evaluated and both halves
-    are tried again, one ``values`` call per level. So counts change only
-    between adjacent evaluated indices, each with the whole grid's values.
+    The seeds are the points of ``ts`` on the ``opts.samples`` grid (its
+    uniform points and the knots, where sf_phillips starts) on a declared
+    path, and every grid point on an opaque one. Under sf_all_methods
+    sf_phillips has evaluated the seeds already, unless the guard refuses
+    on the step bounds alone (``_guard_refuses_unsampled``); then the
+    ledger runs first and evaluates them itself. The aliasing guard, the
+    reach (``_reach_bound``) below half the endpoint gap ``gap``, is
+    checked on the seeds; if it fails, every grid point is evaluated and
+    the exact guard decides. Between two evaluated indices i < j, every
+    index inside takes the count of i when the clearance (``_clearance``)
+    at both ends exceeds the share (``_step_share``) of the declared step
+    bound of (ts[i], ts[j]); otherwise ts[(i + j) // 2] is evaluated and
+    both halves are tried again, one ``values`` call per level. So counts
+    change only between adjacent evaluated indices, each with the whole
+    grid's values.
     """
     seeds = set(_grid(path, opts.samples)) if path.regularity.declared else set(ts)
     idx = [k for k, t in enumerate(ts) if t in seeds]
@@ -909,7 +931,7 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     """
     g0, g1 = _check_endpoints(path, opts)
     ts = _grid(path, opts.oracle_samples)
-    steps = path.steps(ts)
+    steps = _grid_steps(path, opts.oracle_samples)
     vals, counts = _ledger(path, opts, ts, steps, min(g0, g1))
     ups = downs = 0
     for k in np.flatnonzero(np.diff(counts)).tolist():
@@ -941,17 +963,44 @@ def sf_crossing_oracle(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> i
     return int(crossing_oracle_report(path, opts)["total"])
 
 
+def _guard_refuses_unsampled(path: OperatorPath, opts: SfOptions, gap: float) -> bool:
+    """Whether the oracle's aliasing guard must refuse a declared path on
+    its step bounds alone, evaluating nothing.
+
+    Every sample tolerance is its share (``_step_share``) of the larger
+    neighbour step plus a nonnegative rounding slack, and adding that slack
+    cannot lower a float sum. So when the largest share of a neighbour step
+    reaches half the endpoint gap ``gap``, the reach is at least that, and
+    so is the seed-bounded reach (``_reach_bound``): both guards refuse."""
+    if not path.regularity.declared:
+        return False
+    steps = _grid_steps(path, opts.oracle_samples)
+    return float(np.max(_neighbour_steps(steps) * _step_share(path))) >= 0.5 * gap
+
+
 def sf_all_methods(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
     """Run all four methods and insist on exact agreement.
 
     Returns a dict with the common value, both certificates and the
     crossing-oracle report; raises ConsistencyFault if any two methods
     differ (that is a bug surface, not a property of the input).
+
+    The end check runs first, so an ``EndpointError`` wins. On a declared
+    path whose oracle guard refuses on the step bounds alone
+    (``_guard_refuses_unsampled``) the oracle then runs before phillips
+    samples anything, and raises the ``SamplingError`` it raises on a
+    fresh path; otherwise phillips, pairsum, endpoints and the oracle run
+    in that order.
     """
+    g0, g1 = _check_endpoints(path, opts)
+    ledger = None
+    if _guard_refuses_unsampled(path, opts, min(g0, g1)):
+        ledger = crossing_oracle_report(path, opts)
     cert_p = sf_phillips(path, opts)
     cert_s = sf_pairsum(path, opts)
     ends = sf_endpoints(path, opts)
-    ledger = crossing_oracle_report(path, opts)
+    if ledger is None:
+        ledger = crossing_oracle_report(path, opts)
     values = {
         "phillips": cert_p.total,
         "pairsum": cert_s.total,
@@ -1050,7 +1099,7 @@ def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> d
     # keeps the ends, which the flows' junctions read, before the grid's values
     path._endpoints()
     ts = _grid(path, opts.samples)
-    steps = path.steps(ts)
+    steps = _grid_steps(path, opts.samples)
     mags = np.abs(np.array(path.values(ts)))
     gaps = np.min(mags, axis=1)
     worst = float(np.min(gaps - _tolerances(path, steps, mags)))

@@ -112,13 +112,16 @@ def _sweep_entry(m: int, pw: int, opts: SfOptions) -> dict:
     d = half_integer_diagonal(m)
     w = cyclic_shift(d.dim, pw)
     rep = verify_toeplitz_theorem(d, w, opts)
+    # the shift applied is by r = pw mod dim: r diagonal entries wrap
+    # around, each travelling dim - r levels (none when r = 0)
+    r = pw % d.dim
     rep.update(
         {
             "m": m,
             "power": pw,
             "dim": d.dim,
-            "wrap_travel_levels": d.dim - pw,
-            "expected_crossings_per_side": min(pw, m),
+            "wrap_travel_levels": (d.dim - r) % d.dim,
+            "expected_crossings_per_side": min(r, d.dim - r),
         }
     )
     return rep
@@ -139,8 +142,9 @@ def power_sweep(
     m: int, power_range, opts: SfOptions = _DEFAULT_OPTS
 ) -> list[dict]:
     """Same check at fixed truncation radius m while the shift power
-    sweeps; power p <= m yields p matched crossings per side. m and every
-    power must be ints >= 1."""
+    sweeps; power p, a shift by r = p mod (2m + 1), yields min(r, 2m + 1 - r)
+    matched crossings per side (p for p <= m). m and every power must be
+    ints >= 1."""
     require_int(m, "m", 1)
     powers = [require_int(p, "power", 1) for p in power_range]
     return [_sweep_entry(m, p, opts) for p in powers]

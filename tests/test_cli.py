@@ -350,3 +350,14 @@ def test_negative_seed_exit_1(route, tmp_path, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr()
     assert err.err == "error: seed must be an int >= 0, got -1\n" and err.out == ""
+
+
+def test_main_reuses_its_parser_and_finds_the_handler_at_call_time(monkeypatch, capsys):
+    """build_parser still gives a fresh parser, but main builds none; the
+    handler is looked up by the command's name when main runs, so one
+    rebound after the parser was built is the one called."""
+    assert cli.build_parser() is not cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built a parser"))
+    monkeypatch.setattr(cli, "_cmd_toeplitz", lambda args: f"m_max {args.m_max}\n")
+    assert cli.main(["toeplitz", "--m-max", "3"]) == 0
+    assert capsys.readouterr().out == "m_max 3\n"

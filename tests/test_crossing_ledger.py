@@ -32,11 +32,15 @@ from specflowlab.specflow import (
 )
 
 
-def _outcome(path, opts):
+def _run(call, path, opts=SfOptions()):
     try:
-        return crossing_oracle_report(path, opts)
+        return call(path, opts)
     except Exception as exc:  # the error class, text and window must match too
         return type(exc).__name__, str(exc), getattr(exc, "window", None)
+
+
+def _outcome(path, opts):
+    return _run(crossing_oracle_report, path, opts)
 
 
 def _refused(message, window=None):
@@ -321,3 +325,60 @@ def test_a_count_change_the_declaration_forbids_is_a_fault():
     path = _declared(lambda t: np.diag([1.0 if t < 0.52 else -1.0, 2.0]), 1e-3)
     with pytest.raises(ConsistencyFault, match="declared regularity forbids"):
         crossing_oracle_report(path)
+
+
+#: the corpus paths the oracle's guard refuses at the default options
+REFUSED = ("concat_thirds_d6", "narrow_dip_declared", "sampled_d3", "toeplitz_m32")
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_all_methods_refuses_as_the_oracle_does(name):
+    """sf_all_methods raises exactly the oracle's refusal on a fresh path:
+    the same class, text (the exact reach of the whole grid) and window."""
+    refused = _run(sf_all_methods, CORPUS[name]())
+    assert refused == _outcome(CORPUS[name](), SfOptions())
+    assert refused[0] == "SamplingError" and refused[1].startswith("oracle sample tolerance")
+
+
+def test_an_aliased_line_is_refused_before_phillips_samples_it():
+    """On toeplitz_line m = 32 the guard refuses on the declared step bounds
+    alone, so only the oracle's grid reaches the evaluator, each point once."""
+    path = CORPUS["toeplitz_m32"]()
+    asked = _counted(path)
+    assert _run(sf_all_methods, path)[0] == "SamplingError"
+    assert sorted(asked) == list(specflow._grid(path, SfOptions().oracle_samples))
+
+
+@pytest.mark.parametrize(
+    "opts", [SfOptions(), SfOptions(oracle_samples=9)], ids=["default", "oracle_coarser"]
+)
+def test_the_step_test_fires_only_where_the_oracle_refuses(opts):
+    fired = []
+    for name in sorted(CORPUS):
+        path = CORPUS[name]()
+        if specflow._guard_refuses_unsampled(path, opts, min(path.endpoint_gaps())):
+            fired.append(name)
+            kind, text, _window = _outcome(CORPUS[name](), opts)
+            assert kind == "SamplingError" and text.startswith("oracle sample tolerance"), name
+    assert "toeplitz_m32" in fired
+
+
+def _in_order(path):
+    """phillips, pairsum, endpoints, then the oracle, each run in turn."""
+    return {
+        "phillips_certificate": specflow.sf_phillips(path),
+        "pairsum_certificate": specflow.sf_pairsum(path),
+        "value": specflow.sf_endpoints(path),
+        "crossing_ledger": crossing_oracle_report(path),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(set(CORPUS) - set(REFUSED)))
+def test_all_methods_equal_the_methods_run_in_order(name):
+    """Where the guard passes, the step test changes nothing: the
+    certificates, value and ledger are those of the four methods run in
+    turn on a fresh path."""
+    result = _run(sf_all_methods, CORPUS[name]())
+    want = _in_order(CORPUS[name]())
+    assert isinstance(result, dict), result
+    assert {key: result[key] for key in want} == want

@@ -787,3 +787,18 @@ def test_concat_of_equal_ends_takes_no_norm(monkeypatch):
     with pytest.raises(EndpointError) as err:
         path_concat(line, far)
     assert str(err.value) == "concatenation endpoints differ by 1.000e-03 (limit 4.001e-10)"
+
+
+@pytest.mark.parametrize("samples", [2, 9, 33, 257])
+def test_grids_are_the_uniform_points_and_the_knots(samples):
+    """The uniform points are built once per sample count and shared by
+    knotless paths; a path with knots merges them, with the same bits."""
+    uniform = sorted(set(np.linspace(0.0, 1.0, samples).tolist()))
+    plain = [family_path("toeplitz_line", {"m": m}) for m in (1, 2)]
+    assert specflow._grid(plain[0], samples) is specflow._grid(plain[1], samples)
+    assert list(specflow._grid(plain[0], samples)) == uniform
+    knotted = path_concat(*concat_compatible_pair(4, 3))
+    assert knotted.regularity.knots
+    assert list(specflow._grid(knotted, samples)) == sorted(
+        set(uniform) | set(knotted.regularity.knots)
+    )

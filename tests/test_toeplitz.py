@@ -134,3 +134,15 @@ def test_dimension_mismatches():
         commutator_report(d, cyclic_shift(4))
     with pytest.raises(InputError):
         toeplitz_compression(nonneg_projection(d), cyclic_shift(4))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_power_sweep_fields_follow_the_shift_applied(m):
+    """A power p shifts by r = p mod (2m + 1); the expected crossings and the
+    wrap-around travel are those of r, so they match the ledger at every
+    power, and past 2m + 1 too."""
+    dim = 2 * m + 1
+    for entry in power_sweep(m, range(1, 2 * dim + 1)):
+        assert entry["expected_crossings_per_side"] == entry["up_crossings"]
+        assert entry["up_crossings"] == entry["down_crossings"]
+        assert entry["wrap_travel_levels"] >= 0
