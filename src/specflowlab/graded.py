@@ -17,9 +17,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyFault, FinitenessError, InputError, require_int
-from .matcore import HermitianMatrix, Interval, spectral_projection, tol_spec
-from .metrics import _Operand, d_G
+from .errors import ConsistencyFault, FinitenessError, InputError, SpecFlowError, require_int
+from .matcore import (
+    HermitianMatrix,
+    Interval,
+    _chunk_len,
+    _chunks,
+    _hermitian_average,
+    _op_norms,
+    _spectral_projections,
+    spectral_projection,
+    tol_spec,
+)
+from . import metrics
+from .metrics import _graph_routes, _Operand
 
 __all__ = [
     "GradedOperator",
@@ -62,10 +73,7 @@ class GradedOperator:
 
     def matrix(self) -> HermitianMatrix:
         """T = [[0, A*], [A, 0]]."""
-        t = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        t[: self.p, self.p :] = self.block.conj().T
-        t[self.p :, : self.p] = self.block
-        return HermitianMatrix(t)
+        return HermitianMatrix(_odd_stack(self.p, self.block[None])[0])
 
     def grading(self) -> HermitianMatrix:
         """diag(I_p, -I_q); anticommutes with matrix()."""
@@ -101,6 +109,15 @@ class GradedOperator:
         return GradedOperator(self.p, self.q, self.block + np.asarray(b))
 
 
+def _odd_stack(p: int, blocks: np.ndarray) -> np.ndarray:
+    """[[0, A*], [A, 0]] for each q-by-p block A of a (k, q, p) stack."""
+    k, q, _ = blocks.shape
+    t = np.zeros((k, p + q, p + q), dtype=np.complex128)
+    t[:, :p, p:] = blocks.conj().swapaxes(1, 2)
+    t[:, p:, :p] = blocks
+    return t
+
+
 def graded_window_dim(g: GradedOperator, eps: float) -> int:
     """Grading-weighted dimension of the [-eps, eps] spectral window of
     the odd matrix; equals the kernel index once eps clears the gap."""
@@ -111,8 +128,13 @@ def graded_window_dim(g: GradedOperator, eps: float) -> int:
 
 
 def _window_dim(t: HermitianMatrix, grading: HermitianMatrix, eps: float) -> int:
-    proj = spectral_projection(t, Interval.closed(-eps, eps))
-    weighted = float(np.real(np.trace(grading.mat @ proj.mat)))
+    return _graded_dim(grading, spectral_projection(t, Interval.closed(-eps, eps)).mat)
+
+
+def _graded_dim(grading: HermitianMatrix, proj: np.ndarray) -> int:
+    """The grading-weighted dimension tr(grading P) of a projection P,
+    which must lie within 1e-8 of an integer."""
+    weighted = float(np.real(np.trace(grading.mat @ proj)))
     rounded = round(weighted)
     if abs(weighted - rounded) > 1e-8:
         raise ConsistencyFault(
@@ -167,6 +189,10 @@ def index_stability_check(
     so a failure here measures the rounding of the spectral projection.
     ``tol`` is the spectral gap's: singular values at or below it do not
     count. ``trials`` and ``seed`` must be nonnegative ints.
+
+    The trials run in chunks of ``_chunk_len`` (``_trial_failures``), each
+    value and failure bit for bit the one-trial loop's, with the same
+    generator draws in the same order.
     """
     require_int(trials, "trials", 0)
     require_int(seed, "seed", 0)
@@ -181,19 +207,20 @@ def index_stability_check(
         raise ConsistencyFault("window dimension disagrees with kernel index at start")
     rng = np.random.default_rng(seed)
     failures = []
-    for k in range(trials):
-        b = rng.normal(size=(g.q, g.p)) + 1j * rng.normal(size=(g.q, g.p))
-        norm = np.linalg.norm(b, 2) if b.size else 0.0
-        if norm > 0:
-            b *= (0.5 * delta) * rng.uniform(0.1, 1.0) / norm
-        tp = _Operand(g.perturb(b).matrix())
-        dist = d_G(t0, tp)
-        if dist >= delta:
-            failures.append({"trial": k, "reason": "graph distance", "value": dist})
-            continue
-        w = _window_dim(tp.h, grading, 0.5 * gap)
-        if w != base_index:
-            failures.append({"trial": k, "reason": "window dim", "value": w})
+    for ks in _chunks(range(trials), _chunk_len(g.dim)):
+        # every draw of the chunk first, in the trials' order: a block gets
+        # its uniform factor when its 2-norm is positive, that is, when it
+        # has a nonzero entry
+        draws = []
+        for _ in ks:
+            b = rng.normal(size=(g.q, g.p)) + 1j * rng.normal(size=(g.q, g.p))
+            draws.append((b, (0.5 * delta) * rng.uniform(0.1, 1.0) if b.any() else None))
+        scaled = [(b, f) for b, f in draws if f is not None]
+        if scaled:
+            for (b, f), norm in zip(scaled, _op_norms(np.array([b for b, _ in scaled]))):
+                b *= f / norm
+        blocks = [b for b, _ in draws]
+        failures += _trial_failures(g, t0, grading, 0.5 * gap, delta, list(ks), blocks)
     return {
         "check": "graded_index_stability",
         "trials": trials,
@@ -204,3 +231,52 @@ def index_stability_check(
         "ok": not failures,
         "seed": seed,
     }
+
+
+def _trial_failures(
+    g: GradedOperator,
+    t0: _Operand,
+    grading: HermitianMatrix,
+    eps: float,
+    delta: float,
+    ks: list[int],
+    blocks: list[np.ndarray],
+) -> list[dict]:
+    """The failures of the stability trials ``ks``, whose perturbations
+    are ``blocks``, from one stack: the perturbed odd matrices validated,
+    factored and inverted together, both graph-distance routes against
+    ``t0`` stacked, and the [-eps, eps] projections of the trials within
+    ``delta`` stacked (a trial at graph distance ``delta`` or more never
+    checks its window). Each value is bit for bit the one-trial value. The
+    trials are then walked in order; if the stacked work raises, the trials
+    are taken again one at a time, so the first failing trial raises what
+    it raises alone."""
+    try:
+        perturbed = np.array([g.perturb(b).block for b in blocks])
+        tps = _Operand.of_stack(_hermitian_average(_odd_stack(g.p, perturbed)))
+        res, cay = _graph_routes(t0, tps)
+        near = [i for i, dist in enumerate(res) if dist < delta]
+        projs = iter(())
+        if near:
+            w, v = tps.eig
+            norms = _op_norms(tps.mats[near]).tolist()
+            window = Interval.closed(-eps, eps)
+            projs = iter(_spectral_projections(w[near], v[near], norms, window)[0])
+    except (SpecFlowError, np.linalg.LinAlgError):
+        if len(ks) == 1:
+            raise
+        return [
+            failure
+            for k, b in zip(ks, blocks)
+            for failure in _trial_failures(g, t0, grading, eps, delta, [k], [b])
+        ]
+    failures = []
+    for k, r, c in zip(ks, res, cay):
+        dist = metrics._graph_detail(r, c).resolvent_route
+        if dist >= delta:
+            failures.append({"trial": k, "reason": "graph distance", "value": dist})
+            continue
+        dim = _graded_dim(grading, next(projs))
+        if dim != g.kernel_index():
+            failures.append({"trial": k, "reason": "window dim", "value": dim})
+    return failures

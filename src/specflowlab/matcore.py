@@ -628,16 +628,34 @@ def spectral_projection(h: HermitianMatrix, window: Interval) -> Projection:
     """
     h = as_hermitian(h)
     ed = h.eig
-    guard = tol_spec(h)
-    for e in window.finite_endpoints():
-        gap = float(np.min(np.abs(ed.values - e)))
-        if gap <= guard:
-            raise BoundaryCollisionError(
-                f"interval endpoint {e:.6g} is {gap:.3e} from the spectrum "
-                f"(needs > {guard:.3e})"
-            )
-    b = ed.vectors[:, window.mask(ed.values)]
-    return Projection(b @ b.conj().T)
+    p, (rank,) = _spectral_projections(ed.values[None], ed.vectors[None], [h.norm], window)
+    return Projection._of_checked(p[0], rank)
+
+
+def _spectral_projections(
+    w: np.ndarray, v: np.ndarray, norms: Sequence[float], window: Interval
+) -> tuple[np.ndarray, list[int]]:
+    """The projections onto the eigenspaces with eigenvalues in ``window``
+    of k matrices, given by their validated decompositions, values (k, n)
+    and bases (k, n, n), and their operator norms: the boundary guard of
+    ``spectral_projection`` on each matrix in turn, then each B B* from its
+    own basis columns and one ``_projection_stack``. Each projection and
+    rank is bit for bit what its matrix gets alone; the first failing
+    matrix of each check raises."""
+    for wi, norm in zip(w, norms):
+        guard = 1e-9 * (1.0 + norm)  # tol_spec
+        for e in window.finite_endpoints():
+            gap = float(np.min(np.abs(wi - e)))
+            if gap <= guard:
+                raise BoundaryCollisionError(
+                    f"interval endpoint {e:.6g} is {gap:.3e} from the spectrum "
+                    f"(needs > {guard:.3e})"
+                )
+    p = np.empty(v.shape, dtype=np.complex128)
+    for i, (wi, vi) in enumerate(zip(w, v)):
+        b = vi[:, window.mask(wi)]
+        p[i] = b @ b.conj().T
+    return _projection_stack(p)
 
 
 def nonneg_projection(h: HermitianMatrix) -> Projection:

@@ -832,7 +832,9 @@ def _reach_bound(
     """An upper bound on the oracle's reach, the largest sample tolerance
     over the grid ``ts``, from the eigenvalues ``vals`` at the grid indices
     ``idx`` alone (increasing, both ends among them); the reach itself when
-    ``idx`` holds every index.
+    ``idx`` holds every index. The ledger's refusal from the ends passes
+    the two end indices alone, the widest bound, whose eigenvalues the end
+    check holds, so it evaluates nothing.
 
     The tolerance of sample k needs ||H(t_k)||, computed as its largest
     |eigenvalue|. Between two evaluated indices i < j of a declared path it
@@ -849,20 +851,31 @@ def _reach_bound(
     return float(np.max(_tolerances(path, steps, norms[:, None])))
 
 
+def _aliased(reach: float, gap: float) -> SamplingError:
+    return SamplingError(
+        f"oracle sample tolerance {reach:.3e} is not below half the endpoint gap "
+        f"{gap:.3e}; increase oracle_samples"
+    )
+
+
 def _ledger(
     path: OperatorPath, opts: SfOptions, ts: list[float], steps: list[float], gap: float
 ) -> tuple[dict[int, np.ndarray], list[int]]:
     """The oracle's eigenvalues and nonnegative counts on the grid ``ts``.
 
-    The seeds are the points of ``ts`` on the ``opts.samples`` grid (its
-    uniform points and the knots, where sf_phillips starts) on a declared
-    path, and every grid point on an opaque one. Under sf_all_methods
-    sf_phillips has evaluated the seeds already, unless the guard refuses
-    on the step bounds alone (``_guard_refuses_unsampled``); then the
-    ledger runs first and evaluates them itself. The aliasing guard, the
-    reach (``_reach_bound``) below half the endpoint gap ``gap``, is
-    checked on the seeds; if it fails, every grid point is evaluated and
-    the exact guard decides. Between two evaluated indices i < j, every
+    When the step floor (``_step_floor``) already reaches half the endpoint
+    gap ``gap`` on a declared path, the guard must refuse, and the text
+    needs only the reach's printed digits: the reach lies between the floor
+    and the bound from the two ends (``_reach_bound``), whose eigenvalues
+    the end check holds, and ``.3e`` rounds correctly, so monotonically.
+    When both print alike the refusal is raised with nothing evaluated;
+    otherwise the route below decides. The seeds are the points of ``ts``
+    on the ``opts.samples`` grid (its uniform points and the knots, where
+    sf_phillips starts) on a declared path, and every grid point on an
+    opaque one; under sf_all_methods sf_phillips has evaluated them
+    already. The aliasing guard, the reach below half ``gap``, is checked
+    on the seeds; if it fails, every grid point is evaluated and the exact
+    guard decides. Between two evaluated indices i < j, every
     index inside takes the count of i when the clearance (``_clearance``)
     at both ends exceeds the share (``_step_share``) of the declared step
     bound of (ts[i], ts[j]); otherwise ts[(i + j) // 2] is evaluated and
@@ -870,6 +883,13 @@ def _ledger(
     change only between adjacent evaluated indices, each with the whole
     grid's values.
     """
+    if path.regularity.declared:
+        floor = _step_floor(path, steps)
+        if floor >= 0.5 * gap:
+            ends = [0, len(ts) - 1]
+            top = _reach_bound(path, ts, steps, ends, path.values([ts[k] for k in ends]))
+            if f"{floor:.3e}" == f"{top:.3e}":
+                raise _aliased(floor, gap)
     seeds = set(_grid(path, opts.samples)) if path.regularity.declared else set(ts)
     idx = [k for k, t in enumerate(ts) if t in seeds]
     reach = _reach_bound(path, ts, steps, idx, path.values([ts[k] for k in idx]))
@@ -877,10 +897,7 @@ def _ledger(
         idx = list(range(len(ts)))
         reach = _reach_bound(path, ts, steps, idx, path.values(ts))
     if reach >= 0.5 * gap:
-        raise SamplingError(
-            f"oracle sample tolerance {reach:.3e} is not below half the endpoint gap "
-            f"{gap:.3e}; increase oracle_samples"
-        )
+        raise _aliased(reach, gap)
     vals = dict(zip(idx, path.values([ts[k] for k in idx])))
     counts = [0] * len(ts)
     clear: dict[int, float] = {}
@@ -927,7 +944,9 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     samples). The counts come from one ledger (``_ledger``): it evaluates
     the grid only where a count can change, every point on an opaque path
     or when the guard's bound from the seeds fails, and gives the report
-    and error texts of the whole grid.
+    and error texts of the whole grid. A refusal that the declared step
+    bounds prove (``_guard_refuses_unsampled``) evaluates only the ends,
+    unless the reach's bracket straddles a printed digit.
     """
     g0, g1 = _check_endpoints(path, opts)
     ts = _grid(path, opts.oracle_samples)
@@ -963,19 +982,25 @@ def sf_crossing_oracle(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> i
     return int(crossing_oracle_report(path, opts)["total"])
 
 
+def _step_floor(path: OperatorPath, steps: Sequence[float]) -> float:
+    """A lower bound on the oracle's reach over a declared path's grid with
+    step bounds ``steps``: the largest share (``_step_share``) of a
+    neighbour step. Every sample tolerance is that share plus a
+    nonnegative rounding slack, and adding it cannot lower a float sum.
+    The largest neighbour step is the largest step, and a rounded product
+    is monotone, so this is the share of the largest step, the same bits."""
+    return max(steps) * _step_share(path)
+
+
 def _guard_refuses_unsampled(path: OperatorPath, opts: SfOptions, gap: float) -> bool:
     """Whether the oracle's aliasing guard must refuse a declared path on
-    its step bounds alone, evaluating nothing.
-
-    Every sample tolerance is its share (``_step_share``) of the larger
-    neighbour step plus a nonnegative rounding slack, and adding that slack
-    cannot lower a float sum. So when the largest share of a neighbour step
-    reaches half the endpoint gap ``gap``, the reach is at least that, and
-    so is the seed-bounded reach (``_reach_bound``): both guards refuse."""
+    its step bounds alone: the step floor (``_step_floor``) of the oracle
+    grid reaches half the endpoint gap ``gap``. The reach is then at least
+    that, and so is the seed-bounded reach (``_reach_bound``), so both
+    guards refuse; the ledger brackets the printed reach from the ends."""
     if not path.regularity.declared:
         return False
-    steps = _grid_steps(path, opts.oracle_samples)
-    return float(np.max(_neighbour_steps(steps) * _step_share(path))) >= 0.5 * gap
+    return _step_floor(path, _grid_steps(path, opts.oracle_samples)) >= 0.5 * gap
 
 
 def sf_all_methods(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
@@ -989,8 +1014,9 @@ def sf_all_methods(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
     path whose oracle guard refuses on the step bounds alone
     (``_guard_refuses_unsampled``) the oracle then runs before phillips
     samples anything, and raises the ``SamplingError`` it raises on a
-    fresh path; otherwise phillips, pairsum, endpoints and the oracle run
-    in that order.
+    fresh path, in general from the two ends alone (see ``_ledger``);
+    otherwise phillips, pairsum, endpoints and the oracle run in that
+    order.
     """
     g0, g1 = _check_endpoints(path, opts)
     ledger = None

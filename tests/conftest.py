@@ -19,9 +19,10 @@ def random_hermitian(rng, dim, scale=1.0):
 def graph_distance_details(monkeypatch):
     """The GraphDistanceDetail of every pair whose two graph-distance routes
     the library checked during the test, in order: one per d_G or
-    d_G_detail call, and one per row of a separation report. Both check
-    each pair through ``metrics._graph_detail``, which is looked up at call
-    time, so every check is recorded; the fault it raises still raises."""
+    d_G_detail call, one per row of a separation report, and one per
+    graded stability trial. All check each pair through
+    ``metrics._graph_detail``, which is looked up at call time, so every
+    check is recorded; the fault it raises still raises."""
     recorded = []
     unwrapped = metrics._graph_detail
 

@@ -301,8 +301,8 @@ def test_graded_computes_the_half_gap_window_once(tmp_path, capsys, monkeypatch)
 def test_graded_factors_the_block_and_the_odd_matrix_once(tmp_path, capsys, monkeypatch):
     """One SVD of the block serves both gaps, and one eigh of the odd
     matrix serves the cancellation check, the start window and the base
-    operand; each trial factors its perturbed matrix once. Each eigh is the
-    one-matrix case of the stacked decomposition, a stack of one."""
+    operand, a stack of one; the trials' perturbed matrices are factored
+    once each, as one stack."""
     calls = []
     for name in ("svd", "eigh"):
         inner = getattr(np.linalg, name)
@@ -316,7 +316,7 @@ def test_graded_factors_the_block_and_the_odd_matrix_once(tmp_path, capsys, monk
     f = write_json(tmp_path / "g.json", graded_to_obj(g))
     assert cli.main(["graded", "--input", f, "--tol", "0.5", "--trials", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["stability"]["ok"]
-    assert calls == [("svd", (2, 3))] + [("eigh", (1, 5, 5))] * (1 + 3)
+    assert calls == [("svd", (2, 3)), ("eigh", (1, 5, 5)), ("eigh", (3, 5, 5))]
 
 
 def test_axioms_command_small(capsys):

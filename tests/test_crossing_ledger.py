@@ -3,6 +3,9 @@ of a declared path, the two safety margins that make the inference exact,
 and equality with a whole-grid tally, written here, on every family.
 """
 
+import random
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from specflowlab.specflow import (
     lipschitz,
     path_concat,
     path_reverse,
+    piecewise_affine,
     sf_all_methods,
 )
 
@@ -161,6 +165,12 @@ CORPUS = {
 def test_inferred_ledger_equals_the_whole_grid(name):
     inferred, whole = _both_routes(CORPUS[name])
     assert inferred == whole
+    # the step floor, the share of the largest step, is bit for bit the
+    # largest share of a neighbour step that the tolerances add to
+    path = CORPUS[name]()
+    steps = specflow._grid_steps(path, SfOptions().oracle_samples)
+    tau = specflow._neighbour_steps(steps) * specflow._step_share(path)
+    assert specflow._step_floor(path, steps) == float(np.max(tau))
 
 
 def test_the_corpus_keeps_its_refusals():
@@ -342,11 +352,86 @@ def test_all_methods_refuses_as_the_oracle_does(name):
 
 def test_an_aliased_line_is_refused_before_phillips_samples_it():
     """On toeplitz_line m = 32 the guard refuses on the declared step bounds
-    alone, so only the oracle's grid reaches the evaluator, each point once."""
+    alone, and the reach's bracket from the ends prints one number, so only
+    t = 0 and 1 reach the evaluator, each once."""
     path = CORPUS["toeplitz_m32"]()
     asked = _counted(path)
-    assert _run(sf_all_methods, path)[0] == "SamplingError"
+    assert _run(sf_all_methods, path) == _whole_grid(CORPUS["toeplitz_m32"](), SfOptions())
+    assert sorted(asked) == [0.0, 1.0]
+
+
+def _straddling_line():
+    """diag(3/2 - 256 F t, 2^34), declared affine at rate 256 F: every
+    oracle step is F, just below the rounding boundary 1.0005, and the
+    rounding slack gamma_2 * 2^34 = 2^-16 lifts the reach above it."""
+    floor = 1.0005 - 1e-6
+    big = 2.0**34
+
+    def evaluate(ts):
+        out = np.zeros((ts.size, 2, 2), dtype=np.complex128)
+        out[:, 0, 0] = 1.5 - 256.0 * floor * ts
+        out[:, 1, 1] = big
+        return out
+
+    return OperatorPath(evaluate, 2, regularity=piecewise_affine((), [256.0 * floor]))
+
+
+def test_a_bracket_across_a_printed_digit_evaluates_the_whole_grid():
+    """The step floor prints 1.000e+00 and the reach 1.001e+00, so the ends
+    cannot decide the refusal's text: the whole grid is evaluated, and the
+    refusal is the whole-grid tally's."""
+    probe = _straddling_line()
+    steps = specflow._grid_steps(probe, SfOptions().oracle_samples)
+    assert specflow._guard_refuses_unsampled(probe, SfOptions(), min(probe.endpoint_gaps()))
+    assert f"{specflow._step_floor(probe, steps):.3e}" == "1.000e+00"
+    path = _straddling_line()
+    asked = _counted(path)
+    refused = _run(sf_all_methods, path)
+    assert refused == _whole_grid(_straddling_line(), SfOptions())
+    assert "tolerance 1.001e+00 " in refused[1]
     assert sorted(asked) == list(specflow._grid(path, SfOptions().oracle_samples))
+
+
+def _zigzag(seed):
+    """A zigzag input as the CLI benchmark draws it: one eigenvalue flips
+    between +1 and -1 at each of 41 samples, conjugated by a random
+    unitary, while the rest stay put, at a dimension of 4 to 8."""
+    draw = random.Random(seed)
+    rng = np.random.default_rng(draw.randrange(2**63))
+    draw.randrange(2**31)  # the seed a graded op would take
+    dim = draw.randint(4, 8)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    rest = rng.uniform(0.5, 1.5, dim - 1) * rng.choice([-1.0, 1.0], dim - 1)
+    samples = []
+    for k in range(41):
+        m = (u * np.concatenate([[1.0 if k % 2 == 0 else -1.0], rest])) @ u.conj().T
+        samples.append((m + m.conj().T) / 2.0)
+    return OperatorPath.from_samples(samples)
+
+
+SWEEP = {
+    **{f"zigzag_{s}": partial(_zigzag, s) for s in range(40)},
+    **{
+        f"toeplitz_m{m}": partial(family_path, "toeplitz_line", {"m": m})
+        for m in (*range(31, 41), 64)
+    },
+}
+
+
+def test_a_refusal_from_the_ends_is_the_whole_grid_refusal():
+    """Wherever the step test fires, sf_all_methods on a fresh path refuses
+    with the whole-grid tally's class, text and window."""
+    opts = SfOptions(max_depth=2)  # the zigzag inputs' CLI setting
+    fired = []
+    for name, make in SWEEP.items():
+        path = make()
+        if specflow._guard_refuses_unsampled(path, opts, min(path.endpoint_gaps())):
+            fired.append(name)
+            assert _run(sf_all_methods, make(), opts) == _whole_grid(path, opts), name
+    assert "toeplitz_m32" in fired and "toeplitz_m31" not in fired
+    assert any(name.startswith("zigzag") for name in fired)
 
 
 @pytest.mark.parametrize(

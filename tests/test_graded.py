@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from specflowlab import (
+    BoundaryCollisionError,
+    ConsistencyFault,
     FinitenessError,
     GradedOperator,
     InputError,
@@ -14,7 +16,7 @@ from specflowlab import (
     index_stability_check,
     random_unitary,
 )
-from specflowlab import graded
+from specflowlab import graded, metrics
 
 ANTICOMMUTE_TOL = 1e-14
 
@@ -112,31 +114,61 @@ def _stability_by_public_calls(g, trials, seed):
 
 
 @pytest.mark.parametrize("p, q, rank, seed", [(4, 2, 2, 5), (3, 5, 1, 0), (6, 6, 4, 9)])
-def test_index_stability_reuses_the_base_exactly(monkeypatch, p, q, rank, seed):
-    """Building T0's transforms once per check changes no distance bit."""
+def test_index_stability_reuses_the_base_exactly(graph_distance_details, p, q, rank, seed):
+    """Building T0's transforms once per check, and measuring the trials
+    as one stack, changes no distance bit."""
     g = GradedOperator(p, q, planted_block(np.random.default_rng(seed), q, p, rank))
-    seen = []
-    inner = graded.d_G
-
-    def recorded(a, b):
-        seen.append(inner(a, b))
-        return seen[-1]
-
-    monkeypatch.setattr(graded, "d_G", recorded)
     rep = index_stability_check(g, trials=12, seed=seed)
+    seen = [detail.resolvent_route for detail in graph_distance_details]
     dists, failures = _stability_by_public_calls(g, 12, seed)
     assert seen == dists
     assert rep["failures"] == failures
     assert rep["ok"] == (not failures)
 
 
+def test_a_failing_trial_stack_is_taken_one_trial_at_a_time(monkeypatch):
+    """When the stacked trials raise, each is taken again alone, in order:
+    the report is the stacked one, and a fault at trial 2 is raised before
+    any later trial's window is computed."""
+    g = GradedOperator(4, 3, planted_block(np.random.default_rng(3), 3, 4, 2))
+    want = index_stability_check(g, trials=6, seed=2)
+    sizes = []
+    inner = graded._spectral_projections
+
+    def stack_fails(w, *args):
+        sizes.append(len(w))
+        if len(w) > 1:
+            raise BoundaryCollisionError("a window collides somewhere in the stack")
+        return inner(w, *args)
+
+    monkeypatch.setattr(graded, "_spectral_projections", stack_fails)
+    assert index_stability_check(g, trials=6, seed=2) == want
+    assert sizes == [6] + [1] * 6
+
+    sizes.clear()
+    details = []
+    check = metrics._graph_detail
+
+    def third_fails(res, cay):
+        details.append(res)
+        if len(details) == 3:
+            raise ConsistencyFault("graph-distance routes disagree at trial 2")
+        return check(res, cay)
+
+    monkeypatch.setattr(metrics, "_graph_detail", third_fails)
+    with pytest.raises(ConsistencyFault, match="at trial 2"):
+        index_stability_check(g, trials=6, seed=2)
+    assert sizes == [6, 1, 1, 1]
+
+
 def test_index_stability_inverts_the_base_once(monkeypatch):
+    """The base is inverted once, and the ten trials as one stack."""
     g = GradedOperator(4, 3, planted_block(np.random.default_rng(3), 3, 4, 2))
     calls = []
     original = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or original(a))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(np.shape(a)) or original(a))
     index_stability_check(g, trials=10, seed=1)
-    assert len(calls) == 10 + 1
+    assert calls == [(1, 7, 7), (10, 7, 7)]
 
 
 def test_index_stability_needs_a_gap():
