@@ -12,53 +12,37 @@ from .errors import (
     BoundaryCollisionError,
     CertificationError,
     ConsistencyFault,
-    ContourCollisionError,
-    DefinitenessError,
     DimensionMismatchError,
     EndpointError,
     FinitenessError,
     FunctionDomainError,
     HermiticityError,
     IllConditionedRankWarning,
-    ImageMembershipError,
     InputError,
     InvertibilityError,
     SamplingError,
     SpecFlowError,
 )
 from .matcore import (
-    A1Report,
     EigenDecomposition,
     HermitianMatrix,
     Interval,
     Projection,
     apply_function,
     as_hermitian,
-    check_a1,
-    contour_projection,
     eigh,
-    inv_sqrt_integral,
     nonneg_projection,
     op_norm,
     rank_eps,
     spectral_projection,
 )
 from .transforms import (
-    MembershipReport,
     UnitaryMatrix,
     cayley,
-    cayley_inverse,
-    is_in_cayley_invertible_image,
-    is_in_riesz_image,
     riesz,
-    riesz_inverse,
 )
 from .opmodel import (
     DiagonalModel,
-    ce_fuglede,
-    ce_lambda,
-    ce_rank_one,
-    ce_swap,
     closed_form_distances,
     realize,
     swap_bounds,
@@ -110,16 +94,12 @@ from .generators import (
     line_path,
     normalization_path,
     random_hermitian,
-    random_invertible_hermitian,
-    random_projection,
-    random_spd,
     random_unitary,
     spawn_rngs,
     trig_path,
     unitary_rotation_path,
 )
 from .toeplitz import (
-    commutator_report,
     cyclic_shift_sweep,
     power_sweep,
     toeplitz_compression,

@@ -82,25 +82,8 @@ class BoundaryCollisionError(InputError):
     """An interval endpoint sits too close to the spectrum for a stable cut."""
 
 
-class ContourCollisionError(InputError):
-    """An eigenvalue lies too close to the integration contour."""
-
-
 class InvertibilityError(InputError):
     """An operator that must be invertible has spectrum too close to 0."""
-
-
-class DefinitenessError(InputError):
-    """An operator that must be positive definite is not."""
-
-
-class ImageMembershipError(InputError):
-    """Input is not in the domain/image required by a transform.
-
-    Used e.g. when a proposed Riesz-image element has norm >= 1, or when a
-    unitary has +1 in its spectrum so the inverse Cayley transform would have
-    to produce a point at infinity.
-    """
 
 
 class EndpointError(InputError):

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import InputError, coerce_field, require_int
 from .matcore import (
     HermitianMatrix,
-    Projection,
     _assemble,
     _chunk_len,
     _chunks,
@@ -45,7 +44,7 @@ from .matcore import (
     as_hermitian,
     op_norm,
 )
-from .opmodel import DiagonalModel, ce_fuglede, realize
+from .opmodel import DiagonalModel, family_perturbation, realize
 from .specflow import OperatorPath, lipschitz, piecewise_affine
 from .transforms import UnitaryMatrix, _as_unitary
 
@@ -53,9 +52,6 @@ __all__ = [
     "spawn_rngs",
     "random_hermitian",
     "random_unitary",
-    "random_projection",
-    "random_spd",
-    "random_invertible_hermitian",
     "clamp_spectrum_away_from_zero",
     "cyclic_shift",
     "half_integer_diagonal",
@@ -124,23 +120,6 @@ def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryMatrix:
     return UnitaryMatrix(q)
 
 
-def random_projection(rng: np.random.Generator, dim: int, rank: int):
-    if not 0 <= rank <= dim:
-        raise InputError(f"rank must lie in [0, {dim}], got {rank!r}")
-    u = random_unitary(rng, dim).mat[:, :rank]
-    return Projection(u @ u.conj().T)
-
-
-def random_spd(
-    rng: np.random.Generator, dim: int, lam_lo: float = 0.1, lam_hi: float = 10.0
-) -> HermitianMatrix:
-    if not (0 < lam_lo <= lam_hi):
-        raise InputError("need 0 < lam_lo <= lam_hi")
-    u = random_unitary(rng, dim).mat
-    lam = rng.uniform(lam_lo, lam_hi, size=dim)
-    return HermitianMatrix((u * lam) @ u.conj().T)
-
-
 def _check_gap(gap: float) -> None:
     if not (np.isfinite(gap) and gap > 0):
         raise InputError("gap must be positive and finite")
@@ -163,11 +142,6 @@ def clamp_spectrum_away_from_zero(h: HermitianMatrix, gap: float) -> HermitianMa
     _check_gap(gap)
     ed = as_hermitian(h).eig
     return HermitianMatrix._of_valid(_clamped(ed.values[None], ed.vectors[None], gap)[0])
-
-
-def random_invertible_hermitian(rng: np.random.Generator, dim: int) -> HermitianMatrix:
-    """A random Hermitian matrix with its spectrum clamped to |spec| >= 0.2."""
-    return clamp_spectrum_away_from_zero(random_hermitian(rng, dim), ENDPOINT_CLAMP_GAP)
 
 
 def cyclic_shift(dim: int, power: int = 1) -> UnitaryMatrix:
@@ -507,7 +481,7 @@ def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
         raise InputError("fuglede_line params need the index 'n'")
     n = coerce_field(n, int, "n")
     d = realize(model)
-    c = ce_fuglede(model, n)
+    c = family_perturbation(model, "fuglede", n)
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
         return d.mat + ts[:, None, None] * c.mat

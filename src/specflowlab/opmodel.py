@@ -29,10 +29,6 @@ __all__ = [
     "LAWS",
     "FAMILIES",
     "realize",
-    "ce_rank_one",
-    "ce_lambda",
-    "ce_fuglede",
-    "ce_swap",
     "family_perturbation",
     "closed_form_distances",
     "swap_bounds",
@@ -112,26 +108,6 @@ def _entries(model: DiagonalModel, family: str, n: int) -> np.ndarray:
 def family_perturbation(model: DiagonalModel, family: str, n: int) -> HermitianMatrix:
     """Dispatch to one of the four named perturbation families."""
     return HermitianMatrix(_entries(model, family, n))
-
-
-def ce_rank_one(model: DiagonalModel, n: int) -> HermitianMatrix:
-    """Rank-one unit perturbation C_n = e_n e_n*."""
-    return family_perturbation(model, "rank_one", n)
-
-
-def ce_lambda(model: DiagonalModel, n: int) -> HermitianMatrix:
-    """Eigenvalue-sized perturbation C_n = lambda_n e_n e_n*."""
-    return family_perturbation(model, "lambda", n)
-
-
-def ce_fuglede(model: DiagonalModel, n: int) -> HermitianMatrix:
-    """Sign-flipping perturbation C_n = -2 lambda_n e_n e_n*."""
-    return family_perturbation(model, "fuglede", n)
-
-
-def ce_swap(model: DiagonalModel, n: int) -> HermitianMatrix:
-    """Rank-two perturbation exchanging e_1 and e_n (needs n >= 2)."""
-    return family_perturbation(model, "swap", n)
 
 
 def _riesz_scalar(x: float) -> float:

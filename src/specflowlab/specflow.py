@@ -391,6 +391,8 @@ class OperatorPath:
                 out[i] = out[first[t]]
         return out
 
+    # No library code calls eig; it stays because the benchmark's tracer
+    # wraps OperatorPath.eig by name.
     def eig(self, t: float) -> EigenDecomposition:
         return self.matrix(t).eig
 

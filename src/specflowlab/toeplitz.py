@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, InvertibilityError, require_int
-from .matcore import HermitianMatrix, as_hermitian, nonneg_projection, op_norm, rank_eps
+from .matcore import HermitianMatrix, as_hermitian, nonneg_projection, rank_eps
 from .projpair import Projection, _as_projection, pair_index
 from .specflow import _DEFAULT_OPTS, SfOptions, sf_all_methods
 from .generators import conjugation_path, cyclic_shift, half_integer_diagonal
@@ -28,7 +28,6 @@ __all__ = [
     "verify_toeplitz_theorem",
     "cyclic_shift_sweep",
     "power_sweep",
-    "commutator_report",
 ]
 
 
@@ -149,16 +148,3 @@ def power_sweep(
     powers = [require_int(p, "power", 1) for p in power_range]
     return [_sweep_entry(m, p, opts) for p in powers]
 
-
-def commutator_report(d: HermitianMatrix, w) -> dict:
-    """Norms of [D, W], raw and tamed by the resolvent (D + i)^{-1}."""
-    d = as_hermitian(d)
-    w = _as_unitary(w)
-    if w.dim != d.dim:
-        raise InputError(f"dims differ: D {d.dim}, W {w.dim}")
-    comm = d.mat @ w.mat - w.mat @ d.mat
-    resolvent = np.linalg.inv(d.mat + 1j * np.eye(d.dim))
-    return {
-        "commutator_norm": op_norm(comm),
-        "resolvent_weighted_norm": op_norm(comm @ resolvent),
-    }

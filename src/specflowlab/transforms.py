@@ -1,25 +1,19 @@
-"""Bounded transforms between Hermitian matrices, their contractive
-Riesz images, and their unitary Cayley images.
+"""Bounded transforms from Hermitian matrices to their contractive Riesz
+images and their unitary Cayley images.
 
 * riesz:          T -> T (I + T^2)^{-1/2}        (Hermitian, norm < 1)
-* riesz_inverse:  S -> (I - S^2)^{-1/2} S
 * cayley:         T -> (T - i)(T + i)^{-1}       (unitary)
-* cayley_inverse: U -> i (I + U)(I - U)^{-1}
 
 Hermitian inputs go through the eigendecomposition route (map the
 eigenvalues, reassemble), reading the decomposition the HermitianMatrix
 caches, so a matrix that was already diagonalized (for a distance, a
 projection or the other transform) is mapped without a second eigh. The
 Riesz and Cayley images are assembled and validated for a stack of
-decompositions at once; riesz and cayley are the one-matrix case. The
-unitary input of cayley_inverse is diagonalized with a cluster-orthonormalized
-eigenbasis so the result is Hermitian by construction even when U - I is
-badly conditioned.
+decompositions at once; riesz and cayley are the one-matrix case.
+unitary_eig diagonalizes a unitary with a cluster-orthonormalized eigenbasis.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +21,6 @@ from .errors import (
     ConsistencyFault,
     DimensionMismatchError,
     FinitenessError,
-    ImageMembershipError,
     InputError,
 )
 from .matcore import (
@@ -35,25 +28,16 @@ from .matcore import (
     _assemble,
     _frobenius_misses,
     _hermitian_average,
-    apply_function,
     as_hermitian,
     op_norm,
 )
 
 __all__ = [
     "UnitaryMatrix",
-    "MembershipReport",
     "riesz",
-    "riesz_inverse",
     "cayley",
-    "cayley_inverse",
     "unitary_eig",
-    "is_in_riesz_image",
-    "is_in_cayley_invertible_image",
 ]
-
-#: closed/open boundary guard for image membership decisions
-_IMAGE_GUARD = 1e-9
 
 #: eigenvalues of a unitary closer than this in angle form one cluster
 _CLUSTER_ANGLE = 1e-6
@@ -114,18 +98,6 @@ def _as_unitary(u) -> UnitaryMatrix:
     return u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(np.asarray(u))
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    """Boolean verdict plus the quantity that witnessed it."""
-
-    ok: bool
-    detail: str
-    witness: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _riesz_stack(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The validated Riesz images T (I + T^2)^{-1/2} of the matrices whose
     eigenvalues (k, n) and bases (k, n, n) are given, as one read-only
@@ -152,21 +124,6 @@ def riesz(t: HermitianMatrix) -> HermitianMatrix:
     one-matrix case of the stacked images, from the cached decomposition."""
     ed = as_hermitian(t).eig
     return HermitianMatrix._of_valid(_riesz_stack(ed.values[None], ed.vectors[None])[0])
-
-
-def riesz_inverse(s: HermitianMatrix) -> HermitianMatrix:
-    """Inverse of :func:`riesz` on strict contractions: (I - S^2)^{-1/2} S.
-
-    Requires ||S|| < 1 - 1e-9; anything closer to the unit sphere has no
-    stable preimage and raises ImageMembershipError.
-    """
-    s = as_hermitian(s)
-    norm = s.norm
-    if norm >= 1.0 - _IMAGE_GUARD:
-        raise ImageMembershipError(
-            f"not safely inside the contraction image: ||S|| = {norm!r} >= 1 - 1e-9"
-        )
-    return apply_function(s, lambda x: x / np.sqrt(1.0 - x * x))
 
 
 def cayley(t: HermitianMatrix) -> UnitaryMatrix:
@@ -214,58 +171,3 @@ def unitary_eig(u: UnitaryMatrix) -> tuple[np.ndarray, np.ndarray]:
             f"unitary eigenbasis failed validation (gram {gram:.3e}, recon {recon:.3e})"
         )
     return w, v
-
-
-def cayley_inverse(u: UnitaryMatrix) -> HermitianMatrix:
-    """Inverse Cayley transform i (I + U)(I - U)^{-1}.
-
-    +1 in the spectrum of U corresponds to the point at infinity and is
-    rejected when any eigenvalue comes within 1e-9 of it. The result is
-    assembled from the eigenbasis with the scalar form -cot(theta/2) of the
-    same formula, which stays Hermitian even near the guard.
-    """
-    u = _as_unitary(u)
-    w, v = unitary_eig(u)
-    dist_plus = float(np.min(np.abs(w - 1.0)))
-    if dist_plus <= _IMAGE_GUARD:
-        raise ImageMembershipError(
-            "point at infinity: +1 lies within "
-            f"{dist_plus:.3e} of the spectrum (needs > {_IMAGE_GUARD:.0e})"
-        )
-    theta = np.angle(w)
-    t_vals = -1.0 / np.tan(theta / 2.0)
-    return HermitianMatrix((v * t_vals) @ v.conj().T)
-
-
-def is_in_riesz_image(s: HermitianMatrix) -> MembershipReport:
-    """Membership in the closure-safe Riesz image of Hermitian matrices.
-
-    Requires ||S|| <= 1 + 1e-12 and every eigenvalue at distance > 1e-9
-    from both +1 and -1. The witness is the violating quantity.
-    """
-    s = as_hermitian(s)
-    w = np.linalg.eigvalsh(s.mat)
-    norm = float(np.max(np.abs(w))) if w.size else 0.0
-    if norm > 1.0 + 1e-12:
-        return MembershipReport(False, "norm exceeds 1", norm)
-    edge = float(np.min(np.minimum(np.abs(w - 1.0), np.abs(w + 1.0))))
-    if edge <= _IMAGE_GUARD:
-        return MembershipReport(False, "eigenvalue too close to +-1", edge)
-    return MembershipReport(True, "inside the contraction image", edge)
-
-
-def is_in_cayley_invertible_image(u: UnitaryMatrix) -> MembershipReport:
-    """Membership in the Cayley image of *invertible* Hermitian matrices.
-
-    Both +1 (point at infinity) and -1 (image of 0) must stay at distance
-    > 1e-9 from the spectrum of U.
-    """
-    u = _as_unitary(u)
-    w = np.linalg.eigvals(u.mat)
-    dist_plus = float(np.min(np.abs(w - 1.0)))
-    dist_minus = float(np.min(np.abs(w + 1.0)))
-    if dist_plus <= _IMAGE_GUARD:
-        return MembershipReport(False, "+1 in spectrum (point at infinity)", dist_plus)
-    if dist_minus <= _IMAGE_GUARD:
-        return MembershipReport(False, "-1 in spectrum (image of a kernel)", dist_minus)
-    return MembershipReport(True, "inside the invertible Cayley image", min(dist_plus, dist_minus))

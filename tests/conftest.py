@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from specflowlab import metrics
+from specflowlab import generators, metrics
+from specflowlab.errors import InputError
 from specflowlab.matcore import HermitianMatrix
 
 
@@ -13,6 +14,23 @@ def rng():
 def random_hermitian(rng, dim, scale=1.0):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (a + a.conj().T) / 2.0
+
+
+def random_spd(
+    rng: np.random.Generator, dim: int, lam_lo: float = 0.1, lam_hi: float = 10.0
+) -> HermitianMatrix:
+    if not (0 < lam_lo <= lam_hi):
+        raise InputError("need 0 < lam_lo <= lam_hi")
+    u = generators.random_unitary(rng, dim).mat
+    lam = rng.uniform(lam_lo, lam_hi, size=dim)
+    return HermitianMatrix((u * lam) @ u.conj().T)
+
+
+def random_invertible_hermitian(rng: np.random.Generator, dim: int) -> HermitianMatrix:
+    """A random Hermitian matrix with its spectrum clamped to |spec| >= 0.2."""
+    return generators.clamp_spectrum_away_from_zero(
+        generators.random_hermitian(rng, dim), generators.ENDPOINT_CLAMP_GAP
+    )
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_invertible_hermitian
 from specflowlab import (
     InputError,
     OperatorPath,
@@ -20,7 +21,6 @@ from specflowlab import (
     connect_invertibles,
     normalization_path,
     random_hermitian,
-    random_invertible_hermitian,
     run_all_checks,
     sf_all_methods,
     sf_endpoints,

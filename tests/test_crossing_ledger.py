@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import narrow_dip, random_hermitian
+from conftest import narrow_dip, random_hermitian, random_invertible_hermitian
 from specflowlab import specflow
 from specflowlab.axioms import connect_invertibles
 from specflowlab.errors import ConsistencyFault, SamplingError
@@ -19,7 +19,6 @@ from specflowlab.generators import (
     homotopy_family,
     invertible_trig_path,
     normalization_path,
-    random_invertible_hermitian,
     random_unitary,
     trig_path,
 )

@@ -22,8 +22,6 @@ from specflowlab import (
     invertible_trig_path,
     normalization_path,
     random_hermitian,
-    random_projection,
-    random_spd,
     random_unitary,
     sf_endpoints,
     spawn_rngs,
@@ -32,6 +30,7 @@ from specflowlab import (
 )
 from specflowlab.matcore import _hermitian_stack, apply_function, op_norm
 from specflowlab.specflow import lipschitz
+from conftest import random_spd
 from test_regularity import _assert_bounds_hold
 
 UNITARY_TOL = 1e-12
@@ -224,14 +223,6 @@ def test_random_unitary_is_unitary():
         np.testing.assert_allclose(
             u.conj().T @ u, np.eye(dim), atol=UNITARY_TOL
         )
-
-
-def test_random_projection_rank_and_bounds():
-    rng = np.random.default_rng(9)
-    p = random_projection(rng, 6, 2)
-    assert p.rank == 2
-    with pytest.raises(InputError):
-        random_projection(rng, 6, 7)
 
 
 def test_random_spd_spectrum_window():

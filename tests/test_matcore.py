@@ -9,8 +9,6 @@ from specflowlab import matcore
 from specflowlab.errors import (
     BoundaryCollisionError,
     ConsistencyFault,
-    ContourCollisionError,
-    DefinitenessError,
     DimensionMismatchError,
     FinitenessError,
     FunctionDomainError,
@@ -20,17 +18,13 @@ from specflowlab.errors import (
     InvertibilityError,
 )
 from specflowlab.matcore import (
-    A1Report,
     EigenDecomposition,
     HermitianMatrix,
     Interval,
     Projection,
     apply_function,
     as_hermitian,
-    check_a1,
-    contour_projection,
     eigh,
-    inv_sqrt_integral,
     nonneg_projection,
     op_norm,
     rank_eps,
@@ -42,6 +36,14 @@ from specflowlab.generators import family_path
 from specflowlab.transforms import cayley, riesz
 
 from conftest import random_hermitian
+from reference import (
+    A1Report,
+    ContourCollisionError,
+    DefinitenessError,
+    check_a1,
+    contour_projection,
+    inv_sqrt_integral,
+)
 
 
 def power_iteration_norm(a, iters=2000, tol=1e-13):
@@ -621,3 +623,40 @@ def test_as_hermitian_accepts_arrays_and_passthrough(rng):
     h = as_hermitian(arr)
     assert isinstance(h, HermitianMatrix)
     assert as_hermitian(h) is h
+
+
+def test_frobenius_misses_flag_non_finite_and_oversized_rows():
+    """Every row the cheap test cannot accept comes back as a miss: NaN
+    and Inf entries, a square that overflows, and a Frobenius norm above
+    the bound less its slack; the rest are accepted, in one stacked call."""
+    bound = 1e-10
+    limit = bound * (1.0 - matcore._FRO_SLACK)
+    stack = np.zeros((7, 3, 3), dtype=np.complex128)
+    stack[0, 0, 0] = 0.5 * limit
+    stack[1, 1, 2] = np.nan
+    stack[2, 2, 2] = np.inf
+    stack[3, 0, 1] = complex(0.0, -np.inf)
+    stack[4, 0, 0] = 1e200
+    stack[5, 0, 0] = 2.0 * limit
+    stack[6, 2, 1] = limit  # at the limit: accepted
+    misses = matcore._frobenius_misses(stack, bound)
+    assert misses == [1, 2, 3, 4, 5]
+    assert all(isinstance(i, int) for i in misses)
+    assert matcore._frobenius_misses(np.zeros((0, 3, 3), dtype=np.complex128), bound) == []
+
+
+def test_frobenius_misses_equal_the_per_matrix_loop(rng):
+    """The stacked norm sums in another order than one norm per matrix,
+    within 1e-14 relative here; away from that band around the limit both
+    miss the same matrices."""
+    bound = 1e-10
+    limit = bound * (1.0 - matcore._FRO_SLACK)
+    stack = np.stack([random_hermitian(rng, 5) for _ in range(200)])
+    stack *= (limit * rng.uniform(0.5, 1.5, 200) / np.linalg.norm(stack, axis=(1, 2)))[:, None, None]
+    per_matrix = np.array([np.linalg.norm(m) for m in stack])
+    np.testing.assert_allclose(np.linalg.norm(stack, axis=(1, 2)), per_matrix, rtol=1e-14, atol=0)
+    clear = np.abs(per_matrix - limit) > 1e-13 * limit
+    loop = [i for i, m in enumerate(stack) if not np.linalg.norm(m) <= limit]
+    misses = matcore._frobenius_misses(stack, bound)
+    assert [i for i in misses if clear[i]] == [i for i in loop if clear[i]]
+    assert 50 < len(misses) < 150

@@ -17,8 +17,6 @@ from specflowlab.metrics import d_G, d_N, d_R, d_W
 from specflowlab.opmodel import (
     FAMILIES,
     DiagonalModel,
-    ce_fuglede,
-    ce_swap,
     closed_form_distances,
     family_perturbation,
     realize,
@@ -101,7 +99,7 @@ def test_swap_family_no_closed_form_but_bounds_hold():
     assert closed_form_distances(model, "swap", 5) is None
     for n in (2, 5, 12, 31):
         bounds = swap_bounds(model, n)
-        t1 = d + ce_swap(model, n)
+        t1 = d + family_perturbation(model, "swap", n)
         assert d_N(t1, d) == pytest.approx(bounds["d_N"], abs=1e-12)
         assert d_W(t1, d, d) == pytest.approx(bounds["d_W"], abs=1e-12)
         assert d_G(t1, d) <= bounds["d_G_upper"] + 1e-12
@@ -122,7 +120,7 @@ def test_swap_bounds_scaling_in_n():
 def test_fuglede_perturbation_flips_one_eigenvalue():
     model = DiagonalModel(8, "linear")
     d = realize(model)
-    t1 = d + ce_fuglede(model, 3)
+    t1 = d + family_perturbation(model, "fuglede", 3)
     vals = np.sort(np.linalg.eigvalsh(t1.mat))
     np.testing.assert_allclose(vals, [-3, 1, 2, 4, 5, 6, 7, 8], atol=1e-12)
 

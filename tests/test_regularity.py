@@ -5,7 +5,7 @@ soundness label they give certificates, and no sampled 2-norm per step.
 import numpy as np
 import pytest
 
-from conftest import narrow_dip, random_hermitian
+from conftest import narrow_dip, random_hermitian, random_invertible_hermitian
 from specflowlab import specflow
 from specflowlab.axioms import connect_invertibles
 from specflowlab.errors import InputError, SamplingError
@@ -14,7 +14,6 @@ from specflowlab.generators import (
     family_path,
     invertible_trig_path,
     normalization_path,
-    random_invertible_hermitian,
     random_unitary,
     trig_path,
 )

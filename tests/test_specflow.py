@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_invertible_hermitian
 from specflowlab.axioms import connect_invertibles
 from specflowlab.errors import (
     CertificationError,
@@ -23,7 +23,7 @@ from specflowlab.errors import (
     SamplingError,
     SpecFlowError,
 )
-from specflowlab.matcore import HermitianMatrix, Projection, op_norm
+from specflowlab.matcore import HermitianMatrix, op_norm
 from specflowlab.specflow import (
     OperatorPath,
     SfOptions,
@@ -46,7 +46,6 @@ from specflowlab.generators import (
     homotopy_family,
     invertible_trig_path,
     normalization_path,
-    random_invertible_hermitian,
     random_unitary,
     trig_path,
 )

@@ -8,7 +8,6 @@ from specflowlab import (
     InvertibilityError,
     SfOptions,
     clamp_spectrum_away_from_zero,
-    commutator_report,
     conjugation_path,
     cyclic_shift,
     cyclic_shift_sweep,
@@ -23,12 +22,6 @@ from specflowlab import (
 )
 
 FROZEN_TOL = 1e-12
-
-# hand-computed for D = diag(-1/2, 1/2, 3/2), W the one-step cyclic shift:
-# [D, W] has entries 1, 1, -2 in disjoint rows/columns, and (D + i)^{-1}
-# rescales its columns by 1/|d_j + i|, so the weighted norm is 2/sqrt(3.25)
-COMMUTATOR_NORM_M1 = 2.0
-RESOLVENT_WEIGHTED_NORM_M1 = 1.1094003924504583
 
 
 def test_compression_m1_frozen_oracle():
@@ -97,24 +90,6 @@ def test_conjugation_path_endpoints():
     )
 
 
-def test_commutator_report_frozen_values():
-    rep = commutator_report(half_integer_diagonal(1), cyclic_shift(3))
-    assert abs(rep["commutator_norm"] - COMMUTATOR_NORM_M1) < FROZEN_TOL
-    assert (
-        abs(rep["resolvent_weighted_norm"] - RESOLVENT_WEIGHTED_NORM_M1)
-        < FROZEN_TOL
-    )
-
-
-def test_resolvent_tames_the_wrap_entry():
-    # the wrap entry makes the raw commutator norm grow like 2 m, while
-    # the resolvent weight caps its contribution at 2 m / sqrt(1 + (m + 1/2)^2) < 2
-    for m in (2, 6, 12):
-        rep = commutator_report(half_integer_diagonal(m), cyclic_shift(2 * m + 1))
-        assert abs(rep["commutator_norm"] - 2.0 * m) < FROZEN_TOL
-        assert rep["resolvent_weighted_norm"] < 2.0
-
-
 def test_singular_diagonal_rejected():
     d = np.diag([0.0, 1.0, 2.0])
     message = r"^D must be invertible: min \|eigenvalue\| = 0\.000e\+00$"
@@ -130,8 +105,6 @@ def test_dimension_mismatches():
     d = half_integer_diagonal(1)
     with pytest.raises(InputError):
         conjugation_path(d, cyclic_shift(4))
-    with pytest.raises(InputError):
-        commutator_report(d, cyclic_shift(4))
     with pytest.raises(InputError):
         toeplitz_compression(nonneg_projection(d), cyclic_shift(4))
 
