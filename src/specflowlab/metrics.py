@@ -24,7 +24,7 @@ diverge from one another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -309,6 +309,10 @@ class MetricReport:
             raise ConsistencyFault(
                 f"weighted distance {self.d_W!r} exceeds norm distance {self.d_N!r}"
             )
+
+
+#: the metrics table's columns and JSON keys: the fields of MetricReport
+CSV_COLUMNS = tuple(f.name for f in fields(MetricReport))
 
 
 def metric_separation_report(

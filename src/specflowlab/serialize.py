@@ -13,16 +13,19 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError, coerce_field
-from .graded import GradedOperator
 from .matcore import HermitianMatrix
-from .metrics import MetricReport
 from .opmodel import FAMILIES, DiagonalModel
 from .specflow import OperatorPath, SfCertificate
 from .generators import family_path
+
+if TYPE_CHECKING:  # imported where used, so compute and report never load them
+    from .graded import GradedOperator
+    from .metrics import MetricReport
 
 __all__ = [
     "matrix_to_obj",
@@ -40,9 +43,6 @@ __all__ = [
     "read_json",
     "write_text",
 ]
-
-#: the metrics table's columns and JSON keys: the fields of MetricReport
-CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricReport))
 
 
 def matrix_to_obj(h) -> dict:
@@ -156,6 +156,8 @@ def graded_to_obj(g: GradedOperator) -> dict:
 
 
 def graded_from_obj(obj: dict) -> GradedOperator:
+    from .graded import GradedOperator
+
     if not isinstance(obj, dict) or not {"p", "q", "A"} <= set(obj):
         raise InputError("graded spec needs 'p', 'q' and the block 'A'")
     p, q = (coerce_field(obj[key], int, key) for key in ("p", "q"))
@@ -239,6 +241,8 @@ def _cell(value) -> str:
 def metrics_csv(rows: list[MetricReport]) -> str:
     """The separation table with residual columns; %.17g floats, empty
     cells where no closed form applies."""
+    from .metrics import CSV_COLUMNS
+
     buf = io.StringIO()
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:

@@ -651,7 +651,10 @@ def _segment_level_and_margin(
     certify at any eps and has to be subdivided instead.
     """
     mags = np.abs(np.array(path.values(ts)))
-    pool = np.unique(np.concatenate(([0.0], mags.ravel())))
+    levels = np.sort(np.concatenate(([0.0], mags.ravel())))
+    # the distinct levels, as np.unique gives them; numpy 2's np.unique
+    # imports numpy.ma on its first call, which a flow needs nowhere else
+    pool = levels[np.concatenate(([True], levels[1:] != levels[:-1]))]
     lows = pool
     highs = np.append(pool[1:], pool[-1] + top_width)
     widths = highs - lows
@@ -894,13 +897,15 @@ def _ledger(
                 raise _aliased(floor, gap)
     seeds = set(_grid(path, opts.samples)) if path.regularity.declared else set(ts)
     idx = [k for k, t in enumerate(ts) if t in seeds]
-    reach = _reach_bound(path, ts, steps, idx, path.values([ts[k] for k in idx]))
+    at_idx = path.values([ts[k] for k in idx])
+    reach = _reach_bound(path, ts, steps, idx, at_idx)
     if reach >= 0.5 * gap and len(idx) < len(ts):
         idx = list(range(len(ts)))
-        reach = _reach_bound(path, ts, steps, idx, path.values(ts))
+        at_idx = path.values(ts)
+        reach = _reach_bound(path, ts, steps, idx, at_idx)
     if reach >= 0.5 * gap:
         raise _aliased(reach, gap)
-    vals = dict(zip(idx, path.values([ts[k] for k in idx])))
+    vals = dict(zip(idx, at_idx))
     counts = [0] * len(ts)
     clear: dict[int, float] = {}
 

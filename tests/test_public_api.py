@@ -14,10 +14,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _exported() -> list[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return [alias.asname or alias.name
-            for node in tree.body if isinstance(node, ast.ImportFrom)
-            for alias in node.names]
+    """The names the package table exports (not its submodules)."""
+    return [name for names in specflowlab._EXPORTS.values() for name in names]
 
 
 def _used_in_library() -> set[str]:

@@ -17,8 +17,8 @@ from specflowlab import (
     sf_phillips,
     trig_path,
 )
+from specflowlab.metrics import CSV_COLUMNS
 from specflowlab.serialize import (
-    CSV_COLUMNS,
     block_from_obj,
     block_to_obj,
     certificate_to_obj,
