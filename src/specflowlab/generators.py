@@ -39,6 +39,7 @@ from .matcore import (
     _chunk_len,
     _chunks,
     _eigh_stack,
+    _has_neg_zero,
     _hermitian_stack,
     _op_norms,
     as_hermitian,
@@ -197,6 +198,27 @@ def _add_combination(out: np.ndarray, terms) -> np.ndarray:
         np.multiply(c[:, None, None], mat.view(np.float64), out=tmp)
         flat += tmp
     return out
+
+
+def _scaled(c: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """c[i] * M for each i, as a fresh complex (k, n, n) stack multiplied
+    on the real view; ``_add_combination`` adds further terms to it."""
+    out = np.empty((len(c),) + mat.shape, dtype=np.complex128)
+    np.multiply(c[:, None, None], mat.view(np.float64), out=out.view(np.float64))
+    return out
+
+
+def _or_formula(out: np.ndarray, formula: Callable[[], np.ndarray]) -> np.ndarray:
+    """``out``, a sum of terms c * M (real c, complex M) evaluated on the real
+    view, or ``formula()``, the same sum in numpy's complex arithmetic, when
+    ``out`` holds a -0.0.
+
+    numpy multiplies c by M = x + iy as (c + 0i)(x + iy), with the parts
+    c*x - 0*y and c*y + 0*x: they equal the real view's c*x and c*y except
+    where the latter is -0.0, where they are a zero of either sign. A sum
+    of such terms, or of such terms and a matrix added as it is, keeps that
+    property, so a result with no -0.0 has the formula's bits."""
+    return formula() if _has_neg_zero(out) else out
 
 
 def _tilted_path(
@@ -444,7 +466,10 @@ def line_path(a: HermitianMatrix, b: HermitianMatrix) -> OperatorPath:
         raise InputError(f"line endpoints must share a dimension, got {a.dim} and {b.dim}")
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
-        return (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
+        return _or_formula(
+            _add_combination(_scaled(1.0 - ts, a.mat), [(ts, b.mat)]),
+            lambda: (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat,
+        )
 
     return OperatorPath(evaluate, a.dim, regularity=piecewise_affine((), [op_norm(b.mat - a.mat)]))
 
@@ -484,7 +509,10 @@ def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
     c = family_perturbation(model, "fuglede", n)
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
-        return d.mat + ts[:, None, None] * c.mat
+        out = _scaled(ts, c.mat)
+        flat = out.view(np.float64)
+        flat += d.mat.view(np.float64)
+        return _or_formula(out, lambda: d.mat + ts[:, None, None] * c.mat)
 
     return OperatorPath(
         evaluate, model.trunc_dim, regularity=piecewise_affine((), [op_norm(c.mat)])

@@ -98,12 +98,17 @@ def _hermitian_average(a: np.ndarray) -> np.ndarray:
     the float range) raises FinitenessError.
 
     A stack equal to its adjoint has defect 0, so the defect is not
-    computed; for such stacks (real combinations of exactly Hermitian
-    matrices, as the trig paths evaluate, and sparse ones such as diagonal
-    stacks) ``_exact_average_into`` writes the same bytes without the sum
-    unless a -0.0 off the diagonal's imaginary parts, or an entry beyond
-    half the float range, leaves them to the formula.
+    computed. A stack of real diagonal matrices with no -0.0 averages to
+    itself, and ``_diagonal_copy`` returns a copy of it before any other
+    check; for the other stacks equal to their adjoint (real combinations of
+    exactly Hermitian matrices, as the trig paths evaluate, and sparse ones)
+    ``_exact_average_into`` writes the same bytes without the sum unless a
+    -0.0 off the diagonal's imaginary parts, or an entry beyond half the
+    float range, leaves them to the formula.
     """
+    diagonal = _diagonal_copy(a)
+    if diagonal is not None:
+        return diagonal
     if not np.all(np.isfinite(a)):
         raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
     _, n, m = a.shape
@@ -130,6 +135,51 @@ def _hermitian_average(a: np.ndarray) -> np.ndarray:
         raise FinitenessError("Hermitian average overflows: entries exceed half the float range")
     h.setflags(write=False)
     return h
+
+
+def _diagonal_copy(a: np.ndarray) -> np.ndarray | None:
+    """The read-only copy of a non-empty C-contiguous square (k, n, n)
+    complex stack, which is its Hermitian average, when checks show it is
+    a stack of real diagonal matrices that the formula leaves as it is:
+    one count finds no nonzero component off the real diagonal and no -0.0
+    anywhere, whose sign the formula may change (``_real_diagonals``, which
+    sends a dense stack on after one look); and the diagonal is finite and
+    within half the float range. Else None, and the stack is left to the
+    general checks."""
+    if a.flags.c_contiguous and a.size and a.shape[1] == a.shape[2]:
+        d = _real_diagonals(a)
+        if d is not None and np.abs(d).max() <= _HALF_MAX:
+            out = a.copy()
+            out.setflags(write=False)
+            return out
+    return None
+
+
+def _real_diagonals(s: np.ndarray) -> np.ndarray | None:
+    """The real diagonals, as a (k, n) view, of a non-empty C-contiguous
+    (k, n, n) complex stack whose every other component (the off-diagonal
+    entries and the imaginary parts of the diagonal) is +0.0 and whose
+    diagonal holds no -0.0; else None.
+
+    The first matrix's bottom-left entry is tested first, so a dense stack
+    is sent on after one look. Then one count of the components whose bits
+    are nonzero (-0.0 reads as the least int64, a NaN as nonzero) must
+    equal the count of nonzero diagonal entries: a -0.0 anywhere, or any
+    other nonzero component off the real diagonal, makes the first count
+    the larger."""
+    n = s.shape[1]
+    if s[0, n - 1, 0] != 0:
+        return None
+    d = s.diagonal(axis1=1, axis2=2).real
+    if np.count_nonzero(s.view(np.int64)) != np.count_nonzero(d):
+        return None
+    return d
+
+
+def _has_neg_zero(x: np.ndarray) -> bool:
+    """Whether a float64 array, or a C-contiguous complex128 one, holds a
+    -0.0 component, which reads as the least int64."""
+    return x.size > 0 and bool(x.view(np.int64).min() == _NEG_ZERO_BITS)
 
 
 def _hermitian_stack(entries) -> np.ndarray:
@@ -193,27 +243,22 @@ def _stack_eigvalsh(s: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each matrix of a validated, C-contiguous
     (k, n, n) Hermitian stack, bit for bit those of ``np.linalg.eigvalsh(s)``.
 
-    A stack of diagonal matrices takes the sorted real diagonal, which is
-    what LAPACK's zheevd computes for them, when three conditions hold:
-    every off-diagonal entry and every imaginary part of the diagonal is
-    zero; each matrix's largest |d| is 0 or lies where zheevd does not
-    rescale (``_UNSCALED_MIN`` to ``_UNSCALED_MAX``); and no diagonal entry
-    is -0.0, which LAPACK's sort places differently among the zeros. Any
-    other stack goes to LAPACK. The first matrix's bottom-left entry is
-    tested first, so a dense stack is sent on after one look.
+    A stack of real diagonal matrices with no -0.0 (``_real_diagonals``;
+    LAPACK's sort places a -0.0 differently among the zeros) takes the
+    sorted diagonal, which is what LAPACK's zheevd computes for it, when
+    each matrix's largest |d| is 0 or lies where zheevd does not rescale
+    (``_UNSCALED_MIN`` to ``_UNSCALED_MAX``). Any other stack goes to
+    LAPACK.
     """
-    n = s.shape[1]
-    if s[0, n - 1, 0] == 0:
-        d = s.diagonal(axis1=1, axis2=2).real
-        nonzero = np.count_nonzero(d)
-        if np.count_nonzero(s.view(np.float64)) == nonzero:
-            w = np.sort(d, axis=1)
-            amax = np.maximum(w[:, -1], -w[:, 0])
-            unscaled = amax.max() <= _UNSCALED_MAX and (
-                amax.min() >= _UNSCALED_MIN or np.all((amax == 0.0) | (amax >= _UNSCALED_MIN))
-            )
-            if unscaled and (nonzero == d.size or not np.signbit(w[w == 0.0]).any()):
-                return w
+    d = _real_diagonals(s)
+    if d is not None:
+        w = np.sort(d, axis=1)
+        amax = np.maximum(w[:, -1], -w[:, 0])
+        unscaled = amax.max() <= _UNSCALED_MAX and (
+            amax.min() >= _UNSCALED_MIN or np.all((amax == 0.0) | (amax >= _UNSCALED_MIN))
+        )
+        if unscaled:
+            return w
     return np.linalg.eigvalsh(s)
 
 
@@ -546,6 +591,8 @@ def _projection_stack(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
     count of eigenvalues above 1/2; each check raises on its first failing
     matrix. Returns the read-only stack of validated matrices and their
     ranks, each bit for bit and rank for rank what the matrix gets alone.
+    The eigenvalues come from ``_stack_eigvalsh``, so a stack of diagonal
+    projections is checked without LAPACK.
     """
     s = _hermitian_average(entries)
     idem_mat = s @ s - s
@@ -553,7 +600,7 @@ def _projection_stack(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
         idem = op_norm(idem_mat[i])
         if idem > 1e-10:
             raise InputError(f"not idempotent: ||P^2 - P|| = {idem:.3e}")
-    w = np.linalg.eigvalsh(s)
+    w = _stack_eigvalsh(s)
     stray = np.max(np.minimum(np.abs(w), np.abs(w - 1.0)), axis=1)
     bad = np.flatnonzero(stray > 1e-9)
     if bad.size:
@@ -670,24 +717,29 @@ def _nonneg_projections(mats: Sequence[HermitianMatrix]) -> tuple[np.ndarray, li
     matrices of one dimension (a chunk of at most ``_chunk_len``), as one
     read-only (k, n, n) stack with their ranks.
 
-    The decompositions not yet cached (``.eig``) are computed by one
-    ``_eigh_stack`` and cached on their matrices; each B B* is formed from
-    its own basis columns; one ``_projection_stack`` checks them all. Each
-    projection and rank is bit for bit what its matrix gets alone. If a
-    check fails, the matrices are taken again one at a time, so the first
-    failing one raises what it raises alone.
+    A chunk of real diagonal matrices takes its projections from
+    ``_diagonal_nonneg_projections``, without a decomposition and without
+    caching one. For any other chunk the decompositions not yet cached
+    (``.eig``) are computed by one ``_eigh_stack`` and cached on their
+    matrices, and each B B* is formed from its own basis columns. One
+    ``_projection_stack`` checks them all. Each projection and rank is bit
+    for bit what its matrix gets alone. If a check fails, the matrices are
+    taken again one at a time, so the first failing one raises what it
+    raises alone.
     """
     try:
-        todo = [m for m in mats if m._eig is None]
-        if todo:
-            w, v = _eigh_stack(np.stack([m.mat for m in todo]))
-            for m, wi, vi in zip(todo, w, v):
-                m._eig = EigenDecomposition._of_valid(wi, vi)
-        n = mats[0].dim
-        p = np.empty((len(mats), n, n), dtype=np.complex128)
-        for i, m in enumerate(mats):
-            b = m.eig.vectors[:, m.eig.values >= 0.0]
-            p[i] = b @ b.conj().T
+        s = np.stack([m.mat for m in mats])
+        p = _diagonal_nonneg_projections(s)
+        if p is None:
+            todo = [i for i, m in enumerate(mats) if m._eig is None]
+            if todo:
+                w, v = _eigh_stack(s if len(todo) == len(mats) else s[todo])
+                for i, wi, vi in zip(todo, w, v):
+                    mats[i]._eig = EigenDecomposition._of_valid(wi, vi)
+            p = np.empty(s.shape, dtype=np.complex128)
+            for i, m in enumerate(mats):
+                b = m.eig.vectors[:, m.eig.values >= 0.0]
+                p[i] = b @ b.conj().T
         return _projection_stack(p)
     except SpecFlowError:
         if len(mats) == 1:
@@ -695,6 +747,28 @@ def _nonneg_projections(mats: Sequence[HermitianMatrix]) -> tuple[np.ndarray, li
         for m in mats:
             _nonneg_projections([m])
         raise
+
+
+def _diagonal_nonneg_projections(s: np.ndarray) -> np.ndarray | None:
+    """The unchecked projections diag(d >= 0) of a validated (k, n, n)
+    stack of real diagonal matrices with no -0.0 (``_real_diagonals``) and
+    no |d| above ``_UNSCALED_MAX``; else None.
+
+    They are the B B* of the eigh route bit for bit: LAPACK's basis of such
+    a matrix is a permutation of the unit vectors, so B B* does not depend
+    on the order it gives tied entries (a stable sort orders them
+    otherwise, which is why no decomposition is made up and cached). Above
+    ``_UNSCALED_MAX`` zheevd scales the matrix down, which can flush a tiny
+    negative entry to an eigenvalue of -0.0 that the eigh route counts as
+    nonnegative; a -0.0 entry is left to LAPACK too.
+    """
+    d = _real_diagonals(s)
+    if d is None or not np.abs(d).max() <= _UNSCALED_MAX:
+        return None
+    p = np.zeros(s.shape, dtype=np.complex128)
+    i = np.arange(s.shape[1])
+    p[:, i, i] = d >= 0.0
+    return p
 
 
 def rank_eps(a) -> int:

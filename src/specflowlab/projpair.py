@@ -10,7 +10,10 @@ is cross-checked numerically against the eigenvalue count
 which equals it by algebra (the eigenvalues of P - Q other than +-1 pair
 up as +-lambda); the comparison catches numerically ill-determined ranks,
 not a wrong index, so it is not an independent proof. A disagreement is a
-ConsistencyFault (internal bug), never a value.
+ConsistencyFault (internal bug), never a value. The eigenvalues of a
+stack of differences come from matcore's ``_stack_eigvalsh``: the sorted
+diagonal for differences of diagonal projections, one stacked LAPACK
+eigvalsh otherwise.
 
 pair_index is the module's one operation: sf_pairsum writes the spectral
 flow as a sum of pair indices of the nonnegative spectral projections at
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyFault, DimensionMismatchError
-from .matcore import Projection
+from .matcore import Projection, _stack_eigvalsh
 
 __all__ = [
     "Projection",
@@ -81,9 +84,11 @@ def pair_index(p, q) -> PairIndexResult:
 def _pair_indices(diffs: np.ndarray, rank_diffs: list[int]) -> list[PairIndexResult]:
     """The index of each of k pairs (P, Q), given the (k, n, n) stack of
     the differences P - Q and the rank differences rank P - rank Q: the
-    eigenvalue-count route by one stacked eigvalsh, each pair bit for bit
-    its own. The first pair whose routes disagree raises."""
-    w = np.linalg.eigvalsh(diffs)
+    eigenvalue-count route by one ``_stack_eigvalsh`` (the sorted diagonal
+    for differences of diagonal projections, else one stacked LAPACK
+    eigvalsh), each pair bit for bit its own. The first pair whose routes
+    disagree raises."""
+    w = _stack_eigvalsh(diffs)
     plus = np.count_nonzero(np.abs(w - 1.0) <= _RANK_TOL, axis=1)
     minus = np.count_nonzero(np.abs(w + 1.0) <= _RANK_TOL, axis=1)
     return [

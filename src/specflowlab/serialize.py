@@ -19,13 +19,12 @@ import numpy as np
 
 from .errors import InputError, coerce_field
 from .matcore import HermitianMatrix
-from .opmodel import FAMILIES, DiagonalModel
 from .specflow import OperatorPath, SfCertificate
-from .generators import family_path
 
-if TYPE_CHECKING:  # imported where used, so compute and report never load them
+if TYPE_CHECKING:  # imported where used, so compute and report load only what they read
     from .graded import GradedOperator
     from .metrics import MetricReport
+    from .opmodel import DiagonalModel
 
 __all__ = [
     "matrix_to_obj",
@@ -130,6 +129,8 @@ def path_from_obj(obj: dict) -> OperatorPath:
         mats = [matrix_from_obj(s) for s in samples]
         path = OperatorPath.from_samples(mats)
     elif kind == "family":
+        from .generators import family_path
+
         spec = obj.get("family")
         if not isinstance(spec, dict) or "name" not in spec:
             raise InputError("family path needs a 'family' object with a 'name'")
@@ -167,6 +168,8 @@ def graded_from_obj(obj: dict) -> GradedOperator:
 def model_from_obj(obj: dict) -> tuple[DiagonalModel, list[str], list[int] | None]:
     """Diagonal-model spec {"N", "law", "family"?, "n"?} -> (model,
     families to tabulate, explicit index list or None for the default)."""
+    from .opmodel import FAMILIES, DiagonalModel
+
     if not isinstance(obj, dict):
         raise InputError("model spec must be an object")
     model = DiagonalModel(

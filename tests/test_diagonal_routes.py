@@ -1,0 +1,350 @@
+"""The diagonal routes give the bits of the routes they bypass.
+
+Three kinds of work are decided by structure on a stack of real diagonal
+matrices: the Hermitian check (``_diagonal_copy``), the nonnegative
+projections of sf_pairsum's junctions (``_diagonal_nonneg_projections``),
+and the eigenvalues of the projection check and of the pair index
+(``_stack_eigvalsh``). Each test runs a corpus through the library, then
+again with the route's guard patched off, and compares the bytes, the
+ranks, and the class and text of what is raised."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from specflowlab import matcore, projpair, specflow
+from specflowlab.generators import family_path
+from specflowlab.matcore import HermitianMatrix, Projection
+from specflowlab.projpair import pair_index
+from specflowlab.specflow import sf_all_methods
+
+from test_matcore import _diagonal_stack
+
+HALF = np.finfo(np.float64).max / 2.0
+
+
+def _outcome(call, *args):
+    """Bytes and read-only flags of every array ``call`` returns, its other
+    values, or the class and text of what it raised."""
+    try:
+        out = call(*args)
+    except Exception as exc:  # the class and the text are compared
+        return type(exc), str(exc)
+    items = out if isinstance(out, (tuple, list)) else (out,)
+    return [
+        (x.tobytes(), x.shape, x.flags.writeable) if isinstance(x, np.ndarray) else x
+        for x in items
+    ]
+
+
+def _diagonals(rng):
+    """(name, (k, n) diagonals): ties, zeros, each sign pattern, scales
+    across the float range, and the unscaled range of zheevd's ends."""
+    lo, hi = matcore._UNSCALED_MIN, matcore._UNSCALED_MAX
+    out = {
+        "ties": [[1.0, -1.0, 2.5, 2.5, 1.0, 0.0, 0.0, -1.0]],
+        "zeros": np.zeros((3, 5)),
+        "positive": rng.uniform(0.1, 4.0, size=(2, 7)),
+        "negative": -rng.uniform(0.1, 4.0, size=(2, 7)),
+        "one": [[0.0], [-2.0], [3.0]],
+        "half_integers": np.arange(-6, 7)[None] + 0.5,
+        "scale_1e200": rng.normal(size=(2, 6)) * 1e200,
+        "scale_1e-200": rng.normal(size=(2, 6)) * 1e-200,
+        "range_ends": [[lo, -hi, 0.0], [hi, np.nextafter(hi, np.inf), -lo]],
+        "below_range": [[np.nextafter(lo, 0.0), -lo / 4.0, 0.0]],
+        "tiny_negative_beside_huge": [[-1e-300, 1e200, 3.0, 0.0]],
+        "half_max": [[HALF, -HALF, 1.0]],
+        "past_half_max": [[np.nextafter(HALF, np.inf), 1.0]],
+    }
+    for j in range(40):
+        k, n = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+        out[f"integers_{j}"] = rng.integers(-3, 4, size=(k, n)).astype(np.float64)
+        out[f"normal_{j}"] = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-8, 8)
+    return {name: np.asarray(d, dtype=np.float64) for name, d in out.items()}
+
+
+def _average_corpus():
+    rng = np.random.default_rng(2501)
+    cases = {name: _diagonal_stack(d) for name, d in _diagonals(rng).items()}
+    base = _diagonal_stack([[1.0, -2.0, 0.0, 3.0], [0.0, 0.5, -0.5, 2.0]])
+
+    def edited(**entries):
+        a = base.copy()
+        for where, value in entries.items():
+            i, r, c, part = where.split("_")
+            view = a.real if part == "re" else a.imag
+            view[int(i), int(r), int(c)] = value
+        return a
+
+    cases.update(
+        neg_zero_diagonal=edited(**{"0_2_2_re": -0.0}),
+        neg_zero_off_diagonal=edited(**{"1_0_3_re": -0.0, "1_3_0_re": -0.0}),
+        neg_zero_off_diagonal_imag=edited(**{"0_1_2_im": -0.0, "0_2_1_im": 0.0}),
+        neg_zero_diagonal_imag=edited(**{"1_1_1_im": -0.0}),
+        nan_diagonal=edited(**{"1_3_3_re": np.nan}),
+        inf_diagonal=edited(**{"0_0_0_re": -np.inf}),
+        nan_off_diagonal=edited(**{"0_3_1_re": np.nan}),
+        inf_off_diagonal=edited(**{"1_0_2_im": np.inf, "1_2_0_im": -np.inf}),
+        nan_bottom_left=edited(**{"0_3_0_re": np.nan}),
+        imaginary_diagonal=edited(**{"0_1_1_im": 1e-3}),
+        tiny_off_diagonal=edited(**{"1_2_1_re": 1e-300, "1_1_2_re": 1e-300}),
+        asymmetric_off_diagonal=edited(**{"1_2_1_re": 1.0}),
+        hermitian_off_diagonal=edited(**{"0_0_1_im": 2.0, "0_1_0_im": -2.0}),
+        past_half_max_off_diagonal=edited(
+            **{"0_0_1_re": np.nextafter(HALF, np.inf), "0_1_0_re": np.nextafter(HALF, np.inf)}
+        ),
+        non_square=np.zeros((2, 3, 4), dtype=np.complex128),
+        non_square_diagonal=_diagonal_stack([[1.0, 2.0, 3.0]])[:, :, :2].copy(),
+        empty_stack=np.zeros((0, 3, 3), dtype=np.complex128),
+        empty_matrices=np.zeros((2, 0, 0), dtype=np.complex128),
+    )
+    big = _diagonal_stack(np.arange(24.0).reshape(4, 6) - 11.0)
+    cases["strided_entries"] = big[:, ::2, ::2]
+    cases["strided_stack"] = big[::2]
+    cases["fortran_order"] = np.asfortranarray(big)
+    cases["transposed"] = big.swapaxes(1, 2)
+    return cases
+
+
+def test_diagonal_copy_gives_the_general_routes_bits(monkeypatch):
+    cases = _average_corpus()
+    fast, general = {}, {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, a in cases.items():
+            fast[name] = _outcome(matcore._hermitian_average, a)
+        with monkeypatch.context() as m:
+            m.setattr(matcore, "_diagonal_copy", lambda _a: None)
+            for name, a in cases.items():
+                general[name] = _outcome(matcore._hermitian_average, a)
+    for name in cases:
+        assert fast[name] == general[name], name
+    # chunked: each matrix of a validated stack has the bits it gets alone
+    for name, a in cases.items():
+        if isinstance(fast[name], list) and len(a):
+            rows = [_outcome(matcore._hermitian_average, a[i : i + 1]) for i in range(len(a))]
+            assert [r[0][0] for r in rows] == [
+                row.tobytes() for row in matcore._hermitian_average(a)
+            ], name
+    taken = {name: matcore._diagonal_copy(a) is not None for name, a in cases.items()}
+    for name in (
+        "ties", "zeros", "negative", "one", "half_integers", "scale_1e200", "scale_1e-200",
+        "range_ends", "half_max",
+    ):
+        assert taken[name], name
+    for name in (
+        "neg_zero_diagonal", "neg_zero_off_diagonal", "neg_zero_off_diagonal_imag",
+        "neg_zero_diagonal_imag",
+        "nan_diagonal", "inf_diagonal", "nan_off_diagonal", "inf_off_diagonal",
+        "nan_bottom_left", "imaginary_diagonal", "tiny_off_diagonal", "past_half_max",
+        "non_square", "non_square_diagonal", "empty_stack", "empty_matrices",
+        "strided_entries", "strided_stack", "fortran_order", "transposed",
+    ):
+        assert not taken[name], name
+    assert fast["past_half_max"][0] is matcore.FinitenessError
+    assert fast["nan_diagonal"][0] is matcore.FinitenessError
+    assert fast["asymmetric_off_diagonal"][0] is matcore.HermiticityError
+
+
+def _projection_corpus():
+    """(name, chunk of validated matrices) for ``_nonneg_projections``."""
+    rng = np.random.default_rng(2502)
+    chunks = {}
+    for name, d in _diagonals(rng).items():
+        try:
+            chunks[name] = [HermitianMatrix(m) for m in _diagonal_stack(d)]
+        except matcore.InputError:
+            continue  # past half the float range: no such matrix validates
+    raw = {
+        # rows given as they are, without the Hermitian check
+        "neg_zero_diagonal": [[1.0, -0.0, -2.0]],
+        "neg_zero_off_diagonal": [[1.0, 0.0, -2.0]],
+        "nan_diagonal": [[1.0, np.nan, -2.0]],
+        "inf_diagonal": [[np.inf, 0.0, -2.0]],
+    }
+    for name, d in raw.items():
+        s = _diagonal_stack(d)
+        if name == "neg_zero_off_diagonal":
+            s[0, 0, 2] = s[0, 2, 0] = -0.0
+        chunks[name] = [HermitianMatrix._of_valid(m) for m in s]
+    dense = np.random.default_rng(7).normal(size=(3, 3))
+    chunks["mixed_chunk"] = [
+        HermitianMatrix(np.diag([1.0, -1.0, 0.0])),
+        HermitianMatrix(dense + dense.T),
+    ]
+    return chunks
+
+
+def test_diagonal_junction_projections_give_the_eigh_routes_bits(monkeypatch):
+    chunks = _projection_corpus()
+
+    def fresh(name):
+        return [HermitianMatrix._of_valid(m.mat) for m in chunks[name]]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # LAPACK on NaN and Inf
+        fast = {name: _outcome(matcore._nonneg_projections, fresh(name)) for name in chunks}
+        taken = {
+            name: matcore._diagonal_nonneg_projections(np.stack([m.mat for m in chunks[name]]))
+            is not None
+            for name in chunks
+        }
+        with monkeypatch.context() as m:
+            m.setattr(matcore, "_diagonal_nonneg_projections", lambda _s: None)
+            general = {
+                name: _outcome(matcore._nonneg_projections, fresh(name)) for name in chunks
+            }
+    for name in chunks:
+        assert fast[name] == general[name], name
+    # chunked: each matrix of a chunk gets the bits and the rank it gets alone
+    for name, out in fast.items():
+        if isinstance(out, list):
+            alone = [matcore._nonneg_projections([m]) for m in fresh(name)]
+            assert b"".join(p.tobytes() for p, _ in alone) == out[0][0], name
+            assert [r for _, (r,) in alone] == out[1], name
+    for name in ("ties", "zeros", "positive", "negative", "one", "scale_1e-200", "below_range"):
+        assert taken[name], name
+    assert sum(taken.values()) >= 80
+    for name in (
+        "scale_1e200", "range_ends", "tiny_negative_beside_huge", "neg_zero_diagonal",
+        "neg_zero_off_diagonal", "nan_diagonal", "inf_diagonal", "mixed_chunk",
+    ):
+        assert not taken[name], name
+    # scaled down by zheevd, the tiny negative entry becomes an eigenvalue of
+    # -0.0, which the eigh route counts: diag(d >= 0) would not
+    p, ranks = matcore._nonneg_projections(fresh("tiny_negative_beside_huge"))
+    assert ranks == [4] and p[0].diagonal().real.tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
+def test_diagonal_route_caches_no_decomposition():
+    h = HermitianMatrix(np.diag([2.0, -1.0, 2.0, 0.0]))
+    p, ranks = matcore._nonneg_projections([h])
+    assert h._eig is None and ranks == [3]
+    dense = HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    matcore._nonneg_projections([dense])
+    assert dense._eig is not None
+
+
+def _lapack_eigvalsh(monkeypatch):
+    """Send every stacked eigvalsh to LAPACK."""
+    for module in (matcore, projpair, specflow):
+        monkeypatch.setattr(module, "_stack_eigvalsh", np.linalg.eigvalsh)
+
+
+def _projection_inputs():
+    rng = np.random.default_rng(2503)
+    q = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
+    cases = {
+        "diagonal": _diagonal_stack([[1, 0, 1, 1, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1]]),
+        "near": _diagonal_stack([[1.0 + 1e-11, 1e-11, 0.0]]),
+        "off_by_2e-9": _diagonal_stack([[1.0, 1.0 + 2e-9, 0.0]]),
+        "half": _diagonal_stack([[1.0, 0.5, 0.0]]),
+        "neg_zero": _diagonal_stack([[1.0, -0.0, 0.0]]),
+        "dense": (q[:, :2] @ q[:, :2].conj().T)[None],
+        "chunk": np.concatenate(
+            [_diagonal_stack([[0, 1, 1, 0, 1]]), (q[:, :3] @ q[:, :3].conj().T)[None]]
+        ),
+    }
+    for j in range(30):
+        n = int(rng.integers(1, 30))
+        cases[f"random_{j}"] = _diagonal_stack(rng.integers(0, 2, size=(3, n)))
+    return cases
+
+
+def test_projection_and_pair_checks_give_the_lapack_bits(monkeypatch):
+    cases = _projection_inputs()
+    fast = {name: _outcome(matcore._projection_stack, a) for name, a in cases.items()}
+    # the differences of consecutive checked projections with their rank
+    # differences, and once with rank differences of 0, which disagree with
+    # the eigenvalue count wherever the ranks differ
+    pairs = {}
+    for name, a in cases.items():
+        if len(a) > 1 and isinstance(fast[name], list):
+            s, ranks = matcore._projection_stack(a)
+            diffs = np.ascontiguousarray(s[1:] - s[:-1])
+            pairs[name] = (diffs, [r - q for q, r in zip(ranks, ranks[1:])])
+            pairs[name + "_wrong_ranks"] = (diffs, [0] * len(diffs))
+
+    def count(stacks):
+        return {name: _outcome(projpair._pair_indices, *args) for name, args in stacks.items()}
+
+    fast_pairs = count(pairs)
+    with monkeypatch.context() as m:
+        _lapack_eigvalsh(m)
+        general = {name: _outcome(matcore._projection_stack, a) for name, a in cases.items()}
+        general_pairs = count(pairs)
+    assert fast == general
+    assert fast_pairs == general_pairs
+    assert fast["off_by_2e-9"][0] is matcore.InputError
+    assert "idempotent" in fast["off_by_2e-9"][1]
+    assert fast["half"][0] is matcore.InputError and "idempotent" in fast["half"][1]
+    assert fast["diagonal"][1] == [3, 0, 5]
+    assert [r.value for r in fast_pairs["diagonal"]] == [-3, 5]
+    assert fast_pairs["diagonal_wrong_ranks"][0] is matcore.ConsistencyFault
+
+
+LAPACK = (
+    "eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "inv", "pinv", "solve",
+    "lstsq", "det", "slogdet", "qr", "cholesky", "matrix_rank",
+)
+
+
+def _count_lapack(monkeypatch):
+    """Wrap numpy.linalg's LAPACK routines, and its norm where it takes
+    singular values; returns the list of the names called."""
+    calls = []
+
+    def counted(name, inner):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        return call
+
+    for name in LAPACK:
+        if hasattr(np.linalg, name):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    norm = np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2, "nuc"):
+            calls.append("norm")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return calls
+
+
+def test_diagonal_projections_and_pair_indices_call_no_lapack(monkeypatch):
+    calls = _count_lapack(monkeypatch)
+    p = Projection(np.diag([1.0, 0.0, 1.0, 1.0]))
+    q = Projection(np.diag([0.0, 0.0, 1.0, 1.0]))
+    assert (p.rank, q.rank) == (3, 2)
+    assert int(pair_index(p, q)) == 1 and int(pair_index(q, p)) == -1
+    assert calls == []
+    # a dense projection still goes to LAPACK, which the wrapper counts
+    Projection(np.full((2, 2), 0.5))
+    assert calls == ["eigvalsh"]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("fuglede_line", {"N": 16, "n": 5}),
+    ("fuglede_line", {"N": 8, "n": 3, "law": "signed"}),
+    ("toeplitz_line", {"m": 3}),
+    ("toeplitz_line", {"m": 9, "power": 2}),
+])
+def test_diagonal_lines_certify_as_the_lapack_routes(name, params, monkeypatch):
+    """sf_all_methods on diagonal lines: the same certificates and oracle
+    report with every diagonal route patched off, and no LAPACK
+    factorization of a junction with them on."""
+    fast = sf_all_methods(family_path(name, params))
+    calls = _count_lapack(monkeypatch)
+    again = sf_all_methods(family_path(name, params))
+    assert "eigh" not in calls and "eigvalsh" not in calls
+    with monkeypatch.context() as m:
+        m.setattr(matcore, "_diagonal_copy", lambda _a: None)
+        m.setattr(matcore, "_diagonal_nonneg_projections", lambda _s: None)
+        _lapack_eigvalsh(m)
+        general = sf_all_methods(family_path(name, params))
+    assert repr(fast) == repr(again) == repr(general)

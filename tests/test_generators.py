@@ -29,6 +29,7 @@ from specflowlab import (
     unitary_rotation_path,
 )
 from specflowlab.matcore import _hermitian_stack, apply_function, op_norm
+from specflowlab.opmodel import DiagonalModel, family_perturbation, realize
 from specflowlab.specflow import lipschitz
 from conftest import random_spd
 from test_regularity import _assert_bounds_hold
@@ -360,3 +361,74 @@ def test_family_path_linear_interp_endpoints():
     np.testing.assert_allclose(
         p.matrix(0.5).mat, np.diag([1.5, 1.0]), atol=1e-15
     )
+
+
+def _formula_spy(monkeypatch):
+    """Record, per evaluator call, whether the real-view sum held a -0.0
+    and so was replaced by the complex formula."""
+    fell_back = []
+    inner = generators._or_formula
+
+    def spy(out, formula):
+        fell_back.append(generators._has_neg_zero(out))
+        return inner(out, formula)
+
+    monkeypatch.setattr(generators, "_or_formula", spy)
+    return fell_back
+
+
+#: parameters where a product may underflow, be a signed zero or overflow
+_EDGE_TS = [0.0, -0.0, 1.0, 0.5, 0.3, 1e-300, 5e-324, 1.0 - 2.0**-53]
+
+
+def test_line_paths_evaluate_with_the_formulas_bits(monkeypatch):
+    """A line evaluated on the real view has the bits of the complex
+    formula, signed zeros included, on endpoints with signed zeros,
+    subnormal, huge and mixed-sign components; where the two differ the
+    formula is taken."""
+    fell_back = _formula_spy(monkeypatch)
+    rng = np.random.default_rng(2504)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3e-310, 5e-324, -5e-324, -1e-300, 1e300])
+    differs = 0
+    for case in range(300):
+        n = int(rng.integers(1, 5))
+
+        def entries():
+            parts = rng.choice(pool, size=(2, n, n))
+            normal = rng.normal(size=(2, n, n))
+            parts = np.where(rng.random((2, n, n)) < 0.3, normal, parts)
+            return HermitianMatrix._of_valid(parts[0] + 1j * parts[1])
+
+        a, b = entries(), entries()
+        if case % 3 == 0:  # endpoints without signed zeros
+            a, b = (HermitianMatrix._of_valid(m.mat + 0.0) for m in (a, b))
+        ts = np.array(list(rng.choice(_EDGE_TS, size=3)) + list(rng.random(2)))
+        got = generators.line_path(a, b)._evaluator(ts)
+        want = (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
+        assert got.tobytes() == want.tobytes(), case
+        real_view = generators._add_combination(generators._scaled(1.0 - ts, a.mat), [(ts, b.mat)])
+        differs += real_view.tobytes() != want.tobytes()
+    assert fell_back.count(False) > 150 and fell_back.count(True) > 20
+    assert differs > 5  # the real view alone would not do
+
+
+@pytest.mark.parametrize("law", ["linear", "signed", "shifted"])
+def test_family_lines_evaluate_on_the_real_view(law, monkeypatch):
+    """The Fuglede and Toeplitz lines evaluate on the real view with the
+    formula's bits, and never hold the -0.0 that would send them to the
+    formula."""
+    fell_back = _formula_spy(monkeypatch)
+    ts = np.array(_EDGE_TS + np.linspace(0.0, 1.0, 33).tolist())
+    for big_n, n in ((8, 1), (8, 3), (32, 7), (128, 40)):
+        model = DiagonalModel(big_n, law)
+        d, c = realize(model), family_perturbation(model, "fuglede", n)
+        got = family_path("fuglede_line", {"N": big_n, "n": n, "law": law})._evaluator(ts)
+        assert got.tobytes() == (d.mat + ts[:, None, None] * c.mat).tobytes()
+    for m, power in ((1, 1), (9, 2), (24, 1)):
+        d = half_integer_diagonal(m)
+        w = cyclic_shift(d.dim, power).mat
+        conj = HermitianMatrix(w @ d.mat @ w.conj().T)
+        got = family_path("toeplitz_line", {"m": m, "power": power})._evaluator(ts)
+        want = (1.0 - ts)[:, None, None] * d.mat + ts[:, None, None] * conj.mat
+        assert got.tobytes() == want.tobytes()
+    assert fell_back and not any(fell_back)

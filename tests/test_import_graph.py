@@ -19,6 +19,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: the layers a flow computation never runs
 UNUSED_BY_FLOWS = {"metrics", "graded", "axioms", "toeplitz"}
+#: and those a flow on a sampled file never runs: the closed-form families
+UNUSED_BY_SAMPLED_FLOWS = UNUSED_BY_FLOWS | {"generators", "opmodel", "transforms"}
 
 
 def _run(code: str) -> dict:
@@ -49,7 +51,8 @@ def test_the_flow_modules_load_no_other_layer():
 
 
 def test_compute_and_report_load_no_other_layer(tmp_path):
-    """Nor ``numpy.ma``, unless ``import numpy`` loads it (numpy 1)."""
+    """On a sampled file they load no family builder either, nor
+    ``numpy.ma``, unless ``import numpy`` loads it (numpy 1)."""
     path = line_path(HermitianMatrix(np.diag([-1.0, 2.0])), HermitianMatrix(np.diag([1.0, 2.0])))
     f = tmp_path / "path.json"
     f.write_text(json.dumps(path_to_obj(path, samples=5)))
@@ -65,7 +68,7 @@ def test_compute_and_report_load_no_other_layer(tmp_path):
         assert out["code"] == 0
         assert json.loads((tmp_path / sub).read_text())["value"] == 1
         assert "serialize" in out["loaded"]
-        assert UNUSED_BY_FLOWS.isdisjoint(out["loaded"]), out["loaded"]
+        assert UNUSED_BY_SAMPLED_FLOWS.isdisjoint(out["loaded"]), out["loaded"]
         assert out["ma"] == out["ma_by_numpy"]
 
 

@@ -145,9 +145,11 @@ def _validated(a):
 
 def _both_routes(a, monkeypatch):
     """The outcome of validating ``a``, and that of the general route,
-    which averages (A + A*) / 2 without the exactly-Hermitian shortcut."""
+    which averages (A + A*) / 2 without the diagonal route and without the
+    exactly-Hermitian shortcut."""
     fast = _validated(a)
     with monkeypatch.context() as m:
+        m.setattr(matcore, "_diagonal_copy", lambda _a: None)
         m.setattr(matcore, "_exact_average_into", lambda _a, _out: False)
         general = _validated(a)
     return fast, general
@@ -160,17 +162,27 @@ def _exact_stack(seed, k, n):
     return stack
 
 
-def _copy_route_spy(monkeypatch):
-    """Patch ``_exact_average_into`` to record whether each call took the
-    copy; returns the record."""
+def _route_spy(monkeypatch):
+    """Patch ``_diagonal_copy`` and ``_exact_average_into`` to record the
+    route each call took: "diagonal", "copy", or "formula" where the
+    shortcut declined (nothing for a stack not equal to its adjoint);
+    returns the record."""
     taken = []
-    exact = matcore._exact_average_into
+    diagonal, exact = matcore._diagonal_copy, matcore._exact_average_into
 
-    def spy(a, out):
-        taken.append(exact(a, out))
-        return taken[-1]
+    def diagonal_spy(a):
+        out = diagonal(a)
+        if out is not None:
+            taken.append("diagonal")
+        return out
 
-    monkeypatch.setattr(matcore, "_exact_average_into", spy)
+    def exact_spy(a, out):
+        copied = exact(a, out)
+        taken.append("copy" if copied else "formula")
+        return copied
+
+    monkeypatch.setattr(matcore, "_diagonal_copy", diagonal_spy)
+    monkeypatch.setattr(matcore, "_exact_average_into", exact_spy)
     return taken
 
 
@@ -195,7 +207,7 @@ def _sparse_exact_stack(rng):
 
 
 def test_exactly_hermitian_stacks_validate_as_the_general_route(monkeypatch):
-    taken = _copy_route_spy(monkeypatch)
+    taken = _route_spy(monkeypatch)
     half = np.finfo(np.float64).max / 2.0
     # negated, the imaginary diagonal reads -0.0, which the average makes +0.0
     cases = {"plain": _exact_stack(0, 4, 5), "negated": -_exact_stack(5, 2, 4)}
@@ -238,14 +250,17 @@ def test_exactly_hermitian_stacks_validate_as_the_general_route(monkeypatch):
     assert isinstance(outcomes["half_max"][0], bytes)
     assert outcomes["past_half_max"][0][0] is FinitenessError
     assert "overflows" in outcomes["past_half_max"][0][1]
-    # the shortcut copied the plain, negated and diagonal stacks, and handed
-    # the zero it cannot sign, and the entry past half the range, to the
-    # formula; the sparse stacks went both ways, each with the formula's bytes
-    assert route["plain"] is route["negated"] is route["diagonal"] is True
-    assert route["diagonal_signed_imag"] is True
-    assert route["mixed_signed_zero"] is route["past_half_max"] is False
+    # the diagonal stack took the diagonal route; the shortcut copied the
+    # plain and negated stacks, and the diagonal one whose imaginary parts
+    # are -0.0, and handed the zero it cannot sign, and the entry past half
+    # the range, to the formula; the sparse stacks went all three ways, each
+    # with the general route's bytes
+    assert route["diagonal"] == "diagonal"
+    assert route["plain"] == route["negated"] == route["diagonal_signed_imag"] == "copy"
+    assert route["mixed_signed_zero"] == route["past_half_max"] == "formula"
     sparse = [route[name] for name in cases if name.startswith("sparse_")]
-    assert sparse.count(True) >= 100 and sparse.count(False) >= 100
+    assert sparse.count("copy") >= 100 and sparse.count("formula") >= 100
+    assert sparse.count("diagonal") >= 10
 
 
 @pytest.mark.parametrize("make", [
@@ -253,12 +268,18 @@ def test_exactly_hermitian_stacks_validate_as_the_general_route(monkeypatch):
     lambda: family_path("toeplitz_line", {"m": 3}),
 ], ids=["fuglede_line", "conjugation_path"])
 def test_sparse_path_stacks_take_the_copy(make, monkeypatch):
-    """A diagonal line's samples and a Toeplitz conjugation line's are
-    exactly Hermitian with zero components; they now take the copy."""
-    path = make()
-    taken = _copy_route_spy(monkeypatch)
-    path.matrices(np.linspace(0.0, 1.0, 33).tolist())
-    assert taken and all(taken)
+    """A diagonal line's samples and a Toeplitz conjugation line's (a cyclic
+    shift conjugates a diagonal matrix to a diagonal one) are real diagonal
+    stacks: they take the diagonal route's copy, with the general route's
+    bytes."""
+    ts = np.linspace(0.0, 1.0, 33).tolist()
+    taken = _route_spy(monkeypatch)
+    fast = [h.mat.tobytes() for h in make().matrices(ts)]
+    assert taken and set(taken) == {"diagonal"}
+    with monkeypatch.context() as m:
+        m.setattr(matcore, "_diagonal_copy", lambda _a: None)
+        m.setattr(matcore, "_exact_average_into", lambda _a, _out: False)
+        assert [h.mat.tobytes() for h in make().matrices(ts)] == fast
 
 
 def test_one_last_bit_defect_takes_the_general_route(monkeypatch):
@@ -273,6 +294,7 @@ def test_one_last_bit_defect_takes_the_general_route(monkeypatch):
 
 
 def _diagonal_stack(d):
+    d = np.asarray(d, dtype=np.float64)
     k, n = d.shape
     s = np.zeros((k, n, n), dtype=np.complex128)
     s[:, np.arange(n), np.arange(n)] = d
@@ -358,10 +380,12 @@ def test_diagonal_route_falls_back_where_lapack_differs(monkeypatch):
         before = len(calls)
         assert _same_bits(matcore._stack_eigvalsh(s), lapack(s)), name
         assert len(calls) == before + 1, name
+    # a signed zero off the diagonal goes to LAPACK too: the one bit count
+    # that finds the diagonal stacks does not tell it from a nonzero entry
     signed = _diagonal_stack(d)
-    signed[0, 1, 0] = -0.0  # a signed zero off the diagonal is still zero
+    signed[0, 1, 0] = -0.0
     assert _same_bits(matcore._stack_eigvalsh(signed), lapack(signed))
-    assert len(calls) == len(stacks)
+    assert len(calls) == len(stacks) + 1
 
 
 def test_stack_shape_errors_match_the_constructor():

@@ -2,19 +2,20 @@
 pair-index routes as one junction at a time, and the same first fault.
 
 The Toeplitz line with m = 24 is dim 49, where a chunk holds 6 matrices,
-and its 9 junctions span two chunks (6 + 3). Its junction matrices all
-differ, but its projections are one matrix at junctions 0-3, another at 4
-and a third at 5-8, so a fault injected into a projection (or into the
-zero difference of two equal ones) is met first at the first junction
-(or pair) holding it."""
+and its 9 junctions span two chunks (6 + 3), as do its 8 pairs (6 + 2).
+The line is diagonal, so its junctions are projected without LAPACK; the
+faults are injected into LAPACK and into the projection check on the same
+line conjugated by a fixed random unitary, whose junction matrices and
+projections are dense and all differ, so each fault is met at the junction
+(or pair) it names."""
 
 import numpy as np
 import pytest
 
 from specflowlab import matcore, specflow
 from specflowlab.errors import SpecFlowError
-from specflowlab.generators import family_path
-from specflowlab.matcore import Projection, eigh, nonneg_projection
+from specflowlab.generators import family_path, line_path, random_unitary
+from specflowlab.matcore import HermitianMatrix, Projection, eigh, nonneg_projection
 from specflowlab.projpair import pair_index
 from specflowlab.specflow import sf_pairsum, sf_phillips
 
@@ -23,17 +24,31 @@ def _line(m=24):
     return family_path("toeplitz_line", {"m": m})
 
 
+def _dense_line(m=24):
+    """The line between the Toeplitz line's ends conjugated by a fixed
+    random unitary U: U H(t) U* up to rounding, with dense matrices."""
+    diagonal = _line(m)
+    u = random_unitary(np.random.default_rng(0), diagonal.dim).mat
+    a, b = (HermitianMatrix(u @ diagonal.matrix(t).mat @ u.conj().T) for t in (0.0, 1.0))
+    return line_path(a, b)
+
+
 def _junctions(path):
     segs = sf_phillips(path).segments
     return [segs[0].t_left] + [s.t_right for s in segs]
 
 
-def _one_projection(h):
-    """A junction's projection as the per-junction loop forms it: a fresh
-    validated eigh (not the one the matrix caches) and a checked B B*."""
+def _unchecked_projection(h):
+    """B B* from a fresh validated eigh (not the one the matrix caches)."""
     ed = eigh(h)
     b = ed.vectors[:, ed.values >= 0.0]
-    return Projection(b @ b.conj().T)
+    return b @ b.conj().T
+
+
+def _one_projection(h):
+    """A junction's projection as the per-junction loop forms it: a fresh
+    validated eigh and a checked B B*."""
+    return Projection(_unchecked_projection(h))
 
 
 def _reference_total(path, junctions):
@@ -96,10 +111,11 @@ FAULTS = [
     [("eigenbasis", 6)],
     [("eigenbasis", 7)],
     [("idempotent", 4)],
-    [("idempotent", 7)],  # met at junction 5, the first chunk's last
+    [("idempotent", 5)],  # the first chunk's last junction
+    [("idempotent", 7)],
     [("routes", 4)],
     [("routes", 5)],
-    [("routes", 7)],  # a zero difference, met at the pair (0, 1)
+    [("routes", 7)],  # a pair of the second chunk of pairs
     # a later junction's fault that a check-by-check pass over the stack
     # would meet first
     [("idempotent", 4), ("eigenbasis", 5)],
@@ -114,13 +130,15 @@ FAULTS = [
 def test_first_failing_junction_raises_as_junction_by_junction(faults, monkeypatch):
     """A fault at junction j (for "routes": in the pair of junctions j - 1
     and j) raises the class and text a junction-by-junction loop raises."""
-    path = _line()
+    path = _dense_line()
     junctions = _junctions(path)
     assert len(junctions) == 9 and specflow._chunk_len(path.dim) == 6
     mats = [path.matrix(t).mat for t in junctions]
-    projs = [_one_projection(path.matrix(t)).mat for t in junctions]
+    unchecked = [_unchecked_projection(path.matrix(t)) for t in junctions]
+    projs = [Projection(p).mat for p in unchecked]
+    assert len({p.tobytes() for p in unchecked}) == len(projs)
     for kind, j in faults:
-        target = {"eigenbasis": mats[j], "idempotent": projs[j]}.get(kind)
+        target = {"eigenbasis": mats[j], "idempotent": unchecked[j]}.get(kind)
         _inject(monkeypatch, kind, projs[j] - projs[j - 1] if target is None else target, j)
     with pytest.raises(SpecFlowError) as want:
         _reference_total(path, junctions)
@@ -130,13 +148,29 @@ def test_first_failing_junction_raises_as_junction_by_junction(faults, monkeypat
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("m, chunks", [(1, [2]), (24, [6, 3]), (48, [1] * 13)])
+#: Toeplitz lines at dims 3, 49 and 97, with junction chunks of 2, of 6 and
+#: 3, and of 1
+CHUNKS = [(1, [2]), (24, [6, 3]), (48, [1] * 13)]
+
+
+@pytest.mark.parametrize("m, chunks", CHUNKS)
 def test_stacked_junctions_give_the_per_junction_bits(m, chunks, monkeypatch):
-    """At dims 3, 49 and 97 (chunks of 2, of 6 and 3, and of 1) the stacked
-    projections, ranks, pair differences and both pair-index routes equal
-    per-junction nonneg_projection and pair_index bit for bit."""
-    fresh = _line(m)
+    _check_stacked_junctions(_line, m, chunks, monkeypatch)
+
+
+@pytest.mark.parametrize("m, chunks", CHUNKS)
+def test_stacked_dense_junctions_give_the_per_junction_bits(m, chunks, monkeypatch):
+    _check_stacked_junctions(_dense_line, m, chunks, monkeypatch)
+
+
+def _check_stacked_junctions(make, m, chunks, monkeypatch):
+    """The stacked projections, ranks, pair differences and both pair-index
+    routes equal per-junction nonneg_projection and pair_index bit for bit,
+    and the projections equal the checked B B* of a fresh eigh."""
+    fresh = make(m)
     one = [nonneg_projection(fresh.matrix(t)) for t in _junctions(fresh)]
+    for p, t in zip(one, _junctions(fresh)):
+        assert p.mat.tobytes() == _one_projection(fresh.matrix(t)).mat.tobytes()
     pairs = [pair_index(right, left) for left, right in zip(one, one[1:])]
 
     stacks, indices = [], []
@@ -154,7 +188,7 @@ def test_stacked_junctions_give_the_per_junction_bits(m, chunks, monkeypatch):
 
     monkeypatch.setattr(specflow, "_nonneg_projections", recording_projections)
     monkeypatch.setattr(specflow, "_pair_indices", recording_pairs)
-    assert sf_pairsum(_line(m)).total == sum(p.value for p in pairs)
+    assert sf_pairsum(make(m)).total == sum(p.value for p in pairs)
     assert [len(p) for p, _ in stacks] == chunks
     rows = [(row, rank) for p, ranks in stacks for row, rank in zip(p, ranks)]
     assert len(rows) == len(one)
