@@ -19,7 +19,6 @@ component_label is a complete invariant at fixed dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -186,14 +185,7 @@ def check_homotopy(
     inconclusive = 0
     for k, rng in enumerate(spawn_rngs(seed, trials)):
         dim = _dim_for(rng, 2, 6)
-        h_of, s_grid, label, regularity = homotopy_family(rng, dim)
-        paths: dict[float, OperatorPath] = {}
-
-        def row(s: float) -> OperatorPath:
-            if s not in paths:
-                paths[s] = OperatorPath(partial(h_of, s), dim, regularity=regularity)
-            return paths[s]
-
+        row, s_grid, label = homotopy_family(rng, dim)
         try:
             s_values = _certified_s_pairs(row, s_grid)
         except CertificationError:

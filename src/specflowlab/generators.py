@@ -28,6 +28,7 @@ Named families (the "family" kind of the path file format):
 from __future__ import annotations
 
 import math
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -423,23 +424,23 @@ def concat_compatible_pair(seed_or_rng, dim: int) -> tuple[OperatorPath, Operato
     return f, g
 
 
-def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7):
+def homotopy_family(seed_or_rng, dim: int):
     """A two-parameter family H(s, t) whose rows are honestly homotopic.
 
     The generator draws the style after f: an additive drift
     H(s, t) = f(t) + s e I with e below half the endpoint gaps, or a
     conjugation by a smooth unitary rotation, H(s, t) = U(s)* f(t) U(s).
-    Returns (H, s_grid, label, regularity), where ``H(s, ts)`` is the
-    (k, dim, dim) stack of row s at the k parameters ``ts``: an
-    OperatorPath evaluator once s is fixed. Neither a constant shift nor a
-    fixed unitary conjugation changes how fast a row moves in t, so every
-    row has f's Lipschitz ``regularity``. The conjugation's two products
-    add a rounding of order n u ||f|| per point, inside the gamma_n slack
-    that every declared margin gives up.
+    Returns (row, s_grid, label): ``row(s)`` is row s as an OperatorPath,
+    the same object at each call with the same s, and ``s_grid`` is 7
+    equally spaced s in [0, 1]. Neither a constant shift nor a fixed
+    unitary conjugation changes how fast a row moves in t, so every row
+    declares f's Lipschitz regularity. The conjugation's two products add
+    a rounding of order n u ||f|| per point, inside the gamma_n slack that
+    every declared margin gives up.
     """
     rng = _as_rng(seed_or_rng)
     f = trig_path(rng, dim)
-    s_grid = np.linspace(0.0, 1.0, s_samples)
+    s_grid = np.linspace(0.0, 1.0, 7)
     style = int(rng.integers(0, 2))
     if style == 0:
         g0, g1 = f.endpoint_gaps()
@@ -457,7 +458,12 @@ def homotopy_family(seed_or_rng, dim: int, *, s_samples: int = 7):
             return u.conj().T @ f.stack(ts) @ u
 
         label = "unitary_conjugation"
-    return h_of, s_grid, label, f.regularity
+
+    @cache
+    def row(s: float) -> OperatorPath:
+        return OperatorPath(partial(h_of, s), dim, regularity=f.regularity)
+
+    return row, s_grid, label
 
 
 def line_path(a: HermitianMatrix, b: HermitianMatrix) -> OperatorPath:

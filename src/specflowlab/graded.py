@@ -128,7 +128,7 @@ def graded_window_dim(g: GradedOperator, eps: float) -> int:
 
 
 def _window_dim(t: HermitianMatrix, grading: HermitianMatrix, eps: float) -> int:
-    return _graded_dim(grading, spectral_projection(t, Interval.closed(-eps, eps)).mat)
+    return _graded_dim(grading, spectral_projection(t, Interval(-eps, eps)).mat)
 
 
 def _graded_dim(grading: HermitianMatrix, proj: np.ndarray) -> int:
@@ -260,7 +260,7 @@ def _trial_failures(
         if near:
             w, v = tps.eig
             norms = _op_norms(tps.mats[near]).tolist()
-            window = Interval.closed(-eps, eps)
+            window = Interval(-eps, eps)
             projs = iter(_spectral_projections(w[near], v[near], norms, window)[0])
     except (SpecFlowError, np.linalg.LinAlgError):
         if len(ks) == 1:

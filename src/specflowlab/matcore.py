@@ -2,7 +2,7 @@
 
 Validated value types (HermitianMatrix, EigenDecomposition, Interval,
 Projection) and the spectral tool-kit built on them: eigendecomposition,
-functional calculus, spectral projections cut by intervals, operator norms
+functional calculus, spectral projections cut by closed intervals, operator norms
 and tolerance-aware ranks.
 
 A HermitianMatrix caches its validated eigendecomposition (``.eig``, by
@@ -379,14 +379,6 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim}, norm={self.norm:.6g})"
 
     @classmethod
-    def identity(cls, dim: int) -> "HermitianMatrix":
-        return cls(np.eye(dim, dtype=np.complex128))
-
-    @classmethod
-    def zeros(cls, dim: int) -> "HermitianMatrix":
-        return cls(np.zeros((dim, dim), dtype=np.complex128))
-
-    @classmethod
     def diag(cls, values: Sequence[float]) -> "HermitianMatrix":
         v = np.asarray(values, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
@@ -440,10 +432,6 @@ class EigenDecomposition:
         ed = object.__new__(EigenDecomposition)
         ed._freeze(w, v)
         return ed
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
 
     def assemble(self, scalars: np.ndarray) -> np.ndarray:
         """Return V diag(scalars) V* as a plain array."""
@@ -528,12 +516,10 @@ def apply_function(h: HermitianMatrix, f: Callable[[float], float]) -> Hermitian
 
 @dataclass(frozen=True)
 class Interval:
-    """A real interval with open/closed end flags; ends may be infinite."""
+    """The closed real interval [lo, hi]; ends may be infinite."""
 
     lo: float
     hi: float
-    closed_lo: bool = True
-    closed_hi: bool = True
 
     def __post_init__(self):
         lo = float(self.lo)
@@ -545,43 +531,12 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @classmethod
-    def closed(cls, lo: float, hi: float) -> "Interval":
-        return cls(lo, hi, True, True)
-
-    @classmethod
-    def co(cls, lo: float, hi: float) -> "Interval":
-        """Closed-open [lo, hi)."""
-        return cls(lo, hi, True, False)
-
-    @classmethod
-    def ge(cls, lo: float) -> "Interval":
-        """[lo, +inf)."""
-        return cls(lo, np.inf, True, False)
-
-    @classmethod
-    def gt(cls, lo: float) -> "Interval":
-        """(lo, +inf)."""
-        return cls(lo, np.inf, False, False)
-
-    @classmethod
-    def le(cls, hi: float) -> "Interval":
-        """(-inf, hi]."""
-        return cls(-np.inf, hi, False, True)
-
     def finite_endpoints(self) -> list[float]:
         return [e for e in (self.lo, self.hi) if np.isfinite(e)]
 
     def mask(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values)
-        left = (v >= self.lo) if self.closed_lo else (v > self.lo)
-        right = (v <= self.hi) if self.closed_hi else (v < self.hi)
-        return left & right
-
-    def __str__(self) -> str:
-        lb = "[" if self.closed_lo else "("
-        rb = "]" if self.closed_hi else ")"
-        return f"{lb}{self.lo:.6g}, {self.hi:.6g}{rb}"
+        return (v >= self.lo) & (v <= self.hi)
 
 
 def _projection_stack(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -652,9 +607,6 @@ class Projection(HermitianMatrix):
     @property
     def rank(self) -> int:
         return self._rank
-
-    def complement(self) -> "Projection":
-        return Projection(np.eye(self.dim) - self.mat)
 
     def __repr__(self) -> str:
         return f"Projection(dim={self.dim}, rank={self.rank})"

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError, coerce_field
+from .errors import InputError, coerce_field, require_int
 from .matcore import HermitianMatrix
 from .specflow import OperatorPath, SfCertificate
 
@@ -62,6 +62,8 @@ def _parts_to_array(obj: dict, shape: tuple[int, int], what: str) -> np.ndarray:
         im = np.asarray(obj["im"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{what} literal needs numeric 're' and 'im' parts") from exc
+    if 0 in shape and re.size == im.size == 0:  # a block with no rows is written as []
+        re, im = re.reshape(shape), im.reshape(shape)
     if re.shape != shape or im.shape != shape:
         raise InputError(
             f"{what} parts must have shape {shape}, got {re.shape} and {im.shape}"
@@ -110,7 +112,7 @@ def _revive_params(params: dict) -> dict:
 def path_to_obj(path: OperatorPath, *, samples: int = 33) -> dict:
     """Sampled snapshot of a path (family paths round-trip exactly only
     when rebuilt from their family spec; this is the generic fallback)."""
-    ts = np.linspace(0.0, 1.0, int(samples))
+    ts = np.linspace(0.0, 1.0, require_int(samples, "samples", 2))
     return {
         "dim": path.dim,
         "kind": "sampled",

@@ -269,7 +269,7 @@ def test_criterion_08_integral_representations():
         lo, hi = vals[0], vals[cut - 1]
         pad = 0.4 * gaps[cut - 1]
         p_c = contour_projection(h, 0.5 * (lo + hi), 0.5 * (hi - lo) + pad)
-        p_s = spectral_projection(h, Interval.closed(lo - pad, hi + pad))
+        p_s = spectral_projection(h, Interval(lo - pad, hi + pad))
         gap = float(np.linalg.norm(p_c.mat - p_s.mat, 2))
         worst_proj = max(worst_proj, gap)
         assert gap <= CONTOUR_TOL

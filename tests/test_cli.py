@@ -256,6 +256,13 @@ def test_graded_command(tmp_path, capsys):
     assert payload["cancellation"]["ok"]
 
 
+def test_graded_command_on_a_block_with_no_rows(tmp_path, capsys):
+    """q = 0: the block is written as "re": [] and read back as (0, 2)."""
+    f = write_json(tmp_path / "g.json", graded_to_obj(GradedOperator(2, 0, np.zeros((0, 2)))))
+    assert cli.main(["graded", "--input", f]) == 0
+    assert json.loads(capsys.readouterr().out)["kernel_index"] == 2
+
+
 def test_graded_stability_uses_the_tolerance(tmp_path, capsys):
     # --tol 0.5 excludes the singular value 0.3: the stability check must
     # protect the same gap the report prints, not the one at the default tol

@@ -120,8 +120,8 @@ def _connector(dim):
 
 
 def _homotopy_row(seed, dim):
-    h_of, _s_grid, _label, regularity = homotopy_family(seed, dim)
-    return OperatorPath(lambda ts: h_of(0.6, ts), dim, regularity=regularity)
+    row, _s_grid, _label = homotopy_family(seed, dim)
+    return row(0.6)
 
 
 def _trig(seed, dim, **kwargs):

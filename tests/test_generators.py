@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -305,14 +304,15 @@ def test_unitary_rotation_path_identity_at_zero():
 
 
 def test_homotopy_family_shapes():
-    h_of, s_grid, label, regularity = homotopy_family(0, 3, s_samples=5)
+    row, s_grid, label = homotopy_family(0, 3)
     assert label in ("additive_drift", "unitary_conjugation")
-    assert len(s_grid) == 5 and s_grid[0] == 0.0 and s_grid[-1] == 1.0
-    m = h_of(0.5, np.array([0.25, 0.5]))
-    assert m.shape == (2, 3, 3)
+    assert len(s_grid) == 7 and s_grid[0] == 0.0 and s_grid[-1] == 1.0
+    assert row(0.5).stack(np.array([0.25, 0.5])).shape == (2, 3, 3)
+    # one declared path per row, kept for the next call with the same s
+    assert row(0.5) is row(0.5) and row(0.5) is not row(1.0)
     # the rows keep the Lipschitz rate of the trig path they deform
-    assert regularity == trig_path(0, 3).regularity
-    assert regularity.soundness == "lipschitz"
+    assert row(0.5).regularity == trig_path(0, 3).regularity
+    assert row(0.5).regularity.soundness == "lipschitz"
 
 
 @pytest.mark.parametrize(
@@ -328,11 +328,11 @@ def test_declared_homotopy_rows_bound_their_steps(seed, dim, label):
     """Each row, f(t) + s e I or U(s)* f(t) U(s) as evaluated (the
     conjugation adds two products after f), moves no faster between
     samples than f's declared rate allows, up to the rounding slack."""
-    h_of, _, found, regularity = homotopy_family(seed, dim)
+    row_of, _, found = homotopy_family(seed, dim)
     assert found == label
     grid = np.linspace(0.0, 1.0, 1025).tolist()
     for s in (0.5, 1.0):
-        row = OperatorPath(partial(h_of, s), dim, regularity=regularity)
+        row = row_of(s)
         _assert_bounds_hold(row, grid)
         # 64x finer inside the step of the largest sampled rate
         mats = row.matrices(grid)

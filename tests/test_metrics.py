@@ -69,7 +69,7 @@ def test_weighted_distance_explicit():
     assert d_W(a, b, base) == pytest.approx(1.0)
     c = HermitianMatrix(np.array([[0.0, 0.0], [0.0, 2.0]]))
     # difference diag(0, 2) weighted: 2/sqrt(2)
-    assert d_W(c, HermitianMatrix.zeros(2), base) == pytest.approx(np.sqrt(2.0))
+    assert d_W(c, HermitianMatrix(np.zeros((2, 2))), base) == pytest.approx(np.sqrt(2.0))
 
 
 def test_weight_matches_the_scalar_calculus(rng):
@@ -121,7 +121,7 @@ def test_metric_report_validates():
 def test_norm_graph_check_both_directions(rng):
     # close pair: both hypotheses active, both implications must hold
     t = HermitianMatrix(np.diag([0.5, -1.5]))
-    rep = norm_graph_equivalence_check(t, t + 0.01 * HermitianMatrix.identity(2), 2.0)
+    rep = norm_graph_equivalence_check(t, t + 0.01 * HermitianMatrix(np.eye(2)), 2.0)
     assert rep.hyp_graph_small and rep.norm_from_graph_ok
     assert rep.hyp_norm_small and rep.graph_from_norm_ok
     assert rep.ok

@@ -78,6 +78,13 @@ def test_sampled_path_round_trip():
     np.testing.assert_array_equal(back.matrix(0.5).mat, path.matrix(0.5).mat)
 
 
+@pytest.mark.parametrize("samples", [1, 0, -3, 2.0, True])
+def test_sampled_path_needs_two_samples(samples):
+    """Fewer than two samples would write a file the reader refuses."""
+    with pytest.raises(InputError, match="samples must be an int >= 2"):
+        path_to_obj(trig_path(5, 2), samples=samples)
+
+
 def test_family_path_from_obj_with_matrix_params():
     a = np.diag([1.0, -2.0])
     b = np.diag([3.0, 4.0])
@@ -118,6 +125,19 @@ def test_graded_round_trip():
     np.testing.assert_array_equal(back.block, g.block)
     with pytest.raises(InputError):
         graded_from_obj({"p": 1, "q": 1})
+
+
+@pytest.mark.parametrize(("p", "q"), [(2, 0), (0, 2)])
+def test_graded_round_trip_with_an_empty_block(p, q):
+    """A block with no rows is written as "re": [], which has no column
+    count; the reader takes its shape from "rows" and "cols"."""
+    g = GradedOperator(p, q, np.zeros((q, p)))
+    obj = graded_to_obj(g)
+    back = graded_from_obj(json.loads(dumps_json(obj)))
+    assert (back.p, back.q) == (p, q) and back.block.shape == (q, p)
+    assert back.kernel_index() == p - q
+    with pytest.raises(InputError, match="block parts must have shape"):
+        block_from_obj({**obj["A"], "re": [[0.0]]})
 
 
 def test_model_from_obj_defaults_and_lists():

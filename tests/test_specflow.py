@@ -7,7 +7,6 @@ done right here in the test, independent of the library's own oracle.
 import contextlib
 import tracemalloc
 from collections import Counter
-from functools import partial
 
 import numpy as np
 import pytest
@@ -379,9 +378,9 @@ def test_evaluation_refuses_entries_whose_steps_could_overflow():
 def _homotopy_row(label, dim):
     """Row s = 0.4 of the first seeded homotopy family with this label."""
     for seed in range(64):
-        h_of, _s_grid, got, regularity = homotopy_family(seed, dim)
+        row, _s_grid, got = homotopy_family(seed, dim)
         if got == label:
-            return OperatorPath(partial(h_of, 0.4), dim, regularity=regularity)
+            return row(0.4)
     raise AssertionError(f"no seed gives {label}")
 
 
