@@ -350,31 +350,6 @@ class HermitianMatrix:
     def __array__(self, dtype=None, copy=None):
         return np.array(self._mat, dtype=dtype, copy=copy)
 
-    def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        if not isinstance(other, HermitianMatrix):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionMismatchError(f"dims differ: {self.dim} vs {other.dim}")
-        return HermitianMatrix(self._mat + other._mat)
-
-    def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        if not isinstance(other, HermitianMatrix):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionMismatchError(f"dims differ: {self.dim} vs {other.dim}")
-        return HermitianMatrix(self._mat - other._mat)
-
-    def __mul__(self, scalar) -> "HermitianMatrix":
-        s = complex(scalar)
-        if abs(s.imag) > _TOL_FLOOR * (1.0 + abs(s.real)):
-            raise InputError("scaling a Hermitian matrix requires a real scalar")
-        return HermitianMatrix(self._mat * s.real)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "HermitianMatrix":
-        return HermitianMatrix(-self._mat)
-
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim}, norm={self.norm:.6g})"
 

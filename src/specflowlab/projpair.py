@@ -44,23 +44,18 @@ _RANK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PairIndexResult:
-    """The pair index together with the two routes that produced it."""
+    """The pair index (the rank difference) together with the eigenvalue
+    count that cross-checks it."""
 
     value: int
-    route_rank_diff: int
     route_eigencount: int
 
     def __post_init__(self):
-        if self.route_rank_diff != self.route_eigencount:
+        if self.value != self.route_eigencount:
             raise ConsistencyFault(
-                f"pair-index routes disagree: rank difference {self.route_rank_diff}, "
+                f"pair-index routes disagree: rank difference {self.value}, "
                 f"eigenvalue count {self.route_eigencount}"
             )
-        if self.value != self.route_rank_diff:
-            raise ConsistencyFault("pair-index value does not match its routes")
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def _as_projection(p) -> Projection:
@@ -92,6 +87,6 @@ def _pair_indices(diffs: np.ndarray, rank_diffs: list[int]) -> list[PairIndexRes
     plus = np.count_nonzero(np.abs(w - 1.0) <= _RANK_TOL, axis=1)
     minus = np.count_nonzero(np.abs(w + 1.0) <= _RANK_TOL, axis=1)
     return [
-        PairIndexResult(value=r, route_rank_diff=r, route_eigencount=e)
+        PairIndexResult(value=r, route_eigencount=e)
         for r, e in zip(rank_diffs, (plus - minus).tolist())
     ]

@@ -253,8 +253,8 @@ class OperatorPath:
       one fresh array, keeping nothing;
     * ``steps(ts)`` returns bounds on the operator-norm steps between
       consecutive grid points: the declared rate * |dt|, or for an opaque
-      path the sampled norms, one stacked 2-norm of the differences per
-      chunk, cached by (t_a, t_b);
+      path the sampled norms, one 2-norm of the kept matrices' difference
+      per pair;
     * ``eig(t)`` is the validated full decomposition the matrix at t caches.
 
     A method that needs a point's matrix asks for it before its
@@ -293,7 +293,6 @@ class OperatorPath:
         self._regularity = regularity
         self._mats: dict[float, HermitianMatrix] = {}
         self._vals: dict[float, np.ndarray] = {}
-        self._steps: dict[tuple[float, float], float] = {}
         self._segments: dict[SfOptions, tuple] = {}
         self._grids: dict[int, tuple[float, ...]] = {}
         self._grid_steps: dict[int, tuple[float, ...]] = {}
@@ -414,22 +413,12 @@ class OperatorPath:
     def steps(self, ts: Sequence[float]) -> list[float]:
         """Bounds on the operator-norm steps ||H(ts[k+1]) - H(ts[k])|| along
         a grid: the declared regularity's rate * |dt|, evaluating nothing.
-        An opaque path's steps are the sampled norms themselves, cached by
-        (t_a, t_b); the missing ones come from one stacked 2-norm of the
-        differences per chunk."""
+        An opaque path's steps are the sampled norms themselves, one 2-norm
+        per pair of its kept matrices."""
         if self._regularity.declared:
             return self._regularity.step_bounds(ts)
-        pairs = [(float(a), float(b)) for a, b in zip(ts[:-1], ts[1:])]
-        todo = list(dict.fromkeys(p for p in pairs if p not in self._steps))
-        points = [t for pair in todo for t in pair]
-        mats = dict(zip(points, self.matrices(points)))
-        # one stacked SVD per chunk: values bit-identical to op_norm calls
-        for chunk in _chunks(todo, _chunk_len(self._dim)):
-            d = np.empty((len(chunk), self._dim, self._dim), dtype=np.complex128)
-            for i, (a, b) in enumerate(chunk):
-                np.subtract(mats[b].mat, mats[a].mat, out=d[i])
-            self._steps.update(zip(chunk, _op_norms(d).tolist()))
-        return [self._steps[p] for p in pairs]
+        mats = self.matrices(ts)
+        return [op_norm(b.mat - a.mat) for a, b in zip(mats[:-1], mats[1:])]
 
     def nonneg_count(self, t: float) -> int:
         return int(np.sum(self.values(t) >= 0.0))
@@ -837,9 +826,10 @@ def _reach_bound(
     """An upper bound on the oracle's reach, the largest sample tolerance
     over the grid ``ts``, from the eigenvalues ``vals`` at the grid indices
     ``idx`` alone (increasing, both ends among them); the reach itself when
-    ``idx`` holds every index. The ledger's refusal from the ends passes
-    the two end indices alone, the widest bound, whose eigenvalues the end
-    check holds, so it evaluates nothing.
+    ``idx`` holds every index. The refusal from the step bounds
+    (``_refuse_on_step_bounds``) passes the two end indices alone, the
+    widest bound, whose eigenvalues the end check holds, so it evaluates
+    nothing.
 
     The tolerance of sample k needs ||H(t_k)||, computed as its largest
     |eigenvalue|. Between two evaluated indices i < j of a declared path it
@@ -863,38 +853,59 @@ def _aliased(reach: float, gap: float) -> SamplingError:
     )
 
 
+def _refuse_on_step_bounds(path: OperatorPath, opts: SfOptions, gap: float) -> None:
+    """Raise the oracle's ``SamplingError`` when a declared path's step
+    bounds alone prove that its aliasing guard refuses; otherwise return,
+    having evaluated nothing (an opaque path takes no step here).
+
+    Every sample tolerance of the ``opts.oracle_samples`` grid is its share
+    (``_step_share``) of the larger neighbour step plus a nonnegative
+    rounding slack, and a rounded product is monotone, so the reach is at
+    least the share of the largest step, the step floor. When the floor
+    reaches half the endpoint gap ``gap``, the guard must refuse, and the
+    text needs only the reach's printed digits: the reach lies between the
+    floor and the bound from the two ends (``_reach_bound``), whose
+    eigenvalues the end check holds, and ``.3e`` rounds correctly, so
+    monotonically. When both print alike the floor is printed; otherwise
+    the whole grid is evaluated, in the ledger's order (the seeds on the
+    ``opts.samples`` grid, then the rest), and its exact reach printed.
+    """
+    if not path.regularity.declared:
+        return
+    ts = _grid(path, opts.oracle_samples)
+    steps = _grid_steps(path, opts.oracle_samples)
+    reach = max(steps) * _step_share(path)
+    if reach < 0.5 * gap:
+        return
+    top = _reach_bound(path, ts, steps, [0, len(ts) - 1], path.values([ts[0], ts[-1]]))
+    if f"{reach:.3e}" != f"{top:.3e}":
+        seeds = set(_grid(path, opts.samples))
+        path.values([t for t in ts if t in seeds])
+        reach = _reach_bound(path, ts, steps, list(range(len(ts))), path.values(ts))
+    raise _aliased(reach, gap)
+
+
 def _ledger(
     path: OperatorPath, opts: SfOptions, ts: list[float], steps: list[float], gap: float
 ) -> tuple[dict[int, np.ndarray], list[int]]:
     """The oracle's eigenvalues and nonnegative counts on the grid ``ts``.
 
-    When the step floor (``_step_floor``) already reaches half the endpoint
-    gap ``gap`` on a declared path, the guard must refuse, and the text
-    needs only the reach's printed digits: the reach lies between the floor
-    and the bound from the two ends (``_reach_bound``), whose eigenvalues
-    the end check holds, and ``.3e`` rounds correctly, so monotonically.
-    When both print alike the refusal is raised with nothing evaluated;
-    otherwise the route below decides. The seeds are the points of ``ts``
-    on the ``opts.samples`` grid (its uniform points and the knots, where
+    A refusal the declared step bounds prove is raised first
+    (``_refuse_on_step_bounds``). The seeds are the points of ``ts`` on
+    the ``opts.samples`` grid (its uniform points and the knots, where
     sf_phillips starts) on a declared path, and every grid point on an
     opaque one; under sf_all_methods sf_phillips has evaluated them
-    already. The aliasing guard, the reach below half ``gap``, is checked
-    on the seeds; if it fails, every grid point is evaluated and the exact
-    guard decides. Between two evaluated indices i < j, every
-    index inside takes the count of i when the clearance (``_clearance``)
-    at both ends exceeds the share (``_step_share``) of the declared step
-    bound of (ts[i], ts[j]); otherwise ts[(i + j) // 2] is evaluated and
-    both halves are tried again, one ``values`` call per level. So counts
-    change only between adjacent evaluated indices, each with the whole
-    grid's values.
+    already. The aliasing guard, the reach below half the endpoint gap
+    ``gap``, is checked on the seeds; if it fails, every grid point is
+    evaluated and the exact guard decides. Between two evaluated indices
+    i < j, every index inside takes the count of i when the clearance
+    (``_clearance``) at both ends exceeds the share (``_step_share``) of
+    the declared step bound of (ts[i], ts[j]); otherwise ts[(i + j) // 2]
+    is evaluated and both halves are tried again, one ``values`` call per
+    level. So counts change only between adjacent evaluated indices, each
+    with the whole grid's values.
     """
-    if path.regularity.declared:
-        floor = _step_floor(path, steps)
-        if floor >= 0.5 * gap:
-            ends = [0, len(ts) - 1]
-            top = _reach_bound(path, ts, steps, ends, path.values([ts[k] for k in ends]))
-            if f"{floor:.3e}" == f"{top:.3e}":
-                raise _aliased(floor, gap)
+    _refuse_on_step_bounds(path, opts, gap)
     seeds = set(_grid(path, opts.samples)) if path.regularity.declared else set(ts)
     idx = [k for k, t in enumerate(ts) if t in seeds]
     at_idx = path.values([ts[k] for k in idx])
@@ -952,7 +963,7 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     the grid only where a count can change, every point on an opaque path
     or when the guard's bound from the seeds fails, and gives the report
     and error texts of the whole grid. A refusal that the declared step
-    bounds prove (``_guard_refuses_unsampled``) evaluates only the ends,
+    bounds prove (``_refuse_on_step_bounds``) evaluates only the ends,
     unless the reach's bracket straddles a printed digit.
     """
     g0, g1 = _check_endpoints(path, opts)
@@ -989,27 +1000,6 @@ def sf_crossing_oracle(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> i
     return int(crossing_oracle_report(path, opts)["total"])
 
 
-def _step_floor(path: OperatorPath, steps: Sequence[float]) -> float:
-    """A lower bound on the oracle's reach over a declared path's grid with
-    step bounds ``steps``: the largest share (``_step_share``) of a
-    neighbour step. Every sample tolerance is that share plus a
-    nonnegative rounding slack, and adding it cannot lower a float sum.
-    The largest neighbour step is the largest step, and a rounded product
-    is monotone, so this is the share of the largest step, the same bits."""
-    return max(steps) * _step_share(path)
-
-
-def _guard_refuses_unsampled(path: OperatorPath, opts: SfOptions, gap: float) -> bool:
-    """Whether the oracle's aliasing guard must refuse a declared path on
-    its step bounds alone: the step floor (``_step_floor``) of the oracle
-    grid reaches half the endpoint gap ``gap``. The reach is then at least
-    that, and so is the seed-bounded reach (``_reach_bound``), so both
-    guards refuse; the ledger brackets the printed reach from the ends."""
-    if not path.regularity.declared:
-        return False
-    return _step_floor(path, _grid_steps(path, opts.oracle_samples)) >= 0.5 * gap
-
-
 def sf_all_methods(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
     """Run all four methods and insist on exact agreement.
 
@@ -1017,23 +1007,19 @@ def sf_all_methods(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
     crossing-oracle report; raises ConsistencyFault if any two methods
     differ (that is a bug surface, not a property of the input).
 
-    The end check runs first, so an ``EndpointError`` wins. On a declared
-    path whose oracle guard refuses on the step bounds alone
-    (``_guard_refuses_unsampled``) the oracle then runs before phillips
-    samples anything, and raises the ``SamplingError`` it raises on a
-    fresh path, in general from the two ends alone (see ``_ledger``);
-    otherwise phillips, pairsum, endpoints and the oracle run in that
-    order.
+    The end check runs first, so an ``EndpointError`` wins. Then a
+    refusal that a declared path's step bounds prove
+    (``_refuse_on_step_bounds``) raises the ``SamplingError`` the oracle
+    raises on a fresh path, before phillips samples anything and in
+    general from the two ends alone. Otherwise phillips, pairsum,
+    endpoints and the oracle run in that order.
     """
     g0, g1 = _check_endpoints(path, opts)
-    ledger = None
-    if _guard_refuses_unsampled(path, opts, min(g0, g1)):
-        ledger = crossing_oracle_report(path, opts)
+    _refuse_on_step_bounds(path, opts, min(g0, g1))
     cert_p = sf_phillips(path, opts)
     cert_s = sf_pairsum(path, opts)
     ends = sf_endpoints(path, opts)
-    if ledger is None:
-        ledger = crossing_oracle_report(path, opts)
+    ledger = crossing_oracle_report(path, opts)
     values = {
         "phillips": cert_p.total,
         "pairsum": cert_s.total,
@@ -1140,7 +1126,7 @@ def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> d
         "certified": bool(worst > 0.0) and path.regularity.declared,
         "margin": worst,
         "min_gap": float(np.min(gaps)),
-        "max_step": float(max(steps) if steps else 0.0),
+        "max_step": max(steps),
         "samples": len(ts),
         "soundness": path.regularity.soundness,
     }

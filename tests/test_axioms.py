@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_invertible_hermitian
 from specflowlab import (
+    HermitianMatrix,
     InputError,
     OperatorPath,
     SfFunctional,
@@ -134,16 +135,16 @@ def test_law_checks_make_no_stacked_two_norm(monkeypatch):
     """Every path the law checks build declares its regularity, the
     homotopy rows included, so no grid step needs a sampled 2-norm: no
     2-norm is taken inside ``OperatorPath.steps``, where an opaque path's
-    sampled step norms are taken (a path's build may take stacked norms of
-    its coefficients)."""
-    stacked = []
+    sampled step norms are taken, one per pair of grid points (a path's
+    build may take stacked norms of its coefficients)."""
+    taken = []
     in_steps = []
     norm = np.linalg.norm
     steps = OperatorPath.steps
 
     def counting(x, ord=None, axis=None, keepdims=False):
         if ord == 2 and in_steps:
-            stacked.append(np.shape(x)[0])
+            taken.append(np.shape(x))
         return norm(x, ord, axis, keepdims)
 
     def counted_steps(self, ts):
@@ -155,13 +156,13 @@ def test_law_checks_make_no_stacked_two_norm(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counting)
     monkeypatch.setattr(OperatorPath, "steps", counted_steps)
-    # the counter sees the stacked norms of an opaque path
+    # the counter sees the step norms of an opaque path, one per pair
     opaque = normalization_path(0, 3)
     OperatorPath(opaque.stack, 3).steps([0.0, 0.5, 1.0])
-    assert stacked == [2]
-    stacked.clear()
+    assert taken == [(3, 3), (3, 3)]
+    taken.clear()
     run_all_checks(seed=0, trials=16, opts=OPTS)  # four homotopy families
-    assert stacked == []
+    assert taken == []
 
 
 def test_run_all_checks_shape():
@@ -237,7 +238,7 @@ def test_connector_to_the_negative_of_a_label_3_matrix():
         random_hermitian(rng, 6)
     t1 = random_invertible_hermitian(rng, 6)
     assert component_label(t1) == 3
-    path = connect_invertibles(t1, -t1)
+    path = connect_invertibles(t1, HermitianMatrix(-t1.mat))
     np.testing.assert_allclose(path.matrix(0.0).mat, t1.mat, atol=1e-12)
     np.testing.assert_allclose(path.matrix(1.0).mat, -t1.mat, atol=1e-12)
     assert certify_invertible(path, OPTS)["certified"]

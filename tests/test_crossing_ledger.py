@@ -46,6 +46,14 @@ def _outcome(path, opts):
     return _run(crossing_oracle_report, path, opts)
 
 
+def _step_refusal(path, opts):
+    """The refusal the declared step bounds alone prove, as ``_run`` gives
+    it, or None."""
+    return _run(
+        lambda p, o: specflow._refuse_on_step_bounds(p, o, min(p.endpoint_gaps())), path, opts
+    )
+
+
 def _refused(message, window=None):
     exc = SamplingError(message, window=window)
     return type(exc).__name__, str(exc), exc.window
@@ -169,7 +177,7 @@ def test_inferred_ledger_equals_the_whole_grid(name):
     path = CORPUS[name]()
     steps = specflow._grid_steps(path, SfOptions().oracle_samples)
     tau = specflow._neighbour_steps(steps) * specflow._step_share(path)
-    assert specflow._step_floor(path, steps) == float(np.max(tau))
+    assert max(steps) * specflow._step_share(path) == float(np.max(tau))
 
 
 def test_the_corpus_keeps_its_refusals():
@@ -381,8 +389,8 @@ def test_a_bracket_across_a_printed_digit_evaluates_the_whole_grid():
     refusal is the whole-grid tally's."""
     probe = _straddling_line()
     steps = specflow._grid_steps(probe, SfOptions().oracle_samples)
-    assert specflow._guard_refuses_unsampled(probe, SfOptions(), min(probe.endpoint_gaps()))
-    assert f"{specflow._step_floor(probe, steps):.3e}" == "1.000e+00"
+    assert f"{max(steps) * specflow._step_share(probe):.3e}" == "1.000e+00"
+    assert _step_refusal(probe, SfOptions()) == _whole_grid(_straddling_line(), SfOptions())
     path = _straddling_line()
     asked = _counted(path)
     refused = _run(sf_all_methods, path)
@@ -426,7 +434,7 @@ def test_a_refusal_from_the_ends_is_the_whole_grid_refusal():
     fired = []
     for name, make in SWEEP.items():
         path = make()
-        if specflow._guard_refuses_unsampled(path, opts, min(path.endpoint_gaps())):
+        if _step_refusal(path, opts) is not None:
             fired.append(name)
             assert _run(sf_all_methods, make(), opts) == _whole_grid(path, opts), name
     assert "toeplitz_m32" in fired and "toeplitz_m31" not in fired
@@ -439,11 +447,11 @@ def test_a_refusal_from_the_ends_is_the_whole_grid_refusal():
 def test_the_step_test_fires_only_where_the_oracle_refuses(opts):
     fired = []
     for name in sorted(CORPUS):
-        path = CORPUS[name]()
-        if specflow._guard_refuses_unsampled(path, opts, min(path.endpoint_gaps())):
+        refused = _step_refusal(CORPUS[name](), opts)
+        if refused is not None:
             fired.append(name)
-            kind, text, _window = _outcome(CORPUS[name](), opts)
-            assert kind == "SamplingError" and text.startswith("oracle sample tolerance"), name
+            assert refused == _outcome(CORPUS[name](), opts), name
+            assert refused[1].startswith("oracle sample tolerance"), name
     assert "toeplitz_m32" in fired
 
 

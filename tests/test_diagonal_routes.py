@@ -321,7 +321,7 @@ def test_diagonal_projections_and_pair_indices_call_no_lapack(monkeypatch):
     p = Projection(np.diag([1.0, 0.0, 1.0, 1.0]))
     q = Projection(np.diag([0.0, 0.0, 1.0, 1.0]))
     assert (p.rank, q.rank) == (3, 2)
-    assert int(pair_index(p, q)) == 1 and int(pair_index(q, p)) == -1
+    assert pair_index(p, q).value == 1 and pair_index(q, p).value == -1
     assert calls == []
     # a dense projection still goes to LAPACK, which the wrapper counts
     Projection(np.full((2, 2), 0.5))

@@ -414,9 +414,9 @@ def test_line_paths_evaluate_with_the_formulas_bits(monkeypatch):
 
 @pytest.mark.parametrize("law", ["linear", "signed", "shifted"])
 def test_family_lines_evaluate_on_the_real_view(law, monkeypatch):
-    """The Fuglede and Toeplitz lines evaluate on the real view with the
-    formula's bits, and never hold the -0.0 that would send them to the
-    formula."""
+    """The Toeplitz lines evaluate on the real view with the formula's
+    bits, and never hold the -0.0 that would send them to the formula; the
+    Fuglede lines evaluate the formula itself, without the real view."""
     fell_back = _formula_spy(monkeypatch)
     ts = np.array(_EDGE_TS + np.linspace(0.0, 1.0, 33).tolist())
     for big_n, n in ((8, 1), (8, 3), (32, 7), (128, 40)):
@@ -424,6 +424,7 @@ def test_family_lines_evaluate_on_the_real_view(law, monkeypatch):
         d, c = realize(model), family_perturbation(model, "fuglede", n)
         got = family_path("fuglede_line", {"N": big_n, "n": n, "law": law})._evaluator(ts)
         assert got.tobytes() == (d.mat + ts[:, None, None] * c.mat).tobytes()
+    assert fell_back == []
     for m, power in ((1, 1), (9, 2), (24, 1)):
         d = half_integer_diagonal(m)
         w = cyclic_shift(d.dim, power).mat

@@ -408,12 +408,12 @@ def test_hermitian_rejects_tiny_asymmetry_beyond_tolerance():
 
 
 def test_hermitian_arithmetic(rng):
+    """Matrices combine as arrays: a real combination of validated
+    matrices is exactly Hermitian, so its wrapper keeps its bits."""
     a = HermitianMatrix(random_hermitian(rng, 3))
     b = HermitianMatrix(random_hermitian(rng, 3))
-    np.testing.assert_allclose((a + b).mat, a.mat + b.mat)
-    np.testing.assert_allclose((a - b).mat, a.mat - b.mat)
-    np.testing.assert_allclose((2.5 * a).mat, 2.5 * a.mat)
-    np.testing.assert_allclose((-a).mat, -a.mat)
+    for combined in (a.mat + b.mat, a.mat - b.mat, 2.5 * a.mat, -a.mat):
+        np.testing.assert_array_equal(HermitianMatrix(combined).mat, combined)
     assert HermitianMatrix(np.eye(3)).norm == 1.0
     assert HermitianMatrix(np.zeros((2, 2))).norm == 0.0
 

@@ -121,7 +121,7 @@ def test_metric_report_validates():
 def test_norm_graph_check_both_directions(rng):
     # close pair: both hypotheses active, both implications must hold
     t = HermitianMatrix(np.diag([0.5, -1.5]))
-    rep = norm_graph_equivalence_check(t, t + 0.01 * HermitianMatrix(np.eye(2)), 2.0)
+    rep = norm_graph_equivalence_check(t, HermitianMatrix(t.mat + 0.01 * np.eye(2)), 2.0)
     assert rep.hyp_graph_small and rep.norm_from_graph_ok
     assert rep.hyp_norm_small and rep.graph_from_norm_ok
     assert rep.ok
@@ -137,9 +137,9 @@ def test_norm_graph_check_random_sweep(rng):
     for _ in range(100):
         dim = int(rng.integers(1, 9))
         t = HermitianMatrix(random_hermitian(rng, dim))
-        t = (1.0 / max(1.0, t.norm)) * t  # keep within radius 2
+        t = HermitianMatrix(t.mat * (1.0 / max(1.0, t.norm)))  # keep within radius 2
         pert = HermitianMatrix(random_hermitian(rng, dim, scale=0.05))
-        assert norm_graph_equivalence_check(t, t + pert, 2.0).ok
+        assert norm_graph_equivalence_check(t, HermitianMatrix(t.mat + pert.mat), 2.0).ok
 
 
 def _cells(model, families=FAMILIES, ns=None):
@@ -301,7 +301,8 @@ def test_report_checks_both_graph_routes_on_every_row(graph_distance_details):
     recorded = list(graph_distance_details)
     assert len(recorded) == len(rows)
     direct = [
-        d_G_detail(d + family_perturbation(model, r.family, r.n), d).delta for r in rows
+        d_G_detail(HermitianMatrix(d.mat + family_perturbation(model, r.family, r.n).mat), d).delta
+        for r in rows
     ]
     assert [detail.delta for detail in recorded] == direct
     assert max(direct) > 0.0  # the two routes really are different computations

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from specflowlab.errors import InputError
-from specflowlab.matcore import op_norm
+from specflowlab.matcore import HermitianMatrix, op_norm
 from specflowlab.metrics import d_G, d_N, d_R, d_W
 from specflowlab.opmodel import (
     FAMILIES,
@@ -85,7 +85,7 @@ def test_closed_forms_match_measured_distances():
     for family in ("rank_one", "lambda", "fuglede"):
         for n in (1, 2, 7, 20):
             c = family_perturbation(model, family, n)
-            t1 = d + c
+            t1 = HermitianMatrix(d.mat + c.mat)
             cf = closed_form_distances(model, family, n)
             assert d_N(t1, d) == pytest.approx(cf["d_N"], abs=1e-12)
             assert d_W(t1, d, d) == pytest.approx(cf["d_W"], abs=1e-12)
@@ -99,7 +99,7 @@ def test_swap_family_no_closed_form_but_bounds_hold():
     assert closed_form_distances(model, "swap", 5) is None
     for n in (2, 5, 12, 31):
         bounds = swap_bounds(model, n)
-        t1 = d + family_perturbation(model, "swap", n)
+        t1 = HermitianMatrix(d.mat + family_perturbation(model, "swap", n).mat)
         assert d_N(t1, d) == pytest.approx(bounds["d_N"], abs=1e-12)
         assert d_W(t1, d, d) == pytest.approx(bounds["d_W"], abs=1e-12)
         assert d_G(t1, d) <= bounds["d_G_upper"] + 1e-12
@@ -120,7 +120,7 @@ def test_swap_bounds_scaling_in_n():
 def test_fuglede_perturbation_flips_one_eigenvalue():
     model = DiagonalModel(8, "linear")
     d = realize(model)
-    t1 = d + family_perturbation(model, "fuglede", 3)
+    t1 = HermitianMatrix(d.mat + family_perturbation(model, "fuglede", 3).mat)
     vals = np.sort(np.linalg.eigvalsh(t1.mat))
     np.testing.assert_allclose(vals, [-3, 1, 2, 4, 5, 6, 7, 8], atol=1e-12)
 
@@ -159,5 +159,5 @@ def test_signed_law_families_still_work():
     d = realize(model)
     for family in ("rank_one", "lambda", "fuglede"):
         cf = closed_form_distances(model, family, 4)
-        t1 = d + family_perturbation(model, family, 4)
+        t1 = HermitianMatrix(d.mat + family_perturbation(model, family, 4).mat)
         assert d_G(t1, d) == pytest.approx(cf["d_G"], abs=1e-12)

@@ -8,7 +8,12 @@ The checks go by name, not by binding: a member passes when any library
 module reads an attribute of that name, on whatever object. So a
 test-only member that shares its name with a used one (a ``zeros``
 classmethod beside ``np.zeros``, a ``dim`` property beside every other
-``.dim``) is not caught here and has to be found by reading."""
+``.dim``) is not caught here and has to be found by reading. Nor can a
+name-based audit see an operator or a conversion (``a + b``, ``int(r)``
+call ``__add__`` and ``__int__`` by syntax, not by name), so the last
+check fails on any numeric-operator or conversion method an exported
+class defines: the library combines matrices as arrays (``.mat``) and
+reads results by field."""
 
 import ast
 import inspect
@@ -72,3 +77,15 @@ def test_every_public_member_has_a_library_use_or_a_readme_claim():
     assert len(members) > 30
     used = _used_in_library() | _named_in_readme()
     assert [m for m in members if m.split(".")[1] not in used] == []
+
+
+#: numeric-operator and conversion methods, which syntax calls, not a name
+OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__truediv__", "__neg__", "__pos__", "__int__", "__float__", "__index__")
+
+
+def test_no_exported_class_defines_a_numeric_operator():
+    classes = [cls for name in _exported() if inspect.isclass(cls := getattr(specflowlab, name))]
+    assert len(classes) > 10
+    found = [f"{cls.__name__}.{op}" for cls in classes for op in OPERATORS if op in vars(cls)]
+    assert found == []

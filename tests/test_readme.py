@@ -1,0 +1,55 @@
+"""The README's quick starts run as written and give the values they state:
+the three Python blocks of "Quick start (Python)" in one namespace, in
+order, and the path file of "Quick start (CLI)" through ``specflow
+compute``. The first block is an opaque path, so its flows take sampled
+step norms."""
+
+import json
+import re
+from pathlib import Path
+
+from specflowlab import OPAQUE, cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _blocks(section: str, lang: str) -> list[str]:
+    """The fenced ``lang`` blocks of the README section headed ``section``."""
+    text = README.read_text()
+    start = text.index(f"\n## {section}\n")
+    end = text.find("\n## ", start + 1)
+    return re.findall(rf"```{lang}\n(.*?)```", text[start:end], flags=re.S)
+
+
+def test_python_quick_start_states_its_values(capsys):
+    blocks = _blocks("Quick start (Python)", "python")
+    assert len(blocks) == 3
+    names: dict = {}
+    exec(compile(blocks[0], "README block 0", "exec"), names)
+    result = names["result"]
+    assert result["value"] == 1
+    assert result["methods"] == {"phillips": 1, "pairsum": 1, "endpoints": 1, "crossing_oracle": 1}
+    segments = result["phillips_certificate"].segments
+    assert len(capsys.readouterr().out.splitlines()) == len(segments)
+
+    exec(compile(blocks[1], "README block 1", "exec"), names)
+    assert names["sf_all_methods"](names["line"], names["SfOptions"]())["value"] == 1
+
+    exec(compile(blocks[2], "README block 2", "exec"), names)
+    assert names["line"].regularity is OPAQUE
+    for name, soundness in (("sloped", "piecewise-affine"), ("wavy", "lipschitz")):
+        path = names[name]
+        assert path.regularity.soundness == soundness
+        result = names["sf_all_methods"](path, names["SfOptions"]())
+        assert result["value"] == 1, name
+        assert result["phillips_certificate"].soundness == soundness
+
+
+def test_cli_quick_start_computes_its_path(tmp_path):
+    (path_json,) = _blocks("Quick start (CLI)", "json")
+    inp, out = tmp_path / "path.json", tmp_path / "flow.json"
+    inp.write_text(path_json)
+    assert cli.main(["compute", "--input", str(inp), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["value"] == 1
+    assert set(payload["methods"].values()) == {1}
