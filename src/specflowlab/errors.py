@@ -23,11 +23,12 @@ class InputError(SpecFlowError, ValueError):
 def coerce_field(value, cast, name: str):
     """``cast(value)`` for the field ``name`` of an input file (cast is int
     or float); a value the cast refuses is an InputError naming the field.
-    An int field also refuses booleans and numbers with a fractional part,
-    which ``int`` would silently truncate."""
+    Both casts also refuse booleans, which they would read as 0 or 1, and
+    an int field refuses numbers with a fractional part, which ``int``
+    would silently truncate."""
     refused = InputError(f"{name}: cannot read {value!r} as {cast.__name__}")
-    if cast is int and (
-        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    if isinstance(value, bool) or (
+        cast is int and isinstance(value, float) and not value.is_integer()
     ):
         raise refused
     try:

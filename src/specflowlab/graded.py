@@ -89,7 +89,7 @@ class GradedOperator:
     @cached_property
     def _odd(self) -> _Operand:
         """matrix() as an operand, with its decomposition and transforms."""
-        return _Operand(self.matrix())
+        return _Operand.of_matrix(self.matrix())
 
     @cached_property
     def _singular_values(self) -> np.ndarray:
@@ -253,7 +253,7 @@ def _trial_failures(
     it raises alone."""
     try:
         perturbed = np.array([g.perturb(b).block for b in blocks])
-        tps = _Operand.of_stack(_hermitian_average(_odd_stack(g.p, perturbed)))
+        tps = _Operand(_hermitian_average(_odd_stack(g.p, perturbed)))
         res, cay = _graph_routes(t0, tps)
         near = [i for i, dist in enumerate(res) if dist < delta]
         projs = iter(())

@@ -262,11 +262,17 @@ def _stack_eigvalsh(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(s)
 
 
-def op_norm(a) -> float:
-    """Operator norm (largest singular value) of a matrix or wrapper type."""
+def _matrix_array(a) -> np.ndarray:
+    """``a`` as a complex128 array, which must be 2-d."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got shape {m.shape}")
+    return m
+
+
+def op_norm(a) -> float:
+    """Operator norm (largest singular value) of a matrix or wrapper type."""
+    m = _matrix_array(a)
     if m.size == 0:
         return 0.0
     return float(_op_norms(m))
@@ -296,6 +302,18 @@ def _frobenius_misses(a: np.ndarray, bound: float) -> list[int]:
     return np.flatnonzero(~(fro <= limit)).tolist()
 
 
+def _norm_over(a: np.ndarray, bound: float, limit: Callable | None = None) -> float | None:
+    """The 2-norm of the first matrix of a (k, n, n) stack above its limit,
+    or None. The limit is ``bound``, or ``limit(i)`` (at least ``bound``)
+    when given; only a matrix the Frobenius screen against ``bound`` misses
+    takes ``op_norm`` and asks ``limit(i)``."""
+    for i in _frobenius_misses(a, bound):
+        norm = op_norm(a[i])
+        if norm > (bound if limit is None else limit(i)):
+            return norm
+    return None
+
+
 class HermitianMatrix:
     """An immutable square complex matrix validated to be Hermitian.
 
@@ -308,18 +326,15 @@ class HermitianMatrix:
     __slots__ = ("_mat", "_norm", "_eig")
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=np.complex128)
-        if a.ndim != 2:
-            raise InputError(f"expected a 2-d matrix, got shape {a.shape}")
-        self._mat = _hermitian_average(a[None])[0]
+        self._mat = _hermitian_average(_matrix_array(entries)[None])[0]
         self._norm: float | None = None
         self._eig: EigenDecomposition | None = None
 
-    @staticmethod
-    def _of_valid(row: np.ndarray) -> HermitianMatrix:
+    @classmethod
+    def _of_valid(cls, row: np.ndarray) -> HermitianMatrix:
         """Wrap one read-only row of a stack ``_hermitian_average`` returned,
         without a second check."""
-        h = object.__new__(HermitianMatrix)
+        h = object.__new__(cls)
         h._mat = row
         h._norm = h._eig = None
         return h
@@ -426,13 +441,9 @@ def _check_eigenbases(w: np.ndarray, v: np.ndarray) -> None:
     each check raises ConsistencyFault."""
     if np.any(np.diff(w, axis=1) < 0):
         raise ConsistencyFault("eigenvalues are not ascending")
-    gram = v.conj().swapaxes(1, 2) @ v - np.eye(w.shape[1])
-    for i in _frobenius_misses(gram, 1e-10):
-        gram_defect = op_norm(gram[i])
-        if gram_defect > 1e-10:
-            raise ConsistencyFault(
-                f"eigenvector columns not orthonormal: defect {gram_defect:.3e}"
-            )
+    gram_defect = _norm_over(v.conj().swapaxes(1, 2) @ v - np.eye(w.shape[1]), 1e-10)
+    if gram_defect is not None:
+        raise ConsistencyFault(f"eigenvector columns not orthonormal: defect {gram_defect:.3e}")
 
 
 def _eigh_stack(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,13 +458,11 @@ def _eigh_stack(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     w, v = np.linalg.eigh(s)
     _check_eigenbases(w, v)
-    resid_mat = _assemble(v, w[:, None, :]) - s
-    for i in _frobenius_misses(resid_mat, 1e-10):
-        resid = op_norm(resid_mat[i])
-        if resid > 1e-10 * (1.0 + op_norm(s[i])):
-            raise ConsistencyFault(
-                f"eigendecomposition reconstruction residual {resid:.3e} too large"
-            )
+    resid = _norm_over(
+        _assemble(v, w[:, None, :]) - s, 1e-10, lambda i: 1e-10 * (1.0 + op_norm(s[i]))
+    )
+    if resid is not None:
+        raise ConsistencyFault(f"eigendecomposition reconstruction residual {resid:.3e} too large")
     return w, v
 
 
@@ -525,11 +534,9 @@ def _projection_stack(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
     projections is checked without LAPACK.
     """
     s = _hermitian_average(entries)
-    idem_mat = s @ s - s
-    for i in _frobenius_misses(idem_mat, 1e-10):
-        idem = op_norm(idem_mat[i])
-        if idem > 1e-10:
-            raise InputError(f"not idempotent: ||P^2 - P|| = {idem:.3e}")
+    idem = _norm_over(s @ s - s, 1e-10)
+    if idem is not None:
+        raise InputError(f"not idempotent: ||P^2 - P|| = {idem:.3e}")
     w = _stack_eigvalsh(s)
     stray = np.max(np.minimum(np.abs(w), np.abs(w - 1.0)), axis=1)
     bad = np.flatnonzero(stray > 1e-9)
@@ -561,21 +568,16 @@ class Projection(HermitianMatrix):
     __slots__ = ("_rank",)
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=np.complex128)
-        if a.ndim != 2:
-            raise InputError(f"expected a 2-d matrix, got shape {a.shape}")
-        p, (rank,) = _projection_stack(a[None])
+        p, (rank,) = _projection_stack(_matrix_array(entries)[None])
         self._mat = p[0]
         self._norm = self._eig = None
         self._rank = rank
 
-    @staticmethod
-    def _of_checked(row: np.ndarray, rank: int) -> "Projection":
+    @classmethod
+    def _of_checked(cls, row: np.ndarray, rank: int) -> "Projection":
         """Wrap one row of a stack ``_projection_stack`` checked, with its
         rank, without a second check."""
-        p = object.__new__(Projection)
-        p._mat = row
-        p._norm = p._eig = None
+        p = cls._of_valid(row)
         p._rank = rank
         return p
 

@@ -25,12 +25,14 @@ diverge from one another.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConsistencyFault, DimensionMismatchError, InputError
 from .matcore import (
+    HermitianMatrix,
     _assemble,
     _chunk_len,
     _chunks,
@@ -66,73 +68,56 @@ class _Operand:
     from one validated stacked eigendecomposition the Riesz and Cayley
     images and the weights (I + H^2)^{-1/2}.
 
-    ``_Operand(h)`` holds one matrix, kept as ``h``, and reads the
-    decomposition it caches; ``_Operand.of_stack`` holds the rows of a stack
-    ``_hermitian_average`` returned. Callers build one per operand or chunk
-    and call; none is kept past the call, except a GradedOperator's, which
-    holds its odd matrix's."""
+    ``_Operand(mats)`` holds the rows of a stack ``_hermitian_average``
+    returned; ``_Operand.of_matrix(h)`` holds one matrix, kept as ``h``, and
+    reads the decomposition it caches. Callers build one per operand or
+    chunk and call; none is kept past the call, except a GradedOperator's,
+    which holds its odd matrix's."""
 
-    __slots__ = ("h", "mats", "_eig", "_resolvent", "_riesz", "_cayley", "_weight")
-
-    def __init__(self, h):
-        self.h = as_hermitian(h)
-        self.mats = self.h.mat[None]
-        self._eig = self._resolvent = self._riesz = self._cayley = self._weight = None
+    def __init__(self, mats: np.ndarray, h: HermitianMatrix | None = None):
+        self.mats = mats
+        self.h = h
 
     @classmethod
-    def of_stack(cls, mats: np.ndarray) -> _Operand:
-        op = object.__new__(cls)
-        op.h = None
-        op.mats = mats
-        op._eig = op._resolvent = op._riesz = op._cayley = op._weight = None
-        return op
+    def of_matrix(cls, h) -> _Operand:
+        h = as_hermitian(h)
+        return cls(h.mat[None], h)
 
     @property
     def dim(self) -> int:
         return self.mats.shape[1]
 
-    @property
+    @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (k, n) and bases (k, n, n)."""
-        if self._eig is None:
-            if self.h is None:
-                self._eig = _eigh_stack(self.mats)
-            else:
-                ed = self.h.eig
-                self._eig = (ed.values[None], ed.vectors[None])
-        return self._eig
+        if self.h is None:
+            return _eigh_stack(self.mats)
+        ed = self.h.eig
+        return ed.values[None], ed.vectors[None]
 
-    @property
+    @cached_property
     def resolvent(self) -> np.ndarray:
-        if self._resolvent is None:
-            eye = np.eye(self.dim, dtype=np.complex128)
-            self._resolvent = np.linalg.inv(self.mats + 1j * eye)
-        return self._resolvent
+        eye = np.eye(self.dim, dtype=np.complex128)
+        return np.linalg.inv(self.mats + 1j * eye)
 
-    @property
+    @cached_property
     def riesz(self) -> np.ndarray:
-        if self._riesz is None:
-            self._riesz = _riesz_stack(*self.eig)
-        return self._riesz
+        return _riesz_stack(*self.eig)
 
-    @property
+    @cached_property
     def cayley(self) -> np.ndarray:
-        if self._cayley is None:
-            self._cayley = _cayley_stack(*self.eig)
-        return self._cayley
+        return _cayley_stack(*self.eig)
 
-    @property
+    @cached_property
     def weight(self) -> np.ndarray:
-        if self._weight is None:
-            w, v = self.eig
-            with np.errstate(over="ignore"):  # x^2 = inf gives 0, like 1 / math.sqrt(1 + x * x)
-                f = 1.0 / np.sqrt(1.0 + w * w)
-            self._weight = _hermitian_average(_assemble(v, f[:, None, :]))
-        return self._weight
+        w, v = self.eig
+        with np.errstate(over="ignore"):  # x^2 = inf gives 0, like 1 / math.sqrt(1 + x * x)
+            f = 1.0 / np.sqrt(1.0 + w * w)
+        return _hermitian_average(_assemble(v, f[:, None, :]))
 
 
 def _operand(t) -> _Operand:
-    return t if isinstance(t, _Operand) else _Operand(t)
+    return t if isinstance(t, _Operand) else _Operand.of_matrix(t)
 
 
 def _pair(t1, t2) -> tuple[_Operand, _Operand]:
@@ -338,10 +323,10 @@ def metric_separation_report(
         n_range = range(1, min(33, model.trunc_dim))
     ns = [model._check_index(n) for n in n_range]
     cells = [(fam, n) for fam in families for n in ns if not (fam == "swap" and n < 2)]
-    d = _Operand(realize(model))
+    d = _Operand.of_matrix(realize(model))
     rows: list[MetricReport] = []
     for chunk in _chunks(cells, _chunk_len(model.trunc_dim)):
-        t = _Operand.of_stack(
+        t = _Operand(
             _hermitian_average(np.array([d.h.mat + _entries(model, fam, n) for fam, n in chunk]))
         )
         dn = _norm_distances(t, d)

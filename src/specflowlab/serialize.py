@@ -49,11 +49,11 @@ def matrix_to_obj(h) -> dict:
     mat = h.mat if isinstance(h, HermitianMatrix) else np.asarray(h, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InputError(f"matrix literal needs a square array, got {mat.shape}")
-    return {
-        "dim": int(mat.shape[0]),
-        "re": np.real(mat).tolist(),
-        "im": np.imag(mat).tolist(),
-    }
+    return {"dim": int(mat.shape[0]), **_array_to_parts(mat)}
+
+
+def _array_to_parts(a: np.ndarray) -> dict:
+    return {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
 
 
 def _parts_to_array(obj: dict, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -83,12 +83,7 @@ def block_to_obj(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise InputError(f"block literal needs a 2-d array, got ndim {a.ndim}")
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "re": np.real(a).tolist(),
-        "im": np.imag(a).tolist(),
-    }
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), **_array_to_parts(a)}
 
 
 def block_from_obj(obj: dict) -> np.ndarray:

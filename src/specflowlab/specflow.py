@@ -43,7 +43,7 @@ independent integer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,8 +105,11 @@ class SfOptions:
         require_int(self.samples, "samples", 2)
         require_int(self.oracle_samples, "oracle_samples", 2)
         require_int(self.max_depth, "max_depth", 1)
+        if isinstance(self.endpoint_gap, (bool, np.bool_)):
+            raise InputError(f"endpoint_gap must be a float, got {self.endpoint_gap!r}")
         if not (np.isfinite(self.endpoint_gap) and self.endpoint_gap > 0):
             raise InputError("endpoint_gap must be positive and finite")
+        object.__setattr__(self, "endpoint_gap", float(self.endpoint_gap))
 
 
 _DEFAULT_OPTS = SfOptions()
@@ -296,7 +299,6 @@ class OperatorPath:
         self._segments: dict[SfOptions, tuple] = {}
         self._grids: dict[int, tuple[float, ...]] = {}
         self._grid_steps: dict[int, tuple[float, ...]] = {}
-        self._ends: tuple[tuple[float, float], tuple[float, float]] | None = None
 
     @property
     def dim(self) -> int:
@@ -425,14 +427,13 @@ class OperatorPath:
 
     def endpoint_gaps(self) -> tuple[float, float]:
         """min |spec| at t = 0 and t = 1."""
-        return self._endpoints()[0]
+        return self._endpoints[0]
 
+    @cached_property
     def _endpoints(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """The end gaps min |spec| at t = 0 and 1, and the same gaps less
         their rounding slack, measured once per path."""
-        if self._ends is None:
-            self._ends = self._measure_ends()
-        return self._ends
+        return self._measure_ends()
 
     def _measure_ends(self) -> tuple[tuple[float, float], tuple[float, float]]:
         # keeps the end matrices: sf_pairsum's outer junctions and
@@ -583,7 +584,7 @@ def _check_endpoints(path: OperatorPath, opts: SfOptions) -> tuple[float, float]
     """The end gaps, once each end's gap less its rounding slack is checked
     against ``opts.endpoint_gap`` (on every call; the path computes the
     gaps once)."""
-    (g0, g1), clear = path._endpoints()
+    (g0, g1), clear = path._endpoints
     if min(clear) <= opts.endpoint_gap:
         raise EndpointError(
             f"path endpoints must be invertible: min |spec| = ({g0:.3e}, {g1:.3e}), "
@@ -1116,7 +1117,7 @@ def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> d
     raise on failure so sweep drivers can count and refine.
     """
     # keeps the ends, which the flows' junctions read, before the grid's values
-    path._endpoints()
+    path.endpoint_gaps()
     ts = _grid(path, opts.samples)
     steps = _grid_steps(path, opts.samples)
     mags = np.abs(np.array(path.values(ts)))

@@ -26,8 +26,8 @@ from .errors import (
 from .matcore import (
     HermitianMatrix,
     _assemble,
-    _frobenius_misses,
     _hermitian_average,
+    _norm_over,
     as_hermitian,
     op_norm,
 )
@@ -84,11 +84,9 @@ def _unitary_stack(a: np.ndarray) -> np.ndarray:
     matrix, Frobenius first; the first failing matrix raises."""
     if not np.all(np.isfinite(a)):
         raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
-    gram = a.conj().swapaxes(1, 2) @ a - np.eye(a.shape[1])
-    for i in _frobenius_misses(gram, 1e-10):
-        defect = op_norm(gram[i])
-        if defect > 1e-10:
-            raise InputError(f"not unitary: ||U*U - I|| = {defect:.3e}")
+    defect = _norm_over(a.conj().swapaxes(1, 2) @ a - np.eye(a.shape[1]), 1e-10)
+    if defect is not None:
+        raise InputError(f"not unitary: ||U*U - I|| = {defect:.3e}")
     a.setflags(write=False)
     return a
 

@@ -116,6 +116,14 @@ _BLOCK = {"rows": 1, "cols": 1, "re": [[1.0]], "im": [[0.0]]}
         ),
         ("metrics", {"N": 8.9}),
         ("metrics", {"N": 8, "n": [1.5]}),
+        (
+            "compute",
+            {
+                "kind": "family",
+                "dim": 4,
+                "family": {"name": "trig_random", "seed": 1, "params": {"gap": True}},
+            },
+        ),
     ],
 )
 def test_malformed_field_exit_1(tmp_path, capsys, command, obj):

@@ -207,6 +207,14 @@ def test_spawn_rngs_refuses_a_count_that_is_not_an_int(count):
         spawn_rngs(0, count)
 
 
+@pytest.mark.parametrize("key", ["gap", "scale"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_trig_family_refuses_a_bool_float_field(key, flag):
+    """``{"gap": true}`` was once read as 1.0 and built a path."""
+    with pytest.raises(InputError, match=f"{key}: cannot read {flag!r} as float"):
+        family_path("trig_random", {key: flag}, seed=1, dim=4)
+
+
 @pytest.mark.parametrize("seed,dim", [(0, 2), (1, 4), (2, 7), (3, 12)])
 def test_trig_path_endpoint_gaps(seed, dim):
     p = trig_path(seed, dim)

@@ -171,6 +171,21 @@ def test_index_stability_inverts_the_base_once(monkeypatch):
     assert calls == [(1, 7, 7), (10, 7, 7)]
 
 
+def test_graded_checks_factor_the_base_odd_matrix_once(monkeypatch):
+    """The cancellation check, the window dimension and the stability
+    check read the odd matrix's one cached decomposition through the
+    operand the operator holds; the thirty trials are factored as one
+    stack."""
+    g = GradedOperator(4, 3, planted_block(np.random.default_rng(5), 3, 4, 2))
+    shapes = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or original(a))
+    assert eigenpair_cancellation_check(g)["ok"]
+    assert graded_window_dim(g, 0.1) == g.kernel_index()
+    assert index_stability_check(g, trials=30)["ok"]
+    assert shapes == [(1, 7, 7), (30, 7, 7)]
+
+
 def test_index_stability_needs_a_gap():
     g = GradedOperator(2, 2, np.zeros((2, 2)))
     with pytest.raises(InputError):

@@ -274,6 +274,20 @@ def test_sf_options_refuse_a_bool(field):
         SfOptions(**{field: True})
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_sf_options_refuse_a_bool_endpoint_gap(flag):
+    """``SfOptions(endpoint_gap=True)`` was once accepted, and certificates
+    printed ``"endpoint_gap": true``."""
+    with pytest.raises(InputError, match="endpoint_gap must be a float"):
+        SfOptions(endpoint_gap=flag)
+
+
+def test_sf_options_store_the_endpoint_gap_as_a_float():
+    opts = SfOptions(endpoint_gap=1)
+    assert type(opts.endpoint_gap) is float
+    assert opts == SfOptions(endpoint_gap=1.0)
+
+
 def test_operator_path_refuses_a_bool_dim():
     with pytest.raises(InputError, match="dim must be an int >= 1, got True"):
         OperatorPath(lambda ts: np.ones((len(ts), 1, 1)), True)
