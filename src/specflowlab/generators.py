@@ -353,6 +353,8 @@ def trig_path(
     rng = _as_rng(seed_or_rng)
     require_int(dim, "dim", 1)
     require_int(degree, "degree", 1)
+    if not np.isfinite(scale):
+        raise InputError("scale must be finite")
     raw, rate = _trig_evaluator(rng, dim, degree, scale)
     return _tilted_path(raw, rate, dim, gap)
 

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyFault, FinitenessError, InputError, SpecFlowError, require_int
+from .errors import ConsistencyFault, FinitenessError, InputError, require_int
 from .matcore import (
     HermitianMatrix,
     Interval,
@@ -190,9 +190,15 @@ def index_stability_check(
     ``tol`` is the spectral gap's: singular values at or below it do not
     count. ``trials`` and ``seed`` must be nonnegative ints.
 
-    The trials run in chunks of ``_chunk_len`` (``_trial_failures``), each
-    value and failure bit for bit the one-trial loop's, with the same
-    generator draws in the same order.
+    The trials run in chunks of ``_chunk_len``, with the same generator
+    draws in the same order as a one-trial loop. Per chunk the perturbed
+    odd matrices are validated, factored and inverted together, both
+    graph-distance routes against the base are stacked, and the window
+    projections of the trials within graph distance ``delta`` are stacked
+    (a farther trial never checks its window); each value is bit for bit
+    the one-trial value. A stacked step raises what its first failing
+    check raises, on that check's first failing trial. The trials are then
+    walked in order.
     """
     require_int(trials, "trials", 0)
     require_int(seed, "seed", 0)
@@ -203,6 +209,7 @@ def index_stability_check(
     base_index = g.kernel_index()
     t0 = g._odd
     grading = g.grading()
+    window = Interval(-0.5 * gap, 0.5 * gap)
     if _window_dim(t0.h, grading, 0.5 * gap) != base_index:
         raise ConsistencyFault("window dimension disagrees with kernel index at start")
     rng = np.random.default_rng(seed)
@@ -219,8 +226,23 @@ def index_stability_check(
         if scaled:
             for (b, f), norm in zip(scaled, _op_norms(np.array([b for b, _ in scaled]))):
                 b *= f / norm
-        blocks = [b for b, _ in draws]
-        failures += _trial_failures(g, t0, grading, 0.5 * gap, delta, list(ks), blocks)
+        perturbed = np.array([g.perturb(b).block for b, _ in draws])
+        tps = _Operand(_hermitian_average(_odd_stack(g.p, perturbed)))
+        res, cay = _graph_routes(t0, tps)
+        near = [i for i, dist in enumerate(res) if dist < delta]
+        projs = iter(())
+        if near:
+            w, v = tps.eig
+            norms = _op_norms(tps.mats[near]).tolist()
+            projs = iter(_spectral_projections(w[near], v[near], norms, window)[0])
+        for k, r, c in zip(ks, res, cay):
+            dist = metrics._graph_detail(r, c).resolvent_route
+            if dist >= delta:
+                failures.append({"trial": k, "reason": "graph distance", "value": dist})
+                continue
+            dim = _graded_dim(grading, next(projs))
+            if dim != base_index:
+                failures.append({"trial": k, "reason": "window dim", "value": dim})
     return {
         "check": "graded_index_stability",
         "trials": trials,
@@ -231,52 +253,3 @@ def index_stability_check(
         "ok": not failures,
         "seed": seed,
     }
-
-
-def _trial_failures(
-    g: GradedOperator,
-    t0: _Operand,
-    grading: HermitianMatrix,
-    eps: float,
-    delta: float,
-    ks: list[int],
-    blocks: list[np.ndarray],
-) -> list[dict]:
-    """The failures of the stability trials ``ks``, whose perturbations
-    are ``blocks``, from one stack: the perturbed odd matrices validated,
-    factored and inverted together, both graph-distance routes against
-    ``t0`` stacked, and the [-eps, eps] projections of the trials within
-    ``delta`` stacked (a trial at graph distance ``delta`` or more never
-    checks its window). Each value is bit for bit the one-trial value. The
-    trials are then walked in order; if the stacked work raises, the trials
-    are taken again one at a time, so the first failing trial raises what
-    it raises alone."""
-    try:
-        perturbed = np.array([g.perturb(b).block for b in blocks])
-        tps = _Operand(_hermitian_average(_odd_stack(g.p, perturbed)))
-        res, cay = _graph_routes(t0, tps)
-        near = [i for i, dist in enumerate(res) if dist < delta]
-        projs = iter(())
-        if near:
-            w, v = tps.eig
-            norms = _op_norms(tps.mats[near]).tolist()
-            window = Interval(-eps, eps)
-            projs = iter(_spectral_projections(w[near], v[near], norms, window)[0])
-    except (SpecFlowError, np.linalg.LinAlgError):
-        if len(ks) == 1:
-            raise
-        return [
-            failure
-            for k, b in zip(ks, blocks)
-            for failure in _trial_failures(g, t0, grading, eps, delta, [k], [b])
-        ]
-    failures = []
-    for k, r, c in zip(ks, res, cay):
-        dist = metrics._graph_detail(r, c).resolvent_route
-        if dist >= delta:
-            failures.append({"trial": k, "reason": "graph distance", "value": dist})
-            continue
-        dim = _graded_dim(grading, next(projs))
-        if dim != g.kernel_index():
-            failures.append({"trial": k, "reason": "window dim", "value": dim})
-    return failures

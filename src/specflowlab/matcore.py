@@ -39,7 +39,6 @@ from .errors import (
     HermiticityError,
     IllConditionedRankWarning,
     InputError,
-    SpecFlowError,
 )
 
 __all__ = [
@@ -652,30 +651,22 @@ def _nonneg_projections(mats: Sequence[HermitianMatrix]) -> tuple[np.ndarray, li
     (``.eig``) are computed by one ``_eigh_stack`` and cached on their
     matrices, and each B B* is formed from its own basis columns. One
     ``_projection_stack`` checks them all. Each projection and rank is bit
-    for bit what its matrix gets alone. If a check fails, the matrices are
-    taken again one at a time, so the first failing one raises what it
-    raises alone.
+    for bit what its matrix gets alone; each check raises on its first
+    failing matrix.
     """
-    try:
-        s = np.stack([m.mat for m in mats])
-        p = _diagonal_nonneg_projections(s)
-        if p is None:
-            todo = [i for i, m in enumerate(mats) if m._eig is None]
-            if todo:
-                w, v = _eigh_stack(s if len(todo) == len(mats) else s[todo])
-                for i, wi, vi in zip(todo, w, v):
-                    mats[i]._eig = EigenDecomposition._of_valid(wi, vi)
-            p = np.empty(s.shape, dtype=np.complex128)
-            for i, m in enumerate(mats):
-                b = m.eig.vectors[:, m.eig.values >= 0.0]
-                p[i] = b @ b.conj().T
-        return _projection_stack(p)
-    except SpecFlowError:
-        if len(mats) == 1:
-            raise
-        for m in mats:
-            _nonneg_projections([m])
-        raise
+    s = np.stack([m.mat for m in mats])
+    p = _diagonal_nonneg_projections(s)
+    if p is None:
+        todo = [i for i, m in enumerate(mats) if m._eig is None]
+        if todo:
+            w, v = _eigh_stack(s if len(todo) == len(mats) else s[todo])
+            for i, wi, vi in zip(todo, w, v):
+                mats[i]._eig = EigenDecomposition._of_valid(wi, vi)
+        p = np.empty(s.shape, dtype=np.complex128)
+        for i, m in enumerate(mats):
+            b = m.eig.vectors[:, m.eig.values >= 0.0]
+            p[i] = b @ b.conj().T
+    return _projection_stack(p)
 
 
 def _diagonal_nonneg_projections(s: np.ndarray) -> np.ndarray | None:

@@ -42,6 +42,8 @@ independent integer.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
@@ -105,11 +107,12 @@ class SfOptions:
         require_int(self.samples, "samples", 2)
         require_int(self.oracle_samples, "oracle_samples", 2)
         require_int(self.max_depth, "max_depth", 1)
-        if isinstance(self.endpoint_gap, (bool, np.bool_)):
-            raise InputError(f"endpoint_gap must be a float, got {self.endpoint_gap!r}")
-        if not (np.isfinite(self.endpoint_gap) and self.endpoint_gap > 0):
+        gap = self.endpoint_gap
+        if isinstance(gap, bool) or not isinstance(gap, numbers.Real):
+            raise InputError(f"endpoint_gap must be a float, got {gap!r}")
+        if not 0 < gap <= sys.float_info.max:
             raise InputError("endpoint_gap must be positive and finite")
-        object.__setattr__(self, "endpoint_gap", float(self.endpoint_gap))
+        object.__setattr__(self, "endpoint_gap", float(gap))
 
 
 _DEFAULT_OPTS = SfOptions()
@@ -482,8 +485,11 @@ class OperatorPath:
         def evaluate(ts: np.ndarray) -> list:
             mats = [fn(t) for t in ts.tolist()]
             for m in mats:
-                if np.shape(m) != (dim, dim):
-                    raise _dim_error(HermitianMatrix(m).dim, dim)
+                shape = np.shape(m)
+                if shape != (dim, dim):
+                    if len(shape) != 2 or shape[0] != shape[1]:
+                        HermitianMatrix(m)  # raises its ndim or non-square error
+                    raise _dim_error(shape[0], dim)
             return mats
 
         return cls(evaluate, dim, regularity=regularity)
@@ -777,9 +783,10 @@ def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertifi
     ind(P(t_j), P(t_{j-1})) of the nonnegative spectral projections at its
     ends. The junctions are projected in stacks of ``_chunk_len`` matrices
     (``nonneg_projection`` is the one-matrix case), each validated once,
-    all before any pair is counted, so the first failing junction raises
-    what a junction-by-junction loop raises; the pairs of consecutive
-    junctions are counted in stacks (``pair_index`` is the one-pair case).
+    all before any pair is counted; the pairs of consecutive junctions are
+    counted in stacks (``pair_index`` is the one-pair case). A stacked step
+    raises what its first failing check raises, on that check's first
+    failing junction or pair.
     """
 
     def pair_total(segs: tuple[SfSegment, ...]) -> int:

@@ -124,6 +124,14 @@ _BLOCK = {"rows": 1, "cols": 1, "re": [[1.0]], "im": [[0.0]]}
                 "family": {"name": "trig_random", "seed": 1, "params": {"gap": True}},
             },
         ),
+        (
+            "compute",
+            {
+                "kind": "family",
+                "dim": 4,
+                "family": {"name": "trig_random", "seed": 1, "params": {"scale": "inf"}},
+            },
+        ),
     ],
 )
 def test_malformed_field_exit_1(tmp_path, capsys, command, obj):

@@ -126,24 +126,27 @@ def test_index_stability_reuses_the_base_exactly(graph_distance_details, p, q, r
     assert rep["ok"] == (not failures)
 
 
-def test_a_failing_trial_stack_is_taken_one_trial_at_a_time(monkeypatch):
-    """When the stacked trials raise, each is taken again alone, in order:
-    the report is the stacked one, and a fault at trial 2 is raised before
-    any later trial's window is computed."""
+def test_a_failing_trial_stack_raises_from_the_stacked_call(monkeypatch):
+    """A fault of a stacked step propagates as it is raised, after the one
+    stacked call; no trial is taken again alone. A fault the walk over the
+    trials meets at trial 2 is raised there."""
     g = GradedOperator(4, 3, planted_block(np.random.default_rng(3), 3, 4, 2))
-    want = index_stability_check(g, trials=6, seed=2)
     sizes = []
     inner = graded._spectral_projections
 
     def stack_fails(w, *args):
         sizes.append(len(w))
-        if len(w) > 1:
-            raise BoundaryCollisionError("a window collides somewhere in the stack")
-        return inner(w, *args)
+        raise BoundaryCollisionError("a window collides somewhere in the stack")
 
     monkeypatch.setattr(graded, "_spectral_projections", stack_fails)
-    assert index_stability_check(g, trials=6, seed=2) == want
-    assert sizes == [6] + [1] * 6
+    with pytest.raises(BoundaryCollisionError) as raised:
+        index_stability_check(g, trials=6, seed=2)
+    assert str(raised.value) == "a window collides somewhere in the stack"
+    assert sizes == [6]
+
+    def recording(w, *args):
+        sizes.append(len(w))
+        return inner(w, *args)
 
     sizes.clear()
     details = []
@@ -155,10 +158,12 @@ def test_a_failing_trial_stack_is_taken_one_trial_at_a_time(monkeypatch):
             raise ConsistencyFault("graph-distance routes disagree at trial 2")
         return check(res, cay)
 
+    monkeypatch.setattr(graded, "_spectral_projections", recording)
     monkeypatch.setattr(metrics, "_graph_detail", third_fails)
     with pytest.raises(ConsistencyFault, match="at trial 2"):
         index_stability_check(g, trials=6, seed=2)
-    assert sizes == [6, 1, 1, 1]
+    assert sizes == [6]
+    assert len(details) == 3
 
 
 def test_index_stability_inverts_the_base_once(monkeypatch):

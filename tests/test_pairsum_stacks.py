@@ -1,5 +1,8 @@
 """sf_pairsum projects its junctions in stacks: the same bits, ranks and
-pair-index routes as one junction at a time, and the same first fault.
+pair-index routes as one junction at a time. A stacked step raises what
+its first failing check raises, on that check's first failing junction,
+and nothing is taken again one junction at a time: with one faulty
+junction that is the fault a junction-by-junction loop raises.
 
 The Toeplitz line with m = 24 is dim 49, where a chunk holds 6 matrices,
 and its 9 junctions span two chunks (6 + 3), as do its 8 pairs (6 + 2).
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 
 from specflowlab import matcore, specflow
-from specflowlab.errors import SpecFlowError
+from specflowlab.errors import ConsistencyFault, SpecFlowError
 from specflowlab.generators import family_path, line_path, random_unitary
 from specflowlab.matcore import HermitianMatrix, Projection, eigh, nonneg_projection
 from specflowlab.projpair import pair_index
@@ -116,9 +119,6 @@ FAULTS = [
     [("routes", 4)],
     [("routes", 5)],
     [("routes", 7)],  # a pair of the second chunk of pairs
-    # a later junction's fault that a check-by-check pass over the stack
-    # would meet first
-    [("idempotent", 4), ("eigenbasis", 5)],
     # a fault of the first chunk before one of the second
     [("eigenbasis", 7), ("idempotent", 8)],
     # every junction is projected before any pair is counted
@@ -146,6 +146,32 @@ def test_first_failing_junction_raises_as_junction_by_junction(faults, monkeypat
         sf_pairsum(path)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+def test_two_faults_in_one_chunk_raise_the_first_failing_check(monkeypatch):
+    """Junctions 4 and 5 share the first chunk. Junction 4's projection
+    fails the idempotence check, junction 5's basis the Gram check. A
+    junction-by-junction loop meets junction 4's fault first. The stack
+    validates every basis before any projection is formed, so it raises
+    junction 5's Gram defect after one eigh call for the chunk."""
+    path = _dense_line()
+    junctions = _junctions(path)
+    mats = [path.matrix(t).mat for t in junctions]
+    unchecked = [_unchecked_projection(path.matrix(t)) for t in junctions]
+    _inject(monkeypatch, "idempotent", unchecked[4], 4)
+    _inject(monkeypatch, "eigenbasis", mats[5], 5)
+    with pytest.raises(ConsistencyFault, match="not orthonormal") as want:
+        eigh(HermitianMatrix(mats[5]))
+    shapes = []
+    faulty = np.linalg.eigh
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a, *args: shapes.append(np.shape(a)) or faulty(a, *args)
+    )
+    with pytest.raises(SpecFlowError) as got:
+        sf_pairsum(path)
+    assert type(got.value) is ConsistencyFault
+    assert str(got.value) == str(want.value)
+    assert shapes == [(6, path.dim, path.dim)]
 
 
 #: Toeplitz lines at dims 3, 49 and 97, with junction chunks of 2, of 6 and

@@ -274,10 +274,11 @@ def test_sf_options_refuse_a_bool(field):
         SfOptions(**{field: True})
 
 
-@pytest.mark.parametrize("flag", [True, False, np.True_])
+@pytest.mark.parametrize("flag", [True, False, np.True_, "1e-3", None, [1e-3]])
 def test_sf_options_refuse_a_bool_endpoint_gap(flag):
     """``SfOptions(endpoint_gap=True)`` was once accepted, and certificates
-    printed ``"endpoint_gap": true``."""
+    printed ``"endpoint_gap": true``; a string, None or a list once raised
+    numpy's bare TypeError."""
     with pytest.raises(InputError, match="endpoint_gap must be a float"):
         SfOptions(endpoint_gap=flag)
 
@@ -660,10 +661,13 @@ def test_stacked_evaluator_errors_match_the_scalar_ones():
     assert str(stacked.value) == str(scalar.value)
 
 
-@pytest.mark.parametrize("bad", [np.eye(2), np.zeros((3, 4)), np.ones(3)])
+@pytest.mark.parametrize(
+    "bad", [np.eye(2), np.zeros((3, 4)), np.ones(3), np.array([[1.0, 2.0], [0.0, 1.0]])]
+)
 def test_scalar_callable_of_the_wrong_shape(bad):
     """A wrong-shape matrix in the middle of a grid raises what a one-point
-    evaluation raises."""
+    evaluation raises. A square matrix of the wrong size names its size,
+    even when it is not Hermitian."""
 
     def evaluate(t):
         return bad if t == 0.5 else np.eye(3)
