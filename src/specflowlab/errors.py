@@ -11,6 +11,9 @@ Three failure families matter to callers (and to the CLI exit-code map):
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class SpecFlowError(Exception):
     """Base class for all package-specific errors."""
@@ -47,6 +50,17 @@ def require_int(value, name: str, low: int, high: int | None = None) -> int:
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise InputError(f"{name} must be an int {span}, got {value!r}")
     return value
+
+
+def require_real(value, name: str) -> float:
+    """``value`` as a float (an int past the float range as an infinity) if
+    it is a real number, not a bool; otherwise an InputError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a float, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 class HermiticityError(InputError):

@@ -28,12 +28,12 @@ Named families (the "family" kind of the path file format):
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, coerce_field, require_int
+from .errors import InputError, coerce_field, require_int, require_real
 from .matcore import (
     HermitianMatrix,
     _assemble,
@@ -123,7 +123,7 @@ def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryMatrix:
 
 
 def _check_gap(gap: float) -> None:
-    if not (np.isfinite(gap) and gap > 0):
+    if not 0 < require_real(gap, "gap") < math.inf:
         raise InputError("gap must be positive and finite")
 
 
@@ -353,7 +353,7 @@ def trig_path(
     rng = _as_rng(seed_or_rng)
     require_int(dim, "dim", 1)
     require_int(degree, "degree", 1)
-    if not np.isfinite(scale):
+    if not math.isfinite(require_real(scale, "scale")):
         raise InputError("scale must be finite")
     raw, rate = _trig_evaluator(rng, dim, degree, scale)
     return _tilted_path(raw, rate, dim, gap)
@@ -448,25 +448,20 @@ def homotopy_family(seed_or_rng, dim: int):
     if style == 0:
         g0, g1 = f.endpoint_gaps()
         eps = 0.4 * min(g0, g1)
-
-        def h_of(s: float, ts: np.ndarray) -> np.ndarray:
-            return f.stack(ts) + s * eps * np.eye(dim)
-
-        label = "additive_drift"
     else:
         u_of = unitary_rotation_path(rng, dim, 0.8)
 
-        def h_of(s: float, ts: np.ndarray) -> np.ndarray:
-            u = u_of(s)
-            return u.conj().T @ f.stack(ts) @ u
-
-        label = "unitary_conjugation"
-
     @cache
     def row(s: float) -> OperatorPath:
-        return OperatorPath(partial(h_of, s), dim, regularity=f.regularity)
+        # the row's shift s e I, or its U(s) and U(s)*, built once
+        if style == 0:
+            shift = s * eps * np.eye(dim)
+            return OperatorPath(lambda ts: f.stack(ts) + shift, dim, regularity=f.regularity)
+        u = u_of(s)
+        u_h = u.conj().T
+        return OperatorPath(lambda ts: u_h @ f.stack(ts) @ u, dim, regularity=f.regularity)
 
-    return row, s_grid, label
+    return row, s_grid, ("additive_drift", "unitary_conjugation")[style]
 
 
 def line_path(a: HermitianMatrix, b: HermitianMatrix) -> OperatorPath:

@@ -286,6 +286,14 @@ def _op_norms(a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
+def _diff_norms(mats) -> np.ndarray:
+    """The 2-norms ||mats[k+1] - mats[k]|| of a sequence of (n, n) arrays,
+    one stacked ``_op_norms`` per chunk of ``_chunk_len(n)`` differences."""
+    size = _chunk_len(len(mats[0]))
+    parts = (mats[lo : lo + size + 1] for lo in range(0, len(mats) - 1, size))
+    return np.concatenate([_op_norms(np.subtract(p[1:], p[:-1])) for p in parts])
+
+
 def _frobenius_misses(a: np.ndarray, bound: float) -> list[int]:
     """Indices of the matrices of a (k, n, n) stack that the cheap
     sufficient test for ``op_norm(a_i) <= bound`` does not accept.

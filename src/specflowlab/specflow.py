@@ -42,7 +42,6 @@ independent integer.
 
 from __future__ import annotations
 
-import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -58,15 +57,16 @@ from .errors import (
     InputError,
     SamplingError,
     require_int,
+    require_real,
 )
 from .matcore import (
     EigenDecomposition,
     HermitianMatrix,
     _chunk_len,
     _chunks,
+    _diff_norms,
     _hermitian_stack,
     _nonneg_projections,
-    _op_norms,
     _stack_eigvalsh,
     as_hermitian,
     op_norm,
@@ -107,12 +107,10 @@ class SfOptions:
         require_int(self.samples, "samples", 2)
         require_int(self.oracle_samples, "oracle_samples", 2)
         require_int(self.max_depth, "max_depth", 1)
-        gap = self.endpoint_gap
-        if isinstance(gap, bool) or not isinstance(gap, numbers.Real):
-            raise InputError(f"endpoint_gap must be a float, got {gap!r}")
+        gap = require_real(self.endpoint_gap, "endpoint_gap")
         if not 0 < gap <= sys.float_info.max:
             raise InputError("endpoint_gap must be positive and finite")
-        object.__setattr__(self, "endpoint_gap", float(gap))
+        object.__setattr__(self, "endpoint_gap", gap)
 
 
 _DEFAULT_OPTS = SfOptions()
@@ -259,8 +257,7 @@ class OperatorPath:
       one fresh array, keeping nothing;
     * ``steps(ts)`` returns bounds on the operator-norm steps between
       consecutive grid points: the declared rate * |dt|, or for an opaque
-      path the sampled norms, one 2-norm of the kept matrices' difference
-      per pair;
+      path the sampled 2-norms of the kept matrices' differences;
     * ``eig(t)`` is the validated full decomposition the matrix at t caches.
 
     A method that needs a point's matrix asks for it before its
@@ -418,12 +415,11 @@ class OperatorPath:
     def steps(self, ts: Sequence[float]) -> list[float]:
         """Bounds on the operator-norm steps ||H(ts[k+1]) - H(ts[k])|| along
         a grid: the declared regularity's rate * |dt|, evaluating nothing.
-        An opaque path's steps are the sampled norms themselves, one 2-norm
-        per pair of its kept matrices."""
+        An opaque path's steps are the sampled norms themselves, of the
+        differences of its kept matrices (``_diff_norms``)."""
         if self._regularity.declared:
             return self._regularity.step_bounds(ts)
-        mats = self.matrices(ts)
-        return [op_norm(b.mat - a.mat) for a, b in zip(mats[:-1], mats[1:])]
+        return _diff_norms([m.mat for m in self.matrices(ts)]).tolist()
 
     def nonneg_count(self, t: float) -> int:
         return int(np.sum(self.values(t) >= 0.0))
@@ -468,7 +464,7 @@ class OperatorPath:
             frac = (x - i)[:, None, None]
             return (1.0 - frac) * arr[i] + frac * arr[i + 1]
 
-        rates = last * _op_norms(np.diff(arr, axis=0))
+        rates = last * _diff_norms(arr)
         ts = [i / last for i in range(last + 1)]
         path = cls(evaluate, dim, regularity=piecewise_affine(ts[1:-1], rates))
         # the samples are kept as given, not re-evaluated by the interpolant
@@ -830,14 +826,10 @@ def _clearance(path: OperatorPath, vals) -> np.ndarray:
 
 def _reach_bound(
     path: OperatorPath, ts: list[float], steps: list[float], idx: list[int], vals
-) -> float:
-    """An upper bound on the oracle's reach, the largest sample tolerance
-    over the grid ``ts``, from the eigenvalues ``vals`` at the grid indices
-    ``idx`` alone (increasing, both ends among them); the reach itself when
-    ``idx`` holds every index. The refusal from the step bounds
-    (``_refuse_on_step_bounds``) passes the two end indices alone, the
-    widest bound, whose eigenvalues the end check holds, so it evaluates
-    nothing.
+) -> np.ndarray:
+    """Per sample of the grid ``ts``, an upper bound on its tolerance from
+    the eigenvalues ``vals`` at the grid indices ``idx`` alone (increasing,
+    both ends among them), exact at every index of ``idx``.
 
     The tolerance of sample k needs ||H(t_k)||, computed as its largest
     |eigenvalue|. Between two evaluated indices i < j of a declared path it
@@ -851,46 +843,56 @@ def _reach_bound(
         inside = (np.minimum(tops[:-1], tops[1:]) + moves) * (1.0 + _gamma(path.dim)) ** 2
         norms = np.append(np.repeat(inside, np.diff(idx)), 0.0)
         norms[idx] = tops
-    return float(np.max(_tolerances(path, steps, norms[:, None])))
+    return _tolerances(path, steps, norms[:, None])
 
 
-def _aliased(reach: float, gap: float) -> SamplingError:
-    return SamplingError(
-        f"oracle sample tolerance {reach:.3e} is not below half the endpoint gap "
-        f"{gap:.3e}; increase oracle_samples"
-    )
+def _guard(
+    path: OperatorPath, opts: SfOptions, ts: list[float], steps: list[float], gap: float
+) -> tuple[list[int], list[np.ndarray]]:
+    """The oracle's aliasing guard on the grid ``ts``: the reach, the
+    largest sample tolerance, must stay below half the endpoint gap ``gap``.
+    Returns the evaluated grid indices and their eigenvalues if it does,
+    and raises the oracle's ``SamplingError`` if not.
+
+    It evaluates index sets of the grid in turn: the two ends (held by the
+    end check), only when the step floor, the share (``_step_share``) of
+    the largest step, reaches half the gap; the seeds, the points of the
+    ``opts.samples`` grid (all points on an opaque path); the whole grid.
+    Each set brackets the reach. The upper end is the largest per-sample
+    bound (``_reach_bound``); the lower end is the larger of the step floor
+    (every tolerance adds a nonnegative slack to its share of a neighbour
+    step) and the exact tolerance of every evaluated sample. The guard
+    passes when the upper end is below half the gap, and refuses when the
+    lower end is not and both ends print alike with ``.3e``, which rounds
+    correctly, so monotonically: the reach prints the same digits. On the
+    whole grid the two ends are equal, so the last set always decides.
+    """
+    floor = max(steps) * _step_share(path)
+    seeds = set(_grid(path, opts.samples)) if path.regularity.declared else set(ts)
+    sets = [[0, len(ts) - 1]] if path.regularity.declared and floor >= 0.5 * gap else []
+    sets += [[k for k, t in enumerate(ts) if t in seeds], list(range(len(ts)))]
+    for idx in sets:
+        at_idx = path.values([ts[k] for k in idx])
+        tol = _reach_bound(path, ts, steps, idx, at_idx)
+        top = float(np.max(tol))
+        if top < 0.5 * gap:
+            return idx, at_idx
+        low = max(floor, float(np.max(tol[idx])))
+        if low >= 0.5 * gap and f"{low:.3e}" == f"{top:.3e}":
+            raise SamplingError(
+                f"oracle sample tolerance {low:.3e} is not below half the endpoint gap "
+                f"{gap:.3e}; increase oracle_samples"
+            )
 
 
 def _refuse_on_step_bounds(path: OperatorPath, opts: SfOptions, gap: float) -> None:
-    """Raise the oracle's ``SamplingError`` when a declared path's step
-    bounds alone prove that its aliasing guard refuses; otherwise return,
-    having evaluated nothing (an opaque path takes no step here).
-
-    Every sample tolerance of the ``opts.oracle_samples`` grid is its share
-    (``_step_share``) of the larger neighbour step plus a nonnegative
-    rounding slack, and a rounded product is monotone, so the reach is at
-    least the share of the largest step, the step floor. When the floor
-    reaches half the endpoint gap ``gap``, the guard must refuse, and the
-    text needs only the reach's printed digits: the reach lies between the
-    floor and the bound from the two ends (``_reach_bound``), whose
-    eigenvalues the end check holds, and ``.3e`` rounds correctly, so
-    monotonically. When both print alike the floor is printed; otherwise
-    the whole grid is evaluated, in the ledger's order (the seeds on the
-    ``opts.samples`` grid, then the rest), and its exact reach printed.
-    """
-    if not path.regularity.declared:
-        return
-    ts = _grid(path, opts.oracle_samples)
-    steps = _grid_steps(path, opts.oracle_samples)
-    reach = max(steps) * _step_share(path)
-    if reach < 0.5 * gap:
-        return
-    top = _reach_bound(path, ts, steps, [0, len(ts) - 1], path.values([ts[0], ts[-1]]))
-    if f"{reach:.3e}" != f"{top:.3e}":
-        seeds = set(_grid(path, opts.samples))
-        path.values([t for t in ts if t in seeds])
-        reach = _reach_bound(path, ts, steps, list(range(len(ts))), path.values(ts))
-    raise _aliased(reach, gap)
+    """Run the guard (``_guard``), which must then refuse, when a declared
+    path's step floor on the ``opts.oracle_samples`` grid reaches half the
+    endpoint gap ``gap``; otherwise evaluate nothing."""
+    if path.regularity.declared:
+        steps = _grid_steps(path, opts.oracle_samples)
+        if max(steps) * _step_share(path) >= 0.5 * gap:
+            _guard(path, opts, _grid(path, opts.oracle_samples), steps, gap)
 
 
 def _ledger(
@@ -898,32 +900,18 @@ def _ledger(
 ) -> tuple[dict[int, np.ndarray], list[int]]:
     """The oracle's eigenvalues and nonnegative counts on the grid ``ts``.
 
-    A refusal the declared step bounds prove is raised first
-    (``_refuse_on_step_bounds``). The seeds are the points of ``ts`` on
-    the ``opts.samples`` grid (its uniform points and the knots, where
-    sf_phillips starts) on a declared path, and every grid point on an
-    opaque one; under sf_all_methods sf_phillips has evaluated them
-    already. The aliasing guard, the reach below half the endpoint gap
-    ``gap``, is checked on the seeds; if it fails, every grid point is
-    evaluated and the exact guard decides. Between two evaluated indices
-    i < j, every index inside takes the count of i when the clearance
-    (``_clearance``) at both ends exceeds the share (``_step_share``) of
-    the declared step bound of (ts[i], ts[j]); otherwise ts[(i + j) // 2]
-    is evaluated and both halves are tried again, one ``values`` call per
-    level. So counts change only between adjacent evaluated indices, each
-    with the whole grid's values.
+    The aliasing guard (``_guard``) decides first, against half the
+    endpoint gap ``gap``; when it passes, its evaluated indices start the
+    ledger: the seeds on a declared path (under sf_all_methods sf_phillips
+    has evaluated them already), or every grid point. Between two
+    evaluated indices i < j, every index inside takes the count of i when
+    the clearance (``_clearance``) at both ends exceeds the share
+    (``_step_share``) of the declared step bound of (ts[i], ts[j]);
+    otherwise ts[(i + j) // 2] is evaluated and both halves are tried
+    again, one ``values`` call per level. So counts change only between
+    adjacent evaluated indices, each with the whole grid's values.
     """
-    _refuse_on_step_bounds(path, opts, gap)
-    seeds = set(_grid(path, opts.samples)) if path.regularity.declared else set(ts)
-    idx = [k for k, t in enumerate(ts) if t in seeds]
-    at_idx = path.values([ts[k] for k in idx])
-    reach = _reach_bound(path, ts, steps, idx, at_idx)
-    if reach >= 0.5 * gap and len(idx) < len(ts):
-        idx = list(range(len(ts)))
-        at_idx = path.values(ts)
-        reach = _reach_bound(path, ts, steps, idx, at_idx)
-    if reach >= 0.5 * gap:
-        raise _aliased(reach, gap)
+    idx, at_idx = _guard(path, opts, ts, steps, gap)
     vals = dict(zip(idx, at_idx))
     counts = [0] * len(ts)
     clear: dict[int, float] = {}
@@ -969,10 +957,8 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     (otherwise the sampling is aliased and a SamplingError asks for more
     samples). The counts come from one ledger (``_ledger``): it evaluates
     the grid only where a count can change, every point on an opaque path
-    or when the guard's bound from the seeds fails, and gives the report
-    and error texts of the whole grid. A refusal that the declared step
-    bounds prove (``_refuse_on_step_bounds``) evaluates only the ends,
-    unless the reach's bracket straddles a printed digit.
+    or where the guard (``_guard``) cannot decide from fewer, and gives
+    the report and error texts of the whole grid.
     """
     g0, g1 = _check_endpoints(path, opts)
     ts = _grid(path, opts.oracle_samples)
@@ -991,10 +977,8 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
                 f"within one step ({step:.3e}) of zero; aliasing suspected",
                 window=(ts[k], ts[k + 1]),
             )
-        if jump > 0:
-            ups += jump
-        else:
-            downs -= jump
+        ups += max(jump, 0)
+        downs += max(-jump, 0)
     return {
         "total": ups - downs,
         "up_crossings": ups,
@@ -1016,14 +1000,13 @@ def sf_all_methods(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
     differ (that is a bug surface, not a property of the input).
 
     The end check runs first, so an ``EndpointError`` wins. Then a
-    refusal that a declared path's step bounds prove
-    (``_refuse_on_step_bounds``) raises the ``SamplingError`` the oracle
-    raises on a fresh path, before phillips samples anything and in
-    general from the two ends alone. Otherwise phillips, pairsum,
-    endpoints and the oracle run in that order.
+    refusal that a declared path's step floor proves
+    (``_refuse_on_step_bounds``) raises, through the oracle's guard, the
+    ``SamplingError`` the oracle raises on a fresh path, before phillips
+    samples anything and in general from the two ends alone. Otherwise
+    phillips, pairsum, endpoints and the oracle run in that order.
     """
-    g0, g1 = _check_endpoints(path, opts)
-    _refuse_on_step_bounds(path, opts, min(g0, g1))
+    _refuse_on_step_bounds(path, opts, min(_check_endpoints(path, opts)))
     cert_p = sf_phillips(path, opts)
     cert_s = sf_pairsum(path, opts)
     ends = sf_endpoints(path, opts)

@@ -135,8 +135,8 @@ def test_law_checks_make_no_stacked_two_norm(monkeypatch):
     """Every path the law checks build declares its regularity, the
     homotopy rows included, so no grid step needs a sampled 2-norm: no
     2-norm is taken inside ``OperatorPath.steps``, where an opaque path's
-    sampled step norms are taken, one per pair of grid points (a path's
-    build may take stacked norms of its coefficients)."""
+    sampled step norms are taken, one stack of differences per chunk (a
+    path's build may take stacked norms of its coefficients)."""
     taken = []
     in_steps = []
     norm = np.linalg.norm
@@ -156,10 +156,10 @@ def test_law_checks_make_no_stacked_two_norm(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counting)
     monkeypatch.setattr(OperatorPath, "steps", counted_steps)
-    # the counter sees the step norms of an opaque path, one per pair
+    # the counter sees the step norms of an opaque path, one stack of both
     opaque = normalization_path(0, 3)
     OperatorPath(opaque.stack, 3).steps([0.0, 0.5, 1.0])
-    assert taken == [(3, 3), (3, 3)]
+    assert taken == [(2, 3, 3)]
     taken.clear()
     run_all_checks(seed=0, trials=16, opts=OPTS)  # four homotopy families
     assert taken == []

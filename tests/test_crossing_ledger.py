@@ -307,10 +307,12 @@ def test_reach_bound_covers_the_norms_between_seeds():
     reach = float(np.max(tau))
     seeds = list(range(0, 257, 8))
     assert np.max(tau[seeds]) < reach
-    bound = specflow._reach_bound(probe, ts, steps, seeds, [vals[k] for k in seeds])
+    per_sample = specflow._reach_bound(probe, ts, steps, seeds, [vals[k] for k in seeds])
+    assert np.all(tau <= per_sample) and np.array_equal(per_sample[seeds], tau[seeds])
+    bound = float(np.max(per_sample))
     assert reach <= bound <= reach * (1.0 + 1e-12)
-    # from every index the bound is the reach itself
-    assert specflow._reach_bound(probe, ts, steps, list(range(257)), vals) == reach
+    # from every index the bound is the tolerances themselves
+    assert np.array_equal(specflow._reach_bound(probe, ts, steps, list(range(257)), vals), tau)
 
     # the guard's limit a few ulps below the exact reach: the oracle and
     # the whole-grid tally both refuse
@@ -320,6 +322,11 @@ def test_reach_bound_covers_the_norms_between_seeds():
     inferred, whole = _both_routes(lambda: _norm_peak(2.0 * half))
     assert inferred == whole
     assert inferred[0] == "SamplingError"
+    # no seed's tolerance reaches the limit, so only the whole grid decides
+    path = _norm_peak(2.0 * half)
+    asked = _counted(path)
+    assert _outcome(path, SfOptions()) == whole
+    assert sorted(asked) == ts
 
     # a few ulps above the reach, below the bound: the bounded guard fails,
     # so every grid point is evaluated, and the exact guard passes
@@ -383,10 +390,11 @@ def _straddling_line():
     return OperatorPath(evaluate, 2, regularity=piecewise_affine((), [256.0 * floor]))
 
 
-def test_a_bracket_across_a_printed_digit_evaluates_the_whole_grid():
-    """The step floor prints 1.000e+00 and the reach 1.001e+00, so the ends
-    cannot decide the refusal's text: the whole grid is evaluated, and the
-    refusal is the whole-grid tally's."""
+def test_an_exact_end_tolerance_closes_a_bracket_the_floor_straddles():
+    """The step floor prints 1.000e+00 and the reach 1.001e+00. The exact
+    tolerance at each end adds the slack of the constant norm 2^34, which
+    lifts the bracket's lower end to the reach's digits, so the refusal is
+    decided from t = 0 and 1 alone, with the whole-grid tally's text."""
     probe = _straddling_line()
     steps = specflow._grid_steps(probe, SfOptions().oracle_samples)
     assert f"{max(steps) * specflow._step_share(probe):.3e}" == "1.000e+00"
@@ -396,7 +404,7 @@ def test_a_bracket_across_a_printed_digit_evaluates_the_whole_grid():
     refused = _run(sf_all_methods, path)
     assert refused == _whole_grid(_straddling_line(), SfOptions())
     assert "tolerance 1.001e+00 " in refused[1]
-    assert sorted(asked) == list(specflow._grid(path, SfOptions().oracle_samples))
+    assert sorted(asked) == [0.0, 1.0]
 
 
 def _zigzag(seed):
@@ -439,6 +447,35 @@ def test_a_refusal_from_the_ends_is_the_whole_grid_refusal():
             assert _run(sf_all_methods, make(), opts) == _whole_grid(path, opts), name
     assert "toeplitz_m32" in fired and "toeplitz_m31" not in fired
     assert any(name.startswith("zigzag") for name in fired)
+
+
+@pytest.mark.parametrize("m", range(31, 41))
+def test_toeplitz_lines_are_refused_from_their_ends(m):
+    """m = 31 passes the guard; every m from 32 to 40 is refused from t = 0
+    and 1 alone, m = 36 included, whose step floor alone prints a digit
+    below its reach."""
+    path = SWEEP[f"toeplitz_m{m}"]()
+    asked = _counted(path)
+    result = _run(sf_all_methods, path)
+    if m == 31:
+        assert isinstance(result, dict)
+    else:
+        assert result == _whole_grid(SWEEP[f"toeplitz_m{m}"](), SfOptions())
+        assert sorted(asked) == [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "opts", [SfOptions(), SfOptions(oracle_samples=9)], ids=["default", "oracle_coarser"]
+)
+def test_every_guard_outcome_is_the_whole_grids(opts):
+    """On every path of the corpus and the sweep, the oracle gives the
+    whole-grid tally's report or refusal (class, text and window), and so
+    does sf_all_methods wherever the step floor decides a refusal first."""
+    for name, make in sorted({**CORPUS, **SWEEP}.items()):
+        whole = _whole_grid(make(), opts)
+        assert _outcome(make(), opts) == whole, name
+        if _step_refusal(make(), opts) is not None:
+            assert _run(sf_all_methods, make(), opts) == whole, name
 
 
 @pytest.mark.parametrize(

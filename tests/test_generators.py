@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,36 @@ def test_trig_family_refuses_a_bool_float_field(key, flag):
         family_path("trig_random", {key: flag}, seed=1, dim=4)
 
 
+@pytest.mark.parametrize("value", ["2", None, [1.0], True, False])
+@pytest.mark.parametrize("call", ["trig scale", "trig gap", "clamp gap"])
+def test_library_scalars_refuse_what_is_not_a_number(call, value):
+    """A string, None or a list once raised numpy's bare TypeError, and a
+    bool was read as 0 or 1 (``gap=True`` built a path with end gap 1.0)."""
+    builds = {
+        "trig scale": lambda: trig_path(0, 3, scale=value),
+        "trig gap": lambda: trig_path(0, 3, gap=value),
+        "clamp gap": lambda: clamp_spectrum_away_from_zero(HermitianMatrix.diag([1.0]), value),
+    }
+    field = call.split()[1]
+    with pytest.raises(InputError, match=f"{field} must be a float, got {re.escape(repr(value))}"):
+        builds[call]()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"scale": math.inf}, "scale must be finite"),
+        ({"scale": -(10**400)}, "scale must be finite"),
+        ({"gap": math.nan}, "gap must be positive and finite"),
+        ({"gap": 10**400}, "gap must be positive and finite"),
+        ({"gap": 0}, "gap must be positive and finite"),
+    ],
+)
+def test_library_scalars_keep_their_range_texts(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        trig_path(0, 3, **kwargs)
+
+
 @pytest.mark.parametrize("seed,dim", [(0, 2), (1, 4), (2, 7), (3, 12)])
 def test_trig_path_endpoint_gaps(seed, dim):
     p = trig_path(seed, dim)
@@ -347,6 +378,35 @@ def test_declared_homotopy_rows_bound_their_steps(seed, dim, label):
         rates = [op_norm(b.mat - a.mat) for a, b in zip(mats, mats[1:])]
         k = int(np.argmax(rates))
         _assert_bounds_hold(row, np.linspace(grid[k], grid[k + 1], 65).tolist())
+
+
+def test_each_conjugation_row_builds_its_unitary_once(monkeypatch):
+    """U(s) is assembled once per row, not on every evaluator call of the
+    row, and each call gives the checked bits of U(s)* f(t) U(s)."""
+    rotation = generators.unitary_rotation_path
+    built, calls = [], []
+
+    def counted(*args):
+        u_of = rotation(*args)
+        built.append(u_of)
+
+        def once(s):
+            calls.append(s)
+            return u_of(s)
+
+        return once
+
+    monkeypatch.setattr(generators, "unitary_rotation_path", counted)
+    row_of, s_grid, label = homotopy_family(1, 5)
+    assert label == "unitary_conjugation"
+    f = trig_path(1, 5)  # the family's base path, from the same draws
+    ts = np.linspace(0.0, 1.0, 9)
+    for s in s_grid.tolist():
+        for chunk in (ts[:4], ts[4:]):
+            u = built[0](s)
+            want = _hermitian_stack(u.conj().T @ f.stack(chunk) @ u)
+            assert np.array_equal(row_of(s).stack(chunk), want)
+    assert calls == s_grid.tolist()
 
 
 def test_family_path_errors():

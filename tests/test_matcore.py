@@ -78,6 +78,18 @@ def test_op_norm_hand_values():
     assert op_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("dim, count", [(1, 2), (2, 5), (64, 11), (130, 3)])
+def test_diff_norms_are_the_norms_of_each_difference(dim, count):
+    """Chunks of 4096, 4 and 1 differences at dims 2, 64 and 130: each
+    norm has the bits of ``op_norm`` of its difference alone, from a stack
+    or from a list of matrices."""
+    rng = np.random.default_rng(dim)
+    mats = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    want = [op_norm(b - a) for a, b in zip(mats[:-1], mats[1:])]
+    assert matcore._diff_norms(mats).tolist() == want
+    assert matcore._diff_norms(list(mats)).tolist() == want
+
+
 def test_hermitian_validation(rng):
     with pytest.raises(HermiticityError):
         HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))

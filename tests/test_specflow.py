@@ -289,6 +289,14 @@ def test_sf_options_store_the_endpoint_gap_as_a_float():
     assert opts == SfOptions(endpoint_gap=1.0)
 
 
+def test_sf_options_read_a_float32_endpoint_gap_without_a_warning():
+    """A float32 gap was once compared with the largest float64 as is, a
+    cast that overflows and warns."""
+    opts = SfOptions(endpoint_gap=np.float32(1e-8))
+    assert type(opts.endpoint_gap) is float
+    assert opts.endpoint_gap == float(np.float32(1e-8))
+
+
 def test_operator_path_refuses_a_bool_dim():
     with pytest.raises(InputError, match="dim must be an int >= 1, got True"):
         OperatorPath(lambda ts: np.ones((len(ts), 1, 1)), True)
