@@ -109,7 +109,9 @@ def _random_hermitian_chunks(rng: np.random.Generator, dim: int, scales: np.ndar
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianMatrix:
     """A random Hermitian matrix scale * (G + G*) / (2 sqrt(dim)) for a
-    complex Gaussian G: the one-matrix case of ``_random_hermitian_chunks``."""
+    complex Gaussian G: the one-matrix case of ``_random_hermitian_chunks``.
+    A ``scale`` that is not a real number is refused before any draw."""
+    scale = require_real(scale, "scale")
     (h,) = _random_hermitian_chunks(rng, dim, np.array([scale], dtype=np.float64))
     return HermitianMatrix._of_valid(h[0])
 
@@ -353,7 +355,8 @@ def trig_path(
     rng = _as_rng(seed_or_rng)
     require_int(dim, "dim", 1)
     require_int(degree, "degree", 1)
-    if not math.isfinite(require_real(scale, "scale")):
+    scale = require_real(scale, "scale")
+    if not math.isfinite(scale):
         raise InputError("scale must be finite")
     raw, rate = _trig_evaluator(rng, dim, degree, scale)
     return _tilted_path(raw, rate, dim, gap)

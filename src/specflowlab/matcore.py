@@ -68,6 +68,11 @@ _HALF_MAX = float(np.finfo(np.float64).max) / 2.0
 #: outside [sqrt(tiny/eps), sqrt(eps/tiny)] = [2^-485, 2^485]
 _UNSCALED_MIN = float(np.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps))
 _UNSCALED_MAX = 1.0 / _UNSCALED_MIN
+#: zgesdd rescales a matrix whose largest entry modulus is nonzero and
+#: outside [sqrt(tiny)/eps, eps/sqrt(tiny)] = [2^-459, 2^459]; the diagonal
+#: norm route keeps within [2^-450, 2^450], clear of the rounding of that modulus
+_SVD_UNSCALED_MIN = 2.0**-450
+_SVD_UNSCALED_MAX = 2.0**450
 #: the bit pattern of -0.0 read as an int64
 _NEG_ZERO_BITS = np.int64(np.iinfo(np.int64).min)
 
@@ -175,6 +180,23 @@ def _real_diagonals(s: np.ndarray) -> np.ndarray | None:
     return d
 
 
+def _unscaled_real_diagonals(s: np.ndarray) -> np.ndarray | None:
+    """The real diagonals (``_real_diagonals``) of a C-contiguous (k, n, n)
+    complex stack when each matrix's largest |d| is 0 or lies where zheevd
+    does not rescale (``_UNSCALED_MIN`` to ``_UNSCALED_MAX``); else None.
+    Then the diagonal is what LAPACK's eigensolver computes for the
+    eigenvalues, and a permutation of the unit vectors is its basis."""
+    d = _real_diagonals(s) if s.flags.c_contiguous and s.size else None
+    if d is None or not _zero_or_within(np.abs(d).max(axis=1), _UNSCALED_MIN, _UNSCALED_MAX):
+        return None
+    return d
+
+
+def _zero_or_within(x: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether every entry of a nonnegative array is 0 or lies in [lo, hi]."""
+    return x.max() <= hi and (x.min() >= lo or bool(np.all((x == 0.0) | (x >= lo))))
+
+
 def _has_neg_zero(x: np.ndarray) -> bool:
     """Whether a float64 array, or a C-contiguous complex128 one, holds a
     -0.0 component, which reads as the least int64."""
@@ -246,17 +268,13 @@ def _stack_eigvalsh(s: np.ndarray) -> np.ndarray:
     LAPACK's sort places a -0.0 differently among the zeros) takes the
     sorted diagonal, which is what LAPACK's zheevd computes for it, when
     each matrix's largest |d| is 0 or lies where zheevd does not rescale
-    (``_UNSCALED_MIN`` to ``_UNSCALED_MAX``). Any other stack goes to
-    LAPACK.
+    (``_UNSCALED_MIN`` to ``_UNSCALED_MAX``), the guard of
+    ``_unscaled_real_diagonals``. Any other stack goes to LAPACK.
     """
     d = _real_diagonals(s)
     if d is not None:
         w = np.sort(d, axis=1)
-        amax = np.maximum(w[:, -1], -w[:, 0])
-        unscaled = amax.max() <= _UNSCALED_MAX and (
-            amax.min() >= _UNSCALED_MIN or np.all((amax == 0.0) | (amax >= _UNSCALED_MIN))
-        )
-        if unscaled:
+        if _zero_or_within(np.maximum(w[:, -1], -w[:, 0]), _UNSCALED_MIN, _UNSCALED_MAX):
             return w
     return np.linalg.eigvalsh(s)
 
@@ -280,10 +298,71 @@ def op_norm(a) -> float:
 def _op_norms(a: np.ndarray) -> np.ndarray:
     """Operator norm of a non-empty complex matrix, or of each matrix of a
     (k, n, m) stack by one stacked SVD, each bit for bit that of its matrix
-    alone; a non-finite entry anywhere raises FinitenessError."""
+    alone; a non-finite entry anywhere raises FinitenessError.
+
+    A stack of diagonal matrices (every off-diagonal entry compares equal to
+    0) takes ``_route_norms`` of its diagonals when they give the SVD's
+    bits. A dense stack is sent on after one look at the first matrix's
+    bottom-left entry."""
     if not np.all(np.isfinite(a)):
         raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
+    n = a.shape[-1]
+    if a.size and a.shape[-2] == n >= 3 and a[(0,) * (a.ndim - 2) + (n - 1, 0)] == 0:
+        d = a.diagonal(axis1=-2, axis2=-1)
+        if np.count_nonzero(a) == np.count_nonzero(d):
+            norms = _route_norms(d)
+            if norms is not None:
+                return norms
     return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
+def _diagonal_op_norms(d: np.ndarray) -> np.ndarray:
+    """The 2-norms of the complex diagonal matrices diag(d_i) of a finite
+    (k, n) stack of diagonals, each bit for bit its SVD's: ``_route_norms``
+    where they are, else the SVD of the matrices."""
+    norms = _route_norms(d)
+    if norms is None:
+        k, n = d.shape
+        full = np.zeros((k, n, n), dtype=np.complex128)
+        full[:, np.arange(n), np.arange(n)] = d
+        norms = np.linalg.norm(full, 2, axis=(1, 2))
+    return norms
+
+
+def _route_norms(d: np.ndarray) -> np.ndarray | None:
+    """``_diagonal_norms(d)`` of a (..., n) stack of diagonals when n >= 3
+    and each norm is 0 or lies in [``_SVD_UNSCALED_MIN``,
+    ``_SVD_UNSCALED_MAX``], where they are zgesdd's bits; else None."""
+    if d.shape[-1] < 3:
+        return None
+    norms = _diagonal_norms(d)
+    return norms if _zero_or_within(norms, _SVD_UNSCALED_MIN, _SVD_UNSCALED_MAX) else None
+
+
+def _diagonal_norms(d: np.ndarray) -> np.ndarray:
+    """max_i dlapy3(re d_i, im d_i, 0) over the last axis of a finite stack
+    of diagonals, with LAPACK's dlapy3: w sqrt((x/w)^2 + (y/w)^2 + 0) for
+    w = max(|x|, |y|), and |x| + |y| when w = 0.
+
+    This is the 2-norm zgesdd computes for diag(d) when n >= 3 and the
+    largest modulus is 0 or lies where zgesdd does not rescale the matrix
+    (sqrt(tiny)/eps to eps/sqrt(tiny)). zgebrd reduces a diagonal matrix to
+    a bidiagonal one with zero superdiagonal: each Householder vector has a
+    zero tail, so its diagonal entry becomes -sign(dlapy3(re, im, 0), re)
+    (or stays as it is when real) and the zeros stay zeros, whatever their
+    signs. dlasq1 then takes absolute values and, since the superdiagonal's
+    largest magnitude is 0, returns them sorted, with no dqds iteration; the
+    norm is the largest. At n = 2, dlasq1 goes through dlas2, which rounds,
+    and the route is not taken. (A modulus that zlarfg rescales is below
+    2^-969, never the largest in the range.)"""
+    x = np.abs(d.real)
+    if not np.iscomplexobj(d):
+        return x.max(axis=-1)
+    y = np.abs(d.imag)
+    w = np.maximum(x, y)
+    with np.errstate(invalid="ignore"):
+        mod = w * np.sqrt(np.square(x / w) + np.square(y / w))
+    return np.where(w == 0.0, 0.0, mod).max(axis=-1)
 
 
 def _diff_norms(mats) -> np.ndarray:

@@ -10,8 +10,11 @@ reports that compare them.
 
 Every distance is computed on operand records, each a validated (k, n, n)
 stack whose transforms are formed once for the whole stack (see _Operand),
-and is one stacked SVD norm per route; the public d_X are the one-matrix
-case. A call that measures many operands against one reference (the
+and is one stacked norm per route: between records of real diagonal
+matrices, the norm of the diagonal differences of the scalar images, with
+zgesdd's bits and no SVD (``matcore._diagonal_norms``); otherwise one
+stacked SVD. The public d_X are the one-matrix case. A call that measures
+many operands against one reference (the
 separation report, the graded stability check) builds the reference's
 record once; nothing outlives the call. The resolvent stays a direct
 matrix inverse, not an eigenbasis formula, so the two d_G routes remain
@@ -36,13 +39,21 @@ from .matcore import (
     _assemble,
     _chunk_len,
     _chunks,
+    _diagonal_op_norms,
     _eigh_stack,
     _hermitian_average,
     _op_norms,
+    _unscaled_real_diagonals,
     as_hermitian,
 )
 from .opmodel import FAMILIES, DiagonalModel, _entries, closed_form_distances, realize
-from .transforms import _cayley_stack, _riesz_stack
+from .transforms import (
+    _cayley_stack,
+    _cayley_values,
+    _riesz_stack,
+    _riesz_values,
+    _unitary_diagonals,
+)
 
 __all__ = [
     "d_N",
@@ -68,6 +79,17 @@ class _Operand:
     from one validated stacked eigendecomposition the Riesz and Cayley
     images and the weights (I + H^2)^{-1/2}.
 
+    A stack of real diagonal matrices within zheevd's unscaled range
+    (``_unscaled_real_diagonals``) keeps its diagonals ``d``, and the
+    distances between two such records read the scalar images of ``d``
+    (``_riesz_values``, ``_cayley_values``, ``_weight_values``), with no
+    decomposition and no dense transform. Those are
+    the bits of the eigh route: the eigenvalues are the diagonal and the
+    basis is a permutation, so each transform is diagonal with these
+    entries. Paired with a dense record, a diagonal one assembles its
+    transforms on the identity basis, which gives the same bits as the
+    permuted one.
+
     ``_Operand(mats)`` holds the rows of a stack ``_hermitian_average``
     returned; ``_Operand.of_matrix(h)`` holds one matrix, kept as ``h``, and
     reads the decomposition it caches. Callers build one per operand or
@@ -77,6 +99,7 @@ class _Operand:
     def __init__(self, mats: np.ndarray, h: HermitianMatrix | None = None):
         self.mats = mats
         self.h = h
+        self.d = _unscaled_real_diagonals(mats)
 
     @classmethod
     def of_matrix(cls, h) -> _Operand:
@@ -96,24 +119,39 @@ class _Operand:
         return ed.values[None], ed.vectors[None]
 
     @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values and bases the dense transforms are assembled on."""
+        if self.d is None:
+            return self.eig
+        return self.d, np.broadcast_to(np.eye(self.dim, dtype=np.complex128), self.mats.shape)
+
+    @cached_property
     def resolvent(self) -> np.ndarray:
         eye = np.eye(self.dim, dtype=np.complex128)
         return np.linalg.inv(self.mats + 1j * eye)
 
     @cached_property
     def riesz(self) -> np.ndarray:
-        return _riesz_stack(*self.eig)
+        return _riesz_stack(*self._spectrum)
 
     @cached_property
     def cayley(self) -> np.ndarray:
-        return _cayley_stack(*self.eig)
+        return _cayley_stack(*self._spectrum)
 
     @cached_property
     def weight(self) -> np.ndarray:
-        w, v = self.eig
-        with np.errstate(over="ignore"):  # x^2 = inf gives 0, like 1 / math.sqrt(1 + x * x)
-            f = 1.0 / np.sqrt(1.0 + w * w)
-        return _hermitian_average(_assemble(v, f[:, None, :]))
+        w, v = self._spectrum
+        return _hermitian_average(_assemble(v, _weight_values(w)[:, None, :]))
+
+
+def _weight_values(w: np.ndarray) -> np.ndarray:
+    """1 / sqrt(1 + x^2) on an array of eigenvalues."""
+    with np.errstate(over="ignore"):  # x^2 = inf gives 0, like 1 / math.sqrt(1 + x * x)
+        return 1.0 / np.sqrt(1.0 + w * w)
+
+
+def _diagonal(*operands: _Operand) -> bool:
+    return all(t.d is not None for t in operands)
 
 
 def _operand(t) -> _Operand:
@@ -133,21 +171,31 @@ def _pair(t1, t2) -> tuple[_Operand, _Operand]:
 
 
 def _norm_distances(a: _Operand, b: _Operand) -> list[float]:
+    if _diagonal(a, b):
+        return _diagonal_op_norms(a.d - b.d).tolist()
     return _op_norms(a.mats - b.mats).tolist()
 
 
 def _weighted_distances(a: _Operand, b: _Operand, d: _Operand) -> list[float]:
+    if _diagonal(a, b, d):
+        return _diagonal_op_norms((a.d - b.d) * _weight_values(d.d)).tolist()
     return _op_norms((a.mats - b.mats) @ d.weight).tolist()
 
 
 def _riesz_distances(a: _Operand, b: _Operand) -> list[float]:
+    if _diagonal(a, b):
+        return _diagonal_op_norms(_riesz_values(a.d) - _riesz_values(b.d)).tolist()
     return _op_norms(a.riesz - b.riesz).tolist()
 
 
 def _graph_routes(a: _Operand, b: _Operand) -> tuple[list[float], list[float]]:
     """The resolvent route and the half-Cayley route, unchecked."""
     res = _op_norms(a.resolvent - b.resolvent)
-    cay = 0.5 * _op_norms(a.cayley - b.cayley)
+    if _diagonal(a, b):
+        ca, cb = (_unitary_diagonals(_cayley_values(t.d)) for t in (a, b))
+        cay = 0.5 * _diagonal_op_norms(ca - cb)
+    else:
+        cay = 0.5 * _op_norms(a.cayley - b.cayley)
     return res.tolist(), cay.tolist()
 
 

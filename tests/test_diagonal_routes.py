@@ -1,21 +1,26 @@
 """The diagonal routes give the bits of the routes they bypass.
 
-Three kinds of work are decided by structure on a stack of real diagonal
-matrices: the Hermitian check (``_diagonal_copy``), the nonnegative
+Five kinds of work are decided by structure: on a stack of real diagonal
+matrices, the Hermitian check (``_diagonal_copy``), the nonnegative
 projections of sf_pairsum's junctions (``_diagonal_nonneg_projections``),
-and the eigenvalues of the projection check and of the pair index
-(``_stack_eigvalsh``). Each test runs a corpus through the library, then
-again with the route's guard patched off, and compares the bytes, the
-ranks, and the class and text of what is raised."""
+the eigenvalues of the projection check and of the pair index
+(``_stack_eigvalsh``) and the distances between the metric report's
+operand records (``metrics._Operand``); on a stack of complex diagonal
+matrices, the operator norm (``_op_norms``, by ``_route_norms``). Each test
+runs a corpus through the library, then again with the route's guard
+patched off, and compares the bytes, the ranks, and the class and text of
+what is raised."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from specflowlab import matcore, projpair, specflow
+from specflowlab import matcore, metrics, projpair, specflow
 from specflowlab.generators import family_path
 from specflowlab.matcore import HermitianMatrix, Projection
+from specflowlab.metrics import metric_separation_report
+from specflowlab.opmodel import DiagonalModel
 from specflowlab.projpair import pair_index
 from specflowlab.specflow import sf_all_methods
 
@@ -348,3 +353,131 @@ def test_diagonal_lines_certify_as_the_lapack_routes(name, params, monkeypatch):
         _lapack_eigvalsh(m)
         general = sf_all_methods(family_path(name, params))
     assert repr(fast) == repr(again) == repr(general)
+
+
+def _complex_diagonal_stack(d):
+    d = np.asarray(d, dtype=np.complex128)
+    k, n = d.shape
+    s = np.zeros((k, n, n), dtype=np.complex128)
+    s[:, np.arange(n), np.arange(n)] = d
+    return s
+
+
+def _norm_corpus():
+    """(name, stack) for ``_op_norms``: the diagonals corpus as real and as
+    complex diagonals, signed zeros off the diagonal, zero matrices, the
+    ends of zgesdd's unscaled range, and the dimensions around 2 and 128."""
+    rng = np.random.default_rng(2504)
+    cases = {}
+    for name, d in _diagonals(rng).items():
+        phase = np.exp(2j * np.pi * rng.uniform(size=d.shape))
+        cases[name] = _diagonal_stack(d)
+        cases[name + "_complex"] = _complex_diagonal_stack(d * phase)
+    lo, hi = matcore._SVD_UNSCALED_MIN, matcore._SVD_UNSCALED_MAX
+    ends = {
+        "svd_range_ends": [[lo, 0.5, -1.0], [0.0, -hi, 2.0]],
+        "below_svd_range": [[np.nextafter(lo, 0.0), lo / 8.0, 0.0]],
+        "above_svd_range": [[np.nextafter(hi, np.inf), 1.0, 0.0]],
+        "zheevd_below_svd_range": [[matcore._UNSCALED_MIN, 0.0, 0.0]],
+        "zeros_beside_range_end": [[0.0, 0.0, 0.0], [lo, 0.0, 0.0]],
+    }
+    for name, d in ends.items():
+        cases[name] = _diagonal_stack(d)
+        cases[name + "_complex"] = _complex_diagonal_stack(np.asarray(d) * (0.6 + 0.8j))
+    for n in (1, 2, 3, 127, 128, 129, 256):
+        d = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        cases[f"dim_{n}"] = _complex_diagonal_stack(d)
+        cases[f"dim_{n}_zero"] = np.zeros((1, n, n), dtype=np.complex128)
+    signed = _complex_diagonal_stack(rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5)))
+    signed.real[:, 0, 4] = -0.0
+    signed.imag[:, 4, 0] = -0.0
+    signed.imag[1, 2, 3] = -0.0
+    cases["neg_zero_off_diagonal"] = signed
+    nonzero = signed.copy()
+    nonzero[1, 3, 1] = 1e-300
+    cases["tiny_off_diagonal"] = nonzero
+    cases["dense"] = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    cases["dense_bottom_left_zero"] = cases["dense"].copy()
+    cases["dense_bottom_left_zero"][:, 3, 0] = 0.0
+    cases["strided"] = _diagonal_stack(rng.normal(size=(4, 6)))[::2, ::2, ::2]
+    cases["one_matrix"] = _diagonal_stack([[3.0, -4.0, 1.0]])[0]
+    cases["nan_diagonal"] = _diagonal_stack([[1.0, np.nan, 2.0]])
+    return cases
+
+
+def test_diagonal_norms_give_the_svd_bits(monkeypatch):
+    cases = _norm_corpus()
+    fast = {name: _outcome(matcore._op_norms, a) for name, a in cases.items()}
+    with monkeypatch.context() as m:
+        m.setattr(matcore, "_route_norms", lambda _d: None)
+        general = {name: _outcome(matcore._op_norms, a) for name, a in cases.items()}
+    for name in cases:
+        assert fast[name] == general[name], name
+    # the record's norms of diagonals, given as (k, n) diagonals
+    for name, a in cases.items():
+        if a.ndim == 3 and a.shape[1] and isinstance(fast[name], list):
+            d = np.ascontiguousarray(a.diagonal(axis1=1, axis2=2))
+            if np.count_nonzero(a) == np.count_nonzero(d):
+                assert _outcome(matcore._diagonal_op_norms, d) == fast[name], name
+    taken = {
+        name: a.ndim == 3 and matcore._route_norms(a.diagonal(axis1=1, axis2=2)) is not None
+        for name, a in cases.items()
+    }
+    for name in (
+        "ties", "zeros_complex", "positive", "negative_complex", "half_integers",
+        "svd_range_ends", "svd_range_ends_complex", "zeros_beside_range_end", "dim_3",
+        "dim_128", "dim_256_zero",
+    ):
+        assert taken[name], name
+    for name in (
+        "one", "range_ends", "scale_1e200_complex", "scale_1e-200", "half_max",
+        "below_svd_range_complex", "above_svd_range",
+        "zheevd_below_svd_range", "dim_1", "dim_2", "dim_2_zero",
+    ):
+        assert not taken[name], name
+    assert sum(taken.values()) >= 120
+    assert fast["nan_diagonal"][0] is matcore.FinitenessError
+
+
+def test_dimension_two_stays_on_the_svd():
+    """zgesdd's 2 x 2 singular values come from dlas2, which rounds: here
+    the norm of diag(10.43, 7.58) is not max |d|, and the library gives the
+    SVD's value; at n = 3 the route and the SVD agree."""
+    d = np.array([[10.43, 7.58]])
+    assert np.linalg.norm(_diagonal_stack(d)[0], 2) == 10.429999999999998
+    assert matcore._diagonal_norms(d).tolist() == [10.43]
+    assert matcore._op_norms(_diagonal_stack(d)).tolist() == [10.429999999999998]
+    assert matcore._diagonal_op_norms(d).tolist() == [10.429999999999998]
+    three = _diagonal_stack([[10.43, 7.58, 0.0]])
+    assert matcore._op_norms(three).tolist() == [10.43] == np.linalg.norm(three, 2, axis=(1, 2)).tolist()
+
+
+def _report(model, *args):
+    return repr(metric_separation_report(model, *args))
+
+
+@pytest.mark.parametrize("law", ["linear", "signed", "shifted"])
+def test_metric_report_gives_the_svd_bits(law, monkeypatch):
+    """The separation table with diagonal operand records and the norm
+    route, then with both patched off; trunc-dim 3 is the first dimension
+    of the route, and at 8, 32 and 64 diagonal chunks sit beside chunks
+    with swap rows."""
+    cases = [(DiagonalModel(n, law),) for n in (3, 8, 32, 64)]
+    cases.append((DiagonalModel(40, law), ["swap", "lambda", "fuglede"], [7, 2, 39, 1, 13]))
+    cases.append((DiagonalModel(64, law), ["rank_one", "lambda", "fuglede"], [1, 2, 31, 63]))
+    fast = [_report(*args) for args in cases]
+    with monkeypatch.context() as m:
+        m.setattr(metrics, "_unscaled_real_diagonals", lambda _s: None)
+        m.setattr(matcore, "_route_norms", lambda _d: None)
+        general = [_report(*args) for args in cases]
+    assert fast == general
+
+
+def test_diagonal_records_take_no_decomposition(monkeypatch):
+    """Rows of the three diagonal families and the base make no eigh and
+    no SVD; only the resolvent keeps its inverse."""
+    calls = _count_lapack(monkeypatch)
+    model = DiagonalModel(16, "signed")
+    rows = metric_separation_report(model, ["rank_one", "lambda", "fuglede"])
+    assert len(rows) == 45
+    assert set(calls) == {"inv"}

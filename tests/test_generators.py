@@ -231,6 +231,27 @@ def test_library_scalars_refuse_what_is_not_a_number(call, value):
         builds[call]()
 
 
+@pytest.mark.parametrize("value", ["2", True, None])
+@pytest.mark.parametrize("build", [random_hermitian, unitary_rotation_path])
+def test_random_generators_refuse_a_scale_that_is_not_a_number(build, value):
+    """``random_hermitian(rng, 2, "2")`` once returned a matrix scaled by
+    2.0, ``True`` one scaled by 1.0, and ``unitary_rotation_path(rng, 2,
+    None)`` raised a FinitenessError; each is refused before any draw."""
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(InputError, match=f"scale must be a float, got {re.escape(repr(value))}"):
+        build(rng, 2, value)
+    assert rng.bit_generator.state == state
+
+
+def test_trig_path_declares_the_rate_of_the_float_scale():
+    """A float32 scale once entered the coefficients unconverted, and
+    ``scale=np.float32(2.0)`` declared the rate 6.192161916657584."""
+    want = trig_path(0, 3, scale=2.0, gap=1).regularity
+    assert trig_path(0, 3, scale=np.float32(2.0), gap=1).regularity == want
+    assert want.rates == (6.192161870009538,)
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [

@@ -249,18 +249,20 @@ def _record_lapack(monkeypatch, names):
 
 
 def test_report_factors_each_operand_once(monkeypatch):
-    """One eigh and one inverse per row, plus one each for the base, made
-    as at most one stacked call per chunk plus one for the base: one chunk
-    at trunc-dim 12, eight at 32."""
-    for trunc_dim, chunks in ((12, 1), (32, 8)):
+    """One inverse per row plus one for the base, and one eigh per row of a
+    chunk that holds a swap row, none for the diagonal base; made as at
+    most one stacked call per chunk plus one for the base: one chunk at
+    trunc-dim 12, eight at 32, where the first five chunks (80 rows) are
+    diagonal and take no decomposition."""
+    for trunc_dim, chunks, diagonal_rows in ((12, 1, 0), (32, 8, 80)):
         with monkeypatch.context() as m:
             calls = _record_lapack(m, ("eigh", "inv"))
             rows = metric_separation_report(DiagonalModel(trunc_dim, "signed"))
         assert -(-len(rows) // _chunk_len(trunc_dim)) == chunks
-        for name in ("eigh", "inv"):
+        for name, factored_rows in (("eigh", len(rows) - diagonal_rows), ("inv", len(rows) + 1)):
             shapes = [shape for called, shape in calls if called == name]
             factored = sum(shape[0] if len(shape) == 3 else 1 for shape in shapes)
-            assert factored == len(rows) + 1, (trunc_dim, name)
+            assert factored == factored_rows, (trunc_dim, name)
             assert len(shapes) <= chunks + 1, (trunc_dim, name)
 
 
