@@ -39,10 +39,10 @@ _EXPORTS = {
     ),
     "projpair": ("PairIndexResult", "pair_index"),
     "specflow": (
-        "OPAQUE", "OperatorPath", "Regularity", "SfCertificate", "SfOptions",
-        "SfSegment", "certify_invertible", "crossing_oracle_report", "lipschitz",
-        "path_concat", "path_reverse", "piecewise_affine", "sf_all_methods",
-        "sf_crossing_oracle", "sf_endpoints", "sf_pairsum", "sf_phillips",
+        "OperatorPath", "Regularity", "SfCertificate", "SfOptions", "SfSegment",
+        "certify_invertible", "crossing_oracle_report", "lipschitz", "path_concat",
+        "path_reverse", "piecewise_affine", "sf_all_methods", "sf_crossing_oracle",
+        "sf_endpoints", "sf_pairsum", "sf_phillips",
     ),
     "generators": (
         "ENDPOINT_CLAMP_GAP", "FAMILY_NAMES", "clamp_spectrum_away_from_zero",

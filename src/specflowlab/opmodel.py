@@ -85,9 +85,9 @@ def realize(model: DiagonalModel) -> HermitianMatrix:
     return HermitianMatrix.diag(model.lambdas())
 
 
-def _shift(model: DiagonalModel, family: str, n: int) -> float:
-    """The diagonal entry C_n adds at (n, n) for the three diagonal families."""
-    lam = model.lam(n)
+def _shift(family: str, lam: float) -> float:
+    """The diagonal entry C_n adds at (n, n) for the three diagonal families,
+    given lam = lambda_n."""
     return {"rank_one": 1.0, "lambda": lam, "fuglede": -2.0 * lam}[family]
 
 
@@ -101,7 +101,7 @@ def _entries(model: DiagonalModel, family: str, n: int) -> np.ndarray:
         c[0, n - 1] = 1.0
         c[n - 1, 0] = 1.0
     else:
-        c[n - 1, n - 1] = _shift(model, family, n)
+        c[n - 1, n - 1] = _shift(family, model.lam(n))
     return c
 
 
@@ -123,7 +123,7 @@ def closed_form_distances(model: DiagonalModel, family: str, n: int) -> dict[str
     if family == "swap":
         return None
     lam = model.lam(n)
-    shift = _shift(model, family, n)
+    shift = _shift(family, lam)
     d_n = abs(shift)
     d_w = abs(shift) / np.sqrt(1.0 + lam * lam)
     d_r = abs(_riesz_scalar(lam + shift) - _riesz_scalar(lam))

@@ -4,10 +4,8 @@ A path is a map t in [0, 1] -> Hermitian matrix, given by a stacked
 evaluator and a declared Regularity: a bound on ||H(b) - H(a)|| computed
 once, when the path is built. A piecewise-affine path (uniform samples,
 straight lines) gives the norm of each piece's slope, a Lipschitz path (the
-trig families, the connector) a rate per piece, and an opaque path nothing,
-so its steps are sampled 2-norms of differences and its certificates are
-labelled "surrogate". Endpoints must be invertible (min |spec| > 1e-8 by
-convention), so the flow is an integer.
+trig families, the connector) a rate per piece. Endpoints must be
+invertible (min |spec| > 1e-8 by convention), so the flow is an integer.
 
 Methods
 -------
@@ -26,7 +24,7 @@ Methods
                       aliasing guard; used as oracle. A sample's count is
                       inferred from its evaluated neighbours where their
                       eigenvalues clear the declared step bound plus twice
-                      the rounding slack (an opaque path evaluates all).
+                      the rounding slack.
 
 All four must agree exactly; they are cross-checked in the test suite and
 by the CLI, and a disagreement is an internal consistency fault. They are
@@ -75,7 +73,6 @@ from .projpair import _pair_indices
 
 __all__ = [
     "Regularity",
-    "OPAQUE",
     "piecewise_affine",
     "lipschitz",
     "OperatorPath",
@@ -120,7 +117,7 @@ def _dim_error(found: int, expected: int) -> DimensionMismatchError:
 
 
 #: the soundness conditions a certificate can rest on, strongest first
-_SOUNDNESS = ("piecewise-affine", "lipschitz", "surrogate")
+_SOUNDNESS = ("piecewise-affine", "lipschitz")
 
 
 def _gamma(dim: int) -> float:
@@ -141,15 +138,12 @@ class Regularity:
 
     ``knots`` are the interior break points, increasing inside (0, 1);
     every sampling grid contains them, so each grid step lies in one piece.
-    A declared path gives one rate per piece (``len(knots) + 1``), computed
-    once when the path is built, and the step bound is rate * |dt|:
+    It gives one rate per piece (``len(knots) + 1``), computed once when
+    the path is built, and the step bound is rate * |dt|:
 
     * ``"piecewise-affine"``: H is affine on each piece with slope B_i, and
       the rate is ||B_i||; the bound is the exact step.
     * ``"lipschitz"``: the rate bounds ||H'|| on the piece.
-    * ``"surrogate"`` (an opaque path, no rates): nothing is known between
-      samples. Steps are the sampled 2-norms ||H(b) - H(a)||, which bound
-      only the piecewise-linear interpolant of the samples.
     """
 
     soundness: str
@@ -164,17 +158,13 @@ class Regularity:
         bounds = (0.0,) + knots + (1.0,)
         if not all(a < b for a, b in zip(bounds, bounds[1:])):
             raise InputError(f"knots must increase strictly inside (0, 1), got {knots}")
-        pieces = len(knots) + 1 if self.declared else 0
+        pieces = len(knots) + 1
         if len(rates) != pieces:
             raise InputError(f"{self.soundness} needs {pieces} rates, got {len(rates)}")
         if not all(np.isfinite(r) and r >= 0.0 for r in rates):
             raise InputError(f"rates must be finite and nonnegative, got {rates}")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "rates", rates)
-
-    @property
-    def declared(self) -> bool:
-        return self.soundness != "surrogate"
 
     def step_bounds(self, ts: Sequence[float]) -> list[float]:
         """rate * |dt| for each consecutive pair of ``ts``; a step that
@@ -196,8 +186,6 @@ class Regularity:
         knots = (
             [k / 2.0 for k in self.knots] + [0.5] + [0.5 + k / 2.0 for k in other.knots]
         )
-        if not (self.declared and other.declared):
-            return Regularity("surrogate", knots)
         affine = self.soundness == other.soundness == "piecewise-affine"
         return Regularity(
             "piecewise-affine" if affine else "lipschitz",
@@ -223,10 +211,6 @@ def lipschitz(knots: Sequence[float], rates: Sequence[float]) -> Regularity:
     return Regularity("lipschitz", tuple(knots), tuple(rates))
 
 
-#: the default: nothing declared, steps sampled, certificates "surrogate"
-OPAQUE = Regularity("surrogate")
-
-
 class OperatorPath:
     """A continuous family of Hermitian matrices over t in [0, 1].
 
@@ -236,8 +220,8 @@ class OperatorPath:
     ``from_callable`` adapts a scalar function t -> matrix to this contract.
     Each stack is validated by one Hermitian check (``_hermitian_stack``).
     ``regularity`` declares how far H moves between two parameters (see
-    ``Regularity``); the default, ``OPAQUE``, declares nothing, and
-    certificates of such a path are labelled "surrogate".
+    ``Regularity``); a caller who knows no rate samples the function and
+    builds ``from_samples``, whose interpolant is a declared path.
 
     One routine, ``_sample``, fills the path's stores: it evaluates the
     points not yet held by one evaluator call per chunk of at most
@@ -245,9 +229,8 @@ class OperatorPath:
     validated chunk by one batched ``eigvalsh`` (a stack of diagonal
     matrices takes its sorted diagonal, the same bits), and keeps a matrix
     only where one is asked for: the ends, the ends of the certified
-    segments (which sf_pairsum projects), every sample of an opaque path
-    (its steps are sampled norms) and the samples of a ``from_samples``
-    path. So every kept matrix has its eigenvalues held.
+    segments (which sf_pairsum projects) and the samples of a
+    ``from_samples`` path. So every kept matrix has its eigenvalues held.
 
     * ``matrix(t)`` and ``matrices(ts)`` return the validated matrices and
       keep them;
@@ -255,9 +238,6 @@ class OperatorPath:
       evaluates but not its matrix;
     * ``stack(ts)`` copies the kept matrices and evaluates the others into
       one fresh array, keeping nothing;
-    * ``steps(ts)`` returns bounds on the operator-norm steps between
-      consecutive grid points: the declared rate * |dt|, or for an opaque
-      path the sampled 2-norms of the kept matrices' differences;
     * ``eig(t)`` is the validated full decomposition the matrix at t caches.
 
     A method that needs a point's matrix asks for it before its
@@ -286,11 +266,14 @@ class OperatorPath:
         evaluator: Callable[[np.ndarray], np.ndarray],
         dim: int,
         *,
-        regularity: Regularity = OPAQUE,
+        regularity: Regularity,
     ):
         require_int(dim, "dim", 1)
         if not isinstance(regularity, Regularity):
-            raise InputError(f"regularity must be a Regularity, got {regularity!r}")
+            raise InputError(
+                f"regularity must be a Regularity, got {regularity!r}; a path with no known "
+                "rate is OperatorPath.from_samples([fn(t) for t in grid])"
+            )
         self._evaluator = evaluator
         self._dim = dim
         self._regularity = regularity
@@ -412,15 +395,6 @@ class OperatorPath:
         self._sample(ts, keep=False)
         return self._vals[ts[0]] if single else [self._vals[s] for s in ts]
 
-    def steps(self, ts: Sequence[float]) -> list[float]:
-        """Bounds on the operator-norm steps ||H(ts[k+1]) - H(ts[k])|| along
-        a grid: the declared regularity's rate * |dt|, evaluating nothing.
-        An opaque path's steps are the sampled norms themselves, of the
-        differences of its kept matrices (``_diff_norms``)."""
-        if self._regularity.declared:
-            return self._regularity.step_bounds(ts)
-        return _diff_norms([m.mat for m in self.matrices(ts)]).tolist()
-
     def nonneg_count(self, t: float) -> int:
         return int(np.sum(self.values(t) >= 0.0))
 
@@ -474,7 +448,7 @@ class OperatorPath:
 
     @classmethod
     def from_callable(
-        cls, fn: Callable[[float], HermitianMatrix], dim: int, *, regularity: Regularity = OPAQUE
+        cls, fn: Callable[[float], HermitianMatrix], dim: int, *, regularity: Regularity
     ) -> "OperatorPath":
         """A path from a scalar function t -> matrix, called once per t."""
 
@@ -519,9 +493,7 @@ class SfCertificate:
     """A spectral-flow value plus the subdivision evidence behind it.
 
     ``soundness`` names the condition the margins rest on: the path's
-    declared "piecewise-affine" or "lipschitz" regularity, or "surrogate"
-    for an opaque path, whose margins hold only for the piecewise-linear
-    interpolant of its samples.
+    declared "piecewise-affine" or "lipschitz" regularity.
     """
 
     method: str
@@ -557,11 +529,9 @@ class SfCertificate:
 
 
 def _rounding_slack(path: OperatorPath, mags: np.ndarray):
-    """gamma_n * ||H(t_k)|| per sample of a declared path (0 for an opaque
-    one), from the sampled magnitudes ``mags``: eigvalsh and the evaluator
-    are backward stable only to about that size."""
-    if not path.regularity.declared:
-        return 0.0
+    """gamma_n * ||H(t_k)|| per sample, from the sampled magnitudes
+    ``mags``: eigvalsh and the evaluator are backward stable only to about
+    that size."""
     return _gamma(path.dim) * np.max(mags, axis=-1)
 
 
@@ -570,15 +540,15 @@ def _tolerances(path: OperatorPath, steps: Sequence[float], mags: np.ndarray) ->
     must beat so that no eigenvalue can reach them between samples.
 
     Each takes its share (``_step_share``) of the larger step bound to a
-    neighbour; declared paths add the rounding slack.
+    neighbour, plus the rounding slack.
     """
     return _neighbour_steps(steps) * _step_share(path) + _rounding_slack(path, mags)
 
 
 def _step_share(path: OperatorPath) -> float:
     """The share of a step bound that a sample's distances must beat: all
-    of it on affine and opaque paths, half on a Lipschitz path, since
-    every t lies within half a spacing of a sample."""
+    of it on an affine path, half on a Lipschitz path, since every t lies
+    within half a spacing of a sample."""
     return 0.5 if path.regularity.soundness == "lipschitz" else 1.0
 
 
@@ -614,11 +584,11 @@ def _grid(path: OperatorPath, samples: int) -> tuple[float, ...]:
 
 
 def _grid_steps(path: OperatorPath, samples: int) -> tuple[float, ...]:
-    """The steps (``OperatorPath.steps``) along ``_grid(path, samples)``,
-    taken once per path and sample count."""
+    """The declared step bounds along ``_grid(path, samples)``, taken once
+    per path and sample count."""
     steps = path._grid_steps.get(samples)
     if steps is None:
-        steps = path._grid_steps[samples] = tuple(path.steps(_grid(path, samples)))
+        steps = path._grid_steps[samples] = tuple(path.regularity.step_bounds(_grid(path, samples)))
     return steps
 
 
@@ -654,7 +624,7 @@ def _segment_level_and_margin(
     best = int(np.argmax(widths))
     eps = float((lows[best] + highs[best]) / 2.0)
     dist = np.min(np.abs(mags - eps), axis=1)
-    return eps, float(np.min(dist - _tolerances(path, path.steps(ts), mags)))
+    return eps, float(np.min(dist - _tolerances(path, path.regularity.step_bounds(ts), mags)))
 
 
 def _refine(ts: Sequence[float]) -> list[float]:
@@ -692,11 +662,8 @@ def _certified_segments(
         # Any sample may become a junction, whose projection sf_pairsum
         # takes, if its segment splits deep enough. So a sample evaluated
         # here is kept, its eigenvalues taken from the same chunk, and a
-        # declared path drops a segment's inner ones once it certifies (an
-        # opaque path's steps keep every sample).
-        new = path._keep(ts)
-        if path.regularity.declared:
-            spare.update(new)
+        # segment's inner ones are dropped once it certifies.
+        spare.update(path._keep(ts))
         eps, margin = _segment_level_and_margin(path, ts, top_width)
         if margin > 0.0:
             for t in spare.intersection(ts[1:-1]):
@@ -815,11 +782,11 @@ def sf_endpoints(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> int:
 
 
 def _clearance(path: OperatorPath, vals) -> np.ndarray:
-    """Per sample of a declared path, min |eigenvalue| less twice the
-    rounding slack. When it exceeds a sample's tolerance, no eigenvalue can
-    reach zero within that tolerance, and the count ``eigvalsh`` returns
-    there is the sample's: one slack covers the sample's own computed
-    eigenvalues, the other those computed at the point reached."""
+    """Per sample, min |eigenvalue| less twice the rounding slack. When it
+    exceeds a sample's tolerance, no eigenvalue can reach zero within that
+    tolerance, and the count ``eigvalsh`` returns there is the sample's: one
+    slack covers the sample's own computed eigenvalues, the other those
+    computed at the point reached."""
     mags = np.abs(np.asarray(vals))
     return np.min(mags, axis=-1) - 2.0 * _rounding_slack(path, mags)
 
@@ -832,10 +799,10 @@ def _reach_bound(
     both ends among them), exact at every index of ``idx``.
 
     The tolerance of sample k needs ||H(t_k)||, computed as its largest
-    |eigenvalue|. Between two evaluated indices i < j of a declared path it
-    is bounded by min(||H(t_i)||, ||H(t_j)||) plus the declared step bound
-    of (t_i, t_j), times (1 + gamma_n)^2: one factor for the rounding of
-    the norm computed at the end, one for that of the norm computed at t_k."""
+    |eigenvalue|. Between two evaluated indices i < j it is bounded by
+    min(||H(t_i)||, ||H(t_j)||) plus the declared step bound of (t_i, t_j),
+    times (1 + gamma_n)^2: one factor for the rounding of the norm computed
+    at the end, one for that of the norm computed at t_k."""
     tops = np.max(np.abs(np.asarray(vals)), axis=-1)
     norms = tops
     if len(idx) < len(ts):
@@ -857,7 +824,7 @@ def _guard(
     It evaluates index sets of the grid in turn: the two ends (held by the
     end check), only when the step floor, the share (``_step_share``) of
     the largest step, reaches half the gap; the seeds, the points of the
-    ``opts.samples`` grid (all points on an opaque path); the whole grid.
+    ``opts.samples`` grid; the whole grid.
     Each set brackets the reach. The upper end is the largest per-sample
     bound (``_reach_bound``); the lower end is the larger of the step floor
     (every tolerance adds a nonnegative slack to its share of a neighbour
@@ -868,8 +835,8 @@ def _guard(
     whole grid the two ends are equal, so the last set always decides.
     """
     floor = max(steps) * _step_share(path)
-    seeds = set(_grid(path, opts.samples)) if path.regularity.declared else set(ts)
-    sets = [[0, len(ts) - 1]] if path.regularity.declared and floor >= 0.5 * gap else []
+    seeds = set(_grid(path, opts.samples))
+    sets = [[0, len(ts) - 1]] if floor >= 0.5 * gap else []
     sets += [[k for k, t in enumerate(ts) if t in seeds], list(range(len(ts)))]
     for idx in sets:
         at_idx = path.values([ts[k] for k in idx])
@@ -886,13 +853,12 @@ def _guard(
 
 
 def _refuse_on_step_bounds(path: OperatorPath, opts: SfOptions, gap: float) -> None:
-    """Run the guard (``_guard``), which must then refuse, when a declared
-    path's step floor on the ``opts.oracle_samples`` grid reaches half the
-    endpoint gap ``gap``; otherwise evaluate nothing."""
-    if path.regularity.declared:
-        steps = _grid_steps(path, opts.oracle_samples)
-        if max(steps) * _step_share(path) >= 0.5 * gap:
-            _guard(path, opts, _grid(path, opts.oracle_samples), steps, gap)
+    """Run the guard (``_guard``), which must then refuse, when the step
+    floor on the ``opts.oracle_samples`` grid reaches half the endpoint gap
+    ``gap``; otherwise evaluate nothing."""
+    steps = _grid_steps(path, opts.oracle_samples)
+    if max(steps) * _step_share(path) >= 0.5 * gap:
+        _guard(path, opts, _grid(path, opts.oracle_samples), steps, gap)
 
 
 def _ledger(
@@ -902,14 +868,16 @@ def _ledger(
 
     The aliasing guard (``_guard``) decides first, against half the
     endpoint gap ``gap``; when it passes, its evaluated indices start the
-    ledger: the seeds on a declared path (under sf_all_methods sf_phillips
-    has evaluated them already), or every grid point. Between two
+    ledger: the seeds (under sf_all_methods sf_phillips has evaluated them
+    already), or the whole grid when the guard needed it. Between two
     evaluated indices i < j, every index inside takes the count of i when
     the clearance (``_clearance``) at both ends exceeds the share
     (``_step_share``) of the declared step bound of (ts[i], ts[j]);
     otherwise ts[(i + j) // 2] is evaluated and both halves are tried
     again, one ``values`` call per level. So counts change only between
-    adjacent evaluated indices, each with the whole grid's values.
+    adjacent evaluated indices, each with the whole grid's values. A count
+    change where both ends clear the bound proves the declaration false,
+    an ``InputError``.
     """
     idx, at_idx = _guard(path, opts, ts, steps, gap)
     vals = dict(zip(idx, at_idx))
@@ -928,12 +896,14 @@ def _ledger(
     while pending:
         bounds = path.regularity.step_bounds([ts[k] for pair in pending for k in pair])
         split = []
-        for (i, j), tol in zip(pending, (np.array(bounds[::2]) * share).tolist()):
+        for (i, j), bound in zip(pending, bounds[::2]):
+            tol = bound * share
             if clear[i] > tol and clear[j] > tol:
                 if counts[i] != counts[j]:
-                    raise ConsistencyFault(
+                    raise InputError(
                         f"nonnegative count changes from {counts[i]} to {counts[j]} on "
-                        f"[{ts[i]!r}, {ts[j]!r}], where the declared regularity forbids it"
+                        f"[{ts[i]!r}, {ts[j]!r}], where the declared step bound "
+                        f"{bound:.3e} forbids it: the path moves faster than it declares"
                     )
                 counts[i + 1 : j] = [counts[i]] * (j - i - 1)
             else:
@@ -956,9 +926,9 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     and every sample's tolerance must stay below half the endpoint gap
     (otherwise the sampling is aliased and a SamplingError asks for more
     samples). The counts come from one ledger (``_ledger``): it evaluates
-    the grid only where a count can change, every point on an opaque path
-    or where the guard (``_guard``) cannot decide from fewer, and gives
-    the report and error texts of the whole grid.
+    the grid only where a count can change, every point where the guard
+    (``_guard``) cannot decide from fewer, and gives the report and error
+    texts of the whole grid.
     """
     g0, g1 = _check_endpoints(path, opts)
     ts = _grid(path, opts.oracle_samples)
@@ -1000,7 +970,7 @@ def sf_all_methods(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
     differ (that is a bug surface, not a property of the input).
 
     The end check runs first, so an ``EndpointError`` wins. Then a
-    refusal that a declared path's step floor proves
+    refusal that the path's step floor proves
     (``_refuse_on_step_bounds``) raises, through the oracle's guard, the
     ``SamplingError`` the oracle raises on a fresh path, before phillips
     samples anything and in general from the two ends alone. Otherwise
@@ -1102,9 +1072,8 @@ def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> d
 
     At every grid sample the spectral gap around 0 must exceed the
     sample's tolerance, as in sf_phillips. Returns a report with
-    ``certified`` plus the worst margin and the ``soundness`` it rests on;
-    an opaque path is never ``certified``, whatever its margin. It does not
-    raise on failure so sweep drivers can count and refine.
+    ``certified`` plus the worst margin and the ``soundness`` it rests on.
+    It does not raise on failure so sweep drivers can count and refine.
     """
     # keeps the ends, which the flows' junctions read, before the grid's values
     path.endpoint_gaps()
@@ -1114,7 +1083,7 @@ def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> d
     gaps = np.min(mags, axis=1)
     worst = float(np.min(gaps - _tolerances(path, steps, mags)))
     return {
-        "certified": bool(worst > 0.0) and path.regularity.declared,
+        "certified": bool(worst > 0.0),
         "margin": worst,
         "min_gap": float(np.min(gaps)),
         "max_step": max(steps),

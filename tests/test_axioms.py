@@ -7,7 +7,6 @@ from conftest import random_invertible_hermitian
 from specflowlab import (
     HermitianMatrix,
     InputError,
-    OperatorPath,
     SfFunctional,
     SfOptions,
     axioms,
@@ -129,40 +128,6 @@ def test_run_all_checks_builds_each_seeded_path_once(monkeypatch):
         "normalization_path": 2,
         "invertible_trig_path": 8,
     }
-
-
-def test_law_checks_make_no_stacked_two_norm(monkeypatch):
-    """Every path the law checks build declares its regularity, the
-    homotopy rows included, so no grid step needs a sampled 2-norm: no
-    2-norm is taken inside ``OperatorPath.steps``, where an opaque path's
-    sampled step norms are taken, one stack of differences per chunk (a
-    path's build may take stacked norms of its coefficients)."""
-    taken = []
-    in_steps = []
-    norm = np.linalg.norm
-    steps = OperatorPath.steps
-
-    def counting(x, ord=None, axis=None, keepdims=False):
-        if ord == 2 and in_steps:
-            taken.append(np.shape(x))
-        return norm(x, ord, axis, keepdims)
-
-    def counted_steps(self, ts):
-        in_steps.append(True)
-        try:
-            return steps(self, ts)
-        finally:
-            in_steps.pop()
-
-    monkeypatch.setattr(np.linalg, "norm", counting)
-    monkeypatch.setattr(OperatorPath, "steps", counted_steps)
-    # the counter sees the step norms of an opaque path, one stack of both
-    opaque = normalization_path(0, 3)
-    OperatorPath(opaque.stack, 3).steps([0.0, 0.5, 1.0])
-    assert taken == [(2, 3, 3)]
-    taken.clear()
-    run_all_checks(seed=0, trials=16, opts=OPTS)  # four homotopy families
-    assert taken == []
 
 
 def test_run_all_checks_shape():

@@ -12,7 +12,7 @@ import pytest
 from conftest import narrow_dip, random_hermitian, random_invertible_hermitian
 from specflowlab import specflow
 from specflowlab.axioms import connect_invertibles
-from specflowlab.errors import ConsistencyFault, SamplingError
+from specflowlab.errors import InputError, SamplingError
 from specflowlab.generators import (
     concat_compatible_pair,
     family_path,
@@ -65,7 +65,7 @@ def _whole_grid(path, opts):
     the eigenvalues within one step of zero on both sides."""
     grid = np.linspace(0.0, 1.0, opts.oracle_samples).tolist()
     ts = sorted(set(grid) | set(path.regularity.knots))
-    steps = path.steps(ts)
+    steps = path.regularity.step_bounds(ts)
     vals = np.array(path.values(ts))
     mags = np.abs(vals)
     gap = min(mags[0].min(), mags[-1].min())
@@ -73,8 +73,7 @@ def _whole_grid(path, opts):
     tau = np.maximum(padded[:-1], padded[1:])
     if path.regularity.soundness == "lipschitz":
         tau *= 0.5  # every t lies within half a spacing of a sample
-    if path.regularity.declared:
-        tau += 4 * path.dim * 2.0**-53 * mags.max(axis=1)  # gamma_n ||H(t_k)||
+    tau += 4 * path.dim * 2.0**-53 * mags.max(axis=1)  # gamma_n ||H(t_k)||
     reach = float(tau.max())
     if reach >= 0.5 * gap:
         return _refused(
@@ -249,14 +248,6 @@ def test_oracle_evaluates_few_points_of_a_dim64_trig_path(seed, monkeypatch):
     assert crossing_oracle_report(make()) == ledger
 
 
-def test_opaque_paths_evaluate_the_whole_grid():
-    path = OperatorPath(lambda ts: [np.diag([2.0 - 3.0 * t, 1.0]) for t in ts], 2)
-    asked = _counted(path)
-    report = crossing_oracle_report(path)
-    assert report["total"] == -1
-    assert sorted(asked) == np.linspace(0.0, 1.0, 257).tolist()
-
-
 def _declared(evaluate, rate):
     """A dim-2 path from a scalar function, declared Lipschitz at ``rate``."""
     return OperatorPath.from_callable(evaluate, 2, regularity=lipschitz((), [rate]))
@@ -301,7 +292,7 @@ def test_reach_bound_covers_the_norms_between_seeds():
     guard refuses."""
     probe = _norm_peak(1.0)
     ts = list(specflow._grid(probe, 257))
-    steps = probe.steps(ts)
+    steps = probe.regularity.step_bounds(ts)
     vals = probe.values(ts)
     tau = specflow._tolerances(probe, steps, np.abs(np.array(vals)))
     reach = float(np.max(tau))
@@ -343,12 +334,33 @@ def test_reach_bound_covers_the_norms_between_seeds():
     assert sorted(asked) == ts
 
 
-def test_a_count_change_the_declaration_forbids_is_a_fault():
-    """A path declared far slower than it moves: two seeds differ in count
-    across an interval whose ends both clear the declared step bound."""
-    path = _declared(lambda t: np.diag([1.0 if t < 0.52 else -1.0, 2.0]), 1e-3)
-    with pytest.raises(ConsistencyFault, match="declared regularity forbids"):
-        crossing_oracle_report(path)
+def _fast_cosine(t):
+    """U diag(cos(40 pi t), 0.7) U*: it moves at a rate of about 126."""
+    u = random_unitary(np.random.default_rng(27), 2).mat
+    return u @ np.diag([np.cos(40.0 * np.pi * t), 0.7]) @ u.conj().T
+
+
+@pytest.mark.parametrize(
+    "make, call, window, bound",
+    [
+        (
+            lambda: _declared(lambda t: np.diag([1.0 if t < 0.52 else -1.0, 2.0]), 1e-3),
+            crossing_oracle_report,
+            "[0.5, 0.53125]",
+            "3.125e-05",
+        ),
+        (lambda: _declared(_fast_cosine, 50.0), sf_all_methods, "[0.03125, 0.046875]", "7.812e-01"),
+    ],
+    ids=["step", "fast_cosine"],
+)
+def test_a_count_change_the_declaration_forbids_is_an_input_error(make, call, window, bound):
+    """A path declared slower than it moves: two evaluated points differ in
+    count across an interval whose ends both clear the declared step bound.
+    The declaration, an input, is false, so the refusal is an InputError
+    (exit 1) naming the window and the declared step bound."""
+    with pytest.raises(InputError) as err:
+        call(make())
+    assert f" on {window}, where the declared step bound {bound} forbids it" in str(err.value)
 
 
 #: the corpus paths the oracle's guard refuses at the default options

@@ -1,14 +1,13 @@
 """The README's quick starts run as written and give the values they state:
-the three Python blocks of "Quick start (Python)" in one namespace, in
-order, and the path file of "Quick start (CLI)" through ``specflow
-compute``. The first block is an opaque path, so its flows take sampled
-step norms."""
+the two Python blocks of "Quick start (Python)" in one namespace, in
+order, each path with the soundness it declares, and the path file of
+"Quick start (CLI)" through ``specflow compute``."""
 
 import json
 import re
 from pathlib import Path
 
-from specflowlab import OPAQUE, cli
+from specflowlab import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,26 +22,20 @@ def _blocks(section: str, lang: str) -> list[str]:
 
 def test_python_quick_start_states_its_values(capsys):
     blocks = _blocks("Quick start (Python)", "python")
-    assert len(blocks) == 3
+    assert len(blocks) == 2
     names: dict = {}
     exec(compile(blocks[0], "README block 0", "exec"), names)
     result = names["result"]
     assert result["value"] == 1
     assert result["methods"] == {"phillips": 1, "pairsum": 1, "endpoints": 1, "crossing_oracle": 1}
+    assert result["phillips_certificate"].soundness == "lipschitz"
     segments = result["phillips_certificate"].segments
     assert len(capsys.readouterr().out.splitlines()) == len(segments)
 
     exec(compile(blocks[1], "README block 1", "exec"), names)
-    assert names["sf_all_methods"](names["line"], names["SfOptions"]())["value"] == 1
-
-    exec(compile(blocks[2], "README block 2", "exec"), names)
-    assert names["line"].regularity is OPAQUE
-    for name, soundness in (("sloped", "piecewise-affine"), ("wavy", "lipschitz")):
-        path = names[name]
-        assert path.regularity.soundness == soundness
-        result = names["sf_all_methods"](path, names["SfOptions"]())
-        assert result["value"] == 1, name
-        assert result["phillips_certificate"].soundness == soundness
+    result = names["sf_all_methods"](names["line"], names["SfOptions"]())
+    assert result["value"] == 1
+    assert result["phillips_certificate"].soundness == "piecewise-affine"
 
 
 def test_cli_quick_start_computes_its_path(tmp_path):

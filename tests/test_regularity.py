@@ -18,9 +18,7 @@ from specflowlab.generators import (
     trig_path,
 )
 from specflowlab.matcore import HermitianMatrix, op_norm
-from specflowlab.serialize import certificate_to_obj
 from specflowlab.specflow import (
-    OPAQUE,
     OperatorPath,
     Regularity,
     certify_invertible,
@@ -30,7 +28,6 @@ from specflowlab.specflow import (
     path_reverse,
     piecewise_affine,
     sf_all_methods,
-    sf_phillips,
 )
 
 
@@ -79,7 +76,7 @@ def _assert_bounds_hold(path, ts):
     two ends, is at least the sampled step."""
     gamma = specflow._gamma(path.dim)
     mats = path.matrices(ts)
-    for k, bound in enumerate(path.steps(ts)):
+    for k, bound in enumerate(path.regularity.step_bounds(ts)):
         step = op_norm(mats[k + 1].mat - mats[k].mat)
         slack = gamma * (mats[k].norm + mats[k + 1].norm)
         assert bound + slack >= step, (ts[k], ts[k + 1], bound, step)
@@ -123,15 +120,8 @@ def test_declared_flow_makes_no_stacked_norm(monkeypatch):
 
 
 def test_narrow_dip_is_never_certified():
-    """Sampled steps see nothing of the dip, so an opaque path still gets
-    a one-segment subdivision, but it is labelled a surrogate and not
-    certified; declared with its true rate, the oracle refuses."""
-    path = OperatorPath.from_callable(narrow_dip, 2)
-    cert = sf_phillips(path)
-    assert cert.soundness == "surrogate" and cert.total == 0
-    report = certify_invertible(path)
-    assert report["margin"] > 0.0 and report["certified"] is False
-    assert report["soundness"] == "surrogate"
+    """Declared with its true rate, the dip between samples is never
+    certified invertible, and the oracle refuses."""
     rate = 3.0 * np.sqrt(2.0) * np.exp(-0.5) / 2e-5
     assert 1.28e5 < rate < 1.29e5
     declared = OperatorPath.from_callable(narrow_dip, 2, regularity=lipschitz((), [rate]))
@@ -147,15 +137,35 @@ def test_invertible_families_certify_soundly():
         assert report["soundness"] == "lipschitz"
 
 
-def test_opaque_paths_are_surrogates():
-    path = OperatorPath(lambda ts: [np.diag([2.0 + t, -1.0]) for t in ts], 2)
-    assert path.regularity is OPAQUE
-    report = certify_invertible(path)
-    assert report["margin"] > 0.0 and report["certified"] is False
-    obj = certificate_to_obj(sf_phillips(path))
-    assert obj["soundness"] == "surrogate"
-    with pytest.raises(InputError):
-        OperatorPath(path.stack, 2, regularity="lipschitz")
+def _scalar(t):
+    return np.diag([2.0 + t, -1.0])
+
+
+def _line(ts):
+    return [_scalar(t) for t in ts]
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: OperatorPath(_line, 2), TypeError, "regularity"),
+        (lambda: OperatorPath.from_callable(_scalar, 2), TypeError, "regularity"),
+        (lambda: OperatorPath(_line, 2, regularity=None), InputError, "from_samples"),
+        (
+            lambda: OperatorPath.from_callable(_scalar, 2, regularity="lipschitz"),
+            InputError,
+            "from_samples",
+        ),
+        (lambda: Regularity("surrogate"), InputError, "soundness must be one of"),
+    ],
+    ids=["omitted", "omitted_from_callable", "none", "string", "surrogate"],
+)
+def test_every_path_declares_its_regularity(build, error, match):
+    """No path is built without a declaration: omitting it is Python's own
+    TypeError, anything but a Regularity is refused with a pointer to
+    from_samples, and no Regularity declares nothing."""
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_concat_and_reverse_regularity():
@@ -164,9 +174,7 @@ def test_concat_and_reverse_regularity():
     both = f.then(f)
     assert both == piecewise_affine((0.25, 0.5, 0.75), (2.0, 4.0, 2.0, 4.0))
     assert f.then(g) == lipschitz((0.25, 0.5), (2.0, 4.0, 6.0))
-    assert f.then(OPAQUE) == Regularity("surrogate", (0.25, 0.5))
     assert f.reversed() == piecewise_affine((0.5,), (2.0, 1.0))
-    assert OPAQUE.reversed() == OPAQUE
 
 
 def test_step_bounds_take_the_largest_rate_of_a_spanned_step():

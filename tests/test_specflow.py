@@ -31,6 +31,7 @@ from specflowlab.specflow import (
     lipschitz,
     path_concat,
     path_reverse,
+    piecewise_affine,
     sf_all_methods,
     sf_crossing_oracle,
     sf_endpoints,
@@ -66,7 +67,7 @@ def pivot_path(width=0.4):
     def evaluate(t):
         return HermitianMatrix(np.diag([t - 0.5, 2.0, -2.0]))
 
-    return OperatorPath.from_callable(evaluate, 3)
+    return OperatorPath.from_callable(evaluate, 3, regularity=piecewise_affine((), [1.0]))
 
 
 def test_pivot_path_all_methods():
@@ -83,7 +84,7 @@ def test_two_crossings_cancel():
     def evaluate(t):
         return HermitianMatrix(np.diag([t - 0.25, 0.75 - t]))
 
-    path = OperatorPath.from_callable(evaluate, 2)
+    path = OperatorPath.from_callable(evaluate, 2, regularity=piecewise_affine((), [1.0]))
     assert dense_sign_count_oracle(path) == 0
     result = sf_all_methods(path)
     assert result["value"] == 0
@@ -159,7 +160,7 @@ def test_endpoint_invertibility_guard():
     def evaluate(t):
         return HermitianMatrix(np.diag([t, 1.0]))  # singular at t = 0
 
-    path = OperatorPath.from_callable(evaluate, 2)
+    path = OperatorPath.from_callable(evaluate, 2, regularity=piecewise_affine((), [1.0]))
     with pytest.raises(EndpointError):
         sf_phillips(path)
     with pytest.raises(EndpointError):
@@ -170,20 +171,22 @@ def test_oracle_step_guard_on_tiny_endpoint_gap():
     def evaluate(t):
         return HermitianMatrix(np.diag([1e-5 + t * (1.0 - 1e-5)]))
 
-    path = OperatorPath.from_callable(evaluate, 1)
+    path = OperatorPath.from_callable(evaluate, 1, regularity=piecewise_affine((), [1.0 - 1e-5]))
     with pytest.raises(SamplingError):
         sf_crossing_oracle(path)
 
 
 def test_unbounded_oscillation_exhausts_certification():
     # crosses zero infinitely often near t = 1/2; subdivision cannot shrink
-    # the sample-to-sample steps, so the depth budget must run out
+    # the sample-to-sample steps, so the depth budget must run out. No rate
+    # bounds this path; the large one declared here makes the test pin only
+    # the depth refusal and its window.
     def evaluate(t):
         x = t - 0.5
         lam = 0.7 * np.sin(1.0 / x) if x != 0.0 else 0.0
         return HermitianMatrix(np.array([[lam]]))
 
-    path = OperatorPath.from_callable(evaluate, 1)
+    path = OperatorPath.from_callable(evaluate, 1, regularity=lipschitz((), [1e6]))
     with pytest.raises(CertificationError) as err:
         sf_phillips(path, SfOptions(max_depth=10))
     lo, hi = err.value.window
@@ -299,7 +302,7 @@ def test_sf_options_read_a_float32_endpoint_gap_without_a_warning():
 
 def test_operator_path_refuses_a_bool_dim():
     with pytest.raises(InputError, match="dim must be an int >= 1, got True"):
-        OperatorPath(lambda ts: np.ones((len(ts), 1, 1)), True)
+        OperatorPath(lambda ts: np.ones((len(ts), 1, 1)), True, regularity=lipschitz((), [1.0]))
 
 
 def test_double_reverse_identity():
@@ -321,12 +324,9 @@ def test_sampler_is_bit_identical_to_single_calls(seed, dim):
     for t, v in zip(ts, path.values(ts)):
         assert np.array_equal(v, np.linalg.eigvalsh(path.matrix(t).mat))
         assert path.values(t) is v
-    # a declared step bounds the sampled one; an opaque path's step is it
-    for a, b, step in zip(ts, ts[1:], path.steps(ts)):
+    # a declared step bounds the sampled one
+    for a, b, step in zip(ts, ts[1:], path.regularity.step_bounds(ts)):
         assert step >= op_norm(path.matrix(b).mat - path.matrix(a).mat)
-    opaque = OperatorPath(path.stack, dim)
-    for a, b, step in zip(ts, ts[1:], opaque.steps(ts)):
-        assert step == op_norm(path.matrix(b).mat - path.matrix(a).mat)
 
 
 @pytest.mark.parametrize(
@@ -356,8 +356,8 @@ def test_diagonal_paths_sample_values_without_lapack(monkeypatch, name, params):
 
 
 def _filled_backwards(seed, dim):
-    """A path whose sampler caches were filled one point and one step at a
-    time, from t = 1 down, on the grids the methods sample first."""
+    """A path whose sampler caches were filled one point at a time, from
+    t = 1 down, on the grids the methods sample first."""
     path = trig_path(seed, dim)
     opts = SfOptions()
     for ts in (
@@ -366,7 +366,6 @@ def _filled_backwards(seed, dim):
     ):
         for k in reversed(range(len(ts))):
             path.values(ts[k])
-            path.steps(ts[k - 1 : k + 1])
     return path
 
 
@@ -385,17 +384,12 @@ def test_pairsum_reuses_the_phillips_subdivision():
 
 
 def test_evaluation_refuses_entries_whose_steps_could_overflow():
-    """The path validates every stack its evaluator returns, and a
-    validated matrix keeps its entries within half the float range, so no
-    sampled step can overflow: samples of +-1e308 are refused when they are
-    evaluated, before any difference is taken."""
-
-    def evaluate(t):
-        return np.diag([1e308 if t > 0.5 else -1e308, 1.0])
-
-    path = OperatorPath.from_callable(evaluate, 2)
+    """A sampled path validates every sample, and a validated matrix keeps
+    its entries within half the float range, so no piece rate (a 2-norm of
+    the difference of two samples) can overflow: samples of +-1e308 are
+    refused when the path is built, before any difference is taken."""
     with pytest.raises(FinitenessError, match="Hermitian average overflows"):
-        path.steps([0.0, 1.0])
+        OperatorPath.from_samples([np.diag([-1e308, 1.0]), np.diag([1e308, 1.0])])
 
 
 def _homotopy_row(label, dim):
@@ -434,6 +428,7 @@ def _scalar_callable(dim):
     return OperatorPath.from_callable(
         lambda t: HermitianMatrix((1.0 - t) * a.mat + t * b.mat + np.sin(5.0 * t) * c.mat),
         dim,
+        regularity=lipschitz((), [op_norm(b.mat - a.mat) + 5.0 * op_norm(c.mat)]),
     )
 
 
@@ -518,7 +513,6 @@ def test_evaluator_gets_one_call_per_chunk():
     grid = np.linspace(0.0, 1.0, 50).tolist()
     path.matrices(grid)
     path.values(grid)
-    path.steps(grid)
     size = specflow._chunk_len(48)
     assert calls == [size] * (50 // size) + [50 % size]
     # eigenvalues and stacks of a declared path keep no matrix
@@ -534,8 +528,8 @@ def _sampled_path():
 
 
 # Paths whose kept matrices come from each route: the ends and segment ends
-# (declared families and composites), every sample (an opaque path), and
-# the knots (a sampled path).
+# (families, composites and a scalar callable), and the knots (a sampled
+# path).
 EVALUATE_ONCE_PATHS = {
     "fuglede_line": lambda: family_path("fuglede_line", {"N": 32, "n": 3}),
     "toeplitz_line": lambda: family_path("toeplitz_line", {"m": 3}),
@@ -655,7 +649,7 @@ def test_stacked_evaluator_errors_match_the_scalar_ones():
                 out[len(ts) // 2, 0, 1] = 1e-6
             return out
 
-        return OperatorPath(evaluate, 3)
+        return OperatorPath(evaluate, 3, regularity=lipschitz((), [1.0]))
 
     grid = np.linspace(0.0, 1.0, 9).tolist()
     with pytest.raises(FinitenessError, match="finite"):
@@ -681,10 +675,10 @@ def test_scalar_callable_of_the_wrong_shape(bad):
         return bad if t == 0.5 else np.eye(3)
 
     with pytest.raises(InputError) as single:
-        OperatorPath.from_callable(evaluate, 3).matrix(0.5)
+        OperatorPath.from_callable(evaluate, 3, regularity=lipschitz((), [1.0])).matrix(0.5)
     if bad.shape == (2, 2):
         assert str(single.value) == "path evaluator returned dim 2, expected 3"
-    path = OperatorPath.from_callable(evaluate, 3)
+    path = OperatorPath.from_callable(evaluate, 3, regularity=lipschitz((), [1.0]))
     path.values([0.0, 0.25])
     with pytest.raises(type(single.value)) as stacked:
         path.values(np.linspace(0.0, 1.0, 5))
