@@ -21,7 +21,7 @@ _EXPORTS = {
         "BoundaryCollisionError", "CertificationError", "ConsistencyFault",
         "DimensionMismatchError", "EndpointError", "FinitenessError",
         "FunctionDomainError", "HermiticityError", "IllConditionedRankWarning",
-        "InputError", "InvertibilityError", "SamplingError", "SpecFlowError",
+        "InputError", "SamplingError", "SpecFlowError",
     ),
     "matcore": (
         "EigenDecomposition", "HermitianMatrix", "Interval", "Projection",

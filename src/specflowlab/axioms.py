@@ -24,11 +24,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificationError, InputError, require_int
-from .matcore import HermitianMatrix, as_hermitian, op_norm
+from .matcore import HermitianMatrix, _stack_eigvalsh, as_hermitian, op_norm
 from .specflow import (
     _DEFAULT_OPTS,
     OperatorPath,
     SfOptions,
+    _singular,
     certify_invertible,
     lipschitz,
     path_concat,
@@ -270,12 +271,14 @@ def run_all_checks(
 
 def component_label(t: HermitianMatrix) -> int:
     """Dimension of the nonnegative eigenspace of an invertible Hermitian
-    matrix (every |eigenvalue| above 1e-8) -- the complete connectedness
-    invariant at fixed dimension."""
+    matrix -- the complete connectedness invariant at fixed dimension --
+    where invertible is the end check's rule (``specflow._singular``) on
+    the eigenvalues a path end gets."""
     t = as_hermitian(t)
-    vals = np.linalg.eigvalsh(t.mat)
-    if float(np.min(np.abs(vals))) <= 1e-8:
-        raise InputError("matrix must be invertible (gap > 1e-08) to carry a label")
+    vals = _stack_eigvalsh(t.mat[None])
+    tail = _singular(t.dim, vals)[1]
+    if tail is not None:
+        raise InputError(f"matrix must be invertible (gap > 1e-08) to carry a label{tail}")
     return int(np.count_nonzero(vals >= 0))
 
 

@@ -52,15 +52,29 @@ def require_int(value, name: str, low: int, high: int | None = None) -> int:
     return value
 
 
-def require_real(value, name: str) -> float:
+#: the ranges ``require_real`` checks, by the words of its refusal
+_RANGES = {
+    "a number": lambda x: not math.isnan(x),
+    "finite": math.isfinite,
+    "positive": lambda x: x > 0,
+    "positive and finite": lambda x: 0 < x < math.inf,
+    "finite and nonnegative": lambda x: 0 <= x < math.inf,
+}
+
+
+def require_real(value, name: str, span: str | None = None) -> float:
     """``value`` as a float (an int past the float range as an infinity) if
-    it is a real number, not a bool; otherwise an InputError naming it."""
+    it is a real number, not a bool, within the range ``span`` names (a key
+    of ``_RANGES``), when given; otherwise an InputError naming it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{name} must be a float, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        x = math.inf if value > 0 else -math.inf
+    if span is not None and not _RANGES[span](x):
+        raise InputError(f"{name} must be {span}, got {x!r}")
+    return x
 
 
 class HermiticityError(InputError):
@@ -95,10 +109,6 @@ class FunctionDomainError(InputError):
 
 class BoundaryCollisionError(InputError):
     """An interval endpoint sits too close to the spectrum for a stable cut."""
-
-
-class InvertibilityError(InputError):
-    """An operator that must be invertible has spectrum too close to 0."""
 
 
 class EndpointError(InputError):

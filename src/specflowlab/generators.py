@@ -124,11 +124,6 @@ def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryMatrix:
     return UnitaryMatrix(q)
 
 
-def _check_gap(gap: float) -> None:
-    if not 0 < require_real(gap, "gap") < math.inf:
-        raise InputError("gap must be positive and finite")
-
-
 def _clamped(w: np.ndarray, v: np.ndarray, gap: float) -> np.ndarray:
     """The clamp of each matrix of a stack, from its validated
     eigendecomposition (values (k, n), bases (k, n, n)): every eigenvalue
@@ -143,7 +138,7 @@ def clamp_spectrum_away_from_zero(h: HermitianMatrix, gap: float) -> HermitianMa
     (eigenvalue 0 is pushed up): the one-matrix case of ``_clamped``, the
     clamp the path generators apply to their ends, on the matrix's cached
     eigendecomposition."""
-    _check_gap(gap)
+    require_real(gap, "gap", "positive and finite")
     ed = as_hermitian(h).eig
     return HermitianMatrix._of_valid(_clamped(ed.values[None], ed.vectors[None], gap)[0])
 
@@ -251,7 +246,7 @@ def _tilted_path(
     end is clamped.
     """
     ends = _hermitian_stack(raw(np.array([0.0, 1.0])))
-    _check_gap(gap)
+    require_real(gap, "gap", "positive and finite")
     if not fix_left:
         ends = ends[1:]
     clamped = [_clamped(*_eigh_stack(c), gap) for c in _chunks(ends, _chunk_len(dim))]
@@ -355,9 +350,7 @@ def trig_path(
     rng = _as_rng(seed_or_rng)
     require_int(dim, "dim", 1)
     require_int(degree, "degree", 1)
-    scale = require_real(scale, "scale")
-    if not math.isfinite(scale):
-        raise InputError("scale must be finite")
+    scale = require_real(scale, "scale", "finite")
     raw, rate = _trig_evaluator(rng, dim, degree, scale)
     return _tilted_path(raw, rate, dim, gap)
 

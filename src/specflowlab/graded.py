@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyFault, FinitenessError, InputError, require_int
+from .errors import ConsistencyFault, FinitenessError, InputError, require_int, require_real
 from .matcore import (
     HermitianMatrix,
     Interval,
@@ -98,8 +98,7 @@ class GradedOperator:
     def spectral_gap(self, *, tol: float = 1e-8) -> float:
         """Smallest singular value of the block above ``tol`` (0.0 if none);
         ``tol`` must be finite and nonnegative."""
-        if not (np.isfinite(tol) and tol >= 0.0):
-            raise InputError(f"tol must be finite and nonnegative, got {tol!r}")
+        tol = require_real(tol, "tol", "finite and nonnegative")
         sv = self._singular_values
         above = sv[sv > tol]
         return float(above.min()) if above.size else 0.0
@@ -121,9 +120,7 @@ def _odd_stack(p: int, blocks: np.ndarray) -> np.ndarray:
 def graded_window_dim(g: GradedOperator, eps: float) -> int:
     """Grading-weighted dimension of the [-eps, eps] spectral window of
     the odd matrix; equals the kernel index once eps clears the gap."""
-    eps = float(eps)
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    eps = require_real(eps, "eps", "positive")
     return _window_dim(g._odd.h, g.grading(), eps)
 
 

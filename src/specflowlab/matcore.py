@@ -39,6 +39,7 @@ from .errors import (
     HermiticityError,
     IllConditionedRankWarning,
     InputError,
+    require_real,
 )
 
 __all__ = [
@@ -279,11 +280,14 @@ def _stack_eigvalsh(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(s)
 
 
-def _matrix_array(a) -> np.ndarray:
-    """``a`` as a complex128 array, which must be 2-d."""
+def _matrix_array(a, square: bool = False) -> np.ndarray:
+    """``a`` as a complex128 array, which must be 2-d, and square when
+    ``square``: the one coercion of a matrix argument."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got shape {m.shape}")
+    if square and m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -400,7 +404,21 @@ def _norm_over(a: np.ndarray, bound: float, limit: Callable | None = None) -> fl
     return None
 
 
-class HermitianMatrix:
+class _Checked:
+    """Base of the validated value types: the constructor checks its input
+    and ``_store``s the checked fields; ``_of_valid`` stores fields that a
+    stacked check already passed, without a second check."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _of_valid(cls, *fields):
+        obj = object.__new__(cls)
+        obj._store(*fields)
+        return obj
+
+
+class HermitianMatrix(_Checked):
     """An immutable square complex matrix validated to be Hermitian.
 
     The symmetry defect max|H - H*| must not exceed 1e-12 times the largest
@@ -412,18 +430,12 @@ class HermitianMatrix:
     __slots__ = ("_mat", "_norm", "_eig")
 
     def __init__(self, entries):
-        self._mat = _hermitian_average(_matrix_array(entries)[None])[0]
+        self._store(_hermitian_average(_matrix_array(entries)[None])[0])
+
+    def _store(self, mat: np.ndarray) -> None:
+        self._mat = mat
         self._norm: float | None = None
         self._eig: EigenDecomposition | None = None
-
-    @classmethod
-    def _of_valid(cls, row: np.ndarray) -> HermitianMatrix:
-        """Wrap one read-only row of a stack ``_hermitian_average`` returned,
-        without a second check."""
-        h = object.__new__(cls)
-        h._mat = row
-        h._norm = h._eig = None
-        return h
 
     @property
     def mat(self) -> np.ndarray:
@@ -470,13 +482,11 @@ def tol_spec(h: HermitianMatrix | np.ndarray) -> float:
 
 def as_hermitian(a) -> HermitianMatrix:
     """Coerce an array or wrapper into a validated HermitianMatrix."""
-    if isinstance(a, HermitianMatrix):
-        return a
-    return HermitianMatrix(np.asarray(a))
+    return a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
 
 
 @dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(_Checked):
     """Eigenvalues (ascending, real) and an orthonormal eigenbasis.
 
     values[i] pairs with column vectors[:, i]; ||V* V - I|| <= 1e-10 is
@@ -493,21 +503,13 @@ class EigenDecomposition:
         if w.ndim != 1 or v.ndim != 2 or v.shape != (w.size, w.size):
             raise InputError("inconsistent eigendecomposition shapes")
         _check_eigenbases(w[None], v[None])
-        self._freeze(w, v)
+        self._store(w, v)
 
-    def _freeze(self, w: np.ndarray, v: np.ndarray) -> None:
+    def _store(self, w: np.ndarray, v: np.ndarray) -> None:
         w.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "values", w)
         object.__setattr__(self, "vectors", v)
-
-    @staticmethod
-    def _of_valid(w: np.ndarray, v: np.ndarray) -> "EigenDecomposition":
-        """Wrap one matrix's rows of a decomposition ``_eigh_stack``
-        returned, without a second check."""
-        ed = object.__new__(EigenDecomposition)
-        ed._freeze(w, v)
-        return ed
 
     def assemble(self, scalars: np.ndarray) -> np.ndarray:
         """Return V diag(scalars) V* as a plain array."""
@@ -592,10 +594,8 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if np.isnan(lo) or np.isnan(hi):
-            raise InputError("interval endpoints must not be NaN")
+        lo = require_real(self.lo, "lo", "a number")
+        hi = require_real(self.hi, "hi", "a number")
         if lo > hi:
             raise InputError(f"empty interval: lo {lo} > hi {hi}")
         object.__setattr__(self, "lo", lo)
@@ -655,17 +655,11 @@ class Projection(HermitianMatrix):
 
     def __init__(self, entries):
         p, (rank,) = _projection_stack(_matrix_array(entries)[None])
-        self._mat = p[0]
-        self._norm = self._eig = None
-        self._rank = rank
+        self._store(p[0], rank)
 
-    @classmethod
-    def _of_checked(cls, row: np.ndarray, rank: int) -> "Projection":
-        """Wrap one row of a stack ``_projection_stack`` checked, with its
-        rank, without a second check."""
-        p = cls._of_valid(row)
-        p._rank = rank
-        return p
+    def _store(self, mat: np.ndarray, rank: int) -> None:
+        super()._store(mat)
+        self._rank = rank
 
     @property
     def rank(self) -> int:
@@ -685,7 +679,7 @@ def spectral_projection(h: HermitianMatrix, window: Interval) -> Projection:
     h = as_hermitian(h)
     ed = h.eig
     p, (rank,) = _spectral_projections(ed.values[None], ed.vectors[None], [h.norm], window)
-    return Projection._of_checked(p[0], rank)
+    return Projection._of_valid(p[0], rank)
 
 
 def _spectral_projections(
@@ -724,7 +718,7 @@ def nonneg_projection(h: HermitianMatrix) -> Projection:
     sf_pairsum calls on its junctions as stacks.
     """
     p, (rank,) = _nonneg_projections([as_hermitian(h)])
-    return Projection._of_checked(p[0], rank)
+    return Projection._of_valid(p[0], rank)
 
 
 def _nonneg_projections(mats: Sequence[HermitianMatrix]) -> tuple[np.ndarray, list[int]]:
@@ -786,7 +780,7 @@ def rank_eps(a) -> int:
     can see the hazard propagate.
     """
     tol = 1e-8
-    m = np.asarray(a, dtype=np.complex128)
+    m = _matrix_array(a)
     if m.size == 0:
         return 0
     sv = np.linalg.svd(m, compute_uv=False)

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyFault, DimensionMismatchError, InputError
+from .errors import ConsistencyFault, DimensionMismatchError, InputError, require_real
 from .matcore import (
     HermitianMatrix,
     _assemble,
@@ -293,8 +293,7 @@ def norm_graph_equivalence_check(t, t_tilde, r_bound: float) -> GraphNormReport:
     """
     slack = 1e-10
     a, b = _pair(t, t_tilde)
-    if not (np.isfinite(r_bound) and r_bound > 0):
-        raise InputError(f"radius bound must be positive and finite, got {r_bound!r}")
+    r_bound = require_real(r_bound, "r_bound", "positive and finite")
     norm_t = a.h.norm
     if norm_t > r_bound * (1.0 + 1e-12):
         raise InputError(f"||T|| = {norm_t!r} exceeds the declared radius {r_bound!r}")

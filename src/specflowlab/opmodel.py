@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, require_int
-from .matcore import HermitianMatrix, apply_function, as_hermitian
+from .errors import InputError, require_int, require_real
+from .matcore import HermitianMatrix, apply_function
 
 __all__ = [
     "DiagonalModel",
@@ -154,15 +154,11 @@ def swap_bounds(model: DiagonalModel, n: int) -> dict[str, float]:
 
 def truncate_fn(t: HermitianMatrix, n: float) -> HermitianMatrix:
     """Clamp the spectrum of T to [-n, n] (functional calculus with a clip)."""
-    if not (np.isfinite(n) and n > 0):
-        raise InputError(f"truncation level must be positive and finite, got {n!r}")
-    t = as_hermitian(t)
-    lo, hi = -float(n), float(n)
-    return apply_function(t, lambda x: min(max(x, lo), hi))
+    n = require_real(n, "n", "positive and finite")
+    return apply_function(t, lambda x: min(max(x, -n), n))
 
 
 def truncation_riesz_bound(n: float) -> float:
     """Upper bound |n / sqrt(1 + n^2) - 1| for d_R(T, clamped T)."""
-    if not (np.isfinite(n) and n > 0):
-        raise InputError(f"truncation level must be positive and finite, got {n!r}")
+    n = require_real(n, "n", "positive and finite")
     return float(abs(n / np.sqrt(1.0 + n * n) - 1.0))

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputError, coerce_field, require_int
-from .matcore import HermitianMatrix
+from .matcore import HermitianMatrix, _matrix_array
 from .specflow import OperatorPath, SfCertificate
 
 if TYPE_CHECKING:  # imported where used, so compute and report load only what they read
@@ -46,9 +46,7 @@ __all__ = [
 
 def matrix_to_obj(h) -> dict:
     """{"dim", "re", "im"} literal for a square complex matrix."""
-    mat = h.mat if isinstance(h, HermitianMatrix) else np.asarray(h, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InputError(f"matrix literal needs a square array, got {mat.shape}")
+    mat = _matrix_array(h, square=True)
     return {"dim": int(mat.shape[0]), **_array_to_parts(mat)}
 
 
@@ -80,9 +78,7 @@ def matrix_from_obj(obj: dict) -> HermitianMatrix:
 
 def block_to_obj(a: np.ndarray) -> dict:
     """{"rows", "cols", "re", "im"} literal for a rectangular block."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise InputError(f"block literal needs a 2-d array, got ndim {a.ndim}")
+    a = _matrix_array(a)
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), **_array_to_parts(a)}
 
 

@@ -5,7 +5,8 @@ evaluator and a declared Regularity: a bound on ||H(b) - H(a)|| computed
 once, when the path is built. A piecewise-affine path (uniform samples,
 straight lines) gives the norm of each piece's slope, a Lipschitz path (the
 trig families, the connector) a rate per piece. Endpoints must be
-invertible (min |spec| > 1e-8 by convention), so the flow is an integer.
+invertible (``_singular``: min |spec| less its rounding slack > 1e-8), so
+the flow is an integer.
 
 Methods
 -------
@@ -40,7 +41,6 @@ independent integer.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
@@ -91,23 +91,25 @@ __all__ = [
 ]
 
 
+#: the invertibility convention: a matrix is invertible when its least
+#: |eigenvalue|, less the rounding slack of its eigenvalues, exceeds this
+_ENDPOINT_GAP = 1e-8
+
+
 @dataclass(frozen=True)
 class SfOptions:
-    """Resolution and tolerance knobs shared by the four methods."""
+    """Resolution knobs shared by the four methods; ``endpoint_gap`` is the
+    fixed convention of ``_singular``, a field so certificates list it."""
 
     samples: int = 33
     oracle_samples: int = 257
     max_depth: int = 24
-    endpoint_gap: float = 1e-8
+    endpoint_gap: float = field(default=_ENDPOINT_GAP, init=False)
 
     def __post_init__(self):
         require_int(self.samples, "samples", 2)
         require_int(self.oracle_samples, "oracle_samples", 2)
         require_int(self.max_depth, "max_depth", 1)
-        gap = require_real(self.endpoint_gap, "endpoint_gap")
-        if not 0 < gap <= sys.float_info.max:
-            raise InputError("endpoint_gap must be positive and finite")
-        object.__setattr__(self, "endpoint_gap", gap)
 
 
 _DEFAULT_OPTS = SfOptions()
@@ -132,6 +134,23 @@ def _gamma(dim: int) -> float:
     return 4 * dim * 2.0**-53
 
 
+def _singular(dim: int, vals) -> tuple[tuple[float, ...], str | None]:
+    """The invertibility rule, on each row of a (k, n) array of eigenvalues:
+    its gap min |eigenvalue|, less the rounding slack gamma_n * max
+    |eigenvalue|, must exceed ``_ENDPOINT_GAP``. Returns the gaps and None
+    when every row passes, else the gaps and the tail of the refusal's
+    text: empty when a gap itself is at or below the convention, naming the
+    gaps less their slack when the slack decided."""
+    mags = np.abs(np.asarray(vals))
+    gaps = np.min(mags, axis=-1)
+    clear = (gaps - _gamma(dim) * np.max(mags, axis=-1)).tolist()
+    tail = None
+    if min(clear) <= _ENDPOINT_GAP:
+        less = "; min |spec| less the rounding slack is (%s)" % ", ".join(f"{c:.3e}" for c in clear)
+        tail = "" if gaps.min() <= _ENDPOINT_GAP else less
+    return tuple(gaps.tolist()), tail
+
+
 @dataclass(frozen=True)
 class Regularity:
     """A path's declared bound on how far H moves between two parameters.
@@ -151,8 +170,8 @@ class Regularity:
     rates: tuple[float, ...] = ()
 
     def __post_init__(self):
-        knots = tuple(float(k) for k in self.knots)
-        rates = tuple(float(r) for r in self.rates)
+        knots = tuple(require_real(k, "knot") for k in self.knots)
+        rates = tuple(require_real(r, "rate", "finite and nonnegative") for r in self.rates)
         if self.soundness not in _SOUNDNESS:
             raise InputError(f"soundness must be one of {_SOUNDNESS}, got {self.soundness!r}")
         bounds = (0.0,) + knots + (1.0,)
@@ -161,8 +180,6 @@ class Regularity:
         pieces = len(knots) + 1
         if len(rates) != pieces:
             raise InputError(f"{self.soundness} needs {pieces} rates, got {len(rates)}")
-        if not all(np.isfinite(r) and r >= 0.0 for r in rates):
-            raise InputError(f"rates must be finite and nonnegative, got {rates}")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "rates", rates)
 
@@ -403,19 +420,13 @@ class OperatorPath:
         return self._endpoints[0]
 
     @cached_property
-    def _endpoints(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """The end gaps min |spec| at t = 0 and 1, and the same gaps less
-        their rounding slack, measured once per path."""
-        return self._measure_ends()
-
-    def _measure_ends(self) -> tuple[tuple[float, float], tuple[float, float]]:
+    def _endpoints(self) -> tuple[tuple[float, float], str | None]:
+        """The end gaps min |spec| at t = 0 and 1, and the invertibility
+        rule's verdict on them (``_singular``), measured once per path."""
         # keeps the end matrices: sf_pairsum's outer junctions and
         # path_concat's endpoint check read them
         self.matrices([0.0, 1.0])
-        mags = np.abs(np.array(self.values([0.0, 1.0])))
-        gaps = (float(np.min(mags[0])), float(np.min(mags[1])))
-        clear = np.array(gaps) - _rounding_slack(self, mags)
-        return gaps, tuple(clear.tolist())
+        return _singular(self._dim, self.values([0.0, 1.0]))
 
     @classmethod
     def from_samples(cls, matrices: Sequence) -> "OperatorPath":
@@ -552,15 +563,14 @@ def _step_share(path: OperatorPath) -> float:
     return 0.5 if path.regularity.soundness == "lipschitz" else 1.0
 
 
-def _check_endpoints(path: OperatorPath, opts: SfOptions) -> tuple[float, float]:
-    """The end gaps, once each end's gap less its rounding slack is checked
-    against ``opts.endpoint_gap`` (on every call; the path computes the
-    gaps once)."""
-    (g0, g1), clear = path._endpoints
-    if min(clear) <= opts.endpoint_gap:
+def _check_endpoints(path: OperatorPath) -> tuple[float, float]:
+    """The end gaps, once the invertibility rule (``_singular``) holds at
+    both ends (checked on every call; the path measures the gaps once)."""
+    (g0, g1), tail = path._endpoints
+    if tail is not None:
         raise EndpointError(
             f"path endpoints must be invertible: min |spec| = ({g0:.3e}, {g1:.3e}), "
-            f"convention requires > {opts.endpoint_gap:.0e}"
+            f"convention requires > {_ENDPOINT_GAP:.0e}{tail}"
         )
     return g0, g1
 
@@ -702,7 +712,7 @@ def _certificate(
     """The certificate over the certified segments, with ``rank(t, eps)``
     taken at each segment end. The total is the telescoped sum of the rank
     differences unless ``total`` computes it from the segments."""
-    gaps = _check_endpoints(path, opts)
+    gaps = _check_endpoints(path)
     segs = tuple(
         SfSegment(
             t_left=ts[0],
@@ -777,7 +787,7 @@ def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertifi
 
 def sf_endpoints(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> int:
     """Rank difference of the nonnegative spectral projections at the ends."""
-    _check_endpoints(path, opts)
+    _check_endpoints(path)
     return path.nonneg_count(1.0) - path.nonneg_count(0.0)
 
 
@@ -861,6 +871,14 @@ def _refuse_on_step_bounds(path: OperatorPath, opts: SfOptions, gap: float) -> N
         _guard(path, opts, _grid(path, opts.oracle_samples), steps, gap)
 
 
+def _false_declaration(c0: int, c1: int, t0: float, t1: float, bound: float) -> InputError:
+    """The refusal of a count change that the declared step bound forbids."""
+    return InputError(
+        f"nonnegative count changes from {c0} to {c1} on [{t0!r}, {t1!r}], where the "
+        f"declared step bound {bound:.3e} forbids it: the path moves faster than it declares"
+    )
+
+
 def _ledger(
     path: OperatorPath, opts: SfOptions, ts: list[float], steps: list[float], gap: float
 ) -> tuple[dict[int, np.ndarray], list[int]]:
@@ -900,11 +918,7 @@ def _ledger(
             tol = bound * share
             if clear[i] > tol and clear[j] > tol:
                 if counts[i] != counts[j]:
-                    raise InputError(
-                        f"nonnegative count changes from {counts[i]} to {counts[j]} on "
-                        f"[{ts[i]!r}, {ts[j]!r}], where the declared step bound "
-                        f"{bound:.3e} forbids it: the path moves faster than it declares"
-                    )
+                    raise _false_declaration(counts[i], counts[j], ts[i], ts[j], bound)
                 counts[i + 1 : j] = [counts[i]] * (j - i - 1)
             else:
                 split.append((i, (i + j) // 2, j))
@@ -921,32 +935,29 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     """Signed tally of eigenvalue sign changes on a dense grid (the oracle).
 
     Consecutive samples of the ``opts.oracle_samples`` grid are compared
-    by their nonnegative-eigenvalue counts; every nonzero jump must be
-    explained by eigenvalues within one step bound of zero on both sides,
-    and every sample's tolerance must stay below half the endpoint gap
-    (otherwise the sampling is aliased and a SamplingError asks for more
-    samples). The counts come from one ledger (``_ledger``): it evaluates
-    the grid only where a count can change, every point where the guard
-    (``_guard``) cannot decide from fewer, and gives the report and error
-    texts of the whole grid.
+    by their nonnegative-eigenvalue counts; every sample's tolerance must
+    stay below half the endpoint gap (else a SamplingError asks for more
+    samples), and every jump must be explained by eigenvalues within one
+    step bound plus both samples' rounding slack of zero on both sides
+    (else the declaration is false, an InputError). The counts come from
+    one ledger (``_ledger``): it evaluates the grid only where a count can
+    change, every point where the guard (``_guard``) cannot decide from
+    fewer, and gives the report and error texts of the whole grid.
     """
-    g0, g1 = _check_endpoints(path, opts)
+    g0, g1 = _check_endpoints(path)
     ts = _grid(path, opts.oracle_samples)
     steps = _grid_steps(path, opts.oracle_samples)
     vals, counts = _ledger(path, opts, ts, steps, min(g0, g1))
     ups = downs = 0
     for k in np.flatnonzero(np.diff(counts)).tolist():
         jump = counts[k + 1] - counts[k]
-        # slack covers the boundary case |eigenvalue| == step up to rounding
-        step = steps[k] * (1.0 + 1e-9) + 1e-12
-        movers_l = int(np.sum(np.abs(vals[k]) <= step))
-        movers_r = int(np.sum(np.abs(vals[k + 1]) <= step))
-        if abs(jump) > min(movers_l, movers_r):
-            raise SamplingError(
-                f"sign-count jump {jump} cannot be explained by eigenvalues "
-                f"within one step ({step:.3e}) of zero; aliasing suspected",
-                window=(ts[k], ts[k + 1]),
-            )
+        # each eigenvalue that changes sign moves by at most the step bound
+        # plus the rounding slack of both samples; the relative slack covers
+        # the boundary case |eigenvalue| == step up to rounding
+        mags = np.abs(np.array([vals[k], vals[k + 1]]))
+        reach = steps[k] * (1.0 + 1e-9) + 1e-12 + float(np.sum(_rounding_slack(path, mags)))
+        if abs(jump) > np.count_nonzero(mags <= reach, axis=1).min():
+            raise _false_declaration(counts[k], counts[k + 1], ts[k], ts[k + 1], steps[k])
         ups += max(jump, 0)
         downs += max(-jump, 0)
     return {
@@ -976,7 +987,7 @@ def sf_all_methods(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
     samples anything and in general from the two ends alone. Otherwise
     phillips, pairsum, endpoints and the oracle run in that order.
     """
-    _refuse_on_step_bounds(path, opts, min(_check_endpoints(path, opts)))
+    _refuse_on_step_bounds(path, opts, min(_check_endpoints(path)))
     cert_p = sf_phillips(path, opts)
     cert_s = sf_pairsum(path, opts)
     ends = sf_endpoints(path, opts)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, InvertibilityError, require_int
+from .errors import InputError, require_int
 from .matcore import HermitianMatrix, as_hermitian, nonneg_projection, rank_eps
 from .projpair import Projection, _as_projection, pair_index
-from .specflow import _DEFAULT_OPTS, SfOptions, sf_all_methods
+from .specflow import _DEFAULT_OPTS, SfOptions, _check_endpoints, sf_all_methods
 from .generators import conjugation_path, cyclic_shift, half_integer_diagonal
 from .transforms import _as_unitary
 
@@ -80,12 +80,8 @@ def verify_toeplitz_theorem(
     d = as_hermitian(d)
     w = _as_unitary(w)
     path = conjugation_path(d, w)
-    # H(0) = D; sf_all_methods reuses the end matrices and values kept here
-    gap = path.endpoint_gaps()[0]
-    if gap <= opts.endpoint_gap:
-        raise InvertibilityError(
-            f"D must be invertible: min |eigenvalue| = {gap:.3e}"
-        )
+    # D's spectrum is that of both ends; sf_all_methods reuses what is kept
+    _check_endpoints(path)
     p = nonneg_projection(d)
     lhs = toeplitz_index(p, w)
     flow = sf_all_methods(path, opts)

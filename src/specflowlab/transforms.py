@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    ConsistencyFault,
-    DimensionMismatchError,
-    FinitenessError,
-    InputError,
-)
+from .errors import ConsistencyFault, FinitenessError, InputError
 from .matcore import (
     HermitianMatrix,
+    _Checked,
     _assemble,
     _hermitian_average,
+    _matrix_array,
     _norm_over,
     as_hermitian,
     op_norm,
@@ -43,25 +40,17 @@ __all__ = [
 _CLUSTER_ANGLE = 1e-6
 
 
-class UnitaryMatrix:
+class UnitaryMatrix(_Checked):
     """An immutable square complex matrix validated to satisfy U*U = I
     within 1e-10 in operator norm."""
 
     __slots__ = ("_mat",)
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=np.complex128, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatchError(f"unitary matrix must be square, got {a.shape}")
-        self._mat = _unitary_stack(a[None])[0]
+        self._store(_unitary_stack(_matrix_array(entries, square=True).copy()[None])[0])
 
-    @staticmethod
-    def _of_valid(row: np.ndarray) -> UnitaryMatrix:
-        """Wrap one read-only row of a stack ``_unitary_stack`` returned,
-        without a second check."""
-        u = object.__new__(UnitaryMatrix)
-        u._mat = row
-        return u
+    def _store(self, mat: np.ndarray) -> None:
+        self._mat = mat
 
     @property
     def mat(self) -> np.ndarray:
@@ -93,7 +82,7 @@ def _unitary_stack(a: np.ndarray) -> np.ndarray:
 
 def _as_unitary(u) -> UnitaryMatrix:
     """``u`` itself if it is a UnitaryMatrix, else ``u`` validated as one."""
-    return u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(np.asarray(u))
+    return u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(u)
 
 
 def _riesz_values(w: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from specflowlab.errors import (
     ConsistencyFault,
     DimensionMismatchError,
     InputError,
-    InvertibilityError,
 )
 from specflowlab.matcore import (
     _TOL_FLOOR,
@@ -163,7 +162,7 @@ def check_a1(t: HermitianMatrix, b: HermitianMatrix) -> A1Report:
     w = t.eig.values
     gap = float(np.min(np.abs(w)))
     if gap <= tol_spec(t):
-        raise InvertibilityError(
+        raise InputError(
             f"T must be invertible: min |eigenvalue| = {gap:.3e}"
         )
     t_inv = apply_function(t, lambda x: 1.0 / x)

@@ -24,6 +24,7 @@ from specflowlab import (
     run_all_checks,
     sf_all_methods,
     sf_endpoints,
+    specflow,
 )
 
 OPTS = SfOptions()
@@ -169,6 +170,23 @@ def test_component_label_counts_nonneg_space():
     assert component_label(np.diag([-1.0, -2.0])) == 0
     with pytest.raises(InputError):
         component_label(np.diag([0.0, 1.0]))
+
+
+def test_component_label_refuses_what_the_end_check_refuses():
+    """Labels and path ends share one invertibility rule: the gap less its
+    rounding slack must exceed 1e-8. ``diag(1.5e-8, 1e8, -3)`` once got
+    label 2, and the connector then built a path that the end check
+    refused; when the slack decides, the text names the gap less it."""
+    with pytest.raises(InputError, match=r"^matrix must be invertible \(gap > 1e-08\) to carry "
+                       r"a label; min \|spec\| less the rounding slack is \(-1\.182e-07\)$"):
+        component_label(np.diag([1.5e-8, 1e8, -3.0]))
+    with pytest.raises(InputError, match=r"to carry a label$"):
+        component_label(np.diag([1e-8, 1.0, -3.0]))
+    # just above the rule at each end: the connecting path passes the end check
+    t1, t2 = np.diag([2e-8, 1.0, -3.0]), np.diag([-5.0, 4.0, 3e-8])
+    assert component_label(t1) == component_label(t2) == 2
+    path = connect_invertibles(t1, t2)
+    assert specflow._check_endpoints(path) == path.endpoint_gaps()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

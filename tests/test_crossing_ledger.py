@@ -62,7 +62,8 @@ def _refused(message, window=None):
 def _whole_grid(path, opts):
     """The oracle's report (or refusal) tallied from every point of its
     grid: the exact aliasing guard, then each count jump checked against
-    the eigenvalues within one step of zero on both sides."""
+    the eigenvalues within one step, plus both samples' rounding slack, of
+    zero on both sides."""
     grid = np.linspace(0.0, 1.0, opts.oracle_samples).tolist()
     ts = sorted(set(grid) | set(path.regularity.knots))
     steps = path.regularity.step_bounds(ts)
@@ -73,7 +74,8 @@ def _whole_grid(path, opts):
     tau = np.maximum(padded[:-1], padded[1:])
     if path.regularity.soundness == "lipschitz":
         tau *= 0.5  # every t lies within half a spacing of a sample
-    tau += 4 * path.dim * 2.0**-53 * mags.max(axis=1)  # gamma_n ||H(t_k)||
+    slack = 4 * path.dim * 2.0**-53 * mags.max(axis=1)  # gamma_n ||H(t_k)||
+    tau += slack
     reach = float(tau.max())
     if reach >= 0.5 * gap:
         return _refused(
@@ -84,13 +86,15 @@ def _whole_grid(path, opts):
     ups = downs = 0
     for k in np.flatnonzero(np.diff(counts)).tolist():
         jump = int(counts[k + 1] - counts[k])
-        step = steps[k] * (1.0 + 1e-9) + 1e-12
+        step = steps[k] * (1.0 + 1e-9) + 1e-12 + slack[k] + slack[k + 1]
         movers = min(np.sum(mags[k] <= step), np.sum(mags[k + 1] <= step))
         if abs(jump) > movers:
-            return _refused(
-                f"sign-count jump {jump} cannot be explained by eigenvalues "
-                f"within one step ({step:.3e}) of zero; aliasing suspected",
-                (ts[k], ts[k + 1]),
+            return (
+                "InputError",
+                f"nonnegative count changes from {counts[k]} to {counts[k + 1]} on "
+                f"[{ts[k]!r}, {ts[k + 1]!r}], where the declared step bound {steps[k]:.3e} "
+                "forbids it: the path moves faster than it declares",
+                None,
             )
         ups += max(jump, 0)
         downs += max(-jump, 0)
@@ -340,6 +344,12 @@ def _fast_cosine(t):
     return u @ np.diag([np.cos(40.0 * np.pi * t), 0.7]) @ u.conj().T
 
 
+def _drop_at_half(t):
+    """diag(lambda(t), 2): lambda falls linearly from 0.5 to 1e-5 on
+    [0, 1/2] and is -0.5 after, a jump no rate bounds."""
+    return np.diag([0.5 - (0.5 - 1e-5) * 2.0 * t if t <= 0.5 else -0.5, 2.0])
+
+
 @pytest.mark.parametrize(
     "make, call, window, bound",
     [
@@ -350,14 +360,18 @@ def _fast_cosine(t):
             "3.125e-05",
         ),
         (lambda: _declared(_fast_cosine, 50.0), sf_all_methods, "[0.03125, 0.046875]", "7.812e-01"),
+        (lambda: _declared(_drop_at_half, 1.0), sf_all_methods, "[0.5, 0.50390625]", "3.906e-03"),
     ],
-    ids=["step", "fast_cosine"],
+    ids=["step", "fast_cosine", "adjacent"],
 )
 def test_a_count_change_the_declaration_forbids_is_an_input_error(make, call, window, bound):
     """A path declared slower than it moves: two evaluated points differ in
     count across an interval whose ends both clear the declared step bound.
     The declaration, an input, is false, so the refusal is an InputError
-    (exit 1) naming the window and the declared step bound."""
+    (exit 1) naming the window and the declared step bound. On the
+    adjacent case the change falls between two neighbouring oracle points,
+    where no eigenvalue within the step bound and the rounding slack of
+    zero can explain it (this was once a SamplingError, exit 2)."""
     with pytest.raises(InputError) as err:
         call(make())
     assert f" on {window}, where the declared step bound {bound} forbids it" in str(err.value)

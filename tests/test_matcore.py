@@ -15,7 +15,6 @@ from specflowlab.errors import (
     HermiticityError,
     IllConditionedRankWarning,
     InputError,
-    InvertibilityError,
 )
 from specflowlab.matcore import (
     EigenDecomposition,
@@ -645,7 +644,7 @@ def test_check_a1_reads_the_gap_from_the_cached_decomposition(monkeypatch):
     assert rep.ok and rep.spd and rep.sandwich_bound_ok
     indefinite = check_a1(HermitianMatrix(np.diag([-2.0, 1.0, 3.0])), b)
     assert indefinite.ok and not indefinite.spd and indefinite.sandwich_norm is None
-    with pytest.raises(InvertibilityError, match="T must be invertible"):
+    with pytest.raises(InputError, match="T must be invertible"):
         check_a1(HermitianMatrix(np.diag([0.0, 1.0, 3.0])), b)
 
 

@@ -5,6 +5,7 @@ done right here in the test, independent of the library's own oracle.
 """
 
 import contextlib
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -15,6 +16,7 @@ from conftest import random_hermitian, random_invertible_hermitian
 from specflowlab.axioms import connect_invertibles
 from specflowlab.errors import (
     CertificationError,
+    DimensionMismatchError,
     EndpointError,
     FinitenessError,
     HermiticityError,
@@ -265,8 +267,6 @@ def test_sf_options_validation():
         SfOptions(samples=1)
     with pytest.raises(InputError):
         SfOptions(max_depth=0)
-    with pytest.raises(InputError):
-        SfOptions(endpoint_gap=-1.0)
 
 
 @pytest.mark.parametrize("field", ["samples", "oracle_samples", "max_depth"])
@@ -280,24 +280,34 @@ def test_sf_options_refuse_a_bool(field):
 @pytest.mark.parametrize("flag", [True, False, np.True_, "1e-3", None, [1e-3]])
 def test_sf_options_refuse_a_bool_endpoint_gap(flag):
     """``SfOptions(endpoint_gap=True)`` was once accepted, and certificates
-    printed ``"endpoint_gap": true``; a string, None or a list once raised
-    numpy's bare TypeError."""
-    with pytest.raises(InputError, match="endpoint_gap must be a float"):
+    printed ``"endpoint_gap": true``. The gap is now the fixed invertibility
+    convention, which no value sets."""
+    with pytest.raises(TypeError, match="endpoint_gap"):
         SfOptions(endpoint_gap=flag)
 
 
 def test_sf_options_store_the_endpoint_gap_as_a_float():
-    opts = SfOptions(endpoint_gap=1)
-    assert type(opts.endpoint_gap) is float
-    assert opts == SfOptions(endpoint_gap=1.0)
+    """The fixed convention stays a field, so a certificate's options still
+    list ``"endpoint_gap": 1e-08``."""
+    opts = SfOptions()
+    assert type(opts.endpoint_gap) is float and opts.endpoint_gap == 1e-8
+    assert [f.name for f in dataclasses.fields(SfOptions)] == [
+        "samples", "oracle_samples", "max_depth", "endpoint_gap"
+    ]
 
 
-def test_sf_options_read_a_float32_endpoint_gap_without_a_warning():
-    """A float32 gap was once compared with the largest float64 as is, a
-    cast that overflows and warns."""
-    opts = SfOptions(endpoint_gap=np.float32(1e-8))
-    assert type(opts.endpoint_gap) is float
-    assert opts.endpoint_gap == float(np.float32(1e-8))
+@pytest.mark.parametrize(
+    "evaluate, error, message",
+    [
+        (lambda ts: np.ones((len(ts) + 1, 2, 2)), InputError, "returned 2 matrices for 1 points$"),
+        (lambda ts: np.ones((len(ts), 3, 3)), DimensionMismatchError, "returned dim 3, expected 2$"),
+    ],
+    ids=["count", "dimension"],
+)
+def test_a_raw_evaluator_of_the_wrong_count_or_dimension_is_refused(evaluate, error, message):
+    path = OperatorPath(evaluate, 2, regularity=lipschitz((), [1.0]))
+    with pytest.raises(error, match=message):
+        path.matrix(0.0)
 
 
 def test_operator_path_refuses_a_bool_dim():
@@ -690,24 +700,22 @@ def test_scalar_callable_of_the_wrong_shape(bad):
 def test_endpoints_are_measured_once_per_path(monkeypatch):
     """The end gaps and their rounding slack are measured once per path
     across every method and certify_invertible, and each grid is built
-    once per sample count; the end check still compares against each
-    call's options and raises on every call."""
+    once per sample count; the end check still raises on every call."""
     measured = []
-    measure = OperatorPath._measure_ends
-    monkeypatch.setattr(
-        OperatorPath, "_measure_ends", lambda self: measured.append(self) or measure(self)
-    )
+    rule = specflow._singular
+    monkeypatch.setattr(specflow, "_singular", lambda dim, vals: measured.append(dim) or rule(dim, vals))
     path = trig_path(7, 6)
     sf_all_methods(path)
     certify_invertible(path)
     sf_all_methods(path, SfOptions(samples=17))
-    assert measured == [path]
+    assert measured == [6]
     assert specflow._grid(path, 33) is specflow._grid(path, 33)
-    strict = SfOptions(endpoint_gap=2.0 * min(path.endpoint_gaps()))
+    # 1.5e-8 less its rounding slack fails the rule at t = 0
+    singular = OperatorPath.from_samples([np.diag([1.5e-8, 1e8, -3.0]), np.diag([2.0, 1e8, -3.0])])
     for _ in range(2):
         with pytest.raises(EndpointError, match="must be invertible"):
-            sf_endpoints(path, strict)
-    assert measured == [path]
+            sf_endpoints(singular)
+    assert measured == [6, 3]
 
 
 def _counted_points(path):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from specflowlab import (
+    EndpointError,
     InputError,
-    InvertibilityError,
-    SfOptions,
     clamp_spectrum_away_from_zero,
     conjugation_path,
     cyclic_shift,
@@ -91,14 +90,18 @@ def test_conjugation_path_endpoints():
 
 
 def test_singular_diagonal_rejected():
+    """D is refused by the invertibility rule of path ends, at both ends of
+    its conjugation path, which share its spectrum."""
     d = np.diag([0.0, 1.0, 2.0])
-    message = r"^D must be invertible: min \|eigenvalue\| = 0\.000e\+00$"
-    with pytest.raises(InvertibilityError, match=message):
+    message = (
+        r"^path endpoints must be invertible: min \|spec\| = \(0\.000e\+00, 0\.000e\+00\), "
+        r"convention requires > 1e-08$"
+    )
+    with pytest.raises(EndpointError, match=message):
         verify_toeplitz_theorem(d, cyclic_shift(3))
-    # a tighter endpoint_gap option also rejects a barely-invertible D
-    d2 = np.diag([1e-6, 1.0, 2.0])
-    with pytest.raises(InvertibilityError):
-        verify_toeplitz_theorem(d2, cyclic_shift(3), SfOptions(endpoint_gap=1e-3))
+    # the rounding slack decides: 1.5e-8 less 4 * 3 * 2^-53 * 1e8
+    with pytest.raises(EndpointError, match="less the rounding slack is"):
+        verify_toeplitz_theorem(np.diag([1.5e-8, 1e8, -3.0]), cyclic_shift(3))
 
 
 def test_dimension_mismatches():
