@@ -40,15 +40,15 @@ def coerce_field(value, cast, name: str):
         raise refused from None
 
 
-def require_int(value, name: str, low: int, high: int | None = None) -> int:
+def require_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` itself if it is an int, not a bool, of at least ``low``
-    (and at most ``high``, when given); otherwise an InputError naming it."""
+    (and at most ``high``) when given; otherwise an InputError naming it."""
     if (
-        isinstance(value, bool) or not isinstance(value, int) or value < low
-        or (high is not None and value > high)
+        isinstance(value, bool) or not isinstance(value, int)
+        or (low is not None and value < low) or (high is not None and value > high)
     ):
-        span = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise InputError(f"{name} must be an int {span}, got {value!r}")
+        span = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+        raise InputError(f"{name} must be an int{span}, got {value!r}")
     return value
 
 

@@ -144,8 +144,9 @@ def clamp_spectrum_away_from_zero(h: HermitianMatrix, gap: float) -> HermitianMa
 
 
 def cyclic_shift(dim: int, power: int = 1) -> UnitaryMatrix:
-    """The unitary sending e_k to e_{k+power mod dim}."""
+    """The unitary sending e_k to e_{k+power mod dim}, for any int power."""
     require_int(dim, "dim", 1)
+    require_int(power, "power")
     w = np.zeros((dim, dim), dtype=np.complex128)
     for k in range(dim):
         w[(k + power) % dim, k] = 1.0
@@ -490,10 +491,6 @@ def _family_linear_interp(params: dict, seed, dim) -> OperatorPath:
         b = as_hermitian(params["b"])
     except KeyError as exc:
         raise InputError("linear_interp params need matrices 'a' and 'b'") from exc
-    except InputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"linear_interp endpoints must be matrix literals: {exc}") from exc
     return line_path(a, b)
 
 

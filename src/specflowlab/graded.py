@@ -23,7 +23,8 @@ from .matcore import (
     Interval,
     _chunk_len,
     _chunks,
-    _hermitian_average,
+    _complex_array,
+    _hermitian_stack,
     _op_norms,
     _spectral_projections,
     spectral_projection,
@@ -58,7 +59,7 @@ class GradedOperator:
         q = require_int(self.q, "q", 0)
         if p + q == 0:
             raise InputError(f"need p, q >= 0 with p + q > 0, got ({p}, {q})")
-        a = np.asarray(self.block, dtype=np.complex128)
+        a = _complex_array(self.block)
         if a.shape != (q, p):
             raise InputError(f"block must be {q}x{p}, got {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -224,7 +225,7 @@ def index_stability_check(
             for (b, f), norm in zip(scaled, _op_norms(np.array([b for b, _ in scaled]))):
                 b *= f / norm
         perturbed = np.array([g.perturb(b).block for b, _ in draws])
-        tps = _Operand(_hermitian_average(_odd_stack(g.p, perturbed)))
+        tps = _Operand(_hermitian_stack(_odd_stack(g.p, perturbed)))
         res, cay = _graph_routes(t0, tps)
         near = [i for i, dist in enumerate(res) if dist < delta]
         projs = iter(())

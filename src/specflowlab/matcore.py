@@ -91,13 +91,27 @@ def _chunks(items: list, size: int):
         yield items[i : i + size]
 
 
-def _hermitian_average(a: np.ndarray) -> np.ndarray:
-    """The Hermitian predicate on a (k, n, n) complex stack.
+def _complex_array(entries) -> np.ndarray:
+    """``entries`` as a complex128 array, the array itself when it is one:
+    the one reading of matrix entries. Ragged rows, bools, strings and
+    objects that are not numbers raise InputError."""
+    try:
+        a = np.asarray(entries)
+        if a.dtype.kind in "iufcO":
+            return a.astype(np.complex128, copy=False)
+    except (TypeError, ValueError) as exc:  # ragged rows, objects that are not numbers
+        raise InputError(f"matrix entries must be numbers: {exc}") from None
+    raise InputError(f"matrix entries must be numbers, got {a.dtype} entries")
 
-    Checks, in this order, that every entry is finite, that the matrices
-    are square and non-empty, and that each matrix has a symmetry defect
-    max|A - A*| within 1e-12 times its own largest entry magnitude (floor
-    1e-14); the first failing matrix raises. Returns the read-only stack of
+
+def _hermitian_stack(entries) -> np.ndarray:
+    """The ``HermitianMatrix`` check on k matrices at once, given as a
+    (k, n, n) array or a sequence of k equally shaped matrices, read by
+    ``_complex_array``; the first failing matrix raises, with the
+    constructor's message. Checks, in this order, that every entry is
+    finite, that the matrices are square and non-empty, and that each
+    matrix has a symmetry defect max|A - A*| within 1e-12 times its own
+    largest entry magnitude (floor 1e-14). Returns the read-only stack of
     Hermitian averages (A + A*) / 2, entry by entry the same floats a
     one-matrix call gives; an average that overflows (entries beyond half
     the float range) raises FinitenessError.
@@ -111,6 +125,9 @@ def _hermitian_average(a: np.ndarray) -> np.ndarray:
     -0.0 off the diagonal's imaginary parts, or an entry beyond half the
     float range, leaves them to the formula.
     """
+    a = _complex_array(entries)
+    if a.ndim != 3:
+        raise InputError(f"expected a stack of 2-d matrices, got shape {a.shape}")
     diagonal = _diagonal_copy(a)
     if diagonal is not None:
         return diagonal
@@ -143,28 +160,25 @@ def _hermitian_average(a: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_copy(a: np.ndarray) -> np.ndarray | None:
-    """The read-only copy of a non-empty C-contiguous square (k, n, n)
-    complex stack, which is its Hermitian average, when checks show it is
-    a stack of real diagonal matrices that the formula leaves as it is:
-    one count finds no nonzero component off the real diagonal and no -0.0
-    anywhere, whose sign the formula may change (``_real_diagonals``, which
-    sends a dense stack on after one look); and the diagonal is finite and
-    within half the float range. Else None, and the stack is left to the
-    general checks."""
-    if a.flags.c_contiguous and a.size and a.shape[1] == a.shape[2]:
-        d = _real_diagonals(a)
-        if d is not None and np.abs(d).max() <= _HALF_MAX:
-            out = a.copy()
-            out.setflags(write=False)
-            return out
+    """The read-only copy of a (k, n, n) complex stack, which is its
+    Hermitian average, when it is a stack of real diagonal matrices with no
+    -0.0, whose sign the formula may change (``_real_diagonals``), and the
+    diagonal is within half the float range. Else None, and the stack is
+    left to the general checks."""
+    d = _real_diagonals(a)
+    if d is not None and np.abs(d).max() <= _HALF_MAX:
+        out = a.copy()
+        out.setflags(write=False)
+        return out
     return None
 
 
 def _real_diagonals(s: np.ndarray) -> np.ndarray | None:
-    """The real diagonals, as a (k, n) view, of a non-empty C-contiguous
-    (k, n, n) complex stack whose every other component (the off-diagonal
-    entries and the imaginary parts of the diagonal) is +0.0 and whose
-    diagonal holds no -0.0; else None.
+    """The real diagonals, as a (k, n) view, of a (k, n, n) complex stack
+    that is C-contiguous, non-empty and square, whose every other component
+    (the off-diagonal entries and the imaginary parts of the diagonal) is
+    +0.0 and whose diagonal holds no -0.0; else None. This is the one test
+    of the diagonal routes, which send any other stack to the general one.
 
     The first matrix's bottom-left entry is tested first, so a dense stack
     is sent on after one look. Then one count of the components whose bits
@@ -172,6 +186,8 @@ def _real_diagonals(s: np.ndarray) -> np.ndarray | None:
     equal the count of nonzero diagonal entries: a -0.0 anywhere, or any
     other nonzero component off the real diagonal, makes the first count
     the larger."""
+    if not (s.flags.c_contiguous and s.size and s.shape[1] == s.shape[2]):
+        return None
     n = s.shape[1]
     if s[0, n - 1, 0] != 0:
         return None
@@ -182,12 +198,14 @@ def _real_diagonals(s: np.ndarray) -> np.ndarray | None:
 
 
 def _unscaled_real_diagonals(s: np.ndarray) -> np.ndarray | None:
-    """The real diagonals (``_real_diagonals``) of a C-contiguous (k, n, n)
-    complex stack when each matrix's largest |d| is 0 or lies where zheevd
-    does not rescale (``_UNSCALED_MIN`` to ``_UNSCALED_MAX``); else None.
-    Then the diagonal is what LAPACK's eigensolver computes for the
-    eigenvalues, and a permutation of the unit vectors is its basis."""
-    d = _real_diagonals(s) if s.flags.c_contiguous and s.size else None
+    """The real diagonals (``_real_diagonals``) of a (k, n, n) complex
+    stack when each matrix's largest |d| is 0 or lies where zheevd does not
+    rescale (``_UNSCALED_MIN`` to ``_UNSCALED_MAX``); else None. Then the
+    sorted diagonal is what LAPACK's eigensolver computes for the
+    eigenvalues (its sort places a -0.0 differently among the zeros, which
+    is why ``_real_diagonals`` refuses one), and a permutation of the unit
+    vectors is its basis."""
+    d = _real_diagonals(s)
     if d is None or not _zero_or_within(np.abs(d).max(axis=1), _UNSCALED_MIN, _UNSCALED_MAX):
         return None
     return d
@@ -202,17 +220,6 @@ def _has_neg_zero(x: np.ndarray) -> bool:
     """Whether a float64 array, or a C-contiguous complex128 one, holds a
     -0.0 component, which reads as the least int64."""
     return x.size > 0 and bool(x.view(np.int64).min() == _NEG_ZERO_BITS)
-
-
-def _hermitian_stack(entries) -> np.ndarray:
-    """The ``HermitianMatrix`` check on k matrices at once, given as a
-    (k, n, n) array or a sequence of k equally shaped matrices: one stacked
-    check, with the constructor's messages, returning the read-only stack
-    of validated matrices."""
-    a = np.asarray(entries, dtype=np.complex128)
-    if a.ndim != 3:
-        raise InputError(f"expected a stack of 2-d matrices, got shape {a.shape}")
-    return _hermitian_average(a)
 
 
 def _exact_average_into(a: np.ndarray, out: np.ndarray) -> bool:
@@ -262,28 +269,19 @@ def _diagonal_imag(a: np.ndarray) -> np.ndarray:
 
 
 def _stack_eigvalsh(s: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each matrix of a validated, C-contiguous
-    (k, n, n) Hermitian stack, bit for bit those of ``np.linalg.eigvalsh(s)``.
-
-    A stack of real diagonal matrices with no -0.0 (``_real_diagonals``;
-    LAPACK's sort places a -0.0 differently among the zeros) takes the
-    sorted diagonal, which is what LAPACK's zheevd computes for it, when
-    each matrix's largest |d| is 0 or lies where zheevd does not rescale
-    (``_UNSCALED_MIN`` to ``_UNSCALED_MAX``), the guard of
-    ``_unscaled_real_diagonals``. Any other stack goes to LAPACK.
+    """Ascending eigenvalues of each matrix of a validated (k, n, n)
+    Hermitian stack, bit for bit those of ``np.linalg.eigvalsh(s)``: the
+    sorted diagonal of a stack that ``_unscaled_real_diagonals`` takes, the
+    values LAPACK's zheevd computes for it; any other stack goes to LAPACK.
     """
-    d = _real_diagonals(s)
-    if d is not None:
-        w = np.sort(d, axis=1)
-        if _zero_or_within(np.maximum(w[:, -1], -w[:, 0]), _UNSCALED_MIN, _UNSCALED_MAX):
-            return w
-    return np.linalg.eigvalsh(s)
+    d = _unscaled_real_diagonals(s)
+    return np.linalg.eigvalsh(s) if d is None else np.sort(d, axis=1)
 
 
 def _matrix_array(a, square: bool = False) -> np.ndarray:
     """``a`` as a complex128 array, which must be 2-d, and square when
-    ``square``: the one coercion of a matrix argument."""
-    m = np.asarray(a, dtype=np.complex128)
+    ``square``: the one coercion of a matrix argument (``_complex_array``)."""
+    m = _complex_array(a)
     if m.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got shape {m.shape}")
     if square and m.shape[0] != m.shape[1]:
@@ -430,7 +428,7 @@ class HermitianMatrix(_Checked):
     __slots__ = ("_mat", "_norm", "_eig")
 
     def __init__(self, entries):
-        self._store(_hermitian_average(_matrix_array(entries)[None])[0])
+        self._store(_hermitian_stack(_matrix_array(entries)[None])[0])
 
     def _store(self, mat: np.ndarray) -> None:
         self._mat = mat
@@ -468,15 +466,18 @@ class HermitianMatrix(_Checked):
 
     @classmethod
     def diag(cls, values: Sequence[float]) -> "HermitianMatrix":
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
+        v = _complex_array(values)
+        if v.ndim != 1 or v.size < 1 or np.any(v.imag):
             raise InputError("diag expects a non-empty 1-d sequence of reals")
-        return cls(np.diag(v.astype(np.complex128)))
+        return cls(np.diag(v))
 
 
 def tol_spec(h: HermitianMatrix | np.ndarray) -> float:
     """Spectral-separation tolerance: 1e-9 * (1 + ||H||)."""
-    norm = h.norm if isinstance(h, HermitianMatrix) else op_norm(h)
+    return _tol_of_norm(h.norm if isinstance(h, HermitianMatrix) else op_norm(h))
+
+
+def _tol_of_norm(norm: float) -> float:
     return 1e-9 * (1.0 + norm)
 
 
@@ -619,7 +620,7 @@ def _projection_stack(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
     The eigenvalues come from ``_stack_eigvalsh``, so a stack of diagonal
     projections is checked without LAPACK.
     """
-    s = _hermitian_average(entries)
+    s = _hermitian_stack(entries)
     idem = _norm_over(s @ s - s, 1e-10)
     if idem is not None:
         raise InputError(f"not idempotent: ||P^2 - P|| = {idem:.3e}")
@@ -689,11 +690,11 @@ def _spectral_projections(
     of k matrices, given by their validated decompositions, values (k, n)
     and bases (k, n, n), and their operator norms: the boundary guard of
     ``spectral_projection`` on each matrix in turn, then each B B* from its
-    own basis columns and one ``_projection_stack``. Each projection and
-    rank is bit for bit what its matrix gets alone; the first failing
-    matrix of each check raises."""
+    own basis columns (``_range_projections``) and one
+    ``_projection_stack``. Each projection and rank is bit for bit what its
+    matrix gets alone; the first failing matrix of each check raises."""
     for wi, norm in zip(w, norms):
-        guard = 1e-9 * (1.0 + norm)  # tol_spec
+        guard = _tol_of_norm(norm)
         for e in window.finite_endpoints():
             gap = float(np.min(np.abs(wi - e)))
             if gap <= guard:
@@ -701,11 +702,15 @@ def _spectral_projections(
                     f"interval endpoint {e:.6g} is {gap:.3e} from the spectrum "
                     f"(needs > {guard:.3e})"
                 )
-    p = np.empty(v.shape, dtype=np.complex128)
-    for i, (wi, vi) in enumerate(zip(w, v)):
-        b = vi[:, window.mask(wi)]
-        p[i] = b @ b.conj().T
-    return _projection_stack(p)
+    return _projection_stack(_range_projections(v, window.mask(w)))
+
+
+def _range_projections(bases, masks) -> np.ndarray:
+    """The (k, n, n) stack of the products B B*, one per basis (n, n) of
+    ``bases`` with B its columns where the matching row of the (k, n)
+    ``masks`` holds: the one former of the eigh routes' projections, each
+    from its own columns."""
+    return np.stack([b @ b.conj().T for b in (v[:, m] for v, m in zip(bases, masks))])
 
 
 def nonneg_projection(h: HermitianMatrix) -> Projection:
@@ -730,10 +735,10 @@ def _nonneg_projections(mats: Sequence[HermitianMatrix]) -> tuple[np.ndarray, li
     ``_diagonal_nonneg_projections``, without a decomposition and without
     caching one. For any other chunk the decompositions not yet cached
     (``.eig``) are computed by one ``_eigh_stack`` and cached on their
-    matrices, and each B B* is formed from its own basis columns. One
-    ``_projection_stack`` checks them all. Each projection and rank is bit
-    for bit what its matrix gets alone; each check raises on its first
-    failing matrix.
+    matrices, and each B B* is formed from its own basis columns
+    (``_range_projections``). One ``_projection_stack`` checks them all.
+    Each projection and rank is bit for bit what its matrix gets alone;
+    each check raises on its first failing matrix.
     """
     s = np.stack([m.mat for m in mats])
     p = _diagonal_nonneg_projections(s)
@@ -743,10 +748,8 @@ def _nonneg_projections(mats: Sequence[HermitianMatrix]) -> tuple[np.ndarray, li
             w, v = _eigh_stack(s if len(todo) == len(mats) else s[todo])
             for i, wi, vi in zip(todo, w, v):
                 mats[i]._eig = EigenDecomposition._of_valid(wi, vi)
-        p = np.empty(s.shape, dtype=np.complex128)
-        for i, m in enumerate(mats):
-            b = m.eig.vectors[:, m.eig.values >= 0.0]
-            p[i] = b @ b.conj().T
+        eigs = [m.eig for m in mats]
+        p = _range_projections([e.vectors for e in eigs], [e.values >= 0.0 for e in eigs])
     return _projection_stack(p)
 
 

@@ -41,7 +41,7 @@ from .matcore import (
     _chunks,
     _diagonal_op_norms,
     _eigh_stack,
-    _hermitian_average,
+    _hermitian_stack,
     _op_norms,
     _unscaled_real_diagonals,
     as_hermitian,
@@ -90,7 +90,7 @@ class _Operand:
     transforms on the identity basis, which gives the same bits as the
     permuted one.
 
-    ``_Operand(mats)`` holds the rows of a stack ``_hermitian_average``
+    ``_Operand(mats)`` holds the rows of a stack ``_hermitian_stack``
     returned; ``_Operand.of_matrix(h)`` holds one matrix, kept as ``h``, and
     reads the decomposition it caches. Callers build one per operand or
     chunk and call; none is kept past the call, except a GradedOperator's,
@@ -141,7 +141,7 @@ class _Operand:
     @cached_property
     def weight(self) -> np.ndarray:
         w, v = self._spectrum
-        return _hermitian_average(_assemble(v, _weight_values(w)[:, None, :]))
+        return _hermitian_stack(_assemble(v, _weight_values(w)[:, None, :]))
 
 
 def _weight_values(w: np.ndarray) -> np.ndarray:
@@ -374,7 +374,7 @@ def metric_separation_report(
     rows: list[MetricReport] = []
     for chunk in _chunks(cells, _chunk_len(model.trunc_dim)):
         t = _Operand(
-            _hermitian_average(np.array([d.h.mat + _entries(model, fam, n) for fam, n in chunk]))
+            _hermitian_stack(np.array([d.h.mat + _entries(model, fam, n) for fam, n in chunk]))
         )
         dn = _norm_distances(t, d)
         dw = _weighted_distances(t, d, d)

@@ -297,8 +297,7 @@ class OperatorPath:
         self._mats: dict[float, HermitianMatrix] = {}
         self._vals: dict[float, np.ndarray] = {}
         self._segments: dict[SfOptions, tuple] = {}
-        self._grids: dict[int, tuple[float, ...]] = {}
-        self._grid_steps: dict[int, tuple[float, ...]] = {}
+        self._grids: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
 
     @property
     def dim(self) -> int:
@@ -581,25 +580,17 @@ def _uniform(samples: int) -> tuple[float, ...]:
     return tuple(sorted(set(np.linspace(0.0, 1.0, samples).tolist())))
 
 
-def _grid(path: OperatorPath, samples: int) -> tuple[float, ...]:
+def _grid(path: OperatorPath, samples: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """``samples`` uniform points of [0, 1] (``_uniform``) and the path's
-    knots, built once per path and sample count."""
-    grid = path._grids.get(samples)
-    if grid is None:
+    knots, with the declared step bounds along them, built once per path
+    and sample count."""
+    memo = path._grids.get(samples)
+    if memo is None:
         grid = _uniform(samples)
         if path.regularity.knots:
             grid = tuple(sorted(set(grid).union(path.regularity.knots)))
-        path._grids[samples] = grid
-    return grid
-
-
-def _grid_steps(path: OperatorPath, samples: int) -> tuple[float, ...]:
-    """The declared step bounds along ``_grid(path, samples)``, taken once
-    per path and sample count."""
-    steps = path._grid_steps.get(samples)
-    if steps is None:
-        steps = path._grid_steps[samples] = tuple(path.regularity.step_bounds(_grid(path, samples)))
-    return steps
+        memo = path._grids[samples] = grid, tuple(path.regularity.step_bounds(grid))
+    return memo
 
 
 def _neighbour_steps(steps: Sequence[float]) -> np.ndarray:
@@ -692,7 +683,7 @@ def _certified_segments(
         visit(_refine(right), depth + 1)
 
     try:
-        visit(_grid(path, opts.samples), 0)
+        visit(_grid(path, opts.samples)[0], 0)
     except Exception:
         # no certificate will read them: the path keeps what it held before
         for t in spare:
@@ -845,7 +836,7 @@ def _guard(
     whole grid the two ends are equal, so the last set always decides.
     """
     floor = max(steps) * _step_share(path)
-    seeds = set(_grid(path, opts.samples))
+    seeds = set(_grid(path, opts.samples)[0])
     sets = [[0, len(ts) - 1]] if floor >= 0.5 * gap else []
     sets += [[k for k, t in enumerate(ts) if t in seeds], list(range(len(ts)))]
     for idx in sets:
@@ -866,9 +857,9 @@ def _refuse_on_step_bounds(path: OperatorPath, opts: SfOptions, gap: float) -> N
     """Run the guard (``_guard``), which must then refuse, when the step
     floor on the ``opts.oracle_samples`` grid reaches half the endpoint gap
     ``gap``; otherwise evaluate nothing."""
-    steps = _grid_steps(path, opts.oracle_samples)
+    ts, steps = _grid(path, opts.oracle_samples)
     if max(steps) * _step_share(path) >= 0.5 * gap:
-        _guard(path, opts, _grid(path, opts.oracle_samples), steps, gap)
+        _guard(path, opts, ts, steps, gap)
 
 
 def _false_declaration(c0: int, c1: int, t0: float, t1: float, bound: float) -> InputError:
@@ -945,8 +936,7 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     fewer, and gives the report and error texts of the whole grid.
     """
     g0, g1 = _check_endpoints(path)
-    ts = _grid(path, opts.oracle_samples)
-    steps = _grid_steps(path, opts.oracle_samples)
+    ts, steps = _grid(path, opts.oracle_samples)
     vals, counts = _ledger(path, opts, ts, steps, min(g0, g1))
     ups = downs = 0
     for k in np.flatnonzero(np.diff(counts)).tolist():
@@ -1088,8 +1078,7 @@ def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> d
     """
     # keeps the ends, which the flows' junctions read, before the grid's values
     path.endpoint_gaps()
-    ts = _grid(path, opts.samples)
-    steps = _grid_steps(path, opts.samples)
+    ts, steps = _grid(path, opts.samples)
     mags = np.abs(np.array(path.values(ts)))
     gaps = np.min(mags, axis=1)
     worst = float(np.min(gaps - _tolerances(path, steps, mags)))

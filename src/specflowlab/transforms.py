@@ -22,7 +22,7 @@ from .matcore import (
     HermitianMatrix,
     _Checked,
     _assemble,
-    _hermitian_average,
+    _hermitian_stack,
     _matrix_array,
     _norm_over,
     as_hermitian,
@@ -102,7 +102,7 @@ def _riesz_stack(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The validated Riesz images T (I + T^2)^{-1/2} of the matrices whose
     eigenvalues (k, n) and bases (k, n, n) are given, as one read-only
     Hermitian stack, each matrix bit for bit its own image."""
-    return _hermitian_average(_assemble(v, _riesz_values(w)[:, None, :]))
+    return _hermitian_stack(_assemble(v, _riesz_values(w)[:, None, :]))
 
 
 def _cayley_stack(w: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -178,7 +178,7 @@ def test_inferred_ledger_equals_the_whole_grid(name):
     # the step floor, the share of the largest step, is bit for bit the
     # largest share of a neighbour step that the tolerances add to
     path = CORPUS[name]()
-    steps = specflow._grid_steps(path, SfOptions().oracle_samples)
+    steps = specflow._grid(path, SfOptions().oracle_samples)[1]
     tau = specflow._neighbour_steps(steps) * specflow._step_share(path)
     assert max(steps) * specflow._step_share(path) == float(np.max(tau))
 
@@ -295,7 +295,7 @@ def test_reach_bound_covers_the_norms_between_seeds():
     the norm bound keeps the pre-check from passing a grid the whole-grid
     guard refuses."""
     probe = _norm_peak(1.0)
-    ts = list(specflow._grid(probe, 257))
+    ts = list(specflow._grid(probe, 257)[0])
     steps = probe.regularity.step_bounds(ts)
     vals = probe.values(ts)
     tau = specflow._tolerances(probe, steps, np.abs(np.array(vals)))
@@ -422,7 +422,7 @@ def test_an_exact_end_tolerance_closes_a_bracket_the_floor_straddles():
     lifts the bracket's lower end to the reach's digits, so the refusal is
     decided from t = 0 and 1 alone, with the whole-grid tally's text."""
     probe = _straddling_line()
-    steps = specflow._grid_steps(probe, SfOptions().oracle_samples)
+    steps = specflow._grid(probe, SfOptions().oracle_samples)[1]
     assert f"{max(steps) * specflow._step_share(probe):.3e}" == "1.000e+00"
     assert _step_refusal(probe, SfOptions()) == _whole_grid(_straddling_line(), SfOptions())
     path = _straddling_line()

@@ -118,19 +118,19 @@ def test_diagonal_copy_gives_the_general_routes_bits(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, a in cases.items():
-            fast[name] = _outcome(matcore._hermitian_average, a)
+            fast[name] = _outcome(matcore._hermitian_stack, a)
         with monkeypatch.context() as m:
             m.setattr(matcore, "_diagonal_copy", lambda _a: None)
             for name, a in cases.items():
-                general[name] = _outcome(matcore._hermitian_average, a)
+                general[name] = _outcome(matcore._hermitian_stack, a)
     for name in cases:
         assert fast[name] == general[name], name
     # chunked: each matrix of a validated stack has the bits it gets alone
     for name, a in cases.items():
         if isinstance(fast[name], list) and len(a):
-            rows = [_outcome(matcore._hermitian_average, a[i : i + 1]) for i in range(len(a))]
+            rows = [_outcome(matcore._hermitian_stack, a[i : i + 1]) for i in range(len(a))]
             assert [r[0][0] for r in rows] == [
-                row.tobytes() for row in matcore._hermitian_average(a)
+                row.tobytes() for row in matcore._hermitian_stack(a)
             ], name
     taken = {name: matcore._diagonal_copy(a) is not None for name, a in cases.items()}
     for name in (
@@ -229,6 +229,26 @@ def test_diagonal_route_caches_no_decomposition():
     dense = HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     matcore._nonneg_projections([dense])
     assert dense._eig is not None
+
+
+def test_diagonal_routes_send_other_layouts_to_the_general_route():
+    """An empty stack once raised IndexError in ``_stack_eigvalsh`` and
+    ``_diagonal_nonneg_projections``, and a Fortran-ordered or strided stack
+    of real diagonal matrices numpy's "last axis must be contiguous";
+    ``_real_diagonals`` now sends them to LAPACK's eigenvalues and to the
+    decomposition's projections."""
+    s = _diagonal_stack([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0]])
+    wide = np.zeros((2, 6, 6), dtype=np.complex128)
+    wide[:, ::2, ::2] = s
+    cases = {
+        "empty": np.zeros((0, 3, 3), dtype=np.complex128),
+        "fortran": np.asfortranarray(s),
+        "strided": wide[:, ::2, ::2],
+    }
+    for name, a in cases.items():
+        assert matcore._diagonal_nonneg_projections(a) is None, name
+        got, want = matcore._stack_eigvalsh(a), np.linalg.eigvalsh(a)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
 
 
 def _lapack_eigvalsh(monkeypatch):

@@ -321,6 +321,18 @@ def test_cyclic_shift_permutation_and_powers():
         cyclic_shift(0)
 
 
+def test_cyclic_shift_takes_int_powers_only():
+    """A bool power once shifted by 1 and a float one raised a bare
+    IndexError; every int, 0 and negatives included, is a shift."""
+    for power in (True, 1.5, "1", None):
+        refusal = f"^power must be an int, got {re.escape(repr(power))}$"
+        with pytest.raises(InputError, match=refusal):
+            cyclic_shift(3, power)
+    assert np.array_equal(cyclic_shift(3, 0).mat, np.eye(3))
+    assert np.array_equal(cyclic_shift(3, -1).mat, cyclic_shift(3, 2).mat)
+    assert np.array_equal(cyclic_shift(3, 7).mat, cyclic_shift(3).mat)
+
+
 def test_half_integer_diagonal_layout():
     d = half_integer_diagonal(2)
     assert d.dim == 5

@@ -32,6 +32,8 @@ from specflowlab.matcore import (
 )
 
 from specflowlab.generators import family_path
+from specflowlab.graded import GradedOperator
+from specflowlab.specflow import OperatorPath, lipschitz
 from specflowlab.transforms import cayley, riesz
 
 from conftest import random_hermitian
@@ -149,7 +151,7 @@ def test_hermitian_average_overflow_is_not_finite():
 def _validated(a):
     """Bytes of the validated stack, or the type and message it raised."""
     try:
-        return matcore._hermitian_average(a).tobytes()
+        return matcore._hermitian_stack(a).tobytes()
     except InputError as exc:
         return type(exc), str(exc)
 
@@ -298,7 +300,7 @@ def test_one_last_bit_defect_takes_the_general_route(monkeypatch):
     a[2, 0, 3] = np.nextafter(a[2, 0, 3].real, np.inf) + 1j * a[2, 0, 3].imag
     calls = []
     monkeypatch.setattr(matcore, "_exact_average_into", lambda *_: calls.append(1))
-    h = matcore._hermitian_average(a)
+    h = matcore._hermitian_stack(a)
     assert calls == []
     assert h.tobytes() == ((a + a.conj().swapaxes(1, 2)) / 2.0).tobytes()
     assert np.array_equal(h, h.conj().swapaxes(1, 2))
@@ -408,6 +410,33 @@ def test_stack_shape_errors_match_the_constructor():
         assert str(stacked.value) == str(single.value)
     with pytest.raises(InputError, match="stack of 2-d matrices"):
         matcore._hermitian_stack(np.eye(3))
+
+
+#: matrix entries numpy cannot read as numbers, or reads from bools as 0 and 1
+UNREADABLE = {
+    "string": lambda: HermitianMatrix("x"),
+    "ragged": lambda: HermitianMatrix([[1, 2], [3]]),
+    "bool": lambda: HermitianMatrix([[True]]),
+    "diag_string": lambda: HermitianMatrix.diag(["a"]),
+    "diag_bool": lambda: HermitianMatrix.diag([True]),
+    "graded_string": lambda: GradedOperator(1, 1, "x"),
+    "graded_bool": lambda: GradedOperator(1, 1, [[True]]),
+    "evaluator": lambda: OperatorPath(
+        lambda ts: "x", 1, regularity=lipschitz((), [1.0])
+    ).values(0.0),
+    "linear_interp": lambda: family_path("linear_interp", {"a": "x", "b": np.eye(2)}),
+}
+
+
+@pytest.mark.parametrize("call", sorted(UNREADABLE))
+def test_unreadable_matrix_entries_are_input_errors(call):
+    """Each of these once raised numpy's bare ValueError, or read a bool as
+    1; ``_complex_array``, the one reading of matrix entries, refuses them.
+    A complex128 array is read as it is, with no copy."""
+    with pytest.raises(InputError, match="^matrix entries must be numbers[:,] "):
+        UNREADABLE[call]()
+    a = np.eye(2, dtype=np.complex128)
+    assert matcore._complex_array(a) is a
 
 
 def test_hermitian_rejects_tiny_asymmetry_beyond_tolerance():

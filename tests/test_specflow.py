@@ -821,10 +821,10 @@ def test_grids_are_the_uniform_points_and_the_knots(samples):
     knotless paths; a path with knots merges them, with the same bits."""
     uniform = sorted(set(np.linspace(0.0, 1.0, samples).tolist()))
     plain = [family_path("toeplitz_line", {"m": m}) for m in (1, 2)]
-    assert specflow._grid(plain[0], samples) is specflow._grid(plain[1], samples)
-    assert list(specflow._grid(plain[0], samples)) == uniform
+    assert specflow._grid(plain[0], samples)[0] is specflow._grid(plain[1], samples)[0]
+    assert list(specflow._grid(plain[0], samples)[0]) == uniform
     knotted = path_concat(*concat_compatible_pair(4, 3))
     assert knotted.regularity.knots
-    assert list(specflow._grid(knotted, samples)) == sorted(
+    assert list(specflow._grid(knotted, samples)[0]) == sorted(
         set(uniform) | set(knotted.regularity.knots)
     )
