@@ -139,9 +139,6 @@ def _certified_s_pairs(row: Callable[[float], OperatorPath], s_grid) -> list[flo
     the operator-norm step between the rows (so no endpoint can cross zero
     in between)."""
 
-    def endpoint_gap(s: float, t: float) -> float:
-        return float(np.min(np.abs(row(s).values(t))))
-
     def step(s0: float, s1: float, t: float) -> float:
         return op_norm(row(s0).matrix(t).mat - row(s1).matrix(t).mat)
 
@@ -153,8 +150,8 @@ def _certified_s_pairs(row: Callable[[float], OperatorPath], s_grid) -> list[flo
     while stack:
         s0, s1, depth = stack.pop()
         ok = all(
-            step(s0, s1, t) < min(endpoint_gap(s0, t), endpoint_gap(s1, t))
-            for t in (0.0, 1.0)
+            step(s0, s1, t) < min(row(s0).endpoint_gaps()[end], row(s1).endpoint_gaps()[end])
+            for end, t in enumerate((0.0, 1.0))
         )
         if ok:
             out.append(s1)

@@ -9,8 +9,10 @@ and tolerance always produce byte-identical files. Exit codes: 0 success,
 1 bad input, 2 certification could not be completed, 3 internal
 cross-check disagreement.
 
-Each handler imports the layers only it runs when it runs, so ``compute``
-and ``report`` never load the metric, Toeplitz, graded or axiom layers.
+The module imports errors, specflow and serialize, which every subcommand
+runs, and builds its parser once, at import. Each handler imports the
+layers only it runs when it runs, so ``compute`` and ``report`` never load
+the metric, Toeplitz, graded or axiom layers.
 """
 
 from __future__ import annotations

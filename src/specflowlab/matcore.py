@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,15 +94,34 @@ def _chunks(items: list, size: int):
 
 def _complex_array(entries) -> np.ndarray:
     """``entries`` as a complex128 array, the array itself when it is one:
-    the one reading of matrix entries. Ragged rows, bools, strings and
-    objects that are not numbers raise InputError."""
+    the one reading of matrix entries. A numeric array takes no pass over
+    its entries; bools and strings (``_non_number``), ragged rows, ints
+    beyond the float range and objects that are not numbers raise InputError."""
+    if isinstance(entries, np.ndarray) and entries.dtype.kind in "iufc":
+        return entries.astype(np.complex128, copy=False)
     try:
         a = np.asarray(entries)
-        if a.dtype.kind in "iufcO":
+        bad = str(a.dtype) if a.dtype.kind not in "iufcO" else _non_number(entries)
+        if not bad:
             return a.astype(np.complex128, copy=False)
-    except (TypeError, ValueError) as exc:  # ragged rows, objects that are not numbers
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, ints past the float range
         raise InputError(f"matrix entries must be numbers: {exc}") from None
-    raise InputError(f"matrix entries must be numbers, got {a.dtype} entries")
+    raise InputError(f"matrix entries must be numbers, got {bad} entries")
+
+
+def _non_number(entries) -> str:
+    """The type of a bool or string among nested sequences or in an object
+    array, else "": numpy would read True as 1 and "2" as 2."""
+    if isinstance(entries, np.ndarray):
+        if entries.dtype.kind != "O":
+            return "" if entries.dtype.kind in "iufc" else str(entries.dtype)
+        entries = list(entries.flat)
+    if not isinstance(entries, (list, tuple)):
+        return type(entries).__name__ if isinstance(entries, (bool, np.bool_, str, bytes)) else ""
+    kinds = set(map(type, entries))  # at C speed: a matrix literal's rows, then their entries
+    if kinds == {list}:
+        return _non_number(list(chain.from_iterable(entries)))
+    return "" if kinds <= {int, float, complex} else max(map(_non_number, entries), default="")
 
 
 def _hermitian_stack(entries) -> np.ndarray:
@@ -422,7 +442,8 @@ class HermitianMatrix(_Checked):
     The symmetry defect max|H - H*| must not exceed 1e-12 times the largest
     entry magnitude (floor 1e-14); the stored matrix is the Hermitian average
     of the input, so the invariant holds exactly afterwards.
-    ``_hermitian_stack`` applies the same check to k matrices at once.
+    ``_hermitian_stack`` applies the same check to k matrices at once. It
+    defines no arithmetic: matrices combine as arrays (``.mat``).
     """
 
     __slots__ = ("_mat", "_norm", "_eig")

@@ -65,15 +65,16 @@ class DiagonalModel:
         require_int(self.trunc_dim, "truncation dimension", 2)
         if not isinstance(self.law, str) or self.law not in LAWS:
             raise InputError(f"unknown eigenvalue law {self.law!r}; choose from {sorted(LAWS)}")
+        # the law, evaluated once per model
+        object.__setattr__(self, "_lambdas", LAWS[self.law](np.arange(1, self.trunc_dim + 1)))
 
     def lambdas(self) -> np.ndarray:
-        """Eigenvalues lambda_1..lambda_N of the truncated model."""
-        k = np.arange(1, self.trunc_dim + 1)
-        return LAWS[self.law](k)
+        """Eigenvalues lambda_1..lambda_N of the truncated model, a fresh array."""
+        return self._lambdas.copy()
 
     def lam(self, n: int) -> float:
         self._check_index(n)
-        return float(self.lambdas()[n - 1])
+        return float(self._lambdas[n - 1])
 
     def _check_index(self, n: int, lo: int = 1) -> int:
         # capped at N-1 so trends over n stay inside the truncation

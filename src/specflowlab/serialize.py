@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputError, coerce_field, require_int
-from .matcore import HermitianMatrix, _matrix_array
+from .matcore import HermitianMatrix, _complex_array, _matrix_array
 from .specflow import OperatorPath, SfCertificate
 
 if TYPE_CHECKING:  # imported where used, so compute and report load only what they read
@@ -55,11 +55,11 @@ def _array_to_parts(a: np.ndarray) -> dict:
 
 
 def _parts_to_array(obj: dict, shape: tuple[int, int], what: str) -> np.ndarray:
-    try:
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{what} literal needs numeric 're' and 'im' parts") from exc
+    if "re" not in obj or "im" not in obj:
+        raise InputError(f"{what} literal needs numeric 're' and 'im' parts")
+    re, im = _complex_array(obj["re"]), _complex_array(obj["im"])
+    if re.imag.any() or im.imag.any():
+        raise InputError(f"{what} literal needs real 're' and 'im' parts")
     if 0 in shape and re.size == im.size == 0:  # a block with no rows is written as []
         re, im = re.reshape(shape), im.reshape(shape)
     if re.shape != shape or im.shape != shape:

@@ -1037,7 +1037,8 @@ class _Composite(OperatorPath):
     Its evaluator assembles the parts' validated rows (their ``stack``), so
     its stacks are taken without a second Hermitian check, the bits the
     parts hold. A point whose eigenvalues its part already holds takes
-    them, so a part's sampled points are not sampled again. An evaluator
+    them, so a part's sampled points are not sampled again; a junction
+    whose matrix the part did not keep is evaluated again. An evaluator
     passed to ``OperatorPath`` is always checked.
     """
 

@@ -132,6 +132,9 @@ _BLOCK = {"rows": 1, "cols": 1, "re": [[1.0]], "im": [[0.0]]}
                 "family": {"name": "trig_random", "seed": 1, "params": {"scale": "inf"}},
             },
         ),
+        # entries numpy would read as numbers, or let out as an OverflowError
+        ("compute", {"kind": "sampled", "samples": [dict(_TWO, re=[[True, 0], [0, "2"]]), _TWO]}),
+        ("compute", {"kind": "sampled", "samples": [dict(_ONE, re=[[10**400]]), _ONE]}),
     ],
 )
 def test_malformed_field_exit_1(tmp_path, capsys, command, obj):

@@ -425,13 +425,19 @@ UNREADABLE = {
         lambda ts: "x", 1, regularity=lipschitz((), [1.0])
     ).values(0.0),
     "linear_interp": lambda: family_path("linear_interp", {"a": "x", "b": np.eye(2)}),
+    "bool_among_floats": lambda: HermitianMatrix([[True, 0.0], [0.0, 1.0]]),
+    "diag_bool_among_floats": lambda: HermitianMatrix.diag([True, 2.0]),
+    "graded_bool_among_floats": lambda: GradedOperator(1, 2, [[True], [0.5]]),
+    "object_string": lambda: HermitianMatrix(np.array([["2"]], dtype=object)),
+    "int_beyond_float_range": lambda: HermitianMatrix([[10**400]]),
 }
 
 
 @pytest.mark.parametrize("call", sorted(UNREADABLE))
 def test_unreadable_matrix_entries_are_input_errors(call):
-    """Each of these once raised numpy's bare ValueError, or read a bool as
-    1; ``_complex_array``, the one reading of matrix entries, refuses them.
+    """Each of these once raised numpy's bare ValueError or OverflowError,
+    or read a bool as 1 or a string as a number; ``_complex_array``, the one
+    reading of matrix entries, refuses them.
     A complex128 array is read as it is, with no copy."""
     with pytest.raises(InputError, match="^matrix entries must be numbers[:,] "):
         UNREADABLE[call]()

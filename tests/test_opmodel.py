@@ -117,6 +117,21 @@ def test_swap_bounds_scaling_in_n():
     assert swap_bounds(model, 20)["d_G_upper"] == pytest.approx(2.0 / math.sqrt(401.0))
 
 
+def test_a_metrics_report_evaluates_its_law_once(monkeypatch, tmp_path):
+    """The model holds its eigenvalues: one law evaluation per report, in
+    which ``lam`` is called 187 times."""
+    from specflowlab import cli, opmodel
+
+    calls = []
+    law = opmodel.LAWS["linear"]
+    monkeypatch.setitem(opmodel.LAWS, "linear", lambda k: calls.append(k) or law(k))
+    assert cli.main(["metrics", "--trunc-dim", "32", "--out", str(tmp_path / "m.json")]) == 0
+    assert len(calls) == 1
+    model = DiagonalModel(8)
+    model.lambdas()[0] = 99.0  # a fresh array each call
+    assert model.lam(1) == 1.0
+
+
 def test_fuglede_perturbation_flips_one_eigenvalue():
     model = DiagonalModel(8, "linear")
     d = realize(model)

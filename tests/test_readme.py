@@ -1,7 +1,8 @@
 """The README's quick starts run as written and give the values they state:
 the two Python blocks of "Quick start (Python)" in one namespace, in
 order, each path with the soundness it declares, and the path file of
-"Quick start (CLI)" through ``specflow compute``."""
+"Quick start (CLI)" through ``specflow compute``. Each paper claim names a
+test that exists, and no code span names a private."""
 
 import json
 import re
@@ -12,12 +13,16 @@ from specflowlab import cli
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _section(heading: str) -> str:
+    """The README section headed ``heading``."""
+    text = README.read_text()
+    start = text.index(f"\n## {heading}\n")
+    return text[start : text.find("\n## ", start + 1)]
+
+
 def _blocks(section: str, lang: str) -> list[str]:
     """The fenced ``lang`` blocks of the README section headed ``section``."""
-    text = README.read_text()
-    start = text.index(f"\n## {section}\n")
-    end = text.find("\n## ", start + 1)
-    return re.findall(rf"```{lang}\n(.*?)```", text[start:end], flags=re.S)
+    return re.findall(rf"```{lang}\n(.*?)```", _section(section), flags=re.S)
 
 
 def test_python_quick_start_states_its_values(capsys):
@@ -46,3 +51,27 @@ def test_cli_quick_start_computes_its_path(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["value"] == 1
     assert set(payload["methods"].values()) == {1}
+
+
+def test_every_paper_claim_names_a_test_that_exists():
+    """A claim names ``tests/<file>.py::<test>`` or an acceptance
+    criterion, and the test it names is defined."""
+    tests = README.parent / "tests"
+    claims = re.split(r"\n- ", _section("Paper claims and the names that reproduce them"))[1:]
+    assert len(claims) >= 6
+    for claim in claims:
+        claim = " ".join(claim.split())
+        named = [(f, f"\ndef {t}(") for f, t in re.findall(r"`tests/(\w+\.py)::(\w+)`", claim)]
+        named += [
+            ("test_acceptance.py", f"\ndef test_criterion_{int(n):02d}_")
+            for n in re.findall(r"[Aa]cceptance criterion (\d+)", claim)
+        ]
+        assert named, claim
+        for file, definition in named:
+            assert definition in (tests / file).read_text(), (file, definition)
+
+
+def test_no_code_span_names_a_private():
+    """A single-underscore name is a mechanism, which its docstring owns."""
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    assert [s for s in spans if re.search(r"(?<![\w])_[A-Za-z0-9]", s)] == []
