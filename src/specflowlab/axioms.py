@@ -24,7 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CertificationError, InputError, require_int
-from .matcore import HermitianMatrix, _stack_eigvalsh, as_hermitian, op_norm
+from .matcore import (
+    HermitianMatrix, _chunk_len, _chunks, _op_norms, _stack_eigvalsh, as_hermitian, op_norm
+)
 from .specflow import (
     _DEFAULT_OPTS,
     OperatorPath,
@@ -137,33 +139,29 @@ def _certified_s_pairs(row: Callable[[float], OperatorPath], s_grid) -> list[flo
     """Refine the deformation grid, at most 16 halvings deep, until every
     consecutive pair of rows has both endpoints' spectral gaps exceeding
     the operator-norm step between the rows (so no endpoint can cross zero
-    in between)."""
+    in between).
 
-    def step(s0: float, s1: float, t: float) -> float:
-        return op_norm(row(s0).matrix(t).mat - row(s1).matrix(t).mat)
-
-    out = [float(s_grid[0])]
-    stack = [
-        (float(s_grid[i]), float(s_grid[i + 1]), 0)
-        for i in range(len(s_grid) - 2, -1, -1)
-    ]
-    while stack:
-        s0, s1, depth = stack.pop()
-        ok = all(
-            step(s0, s1, t) < min(row(s0).endpoint_gaps()[end], row(s1).endpoint_gaps()[end])
-            for end, t in enumerate((0.0, 1.0))
-        )
-        if ok:
-            out.append(s1)
-            continue
-        if depth >= 16:
-            raise CertificationError(
-                "deformation rows could not be certified", window=(s0, s1)
-            )
-        mid = 0.5 * (s0 + s1)
-        stack.append((mid, s1, depth + 1))
-        stack.append((s0, mid, depth + 1))
-    return out
+    A whole level is certified at once: each row's two ends come from one
+    ``matrices([0, 1])`` call, and the level's end steps from one stacked
+    norm per chunk. The s-list, and the refusal on the leftmost window at
+    depth 16, are the depth-first refinement's."""
+    certified = []
+    level = [(float(a), float(b)) for a, b in zip(s_grid[:-1], s_grid[1:])]
+    for depth in range(17):
+        rows = {s: row(s) for pair in level for s in pair}
+        ends = {s: np.array([m.mat for m in r.matrices([0.0, 1.0])]) for s, r in rows.items()}
+        diffs = np.concatenate([ends[s0] - ends[s1] for s0, s1 in level])
+        steps = np.concatenate([_op_norms(c) for c in _chunks(diffs, _chunk_len(diffs.shape[1]))])
+        failed = []
+        for (s0, s1), step in zip(level, steps.reshape(-1, 2)):
+            gaps = np.minimum(rows[s0].endpoint_gaps(), rows[s1].endpoint_gaps())
+            (certified if np.all(step < gaps) else failed).append((s0, s1))
+        if not failed:
+            break
+        if depth == 16:
+            raise CertificationError("deformation rows could not be certified", window=failed[0])
+        level = [p for s0, s1 in failed for p in ((s0, 0.5 * (s0 + s1)), (0.5 * (s0 + s1), s1))]
+    return [float(s_grid[0])] + sorted(s1 for _, s1 in certified)
 
 
 def check_homotopy(

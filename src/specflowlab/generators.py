@@ -436,7 +436,9 @@ def homotopy_family(seed_or_rng, dim: int):
     unitary conjugation changes how fast a row moves in t, so every row
     declares f's Lipschitz regularity. The conjugation's two products add
     a rounding of order n u ||f|| per point, inside the gamma_n slack that
-    every declared margin gives up.
+    every declared margin gives up. The rows read f's validated rows from
+    one store per family, so each point of f is evaluated once, however
+    many rows ask for it; each row keeps its own Hermitian check.
     """
     rng = _as_rng(seed_or_rng)
     f = trig_path(rng, dim)
@@ -447,16 +449,23 @@ def homotopy_family(seed_or_rng, dim: int):
         eps = 0.4 * min(g0, g1)
     else:
         u_of = unitary_rotation_path(rng, dim, 0.8)
+    held: dict[float, np.ndarray] = {}
+
+    def base(ts: np.ndarray) -> np.ndarray:
+        new = [t for t in dict.fromkeys(ts.tolist()) if t not in held]
+        if new:
+            held.update(zip(new, f.stack(np.array(new))))
+        return np.array([held[t] for t in ts.tolist()])
 
     @cache
     def row(s: float) -> OperatorPath:
         # the row's shift s e I, or its U(s) and U(s)*, built once
         if style == 0:
             shift = s * eps * np.eye(dim)
-            return OperatorPath(lambda ts: f.stack(ts) + shift, dim, regularity=f.regularity)
+            return OperatorPath(lambda ts: base(ts) + shift, dim, regularity=f.regularity)
         u = u_of(s)
         u_h = u.conj().T
-        return OperatorPath(lambda ts: u_h @ f.stack(ts) @ u, dim, regularity=f.regularity)
+        return OperatorPath(lambda ts: u_h @ base(ts) @ u, dim, regularity=f.regularity)
 
     return row, s_grid, ("additive_drift", "unitary_conjugation")[style]
 

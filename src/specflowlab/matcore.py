@@ -95,13 +95,14 @@ def _chunks(items: list, size: int):
 def _complex_array(entries) -> np.ndarray:
     """``entries`` as a complex128 array, the array itself when it is one:
     the one reading of matrix entries. A numeric array takes no pass over
-    its entries; bools and strings (``_non_number``), ragged rows, ints
-    beyond the float range and objects that are not numbers raise InputError."""
+    its entries; bools and strings (``_non_number`` names the first, also
+    where numpy read all as strings), ragged rows, ints beyond the float
+    range and objects that are not numbers raise InputError."""
     if isinstance(entries, np.ndarray) and entries.dtype.kind in "iufc":
         return entries.astype(np.complex128, copy=False)
     try:
         a = np.asarray(entries)
-        bad = str(a.dtype) if a.dtype.kind not in "iufcO" else _non_number(entries)
+        bad = _non_number(entries) or ("" if a.dtype.kind in "iufcO" else str(a.dtype))
         if not bad:
             return a.astype(np.complex128, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, ints past the float range
@@ -110,8 +111,8 @@ def _complex_array(entries) -> np.ndarray:
 
 
 def _non_number(entries) -> str:
-    """The type of a bool or string among nested sequences or in an object
-    array, else "": numpy would read True as 1 and "2" as 2."""
+    """The type of the first bool or string among nested sequences or in an
+    object array, else "": numpy would read True as 1 and "2" as 2."""
     if isinstance(entries, np.ndarray):
         if entries.dtype.kind != "O":
             return "" if entries.dtype.kind in "iufc" else str(entries.dtype)
@@ -121,7 +122,8 @@ def _non_number(entries) -> str:
     kinds = set(map(type, entries))  # at C speed: a matrix literal's rows, then their entries
     if kinds == {list}:
         return _non_number(list(chain.from_iterable(entries)))
-    return "" if kinds <= {int, float, complex} else max(map(_non_number, entries), default="")
+    numbers = kinds <= {int, float, complex}
+    return "" if numbers else next(filter(None, map(_non_number, entries)), "")
 
 
 def _hermitian_stack(entries) -> np.ndarray:

@@ -359,9 +359,10 @@ def metric_separation_report(
     Residual slots are None where no closed form exists.
 
     The operands D + C_n are validated, factored and measured as stacks of
-    at most ``_chunk_len(N)`` rows, so no call holds more than the chunk
-    budget. Rows keep their order, and the first row whose graph-distance
-    routes disagree or whose d_W exceeds d_N raises, as row by row.
+    at most ``_chunk_len(N)`` rows of one family, so no diagonal row shares
+    a record with swap rows, which take eigh. Rows keep their order, and
+    the first row whose graph-distance routes disagree or whose d_W exceeds
+    d_N raises, as row by row.
     """
     for fam in families:
         if fam not in FAMILIES:
@@ -369,10 +370,11 @@ def metric_separation_report(
     if n_range is None:
         n_range = range(1, min(33, model.trunc_dim))
     ns = [model._check_index(n) for n in n_range]
-    cells = [(fam, n) for fam in families for n in ns if not (fam == "swap" and n < 2)]
+    size = _chunk_len(model.trunc_dim)
+    cells = [[(fam, n) for n in ns if not (fam == "swap" and n < 2)] for fam in families]
     d = _Operand.of_matrix(realize(model))
     rows: list[MetricReport] = []
-    for chunk in _chunks(cells, _chunk_len(model.trunc_dim)):
+    for chunk in [chunk for of_fam in cells for chunk in _chunks(of_fam, size)]:
         t = _Operand(
             _hermitian_stack(np.array([d.h.mat + _entries(model, fam, n) for fam, n in chunk]))
         )

@@ -70,10 +70,15 @@ def _parts_to_array(obj: dict, shape: tuple[int, int], what: str) -> np.ndarray:
 
 
 def matrix_from_obj(obj: dict) -> HermitianMatrix:
+    return HermitianMatrix(_matrix_literal(obj))
+
+
+def _matrix_literal(obj: dict) -> np.ndarray:
+    """A matrix literal's structure, numbers and shape, read; not checked."""
     if not isinstance(obj, dict) or "dim" not in obj:
         raise InputError("matrix literal must be an object with a 'dim' field")
     n = coerce_field(obj["dim"], int, "dim")
-    return HermitianMatrix(_parts_to_array(obj, (n, n), "matrix"))
+    return _parts_to_array(obj, (n, n), "matrix")
 
 
 def block_to_obj(a: np.ndarray) -> dict:
@@ -112,6 +117,9 @@ def path_to_obj(path: OperatorPath, *, samples: int = 33) -> dict:
 
 
 def path_from_obj(obj: dict) -> OperatorPath:
+    """A path from its literal. Every sample's literal is read before
+    ``OperatorPath.from_samples`` compares their dims and checks the whole
+    file by one stacked Hermitian check."""
     if not isinstance(obj, dict):
         raise InputError("path spec must be an object")
     kind = obj.get("kind")
@@ -119,8 +127,7 @@ def path_from_obj(obj: dict) -> OperatorPath:
         samples = obj.get("samples")
         if not isinstance(samples, list) or len(samples) < 2:
             raise InputError("sampled path needs a list of at least 2 samples")
-        mats = [matrix_from_obj(s) for s in samples]
-        path = OperatorPath.from_samples(mats)
+        path = OperatorPath.from_samples([_matrix_literal(s) for s in samples])
     elif kind == "family":
         from .generators import family_path
 

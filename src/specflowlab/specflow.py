@@ -64,9 +64,9 @@ from .matcore import (
     _chunks,
     _diff_norms,
     _hermitian_stack,
+    _matrix_array,
     _nonneg_projections,
     _stack_eigvalsh,
-    as_hermitian,
     op_norm,
 )
 from .projpair import _pair_indices
@@ -430,17 +430,24 @@ class OperatorPath:
     @classmethod
     def from_samples(cls, matrices: Sequence) -> "OperatorPath":
         """Uniformly spaced samples; the path is their linear interpolant,
-        piecewise affine with one 2-norm per piece."""
-        mats = [as_hermitian(m) for m in matrices]
+        piecewise affine with one 2-norm per piece. At least 2 samples of
+        one dim; those not yet a ``HermitianMatrix`` take one stacked
+        Hermitian check, whose first failing sample raises."""
+        items = list(matrices)
+        mats = [m.mat if isinstance(m, HermitianMatrix) else _matrix_array(m) for m in items]
         if len(mats) < 2:
             raise InputError("a sampled path needs at least 2 samples")
-        dim = mats[0].dim
-        for m in mats[1:]:
-            if m.dim != dim:
-                raise DimensionMismatchError("sample dimensions differ")
-        arr = np.stack([m.mat for m in mats])
+        if len({m.shape for m in mats}) > 1:
+            for m in mats:
+                if m.shape[0] != m.shape[1] or not m.size:
+                    HermitianMatrix(m)  # raises its non-square or empty error
+            raise DimensionMismatchError("sample dimensions differ")
+        arr = np.array(mats)
+        raw = [not isinstance(m, HermitianMatrix) for m in items]
+        if any(raw):
+            arr[raw] = _hermitian_stack(arr[raw])
         arr.setflags(write=False)
-        last = len(mats) - 1
+        dim, last = len(arr[0]), len(mats) - 1
 
         def evaluate(ts: np.ndarray) -> np.ndarray:
             x = ts * last
@@ -934,6 +941,10 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     one ledger (``_ledger``): it evaluates the grid only where a count can
     change, every point where the guard (``_guard``) cannot decide from
     fewer, and gives the report and error texts of the whole grid.
+
+    ``up_crossings`` and ``down_crossings`` count the grid's sign changes,
+    lower bounds on the path's: the guard tests the largest sample tolerance
+    against half the end gap, and nothing between adjacent grid points.
     """
     g0, g1 = _check_endpoints(path)
     ts, steps = _grid(path, opts.oracle_samples)

@@ -1,6 +1,7 @@
 """Second numerical routes and lemma checks that tests compare the library
 against: spectral projections by resolvent contour integration, A^{-1/2}
-by quadrature, and the conjugation-norm identities of a pair (T, B)."""
+by quadrature, the conjugation-norm identities of a pair (T, B), and the
+depth-first refinement of a deformation grid."""
 
 from __future__ import annotations
 
@@ -190,3 +191,36 @@ def check_a1(t: HermitianMatrix, b: HermitianMatrix) -> A1Report:
         sandwich_norm=sandwich,
         sandwich_bound_ok=sandwich_ok,
     )
+
+
+def certified_s_pairs_depth_first(row, s_grid) -> list[float]:
+    """The deformation grid refined depth first, one pair of rows at a time
+    and one norm per end: the s-list and the refusal (the first window at
+    depth 16, left to right) that ``axioms._certified_s_pairs``, which
+    certifies a whole level at once, must give."""
+
+    def step(s0: float, s1: float, t: float) -> float:
+        return op_norm(row(s0).matrix(t).mat - row(s1).matrix(t).mat)
+
+    out = [float(s_grid[0])]
+    stack = [
+        (float(s_grid[i]), float(s_grid[i + 1]), 0)
+        for i in range(len(s_grid) - 2, -1, -1)
+    ]
+    while stack:
+        s0, s1, depth = stack.pop()
+        ok = all(
+            step(s0, s1, t) < min(row(s0).endpoint_gaps()[end], row(s1).endpoint_gaps()[end])
+            for end, t in enumerate((0.0, 1.0))
+        )
+        if ok:
+            out.append(s1)
+            continue
+        if depth >= 16:
+            raise CertificationError(
+                "deformation rows could not be certified", window=(s0, s1)
+            )
+        mid = 0.5 * (s0 + s1)
+        stack.append((mid, s1, depth + 1))
+        stack.append((s0, mid, depth + 1))
+    return out

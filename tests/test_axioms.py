@@ -1,12 +1,18 @@
 """Law checks for the path-to-integer maps, and the converse connector."""
 
+from collections import Counter
+from functools import cache
+
 import numpy as np
 import pytest
 
 from conftest import random_invertible_hermitian
+from reference import certified_s_pairs_depth_first
 from specflowlab import (
+    CertificationError,
     HermitianMatrix,
     InputError,
+    OperatorPath,
     SfFunctional,
     SfOptions,
     axioms,
@@ -19,6 +25,9 @@ from specflowlab import (
     clamp_spectrum_away_from_zero,
     component_label,
     connect_invertibles,
+    generators,
+    homotopy_family,
+    lipschitz,
     normalization_path,
     random_hermitian,
     run_all_checks,
@@ -129,6 +138,82 @@ def test_run_all_checks_builds_each_seeded_path_once(monkeypatch):
         "normalization_path": 2,
         "invertible_trig_path": 8,
     }
+
+
+def test_homotopy_rows_evaluate_each_base_point_once(monkeypatch):
+    """The rows of a deformation family read the base path's validated rows
+    from one store, so each point of the base path reaches its evaluator
+    once per family (the rows of seed 3, trials 8 once asked 1,368 points
+    a second time)."""
+    trig_path, family = generators.trig_path, axioms.homotopy_family
+    built, asked = [], []
+
+    def counted_trig_path(*args, **kwargs):
+        path = trig_path(*args, **kwargs)
+        evaluate, counts = path._evaluator, Counter()
+
+        def counted(ts):
+            counts.update(ts.tolist())
+            return evaluate(ts)
+
+        path._evaluator = counted
+        built.append(counts)
+        return path
+
+    def counted_family(*args, **kwargs):
+        first = len(built)
+        out = family(*args, **kwargs)
+        asked.append(built[first])  # the family's base path is its first trig path
+        return out
+
+    monkeypatch.setattr(generators, "trig_path", counted_trig_path)
+    monkeypatch.setattr(axioms, "homotopy_family", counted_family)
+    run_all_checks(seed=3, trials=8, opts=OPTS)
+    assert len(asked) == 2 and all(asked)
+    assert [max(counts.values()) for counts in asked] == [1, 1]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_level_certification_gives_the_depth_first_s_list(seed):
+    """Certifying a whole refinement level at once keeps the depth-first
+    refinement's s-list."""
+    dim = 2 + seed % 5
+    want = certified_s_pairs_depth_first(*homotopy_family(seed, dim)[:2])
+    assert axioms._certified_s_pairs(*homotopy_family(seed, dim)[:2]) == want
+
+
+def _singular_rows(roots):
+    """Constant rows of dim 1 whose value (s - r1)(s - r2) changes sign at
+    the roots, so no refinement certifies a pair around either."""
+
+    @cache
+    def row(s: float) -> OperatorPath:
+        value = (s - roots[0]) * (s - roots[1])
+        return OperatorPath(
+            lambda ts: np.full((len(ts), 1, 1), value, dtype=complex), 1,
+            regularity=lipschitz((), [0.0]),
+        )
+
+    return row
+
+
+def test_exhausted_refinement_raises_on_the_depth_first_window(monkeypatch):
+    """A family that exhausts depth 16 around two roots is refused on the
+    leftmost window, as depth first, and the law counts it inconclusive."""
+    s_grid = np.linspace(0.0, 1.0, 7)
+    with pytest.raises(CertificationError) as want:
+        certified_s_pairs_depth_first(_singular_rows((0.3, 0.7)), s_grid)
+    with pytest.raises(CertificationError) as got:
+        axioms._certified_s_pairs(_singular_rows((0.3, 0.7)), s_grid)
+    assert got.value.window == want.value.window
+    lo, hi = want.value.window
+    assert hi - lo == pytest.approx(2.0**-16 / 6) and abs(lo - 0.3) < 2.0**-15
+    monkeypatch.setattr(
+        axioms, "homotopy_family",
+        lambda rng, dim: (_singular_rows((0.3, 0.7)), s_grid, "singular"),
+    )
+    reports = check_homotopy(builtin_functionals(OPTS), trials=2, seed=0)
+    assert [rep["inconclusive"] for rep in reports] == [2] * 4
 
 
 def test_run_all_checks_shape():

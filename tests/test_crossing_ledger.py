@@ -537,3 +537,31 @@ def test_all_methods_equal_the_methods_run_in_order(name):
     want = _in_order(CORPUS[name]())
     assert isinstance(result, dict), result
     assert {key: result[key] for key in want} == want
+
+
+def test_the_tallies_count_the_grids_sign_changes_not_the_paths():
+    """The guard tests the largest sample tolerance against half the end
+    gap, and nothing between adjacent grid points, so the tallies are lower
+    bounds on the path's crossings. This dim-1 path falls from 1 to 0.1 at
+    t = 100/256, dips to -0.1 between the knots 100/256 and 101/256 and is
+    back at 0.1 on the next grid point, then rises to 1: it crosses zero
+    twice, down and up. Its rates are declared a relative 1e-7 above the
+    true ones; the largest tolerance, 0.2, passes against half the end gap,
+    0.5, and the grid sees no sign change. The value 0 is right; the
+    tallies (0, 0) are not the path's (1, 1)."""
+    knots = (100 / 256, 101 / 256)
+    xs = [0.0, knots[0], 100.5 / 256, knots[1], 1.0]
+    hs = [1.0, 0.1, -0.1, 0.1, 1.0]
+    rates = [0.9 / knots[0], 0.2 / (0.5 / 256), 0.9 / (1.0 - knots[1])]
+
+    def evaluate(ts):
+        return np.interp(ts, xs, hs).astype(complex)[:, None, None]
+
+    path = OperatorPath(
+        evaluate, 1, regularity=lipschitz(knots, [r * (1.0 + 1e-7) for r in rates])
+    )
+    out = sf_all_methods(path)
+    ledger = out["crossing_ledger"]
+    assert out["value"] == 0
+    assert (ledger["up_crossings"], ledger["down_crossings"]) == (0, 0)
+    assert np.sign(evaluate(np.array(xs[1:4])).real.ravel()).tolist() == [1.0, -1.0, 1.0]

@@ -430,6 +430,8 @@ UNREADABLE = {
     "graded_bool_among_floats": lambda: GradedOperator(1, 2, [[True], [0.5]]),
     "object_string": lambda: HermitianMatrix(np.array([["2"]], dtype=object)),
     "int_beyond_float_range": lambda: HermitianMatrix([[10**400]]),
+    # numpy reads this literal as strings before the bool can be seen
+    "bool_before_string": lambda: HermitianMatrix([[True, 0], [0, "2"]]),
 }
 
 
@@ -443,6 +445,19 @@ def test_unreadable_matrix_entries_are_input_errors(call):
         UNREADABLE[call]()
     a = np.eye(2, dtype=np.complex128)
     assert matcore._complex_array(a) is a
+
+
+@pytest.mark.parametrize("entries, name", [
+    ([[True, 0], [0, "2"]], "bool"),
+    ([[0, "2"], [True, 0]], "str"),
+    ("x", "str"),
+    ([[1.0, True]], "bool"),
+])
+def test_unreadable_entries_are_named_by_the_first_offender(entries, name):
+    """The refusal names the first bool or string among the entries, also
+    where numpy read them all as strings (it once printed "<U21")."""
+    with pytest.raises(InputError, match=f"^matrix entries must be numbers, got {name} entries$"):
+        HermitianMatrix(entries)
 
 
 def test_hermitian_rejects_tiny_asymmetry_beyond_tolerance():

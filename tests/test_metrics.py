@@ -4,6 +4,7 @@ against a per-matrix reference, its chunked LAPACK calls, and the order in
 which its rows fail."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -249,16 +250,19 @@ def _record_lapack(monkeypatch, names):
 
 
 def test_report_factors_each_operand_once(monkeypatch):
-    """One inverse per row plus one for the base, and one eigh per row of a
-    chunk that holds a swap row, none for the diagonal base; made as at
-    most one stacked call per chunk plus one for the base: one chunk at
-    trunc-dim 12, eight at 32, where the first five chunks (80 rows) are
-    diagonal and take no decomposition."""
-    for trunc_dim, chunks, diagonal_rows in ((12, 1, 0), (32, 8, 80)):
+    """One inverse per row plus one for the base, one eigh per swap row and
+    none for a diagonal row (rank_one, lambda, fuglede) or the diagonal
+    base: the chunks are cut inside each family, so no diagonal row shares
+    a record with swap rows. Made as at most one stacked call per chunk
+    plus one for the base: four chunks at trunc-dim 12 (33 diagonal rows,
+    eigh on 10), eight at 32 (93 diagonal rows, eigh on 30)."""
+    for trunc_dim, chunks, diagonal_rows in ((12, 4, 33), (32, 8, 93)):
         with monkeypatch.context() as m:
             calls = _record_lapack(m, ("eigh", "inv"))
             rows = metric_separation_report(DiagonalModel(trunc_dim, "signed"))
-        assert -(-len(rows) // _chunk_len(trunc_dim)) == chunks
+        per_family = Counter(r.family for r in rows).values()
+        assert sum(-(-k // _chunk_len(trunc_dim)) for k in per_family) == chunks
+        assert sum(r.family != "swap" for r in rows) == diagonal_rows
         for name, factored_rows in (("eigh", len(rows) - diagonal_rows), ("inv", len(rows) + 1)):
             shapes = [shape for called, shape in calls if called == name]
             factored = sum(shape[0] if len(shape) == 3 else 1 for shape in shapes)

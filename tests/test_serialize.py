@@ -118,6 +118,80 @@ def test_path_from_obj_errors():
         )
 
 
+def _sampled_file(*samples) -> dict:
+    return {"kind": "sampled", "samples": [
+        matrix_to_obj(s) if isinstance(s, np.ndarray) else s for s in samples
+    ]}
+
+
+_GOOD = [np.diag([-1.0, 2.0]), np.diag([0.5, 2.0]), np.diag([1.0, 2.0])]
+_ASYMMETRIC = np.array([[1.0, 0.5], [0.1, 2.0]])
+_NAN = {"dim": 2, "re": [[math.nan, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+#: one faulty middle sample each
+_FAULTS = {
+    "asymmetric": matrix_to_obj(_ASYMMETRIC),
+    "nan": _NAN,
+    "dim_0": {"dim": 0, "re": [], "im": []},
+    "shape": {"dim": 2, "re": [[1, 0]], "im": [[0, 0]]},
+    "no_im": {"dim": 2, "re": [[1, 0], [0, 1]]},
+    "not_an_object": [1, 2],
+    "bool": {"dim": 2, "re": [[True, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    "overflow": {"dim": 2, "re": [[1.5e308, 1.2e308], [1.2e308, -1.5e308]],
+                 "im": [[0, 0], [0, 0]]},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_a_sampled_file_with_one_fault_is_refused_as_its_sample_is(fault):
+    """The file takes one stacked Hermitian check, and a single faulty
+    sample is refused with the text the reading of that sample alone gives."""
+    with pytest.raises(InputError) as alone:
+        matrix_from_obj(_FAULTS[fault])
+    with pytest.raises(InputError) as err:
+        path_from_obj(_sampled_file(_GOOD[0], _FAULTS[fault], _GOOD[2]))
+    assert (type(err.value), str(err.value)) == (type(alone.value), str(alone.value))
+
+
+def test_a_sampled_file_of_two_dims_is_refused():
+    with pytest.raises(InputError, match="^sample dimensions differ$"):
+        path_from_obj(_sampled_file(_GOOD[0], np.eye(3), _GOOD[2]))
+
+
+@pytest.mark.parametrize("second, message", [
+    (_FAULTS["shape"], r"^matrix parts must have shape \(2, 2\)"),
+    (np.eye(3), "^sample dimensions differ$"),
+    (_NAN, r"^matrix entries must be finite"),
+])
+def test_which_of_two_faulty_samples_is_refused_first(second, message):
+    """Every literal is read, and the dimensions compared, before the file's
+    one Hermitian check, which tests finiteness before symmetry: so a later
+    sample's fault of those kinds is refused before an earlier sample's
+    asymmetry (read sample by sample, the asymmetry came first)."""
+    with pytest.raises(InputError, match=message):
+        path_from_obj(_sampled_file(_GOOD[0], _ASYMMETRIC, second))
+
+
+def test_a_sampled_file_takes_one_stacked_hermitian_check(monkeypatch):
+    """Nine samples, one check of a (9, n, n) stack, not nine one-matrix
+    checks; the kept samples are the stack's rows."""
+    from specflowlab import matcore, specflow
+
+    obj = path_to_obj(trig_path(5, 3), samples=9)
+    shapes = []
+    for module in (matcore, specflow):
+        check = module._hermitian_stack
+
+        def counted(entries, check=check):
+            out = check(entries)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(module, "_hermitian_stack", counted)
+    path = path_from_obj(obj)
+    assert shapes == [(9, 3, 3)]
+    assert path.matrix(0.5).mat.tobytes() == matrix_from_obj(obj["samples"][4]).mat.tobytes()
+
+
 def test_graded_round_trip():
     g = GradedOperator(3, 2, np.arange(6.0).reshape(2, 3) + 2j)
     back = graded_from_obj(graded_to_obj(g))
