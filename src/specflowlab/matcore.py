@@ -127,32 +127,47 @@ def _non_number(entries) -> str:
 
 
 def _hermitian_stack(entries) -> np.ndarray:
+    """The ``HermitianMatrix`` check on k matrices at once (``_hermitian_rows``):
+    the read-only stack of Hermitian averages, a diagonal stack as a
+    read-only copy of itself."""
+    rows, d = _hermitian_rows(entries)
+    if d is not None:
+        rows = rows.copy()
+        rows.setflags(write=False)
+    return rows
+
+
+def _hermitian_rows(entries) -> tuple[np.ndarray, np.ndarray | None]:
     """The ``HermitianMatrix`` check on k matrices at once, given as a
     (k, n, n) array or a sequence of k equally shaped matrices, read by
     ``_complex_array``; the first failing matrix raises, with the
     constructor's message. Checks, in this order, that every entry is
     finite, that the matrices are square and non-empty, and that each
     matrix has a symmetry defect max|A - A*| within 1e-12 times its own
-    largest entry magnitude (floor 1e-14). Returns the read-only stack of
-    Hermitian averages (A + A*) / 2, entry by entry the same floats a
-    one-matrix call gives; an average that overflows (entries beyond half
-    the float range) raises FinitenessError.
+    largest entry magnitude (floor 1e-14). Returns the stack of Hermitian
+    averages (A + A*) / 2, entry by entry the same floats a one-matrix call
+    gives, and None; an average that overflows (entries beyond half the
+    float range) raises FinitenessError.
+
+    A stack of real diagonal matrices with no -0.0 averages to itself:
+    when ``_valid_diagonals`` takes it, before any other check, the result
+    is the array read itself, not copied and not to be kept, with its
+    (k, n) real diagonals, which a caller keeps in its place
+    (``_diagonal_matrices`` builds the matrices back with the same bits).
 
     A stack equal to its adjoint has defect 0, so the defect is not
-    computed. A stack of real diagonal matrices with no -0.0 averages to
-    itself, and ``_diagonal_copy`` returns a copy of it before any other
-    check; for the other stacks equal to their adjoint (real combinations of
-    exactly Hermitian matrices, as the trig paths evaluate, and sparse ones)
-    ``_exact_average_into`` writes the same bytes without the sum unless a
-    -0.0 off the diagonal's imaginary parts, or an entry beyond half the
-    float range, leaves them to the formula.
+    computed. For the other stacks equal to their adjoint (real
+    combinations of exactly Hermitian matrices, as the trig paths evaluate,
+    and sparse ones) ``_exact_average_into`` writes the same bytes without
+    the sum unless a -0.0 off the diagonal's imaginary parts, or an entry
+    beyond half the float range, leaves them to the formula.
     """
     a = _complex_array(entries)
     if a.ndim != 3:
         raise InputError(f"expected a stack of 2-d matrices, got shape {a.shape}")
-    diagonal = _diagonal_copy(a)
-    if diagonal is not None:
-        return diagonal
+    diagonals = _valid_diagonals(a)
+    if diagonals is not None:
+        return a, diagonals
     if not np.all(np.isfinite(a)):
         raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
     _, n, m = a.shape
@@ -167,7 +182,7 @@ def _hermitian_stack(entries) -> np.ndarray:
         if a.size and np.array_equal(a, ah):
             if _exact_average_into(a, conj):
                 conj.setflags(write=False)
-                return conj
+                return conj, None
         else:
             defect = np.max(np.abs(a - ah), axis=(1, 2))
             tol = np.maximum(_HERM_RTOL * np.max(np.abs(a), axis=(1, 2)), _TOL_FLOOR)
@@ -178,20 +193,19 @@ def _hermitian_stack(entries) -> np.ndarray:
     if not np.all(np.isfinite(h)):
         raise FinitenessError("Hermitian average overflows: entries exceed half the float range")
     h.setflags(write=False)
-    return h
+    return h, None
 
 
-def _diagonal_copy(a: np.ndarray) -> np.ndarray | None:
-    """The read-only copy of a (k, n, n) complex stack, which is its
-    Hermitian average, when it is a stack of real diagonal matrices with no
-    -0.0, whose sign the formula may change (``_real_diagonals``), and the
-    diagonal is within half the float range. Else None, and the stack is
-    left to the general checks."""
+def _valid_diagonals(a: np.ndarray) -> np.ndarray | None:
+    """The real diagonals, as a (k, n) view, of a (k, n, n) complex stack
+    that is its own Hermitian average: a stack of real diagonal matrices
+    with no -0.0, whose sign the formula may change (``_real_diagonals``),
+    and with the diagonal within half the float range. Else None, and the
+    stack is left to the general checks. This is the guard of the diagonal
+    route of the Hermitian check and of a path's samples."""
     d = _real_diagonals(a)
     if d is not None and np.abs(d).max() <= _HALF_MAX:
-        out = a.copy()
-        out.setflags(write=False)
-        return out
+        return d
     return None
 
 
@@ -221,13 +235,17 @@ def _real_diagonals(s: np.ndarray) -> np.ndarray | None:
 
 def _unscaled_real_diagonals(s: np.ndarray) -> np.ndarray | None:
     """The real diagonals (``_real_diagonals``) of a (k, n, n) complex
-    stack when each matrix's largest |d| is 0 or lies where zheevd does not
-    rescale (``_UNSCALED_MIN`` to ``_UNSCALED_MAX``); else None. Then the
-    sorted diagonal is what LAPACK's eigensolver computes for the
-    eigenvalues (its sort places a -0.0 differently among the zeros, which
-    is why ``_real_diagonals`` refuses one), and a permutation of the unit
-    vectors is its basis."""
-    d = _real_diagonals(s)
+    stack when ``_unscaled`` takes them; else None."""
+    return _unscaled(_real_diagonals(s))
+
+
+def _unscaled(d: np.ndarray | None) -> np.ndarray | None:
+    """A (k, n) stack of real diagonals when each row's largest |d| is 0
+    or lies where zheevd does not rescale (``_UNSCALED_MIN`` to
+    ``_UNSCALED_MAX``); else None. Then the sorted diagonal is what
+    LAPACK's eigensolver computes for the eigenvalues (its sort places a
+    -0.0 differently among the zeros, which is why ``_real_diagonals``
+    refuses one), and a permutation of the unit vectors is its basis."""
     if d is None or not _zero_or_within(np.abs(d).max(axis=1), _UNSCALED_MIN, _UNSCALED_MAX):
         return None
     return d
@@ -293,11 +311,17 @@ def _diagonal_imag(a: np.ndarray) -> np.ndarray:
 def _stack_eigvalsh(s: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each matrix of a validated (k, n, n)
     Hermitian stack, bit for bit those of ``np.linalg.eigvalsh(s)``: the
-    sorted diagonal of a stack that ``_unscaled_real_diagonals`` takes, the
+    sorted diagonal of a stack whose real diagonals ``_unscaled`` takes, the
     values LAPACK's zheevd computes for it; any other stack goes to LAPACK.
     """
-    d = _unscaled_real_diagonals(s)
-    return np.linalg.eigvalsh(s) if d is None else np.sort(d, axis=1)
+    return _eigvalsh_of(s, _real_diagonals(s))
+
+
+def _eigvalsh_of(s: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+    """``_stack_eigvalsh(s)`` of a stack whose ``_real_diagonals`` are
+    ``d`` (None for any other stack), without testing it again."""
+    u = _unscaled(d)
+    return np.linalg.eigvalsh(s) if u is None else np.sort(u, axis=1)
 
 
 def _matrix_array(a, square: bool = False) -> np.ndarray:
@@ -346,11 +370,22 @@ def _diagonal_op_norms(d: np.ndarray) -> np.ndarray:
     where they are, else the SVD of the matrices."""
     norms = _route_norms(d)
     if norms is None:
-        k, n = d.shape
-        full = np.zeros((k, n, n), dtype=np.complex128)
-        full[:, np.arange(n), np.arange(n)] = d
-        norms = np.linalg.norm(full, 2, axis=(1, 2))
+        norms = np.linalg.norm(_diagonal_matrices(d), 2, axis=(1, 2))
     return norms
+
+
+def _diagonal_matrices(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (k, n, n) complex stack of the diagonal matrices diag(d_i) of a
+    (k, n) stack of diagonals, written into ``out`` when given. Every other
+    component is +0.0, so real diagonals that ``_real_diagonals`` read give
+    back the bits of the stack they were read from."""
+    if out is None:
+        out = np.zeros(d.shape + d.shape[-1:], dtype=np.complex128)
+    else:
+        out[...] = 0.0
+    i = np.arange(d.shape[-1])
+    out[:, i, i] = d
+    return out
 
 
 def _route_norms(d: np.ndarray) -> np.ndarray | None:
@@ -792,10 +827,7 @@ def _diagonal_nonneg_projections(s: np.ndarray) -> np.ndarray | None:
     d = _real_diagonals(s)
     if d is None or not np.abs(d).max() <= _UNSCALED_MAX:
         return None
-    p = np.zeros(s.shape, dtype=np.complex128)
-    i = np.arange(s.shape[1])
-    p[:, i, i] = d >= 0.0
-    return p
+    return _diagonal_matrices(d >= 0.0)
 
 
 def rank_eps(a) -> int:

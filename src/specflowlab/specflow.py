@@ -62,11 +62,15 @@ from .matcore import (
     HermitianMatrix,
     _chunk_len,
     _chunks,
+    _diagonal_matrices,
     _diff_norms,
+    _eigvalsh_of,
+    _hermitian_rows,
     _hermitian_stack,
     _matrix_array,
     _nonneg_projections,
     _stack_eigvalsh,
+    _valid_diagonals,
     op_norm,
 )
 from .projpair import _pair_indices
@@ -186,7 +190,14 @@ class Regularity:
     def step_bounds(self, ts: Sequence[float]) -> list[float]:
         """rate * |dt| for each consecutive pair of ``ts``; a step that
         spans knots takes the largest rate of the pieces it meets."""
+        return self._steps(ts).tolist()
+
+    def _steps(self, ts: Sequence[float]) -> np.ndarray:
+        """``step_bounds`` as a float64 array. With one piece it is
+        rates[0] * |dt|, the same floats: max(a, b) - min(a, b) == |b - a|."""
         ts = np.asarray(ts, dtype=np.float64)
+        if not self.knots:
+            return self.rates[0] * np.abs(np.diff(ts))
         lo = np.minimum(ts[:-1], ts[1:])
         hi = np.maximum(ts[:-1], ts[1:])
         rates = np.asarray(self.rates)
@@ -195,7 +206,7 @@ class Regularity:
         rate = rates[first]
         for k in np.flatnonzero(last > first).tolist():
             rate[k] = rates[first[k] : last[k] + 1].max()
-        return (rate * (hi - lo)).tolist()
+        return rate * (hi - lo)
 
     def then(self, other: "Regularity") -> "Regularity":
         """The regularity of the concatenation (self, then other), each
@@ -243,18 +254,28 @@ class OperatorPath:
     One routine, ``_sample``, fills the path's stores: it evaluates the
     points not yet held by one evaluator call per chunk of at most
     ``_CHUNK_BYTES`` bytes, takes the eigenvalues they lack from the same
-    validated chunk by one batched ``eigvalsh`` (a stack of diagonal
-    matrices takes its sorted diagonal, the same bits), and keeps a matrix
-    only where one is asked for: the ends, the ends of the certified
-    segments (which sf_pairsum projects) and the samples of a
-    ``from_samples`` path. So every kept matrix has its eigenvalues held.
+    validated chunk by one batched ``eigvalsh``, and keeps a matrix only
+    where one is asked for: the ends, the ends of the certified segments
+    (which sf_pairsum projects) and the samples of a ``from_samples`` path.
+    So every kept matrix has its eigenvalues held.
+
+    A chunk of real diagonal matrices with no -0.0 (``_valid_diagonals``,
+    one test per chunk) is validated, factored and kept through its real
+    diagonals: no validated copy of it is made, its eigenvalues are its
+    sorted diagonal where that gives LAPACK's bits (else LAPACK on the
+    chunk), and a kept point holds its n diagonal entries, not n^2 complex
+    ones. Its ``HermitianMatrix`` is built only when ``matrix`` or
+    ``matrices`` asks for it (the ends, sf_pairsum's junctions), and is
+    then kept in the diagonal's place, so a point's matrix is one object
+    with one cached ``eig``.
 
     * ``matrix(t)`` and ``matrices(ts)`` return the validated matrices and
       keep them;
     * ``values(ts)`` returns eigenvalues, keeping those of a point it
       evaluates but not its matrix;
-    * ``stack(ts)`` copies the kept matrices and evaluates the others into
-      one fresh array, keeping nothing;
+    * ``stack(ts)`` copies the kept matrices (a kept diagonal into a zeroed
+      row, the bits of its matrix) and evaluates the others into one fresh
+      array, keeping nothing;
     * ``eig(t)`` is the validated full decomposition the matrix at t caches.
 
     A method that needs a point's matrix asks for it before its
@@ -294,10 +315,12 @@ class OperatorPath:
         self._evaluator = evaluator
         self._dim = dim
         self._regularity = regularity
-        self._mats: dict[float, HermitianMatrix] = {}
+        # a kept point's matrix, or the (n,) real diagonal it is built from
+        self._mats: dict[float, HermitianMatrix | np.ndarray] = {}
         self._vals: dict[float, np.ndarray] = {}
         self._segments: dict[SfOptions, tuple] = {}
-        self._grids: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
+        self._grids: dict[int, tuple[tuple[float, ...], np.ndarray]] = {}
+        self._seeds: dict[tuple[int, int], list[int]] = {}
 
     @property
     def dim(self) -> int:
@@ -309,23 +332,25 @@ class OperatorPath:
 
     def _evaluated(self, ts: list[float]):
         """Evaluate the distinct points ``ts`` by one evaluator call per
-        chunk, yielding each chunk with its validated, read-only (k, n, n)
-        stack; nothing is kept."""
+        chunk, yielding each chunk with its rows (``_rows``); nothing is
+        kept."""
         for t in ts:
             if not 0.0 <= t <= 1.0:
                 raise InputError(f"path parameter {t!r} outside [0, 1]")
         for chunk in _chunks(ts, _chunk_len(self._dim)):
-            yield chunk, self._rows(np.array(chunk))
+            yield (chunk, *self._rows(np.array(chunk)))
 
-    def _rows(self, ts: np.ndarray) -> np.ndarray:
+    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The evaluator's matrices at ``ts``, checked by one Hermitian
-        check and for their count and dimension."""
-        stack = _hermitian_stack(self._evaluator(ts))
+        check (``_hermitian_rows``) and for their count and dimension: the
+        validated read-only (k, n, n) stack and None, or a diagonal stack,
+        which is not to be kept, and its (k, n) real diagonals."""
+        stack, d = _hermitian_rows(self._evaluator(ts))
         if len(stack) != len(ts):
             raise InputError(f"path evaluator returned {len(stack)} matrices for {len(ts)} points")
         if len(stack) and stack.shape[1] != self._dim:
             raise _dim_error(stack.shape[1], self._dim)
-        return stack
+        return stack, d
 
     def _unknown(self, ts: Sequence[float]) -> list[float]:
         """The distinct points of ``ts`` whose eigenvalues the path does not
@@ -336,9 +361,11 @@ class OperatorPath:
         """The one routine that fills ``_mats`` and ``_vals``: evaluate the
         distinct points of ``ts`` not yet held (without a kept matrix when
         ``keep``, else without eigenvalues) chunk by chunk, or take them from
-        ``rows``, (chunk, validated stack) pairs; take the eigenvalues that
-        ``_unknown`` reports missing from the same chunk, and keep the
-        matrices when ``keep``. So every kept matrix has its eigenvalues."""
+        ``rows``, (chunk, stack, diagonals) triples as ``_rows`` gives them;
+        take the eigenvalues that ``_unknown`` reports missing from the same
+        chunk, and keep the matrices when ``keep``, a diagonal chunk's as
+        copies of its (n,) diagonals. So every kept matrix has its
+        eigenvalues."""
         held = self._mats if keep else self._vals
         todo = [t for t in dict.fromkeys(ts) if t not in held]
         if not todo:
@@ -346,12 +373,19 @@ class OperatorPath:
         unknown = self._unknown(todo)  # a composite takes its parts' values here
         if not keep:
             todo = unknown
-        for chunk, stack in self._evaluated(todo) if rows is None else rows:
+        for chunk, stack, d in self._evaluated(todo) if rows is None else rows:
             if keep:
-                self._mats.update(zip(chunk, map(HermitianMatrix._of_valid, stack)))
+                if d is None:
+                    self._mats.update(zip(chunk, map(HermitianMatrix._of_valid, stack)))
+                else:
+                    kept = d.copy()
+                    kept.setflags(write=False)
+                    self._mats.update(zip(chunk, kept))
             need = [i for i, t in enumerate(chunk) if t not in self._vals]
             if need:
-                w = _stack_eigvalsh(stack if len(need) == len(chunk) else stack[need])
+                part = slice(None) if len(need) == len(chunk) else need
+                sub = stack[part]
+                w = _stack_eigvalsh(sub) if d is None else _eigvalsh_of(sub, d[part])
                 w.setflags(write=False)
                 self._vals.update(zip([chunk[i] for i in need], w))
 
@@ -367,24 +401,37 @@ class OperatorPath:
         return self.matrices([t])[0]
 
     def matrices(self, ts: Sequence[float]) -> list[HermitianMatrix]:
-        """The matrices at every t of ``ts``, in order, kept on the path."""
+        """The matrices at every t of ``ts``, in order, kept on the path; a
+        point kept as its diagonal gets its matrix built and kept."""
         ts = [float(t) for t in ts]
         self._sample(ts, keep=True)
-        return [self._mats[t] for t in ts]
+        return [self._built(t) for t in ts]
+
+    def _built(self, t: float) -> HermitianMatrix:
+        kept = self._mats[t]
+        if not isinstance(kept, HermitianMatrix):
+            mat = _diagonal_matrices(kept[None])[0]
+            mat.setflags(write=False)
+            kept = self._mats[t] = HermitianMatrix._of_valid(mat)
+        return kept
 
     def stack(self, ts: np.ndarray) -> np.ndarray:
         """The matrices at ``ts`` as one fresh (k, n, n) array: the sampler
         a path built on this one calls from its own evaluator. Kept rows are
-        copied, other points evaluated once each, and nothing is kept."""
+        copied (a kept diagonal is written into a zeroed row), other points
+        evaluated once each, and nothing is kept."""
         ts = np.asarray(ts, dtype=np.float64).tolist()
         out = np.empty((len(ts), self._dim, self._dim), dtype=np.complex128)
         first: dict[float, int] = {}
         for i, t in enumerate(ts):
             first.setdefault(t, i)
         for t, i in first.items():
-            if t in self._mats:
-                out[i] = self._mats[t].mat
-        for chunk, stack in self._evaluated([t for t in first if t not in self._mats]):
+            kept = self._mats.get(t)
+            if isinstance(kept, HermitianMatrix):
+                out[i] = kept.mat
+            elif kept is not None:
+                _diagonal_matrices(kept[None], out[i : i + 1])
+        for chunk, stack, _ in self._evaluated([t for t in first if t not in self._mats]):
             out[[first[t] for t in chunk]] = stack
         for i, t in enumerate(ts):
             if first[t] != i:
@@ -460,7 +507,8 @@ class OperatorPath:
         path = cls(evaluate, dim, regularity=piecewise_affine(ts[1:-1], rates))
         # the samples are kept as given, not re-evaluated by the interpolant
         size = _chunk_len(dim)
-        path._sample(ts, keep=True, rows=zip(_chunks(ts, size), _chunks(arr, size)))
+        rows = ((c, s, _valid_diagonals(s)) for c, s in zip(_chunks(ts, size), _chunks(arr, size)))
+        path._sample(ts, keep=True, rows=rows)
         return path
 
     @classmethod
@@ -552,7 +600,7 @@ def _rounding_slack(path: OperatorPath, mags: np.ndarray):
     return _gamma(path.dim) * np.max(mags, axis=-1)
 
 
-def _tolerances(path: OperatorPath, steps: Sequence[float], mags: np.ndarray) -> np.ndarray:
+def _tolerances(path: OperatorPath, steps: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """Per grid sample, the tolerance tau_k its distances to the spectrum
     must beat so that no eigenvalue can reach them between samples.
 
@@ -587,30 +635,33 @@ def _uniform(samples: int) -> tuple[float, ...]:
     return tuple(sorted(set(np.linspace(0.0, 1.0, samples).tolist())))
 
 
-def _grid(path: OperatorPath, samples: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _grid(path: OperatorPath, samples: int) -> tuple[tuple[float, ...], np.ndarray]:
     """``samples`` uniform points of [0, 1] (``_uniform``) and the path's
-    knots, with the declared step bounds along them, built once per path
-    and sample count."""
+    knots, with the declared step bounds along them as a read-only float64
+    array, built once per path and sample count."""
     memo = path._grids.get(samples)
     if memo is None:
         grid = _uniform(samples)
         if path.regularity.knots:
             grid = tuple(sorted(set(grid).union(path.regularity.knots)))
-        memo = path._grids[samples] = grid, tuple(path.regularity.step_bounds(grid))
+        steps = path.regularity._steps(grid)
+        steps.setflags(write=False)
+        memo = path._grids[samples] = grid, steps
     return memo
 
 
-def _neighbour_steps(steps: Sequence[float]) -> np.ndarray:
+def _neighbour_steps(steps: np.ndarray) -> np.ndarray:
     """Per grid point, the larger of the steps to its neighbours."""
     padded = np.concatenate(([0.0], steps, [0.0]))
     return np.maximum(padded[:-1], padded[1:])
 
 
 def _segment_level_and_margin(
-    path: OperatorPath, ts: Sequence[float], top_width: float
+    path: OperatorPath, ts: Sequence[float], steps: np.ndarray, top_width: float
 ) -> tuple[float, float]:
     """Pick eps in the widest gap of the sampled magnitude spectrum and
-    return (eps, worst Weyl margin); margin <= 0 means not certified.
+    return (eps, worst Weyl margin), given the step bounds ``steps`` along
+    ``ts``; margin <= 0 means not certified.
 
     Candidate gaps are the intervals between consecutive sampled
     |eigenvalue| levels (0 included), plus the region just above the
@@ -632,7 +683,7 @@ def _segment_level_and_margin(
     best = int(np.argmax(widths))
     eps = float((lows[best] + highs[best]) / 2.0)
     dist = np.min(np.abs(mags - eps), axis=1)
-    return eps, float(np.min(dist - _tolerances(path, path.regularity.step_bounds(ts), mags)))
+    return eps, float(np.min(dist - _tolerances(path, steps, mags)))
 
 
 def _refine(ts: Sequence[float]) -> list[float]:
@@ -666,13 +717,15 @@ def _certified_segments(
 
     spare: set[float] = set()  # samples kept only in case they become junctions
 
-    def visit(ts: Sequence[float], depth: int) -> None:
+    def visit(ts: Sequence[float], depth: int, steps: np.ndarray | None = None) -> None:
         # Any sample may become a junction, whose projection sf_pairsum
         # takes, if its segment splits deep enough. So a sample evaluated
         # here is kept, its eigenvalues taken from the same chunk, and a
         # segment's inner ones are dropped once it certifies.
         spare.update(path._keep(ts))
-        eps, margin = _segment_level_and_margin(path, ts, top_width)
+        if steps is None:
+            steps = path.regularity._steps(ts)
+        eps, margin = _segment_level_and_margin(path, ts, steps, top_width)
         if margin > 0.0:
             for t in spare.intersection(ts[1:-1]):
                 spare.discard(t)
@@ -690,7 +743,8 @@ def _certified_segments(
         visit(_refine(right), depth + 1)
 
     try:
-        visit(_grid(path, opts.samples)[0], 0)
+        grid, steps = _grid(path, opts.samples)  # the top segment's steps are the grid's
+        visit(grid, 0, steps)
     except Exception:
         # no certificate will read them: the path keeps what it held before
         for t in spare:
@@ -800,7 +854,7 @@ def _clearance(path: OperatorPath, vals) -> np.ndarray:
 
 
 def _reach_bound(
-    path: OperatorPath, ts: list[float], steps: list[float], idx: list[int], vals
+    path: OperatorPath, ts: list[float], steps: np.ndarray, idx: list[int], vals
 ) -> np.ndarray:
     """Per sample of the grid ``ts``, an upper bound on its tolerance from
     the eigenvalues ``vals`` at the grid indices ``idx`` alone (increasing,
@@ -814,7 +868,7 @@ def _reach_bound(
     tops = np.max(np.abs(np.asarray(vals)), axis=-1)
     norms = tops
     if len(idx) < len(ts):
-        moves = np.asarray(path.regularity.step_bounds([ts[k] for k in idx]))
+        moves = path.regularity._steps([ts[k] for k in idx])
         inside = (np.minimum(tops[:-1], tops[1:]) + moves) * (1.0 + _gamma(path.dim)) ** 2
         norms = np.append(np.repeat(inside, np.diff(idx)), 0.0)
         norms[idx] = tops
@@ -822,18 +876,19 @@ def _reach_bound(
 
 
 def _guard(
-    path: OperatorPath, opts: SfOptions, ts: list[float], steps: list[float], gap: float
+    path: OperatorPath, opts: SfOptions, ts: list[float], steps: np.ndarray, gap: float
 ) -> tuple[list[int], list[np.ndarray]]:
-    """The oracle's aliasing guard on the grid ``ts``: the reach, the
-    largest sample tolerance, must stay below half the endpoint gap ``gap``.
-    Returns the evaluated grid indices and their eigenvalues if it does,
-    and raises the oracle's ``SamplingError`` if not.
+    """The oracle's aliasing guard on the ``opts.oracle_samples`` grid
+    ``ts``: the reach, the largest sample tolerance, must stay below half
+    the endpoint gap ``gap``. Returns the evaluated grid indices and their
+    eigenvalues if it does, and raises the oracle's ``SamplingError`` if
+    not.
 
     It evaluates index sets of the grid in turn: the two ends (held by the
     end check), only when the step floor, the share (``_step_share``) of
     the largest step, reaches half the gap; the seeds, the points of the
-    ``opts.samples`` grid; the whole grid.
-    Each set brackets the reach. The upper end is the largest per-sample
+    ``opts.samples`` grid, found once per path and pair of grids; the whole
+    grid. Each set brackets the reach. The upper end is the largest per-sample
     bound (``_reach_bound``); the lower end is the larger of the step floor
     (every tolerance adds a nonnegative slack to its share of a neighbour
     step) and the exact tolerance of every evaluated sample. The guard
@@ -842,10 +897,14 @@ def _guard(
     correctly, so monotonically: the reach prints the same digits. On the
     whole grid the two ends are equal, so the last set always decides.
     """
-    floor = max(steps) * _step_share(path)
-    seeds = set(_grid(path, opts.samples)[0])
+    floor = float(np.max(steps)) * _step_share(path)
+    key = (opts.samples, opts.oracle_samples)
+    seeds = path._seeds.get(key)
+    if seeds is None:
+        points = set(_grid(path, opts.samples)[0])
+        seeds = path._seeds[key] = [k for k, t in enumerate(ts) if t in points]
     sets = [[0, len(ts) - 1]] if floor >= 0.5 * gap else []
-    sets += [[k for k, t in enumerate(ts) if t in seeds], list(range(len(ts)))]
+    sets += [seeds, list(range(len(ts)))]
     for idx in sets:
         at_idx = path.values([ts[k] for k in idx])
         tol = _reach_bound(path, ts, steps, idx, at_idx)
@@ -865,7 +924,7 @@ def _refuse_on_step_bounds(path: OperatorPath, opts: SfOptions, gap: float) -> N
     floor on the ``opts.oracle_samples`` grid reaches half the endpoint gap
     ``gap``; otherwise evaluate nothing."""
     ts, steps = _grid(path, opts.oracle_samples)
-    if max(steps) * _step_share(path) >= 0.5 * gap:
+    if float(np.max(steps)) * _step_share(path) >= 0.5 * gap:
         _guard(path, opts, ts, steps, gap)
 
 
@@ -878,7 +937,7 @@ def _false_declaration(c0: int, c1: int, t0: float, t1: float, bound: float) -> 
 
 
 def _ledger(
-    path: OperatorPath, opts: SfOptions, ts: list[float], steps: list[float], gap: float
+    path: OperatorPath, opts: SfOptions, ts: list[float], steps: np.ndarray, gap: float
 ) -> tuple[dict[int, np.ndarray], list[int]]:
     """The oracle's eigenvalues and nonnegative counts on the grid ``ts``.
 
@@ -966,7 +1025,7 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
         "up_crossings": ups,
         "down_crossings": downs,
         "samples": len(ts),
-        "max_step": max(steps),
+        "max_step": float(np.max(steps)),
     }
 
 
@@ -1047,10 +1106,11 @@ class _Composite(OperatorPath):
 
     Its evaluator assembles the parts' validated rows (their ``stack``), so
     its stacks are taken without a second Hermitian check, the bits the
-    parts hold. A point whose eigenvalues its part already holds takes
-    them, so a part's sampled points are not sampled again; a junction
-    whose matrix the part did not keep is evaluated again. An evaluator
-    passed to ``OperatorPath`` is always checked.
+    parts hold; only the diagonal test (``_valid_diagonals``) runs on them.
+    A point whose eigenvalues its part already holds takes them, so a
+    part's sampled points are not sampled again; a junction whose matrix
+    the part did not keep is evaluated again. An evaluator passed to
+    ``OperatorPath`` is always checked.
     """
 
     def __init__(self, pieces, dim: int, regularity: Regularity):
@@ -1063,10 +1123,10 @@ class _Composite(OperatorPath):
             out[where] = part.stack(part_ts)
         return out
 
-    def _rows(self, ts: np.ndarray) -> np.ndarray:
+    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         stack = self._evaluator(ts)
         stack.setflags(write=False)
-        return stack
+        return stack, _valid_diagonals(stack)
 
     def _unknown(self, ts: Sequence[float]) -> list[float]:
         todo = super()._unknown(ts)
@@ -1098,7 +1158,7 @@ def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> d
         "certified": bool(worst > 0.0),
         "margin": worst,
         "min_gap": float(np.min(gaps)),
-        "max_step": max(steps),
+        "max_step": float(np.max(steps)),
         "samples": len(ts),
         "soundness": path.regularity.soundness,
     }

@@ -1,15 +1,16 @@
 """The diagonal routes give the bits of the routes they bypass.
 
-Five kinds of work are decided by structure: on a stack of real diagonal
-matrices, the Hermitian check (``_diagonal_copy``), the nonnegative
-projections of sf_pairsum's junctions (``_diagonal_nonneg_projections``),
-the eigenvalues of the projection check and of the pair index
-(``_stack_eigvalsh``) and the distances between the metric report's
-operand records (``metrics._Operand``); on a stack of complex diagonal
-matrices, the operator norm (``_op_norms``, by ``_route_norms``). Each test
-runs a corpus through the library, then again with the route's guard
-patched off, and compares the bytes, the ranks, and the class and text of
-what is raised."""
+Six kinds of work are decided by structure: on a stack of real diagonal
+matrices, the Hermitian check (``_valid_diagonals``), a path's samples,
+held as their diagonals (``_valid_diagonals`` in ``OperatorPath._sample``),
+the nonnegative projections of sf_pairsum's junctions
+(``_diagonal_nonneg_projections``), the eigenvalues of the projection check
+and of the pair index (``_stack_eigvalsh``) and the distances between the
+metric report's operand records (``metrics._Operand``); on a stack of
+complex diagonal matrices, the operator norm (``_op_norms``, by
+``_route_norms``). Each test runs a corpus through the library, then again
+with the route's guard patched off, and compares the bytes, the ranks, and
+the class and text of what is raised."""
 
 import warnings
 
@@ -22,9 +23,17 @@ from specflowlab.matcore import HermitianMatrix, Projection
 from specflowlab.metrics import metric_separation_report
 from specflowlab.opmodel import DiagonalModel
 from specflowlab.projpair import pair_index
-from specflowlab.specflow import sf_all_methods
+from specflowlab.serialize import path_from_obj
+from specflowlab.specflow import (
+    OperatorPath,
+    certify_invertible,
+    path_reverse,
+    piecewise_affine,
+    sf_all_methods,
+)
 
 from test_matcore import _diagonal_stack
+from test_specflow import _diagonal_concat, _diagonal_samples
 
 HALF = np.finfo(np.float64).max / 2.0
 
@@ -120,7 +129,7 @@ def test_diagonal_copy_gives_the_general_routes_bits(monkeypatch):
         for name, a in cases.items():
             fast[name] = _outcome(matcore._hermitian_stack, a)
         with monkeypatch.context() as m:
-            m.setattr(matcore, "_diagonal_copy", lambda _a: None)
+            m.setattr(matcore, "_valid_diagonals", lambda _a: None)
             for name, a in cases.items():
                 general[name] = _outcome(matcore._hermitian_stack, a)
     for name in cases:
@@ -132,7 +141,7 @@ def test_diagonal_copy_gives_the_general_routes_bits(monkeypatch):
             assert [r[0][0] for r in rows] == [
                 row.tobytes() for row in matcore._hermitian_stack(a)
             ], name
-    taken = {name: matcore._diagonal_copy(a) is not None for name, a in cases.items()}
+    taken = {name: matcore._valid_diagonals(a) is not None for name, a in cases.items()}
     for name in (
         "ties", "zeros", "negative", "one", "half_integers", "scale_1e200", "scale_1e-200",
         "range_ends", "half_max",
@@ -368,11 +377,132 @@ def test_diagonal_lines_certify_as_the_lapack_routes(name, params, monkeypatch):
     again = sf_all_methods(family_path(name, params))
     assert "eigh" not in calls and "eigvalsh" not in calls
     with monkeypatch.context() as m:
-        m.setattr(matcore, "_diagonal_copy", lambda _a: None)
+        m.setattr(matcore, "_valid_diagonals", lambda _a: None)
         m.setattr(matcore, "_diagonal_nonneg_projections", lambda _s: None)
         _lapack_eigvalsh(m)
         general = sf_all_methods(family_path(name, params))
     assert repr(fast) == repr(again) == repr(general)
+
+
+def _diagonal_evaluator(entries, dim=3):
+    """A path of dimension ``dim`` whose evaluator returns diag(entries(t))
+    at each t, with the declared rate 4."""
+    return OperatorPath(
+        lambda ts: _diagonal_stack([entries(t) for t in ts.tolist()]),
+        dim,
+        regularity=piecewise_affine((), [4.0]),
+    )
+
+
+def _entry_at(at, value):
+    """The diagonal t -> (t - 0.3, 1, 2) with ``value`` in place of 1 at
+    t = ``at``."""
+    return lambda t: [t - 0.3, value if t == at else 1.0, 2.0]
+
+
+def _diagonal_path_corpus():
+    """(name, factory) of paths whose samples are real diagonal stacks:
+    the diagonal families across their chunk lengths, a sampled path,
+    composites of diagonal lines, the line whose ends hold -0.0 entries,
+    and evaluators that meet each refusal of the Hermitian check and of
+    the evaluator contract."""
+    lines = {f"fuglede_{n}": ("fuglede_line", {"N": n, "n": n // 3}) for n in (8, 64, 128)}
+    lines.update({f"toeplitz_{m}": ("toeplitz_line", {"m": m}) for m in (1, 3, 24)})
+    lines["toeplitz_power_2"] = ("toeplitz_line", {"m": 5, "power": 2})
+    corpus = {name: (lambda f=f, p=p: family_path(f, p)) for name, (f, p) in lines.items()}
+    negzero = {
+        "kind": "family",
+        "family": {"name": "linear_interp", "params": {
+            "a": {"dim": 3, "re": [[-1, -0.0, 0], [-0.0, 2, 0], [0, 0, 3]],
+                  "im": [[0, -0.0, 0], [-0.0, -0.0, 0], [0, 0, 0]]},
+            "b": {"dim": 3, "re": [[1, -0.0, 0], [-0.0, 2, 0], [0, 0, 3]],
+                  "im": [[0, -0.0, 0], [-0.0, 0, 0], [0, 0, 0]]},
+        }},
+    }
+    corpus.update(
+        from_samples=lambda: OperatorPath.from_samples(_diagonal_samples(5)),
+        concat=lambda: _diagonal_concat(5),
+        reverse=lambda: path_reverse(family_path("fuglede_line", {"N": 16, "n": 5})),
+        reverse_of_concat=lambda: path_reverse(_diagonal_concat(4)),
+        negzero_line=lambda: path_from_obj(negzero),
+        neg_zero_inside=lambda: _diagonal_evaluator(_entry_at(0.5, -0.0)),
+        nan_inside=lambda: _diagonal_evaluator(_entry_at(0.5, np.nan)),
+        past_half_max=lambda: _diagonal_evaluator(_entry_at(0.75, 1e308)),
+        singular_end=lambda: _diagonal_evaluator(lambda t: [t, 1.0, -2.0]),
+        wrong_dim=lambda: _diagonal_evaluator(lambda t: [t - 0.3, 1.0, 2.0, 3.0]),
+        wrong_count=lambda: OperatorPath(
+            lambda ts: _diagonal_stack([[t - 0.3, 1.0] for t in ts.tolist() + [0.0]]),
+            2,
+            regularity=piecewise_affine((), [1.0]),
+        ),
+    )
+    return corpus
+
+
+def _path_outcome(make):
+    """What the library gives on a diagonal path: a fresh path's ``stack``
+    and ``matrices`` on a grid, then on one path the flow and the
+    invertibility certificate, the points it keeps and those whose
+    eigenvalues it holds, the ``stack`` and ``matrices`` of its kept points
+    and a refused parameter."""
+    grid = np.linspace(0.0, 1.0, 9)
+    out = [
+        _outcome(make().stack, grid),
+        _outcome(lambda: [m.mat for m in make().matrices(grid)]),
+    ]
+    path = make()
+    out.append(_outcome(lambda: repr(sf_all_methods(path))))
+    out.append(_outcome(lambda: repr(certify_invertible(path))))
+    kept = sorted(path._mats)
+    out += [kept, sorted(path._vals)]
+    out.append(_outcome(path.stack, np.array(kept + grid.tolist())))
+    out.append(_outcome(lambda: [m.mat for m in path.matrices(kept)]))
+    out.append(_outcome(path.matrices, [1.5]))
+    return out
+
+
+def _run_paths(corpus, guard, monkeypatch):
+    """The outcomes of the corpus with ``guard`` as ``_valid_diagonals``,
+    and, per path, whether it took any chunk."""
+    outcomes, taken = {}, {}
+    for name, make in corpus.items():
+        hits = []
+
+        def spy(a):
+            d = guard(a)
+            hits.append(d is not None)
+            return d
+
+        with monkeypatch.context() as m:
+            for module in (matcore, specflow):
+                m.setattr(module, "_valid_diagonals", spy)
+            outcomes[name] = _path_outcome(make)
+        taken[name] = any(hits)
+    return outcomes, taken
+
+
+def test_diagonal_paths_give_the_dense_routes_bits(monkeypatch):
+    """A path whose chunks are held as their diagonals gives, with the
+    guard patched off (every chunk validated and kept dense), the same
+    flows, certificates, refusals, kept points, matrices with their
+    read-only flags, and stacks."""
+    corpus = _diagonal_path_corpus()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # LAPACK on NaN
+        fast, taken = _run_paths(corpus, matcore._valid_diagonals, monkeypatch)
+        general, _ = _run_paths(corpus, lambda _a: None, monkeypatch)
+    for name in corpus:
+        assert fast[name] == general[name], name
+    assert all(taken.values()), taken
+    flows = {name: out[2] for name, out in fast.items()}
+    assert flows["neg_zero_inside"][0].startswith("{'value': 1,")
+    assert flows["nan_inside"][0] is matcore.FinitenessError
+    assert "overflows" in flows["past_half_max"][1]
+    assert flows["singular_end"][0] is specflow.EndpointError
+    assert flows["wrong_dim"][0] is matcore.DimensionMismatchError
+    assert "returned 10 matrices for 9 points" in fast["wrong_count"][0][1]
+    for name in ("fuglede_128", "toeplitz_24", "from_samples", "concat", "reverse_of_concat"):
+        assert flows[name][0].startswith("{'value': "), name
 
 
 def _complex_diagonal_stack(d):

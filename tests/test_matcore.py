@@ -162,7 +162,7 @@ def _both_routes(a, monkeypatch):
     exactly-Hermitian shortcut."""
     fast = _validated(a)
     with monkeypatch.context() as m:
-        m.setattr(matcore, "_diagonal_copy", lambda _a: None)
+        m.setattr(matcore, "_valid_diagonals", lambda _a: None)
         m.setattr(matcore, "_exact_average_into", lambda _a, _out: False)
         general = _validated(a)
     return fast, general
@@ -176,12 +176,12 @@ def _exact_stack(seed, k, n):
 
 
 def _route_spy(monkeypatch):
-    """Patch ``_diagonal_copy`` and ``_exact_average_into`` to record the
+    """Patch ``_valid_diagonals`` and ``_exact_average_into`` to record the
     route each call took: "diagonal", "copy", or "formula" where the
     shortcut declined (nothing for a stack not equal to its adjoint);
     returns the record."""
     taken = []
-    diagonal, exact = matcore._diagonal_copy, matcore._exact_average_into
+    diagonal, exact = matcore._valid_diagonals, matcore._exact_average_into
 
     def diagonal_spy(a):
         out = diagonal(a)
@@ -194,7 +194,7 @@ def _route_spy(monkeypatch):
         taken.append("copy" if copied else "formula")
         return copied
 
-    monkeypatch.setattr(matcore, "_diagonal_copy", diagonal_spy)
+    monkeypatch.setattr(matcore, "_valid_diagonals", diagonal_spy)
     monkeypatch.setattr(matcore, "_exact_average_into", exact_spy)
     return taken
 
@@ -290,7 +290,7 @@ def test_sparse_path_stacks_take_the_copy(make, monkeypatch):
     fast = [h.mat.tobytes() for h in make().matrices(ts)]
     assert taken and set(taken) == {"diagonal"}
     with monkeypatch.context() as m:
-        m.setattr(matcore, "_diagonal_copy", lambda _a: None)
+        m.setattr(matcore, "_valid_diagonals", lambda _a: None)
         m.setattr(matcore, "_exact_average_into", lambda _a, _out: False)
         assert [h.mat.tobytes() for h in make().matrices(ts)] == fast
 

@@ -184,6 +184,17 @@ def test_step_bounds_take_the_largest_rate_of_a_spanned_step():
     assert reg.step_bounds([0.75, 0.0]) == [3.0]
 
 
+def test_one_piece_step_bounds_give_the_spanning_formulas_bits():
+    """With one piece the bound is rate * |dt|, the bits of
+    rate * (max - min) that a step across pieces takes."""
+    rng = np.random.default_rng(11)
+    ts = np.concatenate([rng.uniform(size=300), np.linspace(0.0, 1.0, 257), [0.5, 0.5, 0.0]])
+    lo, hi = np.minimum(ts[:-1], ts[1:]), np.maximum(ts[:-1], ts[1:])
+    for rate in (0.0, 1.0, 3.7, 1e-300, 1e300, 2.0**-1074):
+        got = np.array(piecewise_affine((), (rate,)).step_bounds(ts.tolist()))
+        assert got.tobytes() == (np.array([rate]) * (hi - lo)).tobytes(), rate
+
+
 @pytest.mark.parametrize(
     "args",
     [

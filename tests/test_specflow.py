@@ -433,6 +433,20 @@ def _linear_interp(dim):
     return family_path("linear_interp", {"a": a, "b": b})
 
 
+def _diagonal_samples(dim):
+    """9 real diagonal samples of dimension ``dim`` whose first entry
+    crosses zero once, between the fourth and fifth."""
+    rest = [(-1.0) ** k * (k + 1.0) for k in range(1, dim)]
+    return [HermitianMatrix.diag([t - 0.45] + rest) for t in np.linspace(0.0, 1.0, 9)]
+
+
+def _diagonal_concat(dim):
+    """Two diagonal lines joined at the middle sample."""
+    s = _diagonal_samples(dim)
+    first, second = ({"a": s[i], "b": s[i + 4]} for i in (0, 4))
+    return path_concat(family_path("linear_interp", first), family_path("linear_interp", second))
+
+
 def _scalar_callable(dim):
     a, b, c = _endpoints(dim)[:3]
     return OperatorPath.from_callable(
@@ -453,7 +467,9 @@ PATH_FAMILIES = {
     "toeplitz_line": lambda dim: family_path("toeplitz_line", {"m": dim // 2, "power": 2}),
     "from_callable": _scalar_callable,
     "from_samples": lambda dim: OperatorPath.from_samples(_endpoints(dim)),
+    "from_samples_diagonal": lambda dim: OperatorPath.from_samples(_diagonal_samples(dim)),
     "concat": lambda dim: path_concat(*concat_compatible_pair(7, dim)),
+    "concat_diagonal": _diagonal_concat,
     "reverse": lambda dim: path_reverse(path_concat(*concat_compatible_pair(7, dim))),
     "conjugation_path": _conjugation,
     "homotopy_drift_row": lambda dim: _homotopy_row("additive_drift", dim),
@@ -538,12 +554,14 @@ def _sampled_path():
 
 
 # Paths whose kept matrices come from each route: the ends and segment ends
-# (families, composites and a scalar callable), and the knots (a sampled
-# path).
+# (families, composites and a scalar callable), and the knots (sampled
+# paths); the diagonal ones keep their points as diagonals.
 EVALUATE_ONCE_PATHS = {
     "fuglede_line": lambda: family_path("fuglede_line", {"N": 32, "n": 3}),
     "toeplitz_line": lambda: family_path("toeplitz_line", {"m": 3}),
     "concat": lambda: path_concat(*concat_compatible_pair(7, 4)),
+    "concat_diagonal": lambda: _diagonal_concat(5),
+    "from_samples_diagonal": lambda: OperatorPath.from_samples(_diagonal_samples(5)),
     "reverse": lambda: path_reverse(path_concat(*concat_compatible_pair(7, 4))),
     "from_callable": pivot_path,
     "from_samples": _sampled_path,
@@ -636,7 +654,10 @@ def test_declared_paths_keep_only_the_segment_ends(make):
 
 def test_large_diagonal_path_holds_few_matrices():
     """A dim-128 path whose oracle evaluates about 200 points keeps their
-    eigenvalues, not 256 KB per matrix."""
+    eigenvalues, not 256 KB per matrix; the samples sf_phillips keeps while
+    it subdivides are held as diagonals and no chunk is copied, so the
+    traced peak stays below 8 MiB (about 21 MB when each kept sample was a
+    dense matrix)."""
     path = family_path("fuglede_line", {"N": 128, "n": 40})
     tracemalloc.start()
     try:
@@ -645,8 +666,32 @@ def test_large_diagonal_path_holds_few_matrices():
     finally:
         tracemalloc.stop()
     assert len(path._vals) > 100
-    assert peak <= 24 * 2**20
+    assert peak < 8 * 2**20
     assert len(path._mats) == len(result["phillips_certificate"].segments) + 1
+
+
+@pytest.mark.parametrize("family", ["fuglede_line", "toeplitz_line", "concat_diagonal",
+                                    "from_samples_diagonal"])
+def test_a_diagonal_chunk_takes_one_diagonal_test(family, monkeypatch):
+    """The sampling engine tests each evaluated chunk once for a diagonal
+    stack (``_real_diagonals``, one count over the chunk): the Hermitian
+    check's test gives the eigenvalues and the kept diagonals too. A
+    composite's chunk is assembled from its parts' chunks, each tested
+    once."""
+    path = PATH_FAMILIES[family](6)
+    parts = path._pieces(np.array([0.2, 0.7])) if family == "concat_diagonal" else ()
+    chunks = []
+    for p in [path] + [part for part, _, _ in parts]:
+        evaluate = p._evaluator
+        p._evaluator = lambda ts, evaluate=evaluate: chunks.append(len(ts)) or evaluate(ts)
+    tests = []
+    count = matcore._real_diagonals
+    monkeypatch.setattr(matcore, "_real_diagonals", lambda s: tests.append(len(s)) or count(s))
+    grid = np.linspace(0.0, 1.0, 65)
+    path.values(grid[::2])
+    path.matrices(grid[1::4])
+    path.stack(grid[3::4])
+    assert chunks and len(tests) == len(chunks)
 
 
 def test_stacked_evaluator_errors_match_the_scalar_ones():
@@ -744,14 +789,14 @@ def test_composites_validate_each_evaluated_point_once(compose, monkeypatch):
     path = compose(f, g)
     asked = [_counted_points(f), _counted_points(g)]
     checked = []
-    check = specflow._hermitian_stack
+    check = specflow._hermitian_rows
 
     def counting_check(entries):
         out = check(entries)
-        checked.append(len(out))
+        checked.append(len(out[0]))
         return out
 
-    monkeypatch.setattr(specflow, "_hermitian_stack", counting_check)
+    monkeypatch.setattr(specflow, "_hermitian_rows", counting_check)
     sf_all_methods(path)
     certify_invertible(path)
     evaluated = sum(len(points) for points in asked)
