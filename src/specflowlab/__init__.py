@@ -38,11 +38,14 @@ _EXPORTS = {
         "metric_separation_report", "norm_graph_equivalence_check",
     ),
     "projpair": ("PairIndexResult", "pair_index"),
+    "paths": (
+        "OperatorPath", "Regularity", "lipschitz", "path_concat", "path_reverse",
+        "piecewise_affine",
+    ),
     "specflow": (
-        "OperatorPath", "Regularity", "SfCertificate", "SfOptions", "SfSegment",
-        "certify_invertible", "crossing_oracle_report", "lipschitz", "path_concat",
-        "path_reverse", "piecewise_affine", "sf_all_methods", "sf_crossing_oracle",
-        "sf_endpoints", "sf_pairsum", "sf_phillips",
+        "SfCertificate", "SfOptions", "SfSegment", "certify_invertible",
+        "crossing_oracle_report", "sf_all_methods", "sf_crossing_oracle", "sf_endpoints",
+        "sf_pairsum", "sf_phillips",
     ),
     "generators": (
         "ENDPOINT_CLAMP_GAP", "FAMILY_NAMES", "clamp_spectrum_away_from_zero",

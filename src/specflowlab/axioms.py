@@ -27,14 +27,11 @@ from .errors import CertificationError, InputError, require_int
 from .matcore import (
     HermitianMatrix, _chunk_len, _chunks, _op_norms, _stack_eigvalsh, as_hermitian, op_norm
 )
+from .paths import OperatorPath, _singular, lipschitz, path_concat
 from .specflow import (
     _DEFAULT_OPTS,
-    OperatorPath,
     SfOptions,
-    _singular,
     certify_invertible,
-    lipschitz,
-    path_concat,
     sf_crossing_oracle,
     sf_endpoints,
     sf_pairsum,
@@ -267,7 +264,7 @@ def run_all_checks(
 def component_label(t: HermitianMatrix) -> int:
     """Dimension of the nonnegative eigenspace of an invertible Hermitian
     matrix -- the complete connectedness invariant at fixed dimension --
-    where invertible is the end check's rule (``specflow._singular``) on
+    where invertible is the end check's rule (``paths._singular``) on
     the eigenvalues a path end gets."""
     t = as_hermitian(t)
     vals = _stack_eigvalsh(t.mat[None])

@@ -9,10 +9,10 @@ and tolerance always produce byte-identical files. Exit codes: 0 success,
 1 bad input, 2 certification could not be completed, 3 internal
 cross-check disagreement.
 
-The module imports errors, specflow and serialize, which every subcommand
-runs, and builds its parser once, at import. Each handler imports the
-layers only it runs when it runs, so ``compute`` and ``report`` never load
-the metric, Toeplitz, graded or axiom layers.
+The module imports errors, paths, specflow and serialize, which every
+subcommand runs, and builds its parser once, at import. Each handler
+imports the layers only it runs when it runs, so ``compute`` and ``report``
+never load the metric, Toeplitz, graded or axiom layers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import sys
 
 from . import serialize as sz
 from .errors import CertificationError, ConsistencyFault, InputError
-from .specflow import OperatorPath, SfOptions, certify_invertible, sf_all_methods
+from .paths import OperatorPath
+from .specflow import SfOptions, certify_invertible, sf_all_methods
 
 __all__ = ["main", "build_parser"]
 

@@ -47,7 +47,7 @@ from .matcore import (
     op_norm,
 )
 from .opmodel import DiagonalModel, family_perturbation, realize
-from .specflow import OperatorPath, lipschitz, piecewise_affine
+from .paths import OperatorPath, lipschitz, piecewise_affine
 from .transforms import UnitaryMatrix, _as_unitary
 
 __all__ = [

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import InputError, coerce_field, require_int
 from .matcore import HermitianMatrix, _complex_array, _matrix_array
-from .specflow import OperatorPath, SfCertificate
+from .paths import OperatorPath
+from .specflow import SfCertificate
 
 if TYPE_CHECKING:  # imported where used, so compute and report load only what they read
     from .graded import GradedOperator

@@ -1,12 +1,7 @@
 """Spectral flow of paths of Hermitian matrices, by four methods.
 
-A path is a map t in [0, 1] -> Hermitian matrix, given by a stacked
-evaluator and a declared Regularity: a bound on ||H(b) - H(a)|| computed
-once, when the path is built. A piecewise-affine path (uniform samples,
-straight lines) gives the norm of each piece's slope, a Lipschitz path (the
-trig families, the connector) a rate per piece. Endpoints must be
-invertible (``_singular``: min |spec| less its rounding slack > 1e-8), so
-the flow is an integer.
+The path, its declared regularity and its composites are ``paths``'s;
+the methods read a path through its public interface only.
 
 Methods
 -------
@@ -42,7 +37,7 @@ independent integer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,54 +45,22 @@ import numpy as np
 from .errors import (
     CertificationError,
     ConsistencyFault,
-    DimensionMismatchError,
     EndpointError,
     InputError,
     SamplingError,
     require_int,
-    require_real,
 )
-from .matcore import (
-    EigenDecomposition,
-    HermitianMatrix,
-    _chunk_len,
-    _chunks,
-    _diagonal_matrices,
-    _diff_norms,
-    _eigvalsh_of,
-    _hermitian_rows,
-    _hermitian_stack,
-    _matrix_array,
-    _nonneg_projections,
-    _stack_eigvalsh,
-    _valid_diagonals,
-    op_norm,
+from .matcore import _chunk_len, _chunks, _nonneg_projections
+from .paths import (  # the path names stay importable from here
+    _ENDPOINT_GAP, _SOUNDNESS, OperatorPath, Regularity, _gamma, lipschitz, path_concat,
+    path_reverse, piecewise_affine,
 )
 from .projpair import _pair_indices
 
 __all__ = [
-    "Regularity",
-    "piecewise_affine",
-    "lipschitz",
-    "OperatorPath",
-    "SfOptions",
-    "SfSegment",
-    "SfCertificate",
-    "sf_phillips",
-    "sf_pairsum",
-    "sf_endpoints",
-    "sf_crossing_oracle",
-    "crossing_oracle_report",
-    "sf_all_methods",
-    "path_concat",
-    "path_reverse",
-    "certify_invertible",
+    "SfOptions", "SfSegment", "SfCertificate", "sf_phillips", "sf_pairsum", "sf_endpoints",
+    "sf_crossing_oracle", "crossing_oracle_report", "sf_all_methods", "certify_invertible",
 ]
-
-
-#: the invertibility convention: a matrix is invertible when its least
-#: |eigenvalue|, less the rounding slack of its eigenvalues, exceeds this
-_ENDPOINT_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,420 +80,6 @@ class SfOptions:
 
 
 _DEFAULT_OPTS = SfOptions()
-
-def _dim_error(found: int, expected: int) -> DimensionMismatchError:
-    return DimensionMismatchError(f"path evaluator returned dim {found}, expected {expected}")
-
-
-#: the soundness conditions a certificate can rest on, strongest first
-_SOUNDNESS = ("piecewise-affine", "lipschitz")
-
-
-def _gamma(dim: int) -> float:
-    """gamma_n = 4 n u (u = 2^-53, the unit roundoff): the rounding slack,
-    relative to ||H||, that every declared margin gives up for the backward
-    error of eigvalsh and of a path evaluation.
-
-    That it covers both is an assumption, not a bound: the evaluation
-    error of a trig_random combination alone was measured at up to 1.39
-    gamma_n ||H|| at dim 2, degree 16 (see the README's certificate
-    section and ROADMAP item 1)."""
-    return 4 * dim * 2.0**-53
-
-
-def _singular(dim: int, vals) -> tuple[tuple[float, ...], str | None]:
-    """The invertibility rule, on each row of a (k, n) array of eigenvalues:
-    its gap min |eigenvalue|, less the rounding slack gamma_n * max
-    |eigenvalue|, must exceed ``_ENDPOINT_GAP``. Returns the gaps and None
-    when every row passes, else the gaps and the tail of the refusal's
-    text: empty when a gap itself is at or below the convention, naming the
-    gaps less their slack when the slack decided."""
-    mags = np.abs(np.asarray(vals))
-    gaps = np.min(mags, axis=-1)
-    clear = (gaps - _gamma(dim) * np.max(mags, axis=-1)).tolist()
-    tail = None
-    if min(clear) <= _ENDPOINT_GAP:
-        less = "; min |spec| less the rounding slack is (%s)" % ", ".join(f"{c:.3e}" for c in clear)
-        tail = "" if gaps.min() <= _ENDPOINT_GAP else less
-    return tuple(gaps.tolist()), tail
-
-
-@dataclass(frozen=True)
-class Regularity:
-    """A path's declared bound on how far H moves between two parameters.
-
-    ``knots`` are the interior break points, increasing inside (0, 1);
-    every sampling grid contains them, so each grid step lies in one piece.
-    It gives one rate per piece (``len(knots) + 1``), computed once when
-    the path is built, and the step bound is rate * |dt|:
-
-    * ``"piecewise-affine"``: H is affine on each piece with slope B_i, and
-      the rate is ||B_i||; the bound is the exact step.
-    * ``"lipschitz"``: the rate bounds ||H'|| on the piece.
-    """
-
-    soundness: str
-    knots: tuple[float, ...] = ()
-    rates: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        knots = tuple(require_real(k, "knot") for k in self.knots)
-        rates = tuple(require_real(r, "rate", "finite and nonnegative") for r in self.rates)
-        if self.soundness not in _SOUNDNESS:
-            raise InputError(f"soundness must be one of {_SOUNDNESS}, got {self.soundness!r}")
-        bounds = (0.0,) + knots + (1.0,)
-        if not all(a < b for a, b in zip(bounds, bounds[1:])):
-            raise InputError(f"knots must increase strictly inside (0, 1), got {knots}")
-        pieces = len(knots) + 1
-        if len(rates) != pieces:
-            raise InputError(f"{self.soundness} needs {pieces} rates, got {len(rates)}")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "rates", rates)
-
-    def step_bounds(self, ts: Sequence[float]) -> list[float]:
-        """rate * |dt| for each consecutive pair of ``ts``; a step that
-        spans knots takes the largest rate of the pieces it meets."""
-        return self._steps(ts).tolist()
-
-    def _steps(self, ts: Sequence[float]) -> np.ndarray:
-        """``step_bounds`` as a float64 array. With one piece it is
-        rates[0] * |dt|, the same floats: max(a, b) - min(a, b) == |b - a|."""
-        ts = np.asarray(ts, dtype=np.float64)
-        if not self.knots:
-            return self.rates[0] * np.abs(np.diff(ts))
-        lo = np.minimum(ts[:-1], ts[1:])
-        hi = np.maximum(ts[:-1], ts[1:])
-        rates = np.asarray(self.rates)
-        first = np.searchsorted(self.knots, lo, side="right")
-        last = np.searchsorted(self.knots, hi, side="left")
-        rate = rates[first]
-        for k in np.flatnonzero(last > first).tolist():
-            rate[k] = rates[first[k] : last[k] + 1].max()
-        return rate * (hi - lo)
-
-    def then(self, other: "Regularity") -> "Regularity":
-        """The regularity of the concatenation (self, then other), each
-        part run at double speed on its half of [0, 1]."""
-        knots = (
-            [k / 2.0 for k in self.knots] + [0.5] + [0.5 + k / 2.0 for k in other.knots]
-        )
-        affine = self.soundness == other.soundness == "piecewise-affine"
-        return Regularity(
-            "piecewise-affine" if affine else "lipschitz",
-            knots,
-            [2.0 * r for r in self.rates + other.rates],
-        )
-
-    def reversed(self) -> "Regularity":
-        """The regularity of t -> H(1 - t): the pieces mirrored."""
-        return Regularity(
-            self.soundness, [1.0 - k for k in self.knots[::-1]], self.rates[::-1]
-        )
-
-
-def piecewise_affine(knots: Sequence[float], rates: Sequence[float]) -> Regularity:
-    """H affine on each piece between ``knots``; ``rates[i]`` is the 2-norm
-    of the slope of piece i."""
-    return Regularity("piecewise-affine", tuple(knots), tuple(rates))
-
-
-def lipschitz(knots: Sequence[float], rates: Sequence[float]) -> Regularity:
-    """``rates[i]`` bounds ||H(b) - H(a)|| / |b - a| on piece i."""
-    return Regularity("lipschitz", tuple(knots), tuple(rates))
-
-
-class OperatorPath:
-    """A continuous family of Hermitian matrices over t in [0, 1].
-
-    The evaluator takes a float64 array ``ts`` of shape (k,) and returns the
-    k matrices H(ts[0]), ..., H(ts[k-1]) as one complex (k, n, n) stack (any
-    array-like of that shape, such as a list of k matrices, will do).
-    ``from_callable`` adapts a scalar function t -> matrix to this contract.
-    Each stack is validated by one Hermitian check (``_hermitian_stack``).
-    ``regularity`` declares how far H moves between two parameters (see
-    ``Regularity``); a caller who knows no rate samples the function and
-    builds ``from_samples``, whose interpolant is a declared path.
-
-    One routine, ``_sample``, fills the path's stores: it evaluates the
-    points not yet held by one evaluator call per chunk of at most
-    ``_CHUNK_BYTES`` bytes, takes the eigenvalues they lack from the same
-    validated chunk by one batched ``eigvalsh``, and keeps a matrix only
-    where one is asked for: the ends, the ends of the certified segments
-    (which sf_pairsum projects) and the samples of a ``from_samples`` path.
-    So every kept matrix has its eigenvalues held.
-
-    A chunk of real diagonal matrices with no -0.0 (``_valid_diagonals``,
-    one test per chunk) is validated, factored and kept through its real
-    diagonals: no validated copy of it is made, its eigenvalues are its
-    sorted diagonal where that gives LAPACK's bits (else LAPACK on the
-    chunk), and a kept point holds its n diagonal entries, not n^2 complex
-    ones. Its ``HermitianMatrix`` is built only when ``matrix`` or
-    ``matrices`` asks for it (the ends, sf_pairsum's junctions), and is
-    then kept in the diagonal's place, so a point's matrix is one object
-    with one cached ``eig``.
-
-    * ``matrix(t)`` and ``matrices(ts)`` return the validated matrices and
-      keep them;
-    * ``values(ts)`` returns eigenvalues, keeping those of a point it
-      evaluates but not its matrix;
-    * ``stack(ts)`` copies the kept matrices (a kept diagonal into a zeroed
-      row, the bits of its matrix) and evaluates the others into one fresh
-      array, keeping nothing;
-    * ``eig(t)`` is the validated full decomposition the matrix at t caches.
-
-    A method that needs a point's matrix asks for it before its
-    eigenvalues, so no point is evaluated twice within one call. sf_phillips
-    keeps (``_keep``) the samples it evaluates for the segments it is still
-    subdividing, since any of them may become a segment end, and drops them
-    as the segments certify; a sample whose eigenvalues the path already
-    holds is not evaluated again. sf_pairsum projects the segment ends in
-    stacks. The library's evaluators do per matrix the same floating-point
-    operations, in the same order, as a one-point call, and a stacked
-    LAPACK call runs the same routine on every matrix, so each value is
-    bit-identical to a one-at-a-time evaluation and does not depend on
-    which grids were sampled before. The certified subdivision is cached
-    per ``SfOptions``, so sf_pairsum reuses the one sf_phillips found; the
-    end gaps with their rounding slack, and each sampling grid with its
-    steps, are computed once per path.
-
-    ``path_concat`` and ``path_reverse`` build their paths from their
-    parts' validated rows without a second Hermitian check, and take the
-    eigenvalues a part already holds at the mapped point; an evaluator
-    given to this constructor is always checked.
-    """
-
-    def __init__(
-        self,
-        evaluator: Callable[[np.ndarray], np.ndarray],
-        dim: int,
-        *,
-        regularity: Regularity,
-    ):
-        require_int(dim, "dim", 1)
-        if not isinstance(regularity, Regularity):
-            raise InputError(
-                f"regularity must be a Regularity, got {regularity!r}; a path with no known "
-                "rate is OperatorPath.from_samples([fn(t) for t in grid])"
-            )
-        self._evaluator = evaluator
-        self._dim = dim
-        self._regularity = regularity
-        # a kept point's matrix, or the (n,) real diagonal it is built from
-        self._mats: dict[float, HermitianMatrix | np.ndarray] = {}
-        self._vals: dict[float, np.ndarray] = {}
-        self._segments: dict[SfOptions, tuple] = {}
-        self._grids: dict[int, tuple[tuple[float, ...], np.ndarray]] = {}
-        self._seeds: dict[tuple[int, int], list[int]] = {}
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def regularity(self) -> Regularity:
-        return self._regularity
-
-    def _evaluated(self, ts: list[float]):
-        """Evaluate the distinct points ``ts`` by one evaluator call per
-        chunk, yielding each chunk with its rows (``_rows``); nothing is
-        kept."""
-        for t in ts:
-            if not 0.0 <= t <= 1.0:
-                raise InputError(f"path parameter {t!r} outside [0, 1]")
-        for chunk in _chunks(ts, _chunk_len(self._dim)):
-            yield (chunk, *self._rows(np.array(chunk)))
-
-    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The evaluator's matrices at ``ts``, checked by one Hermitian
-        check (``_hermitian_rows``) and for their count and dimension: the
-        validated read-only (k, n, n) stack and None, or a diagonal stack,
-        which is not to be kept, and its (k, n) real diagonals."""
-        stack, d = _hermitian_rows(self._evaluator(ts))
-        if len(stack) != len(ts):
-            raise InputError(f"path evaluator returned {len(stack)} matrices for {len(ts)} points")
-        if len(stack) and stack.shape[1] != self._dim:
-            raise _dim_error(stack.shape[1], self._dim)
-        return stack, d
-
-    def _unknown(self, ts: Sequence[float]) -> list[float]:
-        """The distinct points of ``ts`` whose eigenvalues the path does not
-        hold yet."""
-        return [t for t in dict.fromkeys(ts) if t not in self._vals]
-
-    def _sample(self, ts: Sequence[float], keep: bool, rows=None) -> None:
-        """The one routine that fills ``_mats`` and ``_vals``: evaluate the
-        distinct points of ``ts`` not yet held (without a kept matrix when
-        ``keep``, else without eigenvalues) chunk by chunk, or take them from
-        ``rows``, (chunk, stack, diagonals) triples as ``_rows`` gives them;
-        take the eigenvalues that ``_unknown`` reports missing from the same
-        chunk, and keep the matrices when ``keep``, a diagonal chunk's as
-        copies of its (n,) diagonals. So every kept matrix has its
-        eigenvalues."""
-        held = self._mats if keep else self._vals
-        todo = [t for t in dict.fromkeys(ts) if t not in held]
-        if not todo:
-            return
-        unknown = self._unknown(todo)  # a composite takes its parts' values here
-        if not keep:
-            todo = unknown
-        for chunk, stack, d in self._evaluated(todo) if rows is None else rows:
-            if keep:
-                if d is None:
-                    self._mats.update(zip(chunk, map(HermitianMatrix._of_valid, stack)))
-                else:
-                    kept = d.copy()
-                    kept.setflags(write=False)
-                    self._mats.update(zip(chunk, kept))
-            need = [i for i, t in enumerate(chunk) if t not in self._vals]
-            if need:
-                part = slice(None) if len(need) == len(chunk) else need
-                sub = stack[part]
-                w = _stack_eigvalsh(sub) if d is None else _eigvalsh_of(sub, d[part])
-                w.setflags(write=False)
-                self._vals.update(zip([chunk[i] for i in need], w))
-
-    def _keep(self, ts: Sequence[float]) -> list[float]:
-        """Keep the matrices of the points of ``ts`` whose eigenvalues the
-        path does not hold yet, and return those points; a point whose
-        eigenvalues are held is not evaluated."""
-        new = self._unknown(ts)
-        self._sample(new, keep=True)
-        return new
-
-    def matrix(self, t: float) -> HermitianMatrix:
-        return self.matrices([t])[0]
-
-    def matrices(self, ts: Sequence[float]) -> list[HermitianMatrix]:
-        """The matrices at every t of ``ts``, in order, kept on the path; a
-        point kept as its diagonal gets its matrix built and kept."""
-        ts = [float(t) for t in ts]
-        self._sample(ts, keep=True)
-        return [self._built(t) for t in ts]
-
-    def _built(self, t: float) -> HermitianMatrix:
-        kept = self._mats[t]
-        if not isinstance(kept, HermitianMatrix):
-            mat = _diagonal_matrices(kept[None])[0]
-            mat.setflags(write=False)
-            kept = self._mats[t] = HermitianMatrix._of_valid(mat)
-        return kept
-
-    def stack(self, ts: np.ndarray) -> np.ndarray:
-        """The matrices at ``ts`` as one fresh (k, n, n) array: the sampler
-        a path built on this one calls from its own evaluator. Kept rows are
-        copied (a kept diagonal is written into a zeroed row), other points
-        evaluated once each, and nothing is kept."""
-        ts = np.asarray(ts, dtype=np.float64).tolist()
-        out = np.empty((len(ts), self._dim, self._dim), dtype=np.complex128)
-        first: dict[float, int] = {}
-        for i, t in enumerate(ts):
-            first.setdefault(t, i)
-        for t, i in first.items():
-            kept = self._mats.get(t)
-            if isinstance(kept, HermitianMatrix):
-                out[i] = kept.mat
-            elif kept is not None:
-                _diagonal_matrices(kept[None], out[i : i + 1])
-        for chunk, stack, _ in self._evaluated([t for t in first if t not in self._mats]):
-            out[[first[t] for t in chunk]] = stack
-        for i, t in enumerate(ts):
-            if first[t] != i:
-                out[i] = out[first[t]]
-        return out
-
-    # No library code calls eig; it stays because the benchmark's tracer
-    # wraps OperatorPath.eig by name.
-    def eig(self, t: float) -> EigenDecomposition:
-        return self.matrix(t).eig
-
-    def values(self, t):
-        """Eigenvalues only (cheaper than a full, validated ``eig``): one
-        array for a single t, a list of arrays for a sequence of t. A point
-        not held yet is evaluated and its eigenvalues kept, not its matrix;
-        a kept matrix already has its eigenvalues.
-
-        Always the eigvalsh route, even when a full decomposition is
-        already cached: the two differ in final bits, and certificates
-        must not depend on which methods ran earlier on the same path.
-        """
-        single = np.ndim(t) == 0
-        ts = [float(t)] if single else [float(s) for s in t]
-        self._sample(ts, keep=False)
-        return self._vals[ts[0]] if single else [self._vals[s] for s in ts]
-
-    def nonneg_count(self, t: float) -> int:
-        return int(np.sum(self.values(t) >= 0.0))
-
-    def endpoint_gaps(self) -> tuple[float, float]:
-        """min |spec| at t = 0 and t = 1."""
-        return self._endpoints[0]
-
-    @cached_property
-    def _endpoints(self) -> tuple[tuple[float, float], str | None]:
-        """The end gaps min |spec| at t = 0 and 1, and the invertibility
-        rule's verdict on them (``_singular``), measured once per path."""
-        # keeps the end matrices: sf_pairsum's outer junctions and
-        # path_concat's endpoint check read them
-        self.matrices([0.0, 1.0])
-        return _singular(self._dim, self.values([0.0, 1.0]))
-
-    @classmethod
-    def from_samples(cls, matrices: Sequence) -> "OperatorPath":
-        """Uniformly spaced samples; the path is their linear interpolant,
-        piecewise affine with one 2-norm per piece. At least 2 samples of
-        one dim; those not yet a ``HermitianMatrix`` take one stacked
-        Hermitian check, whose first failing sample raises."""
-        items = list(matrices)
-        mats = [m.mat if isinstance(m, HermitianMatrix) else _matrix_array(m) for m in items]
-        if len(mats) < 2:
-            raise InputError("a sampled path needs at least 2 samples")
-        if len({m.shape for m in mats}) > 1:
-            for m in mats:
-                if m.shape[0] != m.shape[1] or not m.size:
-                    HermitianMatrix(m)  # raises its non-square or empty error
-            raise DimensionMismatchError("sample dimensions differ")
-        arr = np.array(mats)
-        raw = [not isinstance(m, HermitianMatrix) for m in items]
-        if any(raw):
-            arr[raw] = _hermitian_stack(arr[raw])
-        arr.setflags(write=False)
-        dim, last = len(arr[0]), len(mats) - 1
-
-        def evaluate(ts: np.ndarray) -> np.ndarray:
-            x = ts * last
-            i = np.minimum(np.floor(x).astype(np.intp), last - 1)
-            frac = (x - i)[:, None, None]
-            return (1.0 - frac) * arr[i] + frac * arr[i + 1]
-
-        rates = last * _diff_norms(arr)
-        ts = [i / last for i in range(last + 1)]
-        path = cls(evaluate, dim, regularity=piecewise_affine(ts[1:-1], rates))
-        # the samples are kept as given, not re-evaluated by the interpolant
-        size = _chunk_len(dim)
-        rows = ((c, s, _valid_diagonals(s)) for c, s in zip(_chunks(ts, size), _chunks(arr, size)))
-        path._sample(ts, keep=True, rows=rows)
-        return path
-
-    @classmethod
-    def from_callable(
-        cls, fn: Callable[[float], HermitianMatrix], dim: int, *, regularity: Regularity
-    ) -> "OperatorPath":
-        """A path from a scalar function t -> matrix, called once per t."""
-
-        def evaluate(ts: np.ndarray) -> list:
-            mats = [fn(t) for t in ts.tolist()]
-            for m in mats:
-                shape = np.shape(m)
-                if shape != (dim, dim):
-                    if len(shape) != 2 or shape[0] != shape[1]:
-                        HermitianMatrix(m)  # raises its ndim or non-square error
-                    raise _dim_error(shape[0], dim)
-            return mats
-
-        return cls(evaluate, dim, regularity=regularity)
-
-    def __repr__(self) -> str:
-        return f"OperatorPath(dim={self._dim}, soundness={self._regularity.soundness!r})"
 
 
 @dataclass(frozen=True)
@@ -618,36 +167,12 @@ def _step_share(path: OperatorPath) -> float:
 
 
 def _check_endpoints(path: OperatorPath) -> tuple[float, float]:
-    """The end gaps, once the invertibility rule (``_singular``) holds at
-    both ends (checked on every call; the path measures the gaps once)."""
-    (g0, g1), tail = path._endpoints
-    if tail is not None:
-        raise EndpointError(
-            f"path endpoints must be invertible: min |spec| = ({g0:.3e}, {g1:.3e}), "
-            f"convention requires > {_ENDPOINT_GAP:.0e}{tail}"
-        )
-    return g0, g1
-
-
-@lru_cache(maxsize=None)
-def _uniform(samples: int) -> tuple[float, ...]:
-    """``samples`` uniform points of [0, 1], built once per sample count."""
-    return tuple(sorted(set(np.linspace(0.0, 1.0, samples).tolist())))
-
-
-def _grid(path: OperatorPath, samples: int) -> tuple[tuple[float, ...], np.ndarray]:
-    """``samples`` uniform points of [0, 1] (``_uniform``) and the path's
-    knots, with the declared step bounds along them as a read-only float64
-    array, built once per path and sample count."""
-    memo = path._grids.get(samples)
-    if memo is None:
-        grid = _uniform(samples)
-        if path.regularity.knots:
-            grid = tuple(sorted(set(grid).union(path.regularity.knots)))
-        steps = path.regularity._steps(grid)
-        steps.setflags(write=False)
-        memo = path._grids[samples] = grid, steps
-    return memo
+    """The end gaps, once the invertibility rule holds at both ends
+    (checked on every call; the path measures the gaps once)."""
+    refusal = path.endpoint_refusal()
+    if refusal is not None:
+        raise EndpointError(refusal)
+    return path.endpoint_gaps()
 
 
 def _neighbour_steps(steps: np.ndarray) -> np.ndarray:
@@ -704,11 +229,9 @@ def _certified_segments(
     path: OperatorPath, opts: SfOptions
 ) -> tuple[tuple[list[float], float, float], ...]:
     """Recursively subdivide until every segment certifies; returns the
-    (sample grid, eps, margin) triples covering [0, 1] in order. The result
-    is cached on the path per ``opts``."""
-    cached = path._segments.get(opts)
-    if cached is not None:
-        return cached
+    (sample grid, eps, margin) triples covering [0, 1] in order. The
+    certificates hold the result on the path per ``opts``, so sf_pairsum
+    reuses the one sf_phillips found."""
     out: list[tuple[list[float], float, float]] = []
     # The above-the-spectrum candidate level gets half the smaller endpoint
     # spectral gap as its headroom, so certifying "eps above everything the
@@ -722,14 +245,14 @@ def _certified_segments(
         # takes, if its segment splits deep enough. So a sample evaluated
         # here is kept, its eigenvalues taken from the same chunk, and a
         # segment's inner ones are dropped once it certifies.
-        spare.update(path._keep(ts))
+        spare.update(path.keep(ts))
         if steps is None:
-            steps = path.regularity._steps(ts)
+            steps = path.regularity.step_bounds(ts)
         eps, margin = _segment_level_and_margin(path, ts, steps, top_width)
         if margin > 0.0:
-            for t in spare.intersection(ts[1:-1]):
-                spare.discard(t)
-                del path._mats[t]
+            done = spare.intersection(ts[1:-1])
+            spare.difference_update(done)
+            path.drop(done)
             out.append((ts, eps, margin))
             return
         if depth >= opts.max_depth:
@@ -743,15 +266,13 @@ def _certified_segments(
         visit(_refine(right), depth + 1)
 
     try:
-        grid, steps = _grid(path, opts.samples)  # the top segment's steps are the grid's
+        grid, steps = path.grid(opts.samples)  # the top segment's steps are the grid's
         visit(grid, 0, steps)
     except Exception:
         # no certificate will read them: the path keeps what it held before
-        for t in spare:
-            path._mats.pop(t, None)
+        path.drop(spare)
         raise
-    path._segments[opts] = tuple(out)
-    return path._segments[opts]
+    return tuple(out)
 
 
 def _certificate(
@@ -765,6 +286,7 @@ def _certificate(
     taken at each segment end. The total is the telescoped sum of the rank
     differences unless ``total`` computes it from the segments."""
     gaps = _check_endpoints(path)
+    certified = path.memo(("segments", opts), partial(_certified_segments, path, opts))
     segs = tuple(
         SfSegment(
             t_left=ts[0],
@@ -774,7 +296,7 @@ def _certificate(
             rank_right=rank(ts[-1], eps),
             weyl_margin=margin,
         )
-        for ts, eps, margin in _certified_segments(path, opts)
+        for ts, eps, margin in certified
     )
     return SfCertificate(
         method=method,
@@ -868,7 +390,7 @@ def _reach_bound(
     tops = np.max(np.abs(np.asarray(vals)), axis=-1)
     norms = tops
     if len(idx) < len(ts):
-        moves = path.regularity._steps([ts[k] for k in idx])
+        moves = path.regularity.step_bounds([ts[k] for k in idx])
         inside = (np.minimum(tops[:-1], tops[1:]) + moves) * (1.0 + _gamma(path.dim)) ** 2
         norms = np.append(np.repeat(inside, np.diff(idx)), 0.0)
         norms[idx] = tops
@@ -898,11 +420,12 @@ def _guard(
     whole grid the two ends are equal, so the last set always decides.
     """
     floor = float(np.max(steps)) * _step_share(path)
-    key = (opts.samples, opts.oracle_samples)
-    seeds = path._seeds.get(key)
-    if seeds is None:
-        points = set(_grid(path, opts.samples)[0])
-        seeds = path._seeds[key] = [k for k, t in enumerate(ts) if t in points]
+
+    def find_seeds() -> list[int]:
+        points = set(path.grid(opts.samples)[0])
+        return [k for k, t in enumerate(ts) if t in points]
+
+    seeds = path.memo(("seeds", opts.samples, opts.oracle_samples), find_seeds)
     sets = [[0, len(ts) - 1]] if floor >= 0.5 * gap else []
     sets += [seeds, list(range(len(ts)))]
     for idx in sets:
@@ -923,7 +446,7 @@ def _refuse_on_step_bounds(path: OperatorPath, opts: SfOptions, gap: float) -> N
     """Run the guard (``_guard``), which must then refuse, when the step
     floor on the ``opts.oracle_samples`` grid reaches half the endpoint gap
     ``gap``; otherwise evaluate nothing."""
-    ts, steps = _grid(path, opts.oracle_samples)
+    ts, steps = path.grid(opts.oracle_samples)
     if float(np.max(steps)) * _step_share(path) >= 0.5 * gap:
         _guard(path, opts, ts, steps, gap)
 
@@ -1006,7 +529,7 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     against half the end gap, and nothing between adjacent grid points.
     """
     g0, g1 = _check_endpoints(path)
-    ts, steps = _grid(path, opts.oracle_samples)
+    ts, steps = path.grid(opts.oracle_samples)
     vals, counts = _ledger(path, opts, ts, steps, min(g0, g1))
     ups = downs = 0
     for k in np.flatnonzero(np.diff(counts)).tolist():
@@ -1069,77 +592,6 @@ def sf_all_methods(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
     }
 
 
-def path_concat(f: OperatorPath, g: OperatorPath) -> OperatorPath:
-    """Concatenation (f then g), requiring f(1) = g(0) within 1e-10."""
-    if f.dim != g.dim:
-        raise DimensionMismatchError(f"dims differ: {f.dim} vs {g.dim}")
-    end, start = f.matrix(1.0), g.matrix(0.0)
-    # equal ends differ by 0, within any limit: no norm is needed
-    if not np.array_equal(end.mat, start.mat):
-        mismatch = op_norm(end.mat - start.mat)
-        scale = 1.0 + max(end.norm, start.norm)
-        if mismatch > 1e-10 * scale:
-            raise EndpointError(
-                f"concatenation endpoints differ by {mismatch:.3e} (limit {1e-10 * scale:.3e})"
-            )
-
-    def pieces(ts: np.ndarray):
-        first = ts <= 0.5
-        return (f, first, 2.0 * ts[first]), (g, ~first, 2.0 * ts[~first] - 1.0)
-
-    return _Composite(pieces, f.dim, f.regularity.then(g.regularity))
-
-
-def path_reverse(f: OperatorPath) -> OperatorPath:
-    """Time reversal t -> f(1 - t); negates the spectral flow."""
-
-    def pieces(ts: np.ndarray):
-        return ((f, slice(None), 1.0 - ts),)
-
-    return _Composite(pieces, f.dim, f.regularity.reversed())
-
-
-class _Composite(OperatorPath):
-    """A path made of points of other paths (``path_concat``,
-    ``path_reverse``): ``pieces(ts)`` names, per part, the part, the
-    positions of ``ts`` it covers and the part's parameters there.
-
-    Its evaluator assembles the parts' validated rows (their ``stack``), so
-    its stacks are taken without a second Hermitian check, the bits the
-    parts hold; only the diagonal test (``_valid_diagonals``) runs on them.
-    A point whose eigenvalues its part already holds takes them, so a
-    part's sampled points are not sampled again; a junction whose matrix
-    the part did not keep is evaluated again. An evaluator passed to
-    ``OperatorPath`` is always checked.
-    """
-
-    def __init__(self, pieces, dim: int, regularity: Regularity):
-        super().__init__(self._assemble, dim, regularity=regularity)
-        self._pieces = pieces
-
-    def _assemble(self, ts: np.ndarray) -> np.ndarray:
-        out = np.empty((ts.size, self._dim, self._dim), dtype=np.complex128)
-        for part, where, part_ts in self._pieces(ts):
-            out[where] = part.stack(part_ts)
-        return out
-
-    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        stack = self._evaluator(ts)
-        stack.setflags(write=False)
-        return stack, _valid_diagonals(stack)
-
-    def _unknown(self, ts: Sequence[float]) -> list[float]:
-        todo = super()._unknown(ts)
-        if todo:
-            arr = np.array(todo)
-            for part, where, part_ts in self._pieces(arr):
-                for t, s in zip(arr[where].tolist(), part_ts.tolist()):
-                    w = part._vals.get(s)
-                    if w is not None:
-                        self._vals[t] = w
-        return [t for t in todo if t not in self._vals]
-
-
 def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
     """Weyl-certify that a path stays invertible for every t in [0, 1].
 
@@ -1150,7 +602,7 @@ def certify_invertible(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> d
     """
     # keeps the ends, which the flows' junctions read, before the grid's values
     path.endpoint_gaps()
-    ts, steps = _grid(path, opts.samples)
+    ts, steps = path.grid(opts.samples)
     mags = np.abs(np.array(path.values(ts)))
     gaps = np.min(mags, axis=1)
     worst = float(np.min(gaps - _tolerances(path, steps, mags)))

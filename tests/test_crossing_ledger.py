@@ -9,27 +9,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import narrow_dip, random_hermitian, random_invertible_hermitian
+from corpus import CORPUS
 from specflowlab import specflow
-from specflowlab.axioms import connect_invertibles
 from specflowlab.errors import InputError, SamplingError
-from specflowlab.generators import (
-    concat_compatible_pair,
-    family_path,
-    homotopy_family,
-    invertible_trig_path,
-    normalization_path,
-    random_unitary,
-    trig_path,
-)
-from specflowlab.matcore import HermitianMatrix
+from specflowlab.generators import family_path, random_unitary, trig_path
 from specflowlab.specflow import (
     OperatorPath,
     SfOptions,
     crossing_oracle_report,
     lipschitz,
-    path_concat,
-    path_reverse,
     piecewise_affine,
     sf_all_methods,
 )
@@ -113,64 +101,6 @@ def _both_routes(make, opts=SfOptions()):
     return _outcome(make(), opts), _whole_grid(make(), opts)
 
 
-def _sampled(dim, count):
-    rng = np.random.default_rng(300 + dim)
-    return OperatorPath.from_samples([random_hermitian(rng, dim) for _ in range(count)])
-
-
-def _there_and_back(f):
-    """f then f backwards: knots at f's, halved and mirrored, and at 1/2."""
-    return path_concat(f, path_reverse(f))
-
-
-def _connector(dim):
-    rng = np.random.default_rng(dim)
-    t1 = random_invertible_hermitian(rng, dim)
-    w = random_unitary(rng, dim).mat
-    return connect_invertibles(t1, HermitianMatrix(2.0 * w @ t1.mat @ w.conj().T))
-
-
-def _homotopy_row(seed, dim):
-    row, _s_grid, _label = homotopy_family(seed, dim)
-    return row(0.6)
-
-
-def _trig(seed, dim, **kwargs):
-    return lambda: trig_path(seed, dim, **kwargs)
-
-
-CORPUS = {
-    **{f"trig_d{d}_s{s}": _trig(s, d) for d in (2, 5, 16, 64) for s in (1, 2)},
-    **{f"trig_gap_d{d}": _trig(3, d, gap=0.5) for d in (48, 64, 128)},
-    **{f"trig_deg8_d{d}_s{s}": _trig(s, d, degree=8, scale=4.0) for d in (2, 4, 8) for s in (0, 2)},
-    **{f"concat_d{d}": (lambda d=d: path_concat(*concat_compatible_pair(4, d))) for d in (2, 6, 48)},
-    "concat_partner_d7": lambda: concat_compatible_pair(2, 7)[1],
-    "concat_affine_d5": lambda: _there_and_back(_sampled(5, 5)),
-    "concat_thirds_d6": lambda: _there_and_back(_sampled(6, 4)),
-    "sampled_d3": lambda: _sampled(3, 9),
-    "reverse_concat_d4": lambda: path_reverse(path_concat(*concat_compatible_pair(5, 4))),
-    **{f"normalization_d{d}": (lambda d=d: normalization_path(3, d)) for d in (2, 8)},
-    **{f"invertible_drift_d{d}": (lambda d=d: invertible_trig_path(3, d)) for d in (3, 64)},
-    "linear_interp_d4": lambda: family_path(
-        "linear_interp",
-        {"a": random_invertible_hermitian(np.random.default_rng(1), 4),
-         "b": random_invertible_hermitian(np.random.default_rng(2), 4)},
-    ),
-    "connector_d5": lambda: _connector(5),
-    "homotopy_row_d4": lambda: _homotopy_row(2, 4),
-    "homotopy_row_d5": lambda: _homotopy_row(3, 5),
-    "fuglede_N8": lambda: family_path("fuglede_line", {"N": 8, "n": 3}),
-    "fuglede_N32_signed": lambda: family_path("fuglede_line", {"N": 32, "n": 3, "law": "signed"}),
-    "fuglede_N128": lambda: family_path("fuglede_line", {"N": 128, "n": 5}),
-    "toeplitz_m4_power3": lambda: family_path("toeplitz_line", {"m": 4, "power": 3}),
-    "toeplitz_m31": lambda: family_path("toeplitz_line", {"m": 31}),
-    "toeplitz_m32": lambda: family_path("toeplitz_line", {"m": 32}),
-    "narrow_dip_declared": lambda: OperatorPath.from_callable(
-        narrow_dip, 2, regularity=lipschitz((), [1.29e5])
-    ),
-}
-
-
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_inferred_ledger_equals_the_whole_grid(name):
     inferred, whole = _both_routes(CORPUS[name])
@@ -178,7 +108,7 @@ def test_inferred_ledger_equals_the_whole_grid(name):
     # the step floor, the share of the largest step, is bit for bit the
     # largest share of a neighbour step that the tolerances add to
     path = CORPUS[name]()
-    steps = specflow._grid(path, SfOptions().oracle_samples)[1]
+    steps = path.grid(SfOptions().oracle_samples)[1]
     tau = specflow._neighbour_steps(steps) * specflow._step_share(path)
     assert max(steps) * specflow._step_share(path) == float(np.max(tau))
 
@@ -198,7 +128,8 @@ def test_the_corpus_keeps_its_refusals():
     ids=["seeds_off_the_grid", "seeds_dense", "oracle_coarser"],
 )
 def test_inferred_ledger_with_other_grids(opts):
-    for make in (_trig(1, 8), _trig(2, 6, degree=8, scale=4.0), CORPUS["concat_thirds_d6"]):
+    for make in (partial(trig_path, 1, 8), partial(trig_path, 2, 6, degree=8, scale=4.0),
+                 CORPUS["concat_thirds_d6"]):
         inferred, whole = _both_routes(make, opts)
         assert inferred == whole
 
@@ -295,7 +226,7 @@ def test_reach_bound_covers_the_norms_between_seeds():
     the norm bound keeps the pre-check from passing a grid the whole-grid
     guard refuses."""
     probe = _norm_peak(1.0)
-    ts = list(specflow._grid(probe, 257)[0])
+    ts = list(probe.grid(257)[0])
     steps = probe.regularity.step_bounds(ts)
     vals = probe.values(ts)
     tau = specflow._tolerances(probe, steps, np.abs(np.array(vals)))
@@ -422,7 +353,7 @@ def test_an_exact_end_tolerance_closes_a_bracket_the_floor_straddles():
     lifts the bracket's lower end to the reach's digits, so the refusal is
     decided from t = 0 and 1 alone, with the whole-grid tally's text."""
     probe = _straddling_line()
-    steps = specflow._grid(probe, SfOptions().oracle_samples)[1]
+    steps = probe.grid(SfOptions().oracle_samples)[1]
     assert f"{max(steps) * specflow._step_share(probe):.3e}" == "1.000e+00"
     assert _step_refusal(probe, SfOptions()) == _whole_grid(_straddling_line(), SfOptions())
     path = _straddling_line()

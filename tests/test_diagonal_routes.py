@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specflowlab import matcore, metrics, projpair, specflow
+from specflowlab import matcore, metrics, paths, projpair, specflow
 from specflowlab.generators import family_path
 from specflowlab.matcore import HermitianMatrix, Projection
 from specflowlab.metrics import metric_separation_report
@@ -262,7 +262,7 @@ def test_diagonal_routes_send_other_layouts_to_the_general_route():
 
 def _lapack_eigvalsh(monkeypatch):
     """Send every stacked eigvalsh to LAPACK."""
-    for module in (matcore, projpair, specflow):
+    for module in (matcore, projpair, paths):
         monkeypatch.setattr(module, "_stack_eigvalsh", np.linalg.eigvalsh)
 
 
@@ -474,7 +474,7 @@ def _run_paths(corpus, guard, monkeypatch):
             return d
 
         with monkeypatch.context() as m:
-            for module in (matcore, specflow):
+            for module in (matcore, paths):
                 m.setattr(module, "_valid_diagonals", spy)
             outcomes[name] = _path_outcome(make)
         taken[name] = any(hits)

@@ -1,8 +1,10 @@
 """Each command loads only the layers it runs: the package exports its names
 lazily, and the CLI imports a subcommand's layers when the subcommand runs.
 Every check starts a fresh interpreter, since this test process has
-imported every layer already."""
+imported every layer already. The path layer loads no method, and the
+methods read none of a path's privates."""
 
+import ast
 import json
 import os
 import subprocess
@@ -45,9 +47,26 @@ def _run(code: str) -> dict:
 def test_the_flow_modules_load_no_other_layer():
     out = _run("import specflowlab.cli, specflowlab.generators, specflowlab.specflow")
     assert out["loaded"] == [
-        "cli", "errors", "generators", "matcore", "opmodel", "projpair", "serialize",
+        "cli", "errors", "generators", "matcore", "opmodel", "paths", "projpair", "serialize",
         "specflow", "transforms",
     ]
+
+
+def test_the_path_layer_loads_no_method():
+    assert _run("import specflowlab.paths")["loaded"] == ["errors", "matcore", "paths"]
+
+
+def test_the_methods_read_no_private_attribute():
+    """``specflow`` reads a path, and every other object, through public
+    names only; dunders aside, no ``x._name`` appears in it."""
+    tree = ast.parse((SRC / "specflowlab" / "specflow.py").read_text())
+    private = [
+        f"{node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+    ]
+    assert private == []
 
 
 def test_compute_and_report_load_no_other_layer(tmp_path):

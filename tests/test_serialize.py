@@ -174,11 +174,11 @@ def test_which_of_two_faulty_samples_is_refused_first(second, message):
 def test_a_sampled_file_takes_one_stacked_hermitian_check(monkeypatch):
     """Nine samples, one check of a (9, n, n) stack, not nine one-matrix
     checks; the kept samples are the stack's rows."""
-    from specflowlab import matcore, specflow
+    from specflowlab import matcore, paths
 
     obj = path_to_obj(trig_path(5, 3), samples=9)
     shapes = []
-    for module in (matcore, specflow):
+    for module in (matcore, paths):
         check = module._hermitian_stack
 
         def counted(entries, check=check):

@@ -52,7 +52,7 @@ from specflowlab.generators import (
     trig_path,
 )
 from specflowlab.toeplitz import conjugation_path
-from specflowlab import matcore, specflow
+from specflowlab import matcore, paths, specflow
 
 
 def dense_sign_count_oracle(path, samples=4001):
@@ -388,9 +388,9 @@ def test_results_do_not_depend_on_sampling_order(seed, dim):
 def test_pairsum_reuses_the_phillips_subdivision():
     path = trig_path(5, 4)
     sf_phillips(path)
-    (segments,) = path._segments.values()
+    segments = path.memo(("segments", SfOptions()), lambda: pytest.fail("not held"))
     sf_pairsum(path)
-    assert path._segments[SfOptions()] is segments
+    assert path.memo(("segments", SfOptions()), lambda: pytest.fail("not held")) is segments
 
 
 def test_evaluation_refuses_entries_whose_steps_could_overflow():
@@ -747,14 +747,14 @@ def test_endpoints_are_measured_once_per_path(monkeypatch):
     across every method and certify_invertible, and each grid is built
     once per sample count; the end check still raises on every call."""
     measured = []
-    rule = specflow._singular
-    monkeypatch.setattr(specflow, "_singular", lambda dim, vals: measured.append(dim) or rule(dim, vals))
+    rule = paths._singular
+    monkeypatch.setattr(paths, "_singular", lambda dim, vals: measured.append(dim) or rule(dim, vals))
     path = trig_path(7, 6)
     sf_all_methods(path)
     certify_invertible(path)
     sf_all_methods(path, SfOptions(samples=17))
     assert measured == [6]
-    assert specflow._grid(path, 33) is specflow._grid(path, 33)
+    assert path.grid(33) is path.grid(33)
     # 1.5e-8 less its rounding slack fails the rule at t = 0
     singular = OperatorPath.from_samples([np.diag([1.5e-8, 1e8, -3.0]), np.diag([2.0, 1e8, -3.0])])
     for _ in range(2):
@@ -789,14 +789,14 @@ def test_composites_validate_each_evaluated_point_once(compose, monkeypatch):
     path = compose(f, g)
     asked = [_counted_points(f), _counted_points(g)]
     checked = []
-    check = specflow._hermitian_rows
+    check = paths._hermitian_rows
 
     def counting_check(entries):
         out = check(entries)
         checked.append(len(out[0]))
         return out
 
-    monkeypatch.setattr(specflow, "_hermitian_rows", counting_check)
+    monkeypatch.setattr(paths, "_hermitian_rows", counting_check)
     sf_all_methods(path)
     certify_invertible(path)
     evaluated = sum(len(points) for points in asked)
@@ -866,10 +866,10 @@ def test_grids_are_the_uniform_points_and_the_knots(samples):
     knotless paths; a path with knots merges them, with the same bits."""
     uniform = sorted(set(np.linspace(0.0, 1.0, samples).tolist()))
     plain = [family_path("toeplitz_line", {"m": m}) for m in (1, 2)]
-    assert specflow._grid(plain[0], samples)[0] is specflow._grid(plain[1], samples)[0]
-    assert list(specflow._grid(plain[0], samples)[0]) == uniform
+    assert plain[0].grid(samples)[0] is plain[1].grid(samples)[0]
+    assert list(plain[0].grid(samples)[0]) == uniform
     knotted = path_concat(*concat_compatible_pair(4, 3))
     assert knotted.regularity.knots
-    assert list(specflow._grid(knotted, samples)[0]) == sorted(
+    assert list(knotted.grid(samples)[0]) == sorted(
         set(uniform) | set(knotted.regularity.knots)
     )
