@@ -218,8 +218,16 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _PARSER.parse_args(argv)
+        try:
+            args = _PARSER.parse_args(argv)
+        except InputError:
+            # the top level reads only the command: name an option put first
+            if not argv or not argv[0].startswith("-") or argv[0] in ("-", "--"):
+                raise
+            opt = argv[0].partition("=")[0]
+            raise InputError(f"option {opt} must follow the subcommand: specflow COMMAND {opt}")
         # the handler is looked up by name at call time, so a rebound
         # ``_cmd_<command>`` is the one that runs
         text = globals()[f"_cmd_{args.command}"](args)

@@ -39,10 +39,12 @@ from .matcore import (
     _assemble,
     _chunk_len,
     _chunks,
+    _diagonal_matrices,
     _eigh_stack,
     _has_neg_zero,
     _hermitian_stack,
     _op_norms,
+    _real_diagonals,
     as_hermitian,
     op_norm,
 )
@@ -216,8 +218,8 @@ def _or_formula(out: np.ndarray, formula: Callable[[], np.ndarray]) -> np.ndarra
     c*x - 0*y and c*y + 0*x: they equal the real view's c*x and c*y except
     where the latter is -0.0, where they are a zero of either sign. A sum
     of such terms keeps that property, so a result with no -0.0 has the
-    formula's bits. ``line_path`` evaluates this way: its Toeplitz lines
-    would spend about half again as long in numpy's complex arithmetic."""
+    formula's bits. ``line_path`` evaluates this way, on its ends'
+    diagonals where both are diagonal."""
     return formula() if _has_neg_zero(out) else out
 
 
@@ -471,13 +473,24 @@ def homotopy_family(seed_or_rng, dim: int):
 
 
 def line_path(a: HermitianMatrix, b: HermitianMatrix) -> OperatorPath:
-    """The straight line t -> (1 - t) A + t B, affine with rate ||B - A||."""
+    """The straight line t -> (1 - t) A + t B, affine with rate ||B - A||.
+
+    Real diagonal ends with no -0.0 (``_real_diagonals``, tested here) are
+    combined by the real view's operations on their diagonals only, in a
+    zeroed stack: its other components are (1 - t)(+0.0) + t(+0.0) = +0.0
+    for finite t. Either result goes through ``_or_formula``."""
     if a.dim != b.dim:
         raise InputError(f"line endpoints must share a dimension, got {a.dim} and {b.dim}")
+    da, db = (_real_diagonals(m.mat[None]) for m in (a, b))
+
+    def combine(ts: np.ndarray) -> np.ndarray:
+        if da is not None and db is not None:
+            return _diagonal_matrices((1.0 - ts)[:, None] * da + ts[:, None] * db)
+        return _add_combination(_scaled(1.0 - ts, a.mat), [(ts, b.mat)])
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
         return _or_formula(
-            _add_combination(_scaled(1.0 - ts, a.mat), [(ts, b.mat)]),
+            combine(ts),
             lambda: (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat,
         )
 
@@ -504,6 +517,10 @@ def _family_linear_interp(params: dict, seed, dim) -> OperatorPath:
 
 
 def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
+    """The line D + t C_n. Diagonal D and C_n with no -0.0
+    (``_real_diagonals``, tested once, here) are combined as d + t * c on
+    their diagonals into a zeroed stack: the complex formula's every other
+    component is +0.0, so the bits are the formula's."""
     n = params.get("n")
     model = DiagonalModel(
         coerce_field(params.get("N", 8), int, "N"), params.get("law", "linear")
@@ -513,8 +530,11 @@ def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
     n = coerce_field(n, int, "n")
     d = realize(model)
     c = family_perturbation(model, "fuglede", n)
+    dd, cd = (_real_diagonals(m.mat[None]) for m in (d, c))
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
+        if dd is not None and cd is not None:
+            return _diagonal_matrices(dd + ts[:, None] * cd)
         return d.mat + ts[:, None, None] * c.mat
 
     return OperatorPath(

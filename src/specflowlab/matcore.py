@@ -675,10 +675,17 @@ def _projection_stack(entries: np.ndarray) -> tuple[np.ndarray, list[int]]:
     count of eigenvalues above 1/2; each check raises on its first failing
     matrix. Returns the read-only stack of validated matrices and their
     ranks, each bit for bit and rank for rank what the matrix gets alone.
-    The eigenvalues come from ``_stack_eigvalsh``, so a stack of diagonal
-    projections is checked without LAPACK.
+    The eigenvalues come from ``_stack_eigvalsh``. A stack that
+    ``_hermitian_rows`` reads as real diagonals of exact 0.0s and 1.0s
+    passes each check exactly (P^2 = P entry by entry, eigenvalues its
+    diagonal, trace a count of ones), so it is returned without them.
     """
-    s = _hermitian_stack(entries)
+    s, d = _hermitian_rows(entries)
+    if d is not None:
+        s = s.copy()
+        s.setflags(write=False)
+        if np.all((d == 0.0) | (d == 1.0)):
+            return s, np.count_nonzero(d, axis=1).tolist()
     idem = _norm_over(s @ s - s, 1e-10)
     if idem is not None:
         raise InputError(f"not idempotent: ||P^2 - P|| = {idem:.3e}")
@@ -794,8 +801,9 @@ def _nonneg_projections(mats: Sequence[HermitianMatrix]) -> tuple[np.ndarray, li
     caching one. For any other chunk the decompositions not yet cached
     (``.eig``) are computed by one ``_eigh_stack`` and cached on their
     matrices, and each B B* is formed from its own basis columns
-    (``_range_projections``). One ``_projection_stack`` checks them all.
-    Each projection and rank is bit for bit what its matrix gets alone;
+    (``_range_projections``). One ``_projection_stack`` checks them all (a
+    diagonal chunk's by its exact 0/1 branch). Each projection and rank is
+    bit for bit what its matrix gets alone;
     each check raises on its first failing matrix.
     """
     s = np.stack([m.mat for m in mats])

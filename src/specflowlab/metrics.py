@@ -127,6 +127,8 @@ class _Operand:
 
     @cached_property
     def resolvent(self) -> np.ndarray:
+        """(H + i)^{-1} by LAPACK, diagonal stacks too: a scalar formula has
+        its bits only with 1 + r^2 fused, as the BLAS kernel may fuse it."""
         eye = np.eye(self.dim, dtype=np.complex128)
         return np.linalg.inv(self.mats + 1j * eye)
 

@@ -329,11 +329,12 @@ def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertifi
     above eps_j is constant there, and the segment contributes
     ind(P(t_j), P(t_{j-1})) of the nonnegative spectral projections at its
     ends. The junctions are projected in stacks of ``_chunk_len`` matrices
-    (``nonneg_projection`` is the one-matrix case), each validated once,
-    all before any pair is counted; the pairs of consecutive junctions are
-    counted in stacks (``pair_index`` is the one-pair case). A stacked step
-    raises what its first failing check raises, on that check's first
-    failing junction or pair.
+    (``nonneg_projection`` is the one-matrix case), each validated once
+    (diagonal junctions' diag(d >= 0) by ``_projection_stack``'s exact 0/1
+    branch, with no dense product), all before any pair is counted; the
+    pairs of consecutive junctions are counted in stacks (``pair_index`` is
+    the one-pair case). A stacked step raises what its first failing check
+    raises, on that check's first failing junction or pair.
     """
 
     def pair_total(segs: tuple[SfSegment, ...]) -> int:

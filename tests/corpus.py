@@ -222,6 +222,14 @@ FILES = {
         "name": "toeplitz_line", "params": {"m": m}}}) for m in range(31, 41)},
     "digits401.json": '{"kind": "sampled", "samples": [' + ", ".join(
         ['{"dim": 1, "re": [[' + "9" * 401 + ']], "im": [[0]]}'] * 2) + "]}",
+    # diagonal ends with no -0.0: two entries cross up, one down
+    "interp_diag.json": (
+        '{"kind": "family", "family": {"name": "linear_interp", "params": {"a": {"dim": 4, '
+        '"re": [[-1, 0, 0, 0], [0, 2, 0, 0], [0, 0, -0.5, 0], [0, 0, 0, 3]], "im": [[0, 0, '
+        '0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}, "b": {"dim": 4, "re": [[1.5, 0, '
+        '0, 0], [0, 2, 0, 0], [0, 0, 0.75, 0], [0, 0, 0, -1]], "im": [[0, 0, 0, 0], [0, 0, '
+        '0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}}}}'
+    ),
     "notjson.json": "{",
     "list.json": "[]",
 }
@@ -259,6 +267,7 @@ RUNS = [
     ("toeplitz_m12", ["toeplitz", "--m-max", "12"], (0, [0] * 12, "")),
     ("toeplitz_power5", ["toeplitz", "--m-max", "4", "--power", "5"], (0, [0, 0, 0, 0, 0], "")),
     ("report_negzero", ["report", "--input", "negzero.json"], (0, 1, "")),
+    ("report_interp_diag", ["report", "--input", "interp_diag.json"], (0, 1, "")),
     ("report_sampled3", ["report", "--input", "sampled3.json"], (0, 2, "")),
     ("compute_sampled3_s17", ["compute", "--input", "sampled3.json", "--samples", "17"],
      (0, 2, "")),
@@ -310,6 +319,8 @@ RUNS = [
          "notjson.json is not valid JSON: "),
         ("report_list", ["report", "--input", "list.json"], "list.json must hold a JSON object"),
         ("unknown_command", ["frobnicate"], "argument command: invalid choice: "),
+        ("option_first", ["--out", "x.json", "compute", "--input", "fuglede8.json"],
+         "option --out must follow the subcommand: specflow COMMAND --out"),
     ]],
 ]
 

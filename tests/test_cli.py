@@ -155,6 +155,21 @@ def test_usage_error_exit_1(crossing_file, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_an_option_before_the_subcommand_is_named(crossing_file, capsys):
+    """The top level reads only the command: an option put first is named,
+    not reported as an invalid command named by its value."""
+    for argv, opt in (
+        (["--out", "x.json", "compute", "--input", crossing_file], "--out"),
+        (["--samples", "9", "compute", "--input", crossing_file], "--samples"),
+        (["--out=x.json", "compute", "--input", crossing_file], "--out"),
+    ):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: option {opt} must follow the subcommand: specflow COMMAND {opt}\n"
+    assert cli.main([]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+
+
 def test_help_exit_0(capsys):
     with pytest.raises(SystemExit) as done:
         cli.main(["graded", "--help"])

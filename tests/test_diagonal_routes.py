@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specflowlab import matcore, metrics, paths, projpair, specflow
+from specflowlab import generators, matcore, metrics, paths, projpair, specflow
 from specflowlab.generators import family_path
 from specflowlab.matcore import HermitianMatrix, Projection
 from specflowlab.metrics import metric_separation_report
@@ -483,13 +483,15 @@ def _run_paths(corpus, guard, monkeypatch):
 
 def test_diagonal_paths_give_the_dense_routes_bits(monkeypatch):
     """A path whose chunks are held as their diagonals gives, with the
-    guard patched off (every chunk validated and kept dense), the same
+    guard patched off (every chunk validated and kept dense) and the lines
+    evaluated dense (``_real_diagonals`` refusing their ends), the same
     flows, certificates, refusals, kept points, matrices with their
     read-only flags, and stacks."""
     corpus = _diagonal_path_corpus()
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), monkeypatch.context() as m:
         warnings.simplefilter("ignore")  # LAPACK on NaN
         fast, taken = _run_paths(corpus, matcore._valid_diagonals, monkeypatch)
+        m.setattr(generators, "_real_diagonals", lambda _s: None)
         general, _ = _run_paths(corpus, lambda _a: None, monkeypatch)
     for name in corpus:
         assert fast[name] == general[name], name
@@ -503,6 +505,36 @@ def test_diagonal_paths_give_the_dense_routes_bits(monkeypatch):
     assert "returned 10 matrices for 9 points" in fast["wrong_count"][0][1]
     for name in ("fuglede_128", "toeplitz_24", "from_samples", "concat", "reverse_of_concat"):
         assert flows[name][0].startswith("{'value': "), name
+
+
+@pytest.mark.parametrize("name, params", [
+    ("fuglede_line", {"N": 128, "n": 40}),
+    ("toeplitz_line", {"m": 24}),
+])
+def test_diagonal_lines_run_no_dense_projection_check(name, params, monkeypatch):
+    """sf_all_methods on a diagonal line: the evaluator combines the ends'
+    diagonals, and no projection stack takes the dense idempotency check."""
+    evaluated, inside, dense = [], [], []
+    build = generators._diagonal_matrices
+    monkeypatch.setattr(generators, "_diagonal_matrices", lambda d: evaluated.append(1) or build(d))
+    check, norm_over = matcore._projection_stack, matcore._norm_over
+
+    def projection_stack(entries):
+        inside.append(1)
+        try:
+            return check(entries)
+        finally:
+            inside.pop()
+
+    def counted_norm_over(*args):
+        dense.extend(inside)
+        return norm_over(*args)
+
+    monkeypatch.setattr(matcore, "_projection_stack", projection_stack)
+    monkeypatch.setattr(matcore, "_norm_over", counted_norm_over)
+    out = sf_all_methods(family_path(name, params))
+    assert out["value"] == {"fuglede_line": -1, "toeplitz_line": 0}[name]
+    assert evaluated and dense == []
 
 
 def _complex_diagonal_stack(d):

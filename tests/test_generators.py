@@ -515,17 +515,25 @@ def test_line_paths_evaluate_with_the_formulas_bits(monkeypatch):
 
 @pytest.mark.parametrize("law", ["linear", "signed", "shifted"])
 def test_family_lines_evaluate_on_the_real_view(law, monkeypatch):
-    """The Toeplitz lines evaluate on the real view with the formula's
-    bits, and never hold the -0.0 that would send them to the formula; the
-    Fuglede lines evaluate the formula itself, without the real view."""
+    """The Toeplitz lines evaluate on the real view of their diagonals with
+    the formula's bits, and never hold the -0.0 that would send them to the
+    formula; the Fuglede lines evaluate on their diagonals with the
+    formula's bits, without the real view. Lines between diagonal ends, one
+    with a zero entry and one crossing zero, do the same; ends holding a
+    -0.0 take the real view, and the formula where it holds a -0.0."""
     fell_back = _formula_spy(monkeypatch)
+    diagonal = []
+    inner = generators._diagonal_matrices
+    monkeypatch.setattr(
+        generators, "_diagonal_matrices", lambda d: diagonal.append(1) or inner(d)
+    )
     ts = np.array(_EDGE_TS + np.linspace(0.0, 1.0, 33).tolist())
     for big_n, n in ((8, 1), (8, 3), (32, 7), (128, 40)):
         model = DiagonalModel(big_n, law)
         d, c = realize(model), family_perturbation(model, "fuglede", n)
         got = family_path("fuglede_line", {"N": big_n, "n": n, "law": law})._evaluator(ts)
         assert got.tobytes() == (d.mat + ts[:, None, None] * c.mat).tobytes()
-    assert fell_back == []
+    assert fell_back == [] and len(diagonal) == 4
     for m, power in ((1, 1), (9, 2), (24, 1)):
         d = half_integer_diagonal(m)
         w = cyclic_shift(d.dim, power).mat
@@ -533,4 +541,18 @@ def test_family_lines_evaluate_on_the_real_view(law, monkeypatch):
         got = family_path("toeplitz_line", {"m": m, "power": power})._evaluator(ts)
         want = (1.0 - ts)[:, None, None] * d.mat + ts[:, None, None] * conj.mat
         assert got.tobytes() == want.tobytes()
-    assert fell_back and not any(fell_back)
+    assert fell_back and not any(fell_back) and len(diagonal) == 7
+
+    def line(a, b):
+        a, b = (HermitianMatrix._of_valid(np.diag(x).astype(np.complex128)) for x in (a, b))
+        got = generators.line_path(a, b)._evaluator(ts)
+        want = (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
+        assert got.tobytes() == want.tobytes()
+
+    fell_back.clear()
+    line([0.0, 2.5, -1.0], [1.5, 0.0, -3.0])  # a zero entry at each end
+    line([-1.0, 2.0, -0.25], [3.0, -0.5, 0.75])  # entries crossing zero
+    assert fell_back == [False, False] and len(diagonal) == 9
+    line([-0.0, 1.0], [-2.0, 3.0])  # t = 0 gives -0.0 + 0 * -2.0 = -0.0
+    line([1.0, 2.0], [-0.0, 4.0])
+    assert fell_back[2:] == [True, False] and len(diagonal) == 9

@@ -401,6 +401,64 @@ def test_diagonal_route_falls_back_where_lapack_differs(monkeypatch):
     assert len(calls) == len(stacks) + 1
 
 
+def _checked_projections(a):
+    """Bytes, shape and read-only flag of ``_projection_stack(a)`` with its
+    ranks, or the class and text of what it raised."""
+    try:
+        s, ranks = matcore._projection_stack(a)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return s.tobytes(), s.shape, s.flags.writeable, ranks
+
+
+def _norm_over_spy(monkeypatch):
+    """Record each ``_norm_over`` call, the first dense check of a
+    projection stack."""
+    calls, inner = [], matcore._norm_over
+    monkeypatch.setattr(matcore, "_norm_over", lambda *a: calls.append(1) or inner(*a))
+    return calls
+
+
+def test_exact_projection_diagonals_skip_the_dense_checks(monkeypatch):
+    """Real diagonal stacks of exact 0.0s and 1.0s get, without the dense
+    checks, the general route's bytes, read-only flag and ranks. (At n = 1
+    the one-look test of ``_real_diagonals`` reads the first matrix's
+    diagonal entry as its bottom-left one, so a stack starting with a 1 is
+    checked as dense.)"""
+    rng = np.random.default_rng(39)
+    cases = []
+    for k in (1, 2, 3):
+        for n in range(1, 7):
+            cases += [np.zeros((k, n)), np.ones((k, n)), rng.integers(0, 2, size=(k, n))]
+    calls = _norm_over_spy(monkeypatch)
+    fast = []
+    for d in cases:
+        before = len(calls)
+        fast.append(_checked_projections(_diagonal_stack(d)))
+        assert len(calls) == before + (d.shape[1] == 1 and d[0, 0] == 1), d
+    calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(matcore, "_valid_diagonals", lambda _a: None)
+        general = [_checked_projections(_diagonal_stack(d)) for d in cases]
+    assert len(calls) == len(cases)
+    assert fast == general
+    assert [out[3] for out in fast] == [np.count_nonzero(d, axis=1).tolist() for d in cases]
+    assert all(out[2] is False for out in fast)
+
+
+def test_other_projection_diagonals_take_the_dense_checks(monkeypatch):
+    """A 0/1 diagonal holding a -0.0, and one holding 0.5, take the general
+    checks: the first passes them, the second is not idempotent."""
+    calls = _norm_over_spy(monkeypatch)
+    neg_zero = _diagonal_stack([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    neg_zero[1, 0, 0] = -0.0
+    s, ranks = matcore._projection_stack(neg_zero)
+    assert len(calls) == 1 and ranks == [2, 2] and not s.flags.writeable
+    with pytest.raises(InputError, match="not idempotent"):
+        matcore._projection_stack(_diagonal_stack([[1.0, 0.5, 0.0]]))
+    assert len(calls) == 2
+
+
 def test_stack_shape_errors_match_the_constructor():
     for shape in ((3, 4), (0, 0)):
         with pytest.raises(InputError) as single:
