@@ -475,7 +475,7 @@ def homotopy_family(seed_or_rng, dim: int):
 def line_path(a: HermitianMatrix, b: HermitianMatrix) -> OperatorPath:
     """The straight line t -> (1 - t) A + t B, affine with rate ||B - A||.
 
-    Real diagonal ends with no -0.0 (``_real_diagonals``, tested here) are
+    Real diagonal ends that ``_real_diagonals`` takes (tested here) are
     combined by the real view's operations on their diagonals only, in a
     zeroed stack: its other components are (1 - t)(+0.0) + t(+0.0) = +0.0
     for finite t. Either result goes through ``_or_formula``."""
@@ -517,8 +517,8 @@ def _family_linear_interp(params: dict, seed, dim) -> OperatorPath:
 
 
 def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
-    """The line D + t C_n. Diagonal D and C_n with no -0.0
-    (``_real_diagonals``, tested once, here) are combined as d + t * c on
+    """The line D + t C_n. Diagonal D and C_n that ``_real_diagonals``
+    takes (tested once, here) are combined as d + t * c on
     their diagonals into a zeroed stack: the complex formula's every other
     component is +0.0, so the bits are the formula's."""
     n = params.get("n")

@@ -150,7 +150,7 @@ def _hermitian_rows(entries) -> tuple[np.ndarray, np.ndarray | None]:
     float range) raises FinitenessError.
 
     A stack of real diagonal matrices with no -0.0 averages to itself:
-    when ``_valid_diagonals`` takes it, before any other check, the result
+    when ``_real_diagonals`` takes it, before any other check, the result
     is the array read itself, not copied and not to be kept, with its
     (k, n) real diagonals, which a caller keeps in its place
     (``_diagonal_matrices`` builds the matrices back with the same bits).
@@ -165,7 +165,7 @@ def _hermitian_rows(entries) -> tuple[np.ndarray, np.ndarray | None]:
     a = _complex_array(entries)
     if a.ndim != 3:
         raise InputError(f"expected a stack of 2-d matrices, got shape {a.shape}")
-    diagonals = _valid_diagonals(a)
+    diagonals = _real_diagonals(a)
     if diagonals is not None:
         return a, diagonals
     if not np.all(np.isfinite(a)):
@@ -196,57 +196,33 @@ def _hermitian_rows(entries) -> tuple[np.ndarray, np.ndarray | None]:
     return h, None
 
 
-def _valid_diagonals(a: np.ndarray) -> np.ndarray | None:
-    """The real diagonals, as a (k, n) view, of a (k, n, n) complex stack
-    that is its own Hermitian average: a stack of real diagonal matrices
-    with no -0.0, whose sign the formula may change (``_real_diagonals``),
-    and with the diagonal within half the float range. Else None, and the
-    stack is left to the general checks. This is the guard of the diagonal
-    route of the Hermitian check and of a path's samples."""
-    d = _real_diagonals(a)
-    if d is not None and np.abs(d).max() <= _HALF_MAX:
-        return d
-    return None
-
-
 def _real_diagonals(s: np.ndarray) -> np.ndarray | None:
     """The real diagonals, as a (k, n) view, of a (k, n, n) complex stack
     that is C-contiguous, non-empty and square, whose every other component
     (the off-diagonal entries and the imaginary parts of the diagonal) is
-    +0.0 and whose diagonal holds no -0.0; else None. This is the one test
-    of the diagonal routes, which send any other stack to the general one.
+    +0.0, whose diagonal holds no -0.0, and where each row's largest |d| is
+    0 or lies where zheevd does not rescale (``_UNSCALED_MIN`` to
+    ``_UNSCALED_MAX``); else None. This is the one test of the diagonal
+    routes, which send any other stack to the general one. Such a stack is
+    its own Hermitian average, its sorted diagonal is what LAPACK's
+    eigensolver computes for the eigenvalues (its sort places a -0.0
+    differently among the zeros), and a permutation of the unit vectors is
+    its basis. A NaN or infinite diagonal lies outside the range.
 
-    The first matrix's bottom-left entry is tested first, so a dense stack
-    is sent on after one look. Then one count of the components whose bits
-    are nonzero (-0.0 reads as the least int64, a NaN as nonzero) must
-    equal the count of nonzero diagonal entries: a -0.0 anywhere, or any
-    other nonzero component off the real diagonal, makes the first count
-    the larger."""
+    A dense stack is sent on after one look at the first matrix's
+    bottom-left entry. Then one count of the components whose bits are
+    nonzero (-0.0 reads as the least int64, a NaN as nonzero) must equal the
+    count of nonzero diagonal entries: a -0.0 anywhere, or any other nonzero
+    component off the real diagonal, makes the first count the larger."""
     if not (s.flags.c_contiguous and s.size and s.shape[1] == s.shape[2]):
         return None
     n = s.shape[1]
-    if s[0, n - 1, 0] != 0:
+    if n > 1 and s[0, n - 1, 0] != 0:
         return None
     d = s.diagonal(axis1=1, axis2=2).real
     if np.count_nonzero(s.view(np.int64)) != np.count_nonzero(d):
         return None
-    return d
-
-
-def _unscaled_real_diagonals(s: np.ndarray) -> np.ndarray | None:
-    """The real diagonals (``_real_diagonals``) of a (k, n, n) complex
-    stack when ``_unscaled`` takes them; else None."""
-    return _unscaled(_real_diagonals(s))
-
-
-def _unscaled(d: np.ndarray | None) -> np.ndarray | None:
-    """A (k, n) stack of real diagonals when each row's largest |d| is 0
-    or lies where zheevd does not rescale (``_UNSCALED_MIN`` to
-    ``_UNSCALED_MAX``); else None. Then the sorted diagonal is what
-    LAPACK's eigensolver computes for the eigenvalues (its sort places a
-    -0.0 differently among the zeros, which is why ``_real_diagonals``
-    refuses one), and a permutation of the unit vectors is its basis."""
-    if d is None or not _zero_or_within(np.abs(d).max(axis=1), _UNSCALED_MIN, _UNSCALED_MAX):
+    if not _zero_or_within(np.abs(d).max(axis=1), _UNSCALED_MIN, _UNSCALED_MAX):
         return None
     return d
 
@@ -311,17 +287,11 @@ def _diagonal_imag(a: np.ndarray) -> np.ndarray:
 def _stack_eigvalsh(s: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each matrix of a validated (k, n, n)
     Hermitian stack, bit for bit those of ``np.linalg.eigvalsh(s)``: the
-    sorted diagonal of a stack whose real diagonals ``_unscaled`` takes, the
-    values LAPACK's zheevd computes for it; any other stack goes to LAPACK.
+    sorted diagonal of a stack that ``_real_diagonals`` takes, the values
+    LAPACK's zheevd computes for it; any other stack goes to LAPACK.
     """
-    return _eigvalsh_of(s, _real_diagonals(s))
-
-
-def _eigvalsh_of(s: np.ndarray, d: np.ndarray | None) -> np.ndarray:
-    """``_stack_eigvalsh(s)`` of a stack whose ``_real_diagonals`` are
-    ``d`` (None for any other stack), without testing it again."""
-    u = _unscaled(d)
-    return np.linalg.eigvalsh(s) if u is None else np.sort(u, axis=1)
+    d = _real_diagonals(s)
+    return np.linalg.eigvalsh(s) if d is None else np.sort(d, axis=1)
 
 
 def _matrix_array(a, square: bool = False) -> np.ndarray:
@@ -796,19 +766,24 @@ def _nonneg_projections(mats: Sequence[HermitianMatrix]) -> tuple[np.ndarray, li
     matrices of one dimension (a chunk of at most ``_chunk_len``), as one
     read-only (k, n, n) stack with their ranks.
 
-    A chunk of real diagonal matrices takes its projections from
-    ``_diagonal_nonneg_projections``, without a decomposition and without
-    caching one. For any other chunk the decompositions not yet cached
-    (``.eig``) are computed by one ``_eigh_stack`` and cached on their
-    matrices, and each B B* is formed from its own basis columns
-    (``_range_projections``). One ``_projection_stack`` checks them all (a
-    diagonal chunk's by its exact 0/1 branch). Each projection and rank is
-    bit for bit what its matrix gets alone;
-    each check raises on its first failing matrix.
+    A chunk that ``_real_diagonals`` takes has the projections diag(d >= 0),
+    without a decomposition and without caching one. They are the B B* of
+    the eigh route bit for bit: LAPACK's basis of such a matrix is a
+    permutation of the unit vectors, so B B* does not depend on the order it
+    gives tied entries (a stable sort orders them otherwise, which is why no
+    decomposition is made up and cached). For any other chunk the
+    decompositions not yet cached (``.eig``) are computed by one
+    ``_eigh_stack`` and cached on their matrices, and each B B* is formed
+    from its own basis columns (``_range_projections``). One
+    ``_projection_stack`` checks them all (a diagonal chunk's by its exact
+    0/1 branch). Each projection and rank is bit for bit what its matrix
+    gets alone; each check raises on its first failing matrix.
     """
     s = np.stack([m.mat for m in mats])
-    p = _diagonal_nonneg_projections(s)
-    if p is None:
+    d = _real_diagonals(s)
+    if d is not None:
+        p = _diagonal_matrices(d >= 0.0)
+    else:
         todo = [i for i, m in enumerate(mats) if m._eig is None]
         if todo:
             w, v = _eigh_stack(s if len(todo) == len(mats) else s[todo])
@@ -817,25 +792,6 @@ def _nonneg_projections(mats: Sequence[HermitianMatrix]) -> tuple[np.ndarray, li
         eigs = [m.eig for m in mats]
         p = _range_projections([e.vectors for e in eigs], [e.values >= 0.0 for e in eigs])
     return _projection_stack(p)
-
-
-def _diagonal_nonneg_projections(s: np.ndarray) -> np.ndarray | None:
-    """The unchecked projections diag(d >= 0) of a validated (k, n, n)
-    stack of real diagonal matrices with no -0.0 (``_real_diagonals``) and
-    no |d| above ``_UNSCALED_MAX``; else None.
-
-    They are the B B* of the eigh route bit for bit: LAPACK's basis of such
-    a matrix is a permutation of the unit vectors, so B B* does not depend
-    on the order it gives tied entries (a stable sort orders them
-    otherwise, which is why no decomposition is made up and cached). Above
-    ``_UNSCALED_MAX`` zheevd scales the matrix down, which can flush a tiny
-    negative entry to an eigenvalue of -0.0 that the eigh route counts as
-    nonnegative; a -0.0 entry is left to LAPACK too.
-    """
-    d = _real_diagonals(s)
-    if d is None or not np.abs(d).max() <= _UNSCALED_MAX:
-        return None
-    return _diagonal_matrices(d >= 0.0)
 
 
 def rank_eps(a) -> int:

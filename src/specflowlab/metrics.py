@@ -43,7 +43,7 @@ from .matcore import (
     _eigh_stack,
     _hermitian_stack,
     _op_norms,
-    _unscaled_real_diagonals,
+    _real_diagonals,
     as_hermitian,
 )
 from .opmodel import FAMILIES, DiagonalModel, _entries, closed_form_distances, realize
@@ -79,16 +79,14 @@ class _Operand:
     from one validated stacked eigendecomposition the Riesz and Cayley
     images and the weights (I + H^2)^{-1/2}.
 
-    A stack of real diagonal matrices within zheevd's unscaled range
-    (``_unscaled_real_diagonals``) keeps its diagonals ``d``, and the
-    distances between two such records read the scalar images of ``d``
+    A stack that ``_real_diagonals`` takes keeps its diagonals ``d``, and
+    the distances between two such records read the scalar images of ``d``
     (``_riesz_values``, ``_cayley_values``, ``_weight_values``), with no
-    decomposition and no dense transform. Those are
-    the bits of the eigh route: the eigenvalues are the diagonal and the
-    basis is a permutation, so each transform is diagonal with these
-    entries. Paired with a dense record, a diagonal one assembles its
-    transforms on the identity basis, which gives the same bits as the
-    permuted one.
+    decomposition and no dense transform. Those are the bits of the eigh
+    route: the eigenvalues are the diagonal and the basis is a permutation,
+    so each transform is diagonal with these entries. Paired with a dense
+    record, a diagonal one assembles its transforms on the identity basis,
+    which gives the same bits as the permuted one.
 
     ``_Operand(mats)`` holds the rows of a stack ``_hermitian_stack``
     returned; ``_Operand.of_matrix(h)`` holds one matrix, kept as ``h``, and
@@ -99,7 +97,7 @@ class _Operand:
     def __init__(self, mats: np.ndarray, h: HermitianMatrix | None = None):
         self.mats = mats
         self.h = h
-        self.d = _unscaled_real_diagonals(mats)
+        self.d = _real_diagonals(mats)
 
     @classmethod
     def of_matrix(cls, h) -> _Operand:

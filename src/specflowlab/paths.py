@@ -21,8 +21,7 @@ import numpy as np
 from .errors import DimensionMismatchError, EndpointError, InputError, require_int, require_real
 from .matcore import (
     EigenDecomposition, HermitianMatrix, _chunk_len, _chunks, _diagonal_matrices, _diff_norms,
-    _eigvalsh_of, _hermitian_rows, _hermitian_stack, _matrix_array, _stack_eigvalsh,
-    _valid_diagonals, op_norm,
+    _hermitian_rows, _hermitian_stack, _matrix_array, _real_diagonals, _stack_eigvalsh, op_norm,
 )
 
 __all__ = [
@@ -181,15 +180,14 @@ class OperatorPath:
     (which sf_pairsum projects) and the samples of a ``from_samples`` path.
     So every kept matrix has its eigenvalues held.
 
-    A chunk of real diagonal matrices with no -0.0 (``_valid_diagonals``,
+    A chunk of real diagonal matrices with no -0.0 (``_real_diagonals``,
     one test per chunk) is validated, factored and kept through its real
     diagonals: no validated copy of it is made, its eigenvalues are its
-    sorted diagonal where that gives LAPACK's bits (else LAPACK on the
-    chunk), and a kept point holds its n diagonal entries, not n^2 complex
-    ones. Its ``HermitianMatrix`` is built only when ``matrix`` or
-    ``matrices`` asks for it (the ends, sf_pairsum's junctions), and is
-    then kept in the diagonal's place, so a point's matrix is one object
-    with one cached ``eig``.
+    sorted diagonal, LAPACK's bits, and a kept point holds its n diagonal
+    entries, not n^2 complex ones. Its ``HermitianMatrix`` is built only
+    when ``matrix`` or ``matrices`` asks for it (the ends, sf_pairsum's
+    junctions), and is then kept in the diagonal's place, so a point's
+    matrix is one object with one cached ``eig``.
 
     * ``matrix(t)`` and ``matrices(ts)`` return the validated matrices and
       keep them;
@@ -305,8 +303,7 @@ class OperatorPath:
             need = [i for i, t in enumerate(chunk) if t not in self._vals]
             if need:
                 part = slice(None) if len(need) == len(chunk) else need
-                sub = stack[part]
-                w = _stack_eigvalsh(sub) if d is None else _eigvalsh_of(sub, d[part])
+                w = _stack_eigvalsh(stack[part]) if d is None else np.sort(d[part], axis=1)
                 w.setflags(write=False)
                 self._vals.update(zip([chunk[i] for i in need], w))
 
@@ -463,7 +460,7 @@ class OperatorPath:
         path = cls(evaluate, dim, regularity=piecewise_affine(ts[1:-1], rates))
         # the samples are kept as given, not re-evaluated by the interpolant
         size = _chunk_len(dim)
-        rows = ((c, s, _valid_diagonals(s)) for c, s in zip(_chunks(ts, size), _chunks(arr, size)))
+        rows = ((c, s, _real_diagonals(s)) for c, s in zip(_chunks(ts, size), _chunks(arr, size)))
         path._sample(ts, keep=True, rows=rows)
         return path
 
@@ -526,7 +523,7 @@ class _Composite(OperatorPath):
 
     Its evaluator assembles the parts' validated rows (their ``stack``), so
     its stacks are taken without a second Hermitian check, the bits the
-    parts hold; only the diagonal test (``_valid_diagonals``) runs on them.
+    parts hold; only the diagonal test (``_real_diagonals``) runs on them.
     A point whose eigenvalues its part already holds takes them, so a
     part's sampled points are not sampled again; a junction whose matrix
     the part did not keep is evaluated again. An evaluator passed to
@@ -546,7 +543,7 @@ class _Composite(OperatorPath):
     def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         stack = self._evaluator(ts)
         stack.setflags(write=False)
-        return stack, _valid_diagonals(stack)
+        return stack, _real_diagonals(stack)
 
     def _unknown(self, ts: Sequence[float]) -> list[float]:
         todo = super()._unknown(ts)

@@ -230,6 +230,13 @@ FILES = {
         '0, 0], [0, 2, 0, 0], [0, 0, 0.75, 0], [0, 0, 0, -1]], "im": [[0, 0, 0, 0], [0, 0, '
         '0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}}}}'
     ),
+    # inputs at the edges of the diagonal test: one entry; entries beyond
+    # zheevd's unscaled band; a middle sample whose entries all lie below it
+    "dim1.json": _sampled_file([np.array([[-1.0 + 0j]]), np.array([[1.0 + 0j]])]),
+    "diag1e200.json": _sampled_file([np.diag(d) * 1e200 + 0j for d in (
+        [-1.0, 2.0, 3.0], [0.5, 2.0, 1.0], [1.0, 2.0, 3.0])]),
+    "diag_tiny.json": _sampled_file([np.diag(d) + 0j for d in (
+        [-1.0, -1.0, 2.0], [1e-150, -1e-150, 2e-150], [1.0, 1.0, 2.0])]),
     "notjson.json": "{",
     "list.json": "[]",
 }
@@ -269,6 +276,9 @@ RUNS = [
     ("report_negzero", ["report", "--input", "negzero.json"], (0, 1, "")),
     ("report_interp_diag", ["report", "--input", "interp_diag.json"], (0, 1, "")),
     ("report_sampled3", ["report", "--input", "sampled3.json"], (0, 2, "")),
+    *[(f"{sub}_{name}", [sub, "--input", f"{name}.json"], (0, value, ""))
+      for name, value in (("dim1", 1), ("diag1e200", 1), ("diag_tiny", 2))
+      for sub in ("compute", "report")],
     ("compute_sampled3_s17", ["compute", "--input", "sampled3.json", "--samples", "17"],
      (0, 2, "")),
     ("axioms_t8_s3", ["axioms", "--trials", "8", "--seed", "3"], (0, 16, "")),

@@ -1,15 +1,15 @@
 """The diagonal routes give the bits of the routes they bypass.
 
-Six kinds of work are decided by structure: on a stack of real diagonal
-matrices, the Hermitian check (``_valid_diagonals``), a path's samples,
-held as their diagonals (``_valid_diagonals`` in ``OperatorPath._sample``),
-the nonnegative projections of sf_pairsum's junctions
-(``_diagonal_nonneg_projections``), the eigenvalues of the projection check
-and of the pair index (``_stack_eigvalsh``) and the distances between the
-metric report's operand records (``metrics._Operand``); on a stack of
-complex diagonal matrices, the operator norm (``_op_norms``, by
-``_route_norms``). Each test runs a corpus through the library, then again
-with the route's guard patched off, and compares the bytes, the ranks, and
+Six kinds of work are decided by structure. On a stack of real diagonal
+matrices one test, ``_real_diagonals``, decides five of them: the Hermitian
+check, a path's samples (held as their diagonals by
+``OperatorPath._sample``), the nonnegative projections of sf_pairsum's
+junctions (``_nonneg_projections``), the eigenvalues of the projection
+check and of the pair index (``_stack_eigvalsh``) and the distances between
+the metric report's operand records (``metrics._Operand``). On a stack of
+complex diagonal matrices, the operator norm (``_op_norms``) takes
+``_route_norms``. Each test runs a corpus through the library, then again
+with the route's test patched off, and compares the bytes, the ranks, and
 the class and text of what is raised."""
 
 import warnings
@@ -129,7 +129,7 @@ def test_diagonal_copy_gives_the_general_routes_bits(monkeypatch):
         for name, a in cases.items():
             fast[name] = _outcome(matcore._hermitian_stack, a)
         with monkeypatch.context() as m:
-            m.setattr(matcore, "_valid_diagonals", lambda _a: None)
+            m.setattr(matcore, "_real_diagonals", lambda _a: None)
             for name, a in cases.items():
                 general[name] = _outcome(matcore._hermitian_stack, a)
     for name in cases:
@@ -141,13 +141,11 @@ def test_diagonal_copy_gives_the_general_routes_bits(monkeypatch):
             assert [r[0][0] for r in rows] == [
                 row.tobytes() for row in matcore._hermitian_stack(a)
             ], name
-    taken = {name: matcore._valid_diagonals(a) is not None for name, a in cases.items()}
-    for name in (
-        "ties", "zeros", "negative", "one", "half_integers", "scale_1e200", "scale_1e-200",
-        "range_ends", "half_max",
-    ):
+    taken = {name: matcore._real_diagonals(a) is not None for name, a in cases.items()}
+    for name in ("ties", "zeros", "negative", "one", "half_integers"):
         assert taken[name], name
     for name in (
+        "scale_1e200", "scale_1e-200", "range_ends", "half_max",
         "neg_zero_diagonal", "neg_zero_off_diagonal", "neg_zero_off_diagonal_imag",
         "neg_zero_diagonal_imag",
         "nan_diagonal", "inf_diagonal", "nan_off_diagonal", "inf_off_diagonal",
@@ -200,12 +198,11 @@ def test_diagonal_junction_projections_give_the_eigh_routes_bits(monkeypatch):
         warnings.simplefilter("ignore")  # LAPACK on NaN and Inf
         fast = {name: _outcome(matcore._nonneg_projections, fresh(name)) for name in chunks}
         taken = {
-            name: matcore._diagonal_nonneg_projections(np.stack([m.mat for m in chunks[name]]))
-            is not None
+            name: matcore._real_diagonals(np.stack([m.mat for m in chunks[name]])) is not None
             for name in chunks
         }
         with monkeypatch.context() as m:
-            m.setattr(matcore, "_diagonal_nonneg_projections", lambda _s: None)
+            m.setattr(matcore, "_real_diagonals", lambda _s: None)
             general = {
                 name: _outcome(matcore._nonneg_projections, fresh(name)) for name in chunks
             }
@@ -217,12 +214,13 @@ def test_diagonal_junction_projections_give_the_eigh_routes_bits(monkeypatch):
             alone = [matcore._nonneg_projections([m]) for m in fresh(name)]
             assert b"".join(p.tobytes() for p, _ in alone) == out[0][0], name
             assert [r for _, (r,) in alone] == out[1], name
-    for name in ("ties", "zeros", "positive", "negative", "one", "scale_1e-200", "below_range"):
+    for name in ("ties", "zeros", "positive", "negative", "one"):
         assert taken[name], name
     assert sum(taken.values()) >= 80
     for name in (
-        "scale_1e200", "range_ends", "tiny_negative_beside_huge", "neg_zero_diagonal",
-        "neg_zero_off_diagonal", "nan_diagonal", "inf_diagonal", "mixed_chunk",
+        "scale_1e200", "scale_1e-200", "range_ends", "below_range", "tiny_negative_beside_huge",
+        "neg_zero_diagonal", "neg_zero_off_diagonal", "nan_diagonal", "inf_diagonal",
+        "mixed_chunk",
     ):
         assert not taken[name], name
     # scaled down by zheevd, the tiny negative entry becomes an eigenvalue of
@@ -241,9 +239,10 @@ def test_diagonal_route_caches_no_decomposition():
 
 
 def test_diagonal_routes_send_other_layouts_to_the_general_route():
-    """An empty stack once raised IndexError in ``_stack_eigvalsh`` and
-    ``_diagonal_nonneg_projections``, and a Fortran-ordered or strided stack
-    of real diagonal matrices numpy's "last axis must be contiguous";
+    """An empty stack once raised IndexError in the diagonal routes of the
+    eigenvalues and of the junction projections, and a Fortran-ordered or
+    strided stack of real diagonal matrices numpy's "last axis must be
+    contiguous";
     ``_real_diagonals`` now sends them to LAPACK's eigenvalues and to the
     decomposition's projections."""
     s = _diagonal_stack([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0]])
@@ -255,7 +254,7 @@ def test_diagonal_routes_send_other_layouts_to_the_general_route():
         "strided": wide[:, ::2, ::2],
     }
     for name, a in cases.items():
-        assert matcore._diagonal_nonneg_projections(a) is None, name
+        assert matcore._real_diagonals(a) is None, name
         got, want = matcore._stack_eigvalsh(a), np.linalg.eigvalsh(a)
         assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
 
@@ -377,8 +376,7 @@ def test_diagonal_lines_certify_as_the_lapack_routes(name, params, monkeypatch):
     again = sf_all_methods(family_path(name, params))
     assert "eigh" not in calls and "eigvalsh" not in calls
     with monkeypatch.context() as m:
-        m.setattr(matcore, "_valid_diagonals", lambda _a: None)
-        m.setattr(matcore, "_diagonal_nonneg_projections", lambda _s: None)
+        m.setattr(matcore, "_real_diagonals", lambda _a: None)
         _lapack_eigvalsh(m)
         general = sf_all_methods(family_path(name, params))
     assert repr(fast) == repr(again) == repr(general)
@@ -462,7 +460,7 @@ def _path_outcome(make):
 
 
 def _run_paths(corpus, guard, monkeypatch):
-    """The outcomes of the corpus with ``guard`` as ``_valid_diagonals``,
+    """The outcomes of the corpus with ``guard`` as ``_real_diagonals``,
     and, per path, whether it took any chunk."""
     outcomes, taken = {}, {}
     for name, make in corpus.items():
@@ -475,7 +473,7 @@ def _run_paths(corpus, guard, monkeypatch):
 
         with monkeypatch.context() as m:
             for module in (matcore, paths):
-                m.setattr(module, "_valid_diagonals", spy)
+                m.setattr(module, "_real_diagonals", spy)
             outcomes[name] = _path_outcome(make)
         taken[name] = any(hits)
     return outcomes, taken
@@ -490,7 +488,7 @@ def test_diagonal_paths_give_the_dense_routes_bits(monkeypatch):
     corpus = _diagonal_path_corpus()
     with warnings.catch_warnings(), monkeypatch.context() as m:
         warnings.simplefilter("ignore")  # LAPACK on NaN
-        fast, taken = _run_paths(corpus, matcore._valid_diagonals, monkeypatch)
+        fast, taken = _run_paths(corpus, matcore._real_diagonals, monkeypatch)
         m.setattr(generators, "_real_diagonals", lambda _s: None)
         general, _ = _run_paths(corpus, lambda _a: None, monkeypatch)
     for name in corpus:
@@ -649,7 +647,7 @@ def test_metric_report_gives_the_svd_bits(law, monkeypatch):
     cases.append((DiagonalModel(64, law), ["rank_one", "lambda", "fuglede"], [1, 2, 31, 63]))
     fast = [_report(*args) for args in cases]
     with monkeypatch.context() as m:
-        m.setattr(metrics, "_unscaled_real_diagonals", lambda _s: None)
+        m.setattr(metrics, "_real_diagonals", lambda _s: None)
         m.setattr(matcore, "_route_norms", lambda _d: None)
         general = [_report(*args) for args in cases]
     assert fast == general

@@ -1,8 +1,9 @@
 """Each command loads only the layers it runs: the package exports its names
 lazily, and the CLI imports a subcommand's layers when the subcommand runs.
 Every check starts a fresh interpreter, since this test process has
-imported every layer already. The path layer loads no method, and the
-methods read none of a path's privates."""
+imported every layer already. The path layer loads no method, the
+methods read none of a path's privates, and one function reads zheevd's
+unscaled band."""
 
 import ast
 import json
@@ -67,6 +68,35 @@ def test_the_methods_read_no_private_attribute():
         and not (node.attr.startswith("__") and node.attr.endswith("__"))
     ]
     assert private == []
+
+
+def test_zheevds_band_is_read_by_the_one_diagonal_test():
+    """``_UNSCALED_MIN`` and ``_UNSCALED_MAX`` are read in ``src`` only by
+    ``matcore._real_diagonals``, outside their own definitions: no other
+    diagonal route applies a range of its own."""
+    band = {"_UNSCALED_MIN", "_UNSCALED_MAX"}
+    reads = set()
+    for file in sorted((SRC / "specflowlab").glob("*.py")):
+        tree = ast.parse(file.read_text())
+        definitions = {
+            id(node)
+            for stmt in tree.body
+            if isinstance(stmt, ast.Assign)
+            and band & {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+            for node in ast.walk(stmt)
+        }
+        owner = {}  # ast.walk goes outside in, so the innermost function wins
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)  # Name, Attribute
+            if name in band and id(node) not in definitions:
+                reads.add((file.stem, owner.get(id(node)), name))
+    assert sorted(reads) == [
+        ("matcore", "_real_diagonals", "_UNSCALED_MAX"),
+        ("matcore", "_real_diagonals", "_UNSCALED_MIN"),
+    ]
 
 
 def test_compute_and_report_load_no_other_layer(tmp_path):

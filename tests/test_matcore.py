@@ -162,7 +162,7 @@ def _both_routes(a, monkeypatch):
     exactly-Hermitian shortcut."""
     fast = _validated(a)
     with monkeypatch.context() as m:
-        m.setattr(matcore, "_valid_diagonals", lambda _a: None)
+        m.setattr(matcore, "_real_diagonals", lambda _a: None)
         m.setattr(matcore, "_exact_average_into", lambda _a, _out: False)
         general = _validated(a)
     return fast, general
@@ -176,12 +176,12 @@ def _exact_stack(seed, k, n):
 
 
 def _route_spy(monkeypatch):
-    """Patch ``_valid_diagonals`` and ``_exact_average_into`` to record the
+    """Patch ``_real_diagonals`` and ``_exact_average_into`` to record the
     route each call took: "diagonal", "copy", or "formula" where the
     shortcut declined (nothing for a stack not equal to its adjoint);
     returns the record."""
     taken = []
-    diagonal, exact = matcore._valid_diagonals, matcore._exact_average_into
+    diagonal, exact = matcore._real_diagonals, matcore._exact_average_into
 
     def diagonal_spy(a):
         out = diagonal(a)
@@ -194,7 +194,7 @@ def _route_spy(monkeypatch):
         taken.append("copy" if copied else "formula")
         return copied
 
-    monkeypatch.setattr(matcore, "_valid_diagonals", diagonal_spy)
+    monkeypatch.setattr(matcore, "_real_diagonals", diagonal_spy)
     monkeypatch.setattr(matcore, "_exact_average_into", exact_spy)
     return taken
 
@@ -290,7 +290,7 @@ def test_sparse_path_stacks_take_the_copy(make, monkeypatch):
     fast = [h.mat.tobytes() for h in make().matrices(ts)]
     assert taken and set(taken) == {"diagonal"}
     with monkeypatch.context() as m:
-        m.setattr(matcore, "_valid_diagonals", lambda _a: None)
+        m.setattr(matcore, "_real_diagonals", lambda _a: None)
         m.setattr(matcore, "_exact_average_into", lambda _a, _out: False)
         assert [h.mat.tobytes() for h in make().matrices(ts)] == fast
 
@@ -359,8 +359,7 @@ def test_diagonal_stacks_take_the_sorted_diagonal_bit_for_bit(monkeypatch):
         s = _diagonal_stack(d + 0.0)  # + 0.0 turns a -0.0 into +0.0
         amax = np.max(np.abs(d), axis=1)
         unscaled = bool(np.all((amax == 0.0) | ((amax >= lo) & (amax <= hi))))
-        # the one-look pre-check reads the first 1x1 matrix's only entry
-        expect_routed = unscaled and (n > 1 or d[0, 0] == 0.0)
+        expect_routed = unscaled
         before = len(calls)
         got = matcore._stack_eigvalsh(s)
         assert (len(calls) == before) == expect_routed, case
@@ -421,10 +420,7 @@ def _norm_over_spy(monkeypatch):
 
 def test_exact_projection_diagonals_skip_the_dense_checks(monkeypatch):
     """Real diagonal stacks of exact 0.0s and 1.0s get, without the dense
-    checks, the general route's bytes, read-only flag and ranks. (At n = 1
-    the one-look test of ``_real_diagonals`` reads the first matrix's
-    diagonal entry as its bottom-left one, so a stack starting with a 1 is
-    checked as dense.)"""
+    checks, the general route's bytes, read-only flag and ranks."""
     rng = np.random.default_rng(39)
     cases = []
     for k in (1, 2, 3):
@@ -435,10 +431,10 @@ def test_exact_projection_diagonals_skip_the_dense_checks(monkeypatch):
     for d in cases:
         before = len(calls)
         fast.append(_checked_projections(_diagonal_stack(d)))
-        assert len(calls) == before + (d.shape[1] == 1 and d[0, 0] == 1), d
+        assert len(calls) == before, d
     calls.clear()
     with monkeypatch.context() as m:
-        m.setattr(matcore, "_valid_diagonals", lambda _a: None)
+        m.setattr(matcore, "_real_diagonals", lambda _a: None)
         general = [_checked_projections(_diagonal_stack(d)) for d in cases]
     assert len(calls) == len(cases)
     assert fast == general

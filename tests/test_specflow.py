@@ -686,7 +686,8 @@ def test_a_diagonal_chunk_takes_one_diagonal_test(family, monkeypatch):
         p._evaluator = lambda ts, evaluate=evaluate: chunks.append(len(ts)) or evaluate(ts)
     tests = []
     count = matcore._real_diagonals
-    monkeypatch.setattr(matcore, "_real_diagonals", lambda s: tests.append(len(s)) or count(s))
+    for module in (matcore, paths):
+        monkeypatch.setattr(module, "_real_diagonals", lambda s: tests.append(len(s)) or count(s))
     grid = np.linspace(0.0, 1.0, 65)
     path.values(grid[::2])
     path.matrices(grid[1::4])
