@@ -154,6 +154,12 @@ def lipschitz(knots: Sequence[float], rates: Sequence[float]) -> Regularity:
     return Regularity("lipschitz", tuple(knots), tuple(rates))
 
 
+#: the most bytes a sampling grid may hold (``OperatorPath.grid``), and a
+#: point's bytes besides its matrix and eigenvalues: 0.55 KB per sample
+#: measured at dim 2, less that point's 80, rounded up
+_GRID_CAP_BYTES, _POINT_BYTES = 1 << 30, 512
+
+
 @lru_cache(maxsize=None)
 def _uniform(samples: int) -> tuple[float, ...]:
     """``samples`` uniform points of [0, 1], built once per sample count."""
@@ -330,9 +336,17 @@ class OperatorPath:
     def grid(self, samples: int) -> tuple[tuple[float, ...], np.ndarray]:
         """``samples`` uniform points of [0, 1] (``_uniform``) and the
         knots, with the declared step bounds along them, built once per
-        sample count."""
+        sample count. A grid whose points could hold more than 1 GiB (one
+        kept matrix, n eigenvalues and ``_POINT_BYTES`` each) is refused
+        before anything is allocated: that is 16 times the default oracle
+        grid at dim 128 (257 points, 68 MB), yet a small host runs out of
+        memory, and kills the process, on a larger grid."""
 
         def build():
+            need = samples * (16 * self._dim**2 + 8 * self._dim + _POINT_BYTES)
+            if need > _GRID_CAP_BYTES:
+                raise InputError(f"samples {samples} at dim {self._dim} would hold about "
+                                 f"{need:.2e} bytes; the grid cap is {_GRID_CAP_BYTES} bytes")
             grid = _uniform(samples)
             if self._regularity.knots:
                 grid = tuple(sorted(set(grid).union(self._regularity.knots)))

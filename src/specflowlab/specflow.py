@@ -51,10 +51,8 @@ from .errors import (
     require_int,
 )
 from .matcore import _chunk_len, _chunks, _nonneg_projections
-from .paths import (  # the path names stay importable from here
-    _ENDPOINT_GAP, _SOUNDNESS, OperatorPath, Regularity, _gamma, lipschitz, path_concat,
-    path_reverse, piecewise_affine,
-)
+# path_concat is read from here by the benchmark's workloads, not by this module
+from .paths import _ENDPOINT_GAP, _SOUNDNESS, OperatorPath, _gamma, path_concat
 from .projpair import _pair_indices
 
 __all__ = [

@@ -1,16 +1,19 @@
 """The flow corpus: named paths, and a run list of CLI argument vectors.
 
 ``CORPUS`` maps a name to a builder of a fresh path. ``FILES`` holds the
-input files that the CI workflow writes, and ``RUNS`` the argument vectors
-run on them: every subcommand, both output formats, and every input that CI
-expects to exit 1 or 2. A run records only what holds on any host: its exit
-code, a value read from its output (``_value``), and the prefix of its first
-stderr line. ``test_corpus.py`` checks those.
+input files, and ``RUNS`` the argument vectors run on them: every
+subcommand, both output formats, and every input expected to exit 1 or 2.
+This run list is the one list of CLI runs that CI checks. A run records
+only what holds on any host: its exit code, a value read from its output
+(``_value``), and the prefix of its stderr, one line on a failure and none
+on a success; a warning raised in a run is written to its stderr too.
+``test_corpus.py`` checks those.
 
     python tests/corpus.py --digests out.json
 
 runs the list once in this process and writes the sha256 of each run's
-output file and stderr. Two such files, written from two checkouts on one
+output file and stderr. CI writes two such files, under PYTHONHASHSEED 0
+and 1, and compares them. Two such files, written from two checkouts on one
 host with the same BLAS thread count, decide a "same bytes" claim. Tier-1
 pins no digest: the determinism contract ties the bytes to one BLAS build,
 CPU and thread count. The script uses the package of its own checkout.
@@ -24,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 if __name__ == "__main__":  # run as a script: the package of this checkout
@@ -44,7 +48,7 @@ from specflowlab.generators import (  # noqa: E402
     trig_path,
 )
 from specflowlab.matcore import HermitianMatrix  # noqa: E402
-from specflowlab.specflow import OperatorPath, lipschitz, path_concat, path_reverse  # noqa: E402
+from specflowlab.paths import OperatorPath, lipschitz, path_concat, path_reverse  # noqa: E402
 
 
 def _sampled(dim, count):
@@ -127,7 +131,7 @@ def _graded40() -> dict:
     return {"p": 24, "q": 16, "A": {"rows": 16, "cols": 24, "re": re.tolist(), "im": im.tolist()}}
 
 
-#: file name -> its text, as the CI workflow writes it, or a JSON object
+#: file name -> its text, or a JSON object that ``run_all`` writes by ``json.dumps``
 FILES = {
     "trig48.json": '{"kind": "family", "dim": 48, "family": {"name": "trig_random", "seed": 5}}',
     "trig64.json": '{"kind": "family", "dim": 64, "family": {"name": "trig_random", "seed": 5}}',
@@ -355,7 +359,8 @@ def _value(command: str, text: str):
 
 def run_all(workdir) -> dict:
     """Write ``FILES`` into ``workdir`` and run ``RUNS`` there in this
-    process; returns name -> (exit code, output text or None, stderr)."""
+    process; returns name -> (exit code, output text or None, stderr). The
+    warnings a run raises are appended to its stderr, one line each."""
     results = {}
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -364,8 +369,11 @@ def run_all(workdir) -> dict:
             Path(name).write_text(text if isinstance(text, str) else json.dumps(text))
         for name, argv, _ in RUNS:
             out, err = Path(f"{name}.out"), io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(err):
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = cli.main([*argv, "--out", out.name])
+            err.writelines(f"{w.category.__name__}: {w.message}\n" for w in caught)
             results[name] = code, out.read_text() if out.exists() else None, err.getvalue()
     finally:
         os.chdir(cwd)

@@ -2,6 +2,7 @@
 codes, and byte-determinism of the emitted files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,23 @@ def test_an_option_before_the_subcommand_is_named(crossing_file, capsys):
         assert err == f"error: option {opt} must follow the subcommand: specflow COMMAND {opt}\n"
     assert cli.main([]) == 1
     assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+
+
+def test_a_huge_sample_count_is_refused_not_allocated(tmp_path, capsys):
+    """10^8 samples on the README's sampled file once got the process
+    killed: the grid is refused, with one error line, before it is built."""
+    f = write_json(tmp_path / "p.json", diag_path_obj([-1.0, 2.0], [0.2, 2.0], [1.0, 2.0]))
+    tracemalloc.start()
+    try:
+        code = cli.main(["compute", "--input", f, "--samples", "100000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 2**22
+    assert capsys.readouterr().err == (
+        "error: samples 100000000 at dim 2 would hold about 5.92e+10 bytes; "
+        "the grid cap is 1073741824 bytes\n"
+    )
 
 
 def test_help_exit_0(capsys):
@@ -365,6 +383,13 @@ def test_axioms_command_small(capsys):
     reports = json.loads(capsys.readouterr().out)
     assert len(reports) == 16
     assert all(r["ok"] for r in reports)
+
+
+def test_axioms_with_no_trials_runs_no_law_trial(capsys):
+    assert cli.main(["axioms", "--trials", "0", "--seed", "2"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 16
+    assert [r["trials"] for r in reports] == [0] * 16
 
 
 def test_axioms_command_splits_its_trials_in_the_library(capsys):

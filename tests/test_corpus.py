@@ -23,6 +23,7 @@ def test_the_run_list_covers_every_subcommand_and_exit_code():
 @pytest.mark.parametrize("name, argv, want", RUNS, ids=[name for name, _, _ in RUNS])
 def test_each_run_exits_reads_and_refuses_as_recorded(results, name, argv, want):
     code, value, line = outcome(argv, results[name])
-    assert (code, value) == want[:2]
-    # a run that succeeds writes nothing to stderr
-    assert line.startswith(want[2]) if want[2] else results[name][2] == ""
+    assert (code, value) == want[:2] and line.startswith(want[2])
+    # a run that succeeds writes nothing to stderr, and one that fails one
+    # line; a warning the run raised is a line of its own there
+    assert results[name][2] == (line + "\n" if code else "")

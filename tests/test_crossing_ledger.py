@@ -13,14 +13,8 @@ from corpus import CORPUS
 from specflowlab import specflow
 from specflowlab.errors import InputError, SamplingError
 from specflowlab.generators import family_path, random_unitary, trig_path
-from specflowlab.specflow import (
-    OperatorPath,
-    SfOptions,
-    crossing_oracle_report,
-    lipschitz,
-    piecewise_affine,
-    sf_all_methods,
-)
+from specflowlab.paths import OperatorPath, lipschitz, piecewise_affine
+from specflowlab.specflow import SfOptions, crossing_oracle_report, sf_all_methods
 
 
 def _run(call, path, opts=SfOptions()):

@@ -23,14 +23,9 @@ from specflowlab.matcore import HermitianMatrix, Projection
 from specflowlab.metrics import metric_separation_report
 from specflowlab.opmodel import DiagonalModel
 from specflowlab.projpair import pair_index
+from specflowlab.paths import OperatorPath, path_reverse, piecewise_affine
 from specflowlab.serialize import path_from_obj
-from specflowlab.specflow import (
-    OperatorPath,
-    certify_invertible,
-    path_reverse,
-    piecewise_affine,
-    sf_all_methods,
-)
+from specflowlab.specflow import certify_invertible, sf_all_methods
 
 from test_matcore import _diagonal_stack
 from test_specflow import _diagonal_concat, _diagonal_samples

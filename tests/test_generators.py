@@ -30,7 +30,7 @@ from specflowlab import (
 )
 from specflowlab.matcore import _hermitian_stack, apply_function, op_norm
 from specflowlab.opmodel import DiagonalModel, family_perturbation, realize
-from specflowlab.specflow import lipschitz
+from specflowlab.paths import lipschitz
 from conftest import random_spd
 from test_regularity import _assert_bounds_hold
 

@@ -33,7 +33,7 @@ from specflowlab.matcore import (
 
 from specflowlab.generators import family_path
 from specflowlab.graded import GradedOperator
-from specflowlab.specflow import OperatorPath, lipschitz
+from specflowlab.paths import OperatorPath, lipschitz
 from specflowlab.transforms import cayley, riesz
 
 from conftest import random_hermitian

@@ -18,17 +18,15 @@ from specflowlab.generators import (
     trig_path,
 )
 from specflowlab.matcore import HermitianMatrix, op_norm
-from specflowlab.specflow import (
+from specflowlab.paths import (
     OperatorPath,
     Regularity,
-    certify_invertible,
-    crossing_oracle_report,
     lipschitz,
     path_concat,
     path_reverse,
     piecewise_affine,
-    sf_all_methods,
 )
+from specflowlab.specflow import certify_invertible, crossing_oracle_report, sf_all_methods
 
 
 def _connector(dim):

@@ -25,15 +25,11 @@ from specflowlab.errors import (
     SpecFlowError,
 )
 from specflowlab.matcore import HermitianMatrix, op_norm
+from specflowlab.paths import OperatorPath, lipschitz, path_concat, path_reverse, piecewise_affine
 from specflowlab.specflow import (
-    OperatorPath,
     SfOptions,
     certify_invertible,
     crossing_oracle_report,
-    lipschitz,
-    path_concat,
-    path_reverse,
-    piecewise_affine,
     sf_all_methods,
     sf_crossing_oracle,
     sf_endpoints,
@@ -874,3 +870,37 @@ def test_grids_are_the_uniform_points_and_the_knots(samples):
     assert list(knotted.grid(samples)[0]) == sorted(
         set(uniform) | set(knotted.regularity.knots)
     )
+
+
+@pytest.mark.parametrize("dim", [2, 128])
+def test_a_grid_beyond_the_cap_is_refused_before_it_is_built(dim):
+    """A grid whose points could hold more than ``_GRID_CAP_BYTES`` is an
+    input error, raised before anything is allocated: 10^8 samples at dim 2
+    once got the process killed. At dim 128 the largest grid under the cap
+    is built."""
+    most = paths._GRID_CAP_BYTES // (16 * dim * dim + 8 * dim + paths._POINT_BYTES)
+    if dim == 2:
+        path = OperatorPath.from_samples(
+            [HermitianMatrix(np.diag([v, 2.0])) for v in (-1.0, 0.2, 1.0)]
+        )
+    else:
+        path = family_path("fuglede_line", {"N": 128, "n": 40})
+    assert path.dim == dim
+    with pytest.raises(InputError, match=f"^samples {most + 1} at dim {dim} would hold"):
+        path.grid(most + 1)
+    if dim == 128:
+        assert len(path.grid(most)[0]) == most
+    tracemalloc.start()
+    try:
+        for opts in (SfOptions(samples=10**8), SfOptions(oracle_samples=10**8)):
+            with pytest.raises(InputError) as err:
+                sf_all_methods(path, opts)
+            assert str(err.value) == (
+                f"samples 100000000 at dim {dim} would hold about "
+                f"{10**8 * (16 * dim * dim + 8 * dim + 512):.2e} bytes; "
+                "the grid cap is 1073741824 bytes"
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21
