@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -160,10 +160,23 @@ def lipschitz(knots: Sequence[float], rates: Sequence[float]) -> Regularity:
 _GRID_CAP_BYTES, _POINT_BYTES = 1 << 30, 512
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _uniform(samples: int) -> tuple[float, ...]:
-    """``samples`` uniform points of [0, 1], built once per sample count."""
+    """``samples`` uniform points of [0, 1], shared by the paths that ask
+    for one of the last 8 sample counts: the flows read two (``samples``
+    and ``oracle_samples``), and a process that sweeps counts does not keep
+    every grid it built."""
     return tuple(sorted(set(np.linspace(0.0, 1.0, samples).tolist())))
+
+
+def _eigenvalues(stack: np.ndarray, d: np.ndarray | None, part) -> np.ndarray:
+    """The read-only eigenvalues of the rows ``part`` of a validated chunk
+    (``OperatorPath._rows``): the sorted real diagonals ``d`` of a diagonal
+    chunk, else LAPACK's (``_stack_eigvalsh``). The one place a path
+    factors its points."""
+    w = _stack_eigvalsh(stack[part]) if d is None else np.sort(d[part], axis=1)
+    w.setflags(write=False)
+    return w
 
 
 class OperatorPath:
@@ -181,10 +194,11 @@ class OperatorPath:
     One routine, ``_sample``, fills the path's stores: it evaluates the
     points not yet held by one evaluator call per chunk of at most
     ``_CHUNK_BYTES`` bytes, takes the eigenvalues they lack from the same
-    validated chunk by one batched ``eigvalsh``, and keeps a matrix only
-    where one is asked for: the ends, the ends of the certified segments
-    (which sf_pairsum projects) and the samples of a ``from_samples`` path.
-    So every kept matrix has its eigenvalues held.
+    validated chunk by one batched ``eigvalsh`` (``_eigenvalues``), and
+    keeps a matrix only where one is asked for: the ends, the samples of a
+    ``from_samples`` path (its knots) and the segment ends that sf_pairsum
+    projects. So every kept matrix has its eigenvalues held, and every
+    other sample holds only its n eigenvalues.
 
     A chunk of real diagonal matrices with no -0.0 (``_real_diagonals``,
     one test per chunk) is validated, factored and kept through its real
@@ -204,21 +218,20 @@ class OperatorPath:
       array, keeping nothing;
     * ``eig(t)`` is the validated full decomposition the matrix at t caches.
 
-    A method that needs a point's matrix asks for it before its
-    eigenvalues, so no point is evaluated twice within one call. sf_phillips
-    keeps (``keep``) the samples it evaluates for the segments it is still
-    subdividing, since any of them may become a segment end, and drops them
-    (``drop``) as the segments certify; a sample whose eigenvalues the path
-    already holds is not evaluated again. sf_pairsum projects the segment
-    ends in stacks. The library's evaluators do per matrix the same
-    floating-point operations, in the same order, as a one-point call, and a
-    stacked LAPACK call runs the same routine on every matrix, so each value
-    is bit-identical to a one-at-a-time evaluation and does not depend on
-    which grids were sampled before. The end gaps with their rounding slack
-    are measured once per path, each sampling grid with its steps is built
-    once per sample count (``grid``), and the methods hold what they derive
-    from a path, such as the certified subdivision that sf_pairsum reuses
-    from sf_phillips, in its one memo (``memo``).
+    Each point's eigenvalues are computed once per path. A point's matrix
+    is evaluated again only when it is asked for after its eigenvalues:
+    sf_phillips scores its samples by their eigenvalues alone, so an inner
+    segment end is evaluated a second time when sf_pairsum projects it,
+    and its held eigenvalues are not computed again. The library's
+    evaluators do per matrix the same floating-point operations, in the
+    same order, as a one-point call, and a stacked LAPACK call runs the
+    same routine on every matrix, so each value is bit-identical to a
+    one-at-a-time evaluation and does not depend on which grids were
+    sampled before. The end gaps with their rounding slack are measured
+    once per path, each sampling grid with its steps is built once per
+    sample count (``grid``), and the methods hold what they derive from a
+    path, such as the certified subdivision that sf_pairsum reuses from
+    sf_phillips, in its one memo (``memo``).
 
     ``path_concat`` and ``path_reverse`` build their paths from their
     parts' validated rows without a second Hermitian check, and take the
@@ -309,22 +322,7 @@ class OperatorPath:
             need = [i for i, t in enumerate(chunk) if t not in self._vals]
             if need:
                 part = slice(None) if len(need) == len(chunk) else need
-                w = _stack_eigvalsh(stack[part]) if d is None else np.sort(d[part], axis=1)
-                w.setflags(write=False)
-                self._vals.update(zip([chunk[i] for i in need], w))
-
-    def keep(self, ts: Sequence[float]) -> list[float]:
-        """Keep the matrices of the points of ``ts`` whose eigenvalues the
-        path does not hold yet, and return those points; a point whose
-        eigenvalues are held is not evaluated."""
-        new = self._unknown(ts)
-        self._sample(new, keep=True)
-        return new
-
-    def drop(self, ts: Iterable[float]) -> None:
-        """Drop the matrices kept at ``ts``; their eigenvalues stay held."""
-        for t in ts:
-            self._mats.pop(t, None)
+                self._vals.update(zip([chunk[i] for i in need], _eigenvalues(stack, d, part)))
 
     def memo(self, key, build: Callable[[], object]):
         """The value held on the path under ``key``: ``build()``, called on

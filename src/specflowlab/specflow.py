@@ -236,21 +236,14 @@ def _certified_segments(
     # segment shows" demands steps finer than the path's invertibility scale.
     top_width = 0.5 * min(path.endpoint_gaps())
 
-    spare: set[float] = set()  # samples kept only in case they become junctions
-
     def visit(ts: Sequence[float], depth: int, steps: np.ndarray | None = None) -> None:
-        # Any sample may become a junction, whose projection sf_pairsum
-        # takes, if its segment splits deep enough. So a sample evaluated
-        # here is kept, its eigenvalues taken from the same chunk, and a
-        # segment's inner ones are dropped once it certifies.
-        spare.update(path.keep(ts))
+        # a segment is scored by its samples' eigenvalues alone
+        # (``_segment_level_and_margin``); the path keeps no sample's matrix
+        # here, and sf_pairsum asks for the segment ends it projects
         if steps is None:
             steps = path.regularity.step_bounds(ts)
         eps, margin = _segment_level_and_margin(path, ts, steps, top_width)
         if margin > 0.0:
-            done = spare.intersection(ts[1:-1])
-            spare.difference_update(done)
-            path.drop(done)
             out.append((ts, eps, margin))
             return
         if depth >= opts.max_depth:
@@ -263,13 +256,8 @@ def _certified_segments(
         visit(_refine(left), depth + 1)
         visit(_refine(right), depth + 1)
 
-    try:
-        grid, steps = path.grid(opts.samples)  # the top segment's steps are the grid's
-        visit(grid, 0, steps)
-    except Exception:
-        # no certificate will read them: the path keeps what it held before
-        path.drop(spare)
-        raise
+    grid, steps = path.grid(opts.samples)  # the top segment's steps are the grid's
+    visit(grid, 0, steps)
     return tuple(out)
 
 
@@ -326,7 +314,10 @@ def sf_pairsum(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> SfCertifi
     (its Weyl margin certifies that), so the rank of the spectral projection
     above eps_j is constant there, and the segment contributes
     ind(P(t_j), P(t_{j-1})) of the nonnegative spectral projections at its
-    ends. The junctions are projected in stacks of ``_chunk_len`` matrices
+    ends. The junctions' matrices are asked for in one chunked call
+    (``matrices``): sf_phillips kept only the ends' matrices, so its inner
+    junctions are evaluated again, their eigenvalues already held and not
+    computed again. They are projected in stacks of ``_chunk_len`` matrices
     (``nonneg_projection`` is the one-matrix case), each validated once
     (diagonal junctions' diag(d >= 0) by ``_projection_stack``'s exact 0/1
     branch, with no dense product), all before any pair is counted; the

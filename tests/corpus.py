@@ -12,11 +12,17 @@ on a success; a warning raised in a run is written to its stderr too.
     python tests/corpus.py --digests out.json
 
 runs the list once in this process and writes the sha256 of each run's
-output file and stderr. CI writes two such files, under PYTHONHASHSEED 0
-and 1, and compares them. Two such files, written from two checkouts on one
-host with the same BLAS thread count, decide a "same bytes" claim. Tier-1
-pins no digest: the determinism contract ties the bytes to one BLAS build,
-CPU and thread count. The script uses the package of its own checkout.
+output file and stderr.
+
+    python tests/corpus.py --compare a.json b.json
+
+prints each run whose exit code or digests differ between two such files,
+or that only one of them holds, and exits 1 if there is any. CI writes two
+such files, under PYTHONHASHSEED 0 and 1, and compares them. Two such
+files, written from two checkouts on one host with the same BLAS thread
+count, decide a "same bytes" claim. Tier-1 pins no digest: the determinism
+contract ties the bytes to one BLAS build, CPU and thread count. The
+script uses the package of its own checkout.
 """
 
 import argparse
@@ -397,11 +403,34 @@ def digests(results: dict) -> dict:
             for name, (code, text, err) in results.items()}
 
 
+def differences(a: dict, b: dict, names: tuple[str, str]) -> list[str]:
+    """One line per run whose exit code or digests differ between the
+    digest maps ``a`` and ``b``, or that only one holds; ``names`` are the
+    two files' names."""
+    lines = []
+    for run in sorted(a.keys() | b.keys()):
+        if run not in a or run not in b:
+            lines.append(f"{run}: only in {names[run in b]}")
+        elif a[run] != b[run]:
+            fields = " ".join(k for k in sorted(a[run]) if a[run][k] != b[run].get(k))
+            lines.append(f"{run}: {fields} differ")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("--digests", metavar="OUT", required=True,
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--digests", metavar="OUT",
                         help="write each run's exit code and output and stderr sha256 here")
+    action.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="print the runs whose digests differ between two such files")
     args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(Path(name).read_text())["digests"] for name in args.compare)
+        lines = differences(a, b, tuple(args.compare))
+        for line in lines:
+            print(line)
+        return 1 if lines else 0
     with tempfile.TemporaryDirectory() as work:
         found = digests(run_all(work))
     Path(args.digests).write_text(json.dumps({"runs": len(found), "digests": found},

@@ -2,9 +2,11 @@
 and refuses as recorded, on any host. The runs share one process, as the
 digest script runs them."""
 
+import json
+
 import pytest
 
-from corpus import RUNS, outcome, run_all
+from corpus import RUNS, main, outcome, run_all
 
 
 @pytest.fixture(scope="module")
@@ -27,3 +29,24 @@ def test_each_run_exits_reads_and_refuses_as_recorded(results, name, argv, want)
     # a run that succeeds writes nothing to stderr, and one that fails one
     # line; a warning the run raised is a line of its own there
     assert results[name][2] == (line + "\n" if code else "")
+
+
+def test_compare_names_the_runs_whose_bytes_differ(tmp_path, capsys):
+    """``--compare`` prints each run whose exit code or digests differ, or
+    that one file lacks, and exits 1; equal files print nothing, exit 0."""
+    same = {"code": 0, "out": "aa", "stderr": "bb"}
+    runs = {
+        "a.json": {"ok": same, "out": same, "codes": same, "gone": same},
+        "b.json": {"ok": same, "out": {**same, "out": "ab"},
+                   "codes": {**same, "code": 1, "stderr": "cc"}, "new": same},
+    }
+    for name, found in runs.items():
+        (tmp_path / name).write_text(json.dumps({"runs": len(found), "digests": found}))
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert main(["--compare", a, b]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "codes: code stderr differ", f"gone: only in {a}", f"new: only in {b}",
+        "out: out differ",
+    ]
+    assert main(["--compare", a, a]) == 0
+    assert capsys.readouterr().out == ""

@@ -6,6 +6,7 @@ done right here in the test, independent of the library's own oracle.
 
 import contextlib
 import dataclasses
+import gc
 import tracemalloc
 from collections import Counter
 
@@ -192,9 +193,19 @@ def test_unbounded_oscillation_exhausts_certification():
 
 
 def test_failed_certification_keeps_no_spare_sample():
-    """A declared path whose subdivision runs out of depth once kept every
-    sample it had scored (129 matrices here) for as long as it lived; it
-    keeps only the ends it held before the call."""
+    """sf_phillips scores its samples by their eigenvalues alone, so a path
+    keeps a matrix only at its ends, a sampled path's knots and the
+    junctions sf_pairsum projects: after multi-segment flows, and after a
+    subdivision that runs out of depth, which once kept every sample it
+    had scored (129 matrices here) for as long as the path lived."""
+    sampled = OperatorPath.from_samples(_diagonal_samples(5))
+    for path, knots in ((family_path("toeplitz_line", {"m": 3}), ()),
+                        (family_path("fuglede_line", {"N": 32, "n": 9}), ()),
+                        (sampled, sampled.regularity.knots)):
+        segments = sf_all_methods(path)["pairsum_certificate"].segments
+        assert len(segments) > 1 or knots
+        junctions = {s.t_right for s in segments}
+        assert set(path._mats) == {0.0, 1.0}.union(knots, junctions)
     path = OperatorPath.from_callable(
         lambda t: np.diag([1.0 + t, -1.0]), 2, regularity=lipschitz((), [1e5])
     )
@@ -203,6 +214,21 @@ def test_failed_certification_keeps_no_spare_sample():
     with pytest.raises(CertificationError):
         sf_phillips(path, SfOptions(max_depth=6))
     assert sorted(path._mats) == [0.0, 1.0]
+
+
+def test_a_one_segment_flow_holds_no_sample_matrix():
+    """A one-segment dim-96 flow reads no matrix but the ends': its traced
+    peak stays within 16 matrices of 16 n^2 bytes (11.3 of them measured;
+    35.3 when sf_phillips kept every sample in case it became a junction)."""
+    path = family_path("trig_random", {"gap": 0.5}, seed=1, dim=96)
+    tracemalloc.start()
+    try:
+        result = sf_all_methods(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result["phillips_certificate"].segments) == 1
+    assert peak <= 16 * (16 * 96**2)
 
 
 def test_from_samples():
@@ -564,25 +590,49 @@ EVALUATE_ONCE_PATHS = {
 }
 
 
+def _held_values(path) -> set[int]:
+    """The ids of the eigenvalue rows held on ``path`` and on the paths it
+    is made of; a composite shares the rows it takes from a part."""
+    held = {id(w) for w in path._vals.values()}
+    if isinstance(path, paths._Composite):
+        for part, _, _ in path._pieces(np.array([0.25, 0.75])):
+            held |= _held_values(part)
+    return held
+
+
 @pytest.mark.parametrize("family", sorted(EVALUATE_ONCE_PATHS))
-def test_methods_evaluate_each_point_once(family):
-    """Every consumer that reads a matrix asks for it before its
-    eigenvalues, so no point reaches the evaluator twice, though only the
-    matrices asked for are kept. certify_invertible keeps the ends the
-    flows' junctions read, whether it runs before or after them; run
-    first, it keeps no other grid matrix, so a grid point it sampled is
-    evaluated again only as an inner junction (t = 0.5 on toeplitz_line)."""
+def test_methods_evaluate_each_point_once(family, monkeypatch):
+    """No point's eigenvalues are computed twice: the rows the paths factor
+    (``paths._eigenvalues``, LAPACK's or a diagonal chunk's sorted
+    diagonals) are each held once, on the path or a part. The evaluator
+    sees a point again only as an inner junction: sf_phillips scores its
+    samples by their eigenvalues alone, so the inner segment ends that
+    sf_pairsum projects are evaluated a second time (t = 0.5 on
+    toeplitz_line), their eigenvalues not computed again. That holds
+    whether certify_invertible, which keeps the ends the flows' junctions
+    read, runs before the flows or after them."""
+    factored = []
+    eigenvalues = paths._eigenvalues
+
+    def counting(stack, d, part):
+        w = eigenvalues(stack, d, part)
+        factored.append(len(w))
+        return w
+
+    monkeypatch.setattr(paths, "_eigenvalues", counting)
     for certify_first in (False, True):
         path = EVALUATE_ONCE_PATHS[family]()
+        before = _held_values(path)
+        factored.clear()
         asked = _counted_points(path)
         if certify_first:
             certify_invertible(path)
         segments = sf_all_methods(path)["pairsum_certificate"].segments
         certify_invertible(path)
-        assert asked
+        assert asked and factored
+        assert sum(factored) == len(_held_values(path) - before), certify_first
         repeats = {t for t, n in Counter(asked).items() if n > 1}
-        inner = {s.t_right for s in segments[:-1]}
-        assert repeats <= (inner if certify_first else set()), certify_first
+        assert repeats <= {s.t_right for s in segments[:-1]}, certify_first
 
 
 def _assert_kept_matrices_have_values(*paths):
@@ -870,6 +920,28 @@ def test_grids_are_the_uniform_points_and_the_knots(samples):
     assert list(knotted.grid(samples)[0]) == sorted(
         set(uniform) | set(knotted.regularity.knots)
     )
+
+
+def test_the_grid_cache_forgets_old_sample_counts():
+    """The uniform grids are shared through a cache of the last few sample
+    counts: a 200,000-point grid (about 6 MB traced) is freed once grids at
+    10 other counts were built and its paths deleted. The cache once kept
+    every count's grid for the life of the process."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        path = family_path("toeplitz_line", {"m": 1})
+        path.grid(200_003)
+        built = tracemalloc.get_traced_memory()[0] - start
+        del path
+        for samples in range(1_001, 1_011):
+            family_path("toeplitz_line", {"m": 1}).grid(samples)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert built > 5 * 2**20
+    assert held < 2**20
 
 
 @pytest.mark.parametrize("dim", [2, 128])
