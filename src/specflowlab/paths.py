@@ -154,10 +154,12 @@ def lipschitz(knots: Sequence[float], rates: Sequence[float]) -> Regularity:
     return Regularity("lipschitz", tuple(knots), tuple(rates))
 
 
-#: the most bytes a sampling grid may hold (``OperatorPath.grid``), and a
-#: point's bytes besides its matrix and eigenvalues: 0.55 KB per sample
-#: measured at dim 2, less that point's 80, rounded up
-_GRID_CAP_BYTES, _POINT_BYTES = 1 << 30, 512
+#: the most bytes a sampling grid may hold (``OperatorPath.grid``), and its
+#: charge per point: ``_PEAK_ROWS`` rows of n float64s and ``_POINT_BYTES``.
+#: Per sf_phillips sample the traced peak of sf_all_methods grew 281 B at
+#: dim 2, 816/1,215 B at dim 16 and 5,458/8,477 B at dim 128 (fuglede_line/
+#: trig): at most 512 B and 7.8 rows of 8n bytes, so 8 rows are charged
+_GRID_CAP_BYTES, _PEAK_ROWS, _POINT_BYTES = 1 << 30, 8, 512
 
 
 @lru_cache(maxsize=8)
@@ -177,6 +179,12 @@ def _eigenvalues(stack: np.ndarray, d: np.ndarray | None, part) -> np.ndarray:
     w = _stack_eigvalsh(stack[part]) if d is None else np.sort(d[part], axis=1)
     w.setflags(write=False)
     return w
+
+
+def _check_range(ts: list[float]) -> None:
+    for t in ts:
+        if not 0.0 <= t <= 1.0:
+            raise InputError(f"path parameter {t!r} outside [0, 1]")
 
 
 class OperatorPath:
@@ -233,10 +241,10 @@ class OperatorPath:
     path, such as the certified subdivision that sf_pairsum reuses from
     sf_phillips, in its one memo (``memo``).
 
-    ``path_concat`` and ``path_reverse`` build their paths from their
-    parts' validated rows without a second Hermitian check, and take the
-    eigenvalues a part already holds at the mapped point; an evaluator
-    given to this constructor is always checked.
+    ``path_concat`` and ``path_reverse`` build composites, which evaluate,
+    check, factor and keep nothing: each point belongs to the path it maps
+    to, so ``_rows`` is the one route by which any path's matrices are
+    evaluated and checked. An evaluator given here is always checked.
     """
 
     def __init__(
@@ -272,9 +280,7 @@ class OperatorPath:
         """Evaluate the distinct points ``ts`` by one evaluator call per
         chunk, yielding each chunk with its rows (``_rows``); nothing is
         kept."""
-        for t in ts:
-            if not 0.0 <= t <= 1.0:
-                raise InputError(f"path parameter {t!r} outside [0, 1]")
+        _check_range(ts)
         for chunk in _chunks(ts, _chunk_len(self._dim)):
             yield (chunk, *self._rows(np.array(chunk)))
 
@@ -290,27 +296,18 @@ class OperatorPath:
             raise _dim_error(stack.shape[1], self._dim)
         return stack, d
 
-    def _unknown(self, ts: Sequence[float]) -> list[float]:
-        """The distinct points of ``ts`` whose eigenvalues the path does not
-        hold yet."""
-        return [t for t in dict.fromkeys(ts) if t not in self._vals]
-
     def _sample(self, ts: Sequence[float], keep: bool, rows=None) -> None:
         """The one routine that fills ``_mats`` and ``_vals``: evaluate the
         distinct points of ``ts`` not yet held (without a kept matrix when
         ``keep``, else without eigenvalues) chunk by chunk, or take them from
         ``rows``, (chunk, stack, diagonals) triples as ``_rows`` gives them;
-        take the eigenvalues that ``_unknown`` reports missing from the same
-        chunk, and keep the matrices when ``keep``, a diagonal chunk's as
-        copies of its (n,) diagonals. So every kept matrix has its
-        eigenvalues."""
+        take the eigenvalues not yet held from the same chunk, and keep the
+        matrices when ``keep``, a diagonal chunk's as copies of its (n,)
+        diagonals. So every kept matrix has its eigenvalues."""
         held = self._mats if keep else self._vals
         todo = [t for t in dict.fromkeys(ts) if t not in held]
         if not todo:
             return
-        unknown = self._unknown(todo)  # a composite takes its parts' values here
-        if not keep:
-            todo = unknown
         for chunk, stack, d in self._evaluated(todo) if rows is None else rows:
             if keep:
                 if d is None:
@@ -334,14 +331,13 @@ class OperatorPath:
     def grid(self, samples: int) -> tuple[tuple[float, ...], np.ndarray]:
         """``samples`` uniform points of [0, 1] (``_uniform``) and the
         knots, with the declared step bounds along them, built once per
-        sample count. A grid whose points could hold more than 1 GiB (one
-        kept matrix, n eigenvalues and ``_POINT_BYTES`` each) is refused
-        before anything is allocated: that is 16 times the default oracle
-        grid at dim 128 (257 points, 68 MB), yet a small host runs out of
-        memory, and kills the process, on a larger grid."""
+        sample count. A grid that could take more than 1 GiB at a flow's
+        measured peak per point is refused before anything is allocated:
+        123,361 samples at dim 128, 480 times the default oracle grid, yet
+        a small host runs out of memory, and kills the process, on more."""
 
         def build():
-            need = samples * (16 * self._dim**2 + 8 * self._dim + _POINT_BYTES)
+            need = samples * (8 * _PEAK_ROWS * self._dim + _POINT_BYTES)
             if need > _GRID_CAP_BYTES:
                 raise InputError(f"samples {samples} at dim {self._dim} would hold about "
                                  f"{need:.2e} bytes; the grid cap is {_GRID_CAP_BYTES} bytes")
@@ -533,37 +529,40 @@ class _Composite(OperatorPath):
     ``path_reverse``): ``pieces(ts)`` names, per part, the part, the
     positions of ``ts`` it covers and the part's parameters there.
 
-    Its evaluator assembles the parts' validated rows (their ``stack``), so
-    its stacks are taken without a second Hermitian check, the bits the
-    parts hold; only the diagonal test (``_real_diagonals``) runs on them.
-    A point whose eigenvalues its part already holds takes them, so a
-    part's sampled points are not sampled again; a junction whose matrix
-    the part did not keep is evaluated again. An evaluator passed to
-    ``OperatorPath`` is always checked.
+    A composite is its parts reparametrized: it evaluates, checks, factors
+    and keeps nothing. ``values`` and ``matrices`` map their points through
+    ``pieces`` and return what the part that owns each point holds, so a
+    point is sampled once, on its owner, whichever composites share it, and
+    a junction's matrix is one object with one cached ``eig``. ``stack``
+    assembles the parts' stacks, for a path built on a composite.
     """
 
     def __init__(self, pieces, dim: int, regularity: Regularity):
-        super().__init__(self._assemble, dim, regularity=regularity)
+        super().__init__(self.stack, dim, regularity=regularity)
         self._pieces = pieces
 
-    def _assemble(self, ts: np.ndarray) -> np.ndarray:
+    def _mapped(self, ts: list[float], read: Callable) -> list:
+        """``read(part, s)`` for each part and its parameters ``s`` at
+        ``ts``, in the order of ``ts``."""
+        _check_range(ts)
+        out = [None] * len(ts)
+        for part, where, part_ts in self._pieces(np.array(ts, dtype=np.float64)):
+            for i, x in zip(np.arange(len(ts))[where].tolist(), read(part, part_ts.tolist())):
+                out[i] = x
+        return out
+
+    def values(self, t):
+        if np.ndim(t) == 0:
+            return self.values([t])[0]
+        return self._mapped([float(s) for s in t], lambda part, s: part.values(s))
+
+    def matrices(self, ts: Sequence[float]) -> list[HermitianMatrix]:
+        return self._mapped([float(t) for t in ts], lambda part, s: part.matrices(s))
+
+    def stack(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=np.float64)
+        _check_range(ts.tolist())
         out = np.empty((ts.size, self._dim, self._dim), dtype=np.complex128)
         for part, where, part_ts in self._pieces(ts):
             out[where] = part.stack(part_ts)
         return out
-
-    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        stack = self._evaluator(ts)
-        stack.setflags(write=False)
-        return stack, _real_diagonals(stack)
-
-    def _unknown(self, ts: Sequence[float]) -> list[float]:
-        todo = super()._unknown(ts)
-        if todo:
-            arr = np.array(todo)
-            for part, where, part_ts in self._pieces(arr):
-                for t, s in zip(arr[where].tolist(), part_ts.tolist()):
-                    w = part._vals.get(s)
-                    if w is not None:
-                        self._vals[t] = w
-        return [t for t in todo if t not in self._vals]

@@ -12,15 +12,17 @@ on a success; a warning raised in a run is written to its stderr too.
     python tests/corpus.py --digests out.json
 
 runs the list once in this process and writes the sha256 of each run's
-output file and stderr.
+output file and stderr, and of each ``CORPUS`` flow: the repr of
+``sf_all_methods`` and of ``certify_invertible`` on one fresh path, or
+their refusal's class and text.
 
     python tests/corpus.py --compare a.json b.json
 
-prints each run whose exit code or digests differ between two such files,
-or that only one of them holds, and exits 1 if there is any. CI writes two
-such files, under PYTHONHASHSEED 0 and 1, and compares them. Two such
-files, written from two checkouts on one host with the same BLAS thread
-count, decide a "same bytes" claim. Tier-1 pins no digest: the determinism
+prints each run or flow whose exit code or digests differ between two
+such files, or that only one of them holds, and exits 1 if there is any.
+CI writes two such files, under PYTHONHASHSEED 0 and 1, and compares them.
+Two such files, written from two checkouts on one host with the same BLAS
+thread count, decide a "same bytes" claim. Tier-1 pins no digest: the determinism
 contract ties the bytes to one BLAS build, CPU and thread count. The
 script uses the package of its own checkout.
 """
@@ -44,6 +46,7 @@ import numpy as np  # noqa: E402
 from conftest import narrow_dip, random_hermitian, random_invertible_hermitian  # noqa: E402
 from specflowlab import cli  # noqa: E402
 from specflowlab.axioms import connect_invertibles  # noqa: E402
+from specflowlab.errors import SpecFlowError  # noqa: E402
 from specflowlab.generators import (  # noqa: E402
     concat_compatible_pair,
     family_path,
@@ -55,6 +58,7 @@ from specflowlab.generators import (  # noqa: E402
 )
 from specflowlab.matcore import HermitianMatrix  # noqa: E402
 from specflowlab.paths import OperatorPath, lipschitz, path_concat, path_reverse  # noqa: E402
+from specflowlab.specflow import certify_invertible, sf_all_methods  # noqa: E402
 
 
 def _sampled(dim, count):
@@ -403,10 +407,29 @@ def digests(results: dict) -> dict:
             for name, (code, text, err) in results.items()}
 
 
+def _refused_or_repr(call, path) -> str:
+    try:
+        return repr(call(path))
+    except SpecFlowError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def flow_digests() -> dict:
+    """Per ``CORPUS`` path, named ``flow:NAME``: the sha256 of the repr of
+    ``sf_all_methods`` and then ``certify_invertible`` on one fresh path,
+    or of the refusal's class and text."""
+    found = {}
+    for name, make in CORPUS.items():
+        path = make()
+        found[f"flow:{name}"] = {call.__name__: _sha256(_refused_or_repr(call, path))
+                                 for call in (sf_all_methods, certify_invertible)}
+    return found
+
+
 def differences(a: dict, b: dict, names: tuple[str, str]) -> list[str]:
-    """One line per run whose exit code or digests differ between the
-    digest maps ``a`` and ``b``, or that only one holds; ``names`` are the
-    two files' names."""
+    """One line per run or flow whose exit code or digests differ between
+    the digest maps ``a`` and ``b``, or that only one holds; ``names`` are
+    the two files' names."""
     lines = []
     for run in sorted(a.keys() | b.keys()):
         if run not in a or run not in b:
@@ -421,9 +444,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument("--digests", metavar="OUT",
-                        help="write each run's exit code and output and stderr sha256 here")
+                        help="write each run's exit code and output and stderr sha256, "
+                             "and each flow's sha256, here")
     action.add_argument("--compare", nargs=2, metavar=("A", "B"),
-                        help="print the runs whose digests differ between two such files")
+                        help="print the runs and flows whose digests differ between two such files")
     args = parser.parse_args(argv)
     if args.compare:
         a, b = (json.loads(Path(name).read_text())["digests"] for name in args.compare)
@@ -433,8 +457,10 @@ def main(argv=None) -> int:
         return 1 if lines else 0
     with tempfile.TemporaryDirectory() as work:
         found = digests(run_all(work))
-    Path(args.digests).write_text(json.dumps({"runs": len(found), "digests": found},
-                                             indent=1, sort_keys=True) + "\n")
+    flows = flow_digests()
+    Path(args.digests).write_text(json.dumps(
+        {"runs": len(found), "flows": len(flows), "digests": {**found, **flows}},
+        indent=1, sort_keys=True) + "\n")
     return 0
 
 

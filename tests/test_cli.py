@@ -183,7 +183,7 @@ def test_a_huge_sample_count_is_refused_not_allocated(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 1 and peak < 2**22
     assert capsys.readouterr().err == (
-        "error: samples 100000000 at dim 2 would hold about 5.92e+10 bytes; "
+        "error: samples 100000000 at dim 2 would hold about 6.40e+10 bytes; "
         "the grid cap is 1073741824 bytes\n"
     )
 

@@ -32,21 +32,24 @@ def test_each_run_exits_reads_and_refuses_as_recorded(results, name, argv, want)
 
 
 def test_compare_names_the_runs_whose_bytes_differ(tmp_path, capsys):
-    """``--compare`` prints each run whose exit code or digests differ, or
-    that one file lacks, and exits 1; equal files print nothing, exit 0."""
+    """``--compare`` prints each run or flow whose exit code or digests
+    differ, or that one file lacks, and exits 1; equal files print
+    nothing, exit 0."""
     same = {"code": 0, "out": "aa", "stderr": "bb"}
+    flow = {"certify_invertible": "cc", "sf_all_methods": "dd"}
     runs = {
-        "a.json": {"ok": same, "out": same, "codes": same, "gone": same},
+        "a.json": {"ok": same, "out": same, "codes": same, "gone": same, "flow:concat_d2": flow},
         "b.json": {"ok": same, "out": {**same, "out": "ab"},
-                   "codes": {**same, "code": 1, "stderr": "cc"}, "new": same},
+                   "codes": {**same, "code": 1, "stderr": "cc"}, "new": same,
+                   "flow:concat_d2": {**flow, "sf_all_methods": "de"}},
     }
     for name, found in runs.items():
         (tmp_path / name).write_text(json.dumps({"runs": len(found), "digests": found}))
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["--compare", a, b]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "codes: code stderr differ", f"gone: only in {a}", f"new: only in {b}",
-        "out: out differ",
+        "codes: code stderr differ", "flow:concat_d2: sf_all_methods differ",
+        f"gone: only in {a}", f"new: only in {b}", "out: out differ",
     ]
     assert main(["--compare", a, a]) == 0
     assert capsys.readouterr().out == ""

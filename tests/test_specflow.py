@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_invertible_hermitian
+from corpus import _there_and_back
 from specflowlab.axioms import connect_invertibles
 from specflowlab.errors import (
     CertificationError,
@@ -585,18 +586,47 @@ EVALUATE_ONCE_PATHS = {
     "concat_diagonal": lambda: _diagonal_concat(5),
     "from_samples_diagonal": lambda: OperatorPath.from_samples(_diagonal_samples(5)),
     "reverse": lambda: path_reverse(path_concat(*concat_compatible_pair(7, 4))),
+    "reverse_of_reverse": lambda: path_reverse(
+        path_reverse(path_concat(*concat_compatible_pair(7, 4)))
+    ),
+    "there_and_back": lambda: _there_and_back(trig_path(7, 4)),
     "from_callable": pivot_path,
     "from_samples": _sampled_path,
 }
 
 
-def _held_values(path) -> set[int]:
-    """The ids of the eigenvalue rows held on ``path`` and on the paths it
-    is made of; a composite shares the rows it takes from a part."""
-    held = {id(w) for w in path._vals.values()}
-    if isinstance(path, paths._Composite):
-        for part, _, _ in path._pieces(np.array([0.25, 0.75])):
-            held |= _held_values(part)
+def _parts(path) -> list:
+    """The paths a composite is made of; none for any other path."""
+    if not isinstance(path, paths._Composite):
+        return []
+    return [part for part, _, _ in path._pieces(np.array([0.25, 0.75]))]
+
+
+def _leaves(path) -> list:
+    """The paths that own the points of ``path``, each once: the path
+    itself, or the leaves of a composite's parts."""
+    if not _parts(path):
+        return [path]
+    return list({id(leaf): leaf for part in _parts(path) for leaf in _leaves(part)}.values())
+
+
+def _owners(path, ts) -> set:
+    """The (leaf path, parameter) pairs that own the points ``ts`` of
+    ``path``: a composite's point maps through ``pieces`` to its part's."""
+    if not isinstance(path, paths._Composite):
+        return {(path, t) for t in ts}
+    owners = set()
+    for part, _, part_ts in path._pieces(np.array(list(ts), dtype=np.float64)):
+        owners |= _owners(part, part_ts.tolist())
+    return owners
+
+
+def _held_points(path) -> set:
+    """The owning points of the eigenvalue rows held on ``path`` and on
+    the paths it is made of."""
+    held = _owners(path, path._vals)
+    for part in _parts(path):
+        held |= _held_points(part)
     return held
 
 
@@ -604,13 +634,15 @@ def _held_values(path) -> set[int]:
 def test_methods_evaluate_each_point_once(family, monkeypatch):
     """No point's eigenvalues are computed twice: the rows the paths factor
     (``paths._eigenvalues``, LAPACK's or a diagonal chunk's sorted
-    diagonals) are each held once, on the path or a part. The evaluator
-    sees a point again only as an inner junction: sf_phillips scores its
-    samples by their eigenvalues alone, so the inner segment ends that
-    sf_pairsum projects are evaluated a second time (t = 0.5 on
-    toeplitz_line), their eigenvalues not computed again. That holds
-    whether certify_invertible, which keeps the ends the flows' junctions
-    read, runs before the flows or after them."""
+    diagonals) are as many as the distinct points that own them, a
+    composite's point owned by the (leaf path, parameter) it maps to, so a
+    point two composites share is factored once. A leaf's evaluator sees a
+    point again only as an inner junction: sf_phillips scores its samples
+    by their eigenvalues alone, so the inner segment ends that sf_pairsum
+    projects are evaluated a second time (t = 0.5 on toeplitz_line), their
+    eigenvalues not computed again. That holds whether certify_invertible,
+    which keeps the ends the flows' junctions read, runs before the flows
+    or after them."""
     factored = []
     eigenvalues = paths._eigenvalues
 
@@ -622,17 +654,18 @@ def test_methods_evaluate_each_point_once(family, monkeypatch):
     monkeypatch.setattr(paths, "_eigenvalues", counting)
     for certify_first in (False, True):
         path = EVALUATE_ONCE_PATHS[family]()
-        before = _held_values(path)
+        before = _held_points(path)
         factored.clear()
-        asked = _counted_points(path)
+        asked = {leaf: _counted_points(leaf) for leaf in _leaves(path)}
         if certify_first:
             certify_invertible(path)
         segments = sf_all_methods(path)["pairsum_certificate"].segments
         certify_invertible(path)
-        assert asked and factored
-        assert sum(factored) == len(_held_values(path) - before), certify_first
-        repeats = {t for t, n in Counter(asked).items() if n > 1}
-        assert repeats <= {s.t_right for s in segments[:-1]}, certify_first
+        assert any(asked.values()) and factored
+        assert sum(factored) == len(_held_points(path) - before), certify_first
+        repeats = {(leaf, t) for leaf, ts in asked.items()
+                   for t, n in Counter(ts).items() if n > 1}
+        assert repeats <= _owners(path, [s.t_right for s in segments[:-1]]), certify_first
 
 
 def _assert_kept_matrices_have_values(*paths):
@@ -693,9 +726,16 @@ def test_kept_matrices_have_values_after_partial_use():
          "fuglede_line", "concat"],
 )
 def test_declared_paths_keep_only_the_segment_ends(make):
+    """The matrices kept are those of the segment ends, on the paths that
+    own them: a concatenation's parts keep its junctions and their own
+    ends, which path_concat compares."""
     path = make()
-    result = sf_all_methods(path)
-    assert len(path._mats) == len(result["phillips_certificate"].segments) + 1
+    segments = sf_all_methods(path)["phillips_certificate"].segments
+    junctions = [segments[0].t_left] + [s.t_right for s in segments]
+    leaves = _leaves(path)
+    kept = {(leaf, t) for leaf in leaves for t in leaf._mats}
+    assert kept == _owners(path, junctions) | {(leaf, t) for leaf in leaves for t in (0.0, 1.0)}
+    assert len(path._mats) == (0 if _parts(path) else len(segments) + 1)
 
 
 def test_large_diagonal_path_holds_few_matrices():
@@ -722,8 +762,8 @@ def test_a_diagonal_chunk_takes_one_diagonal_test(family, monkeypatch):
     """The sampling engine tests each evaluated chunk once for a diagonal
     stack (``_real_diagonals``, one count over the chunk): the Hermitian
     check's test gives the eigenvalues and the kept diagonals too. A
-    composite's chunk is assembled from its parts' chunks, each tested
-    once."""
+    composite evaluates and tests nothing; its parts' chunks are each
+    tested once."""
     path = PATH_FAMILIES[family](6)
     parts = path._pieces(np.array([0.2, 0.7])) if family == "concat_diagonal" else ()
     chunks = []
@@ -829,9 +869,8 @@ def _counted_points(path):
     ids=["concat", "reverse_of_concat", "reverse"],
 )
 def test_composites_validate_each_evaluated_point_once(compose, monkeypatch):
-    """A composite takes its parts' validated rows without a second
-    Hermitian check: the rows checked while its flow and invertibility
-    certificate run are the points its parts evaluate."""
+    """A composite checks nothing itself: the rows checked while its flow
+    and invertibility certificate run are the points its parts evaluate."""
     f, g = concat_compatible_pair(5, 4)
     path = compose(f, g)
     asked = [_counted_points(f), _counted_points(g)]
@@ -876,6 +915,55 @@ def test_composite_reads_what_its_parts_sampled(seed, dim):
     for name in parts:
         again = sampled[name].intersection(asked[name])
         assert again <= junctions[name] - kept[name], name
+
+
+@pytest.mark.parametrize(
+    "compose",
+    [path_concat, lambda f, g: path_reverse(path_concat(f, g)),
+     lambda f, g: _there_and_back(f)],
+    ids=["concat", "reverse", "there_and_back"],
+)
+def test_a_composite_evaluates_and_holds_nothing(compose):
+    """After its flows and invertibility certificate a composite, and any
+    composite it is made of, holds no eigenvalues and no matrix: t = 0.5 of
+    each is f at 1.0, the very objects f holds."""
+    f, g = concat_compatible_pair(5, 4)
+    path = compose(f, g)
+    sf_all_methods(path)
+    certify_invertible(path)
+    composites, todo = [], [path]
+    while todo:
+        composites += [p for p in todo if _parts(p)]
+        todo = [part for p in todo for part in _parts(p)]
+    assert composites
+    for c in composites:
+        assert c._vals == {} and c._mats == {}
+    assert path.matrix(0.5) is f.matrix(1.0)
+    assert path.values(0.5) is f.values(1.0)
+    # a reversal maps -1e-20 to 1.0, so the composite checks its own t
+    for ask in (path.values, path.matrices, path.stack):
+        with pytest.raises(InputError, match=r"^path parameter -1e-20 outside \[0, 1\]$"):
+            ask(np.array([0.5, -1e-20]))
+
+
+def test_a_composite_projects_no_junction_its_parts_projected(monkeypatch):
+    """After sf_pairsum of f and of g, sf_pairsum of f then g computes a
+    validated eigh (``matcore._eigh_stack``) only for the junctions whose
+    matrices f and g have not projected: a junction's matrix is its
+    owner's, with the decomposition cached on it."""
+    f, g = concat_compatible_pair(5, 4)
+    sf_pairsum(f)
+    sf_pairsum(g)
+    projected = {(p, t) for p in (f, g) for t, m in p._mats.items()
+                 if isinstance(m, HermitianMatrix) and m._eig is not None}
+    factored = []
+    eigh_stack = matcore._eigh_stack
+    monkeypatch.setattr(matcore, "_eigh_stack", lambda s: factored.append(len(s)) or eigh_stack(s))
+    path = path_concat(f, g)
+    segments = sf_pairsum(path).segments
+    owners = _owners(path, [segments[0].t_left] + [s.t_right for s in segments])
+    assert owners & projected
+    assert sum(factored) == len(owners - projected)
 
 
 def test_concat_of_equal_ends_takes_no_norm(monkeypatch):
@@ -948,9 +1036,10 @@ def test_the_grid_cache_forgets_old_sample_counts():
 def test_a_grid_beyond_the_cap_is_refused_before_it_is_built(dim):
     """A grid whose points could hold more than ``_GRID_CAP_BYTES`` is an
     input error, raised before anything is allocated: 10^8 samples at dim 2
-    once got the process killed. At dim 128 the largest grid under the cap
-    is built."""
-    most = paths._GRID_CAP_BYTES // (16 * dim * dim + 8 * dim + paths._POINT_BYTES)
+    once got the process killed. A point is charged the measured peak of a
+    flow's sample, 8 rows of n eigenvalues and 512 bytes, not a matrix. At
+    dim 128 the largest grid under the cap is built."""
+    most = paths._GRID_CAP_BYTES // (8 * paths._PEAK_ROWS * dim + paths._POINT_BYTES)
     if dim == 2:
         path = OperatorPath.from_samples(
             [HermitianMatrix(np.diag([v, 2.0])) for v in (-1.0, 0.2, 1.0)]
@@ -969,7 +1058,7 @@ def test_a_grid_beyond_the_cap_is_refused_before_it_is_built(dim):
                 sf_all_methods(path, opts)
             assert str(err.value) == (
                 f"samples 100000000 at dim {dim} would hold about "
-                f"{10**8 * (16 * dim * dim + 8 * dim + 512):.2e} bytes; "
+                f"{10**8 * (64 * dim + 512):.2e} bytes; "
                 "the grid cap is 1073741824 bytes"
             )
         peak = tracemalloc.get_traced_memory()[1]
