@@ -438,9 +438,10 @@ def homotopy_family(seed_or_rng, dim: int):
     unitary conjugation changes how fast a row moves in t, so every row
     declares f's Lipschitz regularity. The conjugation's two products add
     a rounding of order n u ||f|| per point, inside the gamma_n slack that
-    every declared margin gives up. The rows read f's validated rows from
-    one store per family, so each point of f is evaluated once, however
-    many rows ask for it; each row keeps its own Hermitian check.
+    every declared margin gives up. The rows read f's validated matrices
+    through ``f.matrices``, so f holds each point its rows read, with its
+    eigenvalues, and evaluates it once, however many rows ask for it; each
+    row keeps its own Hermitian check.
     """
     rng = _as_rng(seed_or_rng)
     f = trig_path(rng, dim)
@@ -451,13 +452,9 @@ def homotopy_family(seed_or_rng, dim: int):
         eps = 0.4 * min(g0, g1)
     else:
         u_of = unitary_rotation_path(rng, dim, 0.8)
-    held: dict[float, np.ndarray] = {}
 
     def base(ts: np.ndarray) -> np.ndarray:
-        new = [t for t in dict.fromkeys(ts.tolist()) if t not in held]
-        if new:
-            held.update(zip(new, f.stack(np.array(new))))
-        return np.array([held[t] for t in ts.tolist()])
+        return np.array([m.mat for m in f.matrices(ts)])
 
     @cache
     def row(s: float) -> OperatorPath:
@@ -550,16 +547,20 @@ def _family_toeplitz_line(params: dict, seed, dim) -> OperatorPath:
 
 
 def _family_trig_random(params: dict, seed, dim) -> OperatorPath:
+    declared = params.get("dim")
     if dim is None:
-        dim = params.get("dim")
+        dim = declared
     if dim is None:
         raise InputError("trig_random needs a dimension")
     if seed is None:
         raise InputError("trig_random needs a seed")
     seed = coerce_field(seed, int, "seed")
+    dim = coerce_field(dim, int, "dim")
+    if declared is not None and coerce_field(declared, int, "dim") != dim:
+        raise InputError(f"trig_random params dim {declared} does not match dim {dim}")
     return trig_path(
         seed,
-        coerce_field(dim, int, "dim"),
+        dim,
         degree=coerce_field(params.get("degree", 3), int, "degree"),
         scale=coerce_field(params.get("scale", 1.0), float, "scale"),
         gap=coerce_field(params.get("gap", ENDPOINT_CLAMP_GAP), float, "gap"),

@@ -344,15 +344,12 @@ def _diagonal_op_norms(d: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _diagonal_matrices(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _diagonal_matrices(d: np.ndarray) -> np.ndarray:
     """The (k, n, n) complex stack of the diagonal matrices diag(d_i) of a
-    (k, n) stack of diagonals, written into ``out`` when given. Every other
-    component is +0.0, so real diagonals that ``_real_diagonals`` read give
-    back the bits of the stack they were read from."""
-    if out is None:
-        out = np.zeros(d.shape + d.shape[-1:], dtype=np.complex128)
-    else:
-        out[...] = 0.0
+    (k, n) stack of diagonals. Every other component is +0.0, so real
+    diagonals that ``_real_diagonals`` read give back the bits of the stack
+    they were read from."""
+    out = np.zeros(d.shape + d.shape[-1:], dtype=np.complex128)
     i = np.arange(d.shape[-1])
     out[:, i, i] = d
     return out

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatchError, EndpointError, InputError, require_int, require_real
 from .matcore import (
     EigenDecomposition, HermitianMatrix, _chunk_len, _chunks, _diagonal_matrices, _diff_norms,
-    _hermitian_rows, _hermitian_stack, _matrix_array, _real_diagonals, _stack_eigvalsh, op_norm,
+    _hermitian_rows, _hermitian_stack, _matrix_array, _stack_eigvalsh, op_norm,
 )
 
 __all__ = [
@@ -194,7 +194,7 @@ class OperatorPath:
     k matrices H(ts[0]), ..., H(ts[k-1]) as one complex (k, n, n) stack (any
     array-like of that shape, such as a list of k matrices, will do).
     ``from_callable`` adapts a scalar function t -> matrix to this contract.
-    Each stack is validated by one Hermitian check (``_hermitian_stack``).
+    Each stack is validated by one Hermitian check (``_hermitian_rows``).
     ``regularity`` declares how far H moves between two parameters (see
     ``Regularity``); a caller who knows no rate samples the function and
     builds ``from_samples``, whose interpolant is a declared path.
@@ -206,24 +206,21 @@ class OperatorPath:
     keeps a matrix only where one is asked for: the ends, the samples of a
     ``from_samples`` path (its knots) and the segment ends that sf_pairsum
     projects. So every kept matrix has its eigenvalues held, and every
-    other sample holds only its n eigenvalues.
+    other sample holds only its n eigenvalues. A path is the one store of
+    its points: every kept point is a ``HermitianMatrix``, one object with
+    one cached ``eig``, and a path built on this one (a deformation row of
+    ``homotopy_family``) reads it through ``matrices``.
 
     A chunk of real diagonal matrices with no -0.0 (``_real_diagonals``,
-    one test per chunk) is validated, factored and kept through its real
-    diagonals: no validated copy of it is made, its eigenvalues are its
-    sorted diagonal, LAPACK's bits, and a kept point holds its n diagonal
-    entries, not n^2 complex ones. Its ``HermitianMatrix`` is built only
-    when ``matrix`` or ``matrices`` asks for it (the ends, sf_pairsum's
-    junctions), and is then kept in the diagonal's place, so a point's
-    matrix is one object with one cached ``eig``.
+    one test per chunk) is validated and factored through its real
+    diagonals: no validated copy of it is made and its eigenvalues are its
+    sorted diagonal, LAPACK's bits. Its kept matrices are built from those
+    diagonals (``_diagonal_matrices``), the bits of the stack read.
 
     * ``matrix(t)`` and ``matrices(ts)`` return the validated matrices and
       keep them;
     * ``values(ts)`` returns eigenvalues, keeping those of a point it
       evaluates but not its matrix;
-    * ``stack(ts)`` copies the kept matrices (a kept diagonal into a zeroed
-      row, the bits of its matrix) and evaluates the others into one fresh
-      array, keeping nothing;
     * ``eig(t)`` is the validated full decomposition the matrix at t caches.
 
     Each point's eigenvalues are computed once per path. A point's matrix
@@ -241,10 +238,11 @@ class OperatorPath:
     path, such as the certified subdivision that sf_pairsum reuses from
     sf_phillips, in its one memo (``memo``).
 
-    ``path_concat`` and ``path_reverse`` build composites, which evaluate,
-    check, factor and keep nothing: each point belongs to the path it maps
-    to, so ``_rows`` is the one route by which any path's matrices are
-    evaluated and checked. An evaluator given here is always checked.
+    ``path_concat`` and ``path_reverse`` build composites, which have no
+    evaluator and evaluate, check, factor and keep nothing: each point
+    belongs to the path it maps to, so ``_rows`` is the one route by which
+    any path's matrices are evaluated and checked. An evaluator given here
+    is always checked.
     """
 
     def __init__(
@@ -263,8 +261,7 @@ class OperatorPath:
         self._evaluator = evaluator
         self._dim = dim
         self._regularity = regularity
-        # a kept point's matrix, or the (n,) real diagonal it is built from
-        self._mats: dict[float, HermitianMatrix | np.ndarray] = {}
+        self._mats: dict[float, HermitianMatrix] = {}
         self._vals: dict[float, np.ndarray] = {}
         self._memo: dict = {}
 
@@ -275,14 +272,6 @@ class OperatorPath:
     @property
     def regularity(self) -> Regularity:
         return self._regularity
-
-    def _evaluated(self, ts: list[float]):
-        """Evaluate the distinct points ``ts`` by one evaluator call per
-        chunk, yielding each chunk with its rows (``_rows``); nothing is
-        kept."""
-        _check_range(ts)
-        for chunk in _chunks(ts, _chunk_len(self._dim)):
-            yield (chunk, *self._rows(np.array(chunk)))
 
     def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The evaluator's matrices at ``ts``, checked by one Hermitian
@@ -299,23 +288,24 @@ class OperatorPath:
     def _sample(self, ts: Sequence[float], keep: bool, rows=None) -> None:
         """The one routine that fills ``_mats`` and ``_vals``: evaluate the
         distinct points of ``ts`` not yet held (without a kept matrix when
-        ``keep``, else without eigenvalues) chunk by chunk, or take them from
-        ``rows``, (chunk, stack, diagonals) triples as ``_rows`` gives them;
-        take the eigenvalues not yet held from the same chunk, and keep the
-        matrices when ``keep``, a diagonal chunk's as copies of its (n,)
-        diagonals. So every kept matrix has its eigenvalues."""
+        ``keep``, else without eigenvalues) by one evaluator call per chunk
+        (``_rows``), or take them from ``rows``, (chunk, stack, diagonals)
+        triples as ``_rows`` gives them; take the eigenvalues not yet held
+        from the same chunk, and keep the matrices when ``keep``, a diagonal
+        chunk's built from its diagonals (``_diagonal_matrices``), the bits
+        of the stack read. So every kept matrix has its eigenvalues."""
         held = self._mats if keep else self._vals
         todo = [t for t in dict.fromkeys(ts) if t not in held]
         if not todo:
             return
-        for chunk, stack, d in self._evaluated(todo) if rows is None else rows:
+        if rows is None:
+            _check_range(todo)
+            rows = ((c, *self._rows(np.array(c))) for c in _chunks(todo, _chunk_len(self._dim)))
+        for chunk, stack, d in rows:
             if keep:
-                if d is None:
-                    self._mats.update(zip(chunk, map(HermitianMatrix._of_valid, stack)))
-                else:
-                    kept = d.copy()
-                    kept.setflags(write=False)
-                    self._mats.update(zip(chunk, kept))
+                kept = stack if d is None else _diagonal_matrices(d)
+                kept.setflags(write=False)
+                self._mats.update(zip(chunk, map(HermitianMatrix._of_valid, kept)))
             need = [i for i, t in enumerate(chunk) if t not in self._vals]
             if need:
                 part = slice(None) if len(need) == len(chunk) else need
@@ -352,42 +342,10 @@ class OperatorPath:
         return self.matrices([t])[0]
 
     def matrices(self, ts: Sequence[float]) -> list[HermitianMatrix]:
-        """The matrices at every t of ``ts``, in order, kept on the path; a
-        point kept as its diagonal gets its matrix built and kept."""
+        """The matrices at every t of ``ts``, in order, kept on the path."""
         ts = [float(t) for t in ts]
         self._sample(ts, keep=True)
-        return [self._built(t) for t in ts]
-
-    def _built(self, t: float) -> HermitianMatrix:
-        kept = self._mats[t]
-        if not isinstance(kept, HermitianMatrix):
-            mat = _diagonal_matrices(kept[None])[0]
-            mat.setflags(write=False)
-            kept = self._mats[t] = HermitianMatrix._of_valid(mat)
-        return kept
-
-    def stack(self, ts: np.ndarray) -> np.ndarray:
-        """The matrices at ``ts`` as one fresh (k, n, n) array: the sampler
-        a path built on this one calls from its own evaluator. Kept rows are
-        copied (a kept diagonal is written into a zeroed row), other points
-        evaluated once each, and nothing is kept."""
-        ts = np.asarray(ts, dtype=np.float64).tolist()
-        out = np.empty((len(ts), self._dim, self._dim), dtype=np.complex128)
-        first: dict[float, int] = {}
-        for i, t in enumerate(ts):
-            first.setdefault(t, i)
-        for t, i in first.items():
-            kept = self._mats.get(t)
-            if isinstance(kept, HermitianMatrix):
-                out[i] = kept.mat
-            elif kept is not None:
-                _diagonal_matrices(kept[None], out[i : i + 1])
-        for chunk, stack, _ in self._evaluated([t for t in first if t not in self._mats]):
-            out[[first[t] for t in chunk]] = stack
-        for i, t in enumerate(ts):
-            if first[t] != i:
-                out[i] = out[first[t]]
-        return out
+        return [self._mats[t] for t in ts]
 
     # No library code calls eig; it stays because the benchmark's tracer
     # wraps it, looked up as specflow.OperatorPath.__dict__["eig"].
@@ -466,9 +424,10 @@ class OperatorPath:
         rates = last * _diff_norms(arr)
         ts = [i / last for i in range(last + 1)]
         path = cls(evaluate, dim, regularity=piecewise_affine(ts[1:-1], rates))
-        # the samples are kept as given, not re-evaluated by the interpolant
+        # the samples are kept as given, as views of ``arr``, not re-evaluated
+        # by the interpolant
         size = _chunk_len(dim)
-        rows = ((c, s, _real_diagonals(s)) for c, s in zip(_chunks(ts, size), _chunks(arr, size)))
+        rows = ((c, s, None) for c, s in zip(_chunks(ts, size), _chunks(arr, size)))
         path._sample(ts, keep=True, rows=rows)
         return path
 
@@ -533,12 +492,12 @@ class _Composite(OperatorPath):
     and keeps nothing. ``values`` and ``matrices`` map their points through
     ``pieces`` and return what the part that owns each point holds, so a
     point is sampled once, on its owner, whichever composites share it, and
-    a junction's matrix is one object with one cached ``eig``. ``stack``
-    assembles the parts' stacks, for a path built on a composite.
+    a junction's matrix is one object with one cached ``eig``; it has no
+    evaluator (None).
     """
 
     def __init__(self, pieces, dim: int, regularity: Regularity):
-        super().__init__(self.stack, dim, regularity=regularity)
+        super().__init__(None, dim, regularity=regularity)
         self._pieces = pieces
 
     def _mapped(self, ts: list[float], read: Callable) -> list:
@@ -558,11 +517,3 @@ class _Composite(OperatorPath):
 
     def matrices(self, ts: Sequence[float]) -> list[HermitianMatrix]:
         return self._mapped([float(t) for t in ts], lambda part, s: part.matrices(s))
-
-    def stack(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=np.float64)
-        _check_range(ts.tolist())
-        out = np.empty((ts.size, self._dim, self._dim), dtype=np.complex128)
-        for part, where, part_ts in self._pieces(ts):
-            out[where] = part.stack(part_ts)
-        return out

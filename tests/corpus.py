@@ -14,7 +14,8 @@ on a success; a warning raised in a run is written to its stderr too.
 runs the list once in this process and writes the sha256 of each run's
 output file and stderr, and of each ``CORPUS`` flow: the repr of
 ``sf_all_methods`` and of ``certify_invertible`` on one fresh path, or
-their refusal's class and text.
+their refusal's class and text, and then the bytes of the path's
+``matrices`` (``matrices``).
 
     python tests/corpus.py --compare a.json b.json
 
@@ -97,6 +98,9 @@ CORPUS = {
     "concat_affine_d5": lambda: _there_and_back(_sampled(5, 5)),
     "concat_thirds_d6": lambda: _there_and_back(_sampled(6, 4)),
     "sampled_d3": lambda: _sampled(3, 9),
+    # real diagonal samples: two eigenvalues cross up, one down
+    "sampled_diag_d5": lambda: OperatorPath.from_samples([np.diag(d) for d in np.linspace(
+        [-1.0, 0.5, -2.0, 1.5, 3.0], [1.0, 2.5, 0.7, -1.2, 3.5], 6)]),
     "reverse_concat_d4": lambda: path_reverse(path_concat(*concat_compatible_pair(5, 4))),
     **{f"normalization_d{d}": (lambda d=d: normalization_path(3, d)) for d in (2, 8)},
     **{f"invertible_drift_d{d}": (lambda d=d: invertible_trig_path(3, d)) for d in (3, 64)},
@@ -414,15 +418,23 @@ def _refused_or_repr(call, path) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+def matrices(path) -> str:
+    """The sha256 of the bytes of ``path.matrices`` on 9 uniform points and
+    the path's knots: asked after the flows, it reads the matrices they
+    kept and evaluates the others."""
+    ts = np.linspace(0.0, 1.0, 9).tolist() + list(path.regularity.knots)
+    return hashlib.sha256(b"".join(m.mat.tobytes() for m in path.matrices(ts))).hexdigest()
+
+
 def flow_digests() -> dict:
     """Per ``CORPUS`` path, named ``flow:NAME``: the sha256 of the repr of
-    ``sf_all_methods`` and then ``certify_invertible`` on one fresh path,
-    or of the refusal's class and text."""
+    ``sf_all_methods``, then ``certify_invertible``, then ``matrices`` on
+    one fresh path, or of the refusal's class and text."""
     found = {}
     for name, make in CORPUS.items():
         path = make()
         found[f"flow:{name}"] = {call.__name__: _sha256(_refused_or_repr(call, path))
-                                 for call in (sf_all_methods, certify_invertible)}
+                                 for call in (sf_all_methods, certify_invertible, matrices)}
     return found
 
 

@@ -141,10 +141,10 @@ def test_run_all_checks_builds_each_seeded_path_once(monkeypatch):
 
 
 def test_homotopy_rows_evaluate_each_base_point_once(monkeypatch):
-    """The rows of a deformation family read the base path's validated rows
-    from one store, so each point of the base path reaches its evaluator
-    once per family (the rows of seed 3, trials 8 once asked 1,368 points
-    a second time)."""
+    """The rows of a deformation family read the base path's matrices, which
+    the base path holds, each with its eigenvalues, so each of its points
+    reaches its evaluator once per family (the rows of seed 3, trials 8
+    once asked 1,368 points a second time)."""
     trig_path, family = generators.trig_path, axioms.homotopy_family
     built, asked = [], []
 
@@ -157,7 +157,7 @@ def test_homotopy_rows_evaluate_each_base_point_once(monkeypatch):
             return evaluate(ts)
 
         path._evaluator = counted
-        built.append(counts)
+        built.append((path, counts))
         return path
 
     def counted_family(*args, **kwargs):
@@ -169,8 +169,10 @@ def test_homotopy_rows_evaluate_each_base_point_once(monkeypatch):
     monkeypatch.setattr(generators, "trig_path", counted_trig_path)
     monkeypatch.setattr(axioms, "homotopy_family", counted_family)
     run_all_checks(seed=3, trials=8, opts=OPTS)
-    assert len(asked) == 2 and all(asked)
-    assert [max(counts.values()) for counts in asked] == [1, 1]
+    assert len(asked) == 2 and all(counts for _, counts in asked)
+    assert [max(counts.values()) for _, counts in asked] == [1, 1]
+    for base, counts in asked:
+        assert set(counts) == set(base._mats) and set(base._mats) <= set(base._vals)
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -188,6 +188,17 @@ def test_a_huge_sample_count_is_refused_not_allocated(tmp_path, capsys):
     )
 
 
+def test_a_family_file_whose_two_dims_disagree_exits_1(tmp_path, capsys):
+    """A trig_random file's params dim that its top-level dim contradicts
+    is refused with one error line naming both, not ignored."""
+    f = write_json(tmp_path / "p.json", {
+        "kind": "family", "dim": 4,
+        "family": {"name": "trig_random", "seed": 1, "params": {"dim": 3}},
+    })
+    assert cli.main(["compute", "--input", f]) == 1
+    assert capsys.readouterr().err == "error: trig_random params dim 3 does not match dim 4\n"
+
+
 def test_help_exit_0(capsys):
     with pytest.raises(SystemExit) as done:
         cli.main(["graded", "--help"])

@@ -13,6 +13,7 @@ from corpus import CORPUS
 from specflowlab import specflow
 from specflowlab.errors import InputError, SamplingError
 from specflowlab.generators import family_path, random_unitary, trig_path
+from specflowlab.matcore import _chunk_len, _chunks
 from specflowlab.paths import OperatorPath, lipschitz, piecewise_affine
 from specflowlab.specflow import SfOptions, crossing_oracle_report, sf_all_methods
 
@@ -164,7 +165,8 @@ def test_oracle_evaluates_few_points_of_a_dim64_trig_path(seed, monkeypatch):
     # the ledger of the whole grid, tallied here from numpy's eigvalsh
     grid = np.linspace(0.0, 1.0, 257)
     fresh = make()
-    counts = (np.linalg.eigvalsh(fresh.stack(grid)) >= 0.0).sum(axis=1)
+    rows = (fresh._rows(np.array(c))[0] for c in _chunks(grid.tolist(), _chunk_len(64)))
+    counts = np.concatenate([(np.linalg.eigvalsh(r) >= 0.0).sum(axis=1) for r in rows])
     jumps = np.diff(counts)
     assert ledger == {
         "total": int(counts[-1] - counts[0]),

@@ -2,7 +2,7 @@
 
 Six kinds of work are decided by structure. On a stack of real diagonal
 matrices one test, ``_real_diagonals``, decides five of them: the Hermitian
-check, a path's samples (held as their diagonals by
+check, a path's samples (factored through their diagonals by
 ``OperatorPath._sample``), the nonnegative projections of sf_pairsum's
 junctions (``_nonneg_projections``), the eigenvalues of the projection
 check and of the pair index (``_stack_eigvalsh``) and the distances between
@@ -433,14 +433,14 @@ def _diagonal_path_corpus():
 
 
 def _path_outcome(make):
-    """What the library gives on a diagonal path: a fresh path's ``stack``
+    """What the library gives on a diagonal path: a fresh path's ``values``
     and ``matrices`` on a grid, then on one path the flow and the
     invertibility certificate, the points it keeps and those whose
-    eigenvalues it holds, the ``stack`` and ``matrices`` of its kept points
+    eigenvalues it holds, the ``matrices`` of its kept points with the grid
     and a refused parameter."""
     grid = np.linspace(0.0, 1.0, 9)
     out = [
-        _outcome(make().stack, grid),
+        _outcome(make().values, grid),
         _outcome(lambda: [m.mat for m in make().matrices(grid)]),
     ]
     path = make()
@@ -448,8 +448,7 @@ def _path_outcome(make):
     out.append(_outcome(lambda: repr(certify_invertible(path))))
     kept = sorted(path._mats)
     out += [kept, sorted(path._vals)]
-    out.append(_outcome(path.stack, np.array(kept + grid.tolist())))
-    out.append(_outcome(lambda: [m.mat for m in path.matrices(kept)]))
+    out.append(_outcome(lambda: [m.mat for m in path.matrices(kept + grid.tolist())]))
     out.append(_outcome(path.matrices, [1.5]))
     return out
 
@@ -467,19 +466,18 @@ def _run_paths(corpus, guard, monkeypatch):
             return d
 
         with monkeypatch.context() as m:
-            for module in (matcore, paths):
-                m.setattr(module, "_real_diagonals", spy)
+            m.setattr(matcore, "_real_diagonals", spy)
             outcomes[name] = _path_outcome(make)
         taken[name] = any(hits)
     return outcomes, taken
 
 
 def test_diagonal_paths_give_the_dense_routes_bits(monkeypatch):
-    """A path whose chunks are held as their diagonals gives, with the
-    guard patched off (every chunk validated and kept dense) and the lines
-    evaluated dense (``_real_diagonals`` refusing their ends), the same
-    flows, certificates, refusals, kept points, matrices with their
-    read-only flags, and stacks."""
+    """A path whose chunks are validated and factored through their
+    diagonals gives, with the guard patched off (every chunk validated and
+    factored dense) and the lines evaluated dense (``_real_diagonals``
+    refusing their ends), the same eigenvalues, flows, certificates,
+    refusals, kept points, and matrices with their read-only flags."""
     corpus = _diagonal_path_corpus()
     with warnings.catch_warnings(), monkeypatch.context() as m:
         warnings.simplefilter("ignore")  # LAPACK on NaN

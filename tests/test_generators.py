@@ -28,7 +28,7 @@ from specflowlab import (
     trig_path,
     unitary_rotation_path,
 )
-from specflowlab.matcore import _hermitian_stack, apply_function, op_norm
+from specflowlab.matcore import _chunk_len, _chunks, _hermitian_stack, apply_function, op_norm
 from specflowlab.opmodel import DiagonalModel, family_perturbation, realize
 from specflowlab.paths import lipschitz
 from conftest import random_spd
@@ -133,12 +133,21 @@ def _blockwise_tilted(raw, rate, dim, fix_left=True, gap=ENDPOINT_CLAMP_GAP):
     return OperatorPath(evaluate, dim, regularity=lipschitz((), [rate + op_norm(delta1 - delta0)]))
 
 
+def _digest(path, ts: list[float]) -> bytes:
+    """The sha256 of the path's validated rows at ``ts``, read one chunk at
+    a time and kept nowhere, so a dim-128 grid is never held whole."""
+    h = hashlib.sha256()
+    for chunk in _chunks(ts, _chunk_len(path.dim)):
+        h.update(path._rows(np.array(chunk))[0])
+    return h.digest()
+
+
 def _same_build(got, want, got_rng, want_rng):
-    """Same regularity, same bytes on the 257-point grid (hashed one path at
-    a time, so a dim-128 grid is held once), same generator state."""
-    ts = np.linspace(0.0, 1.0, 257)
+    """Same regularity, same bytes on the 257-point grid, same generator
+    state."""
+    ts = np.linspace(0.0, 1.0, 257).tolist()
     assert got.regularity == want.regularity
-    assert hashlib.sha256(got.stack(ts)).digest() == hashlib.sha256(want.stack(ts)).digest()
+    assert _digest(got, ts) == _digest(want, ts)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -379,7 +388,7 @@ def test_homotopy_family_shapes():
     row, s_grid, label = homotopy_family(0, 3)
     assert label in ("additive_drift", "unitary_conjugation")
     assert len(s_grid) == 7 and s_grid[0] == 0.0 and s_grid[-1] == 1.0
-    assert row(0.5).stack(np.array([0.25, 0.5])).shape == (2, 3, 3)
+    assert row(0.5)._rows(np.array([0.25, 0.5]))[0].shape == (2, 3, 3)
     # one declared path per row, kept for the next call with the same s
     assert row(0.5) is row(0.5) and row(0.5) is not row(1.0)
     # the rows keep the Lipschitz rate of the trig path they deform
@@ -437,8 +446,8 @@ def test_each_conjugation_row_builds_its_unitary_once(monkeypatch):
     for s in s_grid.tolist():
         for chunk in (ts[:4], ts[4:]):
             u = built[0](s)
-            want = _hermitian_stack(u.conj().T @ f.stack(chunk) @ u)
-            assert np.array_equal(row_of(s).stack(chunk), want)
+            want = _hermitian_stack(u.conj().T @ f._rows(chunk)[0] @ u)
+            assert np.array_equal(row_of(s)._rows(chunk)[0], want)
     assert calls == s_grid.tolist()
 
 
@@ -451,6 +460,16 @@ def test_family_path_errors():
         family_path("fuglede_line", {"N": 8})  # n missing
     with pytest.raises(InputError):
         family_path("linear_interp", {"a": np.eye(2)})  # b missing
+
+
+def test_trig_random_refuses_a_params_dim_that_disagrees():
+    """A params dim that the dim argument contradicts was once ignored,
+    giving a path of the argument's dim; equal dims, or either alone,
+    still build it."""
+    with pytest.raises(InputError, match=r"^trig_random params dim 3 does not match dim 4$"):
+        family_path("trig_random", {"dim": 3}, seed=1, dim=4)
+    for params, dim in (({"dim": 4}, 4), ({"dim": 4}, None), ({}, 4)):
+        assert family_path("trig_random", params, seed=1, dim=dim).dim == 4
 
 
 def test_family_path_linear_interp_endpoints():

@@ -513,12 +513,9 @@ def test_batched_evaluation_is_bit_identical(family, dim):
     single = [one.matrix(t).mat for t in grid]
     batched = [m.mat for m in make(dim).matrices(grid)]
     backwards = [m.mat for m in make(dim).matrices(grid[::-1])][::-1]
-    stacked = make(dim).stack(np.array(grid))
-    assert stacked.shape == (len(grid), one.dim, one.dim)
     for k in range(len(grid)):
         assert np.array_equal(single[k], batched[k])
         assert np.array_equal(single[k], backwards[k])
-        assert np.array_equal(single[k], stacked[k])
 
 
 @pytest.mark.parametrize("family", ["trig", "concat"])
@@ -535,9 +532,8 @@ def test_batched_evaluation_is_bit_identical_one_matrix_per_chunk(family):
         lambda dim: trig_path(3, dim),
         lambda dim: trig_path(3, dim, degree=8, scale=4.0),
         lambda dim: concat_compatible_pair(3, dim)[1],
-        lambda dim: path_concat(*concat_compatible_pair(3, dim)),
     ],
-    ids=["trig", "trig_deg8", "concat_partner", "concat"],
+    ids=["trig", "trig_deg8", "concat_partner"],
 )
 def test_trig_families_evaluate_exactly_hermitian(make):
     """Real combinations of exactly Hermitian coefficients: every sample
@@ -564,10 +560,9 @@ def test_evaluator_gets_one_call_per_chunk():
     path.values(grid)
     size = specflow._chunk_len(48)
     assert calls == [size] * (50 // size) + [50 % size]
-    # eigenvalues and stacks of a declared path keep no matrix
+    # eigenvalues of a declared path keep no matrix
     fresh = trig_path(3, 48)
     fresh.values(grid)
-    fresh.stack(np.array(grid))
     assert fresh._mats == {}
 
 
@@ -578,7 +573,7 @@ def _sampled_path():
 
 # Paths whose kept matrices come from each route: the ends and segment ends
 # (families, composites and a scalar callable), and the knots (sampled
-# paths); the diagonal ones keep their points as diagonals.
+# paths); the diagonal ones factor their chunks through their diagonals.
 EVALUATE_ONCE_PATHS = {
     "fuglede_line": lambda: family_path("fuglede_line", {"N": 32, "n": 3}),
     "toeplitz_line": lambda: family_path("toeplitz_line", {"m": 3}),
@@ -683,7 +678,6 @@ def test_every_kept_matrix_has_its_eigenvalues(family):
     path.matrix(0.3)
     path.matrices([0.1, 0.3, 0.6])
     path.values([0.2, 0.3])
-    path.stack(np.array([0.4, 0.1, 0.4]))
     _assert_kept_matrices_have_values(path)
     joined = path_concat(path, path_reverse(path))
     _assert_kept_matrices_have_values(path, joined)
@@ -692,6 +686,19 @@ def test_every_kept_matrix_has_its_eigenvalues(family):
             with contextlib.suppress(SpecFlowError):
                 call(target)
             _assert_kept_matrices_have_values(path, joined)
+
+
+@pytest.mark.parametrize("family", sorted(PATH_FAMILIES))
+def test_every_kept_point_is_a_hermitian_matrix(family):
+    """A path keeps each point in one form, its ``HermitianMatrix``: after
+    the flows, after the invertibility certificate and after its knots are
+    asked for, on the path and on the paths it is made of."""
+    path = PATH_FAMILIES[family](5)
+    for call in (sf_all_methods, certify_invertible,
+                 lambda p: p.matrices(p.regularity.knots)):
+        call(path)
+        kept = [m for leaf in _leaves(path) for m in leaf._mats.values()]
+        assert kept and all(isinstance(m, HermitianMatrix) for m in kept)
 
 
 def test_kept_matrices_have_values_after_partial_use():
@@ -740,10 +747,10 @@ def test_declared_paths_keep_only_the_segment_ends(make):
 
 def test_large_diagonal_path_holds_few_matrices():
     """A dim-128 path whose oracle evaluates about 200 points keeps their
-    eigenvalues, not 256 KB per matrix; the samples sf_phillips keeps while
-    it subdivides are held as diagonals and no chunk is copied, so the
-    traced peak stays below 8 MiB (about 21 MB when each kept sample was a
-    dense matrix)."""
+    eigenvalues, not 256 KB per matrix; sf_phillips scores its samples by
+    their eigenvalues alone and a diagonal chunk is validated without a
+    copy, so the traced peak stays below 8 MiB (about 21 MB when each
+    sample sf_phillips subdivided was kept as a dense matrix)."""
     path = family_path("fuglede_line", {"N": 128, "n": 40})
     tracemalloc.start()
     try:
@@ -761,23 +768,21 @@ def test_large_diagonal_path_holds_few_matrices():
 def test_a_diagonal_chunk_takes_one_diagonal_test(family, monkeypatch):
     """The sampling engine tests each evaluated chunk once for a diagonal
     stack (``_real_diagonals``, one count over the chunk): the Hermitian
-    check's test gives the eigenvalues and the kept diagonals too. A
-    composite evaluates and tests nothing; its parts' chunks are each
-    tested once."""
+    check's test gives the eigenvalues and the kept matrices too, also for
+    points whose eigenvalues were held before their matrices. A composite
+    evaluates and tests nothing; its parts' chunks are each tested once."""
     path = PATH_FAMILIES[family](6)
-    parts = path._pieces(np.array([0.2, 0.7])) if family == "concat_diagonal" else ()
     chunks = []
-    for p in [path] + [part for part, _, _ in parts]:
+    for p in _leaves(path):
         evaluate = p._evaluator
         p._evaluator = lambda ts, evaluate=evaluate: chunks.append(len(ts)) or evaluate(ts)
     tests = []
     count = matcore._real_diagonals
-    for module in (matcore, paths):
-        monkeypatch.setattr(module, "_real_diagonals", lambda s: tests.append(len(s)) or count(s))
+    monkeypatch.setattr(matcore, "_real_diagonals", lambda s: tests.append(len(s)) or count(s))
     grid = np.linspace(0.0, 1.0, 65)
     path.values(grid[::2])
     path.matrices(grid[1::4])
-    path.stack(grid[3::4])
+    path.matrices(grid[::8])
     assert chunks and len(tests) == len(chunks)
 
 
@@ -924,9 +929,9 @@ def test_composite_reads_what_its_parts_sampled(seed, dim):
     ids=["concat", "reverse", "there_and_back"],
 )
 def test_a_composite_evaluates_and_holds_nothing(compose):
-    """After its flows and invertibility certificate a composite, and any
-    composite it is made of, holds no eigenvalues and no matrix: t = 0.5 of
-    each is f at 1.0, the very objects f holds."""
+    """A composite has no evaluator, and after its flows and invertibility
+    certificate it, and any composite it is made of, holds no eigenvalues
+    and no matrix: t = 0.5 of each is f at 1.0, the very objects f holds."""
     f, g = concat_compatible_pair(5, 4)
     path = compose(f, g)
     sf_all_methods(path)
@@ -937,11 +942,11 @@ def test_a_composite_evaluates_and_holds_nothing(compose):
         todo = [part for p in todo for part in _parts(p)]
     assert composites
     for c in composites:
-        assert c._vals == {} and c._mats == {}
+        assert c._evaluator is None and c._vals == {} and c._mats == {}
     assert path.matrix(0.5) is f.matrix(1.0)
     assert path.values(0.5) is f.values(1.0)
     # a reversal maps -1e-20 to 1.0, so the composite checks its own t
-    for ask in (path.values, path.matrices, path.stack):
+    for ask in (path.values, path.matrices):
         with pytest.raises(InputError, match=r"^path parameter -1e-20 outside \[0, 1\]$"):
             ask(np.array([0.5, -1e-20]))
 
@@ -955,7 +960,7 @@ def test_a_composite_projects_no_junction_its_parts_projected(monkeypatch):
     sf_pairsum(f)
     sf_pairsum(g)
     projected = {(p, t) for p in (f, g) for t, m in p._mats.items()
-                 if isinstance(m, HermitianMatrix) and m._eig is not None}
+                 if m._eig is not None}
     factored = []
     eigh_stack = matcore._eigh_stack
     monkeypatch.setattr(matcore, "_eigh_stack", lambda s: factored.append(len(s)) or eigh_stack(s))
