@@ -41,7 +41,6 @@ from .matcore import (
     _chunks,
     _diagonal_matrices,
     _eigh_stack,
-    _has_neg_zero,
     _hermitian_stack,
     _op_norms,
     _real_diagonals,
@@ -49,7 +48,7 @@ from .matcore import (
     op_norm,
 )
 from .opmodel import DiagonalModel, family_perturbation, realize
-from .paths import OperatorPath, lipschitz, piecewise_affine
+from .paths import OperatorPath, _declared_dim, lipschitz, piecewise_affine
 from .transforms import UnitaryMatrix, _as_unitary
 
 __all__ = [
@@ -199,28 +198,6 @@ def _add_combination(out: np.ndarray, terms) -> np.ndarray:
         np.multiply(c[:, None, None], mat.view(np.float64), out=tmp)
         flat += tmp
     return out
-
-
-def _scaled(c: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """c[i] * M for each i, as a fresh complex (k, n, n) stack multiplied
-    on the real view; ``_add_combination`` adds further terms to it."""
-    out = np.empty((len(c),) + mat.shape, dtype=np.complex128)
-    np.multiply(c[:, None, None], mat.view(np.float64), out=out.view(np.float64))
-    return out
-
-
-def _or_formula(out: np.ndarray, formula: Callable[[], np.ndarray]) -> np.ndarray:
-    """``out``, a sum of terms c * M (real c, complex M) evaluated on the real
-    view, or ``formula()``, the same sum in numpy's complex arithmetic, when
-    ``out`` holds a -0.0.
-
-    numpy multiplies c by M = x + iy as (c + 0i)(x + iy), with the parts
-    c*x - 0*y and c*y + 0*x: they equal the real view's c*x and c*y except
-    where the latter is -0.0, where they are a zero of either sign. A sum
-    of such terms keeps that property, so a result with no -0.0 has the
-    formula's bits. ``line_path`` evaluates this way, on its ends'
-    diagonals where both are diagonal."""
-    return formula() if _has_neg_zero(out) else out
 
 
 def _tilted_path(
@@ -470,26 +447,25 @@ def homotopy_family(seed_or_rng, dim: int):
 
 
 def line_path(a: HermitianMatrix, b: HermitianMatrix) -> OperatorPath:
-    """The straight line t -> (1 - t) A + t B, affine with rate ||B - A||.
+    """The straight line t -> (1 - t) A + t B, affine with rate ||B - A||,
+    evaluated by numpy's formula, or, where ``_real_diagonals`` takes both
+    ends (tested here), on their diagonals into a zeroed stack.
 
-    Real diagonal ends that ``_real_diagonals`` takes (tested here) are
-    combined by the real view's operations on their diagonals only, in a
-    zeroed stack: its other components are (1 - t)(+0.0) + t(+0.0) = +0.0
-    for finite t. Either result goes through ``_or_formula``."""
+    The two give the same bytes, signed zeros included. The formula takes
+    c (x + iy) as (c + 0i)(x + iy) = (c x - 0 y) + i (c y + 0 x), and on
+    such ends y = +0.0, as is x off the diagonal. A diagonal real part is
+    c x - (+0.0) = c x, so the sums agree, even where underflow leaves a
+    -0.0. Every other component sums two terms that are +0.0 unless their
+    c is negative or -0.0, which needs t > 1 for the first (1 - t is never
+    -0.0) and t <= -0.0 for the second: never both, so the sum is +0.0."""
     if a.dim != b.dim:
         raise InputError(f"line endpoints must share a dimension, got {a.dim} and {b.dim}")
     da, db = (_real_diagonals(m.mat[None]) for m in (a, b))
 
-    def combine(ts: np.ndarray) -> np.ndarray:
-        if da is not None and db is not None:
-            return _diagonal_matrices((1.0 - ts)[:, None] * da + ts[:, None] * db)
-        return _add_combination(_scaled(1.0 - ts, a.mat), [(ts, b.mat)])
-
     def evaluate(ts: np.ndarray) -> np.ndarray:
-        return _or_formula(
-            combine(ts),
-            lambda: (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat,
-        )
+        if da is None or db is None:
+            return (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
+        return _diagonal_matrices((1.0 - ts)[:, None] * da + ts[:, None] * db)
 
     return OperatorPath(evaluate, a.dim, regularity=piecewise_affine((), [op_norm(b.mat - a.mat)]))
 
@@ -514,10 +490,10 @@ def _family_linear_interp(params: dict, seed, dim) -> OperatorPath:
 
 
 def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
-    """The line D + t C_n. Diagonal D and C_n that ``_real_diagonals``
-    takes (tested once, here) are combined as d + t * c on
-    their diagonals into a zeroed stack: the complex formula's every other
-    component is +0.0, so the bits are the formula's."""
+    """The line D + t C_n, as d + t c on the diagonals into a zeroed stack,
+    with the formula's bits: every other component of it is +0.0. Each law
+    gives nonzero real eigenvalues well inside zheevd's band and C_n one
+    nonzero diagonal entry, so ``_real_diagonals`` takes D and C_n."""
     n = params.get("n")
     model = DiagonalModel(
         coerce_field(params.get("N", 8), int, "N"), params.get("law", "linear")
@@ -530,9 +506,7 @@ def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
     dd, cd = (_real_diagonals(m.mat[None]) for m in (d, c))
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
-        if dd is not None and cd is not None:
-            return _diagonal_matrices(dd + ts[:, None] * cd)
-        return d.mat + ts[:, None, None] * c.mat
+        return _diagonal_matrices(dd + ts[:, None] * cd)
 
     return OperatorPath(
         evaluate, model.trunc_dim, regularity=piecewise_affine((), [op_norm(c.mat)])
@@ -580,7 +554,10 @@ FAMILY_NAMES = tuple(sorted(_FAMILY_BUILDERS))
 def family_path(
     name: str, params: dict | None = None, *, seed: int | None = None, dim: int | None = None
 ) -> OperatorPath:
-    """Build one of the named closed-form families."""
+    """Build one of the named closed-form families. ``trig_random`` is
+    built at ``dim`` and from ``seed``; the lines ignore ``seed`` and are
+    refused, as a path file is, when ``dim`` is given and not theirs."""
     if not isinstance(name, str) or name not in _FAMILY_BUILDERS:
         raise InputError(f"unknown path family {name!r}; choose from {FAMILY_NAMES}")
-    return _FAMILY_BUILDERS[name](dict(params or {}), seed, dim)
+    path = _FAMILY_BUILDERS[name](dict(params or {}), seed, dim)
+    return path if dim is None else _declared_dim(path, dim)

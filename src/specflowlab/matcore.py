@@ -232,12 +232,6 @@ def _zero_or_within(x: np.ndarray, lo: float, hi: float) -> bool:
     return x.max() <= hi and (x.min() >= lo or bool(np.all((x == 0.0) | (x >= lo))))
 
 
-def _has_neg_zero(x: np.ndarray) -> bool:
-    """Whether a float64 array, or a C-contiguous complex128 one, holds a
-    -0.0 component, which reads as the least int64."""
-    return x.size > 0 and bool(x.view(np.int64).min() == _NEG_ZERO_BITS)
-
-
 def _exact_average_into(a: np.ndarray, out: np.ndarray) -> bool:
     """Write (A + A*) / 2 of a finite stack equal to its adjoint into
     ``out`` without the sum, when that is possible; return whether it was.

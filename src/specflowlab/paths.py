@@ -18,7 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EndpointError, InputError, require_int, require_real
+from .errors import (
+    DimensionMismatchError, EndpointError, InputError, coerce_field, require_int, require_real,
+)
 from .matcore import (
     EigenDecomposition, HermitianMatrix, _chunk_len, _chunks, _diagonal_matrices, _diff_norms,
     _hermitian_rows, _hermitian_stack, _matrix_array, _stack_eigvalsh, op_norm,
@@ -35,6 +37,13 @@ _ENDPOINT_GAP = 1e-8
 
 def _dim_error(found: int, expected: int) -> DimensionMismatchError:
     return DimensionMismatchError(f"path evaluator returned dim {found}, expected {expected}")
+
+
+def _declared_dim(path: OperatorPath, declared) -> OperatorPath:
+    """``path``, refused unless its dim is ``declared``, read as an int field."""
+    if coerce_field(declared, int, "dim") != path.dim:
+        raise InputError(f"declared dim {declared} does not match path dim {path.dim}")
+    return path
 
 
 #: the soundness conditions a certificate can rest on, strongest first

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError, coerce_field, require_int
 from .matcore import HermitianMatrix, _complex_array, _matrix_array
-from .paths import OperatorPath
+from .paths import OperatorPath, _declared_dim
 from .specflow import SfCertificate
 
 if TYPE_CHECKING:  # imported where used, so compute and report load only what they read
@@ -146,11 +146,7 @@ def path_from_obj(obj: dict) -> OperatorPath:
         )
     else:
         raise InputError(f"path kind must be 'sampled' or 'family', got {kind!r}")
-    if "dim" in obj and coerce_field(obj["dim"], int, "dim") != path.dim:
-        raise InputError(
-            f"declared dim {obj['dim']} does not match path dim {path.dim}"
-        )
-    return path
+    return _declared_dim(path, obj["dim"]) if "dim" in obj else path
 
 
 def graded_to_obj(g: GradedOperator) -> dict:

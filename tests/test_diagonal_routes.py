@@ -475,14 +475,23 @@ def _run_paths(corpus, guard, monkeypatch):
 def test_diagonal_paths_give_the_dense_routes_bits(monkeypatch):
     """A path whose chunks are validated and factored through their
     diagonals gives, with the guard patched off (every chunk validated and
-    factored dense) and the lines evaluated dense (``_real_diagonals``
-    refusing their ends), the same eigenvalues, flows, certificates,
-    refusals, kept points, and matrices with their read-only flags."""
+    factored dense) and ``line_path``'s lines evaluated dense (built with
+    ``_real_diagonals`` refusing their ends), the same eigenvalues, flows,
+    certificates, refusals, kept points, and matrices with their read-only
+    flags. The Fuglede lines evaluate on their diagonals in both runs; their
+    bits are the formula's (``test_family_lines_evaluate_on_their_diagonals``)."""
     corpus = _diagonal_path_corpus()
+    line_path = generators.line_path
+
+    def dense_line(a, b):
+        with monkeypatch.context() as m:
+            m.setattr(generators, "_real_diagonals", lambda _s: None)
+            return line_path(a, b)
+
     with warnings.catch_warnings(), monkeypatch.context() as m:
         warnings.simplefilter("ignore")  # LAPACK on NaN
         fast, taken = _run_paths(corpus, matcore._real_diagonals, monkeypatch)
-        m.setattr(generators, "_real_diagonals", lambda _s: None)
+        m.setattr(generators, "line_path", dense_line)
         general, _ = _run_paths(corpus, lambda _a: None, monkeypatch)
     for name in corpus:
         assert fast[name] == general[name], name

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specflowlab import generators
 from specflowlab import (
@@ -483,33 +485,16 @@ def test_family_path_linear_interp_endpoints():
     )
 
 
-def _formula_spy(monkeypatch):
-    """Record, per evaluator call, whether the real-view sum held a -0.0
-    and so was replaced by the complex formula."""
-    fell_back = []
-    inner = generators._or_formula
-
-    def spy(out, formula):
-        fell_back.append(generators._has_neg_zero(out))
-        return inner(out, formula)
-
-    monkeypatch.setattr(generators, "_or_formula", spy)
-    return fell_back
-
-
 #: parameters where a product may underflow, be a signed zero or overflow
 _EDGE_TS = [0.0, -0.0, 1.0, 0.5, 0.3, 1e-300, 5e-324, 1.0 - 2.0**-53]
 
 
-def test_line_paths_evaluate_with_the_formulas_bits(monkeypatch):
-    """A line evaluated on the real view has the bits of the complex
-    formula, signed zeros included, on endpoints with signed zeros,
-    subnormal, huge and mixed-sign components; where the two differ the
-    formula is taken."""
-    fell_back = _formula_spy(monkeypatch)
+def test_line_paths_evaluate_with_the_formulas_bits():
+    """A line has the bits of the complex formula, signed zeros included,
+    on endpoints with signed zeros, subnormal, huge and mixed-sign
+    components."""
     rng = np.random.default_rng(2504)
     pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3e-310, 5e-324, -5e-324, -1e-300, 1e300])
-    differs = 0
     for case in range(300):
         n = int(rng.integers(1, 5))
 
@@ -526,21 +511,14 @@ def test_line_paths_evaluate_with_the_formulas_bits(monkeypatch):
         got = generators.line_path(a, b)._evaluator(ts)
         want = (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
         assert got.tobytes() == want.tobytes(), case
-        real_view = generators._add_combination(generators._scaled(1.0 - ts, a.mat), [(ts, b.mat)])
-        differs += real_view.tobytes() != want.tobytes()
-    assert fell_back.count(False) > 150 and fell_back.count(True) > 20
-    assert differs > 5  # the real view alone would not do
 
 
 @pytest.mark.parametrize("law", ["linear", "signed", "shifted"])
-def test_family_lines_evaluate_on_the_real_view(law, monkeypatch):
-    """The Toeplitz lines evaluate on the real view of their diagonals with
-    the formula's bits, and never hold the -0.0 that would send them to the
-    formula; the Fuglede lines evaluate on their diagonals with the
-    formula's bits, without the real view. Lines between diagonal ends, one
-    with a zero entry and one crossing zero, do the same; ends holding a
-    -0.0 take the real view, and the formula where it holds a -0.0."""
-    fell_back = _formula_spy(monkeypatch)
+def test_family_lines_evaluate_on_their_diagonals(law, monkeypatch):
+    """The Fuglede and Toeplitz lines evaluate on their diagonals with the
+    formula's bits. Lines between diagonal ends, one with a zero entry, one
+    crossing zero and one whose sum underflows to -0.0, do the same; ends
+    holding a -0.0 take the formula."""
     diagonal = []
     inner = generators._diagonal_matrices
     monkeypatch.setattr(
@@ -552,7 +530,7 @@ def test_family_lines_evaluate_on_the_real_view(law, monkeypatch):
         d, c = realize(model), family_perturbation(model, "fuglede", n)
         got = family_path("fuglede_line", {"N": big_n, "n": n, "law": law})._evaluator(ts)
         assert got.tobytes() == (d.mat + ts[:, None, None] * c.mat).tobytes()
-    assert fell_back == [] and len(diagonal) == 4
+    assert len(diagonal) == 4
     for m, power in ((1, 1), (9, 2), (24, 1)):
         d = half_integer_diagonal(m)
         w = cyclic_shift(d.dim, power).mat
@@ -560,18 +538,79 @@ def test_family_lines_evaluate_on_the_real_view(law, monkeypatch):
         got = family_path("toeplitz_line", {"m": m, "power": power})._evaluator(ts)
         want = (1.0 - ts)[:, None, None] * d.mat + ts[:, None, None] * conj.mat
         assert got.tobytes() == want.tobytes()
-    assert fell_back and not any(fell_back) and len(diagonal) == 7
+    assert len(diagonal) == 7
 
     def line(a, b):
         a, b = (HermitianMatrix._of_valid(np.diag(x).astype(np.complex128)) for x in (a, b))
         got = generators.line_path(a, b)._evaluator(ts)
         want = (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
         assert got.tobytes() == want.tobytes()
+        return got
 
-    fell_back.clear()
     line([0.0, 2.5, -1.0], [1.5, 0.0, -3.0])  # a zero entry at each end
     line([-1.0, 2.0, -0.25], [3.0, -0.5, 0.75])  # entries crossing zero
-    assert fell_back == [False, False] and len(diagonal) == 9
+    got = line([-5e-324, 1.0], [-5e-324, 2.0])  # 0.5 * -5e-324 rounds to -0.0
+    assert len(diagonal) == 10 and np.signbit(got[ts == 0.5, 0, 0].real).all()
     line([-0.0, 1.0], [-2.0, 3.0])  # t = 0 gives -0.0 + 0 * -2.0 = -0.0
     line([1.0, 2.0], [-0.0, 4.0])
-    assert fell_back[2:] == [True, False] and len(diagonal) == 9
+    assert len(diagonal) == 10
+
+
+#: diagonal entries: zeros, mixed signs, subnormals and the powers 2^+-480
+#: near the ends of zheevd's unscaled band
+_DIAGONAL_ENTRY = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, -3e-310, 1e-300, 2.0**-480, -2.0**-480,
+                     2.0**480, -2.0**480, 1.0, -2.5]),
+    st.floats(-1e6, 1e6).map(lambda x: x + 0.0),  # x + 0.0 turns -0.0 to +0.0
+)
+_LINE_T = st.one_of(st.sampled_from(_EDGE_TS), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _line_ends(draw):
+    """Two real diagonal ends that ``_real_diagonals`` takes, or two dense
+    Hermitian ends; and whether they are diagonal."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        entry = st.lists(_DIAGONAL_ENTRY, min_size=n, max_size=n)
+        # a row whose largest |d| lies below the band leaves the diagonal test
+        band = st.sampled_from([1.0, -2.0**-480, 2.0**480])
+        ends = [draw(entry) for _ in range(2)]
+        for d in ends:
+            if 0.0 < max(map(abs, d)) < 2.0**-480:
+                d[draw(st.integers(0, n - 1))] = draw(band)
+        return [np.diag(d).astype(np.complex128) for d in ends], True
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(2, 2, n, n))
+    g = g[:, 0] + 1j * g[:, 1]
+    return list(g + g.conj().swapaxes(1, 2)), False
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_line_ends(), st.lists(_LINE_T, min_size=1, max_size=6))
+@example(([np.diag([-5e-324, 1.0]).astype(np.complex128)] * 2, True), [0.5])
+def test_every_line_gives_the_formulas_bits(ends, ts):
+    """Random diagonal and dense ends, at edge and uniform t: the line's
+    stack has the bytes of (1 - t) A + t B, and diagonal ends take the
+    diagonal route, whose stack may hold a -0.0 (the example above does)."""
+    (a, b), diagonal = ends
+    a, b = (HermitianMatrix._of_valid(m) for m in (a, b))
+    ts = np.array(ts)
+    if diagonal:
+        assert all(generators._real_diagonals(m.mat[None]) is not None for m in (a, b))
+    got = generators.line_path(a, b)._evaluator(ts)
+    want = (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, params, dim", [
+    ("fuglede_line", {"N": 8, "n": 3}, 8),
+    ("toeplitz_line", {"m": 2, "power": 2}, 5),
+    ("linear_interp", {"a": np.diag([1.0, -1.0]), "b": np.diag([2.0, 3.0])}, 2),
+])
+def test_a_line_family_refuses_a_dim_its_path_lacks(name, params, dim):
+    """``dim`` is held to the built path, with a path file's text; None or
+    the path's own dim builds it, and any seed is accepted and unused."""
+    with pytest.raises(InputError, match=rf"^declared dim {dim + 1} does not match path dim {dim}$"):
+        family_path(name, params, dim=dim + 1)
+    for seed, given_dim in ((None, None), (4, dim), (9, None)):
+        assert family_path(name, params, seed=seed, dim=given_dim).dim == dim
