@@ -101,7 +101,7 @@ class FunctionDomainError(InputError):
 
     def __init__(self, eigenvalue: float, detail: str = ""):
         self.eigenvalue = float(eigenvalue)
-        msg = f"scalar function undefined at eigenvalue {eigenvalue!r}"
+        msg = f"scalar function undefined at eigenvalue {self.eigenvalue!r}"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

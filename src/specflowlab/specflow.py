@@ -366,7 +366,7 @@ def _clearance(path: OperatorPath, vals) -> np.ndarray:
 
 
 def _reach_bound(
-    path: OperatorPath, ts: list[float], steps: np.ndarray, idx: list[int], vals
+    path: OperatorPath, ts: Sequence[float], steps: np.ndarray, idx: list[int], vals
 ) -> np.ndarray:
     """Per sample of the grid ``ts``, an upper bound on its tolerance from
     the eigenvalues ``vals`` at the grid indices ``idx`` alone (increasing,
@@ -387,58 +387,48 @@ def _reach_bound(
     return _tolerances(path, steps, norms[:, None])
 
 
-def _guard(
-    path: OperatorPath, opts: SfOptions, ts: list[float], steps: np.ndarray, gap: float
-) -> tuple[list[int], list[np.ndarray]]:
-    """The oracle's aliasing guard on the ``opts.oracle_samples`` grid
-    ``ts``: the reach, the largest sample tolerance, must stay below half
-    the endpoint gap ``gap``. Returns the evaluated grid indices and their
-    eigenvalues if it does, and raises the oracle's ``SamplingError`` if
-    not.
+def _guard(path: OperatorPath, opts: SfOptions) -> tuple[list[int], list[np.ndarray]]:
+    """The oracle's aliasing guard on the ``opts.oracle_samples`` grid: the
+    reach, the largest sample tolerance, must stay below half the smaller
+    end gap. Returns the evaluated grid indices and their eigenvalues if it
+    does, held on the path per pair of grids, and raises the oracle's
+    ``SamplingError`` if not.
 
     It evaluates index sets of the grid in turn: the two ends (held by the
     end check), only when the step floor, the share (``_step_share``) of
     the largest step, reaches half the gap; the seeds, the points of the
-    ``opts.samples`` grid, found once per path and pair of grids; the whole
-    grid. Each set brackets the reach. The upper end is the largest per-sample
-    bound (``_reach_bound``); the lower end is the larger of the step floor
-    (every tolerance adds a nonnegative slack to its share of a neighbour
-    step) and the exact tolerance of every evaluated sample. The guard
-    passes when the upper end is below half the gap, and refuses when the
-    lower end is not and both ends print alike with ``.3e``, which rounds
-    correctly, so monotonically: the reach prints the same digits. On the
-    whole grid the two ends are equal, so the last set always decides.
+    ``opts.samples`` grid; the whole grid. Each set brackets the reach. The
+    upper end is the largest per-sample bound (``_reach_bound``); the lower
+    end is the larger of the step floor (every tolerance adds a nonnegative
+    slack to its share of a neighbour step) and the exact tolerance of
+    every evaluated sample. The guard passes when the upper end is below
+    half the gap, and refuses when the lower end is not and both ends print
+    alike with ``.3e``, which rounds correctly, so monotonically: the reach
+    prints the same digits. On the whole grid the two ends are equal, so
+    the last set always decides.
     """
-    floor = float(np.max(steps)) * _step_share(path)
 
-    def find_seeds() -> list[int]:
+    def decide() -> tuple[list[int], list[np.ndarray]]:
+        ts, steps = path.grid(opts.oracle_samples)
+        gap = min(path.endpoint_gaps())
+        floor = float(np.max(steps)) * _step_share(path)
         points = set(path.grid(opts.samples)[0])
-        return [k for k, t in enumerate(ts) if t in points]
+        sets = [[0, len(ts) - 1]] if floor >= 0.5 * gap else []
+        sets += [[k for k, t in enumerate(ts) if t in points], list(range(len(ts)))]
+        for idx in sets:
+            at_idx = path.values([ts[k] for k in idx])
+            tol = _reach_bound(path, ts, steps, idx, at_idx)
+            top = float(np.max(tol))
+            if top < 0.5 * gap:
+                return idx, at_idx
+            low = max(floor, float(np.max(tol[idx])))
+            if low >= 0.5 * gap and f"{low:.3e}" == f"{top:.3e}":
+                raise SamplingError(
+                    f"oracle sample tolerance {low:.3e} is not below half the endpoint gap "
+                    f"{gap:.3e}; increase oracle_samples"
+                )
 
-    seeds = path.memo(("seeds", opts.samples, opts.oracle_samples), find_seeds)
-    sets = [[0, len(ts) - 1]] if floor >= 0.5 * gap else []
-    sets += [seeds, list(range(len(ts)))]
-    for idx in sets:
-        at_idx = path.values([ts[k] for k in idx])
-        tol = _reach_bound(path, ts, steps, idx, at_idx)
-        top = float(np.max(tol))
-        if top < 0.5 * gap:
-            return idx, at_idx
-        low = max(floor, float(np.max(tol[idx])))
-        if low >= 0.5 * gap and f"{low:.3e}" == f"{top:.3e}":
-            raise SamplingError(
-                f"oracle sample tolerance {low:.3e} is not below half the endpoint gap "
-                f"{gap:.3e}; increase oracle_samples"
-            )
-
-
-def _refuse_on_step_bounds(path: OperatorPath, opts: SfOptions, gap: float) -> None:
-    """Run the guard (``_guard``), which must then refuse, when the step
-    floor on the ``opts.oracle_samples`` grid reaches half the endpoint gap
-    ``gap``; otherwise evaluate nothing."""
-    ts, steps = path.grid(opts.oracle_samples)
-    if float(np.max(steps)) * _step_share(path) >= 0.5 * gap:
-        _guard(path, opts, ts, steps, gap)
+    return path.memo(("guard", opts.samples, opts.oracle_samples), decide)
 
 
 def _false_declaration(c0: int, c1: int, t0: float, t1: float, bound: float) -> InputError:
@@ -449,25 +439,23 @@ def _false_declaration(c0: int, c1: int, t0: float, t1: float, bound: float) -> 
     )
 
 
-def _ledger(
-    path: OperatorPath, opts: SfOptions, ts: list[float], steps: np.ndarray, gap: float
-) -> tuple[dict[int, np.ndarray], list[int]]:
-    """The oracle's eigenvalues and nonnegative counts on the grid ``ts``.
+def _ledger(path: OperatorPath, opts: SfOptions) -> tuple[dict[int, np.ndarray], list[int]]:
+    """The oracle's eigenvalues and nonnegative counts on the
+    ``opts.oracle_samples`` grid ``ts``.
 
-    The aliasing guard (``_guard``) decides first, against half the
-    endpoint gap ``gap``; when it passes, its evaluated indices start the
-    ledger: the seeds (under sf_all_methods sf_phillips has evaluated them
-    already), or the whole grid when the guard needed it. Between two
-    evaluated indices i < j, every index inside takes the count of i when
-    the clearance (``_clearance``) at both ends exceeds the share
-    (``_step_share``) of the declared step bound of (ts[i], ts[j]);
-    otherwise ts[(i + j) // 2] is evaluated and both halves are tried
-    again, one ``values`` call per level. So counts change only between
-    adjacent evaluated indices, each with the whole grid's values. A count
-    change where both ends clear the bound proves the declaration false,
-    an ``InputError``.
+    The aliasing guard (``_guard``) decides first; when it passes, its
+    evaluated indices start the ledger: the seeds, or the whole grid when
+    the guard needed it. Between two evaluated indices i < j, every index
+    inside takes the count of i when the clearance (``_clearance``) at
+    both ends exceeds the share (``_step_share``) of the declared step
+    bound of (ts[i], ts[j]); otherwise ts[(i + j) // 2] is evaluated and
+    both halves are tried again, one ``values`` call per level. So counts
+    change only between adjacent evaluated indices, each with the whole
+    grid's values. A count change where both ends clear the bound proves
+    the declaration false, an ``InputError``.
     """
-    idx, at_idx = _guard(path, opts, ts, steps, gap)
+    ts = path.grid(opts.oracle_samples)[0]
+    idx, at_idx = _guard(path, opts)
     vals = dict(zip(idx, at_idx))
     counts = [0] * len(ts)
     clear: dict[int, float] = {}
@@ -518,9 +506,9 @@ def crossing_oracle_report(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) 
     lower bounds on the path's: the guard tests the largest sample tolerance
     against half the end gap, and nothing between adjacent grid points.
     """
-    g0, g1 = _check_endpoints(path)
+    _check_endpoints(path)
     ts, steps = path.grid(opts.oracle_samples)
-    vals, counts = _ledger(path, opts, ts, steps, min(g0, g1))
+    vals, counts = _ledger(path, opts)
     ups = downs = 0
     for k in np.flatnonzero(np.diff(counts)).tolist():
         jump = counts[k + 1] - counts[k]
@@ -553,14 +541,14 @@ def sf_all_methods(path: OperatorPath, opts: SfOptions = _DEFAULT_OPTS) -> dict:
     crossing-oracle report; raises ConsistencyFault if any two methods
     differ (that is a bug surface, not a property of the input).
 
-    The end check runs first, so an ``EndpointError`` wins. Then a
-    refusal that the path's step floor proves
-    (``_refuse_on_step_bounds``) raises, through the oracle's guard, the
-    ``SamplingError`` the oracle raises on a fresh path, before phillips
-    samples anything and in general from the two ends alone. Otherwise
-    phillips, pairsum, endpoints and the oracle run in that order.
+    The end check runs first, so an ``EndpointError`` wins. Then the
+    oracle's guard (``_guard``) decides, once per path and pair of grids,
+    before any method samples: a refusal raises the ``SamplingError`` the
+    oracle raises on a fresh path. Then phillips, pairsum, endpoints and
+    the oracle run in that order.
     """
-    _refuse_on_step_bounds(path, opts, min(_check_endpoints(path)))
+    _check_endpoints(path)
+    _guard(path, opts)
     cert_p = sf_phillips(path, opts)
     cert_s = sf_pairsum(path, opts)
     ends = sf_endpoints(path, opts)

@@ -15,7 +15,8 @@ runs the list once in this process and writes the sha256 of each run's
 output file and stderr, and of each ``CORPUS`` flow: the repr of
 ``sf_all_methods`` and of ``certify_invertible`` on one fresh path, or
 their refusal's class and text, and then the bytes of the path's
-``matrices`` (``matrices``).
+``matrices`` (``matrices``), with the numpy version and machine that
+wrote them.
 
     python tests/corpus.py --compare a.json b.json
 
@@ -23,7 +24,9 @@ prints each run or flow whose exit code or digests differ between two
 such files, or that only one of them holds, and exits 1 if there is any.
 CI writes two such files, under PYTHONHASHSEED 0 and 1, and compares them.
 Two such files, written from two checkouts on one host with the same BLAS
-thread count, decide a "same bytes" claim. Tier-1 pins no digest: the determinism
+thread count, decide a "same bytes" claim. Tier-1 pins the digests of
+``corpus_digests.json``, written at one BLAS thread under PYTHONHASHSEED 0,
+and skips them on another numpy version or machine: the determinism
 contract ties the bytes to one BLAS build, CPU and thread count. The
 script uses the package of its own checkout.
 """
@@ -34,6 +37,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 import warnings
@@ -471,7 +475,8 @@ def main(argv=None) -> int:
         found = digests(run_all(work))
     flows = flow_digests()
     Path(args.digests).write_text(json.dumps(
-        {"runs": len(found), "flows": len(flows), "digests": {**found, **flows}},
+        {"runs": len(found), "flows": len(flows), "digests": {**found, **flows},
+         "numpy": np.__version__, "machine": platform.machine()},
         indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -3,10 +3,16 @@ and refuses as recorded, on any host. The runs share one process, as the
 digest script runs them."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from corpus import RUNS, main, outcome, run_all
+from corpus import RUNS, differences, main, outcome, run_all
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +59,23 @@ def test_compare_names_the_runs_whose_bytes_differ(tmp_path, capsys):
     ]
     assert main(["--compare", a, a]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_the_corpus_gives_the_committed_digests(tmp_path):
+    """Every run's and flow's digests, at one BLAS thread under
+    PYTHONHASHSEED 0, are those of ``corpus_digests.json`` on the numpy
+    version and machine that wrote it; the determinism contract ties the
+    bytes to one build, so another build skips."""
+    here = Path(__file__).parent
+    pinned = json.loads((here / "corpus_digests.json").read_text())
+    build = (np.__version__, platform.machine())
+    if build != (pinned["numpy"], pinned["machine"]):
+        pytest.skip(f"digests written on numpy {pinned['numpy']} {pinned['machine']}, "
+                    f"this is numpy {build[0]} {build[1]}")
+    out = tmp_path / "digests.json"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
+    subprocess.run([sys.executable, str(here / "corpus.py"), "--digests", str(out)],
+                   env=env, check=True)
+    found = json.loads(out.read_text())["digests"]
+    lines = differences(pinned["digests"], found, ("corpus_digests.json", "this run"))
+    assert not lines, "\n".join(lines)

@@ -29,12 +29,12 @@ def _outcome(path, opts):
     return _run(crossing_oracle_report, path, opts)
 
 
-def _step_refusal(path, opts):
-    """The refusal the declared step bounds alone prove, as ``_run`` gives
-    it, or None."""
-    return _run(
-        lambda p, o: specflow._refuse_on_step_bounds(p, o, min(p.endpoint_gaps())), path, opts
-    )
+def _floor_refuses(path, opts):
+    """Whether the declared step bounds alone prove the guard's refusal:
+    the step floor, a lower bound on the reach, is at least half the end
+    gap."""
+    steps = path.grid(opts.oracle_samples)[1]
+    return max(steps) * specflow._step_share(path) >= 0.5 * min(path.endpoint_gaps())
 
 
 def _refused(message, window=None):
@@ -351,7 +351,8 @@ def test_an_exact_end_tolerance_closes_a_bracket_the_floor_straddles():
     probe = _straddling_line()
     steps = probe.grid(SfOptions().oracle_samples)[1]
     assert f"{max(steps) * specflow._step_share(probe):.3e}" == "1.000e+00"
-    assert _step_refusal(probe, SfOptions()) == _whole_grid(_straddling_line(), SfOptions())
+    assert _floor_refuses(probe, SfOptions())
+    assert _run(specflow._guard, probe) == _whole_grid(_straddling_line(), SfOptions())
     path = _straddling_line()
     asked = _counted(path)
     refused = _run(sf_all_methods, path)
@@ -389,13 +390,13 @@ SWEEP = {
 
 
 def test_a_refusal_from_the_ends_is_the_whole_grid_refusal():
-    """Wherever the step test fires, sf_all_methods on a fresh path refuses
-    with the whole-grid tally's class, text and window."""
+    """Wherever the step floor proves a refusal, sf_all_methods on a fresh
+    path refuses with the whole-grid tally's class, text and window."""
     opts = SfOptions(max_depth=2)  # the zigzag inputs' CLI setting
     fired = []
     for name, make in SWEEP.items():
         path = make()
-        if _step_refusal(path, opts) is not None:
+        if _floor_refuses(path, opts):
             fired.append(name)
             assert _run(sf_all_methods, make(), opts) == _whole_grid(path, opts), name
     assert "toeplitz_m32" in fired and "toeplitz_m31" not in fired
@@ -427,7 +428,7 @@ def test_every_guard_outcome_is_the_whole_grids(opts):
     for name, make in sorted({**CORPUS, **SWEEP}.items()):
         whole = _whole_grid(make(), opts)
         assert _outcome(make(), opts) == whole, name
-        if _step_refusal(make(), opts) is not None:
+        if _floor_refuses(make(), opts):
             assert _run(sf_all_methods, make(), opts) == whole, name
 
 
@@ -435,14 +436,48 @@ def test_every_guard_outcome_is_the_whole_grids(opts):
     "opts", [SfOptions(), SfOptions(oracle_samples=9)], ids=["default", "oracle_coarser"]
 )
 def test_the_step_test_fires_only_where_the_oracle_refuses(opts):
+    """Wherever the step floor proves a refusal, the guard on a fresh path
+    raises the oracle's refusal."""
     fired = []
     for name in sorted(CORPUS):
-        refused = _step_refusal(CORPUS[name](), opts)
-        if refused is not None:
+        if _floor_refuses(CORPUS[name](), opts):
+            refused = _run(specflow._guard, CORPUS[name](), opts)
             fired.append(name)
             assert refused == _outcome(CORPUS[name](), opts), name
             assert refused[1].startswith("oracle sample tolerance"), name
     assert "toeplitz_m32" in fired
+
+
+def test_all_methods_raises_every_refusal_of_the_oracle(monkeypatch):
+    """The guard decides before any method samples: wherever the oracle
+    refuses on a fresh path, sf_all_methods on a fresh path raises that
+    refusal before phillips runs, whether or not the step floor proves it
+    (the norm peak's refusal needs the whole grid)."""
+    opts = SfOptions(max_depth=2)  # the zigzag inputs' CLI setting
+    probe = _norm_peak(1.0)
+    ts, steps = probe.grid(opts.oracle_samples)
+    tau = specflow._tolerances(probe, steps, np.abs(np.array(probe.values(list(ts)))))
+    peak = partial(_norm_peak, 2.0 * np.nextafter(np.max(tau), 0.0))
+    monkeypatch.setattr(specflow, "sf_phillips", lambda *_: pytest.fail("phillips ran"))
+    refused = []
+    for name, make in sorted({**CORPUS, **SWEEP, "norm_peak": peak}.items()):
+        oracle = _outcome(make(), opts)
+        if not isinstance(oracle, dict):
+            refused.append(name)
+            assert _run(sf_all_methods, make(), opts) == oracle, name
+    assert {"narrow_dip_declared", "norm_peak", "toeplitz_m32"} <= set(refused)
+    assert not _floor_refuses(peak(), opts)
+
+
+def test_the_oracle_reads_the_guard_decision_all_methods_held(monkeypatch):
+    path = trig_path(5, 4)
+    ledger = sf_all_methods(path)["crossing_ledger"]
+    key = ("guard", SfOptions().samples, SfOptions().oracle_samples)
+    held = path.memo(key, lambda: pytest.fail("not held"))
+    monkeypatch.setattr(specflow, "_reach_bound", lambda *_: pytest.fail("decided again"))
+    assert crossing_oracle_report(path) == ledger
+    assert crossing_oracle_report(path, SfOptions(max_depth=3)) == ledger
+    assert path.memo(key, lambda: pytest.fail("not held")) is held
 
 
 def _in_order(path):
