@@ -83,9 +83,14 @@ def _cmd_metrics(args) -> str:
     from .opmodel import FAMILIES, DiagonalModel
 
     if args.input:
+        if args.trunc_dim is not None or args.law is not None:
+            raise InputError("--input gives the model: --trunc-dim and --law do not apply")
         model, families, ns = sz.model_from_obj(_load_input(args))
     else:
-        model = DiagonalModel(args.trunc_dim, args.law)
+        model = DiagonalModel(
+            64 if args.trunc_dim is None else args.trunc_dim,
+            "linear" if args.law is None else args.law,
+        )
         families = list(FAMILIES)
         ns = None
     rows = metric_separation_report(model, families, ns)
@@ -187,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
         input_help="input JSON file (optional)",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-    p.add_argument("--trunc-dim", type=int, default=64, help="diagonal model size")
-    p.add_argument("--law", default="linear", help="diagonal growth law")
+    # no defaults here: with --input, a given --trunc-dim or --law is refused
+    p.add_argument("--trunc-dim", type=int, help="diagonal model size (default 64)")
+    p.add_argument("--law", help="diagonal growth law (default linear)")
 
     p = subcommand("toeplitz", "compression index vs conjugation flow", sampling=True)
     p.add_argument("--m-max", type=_count(1), default=8, help="largest truncation radius")

@@ -38,8 +38,8 @@ from .matcore import (
     HermitianMatrix,
     _assemble,
     _chunk_len,
-    _chunks,
     _diagonal_matrices,
+    _diagonal_op_norms,
     _eigh_stack,
     _hermitian_stack,
     _op_norms,
@@ -213,9 +213,8 @@ def _tilted_path(
     spectrally clamped versions (invertible with the given gap). The tilt
     adds its rate ||delta1 - delta0|| to ``rate``.
 
-    The ends are evaluated and checked as one stack, and clamped as stacks
-    of ``_chunk_len(dim)`` (both at once up to dim 90): one validated
-    ``eigh`` per stack, then ``_clamped``, the formula
+    The ends are evaluated, checked and clamped as one stack: one validated
+    ``eigh``, then ``_clamped``, the formula
     ``clamp_spectrum_away_from_zero`` applies to one matrix, so each delta
     has the bits the one-matrix clamp gives.
 
@@ -229,8 +228,7 @@ def _tilted_path(
     require_real(gap, "gap", "positive and finite")
     if not fix_left:
         ends = ends[1:]
-    clamped = [_clamped(*_eigh_stack(c), gap) for c in _chunks(ends, _chunk_len(dim))]
-    deltas = np.concatenate(clamped) - ends
+    deltas = _clamped(*_eigh_stack(ends), gap) - ends
     delta0 = deltas[0] if fix_left else np.zeros((dim, dim))
     delta1 = deltas[-1]
 
@@ -449,7 +447,8 @@ def homotopy_family(seed_or_rng, dim: int):
 def line_path(a: HermitianMatrix, b: HermitianMatrix) -> OperatorPath:
     """The straight line t -> (1 - t) A + t B, affine with rate ||B - A||,
     evaluated by numpy's formula, or, where ``_real_diagonals`` takes both
-    ends (tested here), on their diagonals into a zeroed stack.
+    ends (tested here), on their diagonals into a zeroed stack, its rate
+    too (``_diagonal_op_norms``).
 
     The two give the same bytes, signed zeros included. The formula takes
     c (x + iy) as (c + 0i)(x + iy) = (c x - 0 y) + i (c y + 0 x), and on
@@ -461,13 +460,15 @@ def line_path(a: HermitianMatrix, b: HermitianMatrix) -> OperatorPath:
     if a.dim != b.dim:
         raise InputError(f"line endpoints must share a dimension, got {a.dim} and {b.dim}")
     da, db = (_real_diagonals(m.mat[None]) for m in (a, b))
+    diagonal = da is not None and db is not None
 
     def evaluate(ts: np.ndarray) -> np.ndarray:
-        if da is None or db is None:
+        if not diagonal:
             return (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
         return _diagonal_matrices((1.0 - ts)[:, None] * da + ts[:, None] * db)
 
-    return OperatorPath(evaluate, a.dim, regularity=piecewise_affine((), [op_norm(b.mat - a.mat)]))
+    rate = float(_diagonal_op_norms(db - da)[0]) if diagonal else op_norm(b.mat - a.mat)
+    return OperatorPath(evaluate, a.dim, regularity=piecewise_affine((), [rate]))
 
 
 def conjugation_path(d: HermitianMatrix, w) -> OperatorPath:
@@ -490,8 +491,8 @@ def _family_linear_interp(params: dict, seed, dim) -> OperatorPath:
 
 
 def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
-    """The line D + t C_n, as d + t c on the diagonals into a zeroed stack,
-    with the formula's bits: every other component of it is +0.0. Each law
+    """The line D + t C_n as d + t c into a zeroed stack, the formula's bits
+    (every other component is +0.0), and its rate ||C_n|| from c. Each law
     gives nonzero real eigenvalues well inside zheevd's band and C_n one
     nonzero diagonal entry, so ``_real_diagonals`` takes D and C_n."""
     n = params.get("n")
@@ -508,9 +509,8 @@ def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
     def evaluate(ts: np.ndarray) -> np.ndarray:
         return _diagonal_matrices(dd + ts[:, None] * cd)
 
-    return OperatorPath(
-        evaluate, model.trunc_dim, regularity=piecewise_affine((), [op_norm(c.mat)])
-    )
+    rate = float(_diagonal_op_norms(cd)[0])
+    return OperatorPath(evaluate, model.trunc_dim, regularity=piecewise_affine((), [rate]))
 
 
 def _family_toeplitz_line(params: dict, seed, dim) -> OperatorPath:

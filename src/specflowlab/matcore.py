@@ -310,32 +310,26 @@ def op_norm(a) -> float:
 def _op_norms(a: np.ndarray) -> np.ndarray:
     """Operator norm of a non-empty complex matrix, or of each matrix of a
     (k, n, m) stack by one stacked SVD, each bit for bit that of its matrix
-    alone; a non-finite entry anywhere raises FinitenessError.
-
-    A stack of diagonal matrices (every off-diagonal entry compares equal to
-    0) takes ``_route_norms`` of its diagonals when they give the SVD's
-    bits. A dense stack is sent on after one look at the first matrix's
-    bottom-left entry."""
+    alone; a non-finite entry anywhere raises FinitenessError. A caller that
+    holds the diagonals of diagonal matrices takes ``_diagonal_op_norms``
+    of them instead."""
     if not np.all(np.isfinite(a)):
         raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
-    n = a.shape[-1]
-    if a.size and a.shape[-2] == n >= 3 and a[(0,) * (a.ndim - 2) + (n - 1, 0)] == 0:
-        d = a.diagonal(axis1=-2, axis2=-1)
-        if np.count_nonzero(a) == np.count_nonzero(d):
-            norms = _route_norms(d)
-            if norms is not None:
-                return norms
     return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
 def _diagonal_op_norms(d: np.ndarray) -> np.ndarray:
     """The 2-norms of the complex diagonal matrices diag(d_i) of a finite
-    (k, n) stack of diagonals, each bit for bit its SVD's: ``_route_norms``
-    where they are, else the SVD of the matrices."""
-    norms = _route_norms(d)
-    if norms is None:
-        norms = np.linalg.norm(_diagonal_matrices(d), 2, axis=(1, 2))
-    return norms
+    (k, n) stack of diagonals, each bit for bit the SVD's of diag(d_i),
+    whatever the signs of its zeros: ``_diagonal_norms(d)`` when n >= 3
+    and each norm is 0 or lies in [``_SVD_UNSCALED_MIN``,
+    ``_SVD_UNSCALED_MAX``], where they are zgesdd's bits; else the SVD of
+    the matrices (``_diagonal_matrices``)."""
+    if d.shape[-1] >= 3:
+        norms = _diagonal_norms(d)
+        if _zero_or_within(norms, _SVD_UNSCALED_MIN, _SVD_UNSCALED_MAX):
+            return norms
+    return np.linalg.norm(_diagonal_matrices(d), 2, axis=(1, 2))
 
 
 def _diagonal_matrices(d: np.ndarray) -> np.ndarray:
@@ -347,16 +341,6 @@ def _diagonal_matrices(d: np.ndarray) -> np.ndarray:
     i = np.arange(d.shape[-1])
     out[:, i, i] = d
     return out
-
-
-def _route_norms(d: np.ndarray) -> np.ndarray | None:
-    """``_diagonal_norms(d)`` of a (..., n) stack of diagonals when n >= 3
-    and each norm is 0 or lies in [``_SVD_UNSCALED_MIN``,
-    ``_SVD_UNSCALED_MAX``], where they are zgesdd's bits; else None."""
-    if d.shape[-1] < 3:
-        return None
-    norms = _diagonal_norms(d)
-    return norms if _zero_or_within(norms, _SVD_UNSCALED_MIN, _SVD_UNSCALED_MAX) else None
 
 
 def _diagonal_norms(d: np.ndarray) -> np.ndarray:
@@ -393,27 +377,19 @@ def _diff_norms(mats) -> np.ndarray:
     return np.concatenate([_op_norms(np.subtract(p[1:], p[:-1])) for p in parts])
 
 
-def _frobenius_misses(a: np.ndarray, bound: float) -> list[int]:
-    """Indices of the matrices of a (k, n, n) stack that the cheap
-    sufficient test for ``op_norm(a_i) <= bound`` does not accept.
-
-    ||a||_2 <= ||a||_F, and the relative slack absorbs the rounding of both
-    norms, so the test never accepts what the exact test would reject. A
-    miss (including NaN, Inf or an overflowing square) only means: run the
-    exact test on it. One stacked norm call measures every matrix.
-    """
-    limit = bound * (1.0 - _FRO_SLACK)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fro = np.linalg.norm(a, axis=(1, 2))
-    return np.flatnonzero(~(fro <= limit)).tolist()
-
-
 def _norm_over(a: np.ndarray, bound: float, limit: Callable | None = None) -> float | None:
     """The 2-norm of the first matrix of a (k, n, n) stack above its limit,
     or None. The limit is ``bound``, or ``limit(i)`` (at least ``bound``)
-    when given; only a matrix the Frobenius screen against ``bound`` misses
+    when given.
+
+    One stacked Frobenius norm screens every matrix against ``bound``:
+    ||a||_2 <= ||a||_F, and the relative slack absorbs the rounding of both
+    norms, so the screen never accepts what the exact test would reject.
+    Only a matrix it misses (including NaN, Inf or an overflowing square)
     takes ``op_norm`` and asks ``limit(i)``."""
-    for i in _frobenius_misses(a, bound):
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro = np.linalg.norm(a, axis=(1, 2))
+    for i in np.flatnonzero(~(fro <= bound * (1.0 - _FRO_SLACK))).tolist():
         norm = op_norm(a[i])
         if norm > (bound if limit is None else limit(i)):
             return norm

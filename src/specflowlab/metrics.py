@@ -8,17 +8,18 @@ reports that compare them.
        evaluates the equivalent half-Cayley-distance formula and faults if
        the two routes disagree beyond 1e-9
 
-Every distance is computed on operand records, each a validated (k, n, n)
-stack whose transforms are formed once for the whole stack (see _Operand),
-and is one stacked norm per route: between records of real diagonal
-matrices, the norm of the diagonal differences of the scalar images, with
-zgesdd's bits and no SVD (``matcore._diagonal_norms``); otherwise one
-stacked SVD. The public d_X are the one-matrix case. A call that measures
-many operands against one reference (the
-separation report, the graded stability check) builds the reference's
-record once; nothing outlives the call. The resolvent stays a direct
-matrix inverse, not an eigenbasis formula, so the two d_G routes remain
-two different computations.
+Every distance is computed on operand records (see _Operand), each a
+validated (k, n, n) stack whose images are formed once for the whole stack.
+A record is its diagonals or its stack: a record of real diagonal matrices
+holds its images as (k, n) diagonals. A distance is one stacked norm per
+route (``_image_norms``): two diagonal images take zgesdd's bits from their
+diagonals (``matcore._diagonal_op_norms``); a mixed pair builds the
+diagonal image's matrices and takes one stacked SVD, as two stacks do. The
+public d_X are the one-matrix case. A call that measures many operands
+against one reference (the separation report, the graded stability check)
+builds the reference's record once; nothing outlives the call. The
+resolvent stays a direct matrix inverse, not an eigenbasis formula, so the
+two d_G routes remain two different computations.
 
 The separation report tabulates all four on the diagonal-model families,
 next to their exact closed forms, which is where the metrics genuinely
@@ -39,6 +40,7 @@ from .matcore import (
     _assemble,
     _chunk_len,
     _chunks,
+    _diagonal_matrices,
     _diagonal_op_norms,
     _eigh_stack,
     _hermitian_stack,
@@ -74,19 +76,21 @@ _DG_FAULT = 1e-9
 
 class _Operand:
     """Validated operands of one dimension as a read-only (k, n, n) stack,
-    and the transforms the distances read, each computed on first use for
-    the whole stack: the resolvents (H + i)^{-1} by one stacked inverse, and
-    from one validated stacked eigendecomposition the Riesz and Cayley
-    images and the weights (I + H^2)^{-1/2}.
+    and the images the distances read, each computed on first use for the
+    whole stack: the plain operands, the resolvents (H + i)^{-1} by one
+    stacked inverse, and the Riesz and Cayley images and the weights
+    (I + H^2)^{-1/2}.
 
-    A stack that ``_real_diagonals`` takes keeps its diagonals ``d``, and
-    the distances between two such records read the scalar images of ``d``
+    A record is its diagonals or its stack. A stack that
+    ``_real_diagonals`` takes keeps its diagonals ``d``, and each image is
+    a (k, n) stack of diagonals: ``d`` itself, its scalar images
     (``_riesz_values``, ``_cayley_values``, ``_weight_values``), with no
-    decomposition and no dense transform. Those are the bits of the eigh
-    route: the eigenvalues are the diagonal and the basis is a permutation,
-    so each transform is diagonal with these entries. Paired with a dense
-    record, a diagonal one assembles its transforms on the identity basis,
-    which gives the same bits as the permuted one.
+    decomposition, and the diagonals of the resolvents. Those are the bits
+    of the eigh route: the eigenvalues are the diagonal and the basis is a
+    permutation, so each transform is diagonal with these entries. Any
+    other stack's images are (k, n, n) stacks, the transforms assembled from
+    one validated stacked eigendecomposition. ``_image_norms`` measures a
+    pair of images.
 
     ``_Operand(mats)`` holds the rows of a stack ``_hermitian_stack``
     returned; ``_Operand.of_matrix(h)`` holds one matrix, kept as ``h``, and
@@ -98,6 +102,7 @@ class _Operand:
         self.mats = mats
         self.h = h
         self.d = _real_diagonals(mats)
+        self.plain = mats if self.d is None else self.d
 
     @classmethod
     def of_matrix(cls, h) -> _Operand:
@@ -117,30 +122,28 @@ class _Operand:
         return ed.values[None], ed.vectors[None]
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """The values and bases the dense transforms are assembled on."""
-        if self.d is None:
-            return self.eig
-        return self.d, np.broadcast_to(np.eye(self.dim, dtype=np.complex128), self.mats.shape)
-
-    @cached_property
     def resolvent(self) -> np.ndarray:
-        """(H + i)^{-1} by LAPACK, diagonal stacks too: a scalar formula has
-        its bits only with 1 + r^2 fused, as the BLAS kernel may fuse it."""
-        eye = np.eye(self.dim, dtype=np.complex128)
-        return np.linalg.inv(self.mats + 1j * eye)
+        """(H + i)^{-1} by LAPACK, diagonal stacks too, whose inverses are
+        diagonal and read on their diagonals: a scalar formula has its bits
+        only with 1 + r^2 fused, as the BLAS kernel may fuse it."""
+        inv = np.linalg.inv(self.mats + 1j * np.eye(self.dim, dtype=np.complex128))
+        return inv if self.d is None else inv.diagonal(axis1=1, axis2=2).copy()
 
     @cached_property
     def riesz(self) -> np.ndarray:
-        return _riesz_stack(*self._spectrum)
+        return _riesz_stack(*self.eig) if self.d is None else _riesz_values(self.d)
 
     @cached_property
     def cayley(self) -> np.ndarray:
-        return _cayley_stack(*self._spectrum)
+        if self.d is None:
+            return _cayley_stack(*self.eig)
+        return _unitary_diagonals(_cayley_values(self.d))
 
     @cached_property
     def weight(self) -> np.ndarray:
-        w, v = self._spectrum
+        if self.d is not None:
+            return _weight_values(self.d)
+        w, v = self.eig
         return _hermitian_stack(_assemble(v, _weight_values(w)[:, None, :]))
 
 
@@ -150,8 +153,18 @@ def _weight_values(w: np.ndarray) -> np.ndarray:
         return 1.0 / np.sqrt(1.0 + w * w)
 
 
-def _diagonal(*operands: _Operand) -> bool:
-    return all(t.d is not None for t in operands)
+def _image_norms(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> list[float]:
+    """The 2-norms of the rows of (x - y) w, or of x - y without ``w``, for
+    images that are each a (k, n) stack of diagonals or a (k, n, n) stack;
+    an image of one row meets every row of the other. Diagonals alone take
+    ``_diagonal_op_norms``. Beside a stack, diagonals are built as their
+    matrices (``_diagonal_matrices``) for one stacked SVD: their entries are
+    the eigh route's up to the signs of zeros, which change no norm."""
+    if x.ndim == y.ndim == 2 and (w is None or w.ndim == 2):
+        diff = x - y
+        return _diagonal_op_norms(diff if w is None else diff * w).tolist()
+    x, y, w = (m if m is None or m.ndim == 3 else _diagonal_matrices(m) for m in (x, y, w))
+    return _op_norms(x - y if w is None else (x - y) @ w).tolist()
 
 
 def _operand(t) -> _Operand:
@@ -171,32 +184,21 @@ def _pair(t1, t2) -> tuple[_Operand, _Operand]:
 
 
 def _norm_distances(a: _Operand, b: _Operand) -> list[float]:
-    if _diagonal(a, b):
-        return _diagonal_op_norms(a.d - b.d).tolist()
-    return _op_norms(a.mats - b.mats).tolist()
+    return _image_norms(a.plain, b.plain)
 
 
 def _weighted_distances(a: _Operand, b: _Operand, d: _Operand) -> list[float]:
-    if _diagonal(a, b, d):
-        return _diagonal_op_norms((a.d - b.d) * _weight_values(d.d)).tolist()
-    return _op_norms((a.mats - b.mats) @ d.weight).tolist()
+    return _image_norms(a.plain, b.plain, d.weight)
 
 
 def _riesz_distances(a: _Operand, b: _Operand) -> list[float]:
-    if _diagonal(a, b):
-        return _diagonal_op_norms(_riesz_values(a.d) - _riesz_values(b.d)).tolist()
-    return _op_norms(a.riesz - b.riesz).tolist()
+    return _image_norms(a.riesz, b.riesz)
 
 
 def _graph_routes(a: _Operand, b: _Operand) -> tuple[list[float], list[float]]:
     """The resolvent route and the half-Cayley route, unchecked."""
-    res = _op_norms(a.resolvent - b.resolvent)
-    if _diagonal(a, b):
-        ca, cb = (_unitary_diagonals(_cayley_values(t.d)) for t in (a, b))
-        cay = 0.5 * _diagonal_op_norms(ca - cb)
-    else:
-        cay = 0.5 * _op_norms(a.cayley - b.cayley)
-    return res.tolist(), cay.tolist()
+    res = _image_norms(a.resolvent, b.resolvent)
+    return res, [0.5 * c for c in _image_norms(a.cayley, b.cayley)]
 
 
 def d_N(t1, t2) -> float:

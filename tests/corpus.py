@@ -322,6 +322,9 @@ RUNS = [
          "argument --m-max: must be at least 1, got 0"),
         ("compute_format", ["compute", "--input", "fuglede8.json", "--format", "json"],
          "unrecognized arguments: --format json"),
+        ("metrics_model_trunc_dim",
+         ["metrics", "--input", "model.json", "--trunc-dim", "64", "--law", "signed"],
+         "--input gives the model: --trunc-dim and --law do not apply"),
         ("axioms_seed_neg", ["axioms", "--seed", "-1", "--trials", "1"],
          "seed must be an int >= 0, got -1"),
         ("graded_seed_neg", ["graded", "--input", "rank1.json", "--seed", "-1"],

@@ -286,6 +286,23 @@ def test_metrics_csv_and_model_file(tmp_path, capsys):
     assert lines[1].split(",")[2] == "1"  # d_N = 1 for every rank_one row
 
 
+@pytest.mark.parametrize("given", [["--trunc-dim", "64"], ["--law", "signed"],
+                                   ["--trunc-dim", "64", "--law", "signed"]])
+def test_metrics_refuses_model_options_beside_a_model_file(tmp_path, capsys, given):
+    """The file gives the model, so a --trunc-dim or --law beside it is a
+    usage error, not an option silently ignored; either alone still reads."""
+    model = write_json(tmp_path / "model.json", {"N": 4, "family": "rank_one"})
+    assert cli.main(["metrics", "--input", model, *given]) == 1
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err == (
+        "error: --input gives the model: --trunc-dim and --law do not apply\n"
+    )
+    assert cli.main(["metrics", *given, "--format", "csv"]) == 0
+    # a header, then n = 1 ... 32 for each of the four families, swap from 2
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 32 - 1
+
+
 def test_metrics_byte_identical_across_runs(tmp_path):
     model = write_json(
         tmp_path / "model.json", {"N": 12, "family": ["rank_one", "swap"]}

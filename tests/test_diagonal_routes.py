@@ -6,11 +6,11 @@ check, a path's samples (factored through their diagonals by
 ``OperatorPath._sample``), the nonnegative projections of sf_pairsum's
 junctions (``_nonneg_projections``), the eigenvalues of the projection
 check and of the pair index (``_stack_eigvalsh``) and the distances between
-the metric report's operand records (``metrics._Operand``). On a stack of
-complex diagonal matrices, the operator norm (``_op_norms``) takes
-``_route_norms``. Each test runs a corpus through the library, then again
-with the route's test patched off, and compares the bytes, the ranks, and
-the class and text of what is raised."""
+the metric report's operand records (``metrics._Operand``). The norms of
+the diagonals a caller holds, complex ones too, take
+``_diagonal_op_norms``. Each test runs a corpus through the library, then
+again with the route's test patched off or against the SVD, and compares
+the bytes, the ranks, and the class and text of what is raised."""
 
 import warnings
 
@@ -588,27 +588,30 @@ def _norm_corpus():
 
 
 def test_diagonal_norms_give_the_svd_bits(monkeypatch):
+    """``_diagonal_op_norms`` of each diagonal stack's diagonals gives the
+    bits of the SVD of ``_diagonal_matrices`` of them, and of the stack
+    itself, whatever the signs of its zeros; the cases named below take
+    the route (no matrices built) or leave it."""
     cases = _norm_corpus()
-    fast = {name: _outcome(matcore._op_norms, a) for name, a in cases.items()}
-    with monkeypatch.context() as m:
-        m.setattr(matcore, "_route_norms", lambda _d: None)
-        general = {name: _outcome(matcore._op_norms, a) for name, a in cases.items()}
-    for name in cases:
-        assert fast[name] == general[name], name
-    # the record's norms of diagonals, given as (k, n) diagonals
+    built = []
+    matrices = matcore._diagonal_matrices
+    monkeypatch.setattr(matcore, "_diagonal_matrices", lambda d: built.append(1) or matrices(d))
+    taken = {}
     for name, a in cases.items():
-        if a.ndim == 3 and a.shape[1] and isinstance(fast[name], list):
-            d = np.ascontiguousarray(a.diagonal(axis1=1, axis2=2))
-            if np.count_nonzero(a) == np.count_nonzero(d):
-                assert _outcome(matcore._diagonal_op_norms, d) == fast[name], name
-    taken = {
-        name: a.ndim == 3 and matcore._route_norms(a.diagonal(axis1=1, axis2=2)) is not None
-        for name, a in cases.items()
-    }
+        if a.ndim != 3 or not np.all(np.isfinite(a)):
+            continue
+        d = np.ascontiguousarray(a.diagonal(axis1=1, axis2=2))
+        if np.count_nonzero(a) != np.count_nonzero(d):
+            continue
+        built.clear()
+        fast = _outcome(matcore._diagonal_op_norms, d)
+        taken[name] = not built
+        assert fast == _outcome(matcore._op_norms, matrices(d)), name
+        assert fast == _outcome(matcore._op_norms, a), name
     for name in (
         "ties", "zeros_complex", "positive", "negative_complex", "half_integers",
         "svd_range_ends", "svd_range_ends_complex", "zeros_beside_range_end", "dim_3",
-        "dim_128", "dim_256_zero",
+        "dim_128", "dim_256_zero", "neg_zero_off_diagonal",
     ):
         assert taken[name], name
     for name in (
@@ -618,7 +621,8 @@ def test_diagonal_norms_give_the_svd_bits(monkeypatch):
     ):
         assert not taken[name], name
     assert sum(taken.values()) >= 120
-    assert fast["nan_diagonal"][0] is matcore.FinitenessError
+    with pytest.raises(matcore.FinitenessError):
+        matcore._op_norms(cases["nan_diagonal"])
 
 
 def test_dimension_two_stays_on_the_svd():
@@ -640,17 +644,16 @@ def _report(model, *args):
 
 @pytest.mark.parametrize("law", ["linear", "signed", "shifted"])
 def test_metric_report_gives_the_svd_bits(law, monkeypatch):
-    """The separation table with diagonal operand records and the norm
-    route, then with both patched off; trunc-dim 3 is the first dimension
-    of the route, and at 8, 32 and 64 diagonal chunks sit beside chunks
-    with swap rows."""
+    """The separation table with diagonal operand records, then with every
+    record dense, so each distance is an SVD; trunc-dim 3 is the first
+    dimension of the norm route, and at 8, 32 and 64 diagonal chunks sit
+    beside chunks with swap rows, which measure mixed pairs."""
     cases = [(DiagonalModel(n, law),) for n in (3, 8, 32, 64)]
     cases.append((DiagonalModel(40, law), ["swap", "lambda", "fuglede"], [7, 2, 39, 1, 13]))
     cases.append((DiagonalModel(64, law), ["rank_one", "lambda", "fuglede"], [1, 2, 31, 63]))
     fast = [_report(*args) for args in cases]
     with monkeypatch.context() as m:
         m.setattr(metrics, "_real_diagonals", lambda _s: None)
-        m.setattr(matcore, "_route_norms", lambda _d: None)
         general = [_report(*args) for args in cases]
     assert fast == general
 

@@ -2,8 +2,8 @@
 lazily, and the CLI imports a subcommand's layers when the subcommand runs.
 Every check starts a fresh interpreter, since this test process has
 imported every layer already. The path layer loads no method, the
-methods read none of a path's privates, and one function reads zheevd's
-unscaled band."""
+methods read none of a path's privates, and one function reads each of
+zheevd's and zgesdd's unscaled bands."""
 
 import ast
 import json
@@ -70,11 +70,9 @@ def test_the_methods_read_no_private_attribute():
     assert private == []
 
 
-def test_zheevds_band_is_read_by_the_one_diagonal_test():
-    """``_UNSCALED_MIN`` and ``_UNSCALED_MAX`` are read in ``src`` only by
-    ``matcore._real_diagonals``, outside their own definitions: no other
-    diagonal route applies a range of its own."""
-    band = {"_UNSCALED_MIN", "_UNSCALED_MAX"}
+def _band_readers(band: set) -> list:
+    """(module, innermost function, name) of every read in ``src`` of a
+    name in ``band``, outside its own definition."""
     reads = set()
     for file in sorted((SRC / "specflowlab").glob("*.py")):
         tree = ast.parse(file.read_text())
@@ -93,9 +91,26 @@ def test_zheevds_band_is_read_by_the_one_diagonal_test():
             name = getattr(node, "id", None) or getattr(node, "attr", None)  # Name, Attribute
             if name in band and id(node) not in definitions:
                 reads.add((file.stem, owner.get(id(node)), name))
-    assert sorted(reads) == [
+    return sorted(reads)
+
+
+def test_zheevds_band_is_read_by_the_one_diagonal_test():
+    """``_UNSCALED_MIN`` and ``_UNSCALED_MAX`` are read in ``src`` only by
+    ``matcore._real_diagonals``, outside their own definitions: no other
+    diagonal route applies a range of its own."""
+    assert _band_readers({"_UNSCALED_MIN", "_UNSCALED_MAX"}) == [
         ("matcore", "_real_diagonals", "_UNSCALED_MAX"),
         ("matcore", "_real_diagonals", "_UNSCALED_MIN"),
+    ]
+
+
+def test_zgesdds_band_is_read_by_the_one_diagonal_norm():
+    """``_SVD_UNSCALED_MIN`` and ``_SVD_UNSCALED_MAX`` are read in ``src``
+    only by ``matcore._diagonal_op_norms``: the norms of diagonals have one
+    owner, and the general norm (``_op_norms``) tests no structure."""
+    assert _band_readers({"_SVD_UNSCALED_MIN", "_SVD_UNSCALED_MAX"}) == [
+        ("matcore", "_diagonal_op_norms", "_SVD_UNSCALED_MAX"),
+        ("matcore", "_diagonal_op_norms", "_SVD_UNSCALED_MIN"),
     ]
 
 

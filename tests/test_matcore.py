@@ -766,7 +766,18 @@ def test_as_hermitian_accepts_arrays_and_passthrough(rng):
     assert as_hermitian(h) is h
 
 
-def test_frobenius_misses_flag_non_finite_and_oversized_rows():
+def _frobenius_misses(stack, bound, monkeypatch):
+    """The rows ``_norm_over`` measures: each asks its limit, here never
+    reached, and takes one ``op_norm``, which a spy answers."""
+    asked, measured = [], []
+    monkeypatch.setattr(matcore, "op_norm", lambda m: measured.append(m) or 0.0)
+    assert matcore._norm_over(stack, bound, lambda i: asked.append(i) or np.inf) is None
+    assert len(measured) == len(asked)
+    assert all(np.array_equal(m, stack[i], equal_nan=True) for m, i in zip(measured, asked))
+    return asked
+
+
+def test_frobenius_misses_flag_non_finite_and_oversized_rows(monkeypatch):
     """Every row the cheap test cannot accept comes back as a miss: NaN
     and Inf entries, a square that overflows, and a Frobenius norm above
     the bound less its slack; the rest are accepted, in one stacked call."""
@@ -780,13 +791,13 @@ def test_frobenius_misses_flag_non_finite_and_oversized_rows():
     stack[4, 0, 0] = 1e200
     stack[5, 0, 0] = 2.0 * limit
     stack[6, 2, 1] = limit  # at the limit: accepted
-    misses = matcore._frobenius_misses(stack, bound)
+    misses = _frobenius_misses(stack, bound, monkeypatch)
     assert misses == [1, 2, 3, 4, 5]
     assert all(isinstance(i, int) for i in misses)
-    assert matcore._frobenius_misses(np.zeros((0, 3, 3), dtype=np.complex128), bound) == []
+    assert _frobenius_misses(np.zeros((0, 3, 3), dtype=np.complex128), bound, monkeypatch) == []
 
 
-def test_frobenius_misses_equal_the_per_matrix_loop(rng):
+def test_frobenius_misses_equal_the_per_matrix_loop(rng, monkeypatch):
     """The stacked norm sums in another order than one norm per matrix,
     within 1e-14 relative here; away from that band around the limit both
     miss the same matrices."""
@@ -798,6 +809,6 @@ def test_frobenius_misses_equal_the_per_matrix_loop(rng):
     np.testing.assert_allclose(np.linalg.norm(stack, axis=(1, 2)), per_matrix, rtol=1e-14, atol=0)
     clear = np.abs(per_matrix - limit) > 1e-13 * limit
     loop = [i for i, m in enumerate(stack) if not np.linalg.norm(m) <= limit]
-    misses = matcore._frobenius_misses(stack, bound)
+    misses = _frobenius_misses(stack, bound, monkeypatch)
     assert [i for i in misses if clear[i]] == [i for i in loop if clear[i]]
     assert 50 < len(misses) < 150
