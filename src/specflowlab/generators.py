@@ -38,7 +38,6 @@ from .matcore import (
     HermitianMatrix,
     _assemble,
     _chunk_len,
-    _diagonal_matrices,
     _diagonal_op_norms,
     _eigh_stack,
     _hermitian_stack,
@@ -48,7 +47,7 @@ from .matcore import (
     op_norm,
 )
 from .opmodel import DiagonalModel, family_perturbation, realize
-from .paths import OperatorPath, _declared_dim, lipschitz, piecewise_affine
+from .paths import OperatorPath, _declared_dim, _DiagonalPath, lipschitz, piecewise_affine
 from .transforms import UnitaryMatrix, _as_unitary
 
 __all__ = [
@@ -447,28 +446,28 @@ def homotopy_family(seed_or_rng, dim: int):
 def line_path(a: HermitianMatrix, b: HermitianMatrix) -> OperatorPath:
     """The straight line t -> (1 - t) A + t B, affine with rate ||B - A||,
     evaluated by numpy's formula, or, where ``_real_diagonals`` takes both
-    ends (tested here), on their diagonals into a zeroed stack, its rate
+    ends (tested here), as a ``_DiagonalPath`` on their diagonals, its rate
     too (``_diagonal_op_norms``).
 
-    The two give the same bytes, signed zeros included. The formula takes
-    c (x + iy) as (c + 0i)(x + iy) = (c x - 0 y) + i (c y + 0 x), and on
-    such ends y = +0.0, as is x off the diagonal. A diagonal real part is
-    c x - (+0.0) = c x, so the sums agree, even where underflow leaves a
-    -0.0. Every other component sums two terms that are +0.0 unless their
-    c is negative or -0.0, which needs t > 1 for the first (1 - t is never
-    -0.0) and t <= -0.0 for the second: never both, so the sum is +0.0."""
+    The two give matrices of the same bytes, signed zeros included. The
+    formula takes c (x + iy) as (c + 0i)(x + iy) = (c x - 0 y) + i (c y +
+    0 x), and on such ends y = +0.0, as is x off the diagonal. A diagonal
+    real part is c x - (+0.0) = c x, so the sums agree, even where
+    underflow leaves a -0.0. Every other component sums two terms that are
+    +0.0 unless their c is negative or -0.0, which needs t > 1 for the
+    first (1 - t is never -0.0) and t <= -0.0 for the second: never both,
+    so the sum is +0.0."""
     if a.dim != b.dim:
         raise InputError(f"line endpoints must share a dimension, got {a.dim} and {b.dim}")
     da, db = (_real_diagonals(m.mat[None]) for m in (a, b))
-    diagonal = da is not None and db is not None
-
-    def evaluate(ts: np.ndarray) -> np.ndarray:
-        if not diagonal:
-            return (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
-        return _diagonal_matrices((1.0 - ts)[:, None] * da + ts[:, None] * db)
-
-    rate = float(_diagonal_op_norms(db - da)[0]) if diagonal else op_norm(b.mat - a.mat)
-    return OperatorPath(evaluate, a.dim, regularity=piecewise_affine((), [rate]))
+    if da is None or db is None:
+        x, y, kind, rate = a.mat, b.mat, OperatorPath, op_norm(b.mat - a.mat)
+    else:
+        x, y, kind, rate = da[0], db[0], _DiagonalPath, float(_diagonal_op_norms(db - da)[0])
+    return kind(
+        lambda ts: np.multiply.outer(1.0 - ts, x) + np.multiply.outer(ts, y),
+        a.dim, regularity=piecewise_affine((), [rate]),
+    )
 
 
 def conjugation_path(d: HermitianMatrix, w) -> OperatorPath:
@@ -491,10 +490,11 @@ def _family_linear_interp(params: dict, seed, dim) -> OperatorPath:
 
 
 def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
-    """The line D + t C_n as d + t c into a zeroed stack, the formula's bits
-    (every other component is +0.0), and its rate ||C_n|| from c. Each law
-    gives nonzero real eigenvalues well inside zheevd's band and C_n one
-    nonzero diagonal entry, so ``_real_diagonals`` takes D and C_n."""
+    """The line D + t C_n as the ``_DiagonalPath`` d + t c, whose matrices
+    have the formula's bits (every other component is +0.0), and its rate
+    ||C_n|| from c. Each law gives nonzero real eigenvalues well inside
+    zheevd's band and C_n one nonzero diagonal entry, so
+    ``_real_diagonals`` takes D and C_n."""
     n = params.get("n")
     model = DiagonalModel(
         coerce_field(params.get("N", 8), int, "N"), params.get("law", "linear")
@@ -505,12 +505,10 @@ def _family_fuglede_line(params: dict, seed, dim) -> OperatorPath:
     d = realize(model)
     c = family_perturbation(model, "fuglede", n)
     dd, cd = (_real_diagonals(m.mat[None]) for m in (d, c))
-
-    def evaluate(ts: np.ndarray) -> np.ndarray:
-        return _diagonal_matrices(dd + ts[:, None] * cd)
-
     rate = float(_diagonal_op_norms(cd)[0])
-    return OperatorPath(evaluate, model.trunc_dim, regularity=piecewise_affine((), [rate]))
+    return _DiagonalPath(
+        lambda ts: dd + ts[:, None] * cd, model.trunc_dim, regularity=piecewise_affine((), [rate])
+    )
 
 
 def _family_toeplitz_line(params: dict, seed, dim) -> OperatorPath:

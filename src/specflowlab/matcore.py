@@ -201,13 +201,14 @@ def _real_diagonals(s: np.ndarray) -> np.ndarray | None:
     that is C-contiguous, non-empty and square, whose every other component
     (the off-diagonal entries and the imaginary parts of the diagonal) is
     +0.0, whose diagonal holds no -0.0, and where each row's largest |d| is
-    0 or lies where zheevd does not rescale (``_UNSCALED_MIN`` to
-    ``_UNSCALED_MAX``); else None. This is the one test of the diagonal
-    routes, which send any other stack to the general one. Such a stack is
-    its own Hermitian average, its sorted diagonal is what LAPACK's
-    eigensolver computes for the eigenvalues (its sort places a -0.0
-    differently among the zeros), and a permutation of the unit vectors is
-    its basis. A NaN or infinite diagonal lies outside the range.
+    0 or lies where zheevd does not rescale (``_unscaled``); else None.
+    This is the one test of the diagonal routes on a stack, which send any
+    other to the general one (a ``paths._DiagonalPath`` tests diagonals by
+    the same rule). Such a stack is its own Hermitian average, its sorted
+    diagonal is what LAPACK's eigensolver computes for the eigenvalues (its
+    sort places a -0.0 differently among the zeros), and a permutation of
+    the unit vectors is its basis. A NaN or infinite diagonal lies outside
+    the range.
 
     A dense stack is sent on after one look at the first matrix's
     bottom-left entry. Then one count of the components whose bits are
@@ -222,9 +223,13 @@ def _real_diagonals(s: np.ndarray) -> np.ndarray | None:
     d = s.diagonal(axis1=1, axis2=2).real
     if np.count_nonzero(s.view(np.int64)) != np.count_nonzero(d):
         return None
-    if not _zero_or_within(np.abs(d).max(axis=1), _UNSCALED_MIN, _UNSCALED_MAX):
-        return None
-    return d
+    return d if _unscaled(d) else None
+
+
+def _unscaled(d: np.ndarray) -> bool:
+    """Whether each row's largest |d| of a (k, n) real array is 0 or where
+    zheevd does not rescale (NaN and inf are not): the one reader of the band."""
+    return _zero_or_within(np.abs(d).max(axis=1), _UNSCALED_MIN, _UNSCALED_MAX)
 
 
 def _zero_or_within(x: np.ndarray, lo: float, hi: float) -> bool:

@@ -18,8 +18,9 @@ diagonal image's matrices and takes one stacked SVD, as two stacks do. The
 public d_X are the one-matrix case. A call that measures many operands
 against one reference (the separation report, the graded stability check)
 builds the reference's record once; nothing outlives the call. The
-resolvent stays a direct matrix inverse, not an eigenbasis formula, so the
-two d_G routes remain two different computations.
+resolvent stays LAPACK's inverse, of each matrix or, on a diagonal record,
+of each entry as a 1x1 matrix, not an eigenbasis formula, so the two d_G
+routes remain two different computations.
 
 The separation report tabulates all four on the diagonal-model families,
 next to their exact closed forms, which is where the metrics genuinely
@@ -78,16 +79,17 @@ class _Operand:
     """Validated operands of one dimension as a read-only (k, n, n) stack,
     and the images the distances read, each computed on first use for the
     whole stack: the plain operands, the resolvents (H + i)^{-1} by one
-    stacked inverse, and the Riesz and Cayley images and the weights
+    stacked LAPACK inverse, and the Riesz and Cayley images and the weights
     (I + H^2)^{-1/2}.
 
     A record is its diagonals or its stack. A stack that
     ``_real_diagonals`` takes keeps its diagonals ``d``, and each image is
     a (k, n) stack of diagonals: ``d`` itself, its scalar images
     (``_riesz_values``, ``_cayley_values``, ``_weight_values``), with no
-    decomposition, and the diagonals of the resolvents. Those are the bits
-    of the eigh route: the eigenvalues are the diagonal and the basis is a
-    permutation, so each transform is diagonal with these entries. Any
+    decomposition, and the resolvents' diagonals, the inverses of the
+    entries d + i as 1x1 matrices. Those are the bits of the eigh route and
+    of the dense inverse: the eigenvalues are the diagonal and the basis is
+    a permutation, so each transform is diagonal with these entries. Any
     other stack's images are (k, n, n) stacks, the transforms assembled from
     one validated stacked eigendecomposition. ``_image_norms`` measures a
     pair of images.
@@ -123,11 +125,12 @@ class _Operand:
 
     @cached_property
     def resolvent(self) -> np.ndarray:
-        """(H + i)^{-1} by LAPACK, diagonal stacks too, whose inverses are
-        diagonal and read on their diagonals: a scalar formula has its bits
-        only with 1 + r^2 fused, as the BLAS kernel may fuse it."""
-        inv = np.linalg.inv(self.mats + 1j * np.eye(self.dim, dtype=np.complex128))
-        return inv if self.d is None else inv.diagonal(axis1=1, axis2=2).copy()
+        """(H + i)^{-1} by LAPACK's inverse of the stack, or of each entry
+        d + i of a diagonal record as a 1x1 matrix: the bits of the dense
+        inverse's diagonal, which a scalar formula such as 1 / (d + i) misses."""
+        if self.d is None:
+            return np.linalg.inv(self.mats + 1j * np.eye(self.dim, dtype=np.complex128))
+        return np.linalg.inv((self.d + 1j)[..., None, None])[..., 0, 0]
 
     @cached_property
     def riesz(self) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,8 +23,9 @@ from .errors import (
     DimensionMismatchError, EndpointError, InputError, coerce_field, require_int, require_real,
 )
 from .matcore import (
-    EigenDecomposition, HermitianMatrix, _chunk_len, _chunks, _diagonal_matrices, _diff_norms,
-    _hermitian_rows, _hermitian_stack, _matrix_array, _stack_eigvalsh, op_norm,
+    _NEG_ZERO_BITS, EigenDecomposition, HermitianMatrix, _chunk_len, _chunks, _diagonal_matrices,
+    _diagonal_op_norms, _diff_norms, _hermitian_rows, _hermitian_stack, _matrix_array,
+    _real_diagonals, _stack_eigvalsh, _unscaled, op_norm,
 )
 
 __all__ = [
@@ -224,7 +226,9 @@ class OperatorPath:
     one test per chunk) is validated and factored through its real
     diagonals: no validated copy of it is made and its eigenvalues are its
     sorted diagonal, LAPACK's bits. Its kept matrices are built from those
-    diagonals (``_diagonal_matrices``), the bits of the stack read.
+    diagonals (``_diagonal_matrices``), the bits of the stack read. A line
+    between real diagonal ends is the private kind ``_DiagonalPath``: its
+    evaluator gives the diagonals, taken by the same rule with no stack.
 
     * ``matrix(t)`` and ``matrices(ts)`` return the validated matrices and
       keep them;
@@ -282,16 +286,21 @@ class OperatorPath:
     def regularity(self) -> Regularity:
         return self._regularity
 
-    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """The evaluator's matrices at ``ts``, checked by one Hermitian
         check (``_hermitian_rows``) and for their count and dimension: the
         validated read-only (k, n, n) stack and None, or a diagonal stack,
-        which is not to be kept, and its (k, n) real diagonals."""
-        stack, d = _hermitian_rows(self._evaluator(ts))
-        if len(stack) != len(ts):
-            raise InputError(f"path evaluator returned {len(stack)} matrices for {len(ts)} points")
-        if len(stack) and stack.shape[1] != self._dim:
-            raise _dim_error(stack.shape[1], self._dim)
+        not to be kept (None on a ``_DiagonalPath``), and its diagonals."""
+        return self._counted(ts, *_hermitian_rows(self._evaluator(ts)))
+
+    def _counted(self, ts: np.ndarray, stack, d) -> tuple:
+        """``(stack, d)``, refused unless the stack (else ``d``) holds one
+        matrix of the path's dim per point of ``ts``."""
+        rows = d if stack is None else stack
+        if len(rows) != len(ts):
+            raise InputError(f"path evaluator returned {len(rows)} matrices for {len(ts)} points")
+        if len(rows) and rows.shape[1] != self._dim:
+            raise _dim_error(rows.shape[1], self._dim)
         return stack, d
 
     def _sample(self, ts: Sequence[float], keep: bool, rows=None) -> None:
@@ -407,7 +416,9 @@ class OperatorPath:
         """Uniformly spaced samples; the path is their linear interpolant,
         piecewise affine with one 2-norm per piece. At least 2 samples of
         one dim; those not yet a ``HermitianMatrix`` take one stacked
-        Hermitian check, whose first failing sample raises."""
+        Hermitian check, whose first failing sample raises. Samples that
+        ``_real_diagonals`` takes, tested once, are held as their diagonals,
+        whose differences give the rates (``_diagonal_op_norms``)."""
         items = list(matrices)
         mats = [m.mat if isinstance(m, HermitianMatrix) else _matrix_array(m) for m in items]
         if len(mats) < 2:
@@ -422,7 +433,7 @@ class OperatorPath:
         if any(raw):
             arr[raw] = _hermitian_stack(arr[raw])
         arr.setflags(write=False)
-        dim, last = len(arr[0]), len(mats) - 1
+        dim, last, d = len(arr[0]), len(mats) - 1, _real_diagonals(arr)
 
         def evaluate(ts: np.ndarray) -> np.ndarray:
             x = ts * last
@@ -430,14 +441,14 @@ class OperatorPath:
             frac = (x - i)[:, None, None]
             return (1.0 - frac) * arr[i] + frac * arr[i + 1]
 
-        rates = last * _diff_norms(arr)
+        rates = last * (_diff_norms(arr) if d is None else _diagonal_op_norms(np.diff(d, axis=0)))
         ts = [i / last for i in range(last + 1)]
         path = cls(evaluate, dim, regularity=piecewise_affine(ts[1:-1], rates))
-        # the samples are kept as given, as views of ``arr``, not re-evaluated
-        # by the interpolant
+        # the samples are kept as given, as views of ``arr`` or from their
+        # diagonals, not re-evaluated by the interpolant
         size = _chunk_len(dim)
-        rows = ((c, s, None) for c, s in zip(_chunks(ts, size), _chunks(arr, size)))
-        path._sample(ts, keep=True, rows=rows)
+        held = (_chunks(arr, size), repeat(None)) if d is None else (repeat(None), _chunks(d, size))
+        path._sample(ts, keep=True, rows=zip(_chunks(ts, size), *held))
         return path
 
     @classmethod
@@ -526,3 +537,15 @@ class _Composite(OperatorPath):
 
     def matrices(self, ts: Sequence[float]) -> list[HermitianMatrix]:
         return self._mapped([float(t) for t in ts], lambda part, s: part.matrices(s))
+
+
+class _DiagonalPath(OperatorPath):
+    """A path of real diagonal matrices whose evaluator gives their (k, n)
+    float64 diagonals. A chunk with no -0.0 that is ``_unscaled``, the rule
+    of ``_real_diagonals``, is taken as ``(None, d)``; any other is the stack
+    it stands for (``_diagonal_matrices``) through the Hermitian check."""
+
+    def _rows(self, ts: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        d = self._evaluator(ts)
+        taken = d.view(np.int64).min() != _NEG_ZERO_BITS and _unscaled(d)
+        return self._counted(ts, *((None, d) if taken else _hermitian_rows(_diagonal_matrices(d))))

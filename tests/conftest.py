@@ -63,3 +63,17 @@ def narrow_dip(t):
     """An eigenvalue dips from 1 to -2 and back within about 1e-4 of
     t = 0.5123, between the samples of every default grid."""
     return HermitianMatrix(np.diag([1.0 - 3.0 * np.exp(-(((t - 0.5123) / 2e-5) ** 2)), 2.0]))
+
+
+def counted_points(path):
+    """The list of the points the path's evaluator is asked for, filled as
+    the path samples (its evaluator is wrapped in place)."""
+    evaluate = path._evaluator
+    asked = []
+
+    def counting(ts):
+        asked.extend(ts.tolist())
+        return evaluate(ts)
+
+    path._evaluator = counting
+    return asked

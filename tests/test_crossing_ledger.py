@@ -9,6 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import counted_points
 from corpus import CORPUS
 from specflowlab import specflow
 from specflowlab.errors import InputError, SamplingError
@@ -129,26 +130,13 @@ def test_inferred_ledger_with_other_grids(opts):
         assert inferred == whole
 
 
-def _counted(path):
-    """Count the points the path's evaluator is asked for."""
-    evaluate = path._evaluator
-    asked = []
-
-    def counting(ts):
-        asked.extend(ts.tolist())
-        return evaluate(ts)
-
-    path._evaluator = counting
-    return asked
-
-
 @pytest.mark.parametrize("seed", [1, 3])
 def test_oracle_evaluates_few_points_of_a_dim64_trig_path(seed, monkeypatch):
     def make():
         return family_path("trig_random", {"gap": 0.5}, seed=seed, dim=64)
 
     path = make()
-    asked = _counted(path)
+    asked = counted_points(path)
     before = []
     oracle = specflow.crossing_oracle_report
 
@@ -246,7 +234,7 @@ def test_reach_bound_covers_the_norms_between_seeds():
     assert inferred[0] == "SamplingError"
     # no seed's tolerance reaches the limit, so only the whole grid decides
     path = _norm_peak(2.0 * half)
-    asked = _counted(path)
+    asked = counted_points(path)
     assert _outcome(path, SfOptions()) == whole
     assert sorted(asked) == ts
 
@@ -260,7 +248,7 @@ def test_reach_bound_covers_the_norms_between_seeds():
     assert inferred == whole
     assert inferred["samples"] == 257
     path = _norm_peak(2.0 * half)
-    asked = _counted(path)
+    asked = counted_points(path)
     crossing_oracle_report(path)
     assert sorted(asked) == ts
 
@@ -322,7 +310,7 @@ def test_an_aliased_line_is_refused_before_phillips_samples_it():
     alone, and the reach's bracket from the ends prints one number, so only
     t = 0 and 1 reach the evaluator, each once."""
     path = CORPUS["toeplitz_m32"]()
-    asked = _counted(path)
+    asked = counted_points(path)
     assert _run(sf_all_methods, path) == _whole_grid(CORPUS["toeplitz_m32"](), SfOptions())
     assert sorted(asked) == [0.0, 1.0]
 
@@ -354,7 +342,7 @@ def test_an_exact_end_tolerance_closes_a_bracket_the_floor_straddles():
     assert _floor_refuses(probe, SfOptions())
     assert _run(specflow._guard, probe) == _whole_grid(_straddling_line(), SfOptions())
     path = _straddling_line()
-    asked = _counted(path)
+    asked = counted_points(path)
     refused = _run(sf_all_methods, path)
     assert refused == _whole_grid(_straddling_line(), SfOptions())
     assert "tolerance 1.001e+00 " in refused[1]
@@ -409,7 +397,7 @@ def test_toeplitz_lines_are_refused_from_their_ends(m):
     and 1 alone, m = 36 included, whose step floor alone prints a digit
     below its reach."""
     path = SWEEP[f"toeplitz_m{m}"]()
-    asked = _counted(path)
+    asked = counted_points(path)
     result = _run(sf_all_methods, path)
     if m == 31:
         assert isinstance(result, dict)

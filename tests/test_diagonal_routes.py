@@ -3,7 +3,8 @@
 Six kinds of work are decided by structure. On a stack of real diagonal
 matrices one test, ``_real_diagonals``, decides five of them: the Hermitian
 check, a path's samples (factored through their diagonals by
-``OperatorPath._sample``), the nonnegative projections of sf_pairsum's
+``OperatorPath._sample``; a ``paths._DiagonalPath`` applies the same rule,
+``_unscaled`` and no -0.0, to the diagonals it evaluates), the nonnegative projections of sf_pairsum's
 junctions (``_nonneg_projections``), the eigenvalues of the projection
 check and of the pair index (``_stack_eigvalsh``) and the distances between
 the metric report's operand records (``metrics._Operand``). The norms of
@@ -16,6 +17,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specflowlab import generators, matcore, metrics, paths, projpair, specflow
 from specflowlab.generators import family_path
@@ -27,6 +30,8 @@ from specflowlab.paths import OperatorPath, path_reverse, piecewise_affine
 from specflowlab.serialize import path_from_obj
 from specflowlab.specflow import certify_invertible, sf_all_methods
 
+from conftest import counted_points
+from corpus import FILES
 from test_matcore import _diagonal_stack
 from test_specflow import _diagonal_concat, _diagonal_samples
 
@@ -475,11 +480,12 @@ def _run_paths(corpus, guard, monkeypatch):
 def test_diagonal_paths_give_the_dense_routes_bits(monkeypatch):
     """A path whose chunks are validated and factored through their
     diagonals gives, with the guard patched off (every chunk validated and
-    factored dense) and ``line_path``'s lines evaluated dense (built with
-    ``_real_diagonals`` refusing their ends), the same eigenvalues, flows,
-    certificates, refusals, kept points, and matrices with their read-only
-    flags. The Fuglede lines evaluate on their diagonals in both runs; their
-    bits are the formula's (``test_family_lines_evaluate_on_their_diagonals``)."""
+    factored dense), ``line_path``'s lines evaluated dense (built with
+    ``_real_diagonals`` refusing their ends) and every chunk of a diagonal
+    path (the Fuglede lines) sent to the stack its diagonals stand for, the
+    same eigenvalues, flows, certificates, refusals, kept points, and
+    matrices with their read-only flags. Those stacks' bits are the
+    formula's (``test_family_lines_evaluate_on_their_diagonals``)."""
     corpus = _diagonal_path_corpus()
     line_path = generators.line_path
 
@@ -492,6 +498,7 @@ def test_diagonal_paths_give_the_dense_routes_bits(monkeypatch):
         warnings.simplefilter("ignore")  # LAPACK on NaN
         fast, taken = _run_paths(corpus, matcore._real_diagonals, monkeypatch)
         m.setattr(generators, "line_path", dense_line)
+        m.setattr(paths, "_unscaled", lambda _d: False)
         general, _ = _run_paths(corpus, lambda _a: None, monkeypatch)
     for name in corpus:
         assert fast[name] == general[name], name
@@ -506,17 +513,131 @@ def test_diagonal_paths_give_the_dense_routes_bits(monkeypatch):
     for name in ("fuglede_128", "toeplitz_24", "from_samples", "concat", "reverse_of_concat"):
         assert flows[name][0].startswith("{'value': "), name
 
+def _as_stacks(make):
+    """A factory of ``make``'s diagonal path as the zeroed stacks its
+    diagonals stand for: a plain path whose evaluator returns them
+    (``_diagonal_matrices``), with the same regularity."""
+
+    def build():
+        p = make()
+        return OperatorPath(
+            lambda ts: matcore._diagonal_matrices(p._evaluator(ts)), p.dim, regularity=p.regularity
+        )
+
+    return build
+
+
+def _diagonal_kind(entries, dim=3):
+    """A ``_DiagonalPath`` whose evaluator gives entries(t) at each t."""
+    return paths._DiagonalPath(
+        lambda ts: np.array([entries(t) for t in ts.tolist()], dtype=np.float64),
+        dim,
+        regularity=piecewise_affine((), [4.0]),
+    )
+
+
+_TINY = 2.0**-484  # in zheevd's band; a quarter of it is not
+_REFUSED_DIAGONALS = {
+    "nan_inside": lambda: _diagonal_kind(_entry_at(0.5, np.nan)),
+    "inf_inside": lambda: _diagonal_kind(_entry_at(0.5, np.inf)),
+    "neg_zero_inside": lambda: _diagonal_kind(_entry_at(0.5, -0.0)),
+    "above_band": lambda: _diagonal_kind(_entry_at(0.75, 3e200)),
+    # 0.5 * -5e-324 rounds to -0.0 at t = 0.5
+    "underflow_line": lambda: generators.line_path(*[HermitianMatrix.diag([-5e-324, 1.0])] * 2),
+    # the row (1 - 2t) (1, -1) 2^-484 lies below the band at t = 0.375 and 0.625
+    "below_band_line": lambda: generators.line_path(
+        HermitianMatrix.diag([_TINY, -_TINY]), HermitianMatrix.diag([-_TINY, _TINY])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED_DIAGONALS))
+def test_a_refused_diagonal_chunk_takes_the_stacks_route(name, monkeypatch):
+    """A diagonal path's chunk holding a NaN, an inf, a -0.0 (given, or the
+    underflow of a line's sum) or a row outside zheevd's band is sent as
+    the stack its diagonals stand for through the Hermitian check: the
+    values, matrices, flow, certificate, kept points and the class and
+    text of what is raised are those of the zeroed stacks' route."""
+    make = _REFUSED_DIAGONALS[name]
+    assert isinstance(make(), paths._DiagonalPath)
+    refused, check = [], paths._hermitian_rows
+    with warnings.catch_warnings(), monkeypatch.context() as m:
+        warnings.simplefilter("ignore")  # LAPACK on NaN
+        m.setattr(paths, "_hermitian_rows", lambda s: refused.append(1) or check(s))
+        fast = _path_outcome(make)
+    assert refused
+    assert fast == _path_outcome(_as_stacks(make))
+
+
+@pytest.mark.parametrize("name, taken", [
+    ("sampled_diag.json", True), ("diag1e200.json", False), ("diag_tiny.json", False),
+])
+def test_diagonal_samples_take_no_difference_svd(name, taken, monkeypatch):
+    """A sample array that ``_real_diagonals`` takes, tested once by
+    ``from_samples``, gives its rates from the differences of its
+    diagonals (``_diagonal_op_norms``): no difference stack reaches
+    ``_op_norms``, and its samples are held as their diagonals. Entries
+    above zheevd's band (diag1e200) or a middle sample below it
+    (diag_tiny) keep the dense route. Either way the rates are the SVD's of
+    the differences and the kept samples have the bytes given."""
+    samples = np.array([np.array(x["re"]) + 1j * np.array(x["im"]) for x in FILES[name]["samples"]])
+    seen, held = [], []
+    op_norms, eigenvalues = matcore._op_norms, paths._eigenvalues
+    monkeypatch.setattr(matcore, "_op_norms", lambda a: seen.append(a.shape) or op_norms(a))
+    monkeypatch.setattr(paths, "_eigenvalues",
+                        lambda s, d, part: held.append(d is not None) or eigenvalues(s, d, part))
+    path = path_from_obj(FILES[name])
+    last = len(samples) - 1
+    assert seen == ([] if taken else [(last,) + samples.shape[1:]])
+    assert held == [taken]
+    want = last * np.linalg.norm(np.diff(samples, axis=0), 2, axis=(1, 2))
+    assert path.regularity.rates == tuple(want.tolist())
+    kept = path.matrices([i / last for i in range(last + 1)])
+    assert np.array([m.mat for m in kept]).tobytes() == samples.tobytes()
+
+
+#: diagonal entries of every scale in zheevd's band, zeros and subnormals
+_RESOLVENT_ENTRY = st.one_of(
+    st.sampled_from([0.0, 5e-324, -3e-310, 1e-300, 2.0**-480, 1e140, -1e140, 2.0**484, 1.0]),
+    st.floats(-1e146, 1e146).map(lambda x: x + 0.0),  # x + 0.0 turns -0.0 to +0.0
+    st.floats(-1e3, 1e3).map(lambda x: x + 0.0),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.lists(_RESOLVENT_ENTRY, min_size=n, max_size=n), min_size=1, max_size=3)
+))
+def test_the_entry_resolvent_gives_the_dense_inverses_bits(rows):
+    """A diagonal record's resolvent, LAPACK's inverse of each entry d + i
+    as a 1x1 matrix, has the bits of the diagonal of inv(D + i) for
+    diagonals that ``_real_diagonals`` takes."""
+    stack = matcore._diagonal_matrices(np.array(rows))
+    record = metrics._Operand(stack)
+    if record.d is None:  # a row whose largest |d| lies outside the band
+        return
+    dense = np.linalg.inv(stack + 1j * np.eye(stack.shape[1]))
+    assert record.resolvent.tobytes() == dense.diagonal(axis1=1, axis2=2).tobytes()
+
 
 @pytest.mark.parametrize("name, params", [
     ("fuglede_line", {"N": 128, "n": 40}),
     ("toeplitz_line", {"m": 24}),
 ])
 def test_diagonal_lines_run_no_dense_projection_check(name, params, monkeypatch):
-    """sf_all_methods on a diagonal line: the evaluator combines the ends'
-    diagonals, and no projection stack takes the dense idempotency check."""
+    """sf_all_methods on a diagonal line: each chunk is taken as the
+    diagonals the evaluator combines from the ends' (``_DiagonalPath``, no
+    stack), and no projection stack takes the dense idempotency check."""
     evaluated, inside, dense = [], [], []
-    build = generators._diagonal_matrices
-    monkeypatch.setattr(generators, "_diagonal_matrices", lambda d: evaluated.append(1) or build(d))
+    path = family_path(name, params)
+    asked, rows = counted_points(path), path._rows
+
+    def taken(ts):
+        stack, d = rows(ts)
+        evaluated.append(len(ts) if stack is None and d.shape == (len(ts), path.dim) else 0)
+        return stack, d
+
+    path._rows = taken
     check, norm_over = matcore._projection_stack, matcore._norm_over
 
     def projection_stack(entries):
@@ -532,9 +653,9 @@ def test_diagonal_lines_run_no_dense_projection_check(name, params, monkeypatch)
 
     monkeypatch.setattr(matcore, "_projection_stack", projection_stack)
     monkeypatch.setattr(matcore, "_norm_over", counted_norm_over)
-    out = sf_all_methods(family_path(name, params))
+    out = sf_all_methods(path)
     assert out["value"] == {"fuglede_line": -1, "toeplitz_line": 0}[name]
-    assert evaluated and dense == []
+    assert evaluated and all(evaluated) and sum(evaluated) == len(asked) and dense == []
 
 
 def _complex_diagonal_stack(d):
@@ -660,7 +781,8 @@ def test_metric_report_gives_the_svd_bits(law, monkeypatch):
 
 def test_diagonal_records_take_no_decomposition(monkeypatch):
     """Rows of the three diagonal families and the base make no eigh and
-    no SVD; only the resolvent keeps its inverse."""
+    no SVD; only the resolvent takes LAPACK's inverse, of each diagonal
+    entry as a 1x1 matrix."""
     calls = _count_lapack(monkeypatch)
     model = DiagonalModel(16, "signed")
     rows = metric_separation_report(model, ["rank_one", "lambda", "fuglede"])

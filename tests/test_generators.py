@@ -30,9 +30,11 @@ from specflowlab import (
     trig_path,
     unitary_rotation_path,
 )
-from specflowlab.matcore import _chunk_len, _chunks, _hermitian_stack, apply_function, op_norm
+from specflowlab.matcore import (
+    _chunk_len, _chunks, _diagonal_matrices, _hermitian_stack, apply_function, op_norm,
+)
 from specflowlab.opmodel import DiagonalModel, family_perturbation, realize
-from specflowlab.paths import lipschitz
+from specflowlab.paths import _DiagonalPath, lipschitz
 from conftest import random_spd
 from test_regularity import _assert_bounds_hold
 
@@ -489,6 +491,14 @@ def test_family_path_linear_interp_endpoints():
 _EDGE_TS = [0.0, -0.0, 1.0, 0.5, 0.3, 1e-300, 5e-324, 1.0 - 2.0**-53]
 
 
+def _line_stack(path, ts):
+    """The stack a line's evaluator stands for at ``ts``: the formula's
+    own, or the matrices of the diagonals a ``_DiagonalPath`` gives, which
+    its chunks keep or send to the Hermitian check."""
+    out = path._evaluator(ts)
+    return _diagonal_matrices(out) if isinstance(path, _DiagonalPath) else out
+
+
 def test_line_paths_evaluate_with_the_formulas_bits():
     """A line has the bits of the complex formula, signed zeros included,
     on endpoints with signed zeros, subnormal, huge and mixed-sign
@@ -508,41 +518,43 @@ def test_line_paths_evaluate_with_the_formulas_bits():
         if case % 3 == 0:  # endpoints without signed zeros
             a, b = (HermitianMatrix._of_valid(m.mat + 0.0) for m in (a, b))
         ts = np.array(list(rng.choice(_EDGE_TS, size=3)) + list(rng.random(2)))
-        got = generators.line_path(a, b)._evaluator(ts)
+        got = _line_stack(generators.line_path(a, b), ts)
         want = (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
         assert got.tobytes() == want.tobytes(), case
 
 
 @pytest.mark.parametrize("law", ["linear", "signed", "shifted"])
-def test_family_lines_evaluate_on_their_diagonals(law, monkeypatch):
-    """The Fuglede and Toeplitz lines evaluate on their diagonals with the
-    formula's bits. Lines between diagonal ends, one with a zero entry, one
-    crossing zero and one whose sum underflows to -0.0, do the same; ends
-    holding a -0.0 take the formula."""
+def test_family_lines_evaluate_on_their_diagonals(law):
+    """The Fuglede and Toeplitz lines are diagonal paths (``_DiagonalPath``)
+    whose diagonals stand for the formula's bits. Lines between diagonal
+    ends, one with a zero entry, one crossing zero and one whose sum
+    underflows to -0.0, do the same; ends holding a -0.0 take the
+    formula."""
     diagonal = []
-    inner = generators._diagonal_matrices
-    monkeypatch.setattr(
-        generators, "_diagonal_matrices", lambda d: diagonal.append(1) or inner(d)
-    )
     ts = np.array(_EDGE_TS + np.linspace(0.0, 1.0, 33).tolist())
+
+    def evaluated(path):
+        diagonal.extend([1] * isinstance(path, _DiagonalPath))
+        return _line_stack(path, ts)
+
     for big_n, n in ((8, 1), (8, 3), (32, 7), (128, 40)):
         model = DiagonalModel(big_n, law)
         d, c = realize(model), family_perturbation(model, "fuglede", n)
-        got = family_path("fuglede_line", {"N": big_n, "n": n, "law": law})._evaluator(ts)
+        got = evaluated(family_path("fuglede_line", {"N": big_n, "n": n, "law": law}))
         assert got.tobytes() == (d.mat + ts[:, None, None] * c.mat).tobytes()
     assert len(diagonal) == 4
     for m, power in ((1, 1), (9, 2), (24, 1)):
         d = half_integer_diagonal(m)
         w = cyclic_shift(d.dim, power).mat
         conj = HermitianMatrix(w @ d.mat @ w.conj().T)
-        got = family_path("toeplitz_line", {"m": m, "power": power})._evaluator(ts)
+        got = evaluated(family_path("toeplitz_line", {"m": m, "power": power}))
         want = (1.0 - ts)[:, None, None] * d.mat + ts[:, None, None] * conj.mat
         assert got.tobytes() == want.tobytes()
     assert len(diagonal) == 7
 
     def line(a, b):
         a, b = (HermitianMatrix._of_valid(np.diag(x).astype(np.complex128)) for x in (a, b))
-        got = generators.line_path(a, b)._evaluator(ts)
+        got = evaluated(generators.line_path(a, b))
         want = (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
         assert got.tobytes() == want.tobytes()
         return got
@@ -591,13 +603,16 @@ def _line_ends(draw):
 def test_every_line_gives_the_formulas_bits(ends, ts):
     """Random diagonal and dense ends, at edge and uniform t: the line's
     stack has the bytes of (1 - t) A + t B, and diagonal ends take the
-    diagonal route, whose stack may hold a -0.0 (the example above does)."""
+    diagonal route (``_DiagonalPath``), whose diagonals may hold a -0.0
+    (the example above does)."""
     (a, b), diagonal = ends
     a, b = (HermitianMatrix._of_valid(m) for m in (a, b))
     ts = np.array(ts)
-    if diagonal:
-        assert all(generators._real_diagonals(m.mat[None]) is not None for m in (a, b))
-    got = generators.line_path(a, b)._evaluator(ts)
+    taken = all(generators._real_diagonals(m.mat[None]) is not None for m in (a, b))
+    assert taken or not diagonal  # dense ends of dim 1 may be taken too
+    path = generators.line_path(a, b)
+    assert isinstance(path, _DiagonalPath) == taken
+    got = _line_stack(path, ts)
     want = (1.0 - ts)[:, None, None] * a.mat + ts[:, None, None] * b.mat
     assert got.tobytes() == want.tobytes()
 

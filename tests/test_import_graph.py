@@ -96,11 +96,17 @@ def _band_readers(band: set) -> list:
 
 def test_zheevds_band_is_read_by_the_one_diagonal_test():
     """``_UNSCALED_MIN`` and ``_UNSCALED_MAX`` are read in ``src`` only by
-    ``matcore._real_diagonals``, outside their own definitions: no other
-    diagonal route applies a range of its own."""
+    ``matcore._unscaled``, outside their own definitions, and the rule is
+    applied by the two diagonal tests only: ``matcore._real_diagonals`` on a
+    stack and ``paths._DiagonalPath`` on the diagonals it evaluates. No
+    other diagonal route applies a range of its own."""
     assert _band_readers({"_UNSCALED_MIN", "_UNSCALED_MAX"}) == [
-        ("matcore", "_real_diagonals", "_UNSCALED_MAX"),
-        ("matcore", "_real_diagonals", "_UNSCALED_MIN"),
+        ("matcore", "_unscaled", "_UNSCALED_MAX"),
+        ("matcore", "_unscaled", "_UNSCALED_MIN"),
+    ]
+    assert _band_readers({"_unscaled"}) == [
+        ("matcore", "_real_diagonals", "_unscaled"),
+        ("paths", "_rows", "_unscaled"),
     ]
 
 

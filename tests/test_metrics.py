@@ -250,12 +250,13 @@ def _record_lapack(monkeypatch, names):
 
 
 def test_report_factors_each_operand_once(monkeypatch):
-    """One inverse per row plus one for the base, one eigh per swap row and
-    none for a diagonal row (rank_one, lambda, fuglede) or the diagonal
-    base: the chunks are cut inside each family, so no diagonal row shares
-    a record with swap rows. Made as at most one stacked call per chunk
-    plus one for the base: four chunks at trunc-dim 12 (33 diagonal rows,
-    eigh on 10), eight at 32 (93 diagonal rows, eigh on 30)."""
+    """One eigh and one dense inverse per swap row, and none for a diagonal
+    row (rank_one, lambda, fuglede) or the diagonal base, whose resolvent
+    is the inverse of its n entries as 1x1 matrices, one (k, n, 1, 1) call
+    per record: the chunks are cut inside each family, so no diagonal row
+    shares a record with swap rows. Made as at most one stacked call per
+    chunk plus one for the base: four chunks at trunc-dim 12 (33 diagonal
+    rows, eigh on 10), eight at 32 (93 diagonal rows, eigh on 30)."""
     for trunc_dim, chunks, diagonal_rows in ((12, 4, 33), (32, 8, 93)):
         with monkeypatch.context() as m:
             calls = _record_lapack(m, ("eigh", "inv"))
@@ -263,11 +264,16 @@ def test_report_factors_each_operand_once(monkeypatch):
         per_family = Counter(r.family for r in rows).values()
         assert sum(-(-k // _chunk_len(trunc_dim)) for k in per_family) == chunks
         assert sum(r.family != "swap" for r in rows) == diagonal_rows
-        for name, factored_rows in (("eigh", len(rows) - diagonal_rows), ("inv", len(rows) + 1)):
-            shapes = [shape for called, shape in calls if called == name]
-            factored = sum(shape[0] if len(shape) == 3 else 1 for shape in shapes)
-            assert factored == factored_rows, (trunc_dim, name)
-            assert len(shapes) <= chunks + 1, (trunc_dim, name)
+        entries = [shape for called, shape in calls if called == "inv" and len(shape) == 4]
+        assert {shape[1:] for shape in entries} == {(trunc_dim, 1, 1)}
+        dense = len(rows) - diagonal_rows
+        for name, factored_rows, ndims in (
+            ("eigh", dense, (2, 3)), ("inv", dense, (2, 3)), ("inv", diagonal_rows + 1, (4,))
+        ):
+            shapes = [shape for called, shape in calls if called == name and len(shape) in ndims]
+            factored = sum(shape[0] if len(shape) > 2 else 1 for shape in shapes)
+            assert factored == factored_rows, (trunc_dim, name, ndims)
+            assert len(shapes) <= chunks + 1, (trunc_dim, name, ndims)
 
 
 @pytest.mark.parametrize("trunc_dim", [64, 200])

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_invertible_hermitian
+from conftest import counted_points, random_hermitian, random_invertible_hermitian
 from corpus import _there_and_back
 from specflowlab.axioms import connect_invertibles
 from specflowlab.errors import (
@@ -651,7 +651,7 @@ def test_methods_evaluate_each_point_once(family, monkeypatch):
         path = EVALUATE_ONCE_PATHS[family]()
         before = _held_points(path)
         factored.clear()
-        asked = {leaf: _counted_points(leaf) for leaf in _leaves(path)}
+        asked = {leaf: counted_points(leaf) for leaf in _leaves(path)}
         if certify_first:
             certify_invertible(path)
         segments = sf_all_methods(path)["pairsum_certificate"].segments
@@ -767,18 +767,20 @@ def test_large_diagonal_path_holds_few_matrices():
                                     "from_samples_diagonal"])
 def test_a_diagonal_chunk_takes_one_diagonal_test(family, monkeypatch):
     """The sampling engine tests each evaluated chunk once for a diagonal
-    stack (``_real_diagonals``, one count over the chunk): the Hermitian
-    check's test gives the eigenvalues and the kept matrices too, also for
-    points whose eigenvalues were held before their matrices. A composite
-    evaluates and tests nothing; its parts' chunks are each tested once."""
+    stack (``_real_diagonals``, one count over the chunk), or, on a
+    diagonal path, its diagonals by the band (``_unscaled``): that test
+    gives the eigenvalues and the kept matrices too, also for points whose
+    eigenvalues were held before their matrices. A composite evaluates and
+    tests nothing; its parts' chunks are each tested once."""
     path = PATH_FAMILIES[family](6)
     chunks = []
     for p in _leaves(path):
         evaluate = p._evaluator
         p._evaluator = lambda ts, evaluate=evaluate: chunks.append(len(ts)) or evaluate(ts)
     tests = []
-    count = matcore._real_diagonals
-    monkeypatch.setattr(matcore, "_real_diagonals", lambda s: tests.append(len(s)) or count(s))
+    for module, name in ((matcore, "_real_diagonals"), (paths, "_unscaled")):
+        test = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda s, test=test: tests.append(len(s)) or test(s))
     grid = np.linspace(0.0, 1.0, 65)
     path.values(grid[::2])
     path.matrices(grid[1::4])
@@ -855,19 +857,6 @@ def test_endpoints_are_measured_once_per_path(monkeypatch):
     assert measured == [6, 3]
 
 
-def _counted_points(path):
-    """Record the points the path's evaluator is asked for."""
-    evaluate = path._evaluator
-    asked = []
-
-    def counting(ts):
-        asked.extend(ts.tolist())
-        return evaluate(ts)
-
-    path._evaluator = counting
-    return asked
-
-
 @pytest.mark.parametrize(
     "compose",
     [path_concat, lambda f, g: path_reverse(path_concat(f, g)), lambda f, g: path_reverse(f)],
@@ -878,7 +867,7 @@ def test_composites_validate_each_evaluated_point_once(compose, monkeypatch):
     and invertibility certificate run are the points its parts evaluate."""
     f, g = concat_compatible_pair(5, 4)
     path = compose(f, g)
-    asked = [_counted_points(f), _counted_points(g)]
+    asked = [counted_points(f), counted_points(g)]
     checked = []
     check = paths._hermitian_rows
 
@@ -907,7 +896,7 @@ def test_composite_reads_what_its_parts_sampled(seed, dim):
     parts = {"f": f, "g": g}
     sampled = {name: set(p._vals) for name, p in parts.items()}
     kept = {name: set(p._mats) for name, p in parts.items()}
-    asked = {name: _counted_points(p) for name, p in parts.items()}
+    asked = {name: counted_points(p) for name, p in parts.items()}
     result = sf_all_methods(path_concat(f, g))
     assert repr(result) == repr(sf_all_methods(path_concat(*concat_compatible_pair(seed, dim))))
     cert = result["pairsum_certificate"]
