@@ -27,6 +27,7 @@ from .matcore import (
     _hermitian_stack,
     _op_norms,
     _spectral_projections,
+    _tally,
     spectral_projection,
     tol_spec,
 )
@@ -94,6 +95,7 @@ class GradedOperator:
 
     @cached_property
     def _singular_values(self) -> np.ndarray:
+        _tally("svd.block")
         return np.linalg.svd(self.block, compute_uv=False)
 
     def spectral_gap(self, *, tol: float = 1e-8) -> float:

@@ -15,6 +15,11 @@ also take (k, n, n) stacks, which callers cut into chunks of at most
 constructor, :func:`eigh`, :func:`op_norm`) are their one-matrix case, and
 each matrix of a stack gets the bits it would get alone.
 
+A run counts its routes in the ``Counter`` of ``with _run_stats() as s``, one per ``contextvars``
+context: matrices (calls as ``<key>.calls``) by ``path.evaluated``, ``path.factored``, ``eigh``,
+``eigvalsh.lapack``/``.diagonal``, ``norm.svd``/``.diagonal``, ``inv.dense``/``.entry``; stacks
+by ``hermitian.diagonal``/``.copy``/``.formula``; graded blocks by ``svd.block``.
+
 Conventions
 -----------
 * dtype is complex128 throughout; values are immutable after construction.
@@ -25,6 +30,9 @@ Conventions
 from __future__ import annotations
 
 import warnings
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
@@ -81,6 +89,24 @@ _NEG_ZERO_BITS = np.int64(np.iinfo(np.int64).min)
 #: byte budget of one stacked LAPACK call: stacks of complex128 matrices
 #: are cut into chunks of ``_chunk_len(dim)`` matrices
 _CHUNK_BYTES = 1 << 18
+
+_RECORD: ContextVar[Counter | None] = ContextVar("specflowlab_run_stats", default=None)
+
+
+@contextmanager
+def _run_stats():
+    """Yield a fresh run record, open in this context for the block."""
+    token = _RECORD.set(Counter())
+    try:
+        yield _RECORD.get()
+    finally:
+        _RECORD.reset(token)
+
+
+def _tally(key: str, rows: int | None = None) -> None:
+    """Count ``key`` once, or ``rows`` under it and one under ``key.calls``, in the open record."""
+    if (record := _RECORD.get()) is not None:
+        record.update({key: 1} if rows is None else {key: rows, key + ".calls": 1})
 
 
 def _chunk_len(dim: int) -> int:
@@ -167,6 +193,7 @@ def _hermitian_rows(entries) -> tuple[np.ndarray, np.ndarray | None]:
         raise InputError(f"expected a stack of 2-d matrices, got shape {a.shape}")
     diagonals = _real_diagonals(a)
     if diagonals is not None:
+        _tally("hermitian.diagonal")
         return a, diagonals
     if not np.all(np.isfinite(a)):
         raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
@@ -181,6 +208,7 @@ def _hermitian_rows(entries) -> tuple[np.ndarray, np.ndarray | None]:
     with np.errstate(over="ignore", invalid="ignore"):
         if a.size and np.array_equal(a, ah):
             if _exact_average_into(a, conj):
+                _tally("hermitian.copy")
                 conj.setflags(write=False)
                 return conj, None
         else:
@@ -189,6 +217,7 @@ def _hermitian_rows(entries) -> tuple[np.ndarray, np.ndarray | None]:
             bad = np.flatnonzero(defect > tol)
             if bad.size:
                 raise HermiticityError(float(defect[bad[0]]), float(tol[bad[0]]))
+        _tally("hermitian.formula")
         h = (a + ah) / 2.0
     if not np.all(np.isfinite(h)):
         raise FinitenessError("Hermitian average overflows: entries exceed half the float range")
@@ -290,6 +319,7 @@ def _stack_eigvalsh(s: np.ndarray) -> np.ndarray:
     LAPACK's zheevd computes for it; any other stack goes to LAPACK.
     """
     d = _real_diagonals(s)
+    _tally("eigvalsh.lapack" if d is None else "eigvalsh.diagonal", len(s))
     return np.linalg.eigvalsh(s) if d is None else np.sort(d, axis=1)
 
 
@@ -320,6 +350,7 @@ def _op_norms(a: np.ndarray) -> np.ndarray:
     of them instead."""
     if not np.all(np.isfinite(a)):
         raise FinitenessError("matrix entries must be finite (no NaN/Inf)")
+    _tally("norm.svd", len(a) if a.ndim == 3 else 1)
     return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
@@ -329,12 +360,13 @@ def _diagonal_op_norms(d: np.ndarray) -> np.ndarray:
     whatever the signs of its zeros: ``_diagonal_norms(d)`` when n >= 3
     and each norm is 0 or lies in [``_SVD_UNSCALED_MIN``,
     ``_SVD_UNSCALED_MAX``], where they are zgesdd's bits; else the SVD of
-    the matrices (``_diagonal_matrices``)."""
+    the matrices (``_op_norms`` of ``_diagonal_matrices``)."""
     if d.shape[-1] >= 3:
         norms = _diagonal_norms(d)
         if _zero_or_within(norms, _SVD_UNSCALED_MIN, _SVD_UNSCALED_MAX):
+            _tally("norm.diagonal", len(d))
             return norms
-    return np.linalg.norm(_diagonal_matrices(d), 2, axis=(1, 2))
+    return _op_norms(_diagonal_matrices(d))
 
 
 def _diagonal_matrices(d: np.ndarray) -> np.ndarray:
@@ -545,6 +577,7 @@ def _eigh_stack(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     1e-10 * (1 + ||H||) so a silently bad factorization cannot leak. A
     Frobenius residual under the floor 1e-10 accepts without ||H||.
     """
+    _tally("eigh", len(s))
     w, v = np.linalg.eigh(s)
     _check_eigenbases(w, v)
     resid = _norm_over(

@@ -47,6 +47,7 @@ from .matcore import (
     _hermitian_stack,
     _op_norms,
     _real_diagonals,
+    _tally,
     as_hermitian,
 )
 from .opmodel import FAMILIES, DiagonalModel, _entries, closed_form_distances, realize
@@ -128,6 +129,7 @@ class _Operand:
         """(H + i)^{-1} by LAPACK's inverse of the stack, or of each entry
         d + i of a diagonal record as a 1x1 matrix: the bits of the dense
         inverse's diagonal, which a scalar formula such as 1 / (d + i) misses."""
+        _tally("inv.dense" if self.d is None else "inv.entry", len(self.mats))
         if self.d is None:
             return np.linalg.inv(self.mats + 1j * np.eye(self.dim, dtype=np.complex128))
         return np.linalg.inv((self.d + 1j)[..., None, None])[..., 0, 0]

@@ -25,7 +25,7 @@ from .errors import (
 from .matcore import (
     _NEG_ZERO_BITS, EigenDecomposition, HermitianMatrix, _chunk_len, _chunks, _diagonal_matrices,
     _diagonal_op_norms, _diff_norms, _hermitian_rows, _hermitian_stack, _matrix_array,
-    _real_diagonals, _stack_eigvalsh, _unscaled, op_norm,
+    _real_diagonals, _stack_eigvalsh, _tally, _unscaled, op_norm,
 )
 
 __all__ = [
@@ -186,8 +186,9 @@ def _eigenvalues(stack: np.ndarray, d: np.ndarray | None, part) -> np.ndarray:
     """The read-only eigenvalues of the rows ``part`` of a validated chunk
     (``OperatorPath._rows``): the sorted real diagonals ``d`` of a diagonal
     chunk, else LAPACK's (``_stack_eigvalsh``). The one place a path
-    factors its points."""
+    factors its points, counted as ``path.factored``."""
     w = _stack_eigvalsh(stack[part]) if d is None else np.sort(d[part], axis=1)
+    _tally("path.factored", len(w))
     w.setflags(write=False)
     return w
 
@@ -216,10 +217,10 @@ class OperatorPath:
     validated chunk by one batched ``eigvalsh`` (``_eigenvalues``), and
     keeps a matrix only where one is asked for: the ends, the samples of a
     ``from_samples`` path (its knots) and the segment ends that sf_pairsum
-    projects. So every kept matrix has its eigenvalues held, and every
-    other sample holds only its n eigenvalues. A path is the one store of
-    its points: every kept point is a ``HermitianMatrix``, one object with
-    one cached ``eig``, and a path built on this one (a deformation row of
+    projects. So every kept matrix has its eigenvalues held, and every other sample holds
+    only its n eigenvalues; the run record counts ``path.evaluated`` and ``path.factored``.
+    A path is the one store of its points: every kept point is a ``HermitianMatrix``, one
+    object with one cached ``eig``, and a path built on this one (a deformation row of
     ``homotopy_family``) reads it through ``matrices``.
 
     A chunk of real diagonal matrices with no -0.0 (``_real_diagonals``,
@@ -227,8 +228,8 @@ class OperatorPath:
     diagonals: no validated copy of it is made and its eigenvalues are its
     sorted diagonal, LAPACK's bits. Its kept matrices are built from those
     diagonals (``_diagonal_matrices``), the bits of the stack read. A line
-    between real diagonal ends is the private kind ``_DiagonalPath``: its
-    evaluator gives the diagonals, taken by the same rule with no stack.
+    between real diagonal ends, or through real diagonal samples, is the
+    private kind ``_DiagonalPath``: its evaluator gives the diagonals.
 
     * ``matrix(t)`` and ``matrices(ts)`` return the validated matrices and
       keep them;
@@ -295,12 +296,13 @@ class OperatorPath:
 
     def _counted(self, ts: np.ndarray, stack, d) -> tuple:
         """``(stack, d)``, refused unless the stack (else ``d``) holds one
-        matrix of the path's dim per point of ``ts``."""
+        matrix of the path's dim per point of ``ts`` (``path.evaluated``)."""
         rows = d if stack is None else stack
         if len(rows) != len(ts):
             raise InputError(f"path evaluator returned {len(rows)} matrices for {len(ts)} points")
         if len(rows) and rows.shape[1] != self._dim:
             raise _dim_error(rows.shape[1], self._dim)
+        _tally("path.evaluated", len(ts))
         return stack, d
 
     def _sample(self, ts: Sequence[float], keep: bool, rows=None) -> None:
@@ -417,8 +419,8 @@ class OperatorPath:
         piecewise affine with one 2-norm per piece. At least 2 samples of
         one dim; those not yet a ``HermitianMatrix`` take one stacked
         Hermitian check, whose first failing sample raises. Samples that
-        ``_real_diagonals`` takes, tested once, are held as their diagonals,
-        whose differences give the rates (``_diagonal_op_norms``)."""
+        ``_real_diagonals`` takes, tested once, make a ``_DiagonalPath`` over
+        their diagonals, whose differences give the rates (``_diagonal_op_norms``)."""
         items = list(matrices)
         mats = [m.mat if isinstance(m, HermitianMatrix) else _matrix_array(m) for m in items]
         if len(mats) < 2:
@@ -434,16 +436,17 @@ class OperatorPath:
             arr[raw] = _hermitian_stack(arr[raw])
         arr.setflags(write=False)
         dim, last, d = len(arr[0]), len(mats) - 1, _real_diagonals(arr)
+        nodes, kind = (arr, cls) if d is None else (d, _DiagonalPath)
 
         def evaluate(ts: np.ndarray) -> np.ndarray:
             x = ts * last
             i = np.minimum(np.floor(x).astype(np.intp), last - 1)
-            frac = (x - i)[:, None, None]
-            return (1.0 - frac) * arr[i] + frac * arr[i + 1]
+            frac = (x - i).reshape((-1,) + (1,) * (nodes.ndim - 1))
+            return (1.0 - frac) * nodes[i] + frac * nodes[i + 1]
 
         rates = last * (_diff_norms(arr) if d is None else _diagonal_op_norms(np.diff(d, axis=0)))
         ts = [i / last for i in range(last + 1)]
-        path = cls(evaluate, dim, regularity=piecewise_affine(ts[1:-1], rates))
+        path = kind(evaluate, dim, regularity=piecewise_affine(ts[1:-1], rates))
         # the samples are kept as given, as views of ``arr`` or from their
         # diagonals, not re-evaluated by the interpolant
         size = _chunk_len(dim)

@@ -11,6 +11,7 @@ from specflowlab import ConsistencyFault, cli, graded
 from specflowlab.axioms import run_all_checks
 from specflowlab.serialize import dumps_json, graded_to_obj, matrix_to_obj
 from specflowlab.graded import GradedOperator
+from specflowlab.matcore import _run_stats
 from specflowlab.specflow import SfOptions
 
 
@@ -385,25 +386,18 @@ def test_graded_computes_the_half_gap_window_once(tmp_path, capsys, monkeypatch)
     assert calls == [0.5]
 
 
-def test_graded_factors_the_block_and_the_odd_matrix_once(tmp_path, capsys, monkeypatch):
+def test_graded_factors_the_block_and_the_odd_matrix_once(tmp_path, capsys):
     """One SVD of the block serves both gaps, and one eigh of the odd
     matrix serves the cancellation check, the start window and the base
     operand, a stack of one; the trials' perturbed matrices are factored
     once each, as one stack."""
-    calls = []
-    for name in ("svd", "eigh"):
-        inner = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg,
-            name,
-            lambda a, *args, _f=inner, _n=name, **kw: calls.append((_n, np.shape(a)))
-            or _f(a, *args, **kw),
-        )
     g = GradedOperator(3, 2, np.array([[1.0, 0.0, 0.0], [0.0, 0.3, 0.0]]))
     f = write_json(tmp_path / "g.json", graded_to_obj(g))
-    assert cli.main(["graded", "--input", f, "--tol", "0.5", "--trials", "3"]) == 0
+    with _run_stats() as stats:
+        assert cli.main(["graded", "--input", f, "--tol", "0.5", "--trials", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["stability"]["ok"]
-    assert calls == [("svd", (2, 3)), ("eigh", (1, 5, 5)), ("eigh", (3, 5, 5))]
+    assert stats["svd.block"] == 1 and stats["eigh"] == stats["inv.dense"] == 4
+    assert stats["eigh.calls"] == stats["inv.dense.calls"] == 2
 
 
 def test_axioms_command_small(capsys):

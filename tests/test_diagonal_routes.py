@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from specflowlab import generators, matcore, metrics, paths, projpair, specflow
 from specflowlab.generators import family_path
-from specflowlab.matcore import HermitianMatrix, Projection
+from specflowlab.matcore import HermitianMatrix, Projection, _run_stats
 from specflowlab.metrics import metric_separation_report
 from specflowlab.opmodel import DiagonalModel
 from specflowlab.projpair import pair_index
@@ -317,48 +317,26 @@ def test_projection_and_pair_checks_give_the_lapack_bits(monkeypatch):
     assert fast_pairs["diagonal_wrong_ranks"][0] is matcore.ConsistencyFault
 
 
-LAPACK = (
-    "eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "inv", "pinv", "solve",
-    "lstsq", "det", "slogdet", "qr", "cholesky", "matrix_rank",
-)
+#: the run record's keys of LAPACK factorizations, inverses and SVDs
+LAPACK = ("eigvalsh.lapack", "eigh", "norm.svd", "inv.dense", "inv.entry", "svd.block")
 
 
-def _count_lapack(monkeypatch):
-    """Wrap numpy.linalg's LAPACK routines, and its norm where it takes
-    singular values; returns the list of the names called."""
-    calls = []
-
-    def counted(name, inner):
-        def call(*args, **kwargs):
-            calls.append(name)
-            return inner(*args, **kwargs)
-
-        return call
-
-    for name in LAPACK:
-        if hasattr(np.linalg, name):
-            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    norm = np.linalg.norm
-
-    def counted_norm(x, ord=None, *args, **kwargs):
-        if ord in (2, -2, "nuc"):
-            calls.append("norm")
-        return norm(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counted_norm)
-    return calls
+def _lapack(stats) -> dict:
+    """The LAPACK routes a run record counts, with their rows."""
+    return {key: stats[key] for key in LAPACK if stats[key]}
 
 
-def test_diagonal_projections_and_pair_indices_call_no_lapack(monkeypatch):
-    calls = _count_lapack(monkeypatch)
-    p = Projection(np.diag([1.0, 0.0, 1.0, 1.0]))
-    q = Projection(np.diag([0.0, 0.0, 1.0, 1.0]))
-    assert (p.rank, q.rank) == (3, 2)
-    assert pair_index(p, q).value == 1 and pair_index(q, p).value == -1
-    assert calls == []
-    # a dense projection still goes to LAPACK, which the wrapper counts
-    Projection(np.full((2, 2), 0.5))
-    assert calls == ["eigvalsh"]
+def test_diagonal_projections_and_pair_indices_call_no_lapack():
+    with _run_stats() as stats:
+        p = Projection(np.diag([1.0, 0.0, 1.0, 1.0]))
+        q = Projection(np.diag([0.0, 0.0, 1.0, 1.0]))
+        assert (p.rank, q.rank) == (3, 2)
+        assert pair_index(p, q).value == 1 and pair_index(q, p).value == -1
+    assert _lapack(stats) == {}
+    # a dense projection still goes to LAPACK, which the record counts
+    with _run_stats() as stats:
+        Projection(np.full((2, 2), 0.5))
+    assert _lapack(stats) == {"eigvalsh.lapack": 1}
 
 
 @pytest.mark.parametrize("name, params", [
@@ -372,9 +350,9 @@ def test_diagonal_lines_certify_as_the_lapack_routes(name, params, monkeypatch):
     report with every diagonal route patched off, and no LAPACK
     factorization of a junction with them on."""
     fast = sf_all_methods(family_path(name, params))
-    calls = _count_lapack(monkeypatch)
-    again = sf_all_methods(family_path(name, params))
-    assert "eigh" not in calls and "eigvalsh" not in calls
+    with _run_stats() as stats:
+        again = sf_all_methods(family_path(name, params))
+    assert stats["eigh"] == stats["eigvalsh.lapack"] == 0
     with monkeypatch.context() as m:
         m.setattr(matcore, "_real_diagonals", lambda _a: None)
         _lapack_eigvalsh(m)
@@ -460,20 +438,14 @@ def _path_outcome(make):
 
 def _run_paths(corpus, guard, monkeypatch):
     """The outcomes of the corpus with ``guard`` as ``_real_diagonals``,
-    and, per path, whether it took any chunk."""
+    and, per path, whether the run record counts a stack it took."""
     outcomes, taken = {}, {}
-    for name, make in corpus.items():
-        hits = []
-
-        def spy(a):
-            d = guard(a)
-            hits.append(d is not None)
-            return d
-
-        with monkeypatch.context() as m:
-            m.setattr(matcore, "_real_diagonals", spy)
-            outcomes[name] = _path_outcome(make)
-        taken[name] = any(hits)
+    with monkeypatch.context() as m:
+        m.setattr(matcore, "_real_diagonals", guard)
+        for name, make in corpus.items():
+            with _run_stats() as stats:
+                outcomes[name] = _path_outcome(make)
+            taken[name] = stats["hermitian.diagonal"] + stats["eigvalsh.diagonal"] > 0
     return outcomes, taken
 
 
@@ -572,28 +544,37 @@ def test_a_refused_diagonal_chunk_takes_the_stacks_route(name, monkeypatch):
 @pytest.mark.parametrize("name, taken", [
     ("sampled_diag.json", True), ("diag1e200.json", False), ("diag_tiny.json", False),
 ])
-def test_diagonal_samples_take_no_difference_svd(name, taken, monkeypatch):
+def test_diagonal_samples_take_no_difference_svd(name, taken):
     """A sample array that ``_real_diagonals`` takes, tested once by
     ``from_samples``, gives its rates from the differences of its
     diagonals (``_diagonal_op_norms``): no difference stack reaches
-    ``_op_norms``, and its samples are held as their diagonals. Entries
-    above zheevd's band (diag1e200) or a middle sample below it
+    ``_op_norms``, its samples are held as their diagonals, and the path
+    is a ``_DiagonalPath``, whose flow builds no stack of its points.
+    Entries above zheevd's band (diag1e200) or a middle sample below it
     (diag_tiny) keep the dense route. Either way the rates are the SVD's of
     the differences and the kept samples have the bytes given."""
     samples = np.array([np.array(x["re"]) + 1j * np.array(x["im"]) for x in FILES[name]["samples"]])
-    seen, held = [], []
-    op_norms, eigenvalues = matcore._op_norms, paths._eigenvalues
-    monkeypatch.setattr(matcore, "_op_norms", lambda a: seen.append(a.shape) or op_norms(a))
-    monkeypatch.setattr(paths, "_eigenvalues",
-                        lambda s, d, part: held.append(d is not None) or eigenvalues(s, d, part))
-    path = path_from_obj(FILES[name])
+    with _run_stats() as built:
+        path = path_from_obj(FILES[name])
     last = len(samples) - 1
-    assert seen == ([] if taken else [(last,) + samples.shape[1:]])
-    assert held == [taken]
+    assert isinstance(path, paths._DiagonalPath) == taken
+    norm = "norm.diagonal" if taken else "norm.svd"
+    assert built == {  # each kernel takes its rows in one call
+        "hermitian.diagonal" if taken else "hermitian.copy": 1,
+        norm: last, norm + ".calls": 1,
+        "path.factored": last + 1, "path.factored.calls": 1,
+        **({} if taken else {"eigvalsh.lapack": last + 1, "eigvalsh.lapack.calls": 1}),
+    }
     want = last * np.linalg.norm(np.diff(samples, axis=0), 2, axis=(1, 2))
     assert path.regularity.rates == tuple(want.tolist())
     kept = path.matrices([i / last for i in range(last + 1)])
     assert np.array([m.mat for m in kept]).tobytes() == samples.tobytes()
+    # the flow checks one stack, sf_pairsum's junction projections, and a
+    # path of stacks four more: those of the points its methods evaluate
+    with _run_stats() as flow:
+        sf_all_methods(path)
+    checks = sum(flow[key] for key in ("hermitian.diagonal", "hermitian.copy", "hermitian.formula"))
+    assert flow["path.evaluated"] and checks == (1 if taken else 5)
 
 
 #: diagonal entries of every scale in zheevd's band, zeros and subnormals
@@ -624,38 +605,20 @@ def test_the_entry_resolvent_gives_the_dense_inverses_bits(rows):
     ("fuglede_line", {"N": 128, "n": 40}),
     ("toeplitz_line", {"m": 24}),
 ])
-def test_diagonal_lines_run_no_dense_projection_check(name, params, monkeypatch):
+def test_diagonal_lines_run_no_dense_projection_check(name, params):
     """sf_all_methods on a diagonal line: each chunk is taken as the
-    diagonals the evaluator combines from the ends' (``_DiagonalPath``, no
-    stack), and no projection stack takes the dense idempotency check."""
-    evaluated, inside, dense = [], [], []
+    diagonals the evaluator combines from the ends' (``_DiagonalPath``), so
+    no stack of its points is checked, and no junction is decomposed: the
+    Hermitian checks are those of sf_pairsum's projections, diagonals of
+    exact 0.0s and 1.0s that skip the dense idempotency check."""
     path = family_path(name, params)
-    asked, rows = counted_points(path), path._rows
-
-    def taken(ts):
-        stack, d = rows(ts)
-        evaluated.append(len(ts) if stack is None and d.shape == (len(ts), path.dim) else 0)
-        return stack, d
-
-    path._rows = taken
-    check, norm_over = matcore._projection_stack, matcore._norm_over
-
-    def projection_stack(entries):
-        inside.append(1)
-        try:
-            return check(entries)
-        finally:
-            inside.pop()
-
-    def counted_norm_over(*args):
-        dense.extend(inside)
-        return norm_over(*args)
-
-    monkeypatch.setattr(matcore, "_projection_stack", projection_stack)
-    monkeypatch.setattr(matcore, "_norm_over", counted_norm_over)
-    out = sf_all_methods(path)
+    asked = counted_points(path)
+    with _run_stats() as stats:
+        out = sf_all_methods(path)
     assert out["value"] == {"fuglede_line": -1, "toeplitz_line": 0}[name]
-    assert evaluated and all(evaluated) and sum(evaluated) == len(asked) and dense == []
+    assert stats["path.evaluated"] == len(asked) > 0
+    assert stats["hermitian.copy"] == stats["hermitian.formula"] == stats["eigh"] == 0
+    assert _lapack(stats) == {}
 
 
 def _complex_diagonal_stack(d):
@@ -708,15 +671,13 @@ def _norm_corpus():
     return cases
 
 
-def test_diagonal_norms_give_the_svd_bits(monkeypatch):
+def test_diagonal_norms_give_the_svd_bits():
     """``_diagonal_op_norms`` of each diagonal stack's diagonals gives the
     bits of the SVD of ``_diagonal_matrices`` of them, and of the stack
     itself, whatever the signs of its zeros; the cases named below take
-    the route (no matrices built) or leave it."""
+    the route (no SVD) or leave it."""
     cases = _norm_corpus()
-    built = []
     matrices = matcore._diagonal_matrices
-    monkeypatch.setattr(matcore, "_diagonal_matrices", lambda d: built.append(1) or matrices(d))
     taken = {}
     for name, a in cases.items():
         if a.ndim != 3 or not np.all(np.isfinite(a)):
@@ -724,9 +685,10 @@ def test_diagonal_norms_give_the_svd_bits(monkeypatch):
         d = np.ascontiguousarray(a.diagonal(axis1=1, axis2=2))
         if np.count_nonzero(a) != np.count_nonzero(d):
             continue
-        built.clear()
-        fast = _outcome(matcore._diagonal_op_norms, d)
-        taken[name] = not built
+        with _run_stats() as stats:
+            fast = _outcome(matcore._diagonal_op_norms, d)
+        taken[name] = stats == {"norm.diagonal": len(d), "norm.diagonal.calls": 1}
+        assert taken[name] or stats == {"norm.svd": len(d), "norm.svd.calls": 1}, name
         assert fast == _outcome(matcore._op_norms, matrices(d)), name
         assert fast == _outcome(matcore._op_norms, a), name
     for name in (
@@ -779,12 +741,12 @@ def test_metric_report_gives_the_svd_bits(law, monkeypatch):
     assert fast == general
 
 
-def test_diagonal_records_take_no_decomposition(monkeypatch):
+def test_diagonal_records_take_no_decomposition():
     """Rows of the three diagonal families and the base make no eigh and
     no SVD; only the resolvent takes LAPACK's inverse, of each diagonal
-    entry as a 1x1 matrix."""
-    calls = _count_lapack(monkeypatch)
+    entry as a 1x1 matrix, once per row and once for the base."""
     model = DiagonalModel(16, "signed")
-    rows = metric_separation_report(model, ["rank_one", "lambda", "fuglede"])
+    with _run_stats() as stats:
+        rows = metric_separation_report(model, ["rank_one", "lambda", "fuglede"])
     assert len(rows) == 45
-    assert set(calls) == {"inv"}
+    assert _lapack(stats) == {"inv.entry": 46}

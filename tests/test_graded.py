@@ -17,6 +17,7 @@ from specflowlab import (
     random_unitary,
 )
 from specflowlab import graded, metrics
+from specflowlab.matcore import _run_stats
 
 ANTICOMMUTE_TOL = 1e-14
 
@@ -166,29 +167,25 @@ def test_a_failing_trial_stack_raises_from_the_stacked_call(monkeypatch):
     assert len(details) == 3
 
 
-def test_index_stability_inverts_the_base_once(monkeypatch):
+def test_index_stability_inverts_the_base_once():
     """The base is inverted once, and the ten trials as one stack."""
     g = GradedOperator(4, 3, planted_block(np.random.default_rng(3), 3, 4, 2))
-    calls = []
-    original = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(np.shape(a)) or original(a))
-    index_stability_check(g, trials=10, seed=1)
-    assert calls == [(1, 7, 7), (10, 7, 7)]
+    with _run_stats() as stats:
+        index_stability_check(g, trials=10, seed=1)
+    assert (stats["inv.dense"], stats["inv.dense.calls"], stats["inv.entry"]) == (11, 2, 0)
 
 
-def test_graded_checks_factor_the_base_odd_matrix_once(monkeypatch):
+def test_graded_checks_factor_the_base_odd_matrix_once():
     """The cancellation check, the window dimension and the stability
     check read the odd matrix's one cached decomposition through the
     operand the operator holds; the thirty trials are factored as one
     stack."""
     g = GradedOperator(4, 3, planted_block(np.random.default_rng(5), 3, 4, 2))
-    shapes = []
-    original = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(np.shape(a)) or original(a))
-    assert eigenpair_cancellation_check(g)["ok"]
-    assert graded_window_dim(g, 0.1) == g.kernel_index()
-    assert index_stability_check(g, trials=30)["ok"]
-    assert shapes == [(1, 7, 7), (30, 7, 7)]
+    with _run_stats() as stats:
+        assert eigenpair_cancellation_check(g)["ok"]
+        assert graded_window_dim(g, 0.1) == g.kernel_index()
+        assert index_stability_check(g, trials=30)["ok"]
+    assert (stats["eigh"], stats["eigh.calls"]) == (31, 2)
 
 
 def test_index_stability_needs_a_gap():

@@ -2,8 +2,9 @@
 lazily, and the CLI imports a subcommand's layers when the subcommand runs.
 Every check starts a fresh interpreter, since this test process has
 imported every layer already. The path layer loads no method, the
-methods read none of a path's privates, and one function reads each of
-zheevd's and zgesdd's unscaled bands."""
+methods read none of a path's privates, one function reads each of
+zheevd's and zgesdd's unscaled bands, and every ``np.linalg`` call site
+is pinned with whether it counts itself in the run record."""
 
 import ast
 import json
@@ -70,12 +71,23 @@ def test_the_methods_read_no_private_attribute():
     assert private == []
 
 
+def _sources():
+    """(module name, parsed tree, innermost function node by node id) of
+    each module in ``src``."""
+    for file in sorted((SRC / "specflowlab").glob("*.py")):
+        tree = ast.parse(file.read_text())
+        owner = {}  # ast.walk goes outside in, so the innermost function wins
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn) for node in ast.walk(fn))
+        yield file.stem, tree, owner
+
+
 def _band_readers(band: set) -> list:
     """(module, innermost function, name) of every read in ``src`` of a
     name in ``band``, outside its own definition."""
     reads = set()
-    for file in sorted((SRC / "specflowlab").glob("*.py")):
-        tree = ast.parse(file.read_text())
+    for module, tree, owner in _sources():
         definitions = {
             id(node)
             for stmt in tree.body
@@ -83,14 +95,10 @@ def _band_readers(band: set) -> list:
             and band & {t.id for t in stmt.targets if isinstance(t, ast.Name)}
             for node in ast.walk(stmt)
         }
-        owner = {}  # ast.walk goes outside in, so the innermost function wins
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((id(node), fn.name) for node in ast.walk(fn))
         for node in ast.walk(tree):
             name = getattr(node, "id", None) or getattr(node, "attr", None)  # Name, Attribute
             if name in band and id(node) not in definitions:
-                reads.add((file.stem, owner.get(id(node)), name))
+                reads.add((module, getattr(owner.get(id(node)), "name", None), name))
     return sorted(reads)
 
 
@@ -117,6 +125,47 @@ def test_zgesdds_band_is_read_by_the_one_diagonal_norm():
     assert _band_readers({"_SVD_UNSCALED_MIN", "_SVD_UNSCALED_MAX"}) == [
         ("matcore", "_diagonal_op_norms", "_SVD_UNSCALED_MAX"),
         ("matcore", "_diagonal_op_norms", "_SVD_UNSCALED_MIN"),
+    ]
+
+
+def test_every_lapack_call_is_counted():
+    """Every ``np.linalg`` call in ``src``, with whether its function counts
+    itself in the run record (``_tally``): a new LAPACK call on any route
+    fails here, as a spy over all of ``np.linalg`` would. ``linalg`` is
+    reached only as ``np.linalg.<routine>(...)``, and a counting kernel calls
+    LAPACK outside any loop, so a key's ``.calls`` are LAPACK's calls."""
+    calls = set()
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for module, tree, owner in _sources():
+        called = {id(c.func.value) for c in ast.walk(tree)
+                  if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)}
+        looped = {id(n) for lp in ast.walk(tree) if isinstance(lp, loops) for n in ast.walk(lp)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert "linalg" not in ast.dump(node), module
+            if isinstance(node, ast.Attribute) and node.attr == "linalg":
+                assert id(node) in called, (module, node.lineno)
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "attr", None) == "linalg"):
+                continue
+            two = [a for a in node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+                   if isinstance(a, ast.Constant) and a.value == 2]
+            fn = owner[id(node)]
+            tallies = "func=Name(id='_tally'" in ast.dump(fn)  # it calls _tally
+            assert not (tallies and id(node) in looped), (module, fn.name)
+            calls.add((module, fn.name, node.func.attr + "(2)" * bool(two), tallies))
+    assert sorted(calls) == [
+        ("generators", "random_unitary", "qr", False),  # a seeded unitary's QR
+        ("graded", "_singular_values", "svd", True),
+        ("matcore", "_eigh_stack", "eigh", True),
+        ("matcore", "_norm_over", "norm", False),  # Frobenius norms: no LAPACK
+        ("matcore", "_op_norms", "norm(2)", True),
+        ("matcore", "_stack_eigvalsh", "eigvalsh", True),
+        ("matcore", "rank_eps", "svd", False),  # the public rank helper
+        ("metrics", "resolvent", "inv", True),
+        ("transforms", "unitary_eig", "eig", False),  # a unitary's eigenbasis,
+        ("transforms", "unitary_eig", "norm", False),  # its columns' norms
+        ("transforms", "unitary_eig", "qr", False),  # and its QR per cluster
     ]
 
 

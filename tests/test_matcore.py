@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specflowlab import matcore
+from specflowlab.matcore import _run_stats
 from specflowlab.errors import (
     BoundaryCollisionError,
     ConsistencyFault,
@@ -157,15 +158,16 @@ def _validated(a):
 
 
 def _both_routes(a, monkeypatch):
-    """The outcome of validating ``a``, and that of the general route,
-    which averages (A + A*) / 2 without the diagonal route and without the
-    exactly-Hermitian shortcut."""
-    fast = _validated(a)
+    """The outcome of validating ``a``, that of the general route, which
+    averages (A + A*) / 2 without the diagonal route and without the
+    exactly-Hermitian shortcut, and the route the first took (``_route``)."""
+    with _run_stats() as stats:
+        fast = _validated(a)
     with monkeypatch.context() as m:
         m.setattr(matcore, "_real_diagonals", lambda _a: None)
         m.setattr(matcore, "_exact_average_into", lambda _a, _out: False)
         general = _validated(a)
-    return fast, general
+    return fast, general, _route(stats)
 
 
 def _exact_stack(seed, k, n):
@@ -175,28 +177,13 @@ def _exact_stack(seed, k, n):
     return stack
 
 
-def _route_spy(monkeypatch):
-    """Patch ``_real_diagonals`` and ``_exact_average_into`` to record the
-    route each call took: "diagonal", "copy", or "formula" where the
-    shortcut declined (nothing for a stack not equal to its adjoint);
-    returns the record."""
-    taken = []
-    diagonal, exact = matcore._real_diagonals, matcore._exact_average_into
-
-    def diagonal_spy(a):
-        out = diagonal(a)
-        if out is not None:
-            taken.append("diagonal")
-        return out
-
-    def exact_spy(a, out):
-        copied = exact(a, out)
-        taken.append("copy" if copied else "formula")
-        return copied
-
-    monkeypatch.setattr(matcore, "_real_diagonals", diagonal_spy)
-    monkeypatch.setattr(matcore, "_exact_average_into", exact_spy)
-    return taken
+def _route(stats):
+    """The route of the one Hermitian check a run record counts:
+    "diagonal", "copy", or "formula" where the shortcut declined or the
+    stack is not its adjoint; None when the check raised before a route."""
+    taken = [route for route in ("diagonal", "copy", "formula") if stats["hermitian." + route]]
+    assert sum(stats[k] for k in stats if k.startswith("hermitian.")) == len(taken) <= 1
+    return taken[0] if taken else None
 
 
 def _sparse_exact_stack(rng):
@@ -220,7 +207,6 @@ def _sparse_exact_stack(rng):
 
 
 def test_exactly_hermitian_stacks_validate_as_the_general_route(monkeypatch):
-    taken = _route_spy(monkeypatch)
     half = np.finfo(np.float64).max / 2.0
     # negated, the imaginary diagonal reads -0.0, which the average makes +0.0
     cases = {"plain": _exact_stack(0, 4, 5), "negated": -_exact_stack(5, 2, 4)}
@@ -250,9 +236,7 @@ def test_exactly_hermitian_stacks_validate_as_the_general_route(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, a in cases.items():
-            taken.clear()
-            outcomes[name] = _both_routes(a, monkeypatch)
-            route[name] = taken[0] if taken else None
+            *outcomes[name], route[name] = _both_routes(a, monkeypatch)
     for name, (fast, general) in outcomes.items():
         assert fast == general, name
     assert isinstance(outcomes["plain"][0], bytes)
@@ -286,22 +270,21 @@ def test_sparse_path_stacks_take_the_copy(make, monkeypatch):
     stacks: they take the diagonal route's copy, with the general route's
     bytes."""
     ts = np.linspace(0.0, 1.0, 33).tolist()
-    taken = _route_spy(monkeypatch)
-    fast = [h.mat.tobytes() for h in make().matrices(ts)]
-    assert taken and set(taken) == {"diagonal"}
+    with _run_stats() as stats:
+        fast = [h.mat.tobytes() for h in make().matrices(ts)]
+    assert stats["hermitian.diagonal"] and not stats["hermitian.copy"] + stats["hermitian.formula"]
     with monkeypatch.context() as m:
         m.setattr(matcore, "_real_diagonals", lambda _a: None)
         m.setattr(matcore, "_exact_average_into", lambda _a, _out: False)
         assert [h.mat.tobytes() for h in make().matrices(ts)] == fast
 
 
-def test_one_last_bit_defect_takes_the_general_route(monkeypatch):
+def test_one_last_bit_defect_takes_the_general_route():
     a = _exact_stack(4, 3, 4)
     a[2, 0, 3] = np.nextafter(a[2, 0, 3].real, np.inf) + 1j * a[2, 0, 3].imag
-    calls = []
-    monkeypatch.setattr(matcore, "_exact_average_into", lambda *_: calls.append(1))
-    h = matcore._hermitian_stack(a)
-    assert calls == []
+    with _run_stats() as stats:
+        h = matcore._hermitian_stack(a)
+    assert _route(stats) == "formula"
     assert h.tobytes() == ((a + a.conj().swapaxes(1, 2)) / 2.0).tobytes()
     assert np.array_equal(h, h.conj().swapaxes(1, 2))
 
@@ -314,14 +297,6 @@ def _diagonal_stack(d):
     return s
 
 
-def _counted_lapack(monkeypatch):
-    """The unpatched eigvalsh, and the list the patched one appends to."""
-    lapack = np.linalg.eigvalsh
-    calls = []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or lapack(a))
-    return lapack, calls
-
-
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -331,8 +306,8 @@ def test_unscaled_range_is_zheevds():
     assert matcore._UNSCALED_MAX == 2.0**485
 
 
-def test_diagonal_stacks_take_the_sorted_diagonal_bit_for_bit(monkeypatch):
-    lapack, calls = _counted_lapack(monkeypatch)
+def test_diagonal_stacks_take_the_sorted_diagonal_bit_for_bit():
+    lapack = np.linalg.eigvalsh
     rng = np.random.default_rng(10)
     lo, hi = matcore._UNSCALED_MIN, matcore._UNSCALED_MAX
     # the range ends with their neighbours on both sides
@@ -360,19 +335,20 @@ def test_diagonal_stacks_take_the_sorted_diagonal_bit_for_bit(monkeypatch):
         amax = np.max(np.abs(d), axis=1)
         unscaled = bool(np.all((amax == 0.0) | ((amax >= lo) & (amax <= hi))))
         expect_routed = unscaled
-        before = len(calls)
-        got = matcore._stack_eigvalsh(s)
-        assert (len(calls) == before) == expect_routed, case
+        with _run_stats() as stats:
+            got = matcore._stack_eigvalsh(s)
+        route = "eigvalsh.diagonal" if expect_routed else "eigvalsh.lapack"
+        assert stats == {route: k, route + ".calls": 1}, case
         assert _same_bits(got, lapack(s)), case
         routed += expect_routed
     assert 300 < routed < 600
 
 
-def test_diagonal_route_falls_back_where_lapack_differs(monkeypatch):
+def test_diagonal_route_falls_back_where_lapack_differs():
     """Out of zheevd's unscaled range, or with a -0.0 on the diagonal, the
     sorted diagonal need not be LAPACK's answer; such stacks go to LAPACK,
     as does one whose first matrix is diagonal and whose last is not."""
-    lapack, calls = _counted_lapack(monkeypatch)
+    lapack = np.linalg.eigvalsh
     d = np.random.default_rng(3).normal(size=(1, 6))
     unit = d / np.max(np.abs(d))
     diagonals = {
@@ -388,16 +364,14 @@ def test_diagonal_route_falls_back_where_lapack_differs(monkeypatch):
     dense_last = _diagonal_stack(np.repeat(d, 3, axis=0))
     dense_last[2, 0, 5] = dense_last[2, 5, 0] = 1e-300
     stacks["first matrix diagonal, last not"] = dense_last
-    for name, s in stacks.items():
-        before = len(calls)
-        assert _same_bits(matcore._stack_eigvalsh(s), lapack(s)), name
-        assert len(calls) == before + 1, name
     # a signed zero off the diagonal goes to LAPACK too: the one bit count
     # that finds the diagonal stacks does not tell it from a nonzero entry
-    signed = _diagonal_stack(d)
-    signed[0, 1, 0] = -0.0
-    assert _same_bits(matcore._stack_eigvalsh(signed), lapack(signed))
-    assert len(calls) == len(stacks) + 1
+    stacks["signed zero off the diagonal"] = _diagonal_stack(d)
+    stacks["signed zero off the diagonal"][0, 1, 0] = -0.0
+    for name, s in stacks.items():
+        with _run_stats() as stats:
+            assert _same_bits(matcore._stack_eigvalsh(s), lapack(s)), name
+        assert stats == {"eigvalsh.lapack": len(s), "eigvalsh.lapack.calls": 1}, name
 
 
 def _checked_projections(a):
@@ -410,12 +384,10 @@ def _checked_projections(a):
     return s.tobytes(), s.shape, s.flags.writeable, ranks
 
 
-def _norm_over_spy(monkeypatch):
-    """Record each ``_norm_over`` call, the first dense check of a
-    projection stack."""
-    calls, inner = [], matcore._norm_over
-    monkeypatch.setattr(matcore, "_norm_over", lambda *a: calls.append(1) or inner(*a))
-    return calls
+def _factored(stats) -> int:
+    """The rows a run record counts as factored by ``_stack_eigvalsh``, the
+    dense checks' eigenvalues of a projection stack."""
+    return stats["eigvalsh.lapack"] + stats["eigvalsh.diagonal"]
 
 
 def test_exact_projection_diagonals_skip_the_dense_checks(monkeypatch):
@@ -426,33 +398,28 @@ def test_exact_projection_diagonals_skip_the_dense_checks(monkeypatch):
     for k in (1, 2, 3):
         for n in range(1, 7):
             cases += [np.zeros((k, n)), np.ones((k, n)), rng.integers(0, 2, size=(k, n))]
-    calls = _norm_over_spy(monkeypatch)
-    fast = []
-    for d in cases:
-        before = len(calls)
-        fast.append(_checked_projections(_diagonal_stack(d)))
-        assert len(calls) == before, d
-    calls.clear()
-    with monkeypatch.context() as m:
+    with _run_stats() as stats:
+        fast = [_checked_projections(_diagonal_stack(d)) for d in cases]
+    assert _factored(stats) == 0
+    with monkeypatch.context() as m, _run_stats() as stats:
         m.setattr(matcore, "_real_diagonals", lambda _a: None)
         general = [_checked_projections(_diagonal_stack(d)) for d in cases]
-    assert len(calls) == len(cases)
+    assert _factored(stats) == sum(len(d) for d in cases)
     assert fast == general
     assert [out[3] for out in fast] == [np.count_nonzero(d, axis=1).tolist() for d in cases]
     assert all(out[2] is False for out in fast)
 
 
-def test_other_projection_diagonals_take_the_dense_checks(monkeypatch):
+def test_other_projection_diagonals_take_the_dense_checks():
     """A 0/1 diagonal holding a -0.0, and one holding 0.5, take the general
     checks: the first passes them, the second is not idempotent."""
-    calls = _norm_over_spy(monkeypatch)
     neg_zero = _diagonal_stack([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     neg_zero[1, 0, 0] = -0.0
-    s, ranks = matcore._projection_stack(neg_zero)
-    assert len(calls) == 1 and ranks == [2, 2] and not s.flags.writeable
+    with _run_stats() as stats:
+        s, ranks = matcore._projection_stack(neg_zero)
+    assert _factored(stats) == 2 and ranks == [2, 2] and not s.flags.writeable
     with pytest.raises(InputError, match="not idempotent"):
         matcore._projection_stack(_diagonal_stack([[1.0, 0.5, 0.0]]))
-    assert len(calls) == 2
 
 
 def test_stack_shape_errors_match_the_constructor():
@@ -588,20 +555,18 @@ def test_eigh_rejects_bad_reconstruction(monkeypatch):
         eigh(HermitianMatrix(np.diag([1.0, 2.0, 3.0])))
 
 
-def test_one_eigh_serves_every_function_of_a_matrix(monkeypatch, rng):
+def test_one_eigh_serves_every_function_of_a_matrix(rng):
     """Both projections, the calculus and both transforms read the one
     decomposition the matrix caches; each once computed its own. The eigh
     is the one-matrix case of the stacked decomposition, a stack of one."""
-    shapes = []
-    lapack_eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or lapack_eigh(a))
     h = HermitianMatrix(random_hermitian(rng, 6))
-    spectral_projection(h, Interval(-100.0, 100.0))
-    nonneg_projection(h)
-    apply_function(h, abs)
-    riesz(h)
-    cayley(h)
-    assert shapes == [(1, 6, 6)]
+    with _run_stats() as stats:
+        spectral_projection(h, Interval(-100.0, 100.0))
+        nonneg_projection(h)
+        apply_function(h, abs)
+        riesz(h)
+        cayley(h)
+    assert stats["eigh"] == 1
     assert h.eig is h.eig
 
 
@@ -734,22 +699,19 @@ def test_check_a1_random_draws(rng):
         assert rep.spd and rep.sandwich_bound_ok
 
 
-def test_check_a1_reads_the_gap_from_the_cached_decomposition(monkeypatch):
+def test_check_a1_reads_the_gap_from_the_cached_decomposition():
     """The invertibility gap and the SPD test come from T's one validated
     eigendecomposition, with no separate values-only factorization."""
-
-    def refuse(_):
-        raise AssertionError("check_a1 called np.linalg.eigvalsh")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     spd = HermitianMatrix(np.diag([0.5, 1.0, 3.0]))
     b = HermitianMatrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 1.0]]))
-    rep = check_a1(spd, b)
-    assert rep.ok and rep.spd and rep.sandwich_bound_ok
-    indefinite = check_a1(HermitianMatrix(np.diag([-2.0, 1.0, 3.0])), b)
-    assert indefinite.ok and not indefinite.spd and indefinite.sandwich_norm is None
-    with pytest.raises(InputError, match="T must be invertible"):
-        check_a1(HermitianMatrix(np.diag([0.0, 1.0, 3.0])), b)
+    with _run_stats() as stats:
+        rep = check_a1(spd, b)
+        assert rep.ok and rep.spd and rep.sandwich_bound_ok
+        indefinite = check_a1(HermitianMatrix(np.diag([-2.0, 1.0, 3.0])), b)
+        assert indefinite.ok and not indefinite.spd and indefinite.sandwich_norm is None
+        with pytest.raises(InputError, match="T must be invertible"):
+            check_a1(HermitianMatrix(np.diag([0.0, 1.0, 3.0])), b)
+    assert _factored(stats) == 0 and stats["eigh"] == 3
 
 
 def test_tol_spec_scaling():

@@ -14,7 +14,9 @@ from hypothesis.extra.numpy import arrays
 
 from specflowlab import metrics
 from specflowlab.errors import ConsistencyFault, InputError
-from specflowlab.matcore import _CHUNK_BYTES, HermitianMatrix, _chunk_len, apply_function, op_norm
+from specflowlab.matcore import (
+    _CHUNK_BYTES, HermitianMatrix, _chunk_len, _run_stats, apply_function, op_norm,
+)
 from specflowlab.metrics import (
     MetricReport,
     d_G,
@@ -234,53 +236,34 @@ def test_chunk_helpers_live_in_matcore():
     assert _chunk_len(64) == 4 and _chunk_len(200) == 1
 
 
-def _record_lapack(monkeypatch, names):
-    """Patch np.linalg.<name> for each name to record (name, shape of the
-    first argument) before calling through."""
-    calls = []
-    for name in names:
-        inner = getattr(np.linalg, name)
-
-        def recording(a, *args, _name=name, _inner=inner, **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _inner(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
-    return calls
-
-
-def test_report_factors_each_operand_once(monkeypatch):
+def test_report_factors_each_operand_once():
     """One eigh and one dense inverse per swap row, and none for a diagonal
     row (rank_one, lambda, fuglede) or the diagonal base, whose resolvent
-    is the inverse of its n entries as 1x1 matrices, one (k, n, 1, 1) call
-    per record: the chunks are cut inside each family, so no diagonal row
-    shares a record with swap rows. Made as at most one stacked call per
-    chunk plus one for the base: four chunks at trunc-dim 12 (33 diagonal
-    rows, eigh on 10), eight at 32 (93 diagonal rows, eigh on 30)."""
+    is the inverse of its n entries as 1x1 matrices: the chunks are cut
+    inside each family, so no diagonal row shares a record with swap rows.
+    Made as at most one stacked call per chunk plus one for the base: four
+    chunks at trunc-dim 12 (33 diagonal rows, eigh on 10), eight at 32 (93
+    diagonal rows, eigh on 30)."""
     for trunc_dim, chunks, diagonal_rows in ((12, 4, 33), (32, 8, 93)):
-        with monkeypatch.context() as m:
-            calls = _record_lapack(m, ("eigh", "inv"))
+        with _run_stats() as stats:
             rows = metric_separation_report(DiagonalModel(trunc_dim, "signed"))
         per_family = Counter(r.family for r in rows).values()
         assert sum(-(-k // _chunk_len(trunc_dim)) for k in per_family) == chunks
         assert sum(r.family != "swap" for r in rows) == diagonal_rows
-        entries = [shape for called, shape in calls if called == "inv" and len(shape) == 4]
-        assert {shape[1:] for shape in entries} == {(trunc_dim, 1, 1)}
         dense = len(rows) - diagonal_rows
-        for name, factored_rows, ndims in (
-            ("eigh", dense, (2, 3)), ("inv", dense, (2, 3)), ("inv", diagonal_rows + 1, (4,))
-        ):
-            shapes = [shape for called, shape in calls if called == name and len(shape) in ndims]
-            factored = sum(shape[0] if len(shape) > 2 else 1 for shape in shapes)
-            assert factored == factored_rows, (trunc_dim, name, ndims)
-            assert len(shapes) <= chunks + 1, (trunc_dim, name, ndims)
+        for key, n in (("eigh", dense), ("inv.dense", dense), ("inv.entry", diagonal_rows + 1)):
+            assert stats[key] == n and stats[key + ".calls"] <= chunks + 1, (trunc_dim, key)
 
 
 @pytest.mark.parametrize("trunc_dim", [64, 200])
 def test_report_calls_fit_the_chunk_budget(trunc_dim, monkeypatch):
     """Every eigh, inverse and norm (the SVD norms included) the report
-    makes takes a stack within the chunk budget, or a single matrix."""
-    calls = _record_lapack(monkeypatch, ("eigh", "inv", "norm", "svd"))
+    makes takes a stack within the chunk budget, or a single matrix: each
+    call is recorded with the shape of its first argument."""
+    calls = []
+    for name in ("eigh", "inv", "norm", "svd"):
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _n=name, _f=getattr(np.linalg, name),
+                            **kw: calls.append((_n, np.shape(a))) or _f(a, *args, **kw))
     rows = metric_separation_report(DiagonalModel(trunc_dim, "linear"), FAMILIES, [1, 2, 3, 5, 8])
     assert len(rows) == 19
     assert {name for name, _ in calls} >= {"eigh", "inv", "norm"}

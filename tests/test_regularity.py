@@ -17,7 +17,7 @@ from specflowlab.generators import (
     random_unitary,
     trig_path,
 )
-from specflowlab.matcore import HermitianMatrix, op_norm
+from specflowlab.matcore import HermitianMatrix, _run_stats, op_norm
 from specflowlab.paths import (
     OperatorPath,
     Regularity,
@@ -95,26 +95,18 @@ def test_declared_step_bounds_hold_between_samples(family):
     _assert_bounds_hold(path, np.linspace(grid[k], grid[k + 1], 65).tolist())
 
 
-def test_declared_flow_makes_no_stacked_norm(monkeypatch):
+def test_declared_flow_makes_no_stacked_norm():
     """A trig path's step bounds come from its coefficients: building it
     takes a 2-norm per coefficient block and one for the tilt (plus what
-    validation needs), and the flow takes none at all. Norms are counted
-    per matrix, so a stacked norm of the blocks counts each block."""
-    norms = []
-    plain = np.linalg.norm
-
-    def counting(x, ord=None, axis=None, keepdims=False):
-        if ord == 2:
-            norms.append(np.shape(x)[0] if np.ndim(x) == 3 else 1)
-        return plain(x, ord, axis, keepdims)
-
-    monkeypatch.setattr(np.linalg, "norm", counting)
-    path = trig_path(3, 64, degree=3)
-    assert 2 * 3 + 1 <= sum(norms) <= 2 * 3 + 3
-    norms.clear()
-    result = sf_all_methods(path)
+    validation needs), and the flow takes none at all. The run record
+    counts norms per matrix, so a stacked norm of the blocks counts each."""
+    with _run_stats() as built:
+        path = trig_path(3, 64, degree=3)
+    assert 2 * 3 + 1 <= built["norm.svd"] <= 2 * 3 + 3 and built["norm.diagonal"] == 0
+    with _run_stats() as flow:
+        result = sf_all_methods(path)
     assert result["phillips_certificate"].soundness == "lipschitz"
-    assert norms == []
+    assert flow["norm.svd"] == flow["norm.diagonal"] == 0
 
 
 def test_narrow_dip_is_never_certified():

@@ -171,24 +171,16 @@ def test_which_of_two_faulty_samples_is_refused_first(second, message):
         path_from_obj(_sampled_file(_GOOD[0], _ASYMMETRIC, second))
 
 
-def test_a_sampled_file_takes_one_stacked_hermitian_check(monkeypatch):
+def test_a_sampled_file_takes_one_stacked_hermitian_check():
     """Nine samples, one check of a (9, n, n) stack, not nine one-matrix
     checks; the kept samples are the stack's rows."""
-    from specflowlab import matcore, paths
+    from specflowlab.matcore import _run_stats
 
     obj = path_to_obj(trig_path(5, 3), samples=9)
-    shapes = []
-    for module in (matcore, paths):
-        check = module._hermitian_stack
-
-        def counted(entries, check=check):
-            out = check(entries)
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(module, "_hermitian_stack", counted)
-    path = path_from_obj(obj)
-    assert shapes == [(9, 3, 3)]
+    with _run_stats() as stats:
+        path = path_from_obj(obj)
+    assert stats["hermitian.copy"] + stats["hermitian.formula"] == 1
+    assert stats["path.factored"] == 9 and stats["path.evaluated"] == 0
     assert path.matrix(0.5).mat.tobytes() == matrix_from_obj(obj["samples"][4]).mat.tobytes()
 
 

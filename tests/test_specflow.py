@@ -26,7 +26,7 @@ from specflowlab.errors import (
     SamplingError,
     SpecFlowError,
 )
-from specflowlab.matcore import HermitianMatrix, op_norm
+from specflowlab.matcore import HermitianMatrix, _run_stats, op_norm
 from specflowlab.paths import OperatorPath, lipschitz, path_concat, path_reverse, piecewise_affine
 from specflowlab.specflow import (
     SfOptions,
@@ -372,20 +372,21 @@ def test_sampler_is_bit_identical_to_single_calls(seed, dim):
         ("fuglede_line", {"N": 8, "n": 7, "law": "shifted"}),
     ],
 )
-def test_diagonal_paths_sample_values_without_lapack(monkeypatch, name, params):
+def test_diagonal_paths_sample_values_without_lapack(name, params):
     """The conjugation line of a cyclic shift and the rank-one perturbed
     diagonal model are diagonal at every t: the sampler sorts the diagonal,
     bit for bit what a one-matrix LAPACK call returns. At dims 65 (m = 32)
     and 32 the grid spans several chunks."""
     path = family_path(name, params)
     ts = np.linspace(0.0, 1.0, 41).tolist()
-    lapack = np.linalg.eigvalsh
-    calls = []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or lapack(a))
-    values = path.values(ts)
-    assert calls == []
+    with _run_stats() as stats:
+        values = path.values(ts)
+    assert stats["path.factored"] == len(ts) and stats["eigvalsh.lapack"] == 0
+    chunks = -(-len(ts) // specflow._chunk_len(path.dim))  # one evaluator call per chunk
+    assert stats["path.evaluated.calls"] == stats["path.factored.calls"] == chunks
     for t, v in zip(ts, values):
-        assert np.array_equal(v.view(np.int64), lapack(path.matrix(t).mat).view(np.int64))
+        lapack = np.linalg.eigvalsh(path.matrix(t).mat)
+        assert np.array_equal(v.view(np.int64), lapack.view(np.int64))
 
 
 def _filled_backwards(seed, dim):
@@ -626,10 +627,10 @@ def _held_points(path) -> set:
 
 
 @pytest.mark.parametrize("family", sorted(EVALUATE_ONCE_PATHS))
-def test_methods_evaluate_each_point_once(family, monkeypatch):
+def test_methods_evaluate_each_point_once(family):
     """No point's eigenvalues are computed twice: the rows the paths factor
-    (``paths._eigenvalues``, LAPACK's or a diagonal chunk's sorted
-    diagonals) are as many as the distinct points that own them, a
+    (the run record's ``path.factored``, LAPACK's or a diagonal chunk's
+    sorted diagonals) are as many as the distinct points that own them, a
     composite's point owned by the (leaf path, parameter) it maps to, so a
     point two composites share is factored once. A leaf's evaluator sees a
     point again only as an inner junction: sf_phillips scores its samples
@@ -637,27 +638,20 @@ def test_methods_evaluate_each_point_once(family, monkeypatch):
     projects are evaluated a second time (t = 0.5 on toeplitz_line), their
     eigenvalues not computed again. That holds whether certify_invertible,
     which keeps the ends the flows' junctions read, runs before the flows
-    or after them."""
-    factored = []
-    eigenvalues = paths._eigenvalues
-
-    def counting(stack, d, part):
-        w = eigenvalues(stack, d, part)
-        factored.append(len(w))
-        return w
-
-    monkeypatch.setattr(paths, "_eigenvalues", counting)
+    or after them. The record's ``path.evaluated`` counts each point the
+    leaves' evaluators are asked for."""
     for certify_first in (False, True):
         path = EVALUATE_ONCE_PATHS[family]()
         before = _held_points(path)
-        factored.clear()
         asked = {leaf: counted_points(leaf) for leaf in _leaves(path)}
-        if certify_first:
+        with _run_stats() as stats:
+            if certify_first:
+                certify_invertible(path)
+            segments = sf_all_methods(path)["pairsum_certificate"].segments
             certify_invertible(path)
-        segments = sf_all_methods(path)["pairsum_certificate"].segments
-        certify_invertible(path)
-        assert any(asked.values()) and factored
-        assert sum(factored) == len(_held_points(path) - before), certify_first
+        assert any(asked.values()) and stats["path.factored"]
+        assert stats["path.factored"] == len(_held_points(path) - before), certify_first
+        assert stats["path.evaluated"] == sum(map(len, asked.values())), certify_first
         repeats = {(leaf, t) for leaf, ts in asked.items()
                    for t, n in Counter(ts).items() if n > 1}
         assert repeats <= _owners(path, [s.t_right for s in segments[:-1]]), certify_first
@@ -862,25 +856,17 @@ def test_endpoints_are_measured_once_per_path(monkeypatch):
     [path_concat, lambda f, g: path_reverse(path_concat(f, g)), lambda f, g: path_reverse(f)],
     ids=["concat", "reverse_of_concat", "reverse"],
 )
-def test_composites_validate_each_evaluated_point_once(compose, monkeypatch):
+def test_composites_validate_each_evaluated_point_once(compose):
     """A composite checks nothing itself: the rows checked while its flow
     and invertibility certificate run are the points its parts evaluate."""
     f, g = concat_compatible_pair(5, 4)
     path = compose(f, g)
     asked = [counted_points(f), counted_points(g)]
-    checked = []
-    check = paths._hermitian_rows
-
-    def counting_check(entries):
-        out = check(entries)
-        checked.append(len(out[0]))
-        return out
-
-    monkeypatch.setattr(paths, "_hermitian_rows", counting_check)
-    sf_all_methods(path)
-    certify_invertible(path)
+    with _run_stats() as stats:
+        sf_all_methods(path)
+        certify_invertible(path)
     evaluated = sum(len(points) for points in asked)
-    assert evaluated and sum(checked) == evaluated
+    assert evaluated and stats["path.evaluated"] == evaluated
 
 
 @pytest.mark.parametrize("seed, dim", [(0, 2), (1, 3), (2, 4), (3, 6), (4, 8)])
@@ -940,7 +926,7 @@ def test_a_composite_evaluates_and_holds_nothing(compose):
             ask(np.array([0.5, -1e-20]))
 
 
-def test_a_composite_projects_no_junction_its_parts_projected(monkeypatch):
+def test_a_composite_projects_no_junction_its_parts_projected():
     """After sf_pairsum of f and of g, sf_pairsum of f then g computes a
     validated eigh (``matcore._eigh_stack``) only for the junctions whose
     matrices f and g have not projected: a junction's matrix is its
@@ -950,40 +936,31 @@ def test_a_composite_projects_no_junction_its_parts_projected(monkeypatch):
     sf_pairsum(g)
     projected = {(p, t) for p in (f, g) for t, m in p._mats.items()
                  if m._eig is not None}
-    factored = []
-    eigh_stack = matcore._eigh_stack
-    monkeypatch.setattr(matcore, "_eigh_stack", lambda s: factored.append(len(s)) or eigh_stack(s))
     path = path_concat(f, g)
-    segments = sf_pairsum(path).segments
+    with _run_stats() as stats:
+        segments = sf_pairsum(path).segments
     owners = _owners(path, [segments[0].t_left] + [s.t_right for s in segments])
     assert owners & projected
-    assert sum(factored) == len(owners - projected)
+    assert stats["eigh"] == len(owners - projected)
 
 
-def test_concat_of_equal_ends_takes_no_norm(monkeypatch):
+def test_concat_of_equal_ends_takes_no_norm():
     """Bit-identical ends differ by 0, within any limit, so path_concat
     takes no 2-norm (each an SVD); ends that differ still take three (the
     mismatch and both ends, for the limit 1e-10 * (1 + max |end|)), and a
     mismatch beyond the limit is refused with both figures."""
-    norms = []
-    plain = np.linalg.norm
-
-    def counting(x, ord=None, axis=None, keepdims=False):
-        if ord == 2:
-            norms.append(np.shape(x)[0] if np.ndim(x) == 3 else 1)
-        return plain(x, ord, axis, keepdims)
-
     f, g = concat_compatible_pair(3, 5)
     a = HermitianMatrix(np.diag([1.0, -2.0]))
     b = HermitianMatrix(np.diag([3.0, -1.0]))
     line = OperatorPath.from_samples([a, b])
     close = OperatorPath.from_samples([HermitianMatrix(np.diag([3.0 + 1e-12, -1.0])), a])
     far = OperatorPath.from_samples([HermitianMatrix(np.diag([3.0 + 1e-3, -1.0])), a])
-    monkeypatch.setattr(np.linalg, "norm", counting)
-    path_concat(f, g)
-    assert norms == []
-    path_concat(line, close)
-    assert sum(norms) == 3
+    with _run_stats() as stats:
+        path_concat(f, g)
+    assert stats["norm.svd"] == stats["norm.diagonal"] == 0
+    with _run_stats() as stats:
+        path_concat(line, close)
+    assert stats["norm.svd"] == 3
     with pytest.raises(EndpointError) as err:
         path_concat(line, far)
     assert str(err.value) == "concatenation endpoints differ by 1.000e-03 (limit 4.001e-10)"
